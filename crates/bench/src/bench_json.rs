@@ -9,7 +9,8 @@ use std::time::Instant;
 
 use obs::json::{Arr, Obj};
 use prodsys::{
-    make_engine, ClassId, ConcurrentExecutor, EngineKind, ProductionDb, ProductionSystem, Strategy,
+    make_engine, ClassId, ConcurrentExecutor, EngineKind, MatchEngine, ProductionDb,
+    ProductionSystem, Strategy,
 };
 use relstore::tuple;
 
@@ -71,6 +72,43 @@ pub struct BenchRow {
 }
 
 impl BenchRow {
+    /// The one place a row is assembled: counters read off the `engine`
+    /// the timed pass left behind (and its database), lock contention
+    /// from the concurrent run's `locks` (zeros for sequential rows), and
+    /// the profiled re-run's columns.
+    fn new(
+        label: &'static str,
+        wall_ns: u64,
+        fired: u64,
+        engine: &dyn MatchEngine,
+        locks: Option<&prodsys::ConcurrentStats>,
+        rerun: Rerun,
+    ) -> BenchRow {
+        let space = engine.space();
+        let (pattern_probes, pattern_scanned) = engine.pattern_io().unwrap_or((0, 0));
+        let ops = engine.pdb().db().stats().snapshot();
+        BenchRow {
+            engine: label,
+            wall_ns,
+            fired,
+            logical_io: ops.logical_io(),
+            match_entries: space.match_entries as u64,
+            match_bytes: space.match_bytes as u64,
+            pattern_probes,
+            pattern_scanned,
+            page_reads: ops.page_reads,
+            page_writes: ops.page_writes,
+            pool_hits: ops.pool_hits,
+            pool_evictions: ops.pool_evictions,
+            lock_waits: locks.map_or(0, |l| l.lock_waits),
+            lock_wait_ns: locks.map_or(0, |l| l.lock_wait_ns),
+            lock_shards: locks.map_or_else(Vec::new, |l| l.shard_contention.clone()),
+            alloc_bytes: rerun.alloc_bytes,
+            prof_wall_ns: rerun.prof_wall_ns,
+            profile: rerun.profile,
+        }
+    }
+
     /// Top-`n` self-time hotspots of the profiled re-run.
     pub fn hotspots(&self, n: usize) -> Vec<obs::prof::Hotspot> {
         self.profile.hotspots(n)
@@ -86,11 +124,26 @@ impl BenchRow {
     }
 }
 
-/// Run `f` with the profiler + allocation counters on; returns `f`'s
-/// result, the merged profile, the wall time, and the bytes allocated.
-/// The profiler is process-global: callers are sequential (bench passes
-/// run one engine at a time).
-fn profiled_run<R>(f: impl FnOnce() -> R) -> (R, obs::Profile, u64, u64) {
+/// What a row's optional profiled re-run measured: the merged profile,
+/// its wall time, and the bytes allocated (empty and zeros when the row
+/// is not profiled).
+struct Rerun {
+    profile: obs::Profile,
+    prof_wall_ns: u64,
+    alloc_bytes: u64,
+}
+
+/// When `profiled`, run `f` once more with the profiler + allocation
+/// counters on. The profiler is process-global: callers are sequential
+/// (bench passes run one engine at a time).
+fn profiled_rerun<R>(profiled: bool, f: impl FnOnce() -> R) -> Rerun {
+    if !profiled {
+        return Rerun {
+            profile: obs::Profile::new(),
+            prof_wall_ns: 0,
+            alloc_bytes: 0,
+        };
+    }
     obs::prof::reset();
     obs::alloc::reset();
     obs::prof::set_enabled(true);
@@ -99,7 +152,13 @@ fn profiled_run<R>(f: impl FnOnce() -> R) -> (R, obs::Profile, u64, u64) {
     let prof_wall_ns = start.elapsed().as_nanos() as u64;
     obs::prof::set_enabled(false);
     let profile = obs::prof::take();
-    (out, profile, prof_wall_ns, obs::alloc::stats().bytes)
+    let alloc_bytes = obs::alloc::stats().bytes;
+    drop(out);
+    Rerun {
+        profile,
+        prof_wall_ns,
+        alloc_bytes,
+    }
 }
 
 /// Run the demo workload on every engine and collect one [`BenchRow`]
@@ -128,35 +187,15 @@ pub fn bench_rows_with(profiled: bool) -> Vec<BenchRow> {
             let start = Instant::now();
             let (sys, out) = run();
             let wall_ns = start.elapsed().as_nanos() as u64;
-            let (profile, prof_wall_ns, alloc_bytes) = if profiled {
-                let (_, profile, prof_wall_ns, alloc_bytes) = profiled_run(run);
-                (profile, prof_wall_ns, alloc_bytes)
-            } else {
-                (obs::Profile::new(), 0, 0)
-            };
-            let space = sys.engine().space();
-            let (pattern_probes, pattern_scanned) = sys.engine().pattern_io().unwrap_or((0, 0));
-            let ops = sys.engine().pdb().db().stats().snapshot();
-            BenchRow {
-                engine: kind.label(),
+            let rerun = profiled_rerun(profiled, run);
+            BenchRow::new(
+                kind.label(),
                 wall_ns,
-                fired: out.fired as u64,
-                logical_io: ops.logical_io(),
-                match_entries: space.match_entries as u64,
-                match_bytes: space.match_bytes as u64,
-                pattern_probes,
-                pattern_scanned,
-                page_reads: ops.page_reads,
-                page_writes: ops.page_writes,
-                pool_hits: ops.pool_hits,
-                pool_evictions: ops.pool_evictions,
-                lock_waits: 0,
-                lock_wait_ns: 0,
-                lock_shards: Vec::new(),
-                alloc_bytes,
-                prof_wall_ns,
-                profile,
-            }
+                out.fired as u64,
+                sys.engine(),
+                None,
+                rerun,
+            )
         })
         .collect()
 }
@@ -225,7 +264,9 @@ fn scaled_pass(
 ) -> (ProductionSystem, u64) {
     let mut sys = scaled_system(kind);
     sys.set_batching(batch);
-    sys.set_pattern_index(pattern_index);
+    sys.executor_mut()
+        .engine_mut()
+        .set_pattern_index(pattern_index);
     let refs: Vec<_> = (0..SCALED_REFS)
         .map(|r| tuple![SCALED_HOT + r, r * 10])
         .collect();
@@ -265,36 +306,8 @@ fn scaled_row(
     let start = Instant::now();
     let _ = scaled_pass(kind, items, batch, pattern_index);
     wall_ns = wall_ns.min(start.elapsed().as_nanos() as u64);
-    let (profile, prof_wall_ns, alloc_bytes) = if profiled {
-        let (_, profile, prof_wall_ns, alloc_bytes) =
-            profiled_run(|| scaled_pass(kind, items, batch, pattern_index));
-        (profile, prof_wall_ns, alloc_bytes)
-    } else {
-        (obs::Profile::new(), 0, 0)
-    };
-    let space = sys.engine().space();
-    let (pattern_probes, pattern_scanned) = sys.engine().pattern_io().unwrap_or((0, 0));
-    let ops = sys.engine().pdb().db().stats().snapshot();
-    BenchRow {
-        engine: label,
-        wall_ns,
-        fired,
-        logical_io: ops.logical_io(),
-        match_entries: space.match_entries as u64,
-        match_bytes: space.match_bytes as u64,
-        pattern_probes,
-        pattern_scanned,
-        page_reads: ops.page_reads,
-        page_writes: ops.page_writes,
-        pool_hits: ops.pool_hits,
-        pool_evictions: ops.pool_evictions,
-        lock_waits: 0,
-        lock_wait_ns: 0,
-        lock_shards: Vec::new(),
-        alloc_bytes,
-        prof_wall_ns,
-        profile,
-    }
+    let rerun = profiled_rerun(profiled, || scaled_pass(kind, items, batch, pattern_index));
+    BenchRow::new(label, wall_ns, fired, sys.engine(), None, rerun)
 }
 
 /// Buffer-pool frames for the `query-paged` row — deliberately far
@@ -389,37 +402,8 @@ fn scaled_paged_row(label: &'static str, items: i64, profiled: bool) -> BenchRow
     let start = Instant::now();
     let _ = scaled_paged_pass(items, SCALED_PAGED_POOL);
     wall_ns = wall_ns.min(start.elapsed().as_nanos() as u64);
-    let (profile, prof_wall_ns, alloc_bytes) = if profiled {
-        let (_, profile, prof_wall_ns, alloc_bytes) =
-            profiled_run(|| scaled_paged_pass(items, SCALED_PAGED_POOL));
-        (profile, prof_wall_ns, alloc_bytes)
-    } else {
-        (obs::Profile::new(), 0, 0)
-    };
-    let engine = exec.engine();
-    let space = engine.space();
-    let (pattern_probes, pattern_scanned) = engine.pattern_io().unwrap_or((0, 0));
-    let ops = engine.pdb().db().stats().snapshot();
-    BenchRow {
-        engine: label,
-        wall_ns,
-        fired,
-        logical_io: ops.logical_io(),
-        match_entries: space.match_entries as u64,
-        match_bytes: space.match_bytes as u64,
-        pattern_probes,
-        pattern_scanned,
-        page_reads: ops.page_reads,
-        page_writes: ops.page_writes,
-        pool_hits: ops.pool_hits,
-        pool_evictions: ops.pool_evictions,
-        lock_waits: 0,
-        lock_wait_ns: 0,
-        lock_shards: Vec::new(),
-        alloc_bytes,
-        prof_wall_ns,
-        profile,
-    }
+    let rerun = profiled_rerun(profiled, || scaled_paged_pass(items, SCALED_PAGED_POOL));
+    BenchRow::new(label, wall_ns, fired, exec.engine(), None, rerun)
 }
 
 /// Consuming variant of [`SCALED_DEMO`] for the §5 concurrent rows: the
@@ -480,38 +464,17 @@ fn scaled_concurrent_row(
     profiled: bool,
 ) -> BenchRow {
     let (exec, stats, wall_ns) = scaled_concurrent_pass(items, workers, shards);
-    let (profile, prof_wall_ns, alloc_bytes) = if profiled {
-        let (_, profile, prof_wall_ns, alloc_bytes) =
-            profiled_run(|| scaled_concurrent_pass(items, workers, shards));
-        (profile, prof_wall_ns, alloc_bytes)
-    } else {
-        (obs::Profile::new(), 0, 0)
-    };
+    let rerun = profiled_rerun(profiled, || scaled_concurrent_pass(items, workers, shards));
     let handle = exec.engine();
     let g = handle.lock();
-    let space = g.space();
-    let (pattern_probes, pattern_scanned) = g.pattern_io().unwrap_or((0, 0));
-    let ops = g.pdb().db().stats().snapshot();
-    BenchRow {
-        engine: label,
+    BenchRow::new(
+        label,
         wall_ns,
-        fired: stats.committed as u64,
-        logical_io: ops.logical_io(),
-        match_entries: space.match_entries as u64,
-        match_bytes: space.match_bytes as u64,
-        pattern_probes,
-        pattern_scanned,
-        page_reads: ops.page_reads,
-        page_writes: ops.page_writes,
-        pool_hits: ops.pool_hits,
-        pool_evictions: ops.pool_evictions,
-        lock_waits: stats.lock_waits,
-        lock_wait_ns: stats.lock_wait_ns,
-        lock_shards: stats.shard_contention.clone(),
-        alloc_bytes,
-        prof_wall_ns,
-        profile,
-    }
+        stats.committed as u64,
+        &**g,
+        Some(&stats),
+        rerun,
+    )
 }
 
 /// Worker counts of the §5 throughput-vs-workers sweep

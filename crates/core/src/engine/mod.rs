@@ -1,4 +1,4 @@
-//! The matching-engine abstraction and its five implementations.
+//! The matching-engine abstraction and its five engines.
 //!
 //! | Engine | Paper section | Idea |
 //! |---|---|---|
@@ -8,25 +8,25 @@
 //! | [`CondEngine`] | §4.2 | **matching patterns** in COND relations (the paper's contribution) |
 //! | [`MarkerEngine`] | §2.3/§3.2 | POSTGRES-style rule markers on data, with false drops |
 //!
-//! All five consume the same insert/remove stream and must produce
-//! identical conflict sets (equivalence- and property-tested at the
-//! workspace level).
+//! [`QueryEngine`] and [`MarkerEngine`] are one implementation
+//! ([`reeval::ReevalEngine`]) under two awakening policies. All five
+//! consume the same insert/remove stream and must produce identical
+//! conflict sets (equivalence- and property-tested at the workspace
+//! level).
 
 pub mod arena;
 pub mod cond;
 pub mod dbrete_engine;
 pub mod explain;
 pub mod intern;
-pub mod marker;
-pub mod query_engine;
 pub mod recompute;
+pub mod reeval;
 pub mod rete_engine;
 
 pub use cond::CondEngine;
 pub use dbrete_engine::DbReteEngine;
 pub use explain::{plans_to_json, MatchPlan, OrderPolicy, PlanStep};
-pub use marker::MarkerEngine;
-pub use query_engine::QueryEngine;
+pub use reeval::{MarkerEngine, QueryEngine};
 pub use rete_engine::ReteEngine;
 
 use std::time::Instant;

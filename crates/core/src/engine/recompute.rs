@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 
 use ops5::{ClassId, Rule, RuleId};
-use relstore::{BatchExecutor, Binding, QueryExecutor, Tuple, TupleId};
+use relstore::{Binding, Planner, QueryExecutor, Tuple, TupleId};
 use rete::{AbsentPattern, ConflictDelta, Instantiation, Provenance, Wme};
 
 use crate::pdb::ProductionDb;
@@ -98,27 +98,41 @@ fn matches_from(bindings: Vec<Binding>) -> Vec<Match> {
         .collect()
 }
 
+/// Run `rule`'s LHS query through the one executor, around `seeds`
+/// filling positive CE `seed_ce` when given. `set_oriented` only chooses
+/// the plan: the planner's (hash or nested-loop steps by observed
+/// cardinalities) or the same join order pinned to nested loops.
+fn eval(
+    pdb: &ProductionDb,
+    rule: &Rule,
+    seed_ce: Option<usize>,
+    seeds: &[(TupleId, Tuple)],
+    set_oriented: bool,
+) -> Vec<Match> {
+    let query = pdb.query(rule.id);
+    let planner = Planner::new(pdb.db());
+    let plan = if set_oriented {
+        planner.plan_seeded(query, seed_ce, seeds.len() as f64)
+    } else {
+        planner.plan_nested_loop(query, seed_ce)
+    };
+    let bindings = QueryExecutor::new(pdb.db())
+        .exec_plan(query, &plan, seeds)
+        .expect("rule query");
+    matches_from(bindings)
+}
+
 /// Evaluate a rule's LHS against the current WM. Returns every match.
-/// Uses the index nested-loop executor (the pre-batching strategy).
+/// Runs the nested-loop plan (the pre-batching strategy).
 pub fn eval_rule(pdb: &ProductionDb, rule: &Rule) -> Vec<Match> {
     eval_rule_via(pdb, rule, false)
 }
 
-/// Evaluate a rule's LHS, choosing the executor: `set_oriented` runs the
-/// hash-join [`BatchExecutor`], otherwise the tuple-at-a-time
-/// [`QueryExecutor`]. Both return the same match set (property-tested).
+/// Evaluate a rule's LHS, choosing the plan: `set_oriented` lets the
+/// planner pick hash joins, otherwise every step is a tuple-at-a-time
+/// index nested loop. Both return the same match set (property-tested).
 pub fn eval_rule_via(pdb: &ProductionDb, rule: &Rule, set_oriented: bool) -> Vec<Match> {
-    let query = pdb.query(rule.id);
-    let bindings = if set_oriented {
-        BatchExecutor::new(pdb.db())
-            .exec(query, None)
-            .expect("rule query")
-    } else {
-        QueryExecutor::new(pdb.db())
-            .exec(query, None)
-            .expect("rule query")
-    };
-    matches_from(bindings)
+    eval(pdb, rule, None, &[], set_oriented)
 }
 
 /// Evaluate a rule's LHS seeded with a specific tuple filling positive CE
@@ -130,20 +144,15 @@ pub fn eval_rule_seeded(
     tid: TupleId,
     tuple: &Tuple,
 ) -> Vec<Match> {
-    let query = pdb.query(rule.id);
-    let exec = QueryExecutor::new(pdb.db());
-    let bindings = exec
-        .exec(query, Some((ce, tid, tuple)))
-        .expect("seeded rule query");
-    matches_from(bindings)
+    eval(pdb, rule, Some(ce), &[(tid, tuple.clone())], false)
 }
 
 /// Evaluate a rule's LHS once per seed tuple filling positive CE `ce`,
 /// returning the concatenation. `set_oriented` evaluates the whole seed
-/// set in one batched pass (one plan, one relation read per step) through
-/// the [`BatchExecutor`]; otherwise the seeds are probed one at a time —
-/// the two produce equal match multisets, in possibly different order, so
-/// callers must dedup/diff by tid vector (they do: [`InstStore`]).
+/// set in one pass under one plan; otherwise the seeds are planned and
+/// probed one at a time — the two produce equal match multisets, in
+/// possibly different order, so callers must dedup/diff by tid vector
+/// (they do: [`InstStore`]).
 pub fn eval_rule_seeded_batch(
     pdb: &ProductionDb,
     rule: &Rule,
@@ -151,21 +160,32 @@ pub fn eval_rule_seeded_batch(
     seeds: &[(TupleId, Tuple)],
     set_oriented: bool,
 ) -> Vec<Match> {
-    if seeds.is_empty() {
-        return Vec::new();
-    }
     if set_oriented {
-        let query = pdb.query(rule.id);
-        let bindings = BatchExecutor::new(pdb.db())
-            .exec_seeded_batch(query, ce, seeds)
-            .expect("seeded batch query");
-        matches_from(bindings)
+        eval(pdb, rule, Some(ce), seeds, true)
     } else {
         seeds
-            .iter()
-            .flat_map(|(tid, tuple)| eval_rule_seeded(pdb, rule, ce, *tid, tuple))
+            .chunks(1)
+            .flat_map(|seed| eval(pdb, rule, Some(ce), seed, false))
             .collect()
     }
+}
+
+/// Multiset difference by tid vector: pair each match of `new`, in order,
+/// with the first still-unpaired match of `old` over the same tuples.
+/// Returns which of `old` and which of `new` found a partner.
+fn pair_by_tids(old: &[Match], new: &[Match]) -> (Vec<bool>, Vec<bool>) {
+    let mut old_paired = vec![false; old.len()];
+    let new_paired = new
+        .iter()
+        .map(|m| {
+            let hit = (0..old.len()).find(|&i| !old_paired[i] && old[i].tids == m.tids);
+            if let Some(i) = hit {
+                old_paired[i] = true;
+            }
+            hit.is_some()
+        })
+        .collect();
+    (old_paired, new_paired)
 }
 
 /// Exact multiset of live matches per rule.
@@ -180,11 +200,6 @@ impl InstStore {
         InstStore::default()
     }
 
-    /// The live matches of one rule.
-    pub fn matches(&self, rule: RuleId) -> &[Match] {
-        self.by_rule.get(&rule).map_or(&[], Vec::as_slice)
-    }
-
     /// Total live matches across all rules.
     pub fn total(&self) -> usize {
         self.by_rule.values().map(Vec::len).sum()
@@ -194,38 +209,14 @@ impl InstStore {
     /// symmetric difference (by tid vector, multiset semantics).
     pub fn replace(&mut self, rule: &Rule, new: Vec<Match>) -> Vec<ConflictDelta> {
         let old = self.by_rule.remove(&rule.id).unwrap_or_default();
-        let mut deltas = Vec::new();
-        // Count occurrences by tid-vector.
-        let mut old_left: Vec<Option<&Match>> = old.iter().map(Some).collect();
-        let mut fresh: Vec<&Match> = Vec::new();
-        'outer: for m in &new {
-            for slot in old_left.iter_mut() {
-                if let Some(o) = slot {
-                    if o.tids == m.tids {
-                        *slot = None;
-                        continue 'outer;
-                    }
-                }
-            }
-            fresh.push(m);
-        }
-        for gone in old_left.into_iter().flatten() {
-            deltas.push(ConflictDelta::Remove(gone.instantiation(rule)));
-        }
-        for add in fresh {
-            deltas.push(ConflictDelta::Add(add.instantiation(rule)));
-        }
-        self.by_rule.insert(rule.id, new);
-        deltas
-    }
-
-    /// Add matches (assumed not already present) to a rule.
-    pub fn add(&mut self, rule: &Rule, matches: Vec<Match>) -> Vec<ConflictDelta> {
-        let deltas: Vec<ConflictDelta> = matches
-            .iter()
-            .map(|m| ConflictDelta::Add(m.instantiation(rule)))
+        let (kept, known) = pair_by_tids(&old, &new);
+        let gone = old.iter().zip(kept).filter(|(_, kept)| !kept);
+        let fresh = new.iter().zip(known).filter(|(_, known)| !known);
+        let deltas = gone
+            .map(|(m, _)| ConflictDelta::Remove(m.instantiation(rule)))
+            .chain(fresh.map(|(m, _)| ConflictDelta::Add(m.instantiation(rule))))
             .collect();
-        self.by_rule.entry(rule.id).or_default().extend(matches);
+        self.by_rule.insert(rule.id, new);
         deltas
     }
 
@@ -237,28 +228,13 @@ impl InstStore {
         class: ClassId,
         tid: TupleId,
     ) -> Vec<ConflictDelta> {
-        let Some(ms) = self.by_rule.get_mut(&rule.id) else {
-            return Vec::new();
-        };
-        let classes: Vec<ClassId> = rule
-            .ces
-            .iter()
-            .filter(|ce| !ce.negated)
-            .map(|ce| ce.class)
-            .collect();
-        let mut deltas = Vec::new();
-        ms.retain(|m| {
-            let hit = m
-                .tids
+        self.remove_where(rule, |m| {
+            let positive = rule.ces.iter().filter(|ce| !ce.negated);
+            m.tids
                 .iter()
-                .zip(&classes)
-                .any(|(t, c)| *t == tid && *c == class);
-            if hit {
-                deltas.push(ConflictDelta::Remove(m.instantiation(rule)));
-            }
-            !hit
-        });
-        deltas
+                .zip(positive)
+                .any(|(t, ce)| *t == tid && ce.class == class)
+        })
     }
 
     /// Remove matches of `rule` failing a predicate, emitting deltas.
@@ -286,27 +262,11 @@ impl InstStore {
     /// added and returned as Add deltas.
     pub fn add_missing(&mut self, rule: &Rule, new: Vec<Match>) -> Vec<ConflictDelta> {
         let existing = self.by_rule.entry(rule.id).or_default();
-        let mut remaining: Vec<Option<&Match>> = existing.iter().map(Some).collect();
-        let mut fresh = Vec::new();
-        'outer: for m in new {
-            for slot in remaining.iter_mut() {
-                if let Some(o) = slot {
-                    if o.tids == m.tids {
-                        *slot = None;
-                        continue 'outer;
-                    }
-                }
-            }
-            fresh.push(m);
-        }
-        let deltas: Vec<ConflictDelta> = Vec::new();
-        let mut deltas = deltas;
-        for m in fresh {
+        let (_, known) = pair_by_tids(existing, &new);
+        let mut deltas = Vec::new();
+        for (m, _) in new.into_iter().zip(known).filter(|(_, known)| !known) {
             deltas.push(ConflictDelta::Add(m.instantiation(rule)));
-            self.by_rule
-                .get_mut(&rule.id)
-                .expect("entry created")
-                .push(m);
+            existing.push(m);
         }
         deltas
     }

@@ -214,12 +214,6 @@ impl ConcurrentExecutor {
         self.engine.lock().set_batching(on);
     }
 
-    /// Toggle the σ-binding hash index over matching patterns where the
-    /// engine keeps one (see [`MatchEngine::set_pattern_index`]).
-    pub fn set_pattern_index(&mut self, on: bool) {
-        self.engine.lock().set_pattern_index(on);
-    }
-
     /// Install a tracing/metrics handle on the engine and the storage
     /// layer's lock manager (§5 contention profiling).
     pub fn set_tracer(&self, tracer: obs::Tracer) {

@@ -69,13 +69,6 @@ impl ProductionSystem {
         self.exec.engine_mut().set_batching(on);
     }
 
-    /// Toggle the σ-binding hash index over matching patterns (COND
-    /// engine). Engines without a pattern store ignore it. Benchmarks pin
-    /// `false` to reproduce the historical full-scan baseline.
-    pub fn set_pattern_index(&mut self, on: bool) {
-        self.exec.engine_mut().set_pattern_index(on);
-    }
-
     /// Run the recognize-act cycle.
     pub fn run(&mut self, max_cycles: usize) -> RunOutcome {
         self.exec.run(max_cycles)

@@ -56,8 +56,8 @@ pub use page::{Page, PageId, PAGE_SIZE};
 pub use pool::{BufferPool, PageManager};
 pub use pred::{AttrTest, CompOp, Restriction, Selection};
 pub use query::{
-    BatchExecutor, Binding, ConjunctiveQuery, ExecProfile, JoinAlgo, JoinPred, Plan, Planner,
-    QueryExecutor, QueryTerm,
+    Binding, ConjunctiveQuery, ExecProfile, JoinAlgo, JoinPred, Plan, Planner, QueryExecutor,
+    QueryTerm,
 };
 pub use relation::Relation;
 pub use schema::{AttrIdx, Attribute, RelId, Schema};

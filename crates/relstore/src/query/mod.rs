@@ -7,16 +7,15 @@
 //! join predicates. Terms may be *negated* (OPS5 `-` condition elements):
 //! a binding qualifies only if no tuple satisfies the negated term.
 //!
-//! The planner (`plan`) picks a join order greedily; the executor (`exec`)
-//! runs index nested-loop joins and can be *seeded* with a specific tuple
-//! for one term — exactly what the simplified algorithm of §4.1.2 needs
-//! when a newly inserted WM element fills one condition element.
+//! The planner (`plan`) picks a join order greedily and a join algorithm
+//! per step; the executor (`exec`) carries the set of partial bindings
+//! through that plan and can be *seeded* with specific tuples for one
+//! term — exactly what the simplified algorithm of §4.1.2 needs when
+//! newly inserted WM elements fill one condition element.
 
-mod batch;
 mod exec;
 mod plan;
 
-pub use batch::BatchExecutor;
 pub use exec::{Binding, ExecProfile, QueryExecutor};
 pub(crate) use plan::HASH_THRESHOLD;
 pub use plan::{JoinAlgo, Plan, Planner};

@@ -16,11 +16,10 @@ use crate::pred::CompOp;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinAlgo {
     /// Index nested-loop: probe the step's relation once per outer
-    /// binding (the seed executor's only strategy before the batch
-    /// executor existed).
+    /// binding, with the bound join predicates pushed into the read.
     NestedLoop,
-    /// Build/probe hash join over the step's equi-join attributes,
-    /// evaluated set-at-a-time by the batch executor.
+    /// Build/probe hash join over the step's equi-join attributes: one
+    /// read of the step's relation serves every outer binding.
     Hash,
 }
 
@@ -51,6 +50,26 @@ pub struct Plan {
     pub estimates: Vec<f64>,
     /// Term seeded with a known tuple, if any. Always first in `order`.
     pub seed: Option<usize>,
+    /// Anti-join algorithm of the negated terms when the plan pins one;
+    /// `None` leaves it to [`Planner::anti_algo`] at run time, from the
+    /// number of bindings that actually reach each negated term.
+    pub anti: Option<JoinAlgo>,
+}
+
+impl Plan {
+    /// Visit the positive terms in the imposed `order` (unseeded, no
+    /// estimates) with every join and anti-join step pinned to
+    /// [`JoinAlgo::NestedLoop`]: the tuple-at-a-time I/O profile — one
+    /// index probe per binding per step — as a plan.
+    pub fn nested_loop(order: Vec<usize>) -> Plan {
+        Plan {
+            algos: vec![JoinAlgo::NestedLoop; order.len()],
+            estimates: Vec::new(),
+            order,
+            seed: None,
+            anti: Some(JoinAlgo::NestedLoop),
+        }
+    }
 }
 
 /// Plans conjunctive queries against a database's current statistics.
@@ -140,13 +159,7 @@ impl<'a> Planner<'a> {
     /// [`Planner::step_algo`], with the whole positive set as the bound
     /// side.
     pub fn anti_algo(&self, query: &ConjunctiveQuery, t: usize, bindings: f64) -> JoinAlgo {
-        let positives = query.positive_terms();
-        match self.eq_join_distinct(query, t, &positives) {
-            Some(d) if self.term_cardinality(query, t) >= HASH_THRESHOLD && bindings > d as f64 => {
-                JoinAlgo::Hash
-            }
-            _ => JoinAlgo::NestedLoop,
-        }
+        self.step_algo(query, t, &query.positive_terms(), bindings)
     }
 
     /// Estimated bindings term `t` contributes after `bound` terms are
@@ -172,6 +185,18 @@ impl<'a> Planner<'a> {
     /// (the condition element filled by the tuple that just arrived).
     pub fn plan(&self, query: &ConjunctiveQuery, seed: Option<usize>) -> Plan {
         self.plan_seeded(query, seed, 1.0)
+    }
+
+    /// The join order of [`Planner::plan`] with every step pinned to an
+    /// index nested loop ([`Plan::nested_loop`]) — the baseline the
+    /// `query-nl`/`marker-nl` bench rows and the `eval_rule` oracle run.
+    pub fn plan_nested_loop(&self, query: &ConjunctiveQuery, seed: Option<usize>) -> Plan {
+        let plan = self.plan(query, seed);
+        Plan {
+            seed,
+            estimates: plan.estimates,
+            ..Plan::nested_loop(plan.order)
+        }
     }
 
     /// [`Planner::plan`] for a *batch* of `seed_bindings` seed tuples
@@ -203,56 +228,27 @@ impl<'a> Planner<'a> {
             order.push(s);
         }
 
-        // If no seed, start from the cheapest term.
-        if order.is_empty() && !remaining.is_empty() {
-            let best = remaining
-                .iter()
-                .copied()
-                .min_by(|&a, &b| {
-                    self.term_cardinality(query, a)
-                        .total_cmp(&self.term_cardinality(query, b))
-                })
-                .expect("nonempty");
-            remaining.retain(|&t| t != best);
-            algos.push(self.step_algo(query, best, &order, cum));
-            estimates.push(self.term_cardinality(query, best));
-            cum *= self.step_estimate(query, best, &order);
-            order.push(best);
-        }
-
         while !remaining.is_empty() {
             // Prefer terms equi-joined to the bound set (cheapest first),
-            // then any joined term, then the cheapest cross product.
+            // then any joined term, then the cheapest cross product —
+            // which is also how an unseeded plan picks its first term.
             let connected = |t: usize, eq_only: bool| -> bool {
                 query.joins_of(t).any(|j| {
                     (!eq_only || j.op == CompOp::Eq)
                         && j.other(t).is_some_and(|o| order.contains(&o))
                 })
             };
-            let pick = remaining
-                .iter()
-                .copied()
-                .filter(|&t| connected(t, true))
-                .min_by(|&a, &b| {
+            let cheapest = |candidates: &mut dyn Iterator<Item = usize>| {
+                candidates.min_by(|&a, &b| {
                     self.term_cardinality(query, a)
                         .total_cmp(&self.term_cardinality(query, b))
                 })
+            };
+            let pick = cheapest(&mut remaining.iter().copied().filter(|&t| connected(t, true)))
                 .or_else(|| {
-                    remaining
-                        .iter()
-                        .copied()
-                        .filter(|&t| connected(t, false))
-                        .min_by(|&a, &b| {
-                            self.term_cardinality(query, a)
-                                .total_cmp(&self.term_cardinality(query, b))
-                        })
+                    cheapest(&mut remaining.iter().copied().filter(|&t| connected(t, false)))
                 })
-                .or_else(|| {
-                    remaining.iter().copied().min_by(|&a, &b| {
-                        self.term_cardinality(query, a)
-                            .total_cmp(&self.term_cardinality(query, b))
-                    })
-                })
+                .or_else(|| cheapest(&mut remaining.iter().copied()))
                 .expect("nonempty remaining");
             remaining.retain(|&t| t != pick);
             algos.push(self.step_algo(query, pick, &order, cum));
@@ -266,6 +262,7 @@ impl<'a> Planner<'a> {
             algos,
             estimates,
             seed,
+            anti: None,
         }
     }
 }

@@ -1,8 +1,7 @@
-//! Set-oriented batch matching equivalences:
+//! Set-oriented batch matching equivalences (the executor's own
+//! plan-vs-plan equivalence is checked against the brute-force oracle in
+//! `tests/query_oracle.rs`):
 //!
-//! * the [`BatchExecutor`] (hash joins, hash semi/anti-joins) returns
-//!   exactly the bindings of the nested-loop [`QueryExecutor`] on random
-//!   conjunctive queries, including negated terms and seeded evaluation;
 //! * delta-batched loading (`insert_batch`) leaves every engine in the
 //!   same state as tuple-at-a-time loading;
 //! * parallel COND propagation fires the same rules in the same order as
@@ -13,101 +12,8 @@ use prodsys::{
     make_engine, CondEngine, EngineKind, ProductionDb, ProductionSystem, SequentialExecutor,
     Strategy,
 };
-use proptest::prelude::*;
-use relstore::{BatchExecutor, Binding, QueryExecutor, Restriction, Tuple, TupleId};
+use relstore::{Restriction, Tuple};
 use workload::{Op, RuleGenConfig, TraceConfig};
-
-fn sorted_tids(bindings: &[Binding]) -> Vec<Vec<Option<u64>>> {
-    let mut v: Vec<Vec<Option<u64>>> = bindings
-        .iter()
-        .map(|b| {
-            b.slots
-                .iter()
-                .map(|s| s.as_ref().map(|(tid, _)| tid.pack()))
-                .collect()
-        })
-        .collect();
-    v.sort();
-    v
-}
-
-/// Build a random program, load a random WM, and return the loaded db.
-fn random_pdb(seed: u64, ops: usize) -> (ProductionDb, RuleGenConfig) {
-    let cfg = RuleGenConfig {
-        rules: 8,
-        ces_per_rule: 3,
-        domain: 3,
-        negated_fraction: 0.4,
-        seed,
-        ..Default::default()
-    };
-    let rules = ops5::compile(&cfg.source()).expect("generated program compiles");
-    let pdb = ProductionDb::new(rules).expect("pdb");
-    let trace = TraceConfig {
-        ops,
-        delete_fraction: 0.0,
-        join_domain: 2,
-        select_domain: 3,
-        seed: seed + 1000,
-    }
-    .trace(cfg.classes, cfg.attrs);
-    for op in trace {
-        if let Op::Insert(c, t) = op {
-            pdb.insert_wm(ClassId(c), t).expect("insert");
-        }
-    }
-    (pdb, cfg)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
-
-    /// Full-query and seeded-batch evaluation: the set-oriented executor
-    /// must return exactly the nested-loop executor's bindings on random
-    /// rule queries (joins, selections, negated CEs), whatever join
-    /// algorithms its planner picks.
-    #[test]
-    fn batch_executor_matches_nested_loop(seed in 0u64..400, ops in 20usize..60) {
-        let (pdb, _cfg) = random_pdb(seed, ops);
-        let db = pdb.db();
-        for rule in &pdb.rules().rules {
-            let q = pdb.query(rule.id);
-            let nl = QueryExecutor::new(db).exec(q, None).unwrap();
-            let batch = BatchExecutor::new(db).exec(q, None).unwrap();
-            prop_assert_eq!(
-                sorted_tids(&nl),
-                sorted_tids(&batch),
-                "rule {} full evaluation",
-                rule.name
-            );
-            // Seeded evaluation: batch all tuples of a term's class at
-            // once; must equal the concatenation of per-seed runs.
-            for t in q.positive_terms() {
-                let seeds: Vec<(TupleId, Tuple)> =
-                    db.select(q.terms[t].rel, &Restriction::default()).unwrap();
-                if seeds.is_empty() {
-                    continue;
-                }
-                let mut per_seed = Vec::new();
-                for (tid, tuple) in &seeds {
-                    per_seed.extend(
-                        QueryExecutor::new(db).exec(q, Some((t, *tid, tuple))).unwrap(),
-                    );
-                }
-                let batched = BatchExecutor::new(db)
-                    .exec_seeded_batch(q, t, &seeds)
-                    .unwrap();
-                prop_assert_eq!(
-                    sorted_tids(&per_seed),
-                    sorted_tids(&batched),
-                    "rule {} seeded at term {}",
-                    rule.name,
-                    t
-                );
-            }
-        }
-    }
-}
 
 const LOAD_SRC: &str = r#"
     (literalize Item n k)
@@ -228,7 +134,14 @@ fn parallel_cond_run_matches_serial() {
 /// rely on: every engine row reports the same deterministic fired count.
 #[test]
 fn engines_agree_on_generated_delta_batches() {
-    let (_, cfg) = random_pdb(7, 0);
+    let cfg = RuleGenConfig {
+        rules: 8,
+        ces_per_rule: 3,
+        domain: 3,
+        negated_fraction: 0.4,
+        seed: 7,
+        ..Default::default()
+    };
     let rules = ops5::compile(&cfg.source()).expect("generated program compiles");
     let trace = TraceConfig {
         ops: 30,

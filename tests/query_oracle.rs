@@ -1,12 +1,17 @@
-//! Property test: the conjunctive-query executor (greedy plan, index
-//! nested loops, seeded evaluation, NOT EXISTS) must agree with a naive
-//! brute-force oracle on random databases and queries.
+//! Property test: the conjunctive-query executor must agree with a naive
+//! brute-force oracle on random databases and queries — under the
+//! planner's plan (hash or nested-loop steps), under the plan pinned to
+//! nested loops, seeded one tuple at a time, and seeded with a whole
+//! delta in one pass (NOT EXISTS and non-eq joins included).
 
+use ops5::ClassId;
+use prodsys::ProductionDb;
 use proptest::prelude::*;
 use relstore::{
-    tuple, CompOp, ConjunctiveQuery, Database, JoinPred, QueryExecutor, QueryTerm, Restriction,
-    Schema, Selection, Tuple, TupleId,
+    tuple, Binding, CompOp, ConjunctiveQuery, Database, JoinPred, Planner, QueryExecutor,
+    QueryTerm, Restriction, Schema, Selection, Tuple, TupleId,
 };
+use workload::{Op, RuleGenConfig, TraceConfig};
 
 fn db_with(rows: &[Vec<(i64, i64)>]) -> (Database, Vec<relstore::RelId>) {
     let db = Database::new();
@@ -109,6 +114,52 @@ fn oracle(db: &Database, query: &ConjunctiveQuery) -> Vec<Vec<Option<TupleId>>> 
     out
 }
 
+fn tids(bindings: Vec<Binding>) -> Vec<Vec<Option<TupleId>>> {
+    let mut v: Vec<Vec<Option<TupleId>>> = bindings
+        .into_iter()
+        .map(|b| {
+            b.slots
+                .iter()
+                .map(|s| s.as_ref().map(|(t, _)| *t))
+                .collect()
+        })
+        .collect();
+    v.sort();
+    v
+}
+
+/// Every way of running `query` must return the oracle's bindings: the
+/// planner's plan, the pinned nested-loop plan, and — per positive term —
+/// the union of per-seed runs and the one-pass seeded batch over all of
+/// the term's tuples.
+fn check_against_oracle(db: &Database, query: &ConjunctiveQuery) {
+    let expect = oracle(db, query);
+    let exec = QueryExecutor::new(db);
+    assert_eq!(
+        &tids(exec.exec(query, None).unwrap()),
+        &expect,
+        "planner's plan"
+    );
+    let pinned = Planner::new(db).plan_nested_loop(query, None);
+    assert_eq!(
+        &tids(exec.exec_plan(query, &pinned, &[]).unwrap()),
+        &expect,
+        "pinned nested-loop plan"
+    );
+    for t in query.positive_terms() {
+        let seeds = db
+            .select(query.terms[t].rel, &Restriction::default())
+            .unwrap();
+        let mut per_seed = Vec::new();
+        for (tid, tuple) in &seeds {
+            per_seed.extend(exec.exec(query, Some((t, *tid, tuple))).unwrap());
+        }
+        assert_eq!(&tids(per_seed), &expect, "per-seed union at term {}", t);
+        let batched = exec.exec_seeded_batch(query, t, &seeds).unwrap();
+        assert_eq!(&tids(batched), &expect, "seeded batch at term {}", t);
+    }
+}
+
 fn row_strategy() -> impl Strategy<Value = Vec<(i64, i64)>> {
     proptest::collection::vec((0i64..4, 0i64..4), 0..6)
 }
@@ -131,14 +182,7 @@ proptest! {
             ],
             vec![JoinPred { left_term: 0, left_attr: 0, op: join_op, right_term: 1, right_attr: 0 }],
         );
-        let mut got: Vec<Vec<Option<TupleId>>> = QueryExecutor::new(&db)
-            .exec(&q, None)
-            .unwrap()
-            .into_iter()
-            .map(|b| b.slots.iter().map(|s| s.as_ref().map(|(t, _)| *t)).collect())
-            .collect();
-        got.sort();
-        prop_assert_eq!(got, oracle(&db, &q));
+        check_against_oracle(&db, &q);
     }
 
     #[test]
@@ -163,48 +207,39 @@ proptest! {
                 JoinPred::eq(2, 0, 0, 1),
             ],
         );
-        let mut got: Vec<Vec<Option<TupleId>>> = QueryExecutor::new(&db)
-            .exec(&q, None)
-            .unwrap()
-            .into_iter()
-            .map(|b| b.slots.iter().map(|s| s.as_ref().map(|(t, _)| *t)).collect())
-            .collect();
-        got.sort();
-        prop_assert_eq!(got, oracle(&db, &q));
+        check_against_oracle(&db, &q);
     }
 
+    /// Generated rule programs over a random WM: up to three CEs per
+    /// rule, selections, joins and negated CEs, with enough tuples that
+    /// the planner mixes hash and nested-loop steps.
     #[test]
-    fn seeded_union_equals_full_result(
-        r0 in row_strategy(),
-        r1 in row_strategy(),
-    ) {
-        let (db, rids) = db_with(&[r0, r1]);
-        let q = ConjunctiveQuery::new(
-            vec![
-                QueryTerm::new(rids[0], Restriction::default()),
-                QueryTerm::new(rids[1], Restriction::default()),
-            ],
-            vec![JoinPred::eq(0, 0, 1, 0)],
-        );
-        let exec = QueryExecutor::new(&db);
-        let mut full: Vec<Vec<Option<TupleId>>> = exec
-            .exec(&q, None)
-            .unwrap()
-            .into_iter()
-            .map(|b| b.slots.iter().map(|s| s.as_ref().map(|(t, _)| *t)).collect())
-            .collect();
-        full.sort();
-        // Union over seeding each term-0 row must equal the full result.
-        let mut seeded: Vec<Vec<Option<TupleId>>> = Vec::new();
-        for (tid, t) in db.select(rids[0], &Restriction::default()).unwrap() {
-            seeded.extend(
-                exec.exec(&q, Some((0, tid, &t)))
-                    .unwrap()
-                    .into_iter()
-                    .map(|b| b.slots.iter().map(|s| s.as_ref().map(|(x, _)| *x)).collect::<Vec<_>>()),
-            );
+    fn executor_matches_oracle_on_generated_rules(seed in 0u64..400, ops in 20usize..60) {
+        let cfg = RuleGenConfig {
+            rules: 8,
+            ces_per_rule: 3,
+            domain: 3,
+            negated_fraction: 0.4,
+            seed,
+            ..Default::default()
+        };
+        let rules = ops5::compile(&cfg.source()).expect("generated program compiles");
+        let pdb = ProductionDb::new(rules).expect("pdb");
+        let trace = TraceConfig {
+            ops,
+            delete_fraction: 0.0,
+            join_domain: 2,
+            select_domain: 3,
+            seed: seed + 1000,
         }
-        seeded.sort();
-        prop_assert_eq!(full, seeded);
+        .trace(cfg.classes, cfg.attrs);
+        for op in trace {
+            if let Op::Insert(c, t) = op {
+                pdb.insert_wm(ClassId(c), t).expect("insert");
+            }
+        }
+        for rule in &pdb.rules().rules {
+            check_against_oracle(pdb.db(), pdb.query(rule.id));
+        }
     }
 }
