@@ -8,15 +8,16 @@
 //! | [`CondEngine`] | §4.2 | **matching patterns** in COND relations (the paper's contribution) |
 //! | [`MarkerEngine`] | §2.3/§3.2 | POSTGRES-style rule markers on data, with false drops |
 //!
-//! [`QueryEngine`] and [`MarkerEngine`] are one implementation
-//! ([`reeval::ReevalEngine`]) under two awakening policies. All five
+//! [`ReteEngine`] and [`DbReteEngine`] are one implementation
+//! ([`rete_engine::NetworkEngine`]) over two token memories, [`QueryEngine`]
+//! and [`MarkerEngine`] one ([`reeval::ReevalEngine`]) under two
+//! awakening policies. All five
 //! consume the same insert/remove stream and must produce identical
 //! conflict sets (equivalence- and property-tested at the workspace
 //! level).
 
 pub mod arena;
 pub mod cond;
-pub mod dbrete_engine;
 pub mod explain;
 pub mod intern;
 pub mod recompute;
@@ -24,10 +25,9 @@ pub mod reeval;
 pub mod rete_engine;
 
 pub use cond::CondEngine;
-pub use dbrete_engine::DbReteEngine;
 pub use explain::{plans_to_json, MatchPlan, OrderPolicy, PlanStep};
 pub use reeval::{MarkerEngine, QueryEngine};
-pub use rete_engine::ReteEngine;
+pub use rete_engine::{DbReteEngine, ReteEngine};
 
 use std::time::Instant;
 

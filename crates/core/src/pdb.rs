@@ -64,9 +64,9 @@ impl ProductionDb {
         for (c, rid) in class_rel.iter().enumerate() {
             for attr in 0..rules.classes[c].arity() {
                 if want_hash[c][attr] {
-                    db.write(*rid, |r| r.create_hash_index(attr))??;
+                    db.create_hash_index(*rid, attr)?;
                 } else if want_ord[c][attr] {
-                    db.write(*rid, |r| r.create_ord_index(attr))??;
+                    db.create_ord_index(*rid, attr)?;
                 }
             }
         }

@@ -77,7 +77,7 @@ pub struct BetaSpec {
     pub depth: usize,
 }
 
-/// The compiled network shared by the in-memory and DB-backed runtimes.
+/// The compiled network, shared by the runtime and its token memory.
 #[derive(Debug, Clone)]
 pub struct NetworkPlan {
     /// The shared alpha nodes.
@@ -102,6 +102,23 @@ impl NetworkPlan {
     /// Index of the dummy root node (always 0).
     pub fn root(&self) -> usize {
         0
+    }
+
+    /// Parent, alpha memory and join tests of two-input node `node`.
+    pub fn two_input(&self, node: usize) -> (usize, usize, &[BJoinTest]) {
+        match &self.betas[node].kind {
+            BetaKind::Join {
+                parent,
+                alpha,
+                tests,
+            }
+            | BetaKind::Negative {
+                parent,
+                alpha,
+                tests,
+            } => (*parent, *alpha, tests),
+            _ => panic!("beta node {node} has one input"),
+        }
     }
 
     /// Number of two-input (join + negative) nodes — a Figure 3 metric.

@@ -1,17 +1,21 @@
 //! # rete — Rete match networks
 //!
-//! Two runtimes over one compiled topology ([`NetworkPlan`]):
+//! One runtime over one compiled topology ([`NetworkPlan`]): [`Network`]
+//! is the algorithm of OPS5 (§3.1 of Sellis/Lin/Raschid, SIGMOD '88) —
+//! shared alpha nodes, two-input join nodes with token memories, negative
+//! nodes with match counts, and incremental conflict-set deltas — written
+//! once. Only where the tokens are kept varies, behind the [`TokenMemory`]
+//! contract (stated once, on the trait), with two backends:
 //!
-//! * [`ReteNetwork`] — the classic in-memory algorithm of OPS5 (§3.1 of
-//!   Sellis/Lin/Raschid, SIGMOD '88): shared alpha nodes, two-input join
-//!   nodes with token memories, negative nodes with match counts, and
-//!   incremental conflict-set deltas.
-//! * [`DbReteNetwork`] — the paper's §3.2 "straightforward implementation
-//!   … in a DBMS environment": every memory is a LEFT/RIGHT relation in a
-//!   [`relstore::Database`], so the approach's logical I/O is measurable.
+//! * [`VecMemory`] ([`ReteNetwork`]) — the classic in-memory memories:
+//!   vectors of WME ids with position and last-WME indexes.
+//! * [`RelMemory`] ([`DbReteNetwork`]) — the paper's §3.2 "straightforward
+//!   implementation … in a DBMS environment": every memory is a LEFT/RIGHT
+//!   relation in a [`relstore::Database`], so the approach's logical I/O
+//!   is measurable.
 //!
 //! Both produce identical [`ConflictDelta`] streams for identical inputs
-//! (property-tested in the workspace integration suite).
+//! (unit-tested here, property-tested in the workspace integration suite).
 //!
 //! ```
 //! use ops5::ClassId;
@@ -33,10 +37,12 @@
 
 pub mod compile;
 pub mod dbrete;
+pub mod memory;
 pub mod network;
 pub mod wme;
 
 pub use compile::{AlphaSpec, BJoinTest, BetaKind, BetaSpec, NetworkPlan};
-pub use dbrete::DbReteNetwork;
-pub use network::{OpMetrics, ReteNetwork};
+pub use dbrete::{DbReteNetwork, RelMemory};
+pub use memory::{ReteNetwork, VecMemory};
+pub use network::{Network, OpMetrics, TokenMemory};
 pub use wme::{AbsentPattern, ConflictDelta, ConflictSet, Instantiation, Provenance, Wme};

@@ -2,10 +2,13 @@
 //! must be observationally identical to in-memory storage, and a crash at
 //! any WAL byte boundary must recover exactly the committed prefix.
 
+use ops5::ClassId;
+use prodsys::{make_engine, EngineKind, ProductionDb};
 use proptest::prelude::*;
 use relstore::{tuple, Database, Restriction, Schema, Tuple, Value};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 static NEXT_DIR: AtomicUsize = AtomicUsize::new(0);
 
@@ -130,6 +133,63 @@ fn checkpoint_and_reopen_recovers_exact_state() {
     assert!(back.is_paged());
     back.insert(r, tuple![99, "post-recovery"]).unwrap();
     assert_eq!(back.relation_len(r), 55);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every index of every relation, name-keyed: `(relation, attribute,
+/// hash?, ordered?)` for each indexed attribute.
+fn indexes(db: &Database) -> Vec<(String, usize, bool, bool)> {
+    let mut out = Vec::new();
+    for (rid, name) in db.relation_names() {
+        db.read(rid, |rel| {
+            for attr in 0..rel.schema().arity() {
+                let (hash, ord) = (rel.has_hash_index(attr), rel.has_ord_index(attr));
+                if hash || ord {
+                    out.push((name.clone(), attr, hash, ord));
+                }
+            }
+        })
+        .unwrap();
+    }
+    out.sort();
+    out
+}
+
+/// Index definitions are part of the durable state: a production system
+/// recovered from the WAL alone (no checkpoint) must come back with the
+/// WM indexes `ProductionDb` chose and the LEFT/RIGHT indexes DB-Rete
+/// retracts through, or replay and every later match run on full scans.
+#[test]
+fn production_db_indexes_survive_crash_without_checkpoint() {
+    let dir = tmp_dir("pdb-indexes");
+    let rules = ops5::compile(
+        r#"
+        (literalize Emp name salary dno)
+        (literalize Dept dno)
+        (p Rich (Emp ^salary > 5000 ^dno <D>) (Dept ^dno <D>) --> (remove 1))
+        "#,
+    )
+    .unwrap();
+    let (wm_before, indexes_before);
+    {
+        let db = Arc::new(Database::new_paged(&dir, 4).unwrap());
+        let pdb = ProductionDb::with_db(db.clone(), rules).unwrap();
+        let mut engine = make_engine(EngineKind::DbRete, pdb);
+        engine.insert(ClassId(0), tuple!["Ann", 9000, 7]);
+        engine.insert(ClassId(1), tuple![7]);
+        db.sync_wal().unwrap();
+        wm_before = dump(&db);
+        indexes_before = indexes(&db);
+        let indexed = |rel: &str| indexes_before.iter().filter(|i| i.0 == rel).count();
+        assert_eq!(indexed("Emp"), 2, "ordered salary, hashed dno");
+        assert_eq!(indexed("Dept"), 1, "hashed dno");
+        assert!(indexes_before.len() > 3, "LEFT/RIGHT relations are indexed");
+    } // "crash"
+
+    let (back, report) = Database::open_paged(&dir, 4).unwrap();
+    assert!(!report.snapshot_loaded);
+    assert_eq!(dump(&back), wm_before);
+    assert_eq!(indexes(&back), indexes_before);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -2,7 +2,7 @@
 //! storage and be persistent" (§3.2). Snapshot the database, restore it,
 //! re-attach a fresh engine, and continue exactly where the run stopped.
 
-use ops5::ClassId;
+use ops5::{ClassId, RuleId};
 use prodsys::{bootstrap, make_engine, EngineKind, ProductionDb};
 use relstore::{snapshot, tuple};
 use std::sync::Arc;
@@ -13,6 +13,11 @@ const SRC: &str = r#"
     (p R2
         (Emp ^dno <D>)
         (Dept ^dno <D> ^dname Toy ^floor 1)
+        -->
+        (remove 1))
+    (p Orphan
+        (Emp ^name <N> ^dno <D>)
+        -(Dept ^dno <D>)
         -->
         (remove 1))
 "#;
@@ -27,8 +32,10 @@ fn snapshot_restore_rebuilds_conflict_set() {
         engine.insert(ClassId(0), tuple!["Ann", 1000, "Sam", 7]);
         engine.insert(ClassId(0), tuple!["Bob", 2000, "Sam", 8]);
         engine.insert(ClassId(1), tuple![7, "Toy", 1, "Sam"]);
+        // R2 matches Ann; Orphan matches Bob, while Ann's Orphan token is
+        // suspended behind Dept 7 (DB-Rete: a LEFT row with negcount 1).
         let before = engine.conflict_set().sorted();
-        assert_eq!(before.len(), 1);
+        assert_eq!(before.len(), 2);
 
         // Phase 2: snapshot, restore into a new database, re-attach.
         let image = snapshot::save(pdb.db()).unwrap();
@@ -44,6 +51,28 @@ fn snapshot_restore_rebuilds_conflict_set() {
         // Phase 3: the restored system keeps matching.
         let deltas = engine2.insert(ClassId(0), tuple!["Cid", 3000, "Sam", 7]);
         assert_eq!(deltas.len(), 1, "{}", kind.label());
+
+        // Phase 4: removing the blocker revives the token that was
+        // suspended when the snapshot was taken.
+        let deltas = engine2.remove(ClassId(1), &tuple![7, "Toy", 1, "Sam"]);
+        assert!(
+            deltas.iter().any(|d| {
+                let i = d.instantiation();
+                d.is_add()
+                    && i.rule == RuleId(1)
+                    && i.wmes[0].tuple == tuple!["Ann", 1000, "Sam", 7]
+            }),
+            "{}: {deltas:?}",
+            kind.label()
+        );
+        engine.insert(ClassId(0), tuple!["Cid", 3000, "Sam", 7]);
+        engine.remove(ClassId(1), &tuple![7, "Toy", 1, "Sam"]);
+        assert_eq!(
+            engine2.conflict_set().sorted(),
+            engine.conflict_set().sorted(),
+            "{}",
+            kind.label()
+        );
     }
 }
 
