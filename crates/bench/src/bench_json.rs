@@ -449,7 +449,6 @@ fn scaled_concurrent_pass(
     // Latency only for the timed concurrent run, not the load above.
     engine.pdb().db().set_io_cost_ns(SCALED_CONC_IO_COST_NS);
     let mut exec = ConcurrentExecutor::new(engine, workers);
-    exec.set_batching(true);
     let start = Instant::now();
     let stats = exec.run(items as usize * 4);
     let wall_ns = start.elapsed().as_nanos() as u64;

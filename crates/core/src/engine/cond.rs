@@ -1771,6 +1771,7 @@ impl MatchEngine for CondEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::WmChange;
     use relstore::tuple;
 
     /// Example 4's Rule-1 over classes A, B, C.
@@ -2039,7 +2040,10 @@ mod tests {
         assert!(e.insert(b, tuple![5]).is_empty());
         // One cycle: make A(5) — slot 0 gen 0 of the A relation,
         // colliding with C(1)'s tid — and remove the unrelated C(1).
-        let deltas = e.apply_delta(&[(true, a, tuple![5]), (false, c, tuple![1])]);
+        let deltas = e.apply_delta(&[
+            WmChange::Insert(a, tuple![5]),
+            WmChange::Remove(c, tuple![1]),
+        ]);
         assert!(
             deltas.iter().any(rete::ConflictDelta::is_add),
             "A(5) seed of the same cycle must survive the C remove"
@@ -2049,9 +2053,9 @@ mod tests {
         // B(6) made in the same cycle, but A(6) is removed again before
         // the cycle ends, so no Pair(A6,B6) may survive.
         let deltas = e.apply_delta(&[
-            (true, a, tuple![6]),
-            (true, b, tuple![6]),
-            (false, a, tuple![6]),
+            WmChange::Insert(a, tuple![6]),
+            WmChange::Insert(b, tuple![6]),
+            WmChange::Remove(a, tuple![6]),
         ]);
         assert!(
             !deltas.iter().any(rete::ConflictDelta::is_add),

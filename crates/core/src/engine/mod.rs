@@ -36,6 +36,7 @@ use ops5::ClassId;
 use relstore::{Tuple, TupleId};
 use rete::{ConflictDelta, ConflictSet};
 
+use crate::exec::WmChange;
 use crate::pdb::ProductionDb;
 
 /// Space consumed by an engine's match-acceleration structures, separate
@@ -150,31 +151,22 @@ pub trait MatchEngine: Send {
     /// change events, the canonically ordered conflict-set deltas for the
     /// whole batch, and one [`Event::BatchApplied`] summary — batched runs
     /// trace without falling back to per-change maintenance.
-    fn apply_delta(&mut self, changes: &[(bool, ClassId, Tuple)]) -> Vec<ConflictDelta> {
+    fn apply_delta(&mut self, changes: &[WmChange]) -> Vec<ConflictDelta> {
         let mut resolved: Vec<WmDelta> = Vec::with_capacity(changes.len());
-        for (insert, class, tuple) in changes {
-            if *insert {
-                let tid = self
+        for change in changes {
+            let tid = match change {
+                WmChange::Insert(class, tuple) => Some(
+                    self.pdb()
+                        .insert_wm(*class, tuple.clone())
+                        .expect("wm insert"),
+                ),
+                WmChange::Remove(class, tuple) => self
                     .pdb()
-                    .insert_wm(*class, tuple.clone())
-                    .expect("wm insert");
-                resolved.push(WmDelta {
-                    insert: true,
-                    class: *class,
-                    tid,
-                    tuple: tuple.clone(),
-                });
-            } else if let Some(tid) = self
-                .pdb()
-                .remove_wm_equal(*class, tuple)
-                .expect("wm remove")
-            {
-                resolved.push(WmDelta {
-                    insert: false,
-                    class: *class,
-                    tid,
-                    tuple: tuple.clone(),
-                });
+                    .remove_wm_equal(*class, tuple)
+                    .expect("wm remove"),
+            };
+            if let Some(tid) = tid {
+                resolved.push(change.resolved(tid));
             }
         }
         let start = self.tracer().enabled().then(Instant::now);

@@ -23,6 +23,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -35,7 +36,8 @@ use relstore::{Error, Restriction, Selection, Tuple, TupleId};
 use rete::Instantiation;
 
 use crate::engine::{trace_batch, MatchEngine, WmDelta};
-use crate::exec::{eval_rhs, positive_positions, WmChange};
+use crate::exec::{eval_rhs, positive_positions, Refraction, WmChange};
+use crate::pdb::ProductionDb;
 
 /// Statistics from a concurrent run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -104,10 +106,6 @@ impl fmt::Display for ConcurrentStats {
 pub struct ConcurrentExecutor {
     engine: Arc<Mutex<Box<dyn MatchEngine>>>,
     workers: usize,
-    /// Set-oriented worker transactions: batched step-1 re-selection and
-    /// whatever batch strategy the engine itself supports. Off pins the
-    /// historical per-condition-element baseline.
-    batching: bool,
     /// Global commit sequence, threaded into every transaction: the
     /// number is taken while the transaction still holds its locks, so
     /// for conflicting transactions it is the serialization order.
@@ -139,48 +137,76 @@ impl ScheduleOracle {
     pub fn new(steps: Vec<(String, String)>) -> Self {
         ScheduleOracle { steps, pos: 0 }
     }
+}
 
-    /// Recorded firings not yet replayed.
-    pub fn remaining(&self) -> usize {
-        self.steps.len() - self.pos
+/// What a committed transaction reports back to the round.
+#[derive(Debug)]
+struct Committed {
+    halt: bool,
+    writes: Vec<String>,
+    /// Nanoseconds the transaction held the engine critical section.
+    critical_ns: u64,
+    /// The transaction deleted one of its own positive-support tuples, so
+    /// the maintenance process retires a conflict-set copy of the fired
+    /// instantiation and refraction must not charge it a firing:
+    /// duplicate WMEs leave equal-content copies behind that are still
+    /// entitled to fire. This is judged from the transaction's *applied*
+    /// RHS, not from its maintenance delta — under concurrency the copy's
+    /// removal can surface in a racing transaction's maintenance pass
+    /// (storage deltas are visible to other workers' recompute passes
+    /// before commit), so delta attribution misses.
+    self_removed: bool,
+}
+
+/// Why a transaction did not commit. The dropped [`relstore::Txn`] rolled
+/// its effects back.
+#[derive(Debug)]
+enum Abort {
+    /// A matched tuple vanished or a negated CE became blocked.
+    Invalid,
+    /// Chosen as a deadlock victim; retried in a later round if still
+    /// applicable.
+    Deadlock,
+    /// A non-deadlock storage error, surfaced in
+    /// [`ConcurrentStats::errors`] instead of panicking the worker.
+    Failed(Error),
+}
+
+/// The one place a storage error becomes a transaction outcome: every
+/// `?` in [`ConcurrentExecutor::transact`] goes through here.
+impl From<Error> for Abort {
+    fn from(e: Error) -> Self {
+        match e {
+            Error::Deadlock(_) => Abort::Deadlock,
+            e => Abort::Failed(e),
+        }
+    }
+}
+
+impl Abort {
+    /// The journal's `txn_abort` reason.
+    fn reason(&self) -> String {
+        match self {
+            Abort::Invalid => "invalidated".to_string(),
+            Abort::Deadlock => "deadlock".to_string(),
+            Abort::Failed(e) => format!("error: {e}"),
+        }
     }
 
-    fn peek(&self) -> Option<&(String, String)> {
-        self.steps.get(self.pos)
-    }
-
-    fn advance(&mut self) {
-        self.pos += 1;
+    /// How a replay that hit this abort words its divergence. A deadlock
+    /// is impossible serially (one transaction at a time), but surfaced
+    /// rather than swallowed if it happens.
+    fn divergence(&self) -> String {
+        match self {
+            Abort::Invalid => "re-selected as invalid".to_string(),
+            Abort::Deadlock => "hit a deadlock".to_string(),
+            Abort::Failed(e) => format!("failed: {e}"),
+        }
     }
 }
 
 /// Result of one instantiation's transaction.
-#[derive(Debug)]
-enum TxnOutcome {
-    Committed {
-        halt: bool,
-        writes: Vec<String>,
-        /// Nanoseconds the transaction held the engine critical section.
-        critical_ns: u64,
-        /// The transaction deleted one of its own positive-support
-        /// tuples, so the maintenance process retires a conflict-set
-        /// copy of the fired instantiation and refraction must not
-        /// charge it a firing: duplicate WMEs leave equal-content
-        /// copies behind that are still entitled to fire. This is
-        /// judged from the transaction's *applied* RHS, not from its
-        /// maintenance delta — under concurrency the copy's removal
-        /// can surface in a racing transaction's maintenance pass
-        /// (storage deltas are visible to other workers' recompute
-        /// passes before commit), so delta attribution misses.
-        self_removed: bool,
-    },
-    Invalid,
-    Deadlock,
-    /// A non-deadlock storage error aborted the transaction. The dropped
-    /// [`relstore::Txn`] rolled its effects back; the error is surfaced in
-    /// [`ConcurrentStats::errors`] instead of panicking the worker.
-    Failed(Error),
-}
+type TxnOutcome = Result<Committed, Abort>;
 
 impl ConcurrentExecutor {
     /// Create a new, empty instance.
@@ -188,7 +214,6 @@ impl ConcurrentExecutor {
         ConcurrentExecutor {
             engine: Arc::new(Mutex::new(engine)),
             workers: workers.max(1),
-            batching: true,
             next_seq: AtomicU64::new(0),
             oracle: None,
         }
@@ -205,15 +230,6 @@ impl ConcurrentExecutor {
         self.engine.clone()
     }
 
-    /// Toggle set-oriented evaluation end-to-end: the worker transactions'
-    /// batched step-1 re-selection *and* the engine's own batch strategy
-    /// (see [`MatchEngine::set_batching`]). On by default; benchmarks pin
-    /// `false` to reproduce the tuple-at-a-time baseline.
-    pub fn set_batching(&mut self, on: bool) {
-        self.batching = on;
-        self.engine.lock().set_batching(on);
-    }
-
     /// Install a tracing/metrics handle on the engine and the storage
     /// layer's lock manager (§5 contention profiling).
     pub fn set_tracer(&self, tracer: obs::Tracer) {
@@ -222,312 +238,271 @@ impl ConcurrentExecutor {
         g.set_tracer(tracer);
     }
 
-    /// Execute one instantiation as a transaction. `round` and
-    /// `commit_seq` feed the journal's `Firing` record: the sequence
-    /// number is taken just before the commit point, with every lock
-    /// still held.
-    fn run_one(
-        engine: &Arc<Mutex<Box<dyn MatchEngine>>>,
-        inst: &Instantiation,
-        batching: bool,
-        round: u64,
-        commit_seq: &AtomicU64,
-    ) -> TxnOutcome {
-        let (pdb, rules, tracer) = {
-            let g = engine.lock();
-            (g.pdb().clone(), g.pdb().rules().clone(), g.tracer().clone())
+    /// Execute one instantiation as a transaction and journal how it
+    /// ended. `round` feeds the journal's `Firing` record.
+    fn run_one(&self, inst: &Instantiation, round: u64) -> TxnOutcome {
+        let (pdb, tracer) = {
+            let g = self.engine.lock();
+            (g.pdb().clone(), g.tracer().clone())
         };
-        let rule = rules.rule(inst.rule).clone();
-        let pos_of = positive_positions(&rule);
-        let db = pdb.db().clone();
-        let mut txn = db.begin();
+        let txn = pdb.db().begin();
         let txn_id = txn.id().0;
         tracer.emit(|| Event::TxnBegin {
             txn: txn_id,
             rule: inst.rule.0 as u32,
-            rule_name: rule.name.clone(),
+            rule_name: pdb.rules().rule(inst.rule).name.clone(),
         });
-        crate::exec::trace_derivation(&tracer, &rules, inst);
-        let mut wm_writes = 0usize;
-        let outcome = (|| -> TxnOutcome {
-            // 1. Re-select the matched tuples by content, with read locks.
-            //    Duplicate WMEs need distinct tuple ids *within a class*
-            //    (tuple ids are per-relation, so equal ids of different
-            //    classes are unrelated rows). Set-oriented mode groups the
-            //    rule's positive CEs by class and re-selects each class in
-            //    one batched pass (one read, one lock sweep, one liveness
-            //    re-read) instead of a select per CE.
-            let mut claimed: Vec<(usize, ClassId, TupleId)> = Vec::new(); // (positive pos, class, tid)
-            if batching {
-                let mut by_class: Vec<(ClassId, Vec<usize>)> = Vec::new(); // positions per class
-                for (i, ce) in rule.ces.iter().enumerate() {
-                    if ce.negated {
-                        continue;
-                    }
-                    let pos = pos_of[i].expect("positive");
-                    match by_class.iter_mut().find(|(c, _)| *c == ce.class) {
-                        Some((_, poses)) => poses.push(pos),
-                        None => by_class.push((ce.class, vec![pos])),
-                    }
-                }
-                for (class, poses) in by_class {
-                    let keys: Vec<Tuple> =
-                        poses.iter().map(|&p| inst.wmes[p].tuple.clone()).collect();
-                    let groups = match txn.select_eq_batch(pdb.class_rel(class), &keys) {
-                        Ok(groups) => groups,
-                        Err(Error::Deadlock(_)) => return TxnOutcome::Deadlock,
-                        Err(e) => return TxnOutcome::Failed(e),
-                    };
-                    for (&pos, rows) in poses.iter().zip(&groups) {
-                        let free = rows.iter().find(|(tid, _)| {
-                            !claimed.iter().any(|(_, c, t)| *c == class && t == tid)
-                        });
-                        match free {
-                            Some((tid, _)) => claimed.push((pos, class, *tid)),
-                            None => return TxnOutcome::Invalid,
-                        }
-                    }
-                }
-            } else {
-                for (i, ce) in rule.ces.iter().enumerate() {
-                    if ce.negated {
-                        continue;
-                    }
-                    let pos = pos_of[i].expect("positive");
-                    let wme = &inst.wmes[pos];
-                    let full_eq = Restriction::new(
-                        wme.tuple
-                            .values()
-                            .iter()
-                            .enumerate()
-                            .map(|(a, v)| Selection::eq(a, v.clone()))
-                            .collect(),
-                    );
-                    let rows = match txn.select(pdb.class_rel(ce.class), &full_eq) {
-                        Ok(rows) => rows,
-                        Err(Error::Deadlock(_)) => return TxnOutcome::Deadlock,
-                        Err(e) => return TxnOutcome::Failed(e),
-                    };
-                    let free = rows.iter().find(|(tid, _)| {
-                        !claimed.iter().any(|(_, c, t)| *c == ce.class && t == tid)
-                    });
-                    match free {
-                        Some((tid, _)) => claimed.push((pos, ce.class, *tid)),
-                        None => return TxnOutcome::Invalid,
-                    }
-                }
-            }
-
-            // 2. Negative dependence: shared relation lock + NOT EXISTS.
-            for ce in rule.ces.iter().filter(|ce| ce.negated) {
-                let mut tests = ce.alpha.tests.clone();
-                for j in &ce.joins {
-                    let Some(pos) = pos_of[j.other_ce] else {
-                        continue;
-                    };
-                    let bound = inst.wmes[pos].tuple[j.other_attr].clone();
-                    tests.push(Selection::new(j.my_attr, j.op, bound));
-                }
-                let restriction =
-                    Restriction::new(tests).with_attr_tests(ce.alpha.attr_tests.clone());
-                match txn.verify_absent(pdb.class_rel(ce.class), &restriction) {
-                    Ok(true) => {}
-                    Ok(false) => return TxnOutcome::Invalid,
-                    Err(Error::Deadlock(_)) => return TxnOutcome::Deadlock,
-                    Err(e) => return TxnOutcome::Failed(e),
-                }
-            }
-
-            // 3. Apply the RHS under exclusive locks, remembering what
-            //    actually happened for the maintenance phase.
-            let rhs = eval_rhs(&rules, inst);
-            let mut applied: Vec<(WmChange, TupleId)> = Vec::new();
-            for change in &rhs.changes {
-                match change {
-                    WmChange::Remove(class, tuple) => {
-                        // Prefer the claimed (LHS-matched) row of this content.
-                        let rel = pdb.class_rel(*class);
-                        let tid = claimed
-                            .iter()
-                            .find(|(pos, cl, _)| cl == class && &inst.wmes[*pos].tuple == tuple)
-                            .map(|(_, _, tid)| *tid);
-                        let tid = match tid {
-                            Some(t) => t,
-                            None => {
-                                // A `modify`-generated intermediate: find any row.
-                                let full_eq = Restriction::new(
-                                    tuple
-                                        .values()
-                                        .iter()
-                                        .enumerate()
-                                        .map(|(a, v)| Selection::eq(a, v.clone()))
-                                        .collect(),
-                                );
-                                match txn.select(rel, &full_eq) {
-                                    Ok(rows) if !rows.is_empty() => rows[0].0,
-                                    Ok(_) => continue,
-                                    Err(Error::Deadlock(_)) => return TxnOutcome::Deadlock,
-                                    Err(e) => return TxnOutcome::Failed(e),
-                                }
-                            }
-                        };
-                        match txn.delete(rel, tid) {
-                            // "T_j will not be able to process tuples of R_i
-                            // that have already been deleted" — consistent.
-                            Ok(Some(_)) => applied.push((change.clone(), tid)),
-                            Ok(None) => {}
-                            Err(Error::Deadlock(_)) => return TxnOutcome::Deadlock,
-                            Err(e) => return TxnOutcome::Failed(e),
-                        }
-                    }
-                    WmChange::Insert(class, tuple) => {
-                        match txn.insert(pdb.class_rel(*class), tuple.clone()) {
-                            Ok(tid) => applied.push((change.clone(), tid)),
-                            Err(Error::Deadlock(_)) => return TxnOutcome::Deadlock,
-                            Err(e) => return TxnOutcome::Failed(e),
-                        }
-                    }
-                }
-            }
-
-            // 4. Maintenance BEFORE commit: the transaction still holds
-            //    every lock while the match structures (COND relations)
-            //    are updated — one set-oriented `maintain_delta` pass over
-            //    the transaction's whole delta set (§4.2 × §5.2), inside
-            //    the engine critical section.
-            let resolved: Vec<WmDelta> = applied
-                .iter()
-                .map(|(change, tid)| match change {
-                    WmChange::Insert(class, tuple) => WmDelta {
-                        insert: true,
-                        class: *class,
-                        tid: *tid,
-                        tuple: tuple.clone(),
-                    },
-                    WmChange::Remove(class, tuple) => WmDelta {
-                        insert: false,
-                        class: *class,
-                        tid: *tid,
-                        tuple: tuple.clone(),
-                    },
-                })
-                .collect();
-            // Whether this firing consumed its own support: an applied
-            // delete whose content matches one of the instantiation's
-            // positive WMEs retires a conflict-set copy of it. Decided
-            // here — from what the transaction itself did — because the
-            // *maintenance delta* that reports the removal may belong to
-            // a racing transaction: workers delete from shared storage
-            // before entering the critical section, so whichever
-            // maintenance pass runs first observes the combined state
-            // and reports every copy's retirement in its own delta.
-            let self_removed = applied.iter().any(|(change, _)| match change {
-                WmChange::Remove(class, tuple) => inst
-                    .wmes
-                    .iter()
-                    .any(|w| w.class == *class && &w.tuple == tuple),
-                WmChange::Insert(..) => false,
-            });
-            let critical_ns = {
-                let mut g = engine.lock();
-                obs::prof_span!("exec.critical");
-                let held = Instant::now();
-                let start = g.tracer().enabled().then(Instant::now);
-                let deltas = g.maintain_delta(&resolved);
-                if let Some(start) = start {
-                    let total_ns = start.elapsed().as_nanos() as u64;
-                    trace_batch(&**g, &resolved, &deltas, total_ns);
-                }
-                let critical_ns = held.elapsed().as_nanos() as u64;
-                if let Some(m) = g.tracer().metrics() {
-                    m.record_critical_section(critical_ns);
-                }
-                critical_ns
-            };
-
-            // 5. Commit point. The firing's global sequence number is
-            //    taken while the transaction still holds every lock: a
-            //    conflicting transaction is blocked until this one
-            //    releases at commit, so its own fetch_add is strictly
-            //    later — for conflicting transactions `seq` IS the
-            //    serialization order, and a serial replay in `seq` order
-            //    reproduces the run.
-            let seq = commit_seq.fetch_add(1, Ordering::SeqCst);
-            tracer.emit(|| Event::Firing {
-                seq,
-                round,
+        crate::exec::trace_derivation(&tracer, pdb.rules(), inst);
+        let outcome = self.transact(&pdb, &tracer, txn, inst, round);
+        if let Err(abort) = &outcome {
+            tracer.emit(|| Event::TxnAbort {
                 txn: txn_id,
-                rule: inst.rule.0 as u32,
-                rule_name: rule.name.clone(),
-                wmes: inst.wmes_display(&rules),
-                support: inst.why.support_display(),
+                reason: abort.reason(),
             });
-            wm_writes = applied.len();
-            // A failed commit-time WAL sync rolls the WM changes back;
-            // the instantiation stays unfired and is retried if still
-            // applicable, like any other failed transaction.
-            if let Err(e) = txn.commit() {
-                return TxnOutcome::Failed(e);
-            }
-            TxnOutcome::Committed {
-                halt: rhs.halt,
-                writes: rhs.writes,
-                critical_ns,
-                self_removed,
-            }
-        })();
-        match &outcome {
-            TxnOutcome::Committed { .. } => {
-                tracer.emit(|| Event::TxnCommit {
-                    txn: txn_id,
-                    writes: wm_writes,
-                });
-                if let Some(m) = tracer.metrics() {
-                    m.record_txn(true);
-                }
-            }
-            TxnOutcome::Invalid => {
-                tracer.emit(|| Event::TxnAbort {
-                    txn: txn_id,
-                    reason: "invalidated".to_string(),
-                });
-                if let Some(m) = tracer.metrics() {
-                    m.record_txn(false);
-                }
-            }
-            TxnOutcome::Deadlock => {
-                tracer.emit(|| Event::TxnAbort {
-                    txn: txn_id,
-                    reason: "deadlock".to_string(),
-                });
-                if let Some(m) = tracer.metrics() {
-                    m.record_txn(false);
-                }
-            }
-            TxnOutcome::Failed(e) => {
-                tracer.emit(|| Event::TxnAbort {
-                    txn: txn_id,
-                    reason: format!("error: {e}"),
-                });
-                if let Some(m) = tracer.metrics() {
-                    m.record_txn(false);
-                }
-            }
+        }
+        if let Some(m) = tracer.metrics() {
+            m.record_txn(outcome.is_ok());
         }
         outcome
     }
 
-    /// Run rounds of parallel firing until quiescence, halt, or
-    /// `max_fired` committed productions. With an installed
-    /// [`ScheduleOracle`], replays the recorded schedule serially instead.
-    pub fn run(&mut self, max_fired: usize) -> ConcurrentStats {
-        if self.oracle.is_some() {
-            return self.run_replay(max_fired);
+    /// The five steps of the module header, on `txn`. Any early return
+    /// drops the transaction, which rolls it back.
+    fn transact(
+        &self,
+        pdb: &ProductionDb,
+        tracer: &obs::Tracer,
+        mut txn: relstore::Txn,
+        inst: &Instantiation,
+        round: u64,
+    ) -> TxnOutcome {
+        let rules = pdb.rules();
+        let rule = rules.rule(inst.rule);
+        let pos_of = positive_positions(rule);
+        let txn_id = txn.id().0;
+
+        // 1. Re-select the matched tuples by content, with read locks.
+        //    Duplicate WMEs need distinct tuple ids *within a class*
+        //    (tuple ids are per-relation, so equal ids of different
+        //    classes are unrelated rows). The matched WMEs (one per
+        //    positive CE) are grouped by class and each class is
+        //    re-selected in one batched pass (one read, one lock sweep,
+        //    one liveness re-read) instead of a select per CE.
+        let mut claimed: Vec<(usize, ClassId, TupleId)> = Vec::new(); // (positive pos, class, tid)
+        let mut by_class: Vec<(ClassId, Vec<usize>)> = Vec::new(); // positions per class
+        for (pos, wme) in inst.wmes.iter().enumerate() {
+            match by_class.iter_mut().find(|(c, _)| *c == wme.class) {
+                Some((_, poses)) => poses.push(pos),
+                None => by_class.push((wme.class, vec![pos])),
+            }
         }
+        for (class, poses) in by_class {
+            let keys: Vec<Tuple> = poses.iter().map(|&p| inst.wmes[p].tuple.clone()).collect();
+            let groups = txn.select_eq_batch(pdb.class_rel(class), &keys)?;
+            for (&pos, rows) in poses.iter().zip(&groups) {
+                let free = rows
+                    .iter()
+                    .find(|(tid, _)| !claimed.iter().any(|(_, c, t)| *c == class && t == tid));
+                match free {
+                    Some((tid, _)) => claimed.push((pos, class, *tid)),
+                    None => return Err(Abort::Invalid),
+                }
+            }
+        }
+
+        // 2. Negative dependence: shared relation lock + NOT EXISTS.
+        for ce in rule.ces.iter().filter(|ce| ce.negated) {
+            let mut tests = ce.alpha.tests.clone();
+            for j in &ce.joins {
+                let Some(pos) = pos_of[j.other_ce] else {
+                    continue;
+                };
+                let bound = inst.wmes[pos].tuple[j.other_attr].clone();
+                tests.push(Selection::new(j.my_attr, j.op, bound));
+            }
+            let restriction = Restriction::new(tests).with_attr_tests(ce.alpha.attr_tests.clone());
+            if !txn.verify_absent(pdb.class_rel(ce.class), &restriction)? {
+                return Err(Abort::Invalid);
+            }
+        }
+
+        // 3. Apply the RHS under exclusive locks, remembering what
+        //    actually happened for the maintenance phase.
+        let rhs = eval_rhs(rules, inst);
+        let mut applied: Vec<WmDelta> = Vec::new();
+        for change in &rhs.changes {
+            match change {
+                WmChange::Remove(class, tuple) => {
+                    // Prefer the claimed (LHS-matched) row of this content;
+                    // a `modify`-generated intermediate takes any row.
+                    let rel = pdb.class_rel(*class);
+                    let matched = claimed
+                        .iter()
+                        .find(|(pos, cl, _)| cl == class && &inst.wmes[*pos].tuple == tuple);
+                    let tid = match matched {
+                        Some((_, _, tid)) => *tid,
+                        None => {
+                            let rows = txn.select_eq_batch(rel, std::slice::from_ref(tuple))?;
+                            match rows[0].first() {
+                                Some((tid, _)) => *tid,
+                                None => continue,
+                            }
+                        }
+                    };
+                    // "T_j will not be able to process tuples of R_i that
+                    // have already been deleted" — consistent.
+                    if txn.delete(rel, tid)?.is_some() {
+                        applied.push(change.resolved(tid));
+                    }
+                }
+                WmChange::Insert(class, tuple) => {
+                    let tid = txn.insert(pdb.class_rel(*class), tuple.clone())?;
+                    applied.push(change.resolved(tid));
+                }
+            }
+        }
+        // Whether this firing consumed its own support: an applied delete
+        // whose content matches one of the instantiation's positive WMEs
+        // retires a conflict-set copy of it (see `Committed::self_removed`
+        // for why this is not read off the maintenance delta).
+        let self_removed = applied.iter().any(|d| {
+            !d.insert
+                && inst
+                    .wmes
+                    .iter()
+                    .any(|w| w.class == d.class && w.tuple == d.tuple)
+        });
+
+        // 4. Maintenance BEFORE commit: the transaction still holds
+        //    every lock while the match structures (COND relations)
+        //    are updated — one set-oriented `maintain_delta` pass over
+        //    the transaction's whole delta set (§4.2 × §5.2), inside
+        //    the engine critical section.
+        let critical_ns = {
+            let mut g = self.engine.lock();
+            obs::prof_span!("exec.critical");
+            let held = Instant::now();
+            let deltas = g.maintain_delta(&applied);
+            if tracer.enabled() {
+                trace_batch(&**g, &applied, &deltas, held.elapsed().as_nanos() as u64);
+            }
+            let critical_ns = held.elapsed().as_nanos() as u64;
+            if let Some(m) = tracer.metrics() {
+                m.record_critical_section(critical_ns);
+            }
+            critical_ns
+        };
+
+        // 5. Commit point. The firing's global sequence number is
+        //    taken while the transaction still holds every lock: a
+        //    conflicting transaction is blocked until this one
+        //    releases at commit, so its own fetch_add is strictly
+        //    later — for conflicting transactions `seq` IS the
+        //    serialization order, and a serial replay in `seq` order
+        //    reproduces the run.
+        let seq = self.next_seq.fetch_add(1, Ordering::SeqCst);
+        tracer.emit(|| Event::Firing {
+            seq,
+            round,
+            txn: txn_id,
+            rule: inst.rule.0 as u32,
+            rule_name: rule.name.clone(),
+            wmes: inst.wmes_display(rules),
+            support: inst.why.support_display(),
+        });
+        // A failed commit-time WAL sync rolls the WM changes back; the
+        // instantiation stays unfired and is retried if still applicable,
+        // like any other failed transaction.
+        txn.commit()?;
+        tracer.emit(|| Event::TxnCommit {
+            txn: txn_id,
+            writes: applied.len(),
+        });
+        Ok(Committed {
+            halt: rhs.halt,
+            writes: rhs.writes,
+            critical_ns,
+            self_removed,
+        })
+    }
+
+    /// Execute one round's candidates: raced over the worker threads, or
+    /// — replaying a [`ScheduleOracle`] step — on the calling thread.
+    ///
+    /// Shard-affine dispatch: each candidate is queued on its home lock
+    /// shard (the shard of its first positive CE's class relation), and
+    /// worker `w` drains the queue of shard `w % shards` first, so
+    /// co-resident workers mostly touch their own shard's lock table and
+    /// condvar. Workers steal from the other shards' queues once their
+    /// own is empty — the affinity is a fast path, not a partition: no
+    /// work is stranded on an unstaffed shard.
+    ///
+    /// A committed `(halt)` stops further dispatch *within* the round:
+    /// transactions already started may finish (they hold locks and must
+    /// release cleanly), but queued ones stay unexecuted.
+    fn dispatch(
+        &self,
+        pdb: &ProductionDb,
+        candidates: Vec<Instantiation>,
+        round: u64,
+    ) -> Vec<(Instantiation, TxnOutcome)> {
+        let locks = pdb.db().lock_manager();
+        let mut by_shard: Vec<VecDeque<Instantiation>> =
+            (0..locks.shard_count()).map(|_| VecDeque::new()).collect();
+        for inst in candidates {
+            let home = inst
+                .wmes
+                .first()
+                .map_or(0, |w| locks.shard_of(pdb.class_rel(w.class)));
+            by_shard[home].push_back(inst);
+        }
+        let queues: Vec<Mutex<VecDeque<Instantiation>>> =
+            by_shard.into_iter().map(Mutex::new).collect();
+        let results = Mutex::new(Vec::new());
+        let halted = AtomicBool::new(false);
+        let work = |w: usize| {
+            while !halted.load(Ordering::Relaxed) {
+                // Home queue first, then steal round-robin.
+                let next = (0..queues.len())
+                    .find_map(|off| queues[(w + off) % queues.len()].lock().pop_front());
+                let Some(inst) = next else {
+                    break;
+                };
+                let outcome = self.run_one(&inst, round);
+                if matches!(&outcome, Ok(done) if done.halt) {
+                    halted.store(true, Ordering::Relaxed);
+                }
+                results.lock().push((inst, outcome));
+            }
+        };
+        if self.oracle.is_some() {
+            work(0);
+        } else {
+            crossbeam::thread::scope(|scope| {
+                for w in 0..self.workers {
+                    let work = &work;
+                    scope.spawn(move |_| work(w));
+                }
+            })
+            .expect("worker scope");
+        }
+        results.into_inner()
+    }
+
+    /// Run rounds of firing until quiescence, halt, or `max_fired`
+    /// committed productions. A round either races every eligible
+    /// candidate over the worker queues or — with an installed
+    /// [`ScheduleOracle`] — runs the oracle's next recorded instantiation
+    /// on the calling thread; selection, dispatch, the transaction path
+    /// (`run_one`), accounting and refraction are the same either way,
+    /// only the racing is gone. A replay step whose recorded
+    /// instantiation is not eligible (or does not commit) stops the run
+    /// with [`ConcurrentStats::divergence`] set.
+    pub fn run(&mut self, max_fired: usize) -> ConcurrentStats {
         let mut stats = ConcurrentStats::default();
-        // Refraction memory as a counted multiset: duplicate WMEs yield
-        // equal instantiations, each entitled to one firing.
-        let mut fired: HashMap<Instantiation, usize> = HashMap::new();
+        // Reconciled from the conflict set's state after every round
+        // ([`Refraction::trim_to`]).
+        let mut refraction = Refraction::default();
         // Deadlock victims awaiting a retry; lock-wait totals come from
         // the storage layer's counters, delta'd over this run.
         let mut deadlocked: Vec<Instantiation> = Vec::new();
@@ -538,179 +513,113 @@ impl ConcurrentExecutor {
         // capped, with exponential backoff between the retry rounds.
         let mut stalls = 0usize;
         let mut last_fingerprint: Option<u64> = None;
-        let tracer = self.engine.lock().tracer().clone();
-        let pdb = self.engine.lock().pdb().clone();
-        let db = pdb.db().clone();
+        let (pdb, tracer) = {
+            let g = self.engine.lock();
+            (g.pdb().clone(), g.tracer().clone())
+        };
+        let db = pdb.db();
         let base = db.stats().snapshot();
         let shard_base = db.lock_manager().shard_stats();
         while stats.committed < max_fired && !stats.halted {
-            // Snapshot Ψ_i: conflict set minus already-fired (refraction).
-            let mut candidates: Vec<Instantiation> = {
+            // Snapshot Ψ_i: conflict set minus already-fired (refraction),
+            // narrowed to the recorded step when replaying.
+            let step = match &self.oracle {
+                Some(oracle) => match oracle.steps.get(oracle.pos) {
+                    Some(step) => Some(step.clone()),
+                    None => break, // schedule fully replayed
+                },
+                None => None,
+            };
+            let (candidates, fingerprint, retries) = {
                 let g = self.engine.lock();
-                let mut remaining = fired.clone();
-                let mut out = Vec::new();
-                for inst in g.conflict_set().items() {
-                    if let Some(n) = remaining.get_mut(inst) {
-                        if *n > 0 {
-                            *n -= 1;
-                            continue;
-                        }
+                let mut eligible = refraction.eligible(g.conflict_set());
+                if let Some((rule, wmes)) = &step {
+                    let rules = pdb.rules();
+                    let recorded = eligible.into_iter().find(|inst| {
+                        rules.rule(inst.rule).name == *rule && inst.wmes_display(rules) == *wmes
+                    });
+                    if recorded.is_none() {
+                        stats.divergence = Some(format!(
+                            "replay diverged at firing {}: no eligible instantiation for {rule}: {wmes}",
+                            stats.committed
+                        ));
                     }
-                    out.push(inst.clone());
+                    eligible = recorded.into_iter().collect();
                 }
-                out
+                snapshot_round(&eligible, max_fired - stats.committed, &mut deadlocked)
             };
             if candidates.is_empty() {
                 break;
             }
-            stats.retries += prune_deadlocked(&mut deadlocked, &candidates);
-            let fingerprint = {
-                use std::hash::{Hash, Hasher};
-                let mut h = std::collections::hash_map::DefaultHasher::new();
-                candidates.hash(&mut h);
-                h.finish()
-            };
-            let repeated = last_fingerprint == Some(fingerprint);
-            last_fingerprint = Some(fingerprint);
-            // Never dispatch more work than the remaining firing budget:
-            // every queued transaction may commit, and a full round used
-            // to overshoot `max_fired` by up to a whole round's worth.
-            candidates.truncate(max_fired - stats.committed);
+            stats.retries += retries;
+            let repeated = last_fingerprint.replace(fingerprint) == Some(fingerprint);
             stats.rounds += 1;
             let round = stats.rounds as u64;
             let dispatched = candidates.len();
             let round_start = Instant::now();
-            // Shard-affine dispatch: each candidate is queued on its home
-            // lock shard (the shard of its first positive CE's class
-            // relation), and worker `w` drains the queue of shard
-            // `w % shards` first, so co-resident workers mostly touch
-            // their own shard's lock table and condvar. Workers steal
-            // from the other shards' queues once their own is empty —
-            // the affinity is a fast path, not a partition: no work is
-            // stranded on an unstaffed shard.
-            let n_shards = db.lock_manager().shard_count();
-            let mut by_shard: Vec<VecDeque<Instantiation>> =
-                (0..n_shards).map(|_| VecDeque::new()).collect();
-            for inst in candidates {
-                let home = inst
-                    .wmes
-                    .first()
-                    .map(|w| db.lock_manager().shard_of(pdb.class_rel(w.class)))
-                    .unwrap_or(0);
-                by_shard[home].push_back(inst);
-            }
-            let queues: Arc<Vec<Mutex<VecDeque<Instantiation>>>> =
-                Arc::new(by_shard.into_iter().map(Mutex::new).collect());
-            let results: Arc<Mutex<Vec<(Instantiation, TxnOutcome)>>> =
-                Arc::new(Mutex::new(Vec::new()));
-            // A committed `(halt)` stops further dispatch *within* the
-            // round: transactions already started may finish (they hold
-            // locks and must release cleanly), but queued ones stay
-            // unexecuted.
-            let halt_flag = Arc::new(AtomicBool::new(false));
-            let batching = self.batching;
-            let commit_seq = &self.next_seq;
-            crossbeam::thread::scope(|scope| {
-                for w in 0..self.workers {
-                    let queues = queues.clone();
-                    let results = results.clone();
-                    let engine = self.engine.clone();
-                    let halt_flag = halt_flag.clone();
-                    let start_shard = w % n_shards;
-                    scope.spawn(move |_| loop {
-                        if halt_flag.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        // Home queue first, then steal round-robin.
-                        let inst = (0..queues.len()).find_map(|off| {
-                            queues[(start_shard + off) % queues.len()]
-                                .lock()
-                                .pop_front()
-                        });
-                        let Some(inst) = inst else {
-                            break;
-                        };
-                        let outcome = Self::run_one(&engine, &inst, batching, round, commit_seq);
-                        if let TxnOutcome::Committed { halt: true, .. } = &outcome {
-                            halt_flag.store(true, Ordering::Relaxed);
-                        }
-                        results.lock().push((inst, outcome));
-                    });
-                }
-            })
-            .expect("worker scope");
-            let results = Arc::try_unwrap(results)
-                .expect("workers joined")
-                .into_inner();
+            let results = self.dispatch(&pdb, candidates, round);
             let executed = results.len();
             let mut round_committed = 0usize;
             let mut round_critical = 0u64;
             for (inst, outcome) in results {
                 match outcome {
-                    TxnOutcome::Committed {
-                        halt,
-                        writes,
-                        critical_ns,
-                        self_removed,
-                    } => {
+                    Ok(done) => {
                         stats.committed += 1;
-                        stats.writes.extend(writes);
-                        stats.halted |= halt;
+                        stats.writes.extend(done.writes);
+                        stats.halted |= done.halt;
                         round_committed += 1;
-                        round_critical += critical_ns;
+                        round_critical += done.critical_ns;
                         // Refraction charges a firing only while the fired
                         // copy is still *in* the conflict set. A
-                        // self-consuming RHS (its own maintenance removed a
-                        // copy of this instantiation) already retired the
-                        // fired copy; any equal-content copies left behind
-                        // come from duplicate WMEs and may still fire.
-                        if !self_removed {
-                            *fired.entry(inst).or_insert(0) += 1;
+                        // self-consuming RHS already retired the fired
+                        // copy; any equal-content copies left behind come
+                        // from duplicate WMEs and may still fire.
+                        if !done.self_removed {
+                            refraction.record(inst);
+                        }
+                        if let Some(oracle) = &mut self.oracle {
+                            oracle.pos += 1;
                         }
                     }
-                    TxnOutcome::Invalid => {
-                        stats.invalidated += 1;
-                        // The maintenance process will have removed it
-                        // from the conflict set; if not (it was valid when
-                        // snapshotted), the next snapshot sees the truth.
-                    }
-                    TxnOutcome::Deadlock => {
-                        stats.deadlock_aborts += 1;
-                        // Retried next round if still applicable.
-                        deadlocked.push(inst);
-                    }
-                    TxnOutcome::Failed(e) => {
-                        stats.failed += 1;
-                        stats.errors.push(e.to_string());
-                        // The transaction rolled back; the instantiation is
-                        // not marked fired, so the next snapshot retries it
-                        // if it is still applicable.
+                    Err(abort) => {
+                        if let Some((rule, wmes)) = &step {
+                            stats.divergence = Some(format!(
+                                "replay diverged at firing {}: {rule}: {wmes} {}",
+                                stats.committed,
+                                abort.divergence()
+                            ));
+                        }
+                        // None of these marks the instantiation fired: the
+                        // next snapshot retries it if it is still
+                        // applicable (an invalid one has normally left
+                        // the conflict set by then).
+                        match abort {
+                            Abort::Invalid => stats.invalidated += 1,
+                            Abort::Deadlock => {
+                                stats.deadlock_aborts += 1;
+                                deadlocked.push(inst);
+                            }
+                            Abort::Failed(e) => {
+                                stats.failed += 1;
+                                stats.errors.push(e.to_string());
+                            }
+                        }
                     }
                 }
             }
             stats.critical_ns += round_critical;
             let span_ns = round_start.elapsed().as_nanos() as u64;
             tracer.emit(|| Event::RoundSpan {
-                round: stats.rounds as u64,
+                round,
                 candidates: dispatched,
                 committed: round_committed,
                 aborted: executed - round_committed,
                 critical_ns: round_critical,
                 span_ns,
             });
-            // Keep refraction memory consistent with the conflict set:
-            // drop (or trim) entries whose instantiations left it.
-            {
-                let g = self.engine.lock();
-                let cs = g.conflict_set();
-                let mut cs_counts: HashMap<&Instantiation, usize> = HashMap::new();
-                for inst in cs.items() {
-                    *cs_counts.entry(inst).or_insert(0) += 1;
-                }
-                fired.retain(|inst, n| {
-                    *n = (*n).min(cs_counts.get(inst).copied().unwrap_or(0));
-                    *n > 0
-                });
+            refraction.trim_to(self.engine.lock().conflict_set());
+            if stats.divergence.is_some() {
+                break;
             }
             if round_committed > 0 || !repeated {
                 stalls = 0;
@@ -732,13 +641,8 @@ impl ConcurrentExecutor {
         stats.lock_wait_ns = delta.lock_wait_ns;
         // Surface where the contention landed: per-shard wait deltas over
         // this run, journaled so traces show hot lock shards.
-        for (i, (now, before)) in db
-            .lock_manager()
-            .shard_stats()
-            .iter()
-            .zip(&shard_base)
-            .enumerate()
-        {
+        let shard_now = db.lock_manager().shard_stats();
+        for (i, (now, before)) in shard_now.iter().zip(&shard_base).enumerate() {
             let waits = now.waits.saturating_sub(before.waits);
             let wait_ns = now.wait_ns.saturating_sub(before.wait_ns);
             if waits > 0 {
@@ -752,161 +656,42 @@ impl ConcurrentExecutor {
         }
         stats
     }
-
-    /// Deterministic replay: fire the oracle's recorded instantiations
-    /// one at a time, in the recorded commit order. Each step snapshots
-    /// the eligible candidates exactly like a live round, picks the one
-    /// matching the oracle's head, and runs it through the same
-    /// transaction path (`run_one`) — so locking, maintenance-before-
-    /// commit, and refraction bookkeeping are identical; only the racing
-    /// is gone. A step whose recorded instantiation is not eligible (or
-    /// does not commit) stops the replay with
-    /// [`ConcurrentStats::divergence`] set.
-    fn run_replay(&mut self, max_fired: usize) -> ConcurrentStats {
-        let mut stats = ConcurrentStats::default();
-        let mut fired: HashMap<Instantiation, usize> = HashMap::new();
-        let tracer = self.engine.lock().tracer().clone();
-        let rules = self.engine.lock().pdb().rules().clone();
-        let base = self.engine.lock().pdb().db().stats().snapshot();
-        while stats.committed < max_fired && !stats.halted {
-            let Some((want_rule, want_wmes)) = self.oracle.as_ref().and_then(|o| o.peek()).cloned()
-            else {
-                break; // schedule fully replayed
-            };
-            let candidates: Vec<Instantiation> = {
-                let g = self.engine.lock();
-                let mut remaining = fired.clone();
-                let mut out = Vec::new();
-                for inst in g.conflict_set().items() {
-                    if let Some(n) = remaining.get_mut(inst) {
-                        if *n > 0 {
-                            *n -= 1;
-                            continue;
-                        }
-                    }
-                    out.push(inst.clone());
-                }
-                out
-            };
-            let Some(inst) = candidates.into_iter().find(|inst| {
-                rules.rule(inst.rule).name == want_rule && inst.wmes_display(&rules) == want_wmes
-            }) else {
-                stats.divergence = Some(format!(
-                    "replay diverged at firing {}: no eligible instantiation for {want_rule}: {want_wmes}",
-                    stats.committed
-                ));
-                break;
-            };
-            stats.rounds += 1;
-            let round = stats.rounds as u64;
-            let round_start = Instant::now();
-            let outcome = Self::run_one(&self.engine, &inst, self.batching, round, &self.next_seq);
-            let mut round_committed = 0usize;
-            let mut round_critical = 0u64;
-            match outcome {
-                TxnOutcome::Committed {
-                    halt,
-                    writes,
-                    critical_ns,
-                    self_removed,
-                } => {
-                    stats.committed += 1;
-                    stats.writes.extend(writes);
-                    stats.halted |= halt;
-                    round_committed = 1;
-                    round_critical = critical_ns;
-                    stats.critical_ns += critical_ns;
-                    if !self_removed {
-                        *fired.entry(inst).or_insert(0) += 1;
-                    }
-                    self.oracle.as_mut().expect("oracle installed").advance();
-                }
-                TxnOutcome::Invalid => {
-                    stats.invalidated += 1;
-                    stats.divergence = Some(format!(
-                        "replay diverged at firing {}: {want_rule}: {want_wmes} re-selected as invalid",
-                        stats.committed
-                    ));
-                }
-                TxnOutcome::Deadlock => {
-                    // Impossible serially (one transaction at a time),
-                    // but surfaced rather than swallowed if it happens.
-                    stats.deadlock_aborts += 1;
-                    stats.divergence = Some(format!(
-                        "replay diverged at firing {}: {want_rule}: {want_wmes} hit a deadlock",
-                        stats.committed
-                    ));
-                }
-                TxnOutcome::Failed(e) => {
-                    stats.failed += 1;
-                    stats.errors.push(e.to_string());
-                    stats.divergence = Some(format!(
-                        "replay diverged at firing {}: {want_rule}: {want_wmes} failed: {e}",
-                        stats.committed
-                    ));
-                }
-            }
-            let span_ns = round_start.elapsed().as_nanos() as u64;
-            tracer.emit(|| Event::RoundSpan {
-                round,
-                candidates: 1,
-                committed: round_committed,
-                aborted: 1 - round_committed,
-                critical_ns: round_critical,
-                span_ns,
-            });
-            {
-                let g = self.engine.lock();
-                let cs = g.conflict_set();
-                let mut cs_counts: HashMap<&Instantiation, usize> = HashMap::new();
-                for inst in cs.items() {
-                    *cs_counts.entry(inst).or_insert(0) += 1;
-                }
-                fired.retain(|inst, n| {
-                    *n = (*n).min(cs_counts.get(inst).copied().unwrap_or(0));
-                    *n > 0
-                });
-            }
-            if stats.divergence.is_some() {
-                break;
-            }
-        }
-        let delta = self
-            .engine
-            .lock()
-            .pdb()
-            .db()
-            .stats()
-            .snapshot()
-            .since(&base);
-        stats.lock_waits = delta.lock_waits;
-        stats.lock_wait_ns = delta.lock_wait_ns;
-        stats
-    }
 }
 
-/// Retire the previous round's deadlock victims against the current
-/// candidate snapshot: victims still applicable count as retries (they
-/// are about to re-execute); victims whose instantiation left the
-/// conflict set are dropped. Either way the list is cleared — a victim
-/// that deadlocks again this round re-enters it — so it can never grow
-/// without bound on workloads where victims are invalidated by other
-/// transactions instead of reappearing.
-fn prune_deadlocked(deadlocked: &mut Vec<Instantiation>, candidates: &[Instantiation]) -> usize {
+/// Turn what is eligible into what one round dispatches: a fingerprint of
+/// everything eligible (stall detection), the candidates cut to the
+/// remaining firing budget — every queued transaction may commit, and a
+/// full round used to overshoot `max_fired` by up to a whole round's
+/// worth — and the number of the previous round's deadlock victims among
+/// them, i.e. the retries about to re-execute. Victims are counted
+/// against what is dispatched, not against what is eligible: one cut by
+/// the budget is not a retry. Either way the victim list is cleared — a
+/// victim that deadlocks again this round re-enters it — so it can never
+/// grow without bound on workloads where victims are invalidated by
+/// other transactions instead of reappearing.
+fn snapshot_round(
+    eligible: &[&Instantiation],
+    budget: usize,
+    deadlocked: &mut Vec<Instantiation>,
+) -> (Vec<Instantiation>, u64, usize) {
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    eligible.hash(&mut h);
+    let candidates: Vec<Instantiation> = eligible.iter().take(budget).copied().cloned().collect();
+    // The common round has no victims: count the candidates only for them.
     let mut pool: HashMap<&Instantiation, usize> = HashMap::new();
-    for c in candidates {
-        *pool.entry(c).or_insert(0) += 1;
+    if !deadlocked.is_empty() {
+        for c in &candidates {
+            *pool.entry(c).or_insert(0) += 1;
+        }
     }
     let mut retries = 0;
     for victim in deadlocked.drain(..) {
-        if let Some(n) = pool.get_mut(&victim) {
-            if *n > 0 {
-                *n -= 1;
-                retries += 1;
-            }
+        if let Some(n) = pool.get_mut(&victim).filter(|n| **n > 0) {
+            *n -= 1;
+            retries += 1;
         }
     }
-    retries
+    (candidates, h.finish(), retries)
 }
 
 #[cfg(test)]
@@ -1005,10 +790,10 @@ mod tests {
 
     /// Regression: a deadlock victim whose instantiation never returns to
     /// the conflict set (another transaction invalidated it) used to stay
-    /// in the victim list forever. Pruning runs against every candidate
-    /// snapshot and clears the list each round.
+    /// in the victim list forever. Victims are retired against every
+    /// round's candidates and the list is cleared each round.
     #[test]
-    fn deadlock_victims_pruned_against_current_candidates() {
+    fn deadlock_victims_retired_against_current_candidates() {
         let inst = |rule: usize, v: i64| rete::Instantiation {
             rule: ops5::RuleId(rule),
             wmes: vec![rete::Wme::new(ClassId(0), tuple![v])],
@@ -1017,13 +802,14 @@ mod tests {
         // Victim 0 reappears in the candidates (a genuine retry); victim 1
         // was invalidated and must be dropped, not kept forever.
         let mut deadlocked = vec![inst(0, 1), inst(1, 2)];
-        let candidates = vec![inst(0, 1), inst(2, 3)];
-        let retries = prune_deadlocked(&mut deadlocked, &candidates);
+        let (a, b) = (inst(0, 1), inst(2, 3));
+        let (candidates, _, retries) = snapshot_round(&[&a, &b], 10, &mut deadlocked);
+        assert_eq!(candidates, vec![a.clone(), b]);
         assert_eq!(retries, 1, "only the reappearing victim is a retry");
         assert!(deadlocked.is_empty(), "the victim list is always cleared");
         // Duplicate instantiations retire one victim each, not all at once.
         let mut deadlocked = vec![inst(0, 1), inst(0, 1)];
-        let retries = prune_deadlocked(&mut deadlocked, &[inst(0, 1)]);
+        let (_, _, retries) = snapshot_round(&[&a], 10, &mut deadlocked);
         assert_eq!(retries, 1, "multiset semantics: one candidate, one retry");
         assert!(deadlocked.is_empty());
     }
@@ -1079,6 +865,21 @@ mod tests {
         }
         let stats = ex.run(1);
         assert_eq!(stats.committed, 1, "budget of 1 means exactly 1 commit");
+        // Regression: `retries` was counted before the budget cut, so a
+        // deadlock victim that is eligible but not dispatched was reported
+        // as "actually re-executed".
+        {
+            let eng = ex.engine();
+            let g = eng.lock();
+            let eligible = Refraction::default().eligible(g.conflict_set());
+            assert_eq!(eligible.len(), 7);
+            let victim = eligible[6].clone();
+            let (cut, _, retries) = snapshot_round(&eligible, 1, &mut vec![victim.clone()]);
+            assert_eq!(cut.len(), 1, "the round is cut to the budget");
+            assert_eq!(retries, 0, "a victim the budget cut is not a retry");
+            let (_, _, retries) = snapshot_round(&eligible, 7, &mut vec![victim]);
+            assert_eq!(retries, 1, "dispatched, it is");
+        }
         let stats = ex.run(3);
         assert_eq!(stats.committed, 3, "resuming honors the new budget");
         let stats = ex.run(1000);
@@ -1193,6 +994,29 @@ mod tests {
         let rep_stats = rep.run(1000);
         assert_eq!(rep_stats.divergence, None);
         assert_eq!(rep_stats.committed, 10);
+        // An oracle-steered run goes through the same accounting as a
+        // live one: one round per recorded firing, nothing raced.
+        assert_eq!(rep_stats.rounds, rep_stats.committed);
+        assert_eq!(rep_stats.retries + rep_stats.deadlock_aborts, 0);
+        assert_eq!((rep_stats.invalidated, rep_stats.failed), (0, 0));
+        assert!(rep_stats.critical_ns > 0);
+        assert_eq!(rep_stats.lock_waits, 0, "serial: no lock ever blocks");
+        assert!(rep_stats.shard_contention.is_empty());
+        let spans: Vec<_> = rep_tracer
+            .ring_events()
+            .unwrap()
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::RoundSpan {
+                    candidates,
+                    committed,
+                    aborted,
+                    ..
+                } => Some((candidates, committed, aborted)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(spans, vec![(1, 1, 0); 10], "one round span per firing");
         assert_eq!(
             firing_keys(&rep_tracer.ring_events().unwrap()),
             keys,
@@ -1202,22 +1026,95 @@ mod tests {
     }
 
     /// Replaying a schedule the current program cannot produce reports a
-    /// divergence instead of panicking or spinning.
+    /// divergence instead of panicking or spinning: the recorded
+    /// instantiation is not eligible, re-selects as invalid, or fails.
     #[test]
     fn replay_divergence_is_reported() {
-        let mut ex = setup(COUNTER_RULES, EngineKind::Query);
+        let replay = |wmes: &str, sabotage: &dyn Fn(&ProductionDb)| {
+            let mut ex = setup(COUNTER_RULES, EngineKind::Query);
+            let pdb = {
+                let eng = ex.engine();
+                let mut g = eng.lock();
+                g.insert(ClassId(0), tuple![1]);
+                g.pdb().clone()
+            };
+            sabotage(&pdb);
+            ex.set_oracle(ScheduleOracle::new(vec![("Mark".into(), wmes.into())]));
+            let stats = ex.run(1000);
+            assert_eq!(stats.committed, 0);
+            stats
+        };
+
+        let stats = replay("no-such-wmes", &|_| {});
+        assert_eq!(
+            stats.divergence.as_deref(),
+            Some("replay diverged at firing 0: no eligible instantiation for Mark: no-such-wmes")
+        );
+        assert_eq!(stats.rounds, 0, "nothing was dispatched");
+
+        // The tuple vanishes from storage behind the engine's back: still
+        // in the conflict set, gone when the transaction re-selects it.
+        let stats = replay("Item(1)", &|pdb| {
+            pdb.remove_wm_equal(ClassId(0), &tuple![1]).unwrap();
+        });
+        assert_eq!(
+            stats.divergence.as_deref(),
+            Some("replay diverged at firing 0: Mark: Item(1) re-selected as invalid")
+        );
+        assert_eq!((stats.rounds, stats.invalidated), (1, 1));
+
+        let stats = replay("Item(1)", &|pdb| pdb.db().inject_fault_after(0));
+        let msg = stats.divergence.expect("divergence reported");
+        assert!(
+            msg.starts_with("replay diverged at firing 0: Mark: Item(1) failed: "),
+            "{msg}"
+        );
+        assert_eq!((stats.rounds, stats.failed), (1, 1));
+        assert_eq!(stats.errors.len(), 1);
+    }
+
+    /// Refraction under duplicate WMEs when a third party removes one
+    /// copy after the other fired. The concurrent executor reconciles
+    /// from the conflict set's *state* ([`Refraction::trim_to`]): the
+    /// charge stays on the surviving copy, which does not fire again.
+    /// (The sequential executor releases the charge instead; see
+    /// `third_party_remove_releases_refraction` there.)
+    #[test]
+    fn third_party_remove_keeps_refraction_charge() {
+        let src = r#"
+            (literalize A x)
+            (literalize K x)
+            (literalize Log x)
+            (p Note (A ^x <V>) --> (make Log ^x <V>))
+            (p Kill (K ^x <V>) (A ^x <V>) --> (remove 1) (remove 2))
+        "#;
+        let mut ex = setup(src, EngineKind::Rete);
         {
             let eng = ex.engine();
             let mut g = eng.lock();
             g.insert(ClassId(0), tuple![1]);
+            g.insert(ClassId(0), tuple![1]);
+            g.insert(ClassId(1), tuple![1]);
+            assert_eq!(g.conflict_set().len(), 4, "two Note and two Kill copies");
         }
-        ex.set_oracle(ScheduleOracle::new(vec![(
-            "Mark".into(),
-            "no-such-wmes".into(),
-        )]));
-        let stats = ex.run(1000);
-        assert_eq!(stats.committed, 0);
-        let msg = stats.divergence.expect("divergence reported");
-        assert!(msg.contains("no eligible instantiation"), "{msg}");
+        // Note fires on one copy, Kill then removes one A(1) (and its own
+        // K(1)); the recorded third step asks for the surviving copy.
+        let step = |rule: &str, wmes: &str| (rule.to_string(), wmes.to_string());
+        ex.set_oracle(ScheduleOracle::new(vec![
+            step("Note", "A(1)"),
+            step("Kill", "K(1) A(1)"),
+            step("Note", "A(1)"),
+        ]));
+        let stats = ex.run(100);
+        assert_eq!(stats.committed, 2);
+        assert_eq!(
+            stats.divergence.as_deref(),
+            Some("replay diverged at firing 2: no eligible instantiation for Note: A(1)")
+        );
+        let eng = ex.engine();
+        let g = eng.lock();
+        assert_eq!(g.conflict_set().len(), 1, "the surviving Note copy");
+        assert_eq!(g.pdb().wm_len(ClassId(0)), 1);
+        assert_eq!(g.pdb().wm_len(ClassId(2)), 1, "Note fired once");
     }
 }

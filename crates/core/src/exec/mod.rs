@@ -2,10 +2,12 @@
 //! (the paper's §5 proposal).
 
 pub mod concurrent;
+pub mod refraction;
 pub mod schedules;
 pub mod sequential;
 
 pub use concurrent::{ConcurrentExecutor, ConcurrentStats, ScheduleOracle};
+pub use refraction::Refraction;
 pub use schedules::{
     count_equivalent_schedules, critical_path, interleaving_upper_bound, ops_of_instantiation,
     TxnOps,
@@ -13,8 +15,10 @@ pub use schedules::{
 pub use sequential::{RunOutcome, SequentialExecutor};
 
 use ops5::{Action, ClassId, RhsVal, Rule, RuleSet};
-use relstore::{Tuple, Value};
+use relstore::{Tuple, TupleId, Value};
 use rete::Instantiation;
+
+use crate::engine::WmDelta;
 
 /// One WM change produced by an RHS.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,6 +27,20 @@ pub enum WmChange {
     Insert(ClassId, Tuple),
     /// Remove one tuple equal to the payload.
     Remove(ClassId, Tuple),
+}
+
+impl WmChange {
+    /// This change as a maintenance delta, once storage resolved it to
+    /// the tuple id it inserted or deleted.
+    pub fn resolved(&self, tid: TupleId) -> WmDelta {
+        let (WmChange::Insert(class, tuple) | WmChange::Remove(class, tuple)) = self;
+        WmDelta {
+            insert: matches!(self, WmChange::Insert(..)),
+            class: *class,
+            tid,
+            tuple: tuple.clone(),
+        }
+    }
 }
 
 /// Everything an RHS evaluation produces.

@@ -7,12 +7,15 @@
 //! * parallel COND propagation fires the same rules in the same order as
 //!   serial propagation.
 
+mod common;
+
+use common::wm_all;
 use ops5::ClassId;
 use prodsys::{
     make_engine, CondEngine, EngineKind, ProductionDb, ProductionSystem, SequentialExecutor,
-    Strategy,
+    Strategy, WmChange,
 };
-use relstore::{Restriction, Tuple};
+use relstore::Tuple;
 use workload::{Op, RuleGenConfig, TraceConfig};
 
 const LOAD_SRC: &str = r#"
@@ -22,23 +25,6 @@ const LOAD_SRC: &str = r#"
     (p Match (Item ^n <N> ^k <K>) (Ref ^k <K> ^w <W>) -(Hit ^n <N>) --> (make Hit ^n <N>))
     (p Retire (Item ^n <N>) (Hit ^n <N>) --> (remove 1) (remove 2) (write retired <N>))
 "#;
-
-fn wm_all(engine: &dyn prodsys::MatchEngine) -> Vec<Vec<Tuple>> {
-    let pdb = engine.pdb();
-    (0..pdb.class_count())
-        .map(|c| {
-            let mut rows: Vec<Tuple> = pdb
-                .db()
-                .select(pdb.class_rel(ClassId(c)), &Restriction::default())
-                .unwrap()
-                .into_iter()
-                .map(|(_, t)| t)
-                .collect();
-            rows.sort();
-            rows
-        })
-        .collect()
-}
 
 /// Loading a delta set through `insert_batch` (one set-oriented
 /// maintenance pass) must leave every engine with the same conflict set
@@ -159,11 +145,11 @@ fn engines_agree_on_generated_delta_batches() {
         );
         // Apply the random insert/remove trace as one delta set per
         // engine — removes of absent tuples must be dropped identically.
-        let changes: Vec<(bool, ClassId, Tuple)> = trace
+        let changes: Vec<WmChange> = trace
             .iter()
             .map(|op| match op {
-                Op::Insert(c, t) => (true, ClassId(*c), t.clone()),
-                Op::Remove(c, t) => (false, ClassId(*c), t.clone()),
+                Op::Insert(c, t) => WmChange::Insert(ClassId(*c), t.clone()),
+                Op::Remove(c, t) => WmChange::Remove(ClassId(*c), t.clone()),
             })
             .collect();
         // Engines apply the resulting deltas to their own conflict sets;

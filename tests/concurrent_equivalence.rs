@@ -10,12 +10,15 @@
 //! the *set* of committed transactions and the final WM are
 //! order-independent even though the concurrent schedule is not.
 
+mod common;
+
+use common::wm_all;
 use ops5::ClassId;
 use prodsys::{
     make_engine, ConcurrentExecutor, EngineKind, ProductionDb, SequentialExecutor, Strategy,
 };
 use proptest::prelude::*;
-use relstore::{tuple, Restriction, Tuple};
+use relstore::tuple;
 
 const SRC: &str = r#"
     (literalize Item n k)
@@ -24,24 +27,6 @@ const SRC: &str = r#"
     (p Mark (Item ^n <N> ^k <K>) -(Done ^n <N>) --> (make Done ^n <N>))
     (p Consume (Item ^n <N> ^k <K>) (Done ^n <N>) --> (remove 1) (make Log ^n <N>))
 "#;
-
-/// Sorted per-class dump of the whole working memory.
-fn wm_all(engine: &dyn prodsys::MatchEngine) -> Vec<Vec<Tuple>> {
-    let pdb = engine.pdb();
-    (0..pdb.class_count())
-        .map(|c| {
-            let mut rows: Vec<Tuple> = pdb
-                .db()
-                .select(pdb.class_rel(ClassId(c)), &Restriction::default())
-                .unwrap()
-                .into_iter()
-                .map(|(_, t)| t)
-                .collect();
-            rows.sort();
-            rows
-        })
-        .collect()
-}
 
 /// Build an engine and load the randomized WM: every item inserted
 /// tuple-at-a-time, then a few removed again by content (exercising the
@@ -146,7 +131,7 @@ proptest! {
                 for batching in [true, false] {
                     let mut exec =
                         ConcurrentExecutor::new(load(kind, &items, &removes), workers);
-                    exec.set_batching(batching);
+                    exec.engine().lock().set_batching(batching);
                     let stats = exec.run(10_000);
                     let label = format!(
                         "{} workers={workers} batching={batching}",

@@ -12,11 +12,14 @@
 //! SEED=7 ITERS=2000 cargo test --release --test concurrent_stress -- --ignored --nocapture
 //! ```
 
+mod common;
+
+use common::wm_all;
 use ops5::ClassId;
 use prodsys::{
     make_engine, ConcurrentExecutor, EngineKind, ProductionDb, SequentialExecutor, Strategy,
 };
-use relstore::{tuple, Restriction, Tuple};
+use relstore::tuple;
 
 const SRC: &str = r#"
     (literalize Item n k)
@@ -25,23 +28,6 @@ const SRC: &str = r#"
     (p Mark (Item ^n <N> ^k <K>) -(Done ^n <N>) --> (make Done ^n <N>))
     (p Consume (Item ^n <N> ^k <K>) (Done ^n <N>) --> (remove 1) (make Log ^n <N>))
 "#;
-
-fn wm_all(engine: &dyn prodsys::MatchEngine) -> Vec<Vec<Tuple>> {
-    let pdb = engine.pdb();
-    (0..pdb.class_count())
-        .map(|c| {
-            let mut rows: Vec<Tuple> = pdb
-                .db()
-                .select(pdb.class_rel(ClassId(c)), &Restriction::default())
-                .unwrap()
-                .into_iter()
-                .map(|(_, t)| t)
-                .collect();
-            rows.sort();
-            rows
-        })
-        .collect()
-}
 
 fn load(
     kind: EngineKind,
@@ -109,7 +95,7 @@ fn stress_concurrent_equals_sequential() {
 
             for batching in [true, false] {
                 let mut exec = ConcurrentExecutor::new(load(kind, &items, &removes), 4);
-                exec.set_batching(batching);
+                exec.engine().lock().set_batching(batching);
                 let stats = exec.run(10_000);
                 let engine = exec.engine();
                 let g = engine.lock();

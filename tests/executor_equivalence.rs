@@ -2,26 +2,12 @@
 //! (not just matching) must produce identical working memories and
 //! firing counts on every engine, including modify-heavy programs.
 
+mod common;
+
+use common::wm_all;
 use ops5::ClassId;
 use prodsys::{make_engine, EngineKind, ProductionDb, SequentialExecutor, Strategy};
-use relstore::{Restriction, Tuple};
-
-fn wm_all(engine: &dyn prodsys::MatchEngine) -> Vec<Vec<Tuple>> {
-    let pdb = engine.pdb();
-    (0..pdb.class_count())
-        .map(|c| {
-            let mut rows: Vec<Tuple> = pdb
-                .db()
-                .select(pdb.class_rel(ClassId(c)), &Restriction::default())
-                .unwrap()
-                .into_iter()
-                .map(|(_, t)| t)
-                .collect();
-            rows.sort();
-            rows
-        })
-        .collect()
-}
+use relstore::Tuple;
 
 /// Run with the Canonical strategy: selection depends only on conflict-set
 /// *content*, so equivalent engines must produce identical trajectories

@@ -4,6 +4,9 @@
 //! in-memory sequential run — and the run must leave no lock or latch
 //! behind. This is the §5 × §6 intersection the seed never exercised.
 
+mod common;
+
+use common::wm_all;
 use ops5::ClassId;
 use prodsys::{
     make_engine, ConcurrentExecutor, EngineKind, ProductionDb, SequentialExecutor, Strategy,
@@ -27,24 +30,6 @@ const SRC: &str = r#"
     (p Mark (Item ^n <N> ^k <K> ^pad <P>) -(Done ^n <N>) --> (make Done ^n <N>))
     (p Consume (Item ^n <N> ^k <K> ^pad <P>) (Done ^n <N>) --> (remove 1) (make Log ^n <N>))
 "#;
-
-/// Sorted per-class dump of the whole working memory.
-fn wm_all(engine: &dyn prodsys::MatchEngine) -> Vec<Vec<Tuple>> {
-    let pdb = engine.pdb();
-    (0..pdb.class_count())
-        .map(|c| {
-            let mut rows: Vec<Tuple> = pdb
-                .db()
-                .select(pdb.class_rel(ClassId(c)), &Restriction::default())
-                .unwrap()
-                .into_iter()
-                .map(|(_, t)| t)
-                .collect();
-            rows.sort();
-            rows
-        })
-        .collect()
-}
 
 /// Fat-padded items so a handful of tuples overflow a 2-frame pool.
 fn load(db: Arc<Database>, kind: EngineKind, items: i64) -> Box<dyn prodsys::MatchEngine> {

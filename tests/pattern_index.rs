@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use ops5::ClassId;
-use prodsys::{make_engine, CondEngine, EngineKind, MatchEngine, ProductionDb};
+use prodsys::{make_engine, CondEngine, EngineKind, MatchEngine, ProductionDb, WmChange};
 use proptest::prelude::*;
 use workload::{Op, RuleGenConfig, TraceConfig};
 
@@ -158,14 +158,14 @@ fn batch_fingerprints(events: Vec<obs::Event>) -> Vec<Vec<String>> {
 fn batched_trace_agrees_across_engines() {
     let (cfg, trace) = random_trace(21, 60);
     // Split the trace into delta batches of 6 changes each.
-    let batches: Vec<Vec<(bool, ClassId, relstore::Tuple)>> = trace
+    let batches: Vec<Vec<WmChange>> = trace
         .chunks(6)
         .map(|chunk| {
             chunk
                 .iter()
                 .map(|op| match op {
-                    Op::Insert(c, t) => (true, ClassId(*c), t.clone()),
-                    Op::Remove(c, t) => (false, ClassId(*c), t.clone()),
+                    Op::Insert(c, t) => WmChange::Insert(ClassId(*c), t.clone()),
+                    Op::Remove(c, t) => WmChange::Remove(ClassId(*c), t.clone()),
                 })
                 .collect()
         })

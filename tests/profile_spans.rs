@@ -6,7 +6,7 @@
 //! The profiler is process-global; this file holds the only test that
 //! enables it in this test binary.
 
-use prodsys::{make_engine, ClassId, EngineKind, ProductionDb};
+use prodsys::{make_engine, ClassId, EngineKind, ProductionDb, WmChange};
 use relstore::tuple;
 
 const SRC: &str = r#"
@@ -26,8 +26,8 @@ fn maintain_span_opens_once_per_entry_point() {
             let mut engine = make_engine(kind, ProductionDb::new(rules).expect("pdb"));
             engine.set_batching(batching);
             let changes: Vec<_> = (0..4i64)
-                .map(|i| (true, ClassId(0), tuple![i, i % 2]))
-                .chain([(true, ClassId(1), tuple![0, 7])])
+                .map(|i| WmChange::Insert(ClassId(0), tuple![i, i % 2]))
+                .chain([WmChange::Insert(ClassId(1), tuple![0, 7])])
                 .collect();
             obs::prof::reset();
             obs::prof::set_enabled(true);

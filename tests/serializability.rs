@@ -1,24 +1,14 @@
 //! §5: the concurrent execution of a conflict set must be equivalent to
 //! some serial (OPS5) execution.
 
+mod common;
+
+use common::wm_class;
 use ops5::ClassId;
 use prodsys::{
     make_engine, ConcurrentExecutor, EngineKind, ProductionDb, SequentialExecutor, Strategy,
 };
-use relstore::{tuple, Restriction, Tuple};
-
-fn wm_dump(engine: &dyn prodsys::MatchEngine, class: usize) -> Vec<Tuple> {
-    let pdb = engine.pdb();
-    let mut rows: Vec<Tuple> = pdb
-        .db()
-        .select(pdb.class_rel(ClassId(class)), &Restriction::default())
-        .unwrap()
-        .into_iter()
-        .map(|(_, t)| t)
-        .collect();
-    rows.sort();
-    rows
-}
+use relstore::tuple;
 
 /// A confluent workload (rule firings commute): the final WM must be
 /// identical between sequential and concurrent execution.
@@ -40,7 +30,7 @@ fn concurrent_equals_sequential_on_confluent_rules() {
             seq.insert(ClassId(0), tuple![i, i * 10]);
         }
         let seq_out = seq.run(1000);
-        let seq_wm = (wm_dump(seq.engine(), 0), wm_dump(seq.engine(), 1));
+        let seq_wm = (wm_class(seq.engine(), 0), wm_class(seq.engine(), 1));
 
         // Concurrent run, 4 workers.
         let mut engine = make_engine(kind, ProductionDb::new(rules.clone()).unwrap());
@@ -51,7 +41,7 @@ fn concurrent_equals_sequential_on_confluent_rules() {
         let stats = conc.run(1000);
         let eng = conc.engine();
         let g = eng.lock();
-        let conc_wm = (wm_dump(g.as_ref(), 0), wm_dump(g.as_ref(), 1));
+        let conc_wm = (wm_class(g.as_ref(), 0), wm_class(g.as_ref(), 1));
 
         assert_eq!(seq_out.fired, stats.committed, "{}", kind.label());
         assert_eq!(seq_wm, conc_wm, "{}: final WM must agree", kind.label());
@@ -80,9 +70,9 @@ fn racing_deleters_match_some_serial_order() {
         conc.run(1000);
         let eng = conc.engine();
         let g = eng.lock();
-        let a = wm_dump(g.as_ref(), 0);
-        let b = wm_dump(g.as_ref(), 1);
-        let c = wm_dump(g.as_ref(), 2);
+        let a = wm_class(g.as_ref(), 0);
+        let b = wm_class(g.as_ref(), 1);
+        let c = wm_class(g.as_ref(), 2);
         assert!(a.is_empty(), "every A consumed");
         // Each A was consumed by exactly one of the two rules.
         assert_eq!(
@@ -116,7 +106,7 @@ fn negative_dependence_serializes() {
         let eng = conc.engine();
         let g = eng.lock();
         assert_eq!(
-            wm_dump(g.as_ref(), 1).len(),
+            wm_class(g.as_ref(), 1).len(),
             4,
             "workers={workers}: one Done per distinct n"
         );
