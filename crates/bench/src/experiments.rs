@@ -352,7 +352,6 @@ pub fn e7_schedules(sizes: &[usize]) -> Vec<E7Point> {
             }
             let txns: Vec<_> = engine
                 .conflict_set()
-                .items()
                 .iter()
                 .map(|inst| ops_of_instantiation(&rules, inst))
                 .collect();

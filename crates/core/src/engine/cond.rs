@@ -45,7 +45,7 @@
 //! conservative; the conflict set remains exact because detection expands
 //! fire candidates through a seeded LHS query.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -57,7 +57,7 @@ use rete::{ConflictDelta, ConflictSet};
 
 use crate::engine::arena::{PatRef, PatternArena, SupportSet, TupKey};
 use crate::engine::intern::{Extra, FastMap, IdentityInterner, PatId};
-use crate::engine::recompute::{eval_rule_seeded_batch, eval_rule_via, InstStore, Match};
+use crate::engine::recompute::{eval_rule_seeded_batch, eval_rule_via, InstStore};
 use crate::engine::{MatchEngine, SpaceStats, WmDelta};
 use crate::pdb::ProductionDb;
 
@@ -496,6 +496,40 @@ struct PropScratch {
 fn pack_key(rule: usize, n: usize, k_idx: usize, id: PatId) -> u64 {
     debug_assert!(rule < (1 << 16) && n < (1 << 8) && k_idx < (1 << 8));
     ((rule as u64) << 48) | ((n as u64) << 40) | ((k_idx as u64) << 32) | u64::from(id)
+}
+
+/// The WM rows of one positive CE that join `tuple` taken as a tuple of
+/// `rule`'s negated CE `cen`: that CE's own tests plus every join test
+/// between the two with its operator flipped, served by the WM relation's
+/// indexes. An equality join is preferred — its probe reads one hash
+/// bucket. Returns the positive CE with the rows, or `None` when the
+/// negated CE joins no positive CE.
+fn joined_rows(
+    pdb: &ProductionDb,
+    rule: &Rule,
+    cen: usize,
+    tuple: &Tuple,
+) -> Option<(usize, Vec<(TupleId, Tuple)>)> {
+    let joins = &rule.ces[cen].joins;
+    let target = joins
+        .iter()
+        .find(|j| j.op == CompOp::Eq)
+        .or(joins.first())?
+        .other_ce;
+    let bound: Vec<(usize, CompOp, &Value)> = joins
+        .iter()
+        .filter(|j| j.other_ce == target)
+        .map(|j| (j.other_attr, j.op.flip(), &tuple[j.my_attr]))
+        .collect();
+    let ce = &rule.ces[target];
+    let rows = pdb
+        .db()
+        .read(pdb.class_rel(ce.class), |r| {
+            r.select_with(&ce.alpha, &bound)
+        })
+        .expect("wm relation")
+        .expect("wm select");
+    Some((target, rows))
 }
 
 /// The §4.2 matching engine.
@@ -1440,12 +1474,10 @@ impl CondEngine {
         // (b) the tuple blocks negated CEs: retract newly blocked
         // instantiations.
         for (rid, cen) in blockers {
-            let rule = self.rule(rid).clone();
-            let info = &self.infos[rid];
-            let joins = rule.ces[cen].joins.clone();
-            let positive_pos = info.positive_pos.clone();
-            let d = self.inst.remove_where(&rule, |m| {
-                joins.iter().all(|j| {
+            let rule = self.pdb.rules().rule(RuleId(rid));
+            let positive_pos = &self.infos[rid].positive_pos;
+            let d = self.inst.remove_where(rule, |m| {
+                rule.ces[cen].joins.iter().all(|j| {
                     let Some(pos) = positive_pos[j.other_ce] else {
                         return false;
                     };
@@ -1462,35 +1494,21 @@ impl CondEngine {
     }
 
     /// Expand fire triggers through seeded LHS queries — one batched
-    /// evaluation per (rule, seeded-term) pair — deduplicating by tid
-    /// vector within the batch and against the stored instantiations
-    /// (distinct seeds of the same cycle can derive the same match).
+    /// evaluation per (rule, seeded-term) pair, in that order. Distinct
+    /// seeded terms of one rule can derive the same match in the same
+    /// cycle; the store's tid-vector index drops the repeat, as it drops
+    /// matches already stored.
     fn expand_fires(&mut self, fires: Vec<(usize, usize, TupleId, Tuple)>) -> Vec<ConflictDelta> {
         obs::prof_span!("expand");
-        let mut groups: HashMap<(usize, usize), Vec<(TupleId, Tuple)>> = HashMap::new();
+        let mut groups: BTreeMap<(usize, usize), Vec<(TupleId, Tuple)>> = BTreeMap::new();
         for (rid, cen, tid, tuple) in fires {
             groups.entry((rid, cen)).or_default().push((tid, tuple));
         }
-        let mut keys: Vec<(usize, usize)> = groups.keys().copied().collect();
-        keys.sort_unstable();
-        let mut by_rule: HashMap<usize, Vec<Match>> = HashMap::new();
-        for key in keys {
-            let rule = self.rule(key.0).clone();
-            let seeds = groups.remove(&key).expect("group present");
-            for m in eval_rule_seeded_batch(&self.pdb, &rule, key.1, &seeds, self.batch) {
-                let entry = by_rule.entry(key.0).or_default();
-                if !entry.iter().any(|x| x.tids == m.tids) {
-                    entry.push(m);
-                }
-            }
-        }
-        let mut rids: Vec<usize> = by_rule.keys().copied().collect();
-        rids.sort_unstable();
         let mut deltas = Vec::new();
-        for rid in rids {
-            let rule = self.rule(rid).clone();
-            let matches = by_rule.remove(&rid).expect("rule present");
-            deltas.extend(self.inst.add_missing(&rule, matches));
+        for ((rid, cen), seeds) in groups {
+            let rule = self.pdb.rules().rule(RuleId(rid));
+            let matches = eval_rule_seeded_batch(&self.pdb, rule, cen, &seeds, self.batch);
+            deltas.extend(self.inst.add_missing(rule, matches));
         }
         deltas
     }
@@ -1499,23 +1517,15 @@ impl CondEngine {
     /// the tuple leave the conflict store.
     fn retract_containing(&mut self, class: ClassId, tid: TupleId) -> Vec<ConflictDelta> {
         obs::prof_span!("retract");
-        let mut deltas = Vec::new();
-        let rule_ids: Vec<usize> = self
-            .pdb
-            .rules()
-            .rules_on_class(class)
-            .map(|r| r.id.0)
-            .collect();
-        for rid in &rule_ids {
-            let rule = self.rule(*rid).clone();
-            deltas.extend(self.inst.remove_containing(&rule, class, tid));
-        }
-        deltas
+        self.inst.remove_containing(self.pdb.rules(), class, tid)
     }
 
     /// Deletion maintenance: withdraw the tuple's support from every
-    /// pattern it contributed to, then re-evaluate rules whose negated
-    /// CEs the tuple may have been blocking.
+    /// pattern it contributed to (§4.2.2), then revive what it was
+    /// blocking. A departed blocker is bound the way an arriving one is,
+    /// in the other direction: the rows of a positive CE it joins seed the
+    /// LHS query, whose anti-join still sees the remaining blockers. Only
+    /// a negated CE joined to no positive CE re-evaluates the whole rule.
     fn remove_maintenance(
         &mut self,
         class: ClassId,
@@ -1524,23 +1534,24 @@ impl CondEngine {
     ) -> Vec<ConflictDelta> {
         obs::prof_span!("remove");
         self.withdraw((class.0, tid));
-        let mut enable_deltas = Vec::new();
-        let rule_ids: Vec<usize> = self
-            .pdb
-            .rules()
-            .rules_on_class(class)
-            .map(|r| r.id.0)
+        let rules = self.pdb.rules();
+        let mut unblocked: Vec<(usize, usize)> = self
+            .candidate_groups(class, tuple)
+            .into_iter()
+            .filter(|&(rid, cen)| {
+                let ce = &rules.rule(RuleId(rid)).ces[cen];
+                ce.negated && ce.alpha.matches(tuple)
+            })
             .collect();
-        for rid in rule_ids {
-            let rule = self.rule(rid).clone();
-            let unblocks = rule
-                .ces
-                .iter()
-                .any(|ce| ce.negated && ce.class == class && ce.alpha.matches(tuple));
-            if unblocks {
-                let matches = eval_rule_via(&self.pdb, &rule, self.batch);
-                enable_deltas.extend(self.inst.add_missing(&rule, matches));
-            }
+        unblocked.sort_unstable();
+        let mut enable_deltas = Vec::new();
+        for (rid, cen) in unblocked {
+            let rule = rules.rule(RuleId(rid));
+            let matches = match joined_rows(&self.pdb, rule, cen, tuple) {
+                Some((ce, rows)) => eval_rule_seeded_batch(&self.pdb, rule, ce, &rows, self.batch),
+                None => eval_rule_via(&self.pdb, rule, self.batch),
+            };
+            enable_deltas.extend(self.inst.add_missing(rule, matches));
         }
         enable_deltas
     }

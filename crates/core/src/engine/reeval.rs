@@ -267,9 +267,9 @@ impl<A: Awakening> ReevalEngine<A> {
         {
             obs::prof_span!("eval");
             for rid in awakened {
-                let rule = self.pdb.rules().rule(RuleId(rid)).clone();
-                let matches = eval_rule_via(&self.pdb, &rule, self.batch);
-                let d = self.store.replace(&rule, matches);
+                let rule = self.pdb.rules().rule(RuleId(rid));
+                let matches = eval_rule_via(&self.pdb, rule, self.batch);
+                let d = self.store.replace(rule, matches);
                 if d.is_empty() {
                     self.awakening.woke_for_nothing();
                 }

@@ -532,7 +532,8 @@ impl ConcurrentExecutor {
             };
             let (candidates, fingerprint, retries) = {
                 let g = self.engine.lock();
-                let mut eligible = refraction.eligible(g.conflict_set());
+                let mut eligible: Vec<&Instantiation> =
+                    refraction.eligible(g.conflict_set()).collect();
                 if let Some((rule, wmes)) = &step {
                     let rules = pdb.rules();
                     let recorded = eligible.into_iter().find(|inst| {
@@ -871,7 +872,8 @@ mod tests {
         {
             let eng = ex.engine();
             let g = eng.lock();
-            let eligible = Refraction::default().eligible(g.conflict_set());
+            let refraction = Refraction::default();
+            let eligible: Vec<&Instantiation> = refraction.eligible(g.conflict_set()).collect();
             assert_eq!(eligible.len(), 7);
             let victim = eligible[6].clone();
             let (cut, _, retries) = snapshot_round(&eligible, 1, &mut vec![victim.clone()]);

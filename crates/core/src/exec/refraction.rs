@@ -4,7 +4,7 @@
 //! The conflict set is a multiset (duplicate WMEs yield equal
 //! instantiations, each entitled to one firing), so refraction memory is
 //! a counted multiset too: `n` charges against an instantiation make the
-//! first `n` equal copies in [`ConflictSet::items`] ineligible. Both
+//! first `n` equal copies in [`ConflictSet::iter`] order ineligible. Both
 //! executors select through [`Refraction::eligible`] and charge through
 //! [`Refraction::record`]; they differ only in how charges are returned
 //! when instantiations leave the conflict set — see
@@ -24,24 +24,26 @@ pub struct Refraction {
 impl Refraction {
     /// The eligible candidates, in conflict-set order: every
     /// instantiation except the first `n` copies of one charged `n`
-    /// firings.
-    pub fn eligible<'a>(&self, conflict_set: &'a ConflictSet) -> Vec<&'a Instantiation> {
-        if self.fired.is_empty() {
-            return conflict_set.items().iter().collect();
-        }
+    /// firings. One walk over the conflict set, lent to the caller: a
+    /// consumer that copies the candidates reads each entry once.
+    pub fn eligible<'a>(
+        &'a self,
+        conflict_set: &'a ConflictSet,
+    ) -> impl Iterator<Item = &'a Instantiation> + 'a {
         let mut skipped: HashMap<&Instantiation, usize> = HashMap::new();
-        conflict_set
-            .items()
-            .iter()
-            .filter(|inst| match self.fired.get(inst) {
+        conflict_set.iter().filter(move |inst| {
+            if self.fired.is_empty() {
+                return true;
+            }
+            match self.fired.get(*inst) {
                 Some(&charged) => {
-                    let seen = skipped.entry(inst).or_insert(0);
+                    let seen = skipped.entry(*inst).or_insert(0);
                     *seen += 1;
                     *seen > charged
                 }
                 None => true,
-            })
-            .collect()
+            }
+        })
     }
 
     /// Charge one firing to `inst`.
@@ -81,7 +83,7 @@ impl Refraction {
             return;
         }
         let mut present: HashMap<&Instantiation, usize> = HashMap::new();
-        for inst in conflict_set.items() {
+        for inst in conflict_set.iter() {
             *present.entry(inst).or_insert(0) += 1;
         }
         self.fired.retain(|inst, charged| {

@@ -92,8 +92,11 @@ impl SequentialExecutor {
 
     /// Instantiations eligible to fire (in conflict set, not yet fired).
     pub fn candidates(&self) -> Vec<Instantiation> {
-        let eligible = self.refraction.eligible(self.engine.conflict_set());
-        eligible.into_iter().cloned().collect()
+        let conflict_set = self.engine.conflict_set();
+        // The walk cannot say how many it will lend; nearly all, as a rule.
+        let mut candidates = Vec::with_capacity(conflict_set.len());
+        candidates.extend(self.refraction.eligible(conflict_set).cloned());
+        candidates
     }
 
     /// Run one recognize-act cycle. Returns the fired instantiation, or
@@ -196,7 +199,7 @@ impl SequentialExecutor {
             }
         }
         let conflict_set = self.engine.conflict_set();
-        outcome.limited = !self.refraction.eligible(conflict_set).is_empty();
+        outcome.limited = self.refraction.eligible(conflict_set).next().is_some();
         outcome
     }
 }

@@ -218,12 +218,17 @@ impl<M: TokenMemory> Network<M> {
         }
         // Pass 2, once no alpha memory holds the WME: negative nodes lose
         // a matching right WME; suspended tokens may come back to life.
-        for a in alphas_of(run.plan, wme) {
-            for &s in &run.plan.alpha_successors[a] {
-                if matches!(run.plan.betas[s].kind, BetaKind::Negative { .. }) {
-                    run.adjust_negative(s, wme, -1);
-                }
-            }
+        // Deepest node first: a token revived at one negative node reaches
+        // the negative nodes below it counted without the WME already, so
+        // those must have given the WME up before it arrives.
+        let mut negatives: Vec<usize> = alphas_of(run.plan, wme)
+            .flat_map(|a| &run.plan.alpha_successors[a])
+            .copied()
+            .filter(|&s| matches!(run.plan.betas[s].kind, BetaKind::Negative { .. }))
+            .collect();
+        negatives.sort_by_key(|&s| std::cmp::Reverse(run.plan.betas[s].depth));
+        for s in negatives {
+            run.adjust_negative(s, wme, -1);
         }
         let deltas = run.deltas;
         self.mem.release(wid);
@@ -503,6 +508,33 @@ mod tests {
             assert!(net.conflict_set().is_empty(), "one blocker remains");
             net.remove(&Wme::new(DEPT, tuple![7]));
             assert_eq!(net.conflict_set().len(), 1, "all blockers gone");
+        });
+    }
+
+    /// Two negated CEs over one class: a WME leaving both alpha memories
+    /// must be given up by the lower negative node before the upper one
+    /// revives a token into it, or the revived token — already counted
+    /// without the WME — is decremented a second time and fires.
+    #[test]
+    fn removal_through_chained_negative_nodes_counts_once() {
+        const CHAIN: &str = r#"
+            (literalize Emp dno grade)
+            (literalize Dept dno grade)
+            (p Lost (Emp ^dno <D> ^grade <G>) -(Dept ^dno <D>) -(Dept ^grade {<> <G>})
+                --> (remove 1))
+        "#;
+        on_both_backends!(CHAIN, |net| {
+            net.insert(Wme::new(EMP, tuple![1, 2]));
+            net.insert(Wme::new(DEPT, tuple![1, 0]));
+            net.insert(Wme::new(DEPT, tuple![2, 0]));
+            assert!(net.conflict_set().is_empty());
+            net.remove(&Wme::new(DEPT, tuple![1, 0]));
+            assert!(
+                net.conflict_set().is_empty(),
+                "Dept(2,0) still contradicts the second negated CE"
+            );
+            net.remove(&Wme::new(DEPT, tuple![2, 0]));
+            assert_eq!(net.conflict_set().len(), 1);
         });
     }
 

@@ -1,7 +1,8 @@
 //! Working-memory elements and conflict-set change records.
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 
 use ops5::{ClassId, RuleId, RuleSet};
 use relstore::{CompOp, Tuple, TupleId, Value};
@@ -211,15 +212,40 @@ impl ConflictDelta {
     }
 }
 
+/// "No slot" in the hash chains of a [`ConflictSet`].
+const NIL: u32 = u32::MAX;
+
+/// A [`ConflictSet`] squeezes its tombstones out when they exceed one per
+/// `TOMBSTONE_SHARE` live entries plus `TOMBSTONE_FLOOR`. A tombstone is
+/// as wide as an instantiation, so the share is kept small: the copying
+/// it costs, about `TOMBSTONE_SHARE` slots moved per removal, is cheaper
+/// than the memory a larger share would hold.
+const TOMBSTONE_SHARE: usize = 8;
+const TOMBSTONE_FLOOR: usize = 16;
+
 /// A maintained conflict set: applies deltas, iterates instantiations.
 ///
 /// Semantically a **multiset**: OPS5 WMEs carry identity (time tags), so
 /// two content-identical WM elements yield two separate instantiations.
 /// Engines identify instantiations by content here, so duplicates are
 /// tracked by multiplicity.
+///
+/// Entries stay in arrival order (the Fifo/Lifo strategies and refraction
+/// read it), and a removal takes the *oldest* entry equal to its payload.
+/// Both cost O(1) expected: a removal finds its entry through a
+/// content-hash → slot index and leaves a tombstone, and tombstones are
+/// squeezed out once they exceed a fixed share of the live entries. The
+/// index holds slot numbers only, never a second copy of an instantiation.
 #[derive(Debug, Clone, Default)]
 pub struct ConflictSet {
-    items: Vec<Instantiation>,
+    /// Entries in arrival order; `None` is a tombstone.
+    slots: Vec<Option<Instantiation>>,
+    /// Per slot: the next-newer live slot whose content hashes alike.
+    next: Vec<u32>,
+    /// Content hash → (oldest, newest) live slot hashing to it.
+    chains: HashMap<u64, (u32, u32)>,
+    live: usize,
+    hasher: RandomState,
 }
 
 impl ConflictSet {
@@ -231,12 +257,8 @@ impl ConflictSet {
     /// Apply one delta (multiset semantics).
     pub fn apply(&mut self, delta: &ConflictDelta) {
         match delta {
-            ConflictDelta::Add(i) => self.items.push(i.clone()),
-            ConflictDelta::Remove(i) => {
-                if let Some(pos) = self.items.iter().position(|x| x == i) {
-                    self.items.remove(pos);
-                }
-            }
+            ConflictDelta::Add(i) => self.push(i.clone()),
+            ConflictDelta::Remove(i) => self.remove_oldest(i),
         }
     }
 
@@ -248,36 +270,129 @@ impl ConflictSet {
     }
 
     /// The current instantiations, in arrival order.
-    pub fn items(&self) -> &[Instantiation] {
-        &self.items
+    pub fn iter(&self) -> impl Iterator<Item = &Instantiation> {
+        self.slots.iter().flatten()
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.live
     }
 
     /// True when there are no entries.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.live == 0
     }
 
     /// Is this instantiation currently in the conflict set?
     pub fn contains(&self, i: &Instantiation) -> bool {
-        self.items.contains(i)
+        self.find(self.hasher.hash_one(i), i).is_some()
     }
 
     /// Canonically sorted copy, for equivalence tests across engines.
     pub fn sorted(&self) -> Vec<Instantiation> {
-        let mut v = self.items.clone();
+        let mut v: Vec<Instantiation> = self.iter().cloned().collect();
         v.sort();
         v
+    }
+
+    /// The oldest live slot equal to `i` on hash chain `hash`, with its
+    /// predecessor on the chain (`NIL` for the chain's head).
+    fn find(&self, hash: u64, i: &Instantiation) -> Option<(u32, u32)> {
+        let (mut prev, mut slot) = (NIL, self.chains.get(&hash)?.0);
+        while self.slots[slot as usize].as_ref() != Some(i) {
+            (prev, slot) = (slot, self.next[slot as usize]);
+            if slot == NIL {
+                return None;
+            }
+        }
+        Some((prev, slot))
+    }
+
+    fn push(&mut self, i: Instantiation) {
+        assert!(
+            self.slots.len() < NIL as usize,
+            "slot numbers fit below NIL"
+        );
+        let slot = self.slots.len() as u32;
+        match self.chains.entry(self.hasher.hash_one(&i)) {
+            Entry::Occupied(mut chain) => {
+                let (_, newest) = chain.get_mut();
+                self.next[*newest as usize] = slot;
+                *newest = slot;
+            }
+            Entry::Vacant(chain) => {
+                chain.insert((slot, slot));
+            }
+        }
+        self.slots.push(Some(i));
+        self.next.push(NIL);
+        self.live += 1;
+    }
+
+    fn remove_oldest(&mut self, i: &Instantiation) {
+        let hash = self.hasher.hash_one(i);
+        let Some((prev, slot)) = self.find(hash, i) else {
+            return;
+        };
+        let after = self.next[slot as usize];
+        if prev == NIL && after == NIL {
+            self.chains.remove(&hash);
+        } else {
+            let (oldest, newest) = self.chains.get_mut(&hash).expect("slot is on the chain");
+            if prev == NIL {
+                *oldest = after;
+            } else {
+                self.next[prev as usize] = after;
+            }
+            if after == NIL {
+                *newest = prev;
+            }
+        }
+        self.slots[slot as usize] = None;
+        self.live -= 1;
+        if self.slots.len() - self.live > self.live / TOMBSTONE_SHARE + TOMBSTONE_FLOOR {
+            self.compact();
+        }
+    }
+
+    /// Squeeze the tombstones out and renumber the chains. Its O(slots) is
+    /// paid for by the removals since the last run, a fixed share of the
+    /// slots.
+    fn compact(&mut self) {
+        // A live slot's new number is its rank among the live slots.
+        let mut rank = 0u32;
+        let renumbered: Vec<u32> = self
+            .slots
+            .iter()
+            .map(|entry| match entry {
+                Some(_) => {
+                    rank += 1;
+                    rank - 1
+                }
+                None => NIL,
+            })
+            .collect();
+        // Chains only ever link live slots, so every link has a new number.
+        let moved = |slot: u32| match slot {
+            NIL => NIL,
+            live => renumbered[live as usize],
+        };
+        self.next = (self.slots.iter().zip(&self.next))
+            .filter(|(entry, _)| entry.is_some())
+            .map(|(_, &next)| moved(next))
+            .collect();
+        self.slots.retain(Option::is_some);
+        for (oldest, newest) in self.chains.values_mut() {
+            (*oldest, *newest) = (moved(*oldest), moved(*newest));
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use relstore::tuple;
 
     fn inst(rule: usize, vals: &[i64]) -> Instantiation {
@@ -301,6 +416,117 @@ mod tests {
         assert!(cs.is_empty());
         cs.apply(&ConflictDelta::Remove(inst(0, &[1])));
         assert!(cs.is_empty(), "removing from empty is a no-op");
+    }
+
+    /// What the index must reproduce: a plain vector in arrival order
+    /// where a removal takes the oldest equal entry.
+    #[derive(Default)]
+    struct VecModel(Vec<Instantiation>);
+
+    impl VecModel {
+        fn apply(&mut self, delta: &ConflictDelta) {
+            match delta {
+                ConflictDelta::Add(i) => self.0.push(i.clone()),
+                ConflictDelta::Remove(i) => {
+                    if let Some(pos) = self.0.iter().position(|x| x == i) {
+                        self.0.remove(pos);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Content plus the provenance tag, which equality ignores: shows
+    /// *which* of several equal copies an entry is.
+    fn tagged(i: &Instantiation) -> (RuleId, Vec<Wme>, Vec<u64>) {
+        (i.rule, i.wmes.clone(), i.why.support.clone())
+    }
+
+    /// The chains link exactly the live slots, oldest first, each under
+    /// its own content hash; tombstones stay under their cap.
+    fn assert_index_consistent(cs: &ConflictSet) {
+        assert_eq!(cs.slots.len(), cs.next.len());
+        assert_eq!(cs.slots.iter().flatten().count(), cs.live);
+        assert!(cs.slots.len() - cs.live <= cs.live / TOMBSTONE_SHARE + TOMBSTONE_FLOOR);
+        let mut linked = 0;
+        for (&hash, &(oldest, newest)) in &cs.chains {
+            let (mut slot, mut last) = (oldest, NIL);
+            while slot != NIL {
+                let entry = cs.slots[slot as usize]
+                    .as_ref()
+                    .expect("chains skip tombstones");
+                assert_eq!(cs.hasher.hash_one(entry), hash);
+                assert!(last == NIL || last < slot, "a chain runs oldest to newest");
+                linked += 1;
+                (last, slot) = (slot, cs.next[slot as usize]);
+            }
+            assert_eq!(last, newest);
+        }
+        assert_eq!(linked, cs.live);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// The indexed conflict set and the vector model agree after every
+        /// delta of a random sequence — few distinct contents, so equal
+        /// copies (told apart by provenance only), removals of absent
+        /// entries and several compactions all occur.
+        #[test]
+        fn indexed_conflict_set_matches_vec_model(
+            ops in proptest::collection::vec((0u8..5, 0usize..3, 0i64..4), 1..400)
+        ) {
+            let mut cs = ConflictSet::new();
+            let mut model = VecModel::default();
+            for (step, (kind, rule, val)) in ops.into_iter().enumerate() {
+                let content = inst(rule, &[val]).with_provenance(Provenance {
+                    support: vec![step as u64],
+                    absent: Vec::new(),
+                });
+                let delta = if kind < 2 {
+                    ConflictDelta::Add(content)
+                } else {
+                    ConflictDelta::Remove(content)
+                };
+                cs.apply(&delta);
+                model.apply(&delta);
+                assert_index_consistent(&cs);
+                prop_assert_eq!(cs.len(), model.0.len());
+                prop_assert_eq!(cs.is_empty(), model.0.is_empty());
+                prop_assert_eq!(
+                    cs.iter().map(tagged).collect::<Vec<_>>(),
+                    model.0.iter().map(tagged).collect::<Vec<_>>()
+                );
+                let mut sorted = model.0.clone();
+                sorted.sort();
+                prop_assert_eq!(
+                    cs.sorted().iter().map(tagged).collect::<Vec<_>>(),
+                    sorted.iter().map(tagged).collect::<Vec<_>>()
+                );
+                for rule in 0..3 {
+                    for val in 0..4 {
+                        let probe = inst(rule, &[val]);
+                        prop_assert_eq!(cs.contains(&probe), model.0.contains(&probe));
+                    }
+                }
+            }
+        }
+    }
+
+    /// A long drain crosses many compactions and ends empty, with the
+    /// slot vector released rather than left as tombstones.
+    #[test]
+    fn draining_compacts_down_to_nothing() {
+        let mut cs = ConflictSet::new();
+        for v in 0..1000 {
+            cs.apply(&ConflictDelta::Add(inst(0, &[v])));
+        }
+        for v in (0..1000).rev() {
+            cs.apply(&ConflictDelta::Remove(inst(0, &[v])));
+            assert_index_consistent(&cs);
+        }
+        assert!(cs.is_empty());
+        assert!(cs.slots.len() <= TOMBSTONE_FLOOR);
     }
 
     #[test]
