@@ -17,7 +17,7 @@ use std::mem::MaybeUninit;
 
 use relstore::{TupleId, Value};
 
-use super::intern::{Extra, PatId};
+use super::intern::{owned_bytes, Extra, FastMap, PatId};
 
 /// `(class, tuple)` — the identity of a supporting WM tuple.
 pub type TupKey = (usize, TupleId);
@@ -96,13 +96,32 @@ impl<T: Copy, const N: usize> InlineVec<T, N> {
         self.spill.clear();
     }
 
-    /// Keep only elements satisfying `f`, preserving order.
-    pub fn retain(&mut self, mut f: impl FnMut(&T) -> bool) {
-        let kept: Vec<T> = self.iter().copied().filter(|v| f(v)).collect();
-        self.clear();
-        for v in kept {
-            self.push(v);
+    fn get(&self, i: usize) -> T {
+        if i < N {
+            self.head()[i]
+        } else {
+            self.spill[i - N]
         }
+    }
+
+    /// Keep only elements satisfying `f`, preserving order, in place: the
+    /// kept elements slide down over the dropped ones, across the spill
+    /// boundary too.
+    pub fn retain(&mut self, mut f: impl FnMut(&T) -> bool) {
+        let mut kept = 0;
+        for i in 0..self.len() {
+            let v = self.get(i);
+            if f(&v) {
+                if kept < N {
+                    self.inline[kept] = MaybeUninit::new(v);
+                } else {
+                    self.spill[kept - N] = v;
+                }
+                kept += 1;
+            }
+        }
+        self.spill.truncate(kept.saturating_sub(N));
+        self.len = kept as u32;
     }
 }
 
@@ -125,6 +144,121 @@ impl<T: Copy, const N: usize> Clone for InlineVec<T, N> {
 impl<T: Copy + PartialEq, const N: usize> PartialEq for InlineVec<T, N> {
     fn eq(&self, other: &Self) -> bool {
         self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+/// "No slot" at the end of a chain through an arena.
+pub const NIL: u32 = u32::MAX;
+
+/// One chain of a [`SlotChains`]: where it starts and how many slots it
+/// links. The length is exact, so a lookup can choose the shortest of
+/// several chains before walking any.
+#[derive(Debug, Clone, Copy)]
+pub struct Chain {
+    head: u32,
+    len: u32,
+}
+
+impl Default for Chain {
+    fn default() -> Self {
+        Chain::EMPTY
+    }
+}
+
+impl Chain {
+    pub const EMPTY: Chain = Chain { head: NIL, len: 0 };
+
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+/// Postings of arena slots under `u64` keys, as doubly linked chains
+/// threaded through the slots themselves (the layout of
+/// `rete::ConflictSet`): a map from key to chain, one `(previous, next)`
+/// pair per slot, never a list per key. A slot is on exactly one chain —
+/// its key's, or the one chain of slots posted under no key — so posting
+/// and unposting touch the two neighbours and allocate nothing.
+#[derive(Debug, Default)]
+pub struct SlotChains {
+    keyed: FastMap<u64, Chain>,
+    unkeyed: Chain,
+    /// Per slot: `(previous, next)` on its chain, `NIL` at the ends.
+    links: Vec<(u32, u32)>,
+}
+
+impl SlotChains {
+    /// The chain under `key` (`None`: the slots posted under no key).
+    pub fn chain(&self, key: Option<u64>) -> Chain {
+        match key {
+            Some(k) => self.keyed.get(&k).copied().unwrap_or(Chain::EMPTY),
+            None => self.unkeyed,
+        }
+    }
+
+    /// The slots of `chain`, newest posting first.
+    pub fn walk(&self, chain: Chain) -> impl Iterator<Item = u32> + '_ {
+        let mut slot = chain.head;
+        std::iter::from_fn(move || {
+            let here = slot;
+            (here != NIL).then(|| {
+                slot = self.links[here as usize].1;
+                here
+            })
+        })
+    }
+
+    /// Post `slot`, which is on no chain, under `key`.
+    pub fn post(&mut self, key: Option<u64>, slot: u32) {
+        if self.links.len() <= slot as usize {
+            self.links.resize(slot as usize + 1, (NIL, NIL));
+        }
+        let chain = match key {
+            Some(k) => self.keyed.entry(k).or_default(),
+            None => &mut self.unkeyed,
+        };
+        self.links[slot as usize] = (NIL, chain.head);
+        if chain.head != NIL {
+            self.links[chain.head as usize].0 = slot;
+        }
+        chain.head = slot;
+        chain.len += 1;
+    }
+
+    /// Take `slot` off the chain under `key`, where [`SlotChains::post`]
+    /// put it.
+    pub fn unpost(&mut self, key: Option<u64>, slot: u32) {
+        let (prev, next) = self.links[slot as usize];
+        if prev != NIL {
+            self.links[prev as usize].1 = next;
+        }
+        if next != NIL {
+            self.links[next as usize].0 = prev;
+        }
+        let chain = match key {
+            Some(k) => self
+                .keyed
+                .get_mut(&k)
+                .expect("slot is posted under its key"),
+            None => &mut self.unkeyed,
+        };
+        if prev == NIL {
+            chain.head = next;
+        }
+        chain.len -= 1;
+        if let (Some(k), 0) = (key, chain.len) {
+            self.keyed.remove(&k);
+        }
+    }
+
+    /// Bytes held: a map entry per key, a link pair per slot.
+    pub fn bytes(&self) -> usize {
+        self.keyed.len() * (std::mem::size_of::<(u64, Chain)>() + 1)
+            + self.links.len() * std::mem::size_of::<(u32, u32)>()
     }
 }
 
@@ -175,10 +309,6 @@ impl PatternArena {
 
     pub fn is_live(&self, slot: u32) -> bool {
         self.live[slot as usize]
-    }
-
-    pub fn live_flags(&self) -> &[bool] {
-        &self.live
     }
 
     /// Allocate a slot for identity `id` with σ copied from `sigma` and
@@ -262,6 +392,25 @@ impl PatternArena {
         }
     }
 
+    /// Bytes held by the rows of every slot, live or free: σ and support
+    /// cells with what they own on the heap, derived constraints,
+    /// identity, live flag, free-list entry.
+    pub fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.sigma.len() * size_of::<Option<Value>>()
+            + self.sigma.iter().flatten().map(owned_bytes).sum::<usize>()
+            + self.support.len() * size_of::<SupportSet>()
+            + (self.support.iter())
+                .map(|s| s.spill.len() * size_of::<TupKey>())
+                .sum::<usize>()
+            + self.extra.len() * size_of::<Vec<Extra>>()
+            + (self.extra.iter().flatten())
+                .map(|e| size_of::<Extra>() + owned_bytes(&e.2))
+                .sum::<usize>()
+            + self.ids.len() * (size_of::<PatId>() + size_of::<bool>())
+            + self.free.len() * size_of::<u32>()
+    }
+
     /// Live slot indices, in slot order, without collecting a `Vec`.
     pub fn iter_live(&self) -> impl Iterator<Item = u32> + '_ {
         self.live
@@ -307,6 +456,42 @@ mod tests {
         assert_eq!(a, b);
         b.push(4);
         assert_ne!(a, b);
+    }
+
+    proptest::proptest! {
+        /// Against a list per key: every chain walks its key's slots
+        /// newest first and knows their number, whatever order slots are
+        /// posted, unposted and reused in.
+        #[test]
+        fn slot_chains_match_a_list_per_key(
+            ops in proptest::collection::vec((0u32..12, 0u64..4), 1..80),
+        ) {
+            let key_of = |k: u64| (k > 0).then_some(k);
+            let mut chains = SlotChains::default();
+            let mut lists: std::collections::HashMap<Option<u64>, Vec<u32>> = Default::default();
+            let mut posted: std::collections::HashMap<u32, Option<u64>> = Default::default();
+            for (slot, k) in ops {
+                match posted.remove(&slot) {
+                    Some(key) => {
+                        chains.unpost(key, slot);
+                        lists.get_mut(&key).unwrap().retain(|&s| s != slot);
+                    }
+                    None => {
+                        chains.post(key_of(k), slot);
+                        lists.entry(key_of(k)).or_default().insert(0, slot);
+                        posted.insert(slot, key_of(k));
+                    }
+                }
+                for k in 0..4 {
+                    let (chain, list) = (chains.chain(key_of(k)), lists.entry(key_of(k)).or_default());
+                    proptest::prop_assert_eq!(chain.len(), list.len());
+                    proptest::prop_assert_eq!(chain.is_empty(), list.is_empty());
+                    proptest::prop_assert_eq!(&chains.walk(chain).collect::<Vec<_>>(), &*list);
+                }
+            }
+            let live = lists.values().filter(|l| !l.is_empty()).count();
+            proptest::prop_assert_eq!(chains.keyed.len() + usize::from(!chains.unkeyed.is_empty()), live);
+        }
     }
 
     #[test]

@@ -45,7 +45,9 @@
 //! conservative; the conflict set remains exact because detection expands
 //! fire candidates through a seeded LHS query.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -55,8 +57,8 @@ use predindex::{make_index, ConditionIndex, IndexKind, Rect};
 use relstore::{CompOp, Tuple, TupleId, Value};
 use rete::{ConflictDelta, ConflictSet};
 
-use crate::engine::arena::{PatRef, PatternArena, SupportSet, TupKey};
-use crate::engine::intern::{Extra, FastMap, IdentityInterner, PatId};
+use crate::engine::arena::{Chain, PatRef, PatternArena, SlotChains, SupportSet, TupKey, NIL};
+use crate::engine::intern::{Extra, FastMap, FnvHasher, IdentityInterner, PatId};
 use crate::engine::recompute::{eval_rule_seeded_batch, eval_rule_via, InstStore};
 use crate::engine::{MatchEngine, SpaceStats, WmDelta};
 use crate::pdb::ProductionDb;
@@ -85,8 +87,6 @@ fn sort_extra(extra: &mut [Extra]) {
 struct RuleInfo {
     /// Binding sites, one per variable: (ce, attr).
     var_sites: Vec<(usize, usize)>,
-    /// All occurrences of each variable (including the binding site).
-    occurrences: Vec<Vec<Occurrence>>,
     /// Per CE: constraints referencing variables: (attr, op, var).
     var_constraints: Vec<Vec<(usize, CompOp, usize)>>,
     /// Per CE: the related condition elements (all other CEs, in order).
@@ -100,6 +100,10 @@ struct RuleInfo {
     /// Per CE: its Eq-constrained variables as `(vid, attr)` hash sites
     /// (one per variable), the keys of the σ-binding pattern index.
     hash_sites: Vec<Vec<(usize, usize)>>,
+    /// Per CE: is it positive with another positive CE of the rule on the
+    /// same class? One inserted tuple can then fill both, and no pattern
+    /// can say so: the tuple's own mark is not set when it is searched.
+    shares_class: Vec<bool>,
 }
 
 impl RuleInfo {
@@ -172,14 +176,21 @@ impl RuleInfo {
                 }
             }
         }
+        let shares_class = (0..n)
+            .map(|a| {
+                let positive_on =
+                    |b: usize| !rule.ces[b].negated && rule.ces[b].class == rule.ces[a].class;
+                positive_on(a) && (0..n).any(|b| b != a && positive_on(b))
+            })
+            .collect();
         RuleInfo {
             var_sites,
-            occurrences,
             var_constraints,
             rce,
             share_masks,
             positive_pos,
             hash_sites,
+            shares_class,
         }
     }
 
@@ -200,8 +211,9 @@ impl RuleInfo {
 struct Contribution {
     rule: usize,
     k: usize,
-    /// σ' = pattern σ ∪ bindings from the tuple's eq occurrences.
-    sigma: Vec<Option<Value>>,
+    /// σ' = pattern σ ∪ bindings from the tuple's eq occurrences, as a
+    /// range of [`Contributions::sigmas`].
+    sigma: std::ops::Range<usize>,
     /// Range info from the tuple's non-eq occurrences: `(vid, op, value)`
     /// meaning `vid op value`. Flat because almost always empty.
     ranges: Vec<(usize, CompOp, Value)>,
@@ -210,18 +222,35 @@ struct Contribution {
     marks: u64,
 }
 
+/// The contributions of one inserted tuple, their σ' rows back to back in
+/// one reused buffer.
+#[derive(Debug, Default)]
+struct Contributions {
+    list: Vec<Contribution>,
+    sigmas: Vec<Option<Value>>,
+}
+
+impl Contributions {
+    fn sigma(&self, c: &Contribution) -> &[Option<Value>] {
+        &self.sigmas[c.sigma.clone()]
+    }
+}
+
 /// One `(rule, cen)` pattern group: tombstoned pattern slots plus the
 /// σ-binding hash index (§4.2.3's "indices … on COND relations" applied
 /// to the matching patterns themselves). For each *hash site* — an
-/// Eq-constrained variable of the CE — every live pattern is posted
-/// either under its bound value (`by_binding`) or on the site's unbound
-/// list. Any single site therefore partitions the group, so a probe on
-/// one site yields a sound candidate superset; lookups pick the
+/// Eq-constrained variable of the CE — every live pattern is posted on
+/// the chain of its bound value's hash, or on the site's unbound chain.
+/// Any single site therefore partitions the group, so a probe on one site
+/// yields a sound candidate superset (two values whose hashes collide
+/// share a chain; every caller re-checks the binding); lookups pick the
 /// narrowest available site. The index is always maintained; whether
-/// lookups probe it or scan every slot is the engine's
-/// `pattern_index` switch.
+/// lookups probe it or scan every slot is the engine's `pattern_index`
+/// switch.
 #[derive(Debug)]
 struct PatternGroup {
+    rule: usize,
+    cen: usize,
     /// The CE's hash sites, `(vid, attr)` — see [`RuleInfo::hash_sites`].
     hash_sites: Vec<(usize, usize)>,
     /// Arena-backed pattern rows: flat σ, inline support sets.
@@ -231,95 +260,64 @@ struct PatternGroup {
     original_id: PatId,
     /// Interned identity → slot (integer-keyed apply/withdraw lookup).
     by_identity: FastMap<PatId, u32>,
-    /// Per site: bound value → slots whose σ binds the variable to it.
-    by_binding: Vec<HashMap<Value, Vec<u32>>>,
-    /// Per site: slots whose σ leaves the site's variable unbound.
-    unbound: Vec<Vec<u32>>,
+    /// Per site: the patterns chained by the hash of the value their σ
+    /// binds the site's variable to, unbound ones on the keyless chain.
+    /// σ never changes on a live pattern, so a slot stays on the chains
+    /// [`PatternGroup::insert`] put it on until [`PatternGroup::remove`].
+    by_binding: Vec<SlotChains>,
 }
 
-/// Candidate slots of one group lookup, borrowed straight from the index
-/// postings (or the arena's live bitmap) — no intermediate `Vec` is
+fn value_hash(v: &Value) -> u64 {
+    let mut h = FnvHasher::default();
+    v.hash(&mut h);
+    h.finish()
+}
+
+/// Candidate slots of one group lookup, walked straight off the index
+/// chains (or the arena's live bitmap) — no intermediate `Vec` is
 /// collected on any probe or scan path.
 enum Cands<'a> {
-    /// Unbound-postings slice then bound-postings slice.
-    Lists(&'a [u32], &'a [u32]),
+    /// A site's unbound chain then one of its bound chains.
+    Chains(&'a SlotChains, Chain, Chain),
     /// Every live slot (full scan).
     All(&'a PatternArena),
+    /// The index rules every pattern out.
+    Empty,
 }
 
 impl<'a> Cands<'a> {
-    fn empty() -> Self {
-        Cands::Lists(&[], &[])
-    }
-
     fn len(&self) -> usize {
         match self {
-            Cands::Lists(a, b) => a.len() + b.len(),
+            Cands::Chains(_, a, b) => a.len() + b.len(),
             Cands::All(arena) => arena.len(),
+            Cands::Empty => 0,
         }
     }
 
-    fn iter(&self) -> CandIter<'a> {
-        match *self {
-            Cands::Lists(a, b) => CandIter::Lists { a, b, i: 0 },
-            Cands::All(arena) => CandIter::All {
-                live: arena.live_flags(),
-                s: 0,
-            },
-        }
-    }
-}
-
-enum CandIter<'a> {
-    Lists {
-        a: &'a [u32],
-        b: &'a [u32],
-        i: usize,
-    },
-    All {
-        live: &'a [bool],
-        s: usize,
-    },
-}
-
-impl Iterator for CandIter<'_> {
-    type Item = u32;
-
-    fn next(&mut self) -> Option<u32> {
-        match self {
-            CandIter::Lists { a, b, i } => {
-                let n = *i;
-                *i += 1;
-                if n < a.len() {
-                    Some(a[n])
-                } else {
-                    b.get(n - a.len()).copied()
-                }
-            }
-            CandIter::All { live, s } => {
-                while *s < live.len() {
-                    let cur = *s;
-                    *s += 1;
-                    if live[cur] {
-                        return Some(cur as u32);
-                    }
-                }
-                None
-            }
-        }
+    fn iter(&self) -> impl Iterator<Item = u32> + 'a {
+        let (chained, all) = match *self {
+            Cands::Chains(chains, a, b) => (Some(chains.walk(a).chain(chains.walk(b))), None),
+            Cands::All(arena) => (None, Some(arena.iter_live())),
+            Cands::Empty => (None, None),
+        };
+        chained
+            .into_iter()
+            .flatten()
+            .chain(all.into_iter().flatten())
     }
 }
 
 impl PatternGroup {
-    fn new(hash_sites: Vec<(usize, usize)>, nvars: usize, nrce: usize, original_id: PatId) -> Self {
-        let n = hash_sites.len();
+    fn new(rule: usize, cen: usize, info: &RuleInfo, original_id: PatId) -> Self {
+        let hash_sites = info.hash_sites[cen].clone();
         PatternGroup {
+            rule,
+            cen,
+            by_binding: hash_sites.iter().map(|_| SlotChains::default()).collect(),
             hash_sites,
-            arena: PatternArena::new(nvars, nrce),
+            arena: PatternArena::new(info.var_sites.len(), info.rce[cen].len()),
             original_id,
             by_identity: FastMap::default(),
-            by_binding: vec![HashMap::new(); n],
-            unbound: vec![Vec::new(); n],
         }
     }
 
@@ -349,122 +347,158 @@ impl PatternGroup {
         self.hash_sites.iter().position(|&(v, _)| v == vid)
     }
 
-    /// Bound-postings slice of a site for `v` (strict: no unbound).
-    fn bound_at(&self, site: usize, v: &Value) -> &[u32] {
-        self.by_binding[site].get(v).map_or(&[], |l| l.as_slice())
+    /// The narrowest of the `(site, value)` lookups offered: the site's
+    /// unbound chain plus its chain for the value. `None` = none offered,
+    /// caller scans.
+    fn narrowest<'v>(
+        &self,
+        lookups: impl Iterator<Item = (usize, &'v Value)>,
+    ) -> Option<Cands<'_>> {
+        lookups
+            .map(|(site, v)| {
+                let chains = &self.by_binding[site];
+                (
+                    chains,
+                    chains.chain(None),
+                    chains.chain(Some(value_hash(v))),
+                )
+            })
+            .min_by_key(|(_, unbound, bound)| unbound.len() + bound.len())
+            .map(|(chains, unbound, bound)| Cands::Chains(chains, unbound, bound))
     }
 
     /// Index probe for a WM tuple: the narrowest site whose attribute
-    /// the tuple carries. `None` = no usable site, caller scans.
+    /// the tuple carries.
     fn probe_tuple(&self, tuple: &Tuple) -> Option<Cands<'_>> {
-        let mut best: Option<(&[u32], &[u32])> = None;
-        for (site, &(_, attr)) in self.hash_sites.iter().enumerate() {
-            let Some(v) = tuple.get(attr) else { continue };
-            let lists = (self.unbound[site].as_slice(), self.bound_at(site, v));
-            if best.is_none_or(|(a, b): (&[u32], &[u32])| {
-                lists.0.len() + lists.1.len() < a.len() + b.len()
-            }) {
-                best = Some(lists);
-            }
-        }
-        best.map(|(a, b)| Cands::Lists(a, b))
+        self.narrowest(
+            (self.hash_sites.iter().enumerate())
+                .filter_map(|(site, &(_, attr))| Some((site, tuple.get(attr)?))),
+        )
     }
 
     /// Index probe for a desired pattern's bound variables (each is
-    /// Eq-constrained in this CE, hence a hash site). `None` = nothing
-    /// bound, caller scans.
+    /// Eq-constrained in this CE, hence a hash site).
     fn probe_bound(&self, bound: &[(usize, Value)]) -> Option<Cands<'_>> {
-        let mut best: Option<(&[u32], &[u32])> = None;
-        for (vid, v) in bound {
-            let Some(site) = self.site_of(*vid) else {
-                continue;
-            };
-            let lists = (self.unbound[site].as_slice(), self.bound_at(site, v));
-            if best.is_none_or(|(a, b): (&[u32], &[u32])| {
-                lists.0.len() + lists.1.len() < a.len() + b.len()
-            }) {
-                best = Some(lists);
-            }
-        }
-        best.map(|(a, b)| Cands::Lists(a, b))
+        self.narrowest(
+            bound
+                .iter()
+                .filter_map(|(vid, v)| Some((self.site_of(*vid)?, v))),
+        )
     }
 
     /// Store a pattern under interned identity `id` and post it to every
-    /// index. σ never changes on a live pattern (only support does), so
-    /// postings stay valid until [`PatternGroup::remove`].
+    /// index.
     fn insert(&mut self, id: PatId, sigma: &[Option<Value>], extra: &[Extra]) -> u32 {
         let slot = self.arena.insert(id, sigma, extra);
         self.by_identity.insert(id, slot);
-        for site in 0..self.hash_sites.len() {
-            let vid = self.hash_sites[site].0;
-            match &self.arena.sigma(slot)[vid] {
-                Some(v) => {
-                    let v = v.clone();
-                    self.by_binding[site].entry(v).or_default().push(slot);
-                }
-                None => self.unbound[site].push(slot),
-            }
+        for (chains, &(vid, _)) in self.by_binding.iter_mut().zip(&self.hash_sites) {
+            chains.post(sigma[vid].as_ref().map(value_hash), slot);
         }
         slot
     }
 
     /// Drop a pattern and all its postings; the slot is reused.
     fn remove(&mut self, slot: u32) {
-        let id = self.arena.id(slot);
-        self.by_identity.remove(&id);
-        for site in 0..self.hash_sites.len() {
-            let vid = self.hash_sites[site].0;
-            match &self.arena.sigma(slot)[vid] {
-                Some(v) => {
-                    let v = v.clone();
-                    if let Some(list) = self.by_binding[site].get_mut(&v) {
-                        list.retain(|&s| s != slot);
-                        if list.is_empty() {
-                            self.by_binding[site].remove(&v);
-                        }
-                    }
-                }
-                None => self.unbound[site].retain(|&s| s != slot),
-            }
+        self.by_identity.remove(&self.arena.id(slot));
+        let sigma = self.arena.sigma(slot);
+        for (chains, &(vid, _)) in self.by_binding.iter_mut().zip(&self.hash_sites) {
+            chains.unpost(sigma[vid].as_ref().map(value_hash), slot);
         }
         self.arena.remove(slot);
     }
 }
 
-/// Per-class COND store: patterns grouped by (rule, cen).
+/// Per-class COND store: the pattern groups of the class's condition
+/// elements in `(rule, cen)` order, addressed by position
+/// ([`CondEngine::group_at`]).
 #[derive(Debug, Default)]
 struct CondStore {
-    groups: HashMap<(usize, usize), PatternGroup>,
+    groups: Vec<PatternGroup>,
 }
 
 /// What the propagation of one insertion did to one pattern, recorded so
 /// deletion can undo it exactly.
 type LogEntry = (TupKey, PatKey);
 
-/// A per-class predicate index over condition elements (payload =
-/// (rule, cen)).
-type AlphaIndex = Vec<Box<dyn ConditionIndex<(usize, usize)> + Send + Sync>>;
+/// tuple → the patterns whose support mentions it (the contribution log),
+/// one chain per tuple through a shared node arena whose freed nodes are
+/// reused: recording and withdrawing allocate nothing per tuple. A node is
+/// a 12-byte integer triple plus its link; dedup is integer compares.
+#[derive(Debug, Default)]
+struct SupportLog {
+    /// Tuple → its newest node.
+    heads: FastMap<TupKey, u32>,
+    /// `(pattern, next-older node of the same tuple)`.
+    nodes: Vec<(PatKey, u32)>,
+    free: Vec<u32>,
+}
+
+impl SupportLog {
+    /// Record that `tup` supports `pat`. A tuple supporting one pattern
+    /// at two RCE positions is recorded twice; withdrawing it twice from
+    /// the pattern is harmless, and checking for the repeat would walk a
+    /// hot tuple's whole chain on every record.
+    fn record(&mut self, tup: TupKey, pat: PatKey) {
+        let head = self.heads.entry(tup).or_insert(NIL);
+        let fresh = (pat, *head);
+        *head = match self.free.pop() {
+            Some(reused) => {
+                self.nodes[reused as usize] = fresh;
+                reused
+            }
+            None => {
+                self.nodes.push(fresh);
+                u32::try_from(self.nodes.len() - 1).expect("support log node space exhausted")
+            }
+        };
+    }
+
+    /// Forget `tup`, handing each pattern it supported to `f`.
+    fn take(&mut self, tup: TupKey, mut f: impl FnMut(PatKey)) {
+        let mut node = self.heads.remove(&tup).unwrap_or(NIL);
+        while node != NIL {
+            let (pat, next) = self.nodes[node as usize];
+            self.free.push(node);
+            f(pat);
+            node = next;
+        }
+    }
+
+    /// Bytes held: a map entry per tuple, a node per recorded pair.
+    fn bytes(&self) -> usize {
+        self.heads.len() * (std::mem::size_of::<(TupKey, u32)>() + 1)
+            + self.nodes.len() * std::mem::size_of::<(PatKey, u32)>()
+            + self.free.len() * std::mem::size_of::<u32>()
+    }
+}
+
+/// A per-class predicate index over condition elements (payload = the
+/// group's position in the class store).
+type AlphaIndex = Vec<Box<dyn ConditionIndex<u32> + Send + Sync>>;
 
 /// One planned support-set change, keyed by `(rule, n, k_idx, id)`
 /// packed into a u64. Distinct derivation paths reaching the same target
-/// union into one proposal.
+/// union into one proposal. Plain integers: what a proposal carries lives
+/// in the flat buffers of [`ApplyScratch`].
 struct Proposal {
     rule: u32,
     n: u32,
     k_idx: u32,
     id: PatId,
     /// The `(σ, extra)` to materialize if the identity has no live slot
-    /// yet. `None` when the target pattern already existed at collection
-    /// time (then only marks/support change).
-    fresh: Option<(Vec<Option<Value>>, Vec<Extra>)>,
-    /// Support inherited from source patterns (per RCE position). Empty
-    /// vec = nothing inherited — the proposal only records the inserted
-    /// tuple's own mark at `k_idx`. The old representation unioned a
-    /// pattern's *own* support into its no-new-info proposal and back —
-    /// a pure self-union that copied the whole support set per
-    /// contribution and dominated the profile; carrying no inherited
-    /// support in that case is behavior-identical and O(1).
-    inherit: Vec<SupportSet>,
+    /// yet: where σ starts in `fresh_sigmas`, and the range of
+    /// `fresh_extras`. `None` when the target pattern already existed at
+    /// collection time (then only marks/support change).
+    fresh: Option<(usize, std::ops::Range<usize>)>,
+    /// Support inherited from source patterns: where its row (one set per
+    /// RCE position) starts in `inherits`. `None` = nothing inherited —
+    /// the proposal only records the inserted tuple's own mark at `k_idx`.
+    /// The old representation unioned a pattern's *own* support into its
+    /// no-new-info proposal and back — a pure self-union that copied the
+    /// whole support set per contribution and dominated the profile;
+    /// carrying no inherited support in that case is behavior-identical
+    /// and O(1).
+    inherit: Option<usize>,
 }
 
 /// Reusable buffers for one `apply_to_store` call. Living on the engine
@@ -475,6 +509,11 @@ struct ApplyScratch {
     /// Packed proposal key → index into `props`.
     keys: FastMap<u64, u32>,
     props: Vec<Proposal>,
+    /// σ rows, derived constraints and inherited support rows of the
+    /// proposals, back to back.
+    fresh_sigmas: Vec<Option<Value>>,
+    fresh_extras: Vec<Extra>,
+    inherits: Vec<SupportSet>,
     /// Desired-pattern buffers (see `desired_into`).
     bound: Vec<(usize, Value)>,
     extra: Vec<Extra>,
@@ -483,10 +522,15 @@ struct ApplyScratch {
     merged_extra: Vec<Extra>,
 }
 
-/// Per-`propagate` scratch: class fan-out lists, collected log entries,
-/// per-partition span stats, and the serial-path apply buffers.
+/// Per-insert scratch: what detection matched, the contributions built
+/// from it, class fan-out lists, collected log entries, per-partition
+/// span stats, and the serial-path apply buffers.
 #[derive(Default)]
 struct PropScratch {
+    /// `(group, slot)` of every pattern the inserted tuple matched, in
+    /// its class store, recorded by the one search of `detect_insert`.
+    hits: Vec<(u32, u32)>,
+    contribs: Contributions,
     per_class: Vec<Vec<(u32, u32)>>,
     entries: Vec<LogEntry>,
     spans: Vec<(usize, u64, u64, u64)>,
@@ -537,6 +581,8 @@ pub struct CondEngine {
     pdb: ProductionDb,
     infos: Vec<RuleInfo>,
     stores: Vec<CondStore>,
+    /// `group_at[rule][cen]`: the group's position in its class store.
+    group_at: Vec<Vec<u32>>,
     /// Interned pattern identities, shared across all groups. Append-only
     /// (ids stay stable across pattern remove/re-add); behind a mutex
     /// because the parallel propagation path interns through `&self`, but
@@ -555,9 +601,7 @@ pub struct CondEngine {
     /// knob restores the I/O-bound regime its parallelism argument
     /// (§4.2.3) lives in. Zero (default) = pure in-memory.
     io_cost_ns: u64,
-    /// tuple → the patterns whose support mentions it. Entries are
-    /// 12-byte integer triples; dedup is integer compares.
-    log: FastMap<TupKey, Vec<PatKey>>,
+    log: SupportLog,
     inst: InstStore,
     conflict: ConflictSet,
     parallel: bool,
@@ -590,55 +634,51 @@ impl CondEngine {
     /// every group — the unindexed §4.1-style search).
     pub fn with_index(pdb: ProductionDb, index: Option<IndexKind>) -> Self {
         let infos: Vec<RuleInfo> = pdb.rules().rules.iter().map(RuleInfo::build).collect();
-        let nvars: Vec<usize> = infos.iter().map(|i| i.var_sites.len()).collect();
         let mut stores: Vec<CondStore> = pdb
             .rules()
             .classes
             .iter()
             .map(|_| CondStore::default())
             .collect();
-        let mut interner = IdentityInterner::new();
-        for rule in &pdb.rules().rules {
-            let none_sigma = vec![None; nvars[rule.id.0]];
-            let original_id = interner.intern(&none_sigma, &[]);
-            for (cen, ce) in rule.ces.iter().enumerate() {
-                let info = &infos[rule.id.0];
-                let mut group = PatternGroup::new(
-                    info.hash_sites[cen].clone(),
-                    nvars[rule.id.0],
-                    info.rce[cen].len(),
-                    original_id,
-                );
-                group.insert(original_id, &none_sigma, &[]);
-                stores[ce.class.0].groups.insert((rule.id.0, cen), group);
-            }
-        }
-        let alpha_index = index.map(|kind| {
-            let mut per_class: AlphaIndex = pdb
-                .rules()
+        let mut alpha_index = index.map(|kind| -> AlphaIndex {
+            pdb.rules()
                 .classes
                 .iter()
                 .map(|c| make_index(kind, c.arity()))
-                .collect();
-            for rule in &pdb.rules().rules {
-                for (cen, ce) in rule.ces.iter().enumerate() {
-                    let arity = pdb.rules().class(ce.class).arity();
-                    if let Some(rect) = Rect::from_restriction(arity, &ce.alpha) {
-                        per_class[ce.class.0].insert(rect, (rule.id.0, cen));
-                    }
+                .collect()
+        });
+        let mut interner = IdentityInterner::new();
+        let mut group_at = Vec::with_capacity(infos.len());
+        for (rule, info) in pdb.rules().rules.iter().zip(&infos) {
+            let none_sigma = vec![None; info.var_sites.len()];
+            let original_id = interner.intern(&none_sigma, &[]);
+            let mut at = Vec::with_capacity(rule.ces.len());
+            for (cen, ce) in rule.ces.iter().enumerate() {
+                let groups = &mut stores[ce.class.0].groups;
+                let position = u32::try_from(groups.len()).expect("group positions fit u32");
+                let mut group = PatternGroup::new(rule.id.0, cen, info, original_id);
+                group.insert(original_id, &none_sigma, &[]);
+                groups.push(group);
+                at.push(position);
+                let arity = pdb.rules().class(ce.class).arity();
+                if let (Some(idx), Some(rect)) =
+                    (&mut alpha_index, Rect::from_restriction(arity, &ce.alpha))
+                {
+                    idx[ce.class.0].insert(rect, position);
                 }
             }
-            per_class
-        });
+            group_at.push(at);
+        }
         CondEngine {
             pdb,
             infos,
             stores,
+            group_at,
             interner: Mutex::new(interner),
             scratch: PropScratch::default(),
             alpha_index,
             io_cost_ns: 0,
-            log: FastMap::default(),
+            log: SupportLog::default(),
             inst: InstStore::new(),
             conflict: ConflictSet::new(),
             parallel: false,
@@ -676,13 +716,24 @@ impl CondEngine {
         }
     }
 
-    /// The (rule, cen) groups of `class` whose alpha tests can match the
-    /// tuple — via the COND index when present, else all groups.
-    fn candidate_groups(&self, class: ClassId, tuple: &Tuple) -> Vec<(usize, usize)> {
+    /// The groups of `class` (positions in its store) whose alpha tests
+    /// can match the tuple — one stab of the COND index when present,
+    /// else every group, each one's condition template read to be tested.
+    fn candidate_groups(&self, class: ClassId, tuple: &Tuple) -> Vec<u32> {
+        obs::prof_span!("stab");
         match &self.alpha_index {
             Some(idx) => idx[class.0].stab(tuple),
-            None => self.stores[class.0].groups.keys().copied().collect(),
+            None => {
+                let groups = self.stores[class.0].groups.len() as u32;
+                self.pdb.db().stats().read_tuples(u64::from(groups));
+                (0..groups).collect()
+            }
         }
+    }
+
+    /// The pattern group of `(rule, cen)` within its class's `store`.
+    fn group_at<'s>(&self, store: &'s CondStore, rid: usize, cen: usize) -> &'s PatternGroup {
+        &store.groups[self.group_at[rid][cen] as usize]
     }
 
     /// Enable parallel propagation of matching patterns across COND
@@ -762,6 +813,7 @@ impl CondEngine {
     fn blocker_candidates<'g>(
         &self,
         c: &Contribution,
+        sigma: &[Option<Value>],
         group: &'g PatternGroup,
     ) -> (Cands<'g>, bool) {
         let constraints = &self.infos[c.rule].var_constraints[c.k];
@@ -770,31 +822,26 @@ impl CondEngine {
             return (Cands::All(&group.arena), false);
         }
         obs::prof_span!("probe");
-        if constraints
-            .iter()
-            .any(|&(_, _, vid)| c.sigma[vid].is_none())
-        {
-            return (Cands::empty(), true);
-        }
-        let mut best: Option<&[u32]> = None;
+        let mut narrowest: Option<(&SlotChains, Chain)> = None;
         for &(_, _, vid) in constraints {
-            let Some(site) = group.site_of(vid) else {
-                return (Cands::empty(), true);
+            let (Some(site), Some(v)) = (group.site_of(vid), &sigma[vid]) else {
+                return (Cands::Empty, true);
             };
-            let v = c.sigma[vid].as_ref().expect("checked bound");
-            let cand = group.bound_at(site, v);
-            if best.is_none_or(|b: &[u32]| cand.len() < b.len()) {
-                best = Some(cand);
+            let chains = &group.by_binding[site];
+            let bound = chains.chain(Some(value_hash(v)));
+            if narrowest.is_none_or(|(_, b)| bound.len() < b.len()) {
+                narrowest = Some((chains, bound));
             }
         }
-        (Cands::Lists(&[], best.unwrap_or(&[])), true)
+        let (chains, bound) = narrowest.expect("at least one constraint");
+        (Cands::Chains(chains, Chain::EMPTY, bound), true)
     }
 
     /// All stored patterns (space metric).
     pub fn pattern_count(&self) -> usize {
         self.stores
             .iter()
-            .flat_map(|s| s.groups.values())
+            .flat_map(|s| &s.groups)
             .map(PatternGroup::len)
             .sum()
     }
@@ -808,7 +855,8 @@ impl CondEngine {
     pub fn support_snapshot(&self) -> Vec<String> {
         let mut out = Vec::new();
         for (class, store) in self.stores.iter().enumerate() {
-            for (&(rid, cen), g) in &store.groups {
+            for g in &store.groups {
+                let (rid, cen) = (g.rule, g.cen);
                 for s in g.arena.iter_live() {
                     let p = g.pat(s);
                     let sup: Vec<Vec<String>> = p
@@ -837,14 +885,12 @@ impl CondEngine {
     /// list, and the mark counters.
     pub fn render_cond(&self, class: ClassId) -> Vec<Vec<String>> {
         let rules = self.pdb.rules();
-        let mut keys: Vec<(usize, usize)> = self.stores[class.0].groups.keys().copied().collect();
-        keys.sort_unstable();
         let mut rows = Vec::new();
-        for (rid, cen) in keys {
+        for g in &self.stores[class.0].groups {
+            let (rid, cen) = (g.rule, g.cen);
             let rule = rules.rule(RuleId(rid));
             let info = &self.infos[rid];
             let arity = rules.class(class).arity();
-            let g = &self.stores[class.0].groups[&(rid, cen)];
             let mut slots: Vec<u32> = g.arena.iter_live().collect();
             // Originals first, then by specialization (stable textual
             // order; slices render identically to the old owned vectors).
@@ -918,30 +964,16 @@ impl CondEngine {
         self.pdb.rules().rule(RuleId(rid))
     }
 
-    /// Does `tuple` match pattern `p` of `(rule, cen)`? Alpha tests plus
-    /// every evaluable specialized constraint.
+    /// Does `tuple`, which passes the alpha tests of `(rule, cen)`, match
+    /// its pattern `p`? Every evaluable specialized constraint must hold.
     fn pattern_matches(&self, rid: usize, cen: usize, p: PatRef<'_>, tuple: &Tuple) -> bool {
-        let rule = self.rule(rid);
-        let info = &self.infos[rid];
         self.pdb.db().stats().read_tuples(1); // COND tuple examined
-        if !rule.ces[cen].alpha.matches(tuple) {
-            return false;
-        }
-        for &(attr, op, vid) in &info.var_constraints[cen] {
-            if let Some(x) = &p.sigma[vid] {
-                match tuple.get(attr) {
-                    Some(v) if op.eval(v, x) => {}
-                    _ => return false,
-                }
-            }
-        }
-        for (attr, op, x) in p.extra {
-            match tuple.get(*attr) {
-                Some(v) if op.eval(v, x) => {}
-                _ => return false,
-            }
-        }
-        true
+        let holds =
+            |attr: usize, op: CompOp, x: &Value| tuple.get(attr).is_some_and(|v| op.eval(v, x));
+        self.infos[rid].var_constraints[cen]
+            .iter()
+            .all(|&(attr, op, vid)| p.sigma[vid].as_ref().is_none_or(|x| holds(attr, op, x)))
+            && p.extra.iter().all(|(attr, op, x)| holds(*attr, *op, x))
     }
 
     /// Are all marks of a pattern (for CE `cen` of rule `rid`) set?
@@ -974,36 +1006,38 @@ impl CondEngine {
         marks
     }
 
-    /// Build the contribution of `tuple` matching pattern `p` at CE `k`.
-    fn contribution(&self, rid: usize, k: usize, p: PatRef<'_>, tuple: &Tuple) -> Contribution {
-        let info = &self.infos[rid];
-        let mut sigma = p.sigma.to_vec();
+    /// Append the contribution of `tuple` matching pattern `p` at CE `k`.
+    fn contribution(
+        &self,
+        out: &mut Contributions,
+        rid: usize,
+        k: usize,
+        p: PatRef<'_>,
+        tuple: &Tuple,
+    ) {
+        let start = out.sigmas.len();
+        out.sigmas.extend_from_slice(p.sigma);
         let mut ranges: Vec<(usize, CompOp, Value)> = Vec::new();
-        for (vid, occs) in info.occurrences.iter().enumerate() {
-            for &(ce, attr, op) in occs {
-                if ce != k {
-                    continue;
-                }
-                if op == CompOp::Eq {
-                    // The tuple fixes this variable's value.
-                    sigma[vid] = Some(tuple[attr].clone());
-                } else {
-                    // The tuple bounds the variable: v op.flip() t[attr].
-                    ranges.push((vid, op.flip(), tuple[attr].clone()));
-                }
+        for &(attr, op, vid) in &self.infos[rid].var_constraints[k] {
+            if op == CompOp::Eq {
+                // The tuple fixes this variable's value.
+                out.sigmas[start + vid] = Some(tuple[attr].clone());
+            } else {
+                // The tuple bounds the variable: v op.flip() t[attr].
+                ranges.push((vid, op.flip(), tuple[attr].clone()));
             }
         }
         let mut marks = self.positive_marks(rid, k, p.support);
         if !self.rule(rid).ces[k].negated {
             marks |= 1 << k;
         }
-        Contribution {
+        out.list.push(Contribution {
             rule: rid,
             k,
-            sigma,
+            sigma: start..out.sigmas.len(),
             ranges,
             marks,
-        }
+        });
     }
 
     /// The desired pattern for target CE `n` under a contribution:
@@ -1012,6 +1046,7 @@ impl CondEngine {
     fn desired_into(
         &self,
         c: &Contribution,
+        sigma: &[Option<Value>],
         n: usize,
         bound: &mut Vec<(usize, Value)>,
         extra: &mut Vec<Extra>,
@@ -1020,7 +1055,7 @@ impl CondEngine {
         extra.clear();
         let info = &self.infos[c.rule];
         for &(attr, op, vid) in &info.var_constraints[n] {
-            if let Some(v) = &c.sigma[vid] {
+            if let Some(v) = &sigma[vid] {
                 if op == CompOp::Eq {
                     bound.push((vid, v.clone()));
                 } else {
@@ -1042,12 +1077,28 @@ impl CondEngine {
     }
 
     /// Maintenance after an insertion: propagate matching patterns of the
-    /// inserted tuple `tup` to all related COND stores (§4.2.2's insertion
-    /// algorithm).
-    fn propagate(&mut self, contributions: Vec<Contribution>, tup: TupKey) {
+    /// inserted tuple to all related COND stores (§4.2.2's insertion
+    /// algorithm). The patterns the tuple matched are the ones
+    /// [`CondEngine::detect_insert`] recorded; their slots still name them
+    /// because only `inst` and `conflict` changed in between.
+    fn propagate(&mut self, class: ClassId, tid: TupleId, tuple: &Tuple) {
         obs::prof_span!("propagate");
-        if contributions.is_empty() {
+        if self.scratch.hits.is_empty() {
             return;
+        }
+        let tup: TupKey = (class.0, tid);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.contribs.list.clear();
+        scratch.contribs.sigmas.clear();
+        for &(g, slot) in &scratch.hits {
+            let group = &self.stores[class.0].groups[g as usize];
+            self.contribution(
+                &mut scratch.contribs,
+                group.rule,
+                group.cen,
+                group.pat(slot),
+                tuple,
+            );
         }
         // Group planned work by target class so stores can be updated in
         // parallel (each class store is owned by exactly one task). The
@@ -1055,14 +1106,13 @@ impl CondEngine {
         // Contribution clones per related CE — and all buffers are
         // engine-owned scratch reused across `maintain_delta` calls.
         let nclasses = self.stores.len();
-        let mut scratch = std::mem::take(&mut self.scratch);
         if scratch.per_class.len() < nclasses {
             scratch.per_class.resize_with(nclasses, Vec::new);
         }
         for list in &mut scratch.per_class {
             list.clear();
         }
-        for (ci, c) in contributions.iter().enumerate() {
+        for (ci, c) in scratch.contribs.list.iter().enumerate() {
             let ces = &self.rule(c.rule).ces;
             for &n in &self.infos[c.rule].rce[c.k] {
                 scratch.per_class[ces[n].class.0].push((ci as u32, n as u32));
@@ -1094,7 +1144,7 @@ impl CondEngine {
             let stores = std::mem::take(&mut self.stores);
             let mut slots: Vec<Option<CondStore>> = stores.into_iter().map(Some).collect();
             let this: &CondEngine = self;
-            let contribs = &contributions;
+            let contribs = &scratch.contribs;
             let per_class = &scratch.per_class;
             let collected = crossbeam::thread::scope(|scope| {
                 let mut handles = Vec::new();
@@ -1150,7 +1200,7 @@ impl CondEngine {
                 let started = Instant::now();
                 let (scanned, probes) = self.apply_to_store(
                     &mut stores[class],
-                    &contributions,
+                    &scratch.contribs,
                     work,
                     tup,
                     &mut scratch.apply,
@@ -1176,10 +1226,7 @@ impl CondEngine {
             }
         }
         for (supporter, pat) in scratch.entries.drain(..) {
-            let list = self.log.entry(supporter).or_default();
-            if !list.contains(&pat) {
-                list.push(pat);
-            }
+            self.log.record(supporter, pat);
         }
         self.scratch = scratch;
     }
@@ -1191,15 +1238,15 @@ impl CondEngine {
     /// them (the partition's span work, reported per-partition by
     /// `propagate`).
     ///
-    /// The hot path allocates only when a derivation genuinely merges
-    /// new information: proposal keys are packed u64s in a reused map,
-    /// desired/merged identities live in scratch buffers, and a
-    /// no-new-info mark on an existing pattern carries no inherited
+    /// The hot path allocates nothing once its buffers have grown:
+    /// proposal keys are packed u64s in a reused map, desired/merged
+    /// identities and what a proposal carries live in scratch buffers,
+    /// and a no-new-info mark on an existing pattern carries no inherited
     /// support at all (see [`Proposal::inherit`]).
     fn apply_to_store(
         &self,
         store: &mut CondStore,
-        contribs: &[Contribution],
+        contribs: &Contributions,
         work: &[(u32, u32)],
         tup: TupKey,
         scratch: &mut ApplyScratch,
@@ -1208,21 +1255,23 @@ impl CondEngine {
         obs::prof_span!("apply");
         scratch.keys.clear();
         scratch.props.clear();
+        scratch.fresh_sigmas.clear();
+        scratch.fresh_extras.clear();
+        scratch.inherits.clear();
         let mut scanned: u64 = 0;
         let mut probes: u64 = 0;
         for &(ci, n) in work {
-            let c = &contribs[ci as usize];
+            let c = &contribs.list[ci as usize];
+            let c_sigma = contribs.sigma(c);
             let n = n as usize;
             let rule = self.rule(c.rule);
             let info = &self.infos[c.rule];
             let k_idx = info.rce_index(n, c.k);
             let negated_k = rule.ces[c.k].negated;
-            self.desired_into(c, n, &mut scratch.bound, &mut scratch.extra);
-            let Some(group) = store.groups.get(&(c.rule, n)) else {
-                continue;
-            };
+            self.desired_into(c, c_sigma, n, &mut scratch.bound, &mut scratch.extra);
+            let group = self.group_at(store, c.rule, n);
             let (cands, indexed) = if negated_k {
-                self.blocker_candidates(c, group)
+                self.blocker_candidates(c, c_sigma, group)
             } else {
                 self.bound_candidates(group, &scratch.bound)
             };
@@ -1231,6 +1280,25 @@ impl CondEngine {
             self.note_pattern_lookup(ncands, indexed);
             scanned += ncands;
             probes += indexed as u64;
+            // The proposal marking `id` at `k_idx`, and whether it is new.
+            let propose = |scratch: &mut ApplyScratch, id: PatId| -> (usize, bool) {
+                let next = scratch.props.len();
+                match scratch.keys.entry(pack_key(c.rule, n, k_idx, id)) {
+                    Entry::Occupied(planned) => (*planned.get() as usize, false),
+                    Entry::Vacant(key) => {
+                        key.insert(next as u32);
+                        scratch.props.push(Proposal {
+                            rule: c.rule as u32,
+                            n: n as u32,
+                            k_idx: k_idx as u32,
+                            id,
+                            fresh: None,
+                            inherit: None,
+                        });
+                        (next, true)
+                    }
+                }
+            };
             for slot in cands.iter() {
                 let m = group.pat(slot);
                 // Mark compatibility (§4.2.2): every mark set in M must be
@@ -1243,28 +1311,17 @@ impl CondEngine {
                 if negated_k {
                     // Blocker accounting: the tuple definitely blocks M
                     // only when every join of the negated CE is evaluable
-                    // against M's substitution and holds. `c.sigma` holds
+                    // against M's substitution and holds. `c_sigma` holds
                     // the tuple's view; check agreement on shared vars.
                     let all_evaluable_and_true =
                         info.var_constraints[c.k].iter().all(|&(_, _, vid)| {
-                            match (&c.sigma[vid], &m.sigma[vid]) {
+                            match (&c_sigma[vid], &m.sigma[vid]) {
                                 (Some(a), Some(b)) => a == b,
                                 _ => false,
                             }
                         });
                     if all_evaluable_and_true {
-                        let key = pack_key(c.rule, n, k_idx, m.id);
-                        if !scratch.keys.contains_key(&key) {
-                            scratch.keys.insert(key, scratch.props.len() as u32);
-                            scratch.props.push(Proposal {
-                                rule: c.rule as u32,
-                                n: n as u32,
-                                k_idx: k_idx as u32,
-                                id: m.id,
-                                fresh: None,
-                                inherit: Vec::new(),
-                            });
-                        }
+                        propose(scratch, m.id);
                     }
                     continue;
                 }
@@ -1282,18 +1339,7 @@ impl CondEngine {
                     // No new binding: set the mark on M itself. Only the
                     // inserted tuple's own mark is new — M's support is
                     // already M's, no self-union.
-                    let key = pack_key(c.rule, n, k_idx, m.id);
-                    if !scratch.keys.contains_key(&key) {
-                        scratch.keys.insert(key, scratch.props.len() as u32);
-                        scratch.props.push(Proposal {
-                            rule: c.rule as u32,
-                            n: n as u32,
-                            k_idx: k_idx as u32,
-                            id: m.id,
-                            fresh: None,
-                            inherit: Vec::new(),
-                        });
-                    }
+                    propose(scratch, m.id);
                     continue;
                 }
                 // "Create a new tuple with the new binding and set the
@@ -1321,36 +1367,25 @@ impl CondEngine {
                     .lock()
                     .expect("interner")
                     .intern(&scratch.sigma, &scratch.merged_extra);
-                let key = pack_key(c.rule, n, k_idx, id);
-                let pi = match scratch.keys.get(&key) {
-                    Some(&i) => i as usize,
-                    None => {
-                        let i = scratch.props.len();
-                        scratch.keys.insert(key, i as u32);
-                        // A merged identity can collide with a *different*
-                        // live pattern's identity; then the proposal
-                        // unions into that pattern instead of creating.
-                        let fresh = if group.slot_of(id).is_none() {
-                            Some((scratch.sigma.clone(), scratch.merged_extra.clone()))
-                        } else {
-                            None
-                        };
-                        scratch.props.push(Proposal {
-                            rule: c.rule as u32,
-                            n: n as u32,
-                            k_idx: k_idx as u32,
-                            id,
-                            fresh,
-                            inherit: Vec::new(),
-                        });
-                        i
-                    }
-                };
-                let p = &mut scratch.props[pi];
-                if p.inherit.is_empty() {
-                    p.inherit.resize_with(info.rce[n].len(), SupportSet::new);
+                let (pi, new) = propose(scratch, id);
+                // A merged identity can collide with a *different* live
+                // pattern's identity; then the proposal unions into that
+                // pattern instead of creating.
+                if new && group.slot_of(id).is_none() {
+                    let at = (scratch.fresh_sigmas.len(), scratch.fresh_extras.len());
+                    scratch.fresh_sigmas.extend_from_slice(&scratch.sigma);
+                    scratch
+                        .fresh_extras
+                        .extend_from_slice(&scratch.merged_extra);
+                    scratch.props[pi].fresh = Some((at.0, at.1..scratch.fresh_extras.len()));
                 }
-                for (dst, src) in p.inherit.iter_mut().zip(m.support.iter()) {
+                let nrce = info.rce[n].len();
+                let at = *scratch.props[pi].inherit.get_or_insert_with(|| {
+                    let at = scratch.inherits.len();
+                    scratch.inherits.resize_with(at + nrce, SupportSet::new);
+                    at
+                });
+                for (dst, src) in scratch.inherits[at..at + nrce].iter_mut().zip(m.support) {
                     for s in src.iter() {
                         if !dst.contains(s) {
                             dst.push(*s);
@@ -1366,22 +1401,29 @@ impl CondEngine {
         // inserted tuple's own mark) into the target pattern, creating it
         // if absent. Every supporter newly recorded on a pattern gets a
         // log entry so its deletion withdraws exactly this support.
-        for p in scratch.props.drain(..) {
-            let group = store
-                .groups
-                .get_mut(&(p.rule as usize, p.n as usize))
-                .expect("group exists");
+        for p in &scratch.props {
+            let (rid, n) = (p.rule as usize, p.n as usize);
+            let nrce = self.infos[rid].rce[n].len();
+            let group = &mut store.groups[self.group_at[rid][n] as usize];
             let key: PatKey = (p.rule, p.n, p.id);
             let slot = match group.slot_of(p.id) {
                 Some(slot) => slot,
                 None => {
-                    let (sigma, extra) = p.fresh.as_ref().expect("new identity carries its σ");
+                    let (sigma_at, extra) = p.fresh.clone().expect("new identity carries its σ");
+                    let nvars = self.infos[rid].var_sites.len();
                     self.pdb.db().stats().inserted();
-                    group.insert(p.id, sigma, extra)
+                    group.insert(
+                        p.id,
+                        &scratch.fresh_sigmas[sigma_at..sigma_at + nvars],
+                        &scratch.fresh_extras[extra],
+                    )
                 }
             };
             let support = group.support_mut(slot);
-            for (i, src) in p.inherit.iter().enumerate() {
+            let inherited = p
+                .inherit
+                .map_or(&[][..], |at| &scratch.inherits[at..at + nrce]);
+            for (i, src) in inherited.iter().enumerate() {
                 for s in src.iter() {
                     if !support[i].contains(s) {
                         support[i].push(*s);
@@ -1400,20 +1442,15 @@ impl CondEngine {
 
     /// Withdraw a deleted tuple's support from every pattern it
     /// contributed to (the deletion algorithm: reset marks / decrement
-    /// counters, §4.2.2), collecting patterns left with no support.
+    /// counters, §4.2.2), dropping patterns left with no support.
     fn withdraw(&mut self, tup: TupKey) {
         obs::prof_span!("withdraw");
-        let Some(entries) = self.log.remove(&tup) else {
-            return;
-        };
-        for (rid, cen, id) in entries {
+        self.log.take(tup, |(rid, cen, id)| {
             let (rid, cen) = (rid as usize, cen as usize);
-            let class = self.rule(rid).ces[cen].class.0;
-            let Some(group) = self.stores[class].groups.get_mut(&(rid, cen)) else {
-                continue;
-            };
+            let class = self.pdb.rules().rule(RuleId(rid)).ces[cen].class.0;
+            let group = &mut self.stores[class].groups[self.group_at[rid][cen] as usize];
             let Some(slot) = group.slot_of(id) else {
-                continue;
+                return;
             };
             let support = group.support_mut(slot);
             for s in support.iter_mut() {
@@ -1424,10 +1461,14 @@ impl CondEngine {
                 self.pdb.db().stats().deleted();
                 group.remove(slot);
             }
-        }
+        });
     }
 
-    /// Detection phase for an insertion (conflict set first! §4.2.3).
+    /// Detection phase for an insertion (conflict set first! §4.2.3), and
+    /// the one search of the tuple's COND relation: one stab for the
+    /// groups, one alpha test and one probe per group. Every pattern the
+    /// tuple matches is recorded in `scratch.hits` for
+    /// [`CondEngine::propagate`], so maintenance searches nothing again.
     /// Returns the retraction deltas caused by new blockers, plus the
     /// `(rule, cen)` fire triggers whose seeded expansion the caller runs
     /// — inline per change, or deferred and batched per (rule,
@@ -1438,41 +1479,47 @@ impl CondEngine {
         tuple: &Tuple,
     ) -> (Vec<ConflictDelta>, Vec<(usize, usize)>) {
         obs::prof_span!("detect");
-        let mut deltas = Vec::new();
+        let mut hits = std::mem::take(&mut self.scratch.hits);
+        hits.clear();
         // (a) fully marked patterns → fire triggers (expanded into new
         // instantiations by a seeded query).
         let mut fire: Vec<(usize, usize)> = Vec::new();
         let mut blockers: Vec<(usize, usize)> = Vec::new();
-        for (rid, cen) in self.candidate_groups(class, tuple) {
-            let Some(group) = self.stores[class.0].groups.get(&(rid, cen)) else {
-                continue;
-            };
-            let negated = self.rule(rid).ces[cen].negated;
-            if negated {
-                // Only the alpha template matters; with the pattern
-                // index on, the group's patterns are never read here.
-                self.charge_io(if self.pattern_index {
-                    1
-                } else {
-                    group.len() as u64
-                });
-                if self.rule(rid).ces[cen].alpha.matches(tuple) {
-                    blockers.push((rid, cen));
-                }
+        for g in self.candidate_groups(class, tuple) {
+            let group = &self.stores[class.0].groups[g as usize];
+            let (rid, cen) = (group.rule, group.cen);
+            let ce = &self.rule(rid).ces[cen];
+            if !ce.alpha.matches(tuple) {
                 continue;
             }
             let (cands, indexed) = self.tuple_candidates(group, tuple);
-            self.charge_io(cands.len() as u64);
             self.note_pattern_lookup(cands.len() as u64, indexed);
-            if cands.iter().any(|s| {
-                let p = group.pat(s);
-                self.pattern_matches(rid, cen, p, tuple) && self.fully_marked(rid, cen, p.support)
-            }) {
+            // A blocker is told by the alpha template alone.
+            self.charge_io(if ce.negated && self.pattern_index {
+                1
+            } else {
+                cands.len() as u64
+            });
+            // A sibling CE on the same class may be filled by this very
+            // tuple, whose mark no pattern carries yet: always expand.
+            let mut fires = self.infos[rid].shares_class[cen];
+            for slot in cands.iter() {
+                let p = group.pat(slot);
+                if self.pattern_matches(rid, cen, p, tuple) {
+                    hits.push((g, slot));
+                    fires = fires || self.fully_marked(rid, cen, p.support);
+                }
+            }
+            if ce.negated {
+                blockers.push((rid, cen));
+            } else if fires {
                 fire.push((rid, cen));
             }
         }
+        self.scratch.hits = hits;
         // (b) the tuple blocks negated CEs: retract newly blocked
         // instantiations.
+        let mut deltas = Vec::new();
         for (rid, cen) in blockers {
             let rule = self.pdb.rules().rule(RuleId(rid));
             let positive_pos = &self.infos[rid].positive_pos;
@@ -1538,6 +1585,10 @@ impl CondEngine {
         let mut unblocked: Vec<(usize, usize)> = self
             .candidate_groups(class, tuple)
             .into_iter()
+            .map(|g| {
+                let group = &self.stores[class.0].groups[g as usize];
+                (group.rule, group.cen)
+            })
             .filter(|&(rid, cen)| {
                 let ce = &rules.rule(RuleId(rid)).ces[cen];
                 ce.negated && ce.alpha.matches(tuple)
@@ -1554,26 +1605,6 @@ impl CondEngine {
             enable_deltas.extend(self.inst.add_missing(rule, matches));
         }
         enable_deltas
-    }
-
-    /// Contributions of a tuple at its class (patterns it matches).
-    fn contributions(&self, class: ClassId, tuple: &Tuple) -> Vec<Contribution> {
-        obs::prof_span!("contrib");
-        let mut out = Vec::new();
-        for (rid, cen) in self.candidate_groups(class, tuple) {
-            let Some(group) = self.stores[class.0].groups.get(&(rid, cen)) else {
-                continue;
-            };
-            let (cands, indexed) = self.tuple_candidates(group, tuple);
-            self.note_pattern_lookup(cands.len() as u64, indexed);
-            for s in cands.iter() {
-                let p = group.pat(s);
-                if self.pattern_matches(rid, cen, p, tuple) {
-                    out.push(self.contribution(rid, cen, p, tuple));
-                }
-            }
-        }
-        out
     }
 }
 
@@ -1633,8 +1664,7 @@ impl MatchEngine for CondEngine {
         self.conflict.apply_all(&deltas);
         self.last_detect_ns = start.elapsed().as_nanos() as u64;
         // Maintenance follows detection.
-        let contributions = self.contributions(class, tuple);
-        self.propagate(contributions, (class.0, tid));
+        self.propagate(class, tid, tuple);
         self.last_total_ns = start.elapsed().as_nanos() as u64;
         deltas
     }
@@ -1699,8 +1729,7 @@ impl MatchEngine for CondEngine {
                         .map(|(rid, cen)| (rid, cen, d.class, d.tid, d.tuple.clone())),
                 );
                 detect_ns += t0.elapsed().as_nanos() as u64;
-                let contributions = self.contributions(d.class, &d.tuple);
-                self.propagate(contributions, (d.class.0, d.tid));
+                self.propagate(d.class, d.tid, &d.tuple);
             } else {
                 let t0 = Instant::now();
                 pending.retain(|(_, _, class, tid, _)| !(*class == d.class && *tid == d.tid));
@@ -1736,32 +1765,23 @@ impl MatchEngine for CondEngine {
         &self.conflict
     }
 
+    /// Everything the engine holds beside working memory: the pattern
+    /// rows (σ, support and derived-constraint cells, slot bookkeeping),
+    /// their identity map and σ-binding chains, the contribution log and
+    /// the identity interner.
     fn space(&self) -> SpaceStats {
-        let entries = self.pattern_count();
-        let bytes: usize = self
-            .stores
-            .iter()
-            .flat_map(|s| s.groups.values())
+        let groups = self.stores.iter().flat_map(|s| &s.groups);
+        let patterns: usize = groups
             .map(|g| {
-                g.arena
-                    .iter_live()
-                    .map(|s| {
-                        let p = g.pat(s);
-                        48 + p
-                            .sigma
-                            .iter()
-                            .flatten()
-                            .map(Value::approx_bytes)
-                            .sum::<usize>()
-                            + p.extra.len() * 32
-                            + p.support.iter().map(|s| s.len() * 16).sum::<usize>()
-                    })
-                    .sum::<usize>()
+                g.arena.bytes()
+                    + g.by_identity.len() * (std::mem::size_of::<(PatId, u32)>() + 1)
+                    + g.by_binding.iter().map(SlotChains::bytes).sum::<usize>()
             })
             .sum();
+        let interner = self.interner.lock().expect("interner").bytes();
         SpaceStats {
-            match_entries: entries,
-            match_bytes: bytes,
+            match_entries: self.pattern_count(),
+            match_bytes: patterns + self.log.bytes() + interner,
             wm_tuples: self.pdb.wm_total(),
         }
     }
@@ -1806,7 +1826,7 @@ mod tests {
 
     /// A readable snapshot of COND patterns for a (rule, cen) group.
     fn patterns(e: &CondEngine, class: usize, cen: usize) -> Vec<(Vec<Option<Value>>, Vec<u32>)> {
-        let g = &e.stores[class].groups[&(0, cen)];
+        let g = e.group_at(&e.stores[class], 0, cen);
         let mut v: Vec<_> = g
             .arena
             .iter_live()
@@ -1913,7 +1933,7 @@ mod tests {
             baseline,
             "all matching patterns retracted"
         );
-        assert!(e.log.is_empty(), "contribution log fully drained");
+        assert!(e.log.heads.is_empty(), "contribution log fully drained");
     }
 
     #[test]
@@ -1969,7 +1989,7 @@ mod tests {
         let emp = ClassId(0);
         assert!(e.insert(emp, tuple!["Mike", 6000, "Sam"]).is_empty());
         // A pattern specialized with Sam + salary<6000 now exists.
-        let group = &e.stores[0].groups[&(0, 1)];
+        let group = e.group_at(&e.stores[0], 0, 1);
         assert!(
             group
                 .arena

@@ -26,6 +26,11 @@ pub type PatId = u32;
 /// A derived range constraint carried by a pattern: `(attr, op, value)`.
 pub type Extra = (usize, CompOp, Value);
 
+/// What a value holds on the heap, beyond its own cell.
+pub fn owned_bytes(v: &Value) -> usize {
+    v.approx_bytes() - std::mem::size_of::<Value>()
+}
+
 /// FNV-1a. The engine's hot maps are keyed by small integers ([`PatId`],
 /// packed `u64` proposal keys, tuple slots); SipHash's DoS resistance buys
 /// nothing there and costs a measurable fraction of the probe path.
@@ -109,6 +114,22 @@ impl IdentityInterner {
         self.idents.push((sigma.to_vec(), extra.to_vec()));
         self.table.entry(h).or_default().push(id);
         id
+    }
+
+    /// Bytes held: the canonical rows with what they own on the heap, and
+    /// a table entry per identity.
+    pub fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        let row = |(sigma, extra): &(Vec<Option<Value>>, Vec<Extra>)| {
+            size_of::<(Vec<Option<Value>>, Vec<Extra>)>()
+                + sigma.len() * size_of::<Option<Value>>()
+                + sigma.iter().flatten().map(owned_bytes).sum::<usize>()
+                + extra.len() * size_of::<Extra>()
+                + extra.iter().map(|e| owned_bytes(&e.2)).sum::<usize>()
+        };
+        self.idents.iter().map(row).sum::<usize>()
+            + self.table.len() * (size_of::<(u64, Vec<PatId>)>() + 1)
+            + self.idents.len() * size_of::<PatId>()
     }
 
     /// Borrow the canonical `(sigma, extra)` for an id.

@@ -439,24 +439,41 @@ impl Relation {
         Ok(out)
     }
 
+    /// The access-path rule, in one place: of the hash-indexed equalities
+    /// in `eqs`, the postings of the one whose list is shortest right now
+    /// (the first such on a tie). The lengths are exact, read from the
+    /// index buckets at probe time. `None` when no equality is indexed.
+    fn shortest_postings<'v>(
+        &self,
+        eqs: impl Iterator<Item = (AttrIdx, &'v Value)>,
+    ) -> Option<&[TupleId]> {
+        let mut shortest: Option<&[TupleId]> = None;
+        for (attr, value) in eqs {
+            if let Some(Some(idx)) = self.hash_indexes.get(attr) {
+                let postings = idx.probe(value);
+                if shortest.is_none_or(|best| postings.len() < best.len()) {
+                    shortest = Some(postings);
+                }
+            }
+        }
+        shortest
+    }
+
     /// Find the first live tuple equal to `tuple` (value equality).
     ///
     /// OPS5 `remove` deletes a WM element by content; this is the lookup
-    /// behind it. Uses a hash index when one exists on any attribute.
+    /// behind it. Probes the hash-indexed attribute whose postings for the
+    /// tuple's value are shortest, when any attribute is indexed.
     pub fn find_equal(&self, tuple: &Tuple) -> Result<Option<TupleId>> {
-        // Prefer an indexed attribute probe.
-        for (attr, idx) in self.hash_indexes.iter().enumerate() {
-            if let Some(idx) = idx {
-                self.stats.index_probe();
-                let candidates = idx.probe(&tuple[attr]);
-                self.stats.read_tuples(candidates.len() as u64);
-                for &tid in candidates.iter() {
-                    if self.live_tuple(tid)?.as_ref() == Some(tuple) {
-                        return Ok(Some(tid));
-                    }
+        if let Some(candidates) = self.shortest_postings(tuple.values().iter().enumerate()) {
+            self.stats.index_probe();
+            self.stats.read_tuples(candidates.len() as u64);
+            for &tid in candidates {
+                if self.live_tuple(tid)?.as_ref() == Some(tuple) {
+                    return Ok(Some(tid));
                 }
-                return Ok(None);
             }
+            return Ok(None);
         }
         self.stats.scan();
         self.stats.read_tuples(self.live as u64);
@@ -513,9 +530,9 @@ impl Relation {
                     .iter()
                     .all(|&(attr, op, v)| t.get(attr).is_some_and(|mine| op.eval(mine, v)))
         };
-        // 1. Equality test with a hash index? Restriction equalities
-        //    first, then bound join equalities.
-        let eq_probe = restriction
+        // 1. Equality tests with a hash index, restriction or bound:
+        //    probe the one with the shortest posting list.
+        let eqs = restriction
             .equalities()
             .map(|sel| (sel.attr, &sel.value))
             .chain(
@@ -523,16 +540,13 @@ impl Relation {
                     .iter()
                     .filter(|&&(_, op, _)| op == CompOp::Eq)
                     .map(|&(attr, _, v)| (attr, v)),
-            )
-            .find(|&(attr, _)| self.has_hash_index(attr));
-        if let Some((attr, value)) = eq_probe {
-            let idx = self.hash_indexes[attr].as_ref().expect("checked");
+            );
+        if let Some(candidates) = self.shortest_postings(eqs) {
             self.stats.index_probe();
-            let candidates = idx.probe(value);
             self.stats.read_tuples(candidates.len() as u64);
             self.stats.pred_evals(candidates.len() as u64 * tests);
             let mut out = Vec::new();
-            for &tid in candidates.iter() {
+            for &tid in candidates {
                 let t = self
                     .live_tuple(tid)?
                     .ok_or(Error::Corrupt("index entry points at a dead tuple"))?;
@@ -673,6 +687,11 @@ mod tests {
     }
 
     fn emp_paged(pool_pages: usize) -> Relation {
+        emp_paged_at(pool_pages).0
+    }
+
+    /// A paged `Emp` and the page file behind it.
+    fn emp_paged_at(pool_pages: usize) -> (Relation, std::path::PathBuf) {
         let dir = std::env::temp_dir().join(format!(
             "relstore-rel-{}-{:p}",
             std::process::id(),
@@ -687,12 +706,13 @@ mod tests {
                 .as_nanos()
         ));
         let pool = Arc::new(BufferPool::create(&path, pool_pages, Stats::new()).unwrap());
-        Relation::new_paged(
+        let rel = Relation::new_paged(
             RelId(0),
             Schema::new("Emp", ["name", "age", "salary", "dno"]),
             Stats::new(),
             pool,
-        )
+        );
+        (rel, path)
     }
 
     #[test]
@@ -905,5 +925,105 @@ mod tests {
         }
         assert_eq!(r.probe(3, CompOp::Eq, &Value::Int(1)).unwrap().len(), 10);
         assert_eq!(r.probe(1, CompOp::Lt, &Value::Int(5)).unwrap().len(), 5);
+    }
+
+    const OPS: [CompOp; 6] = [
+        CompOp::Eq,
+        CompOp::Ne,
+        CompOp::Lt,
+        CompOp::Le,
+        CompOp::Gt,
+        CompOp::Ge,
+    ];
+
+    /// `(attr, op, value)`; an equality half of the time.
+    fn test_strategy() -> impl proptest::strategy::Strategy<Value = (usize, CompOp, i64)> {
+        use proptest::prelude::*;
+        (0usize..4, 0usize..10, 0i64..6)
+            .prop_map(|(attr, op, v)| (attr, OPS[op.saturating_sub(4)], v))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 96,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Whatever the indexes, `select_with` returns what filtering a
+        /// scan returns, in memory and on pages; and when a hash index
+        /// covers one of the equalities — restriction or bound — it reads
+        /// exactly the shortest posting list among the covered ones.
+        #[test]
+        fn select_with_equals_filter_scan_and_reads_the_shortest_postings(
+            rows in proptest::collection::vec((0i64..6, 0i64..3, 0i64..6, 0i64..2), 0..60),
+            restriction in proptest::collection::vec(test_strategy(), 0..4),
+            bound in proptest::collection::vec(test_strategy(), 0..3),
+            hashed in proptest::collection::vec(0usize..4, 0..5),
+            ordered in proptest::collection::vec(0usize..4, 0..2),
+        ) {
+            let restriction = Restriction::new(
+                restriction
+                    .iter()
+                    .map(|&(attr, op, v)| Selection::new(attr, op, v))
+                    .collect(),
+            );
+            let bound_values: Vec<Value> = bound.iter().map(|&(_, _, v)| Value::Int(v)).collect();
+            let bound: Vec<(AttrIdx, CompOp, &Value)> = bound
+                .iter()
+                .zip(&bound_values)
+                .map(|(&(attr, op, _), v)| (attr, op, v))
+                .collect();
+            let rows: Vec<Tuple> = rows.iter().map(|&(a, b, c, d)| tuple![a, b, c, d]).collect();
+            let qualifies = |t: &Tuple| {
+                restriction.matches(t) && bound.iter().all(|&(attr, op, v)| op.eval(&t[attr], v))
+            };
+            let mut want: Vec<Tuple> = rows.iter().filter(|t| qualifies(t)).cloned().collect();
+            want.sort();
+            let shortest = restriction
+                .equalities()
+                .map(|sel| (sel.attr, &sel.value))
+                .chain(
+                    bound
+                        .iter()
+                        .filter(|b| b.1 == CompOp::Eq)
+                        .map(|&(attr, _, v)| (attr, v)),
+                )
+                .filter(|(attr, _)| hashed.contains(attr))
+                .map(|(attr, v)| rows.iter().filter(|t| &t[attr] == v).count() as u64)
+                .min();
+
+            let (paged, page_file) = emp_paged_at(2);
+            for mut r in [emp(), paged] {
+                // Indexes built before and after the load behave alike.
+                for (i, &attr) in hashed.iter().enumerate() {
+                    if i % 2 == 0 {
+                        r.create_hash_index(attr).unwrap();
+                    }
+                }
+                for t in &rows {
+                    r.insert(t.clone()).unwrap();
+                }
+                for &attr in &hashed {
+                    r.create_hash_index(attr).unwrap();
+                }
+                for &attr in &ordered {
+                    r.create_ord_index(attr).unwrap();
+                }
+                let before = r.stats.snapshot();
+                let mut got: Vec<Tuple> = r
+                    .select_with(&restriction, &bound)
+                    .unwrap()
+                    .into_iter()
+                    .map(|(_, t)| t)
+                    .collect();
+                let read = r.stats.snapshot().since(&before).tuples_read;
+                got.sort();
+                proptest::prop_assert_eq!(&got, &want);
+                if let Some(shortest) = shortest {
+                    proptest::prop_assert_eq!(read, shortest);
+                }
+            }
+            std::fs::remove_file(page_file).unwrap();
+        }
     }
 }

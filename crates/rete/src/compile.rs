@@ -82,7 +82,13 @@ pub struct BetaSpec {
 pub struct NetworkPlan {
     /// The shared alpha nodes.
     pub alphas: Vec<AlphaSpec>,
-    /// Beta nodes fed by each alpha node.
+    /// Beta nodes fed by each alpha node, in right-activation order:
+    /// creation order, except that where one WME can reach a node by left
+    /// and by right activation — an alpha memory feeding both a node and
+    /// one of its ancestors, two CEs of a rule over one class — the list
+    /// runs deepest first. The descendant is then right-activated while
+    /// its parent holds no token with the new WME yet, and meets it once,
+    /// from the left, when the ancestor emits.
     pub alpha_successors: Vec<Vec<usize>>,
     /// Beta nodes; index 0 is the root.
     pub betas: Vec<BetaSpec>,
@@ -144,6 +150,15 @@ impl NetworkPlan {
     }
 }
 
+fn parent_of(kind: &BetaKind) -> Option<usize> {
+    match kind {
+        BetaKind::Root => None,
+        BetaKind::Join { parent, .. }
+        | BetaKind::Negative { parent, .. }
+        | BetaKind::Production { parent, .. } => Some(*parent),
+    }
+}
+
 #[derive(Default)]
 struct Compiler {
     alphas: Vec<AlphaSpec>,
@@ -169,6 +184,17 @@ impl Compiler {
             let (pos_map, prod) = self.compile_rule(rule);
             rule_token_pos.push(pos_map);
             rule_production.push(prod);
+        }
+        for successors in &mut self.alpha_successors {
+            let fed_on_both_sides = successors.iter().any(|&s| {
+                std::iter::successors(parent_of(&self.betas[s].kind), |&p| {
+                    parent_of(&self.betas[p].kind)
+                })
+                .any(|ancestor| successors.contains(&ancestor))
+            });
+            if fed_on_both_sides {
+                successors.sort_by_key(|&s| std::cmp::Reverse(self.betas[s].depth));
+            }
         }
         NetworkPlan {
             alphas: self.alphas,

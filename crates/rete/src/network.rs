@@ -538,6 +538,24 @@ mod tests {
         });
     }
 
+    /// Two positive CEs of one rule over one alpha memory: the WME reaches
+    /// the second join from the right and, inside the first join's token,
+    /// from the left. `[t, t]` must come out once.
+    #[test]
+    fn one_wme_on_both_sides_of_a_join_pairs_with_itself_once() {
+        const PAIR: &str = r#"
+            (literalize C a b)
+            (p Pair (C ^a <X>) (C ^b <Y>) --> (remove 1))
+        "#;
+        on_both_backends!(PAIR, |net| {
+            assert_eq!(net.insert(Wme::new(ClassId(0), tuple![1, 2])).len(), 1);
+            assert_eq!(net.insert(Wme::new(ClassId(0), tuple![3, 4])).len(), 3);
+            assert_eq!(net.conflict_set().len(), 4);
+            assert_eq!(net.remove(&Wme::new(ClassId(0), tuple![1, 2])).len(), 3);
+            assert_eq!(net.conflict_set().len(), 1);
+        });
+    }
+
     #[test]
     fn metrics_track_depth() {
         on_both_backends!(EXAMPLE_3, |net| {

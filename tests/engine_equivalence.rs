@@ -160,6 +160,42 @@ fn equivalence_on_paper_example_3() {
     }
 }
 
+/// Two positive CEs of one rule on one class: a tuple pairs with itself,
+/// once. After one `C` the rule has `[t1,t1]`; after two, all four pairs.
+/// Every engine against the `eval_rule` oracle.
+#[test]
+fn one_tuple_fills_two_ces_of_the_same_class() {
+    use prodsys::engine::recompute::eval_rule;
+    use relstore::tuple;
+    let rules =
+        ops5::compile("(literalize C a b)\n(p R (C ^a <X>) (C ^b <Y>) --> (remove 1))").unwrap();
+    for kind in EngineKind::ALL {
+        let mut e = make_engine(kind, ProductionDb::new(rules.clone()).unwrap());
+        let (t1, t2) = (tuple![1, 2], tuple![3, 4]);
+        let steps = [
+            (true, &t1, 1),
+            (true, &t2, 4),
+            (false, &t1, 1),
+            (false, &t2, 0),
+        ];
+        for (insert, t, expected) in steps {
+            if insert {
+                e.insert(ClassId(0), t.clone());
+            } else {
+                e.remove(ClassId(0), t);
+            }
+            let rule = &e.pdb().rules().rules[0];
+            let mut oracle: Vec<_> = eval_rule(e.pdb(), rule)
+                .iter()
+                .map(|m| m.instantiation(rule))
+                .collect();
+            oracle.sort();
+            assert_eq!(oracle.len(), expected);
+            assert_eq!(e.conflict_set().sorted(), oracle, "{} after {t}", e.name());
+        }
+    }
+}
+
 /// Trace-level equivalence: beyond ending with identical conflict sets,
 /// every engine must *emit* the identical ordered stream of
 /// conflict-delta trace events for the same WM update stream (removes

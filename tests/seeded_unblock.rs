@@ -2,9 +2,10 @@
 //! query (the rows of a positive CE the blocker joins) instead of
 //! re-evaluating the rule. Random programs cover every way a negated CE
 //! can join — by `=`, by a range operator, to two positive CEs, to none
-//! (the full re-evaluation that remains) — over delete-heavy traces with
-//! duplicate WMEs; after every change the COND conflict set must equal
-//! the `eval_rule` oracle and the Rete engine's.
+//! (the full re-evaluation that remains) — and positive CEs that share a
+//! class, variable-disjoint or joined, so that one tuple fills both, over
+//! delete-heavy traces with duplicate WMEs; after every change the COND
+//! conflict set must equal the `eval_rule` oracle and the Rete engine's.
 
 use ops5::{ClassId, RuleSet};
 use prodsys::engine::recompute::eval_rule;
@@ -25,7 +26,7 @@ struct RuleSpec {
 }
 
 fn rule_strategy() -> impl Strategy<Value = RuleSpec> {
-    (0u8..7, (0u8..3, 0u8..3, 0u8..3), 0u8..5, 0u8..3).prop_map(|(shape, classes, op, constant)| {
+    (0u8..8, (0u8..3, 0u8..3, 0u8..3), 0u8..5, 0u8..3).prop_map(|(shape, classes, op, constant)| {
         RuleSpec {
             shape,
             classes,
@@ -43,24 +44,24 @@ fn program(specs: &[RuleSpec]) -> RuleSet {
     for (n, spec) in specs.iter().enumerate() {
         let (i, j, k) = spec.classes;
         let (op, c) = (OPS[spec.op as usize], spec.constant);
-        // Two variable-disjoint positive CEs stay on different classes: COND
-        // detection does not yet let one inserted tuple fill both (ROADMAP).
-        let other = if j == i { (i + 1) % 3 } else { j };
         let lhs = match spec.shape {
             // joined by `=`
             0 => format!("(C{i} ^a0 <X> ^a1 <Y>) -(C{j} ^a0 <X>)"),
             // joined by a range operator only
             1 => format!("(C{i} ^a0 <X>) -(C{j} ^a0 {{{op} <X>}})"),
-            // joined to two positive CEs
-            2 => format!("(C{i} ^a0 <X>) (C{other} ^a1 <Y>) -(C{k} ^a0 <X> ^a1 <Y>)"),
+            // joined to two positive CEs, which one tuple fills both of
+            // when they share a class
+            2 => format!("(C{i} ^a0 <X>) (C{j} ^a1 <Y>) -(C{k} ^a0 <X> ^a1 <Y>)"),
             // ... to one by a range operator, to the other by `=`
-            3 => format!("(C{i} ^a0 <X>) (C{other} ^a1 <Y>) -(C{k} ^a0 {{{op} <X>}} ^a1 <Y>)"),
+            3 => format!("(C{i} ^a0 <X>) (C{j} ^a1 <Y>) -(C{k} ^a0 {{{op} <X>}} ^a1 <Y>)"),
             // joined to nothing: the blocker blocks the whole rule
             4 => format!("(C{i} ^a0 <X>) -(C{j} ^a1 {c})"),
             // `=` join plus constant tests on both sides
             5 => format!("(C{i} ^a0 <X> ^a1 {c}) -(C{j} ^a0 <X> ^a1 {c})"),
             // two negated CEs on one positive CE
-            _ => format!("(C{i} ^a0 <X> ^a1 <Y>) -(C{j} ^a0 <X>) -(C{k} ^a1 {{{op} <Y>}})"),
+            6 => format!("(C{i} ^a0 <X> ^a1 <Y>) -(C{j} ^a0 <X>) -(C{k} ^a1 {{{op} <Y>}})"),
+            // two joined positive CEs, possibly of one class
+            _ => format!("(C{i} ^a0 <X>) (C{j} ^a1 <X>) -(C{k} ^a0 {{{op} <X>}})"),
         };
         src.push_str(&format!("(p R{n} {lhs} --> (remove 1))\n"));
     }

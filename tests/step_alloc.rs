@@ -1,11 +1,13 @@
 //! One recognize-act cycle and one match-maintenance call must not pay
 //! for the size of the rule base, nor a removal for the size of the
-//! conflict set: `SequentialExecutor::step` used to deep-copy the whole
-//! `RuleSet` (and the fired rule) per firing, the COND engine a `Rule` per
-//! rule on the changed class per call, and a departed blocker re-evaluated
-//! its whole rule. Allocation is counted by `obs::alloc::CountingAlloc`,
-//! which is per-binary and process-global — hence a test binary with
-//! exactly one test.
+//! conflict set, nor an insertion for the size of working memory:
+//! `SequentialExecutor::step` used to deep-copy the whole `RuleSet` (and
+//! the fired rule) per firing, the COND engine a `Rule` per rule on the
+//! changed class per call, a departed blocker re-evaluated its whole rule,
+//! and a seeded expansion probed the first indexed equality — the CE's
+//! constant — instead of the join key. Allocation is counted by
+//! `obs::alloc::CountingAlloc`, which is per-binary and process-global —
+//! hence a test binary with exactly one test.
 
 use prodsys::{
     make_engine, ClassId, EngineKind, MatchEngine, ProductionDb, SequentialExecutor, Strategy,
@@ -131,14 +133,47 @@ fn blocker_removal_cost(rows: i64) -> (u64, u64, u64) {
     (still_blocked_bytes, still_blocked_io, revived_io)
 }
 
+/// Bytes allocated and logical I/O of one COND `maintain_insert`: `A(7,1)`
+/// arrives and pairs with `B(7,1)`, one of `rows` rows of `B` that all
+/// pass their CE's constant test `^y 1`.
+fn cond_insert_cost(rows: i64) -> (u64, u64) {
+    let (a, b) = (ClassId(0), ClassId(1));
+    let rules = ops5::compile(
+        "(literalize A x y)(literalize B x y)(literalize Log x)\n\
+         (p Pair (A ^x <V> ^y 1) (B ^x <V> ^y 1) --> (make Log ^x <V>))\n",
+    )
+    .expect("program compiles");
+    let mut engine = make_engine(EngineKind::Cond, ProductionDb::new(rules).expect("pdb"));
+    for x in 0..rows {
+        engine.insert(b, tuple![x, 1]);
+    }
+    // Once unmeasured: the slots, chain entries and buffers the insertion
+    // needs exist from then on.
+    let row = tuple![7, 1];
+    engine.insert(a, row.clone());
+    engine.remove(a, &row);
+    let db = engine.pdb().db().clone();
+    let tid = engine.pdb().insert_wm(a, row.clone()).expect("wm insert");
+    let before = db.stats().snapshot();
+    let (deltas, bytes) = bytes_of(|| engine.maintain_insert(a, tid, &row));
+    assert_eq!(deltas.len(), 1, "Pair over A(7,1), B(7,1)");
+    (bytes, db.stats().snapshot().since(&before).logical_io())
+}
+
 #[test]
 fn allocation_is_independent_of_rule_count_and_conflict_set_size() {
     // The first spans of a process allocate their profile nodes.
     blocker_removal_cost(10);
+    cond_insert_cost(10);
     assert_eq!(
         blocker_removal_cost(500),
         blocker_removal_cost(8000),
         "removing a blocker reads and allocates by the size of the conflict set"
+    );
+    assert_eq!(
+        cond_insert_cost(500),
+        cond_insert_cost(8000),
+        "one COND insertion reads and allocates by the size of working memory"
     );
 
     type Measure = fn(usize) -> u64;
