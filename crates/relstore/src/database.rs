@@ -3,9 +3,20 @@
 //!
 //! Physical access uses per-relation reader/writer latches; *logical*
 //! isolation is the transaction layer's job ([`crate::txn`]). Matching
-//! engines that run single-threaded go straight through [`Database::read`]
-//! / [`Database::write`]; the concurrent executor goes through
-//! [`Database::begin`].
+//! engines that run single-threaded read through [`Database::read`] and
+//! change working memory through [`Database::insert`] /
+//! [`Database::delete_equal`]; the concurrent executor goes through
+//! [`Database::begin`]. Every mutation reachable from outside the crate
+//! is one of these methods, so none can bypass the log.
+//!
+//! Durability comes in two forms, fixed at construction.
+//! [`Database::new`] is an in-memory store without a log, persisted by
+//! [`crate::snapshot::save`] / [`crate::snapshot::load`].
+//! [`Database::new_paged`] keeps tuples on heap pages and logs every
+//! change to `wal.log` before applying it; [`Database::checkpoint`]
+//! writes `checkpoint.snap` and shortens the log, and
+//! [`Database::open_paged`] — the one recovery path — loads the
+//! checkpoint and replays the log past it.
 
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -24,7 +35,7 @@ use crate::schema::{RelId, Schema};
 use crate::stats::Stats;
 use crate::tuple::{Tuple, TupleId};
 use crate::txn::{LockManager, Txn, TxnManager};
-use crate::wal::{TornTail, Wal, WalRecord};
+use crate::wal::{sync_dir, TornTail, Wal, WalRecord};
 
 /// Paged-mode state: the storage directory and the buffer pool every
 /// relation of this database draws pages from.
@@ -58,7 +69,9 @@ pub struct Database {
     locks: LockManager,
     txns: TxnManager,
     analyze: AnalyzeRegistry,
-    wal: RwLock<Option<Arc<Wal>>>,
+    /// The log every change is appended to: `Some` exactly for a paged
+    /// database, set at construction (after replay, for a recovered one).
+    pub(crate) wal: Option<Arc<Wal>>,
     paged: Option<PagedMeta>,
     /// Fault-injection countdown armed by [`Database::inject_fault_after`];
     /// negative = disarmed. Transactional operations tick it down and the
@@ -91,7 +104,7 @@ impl Database {
             txns: TxnManager::new(),
             analyze: AnalyzeRegistry::new(),
             stats,
-            wal: RwLock::new(None),
+            wal: None,
             paged: None,
             fault_after: AtomicI64::new(-1),
         }
@@ -105,18 +118,25 @@ impl Database {
     pub fn new_paged(path: impl AsRef<Path>, pool_pages: usize) -> Result<Database> {
         let dir = path.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
+        let wal = Arc::new(Wal::create(&dir.join("wal.log"))?);
+        // Remove any stale checkpoint so a later open_paged can't resurrect
+        // state this fresh database never held.
+        let _ = std::fs::remove_file(dir.join("checkpoint.snap"));
+        let mut db = Database::paged_at(dir, pool_pages, wal.clone())?;
+        db.wal = Some(wal);
+        Ok(db)
+    }
+
+    /// A paged database over a fresh page file in `dir`, its pool gated
+    /// on `wal`, not yet logging to it.
+    fn paged_at(dir: PathBuf, pool_pages: usize, wal: Arc<Wal>) -> Result<Database> {
         let mut db = Database::new();
         let pool = Arc::new(BufferPool::create(
             &dir.join("data.pages"),
             pool_pages,
             db.stats.clone(),
+            wal,
         )?);
-        let wal = Arc::new(Wal::create(&dir.join("wal.log"))?);
-        pool.set_wal(wal.clone());
-        // Remove any stale checkpoint so a later open_paged can't resurrect
-        // state this fresh database never held.
-        let _ = std::fs::remove_file(dir.join("checkpoint.snap"));
-        *db.wal.get_mut() = Some(wal);
         db.paged = Some(PagedMeta { dir, pool });
         Ok(db)
     }
@@ -134,16 +154,8 @@ impl Database {
         let dir = path.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         let (wal, records, torn) = Wal::open(&dir.join("wal.log"))?;
-        let mut db = Database::new();
-        let pool = Arc::new(BufferPool::create(
-            &dir.join("data.pages"),
-            pool_pages,
-            db.stats.clone(),
-        )?);
-        db.paged = Some(PagedMeta {
-            dir: dir.clone(),
-            pool: pool.clone(),
-        });
+        let wal = Arc::new(wal);
+        let mut db = Database::paged_at(dir.clone(), pool_pages, wal.clone())?;
         // A checkpoint that crashed before its rename leaves a stale tmp.
         let _ = std::fs::remove_file(dir.join("checkpoint.tmp"));
         let snap_path = dir.join("checkpoint.snap");
@@ -153,7 +165,7 @@ impl Database {
             let bytes = std::fs::read(&snap_path)?;
             watermark = crate::snapshot::load_into(bytes.into(), &db)?;
         }
-        // Replay with the WAL still detached so replayed operations are
+        // Replay before the WAL is attached so replayed operations are
         // not re-logged; LSNs continue from the recovered position.
         // Records at or below the snapshot's watermark are already in the
         // restored state — a checkpoint that crashed after renaming its
@@ -169,7 +181,6 @@ impl Database {
             crate::wal::apply_record(&db, rec)?;
             records_replayed += 1;
         }
-        let wal = Arc::new(wal);
         // New records must outrank the snapshot's watermark even if the
         // log file was empty (fresh LSN sequence).
         wal.bump_lsn(watermark);
@@ -178,8 +189,7 @@ impl Database {
             // snapshotted prefix so the next crash doesn't re-skip it.
             wal.truncate_through(watermark)?;
         }
-        pool.set_wal(wal.clone());
-        *db.wal.write() = Some(wal);
+        db.wal = Some(wal);
         Ok((
             db,
             RecoveryReport {
@@ -198,12 +208,14 @@ impl Database {
 
     /// Checkpoint a paged database: take a quiesced snapshot (every
     /// relation latched, so no writer can straddle the cut), write it
-    /// atomically (tmp + fsync + rename), flush dirty pages WAL-first,
-    /// and drop the log prefix the snapshot covers. The snapshot embeds
-    /// the WAL watermark of its cut, so a crash *anywhere* in this
+    /// atomically (tmp + fsync + rename + directory fsync), drop the log
+    /// prefix the snapshot covers, and flush dirty pages. The snapshot
+    /// embeds the WAL watermark of its cut, so a crash *anywhere* in this
     /// sequence recovers exactly the committed state: before the rename,
     /// the old snapshot + full log; after it, the new snapshot with
-    /// replay skipping records the image already contains.
+    /// replay skipping records the image already contains. The log is
+    /// shortened only once the rename is durable, and the rewrite clears
+    /// a log poisoned by an earlier failed sync.
     pub fn checkpoint(&self) -> Result<()> {
         let paged = self
             .paged
@@ -216,14 +228,15 @@ impl Database {
             f.write_all(&bytes)?;
             f.sync_data()?;
         }
-        std::fs::rename(&tmp, paged.dir.join("checkpoint.snap"))?;
-        paged.pool.flush_all()?;
-        if let Some(wal) = self.wal_handle() {
+        let snap = paged.dir.join("checkpoint.snap");
+        std::fs::rename(&tmp, &snap)?;
+        sync_dir(&snap)?;
+        if let Some(wal) = &self.wal {
             // Keep the suffix: records committed while the snapshot was
             // being written to disk are not in the image.
             wal.truncate_through(watermark)?;
         }
-        Ok(())
+        paged.pool.flush_all()
     }
 
     /// Run `f` with the whole database quiesced: the catalog and every
@@ -236,15 +249,15 @@ impl Database {
         let _names = self.names.read();
         let rels = self.relations.read();
         let guards: Vec<_> = rels.iter().map(|r| r.write()).collect();
-        let watermark = self.wal.read().as_ref().map_or(0, |w| w.last_lsn());
+        let watermark = self.wal.as_ref().map_or(0, |w| w.last_lsn());
         let refs: Vec<&Relation> = guards.iter().map(|g| &**g).collect();
         f(&refs, watermark)
     }
 
-    /// Make the WAL durable through its latest record (fsync when
-    /// file-backed). Called on transaction commit; a no-op without a WAL.
+    /// Make the WAL durable through its latest record (write + fsync).
+    /// Called on transaction commit; a no-op without a WAL.
     pub fn sync_wal(&self) -> Result<()> {
-        match self.wal.read().as_ref() {
+        match &self.wal {
             Some(wal) => wal.sync(),
             None => Ok(()),
         }
@@ -277,25 +290,8 @@ impl Database {
         }
     }
 
-    /// Turn on write-ahead logging. Every subsequent relation creation,
-    /// index creation (via the [`Database`]-level helpers) and tuple
-    /// change is appended to the returned log; pair with
-    /// [`crate::snapshot::save`] for checkpoint + replay recovery
-    /// ([`crate::wal::recover`]).
-    pub fn enable_wal(&self) -> Arc<Wal> {
-        let wal = Arc::new(Wal::new());
-        *self.wal.write() = Some(wal.clone());
-        wal
-    }
-
-    /// The WAL handle, if logging is on (cloned out so relation latches
-    /// are never held while taking the registry lock).
-    fn wal_handle(&self) -> Option<Arc<Wal>> {
-        self.wal.read().clone()
-    }
-
     fn log(&self, rec: WalRecord) -> Result<()> {
-        if let Some(wal) = self.wal.read().as_ref() {
+        if let Some(wal) = &self.wal {
             wal.append(&rec)?;
         }
         Ok(())
@@ -319,7 +315,7 @@ impl Database {
     }
 
     /// Observed selectivities maintained by the query executor
-    /// (ANALYZE-style statistics, [`crate::analyze`]).
+    /// (ANALYZE-style statistics, [`mod@crate::analyze`]).
     pub fn analyze_registry(&self) -> &AnalyzeRegistry {
         &self.analyze
     }
@@ -395,8 +391,9 @@ impl Database {
         Ok(f(&guard))
     }
 
-    /// Run a closure with exclusive access to a relation.
-    pub fn write<R>(&self, rid: RelId, f: impl FnOnce(&mut Relation) -> R) -> Result<R> {
+    /// Run a closure with exclusive access to a relation. Crate-private:
+    /// every change from outside goes through a logging method.
+    pub(crate) fn write<R>(&self, rid: RelId, f: impl FnOnce(&mut Relation) -> R) -> Result<R> {
         let rel = self.rel(rid)?;
         let mut guard = rel.write();
         Ok(f(&mut guard))
@@ -410,25 +407,22 @@ impl Database {
     /// Insert a tuple directly (no logical locking). The WAL record is
     /// appended before the page write, under the relation's write latch.
     pub fn insert(&self, rid: RelId, tuple: Tuple) -> Result<TupleId> {
-        let wal = self.wal_handle();
-        self.write(rid, |r| r.insert_logged(tuple, wal.as_deref()))?
+        self.write(rid, |r| r.insert(tuple, self.wal.as_deref()))?
     }
 
     /// Delete a tuple directly (no logical locking). WAL-first, like
     /// [`Database::insert`].
     pub fn delete(&self, rid: RelId, tid: TupleId) -> Result<Tuple> {
-        let wal = self.wal_handle();
-        self.write(rid, |r| r.delete_logged(tid, wal.as_deref()))?
+        self.write(rid, |r| r.delete(tid, self.wal.as_deref()))?
     }
 
     /// Delete the first tuple equal to `tuple` (OPS5 `remove` semantics).
     /// Returns the deleted tuple's id, or `None` when absent.
     pub fn delete_equal(&self, rid: RelId, tuple: &Tuple) -> Result<Option<TupleId>> {
-        let wal = self.wal_handle();
         self.write(rid, |r| -> Result<Option<TupleId>> {
             match r.find_equal(tuple)? {
                 Some(tid) => {
-                    r.delete_logged(tid, wal.as_deref())?;
+                    r.delete(tid, self.wal.as_deref())?;
                     Ok(Some(tid))
                 }
                 None => Ok(None),

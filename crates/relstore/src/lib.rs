@@ -12,7 +12,9 @@
 //!   ([`txn`]);
 //! * logical I/O accounting ([`Stats`]) so experiments can report
 //!   device-independent costs;
-//! * snapshot persistence ([`snapshot`]).
+//! * snapshot persistence ([`snapshot`]) for in-memory databases, and for
+//!   paged ones a write-ahead log ([`wal`]) with checkpoints and one
+//!   recovery path ([`Database::open_paged`]).
 //!
 //! ```
 //! use relstore::{Database, Schema, Restriction, Selection, tuple};
@@ -65,4 +67,4 @@ pub use stats::{OpSnapshot, Stats};
 pub use tuple::{Tuple, TupleId};
 pub use txn::{LockManager, LockMode, LockShardStats, LockTarget, Txn, TxnId, DEFAULT_LOCK_SHARDS};
 pub use value::{Value, ValueType};
-pub use wal::{recover, recover_with_report, TornTail, Wal, WalCursor, WalRecord};
+pub use wal::{TornTail, Wal, WalRecord};

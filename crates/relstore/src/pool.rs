@@ -1,6 +1,6 @@
 //! File-backed page manager and buffer pool.
 //!
-//! [`PageManager`] owns the page file: allocate/free page ids and move
+//! [`PageManager`] owns the page file: allocate page ids and move
 //! whole [`Page`] images between memory and disk. [`BufferPool`] caches a
 //! bounded number of frames over it with pin counts, dirty tracking, and
 //! Clock (second-chance) eviction — sized smaller than the working set it
@@ -35,7 +35,6 @@ use crate::wal::Wal;
 pub struct PageManager {
     file: File,
     next_page: PageId,
-    free: Vec<PageId>,
 }
 
 impl PageManager {
@@ -49,27 +48,15 @@ impl PageManager {
             .create(true)
             .truncate(true)
             .open(path)?;
-        Ok(PageManager {
-            file,
-            next_page: 0,
-            free: Vec::new(),
-        })
+        Ok(PageManager { file, next_page: 0 })
     }
 
-    /// Hand out a page id (fresh or recycled). No I/O happens until the
-    /// page is first written.
+    /// Hand out a fresh page id. No I/O happens until the page is first
+    /// written.
     pub fn allocate(&mut self) -> PageId {
-        if let Some(pid) = self.free.pop() {
-            return pid;
-        }
         let pid = self.next_page;
         self.next_page += 1;
         pid
-    }
-
-    /// Return a page id to the free list.
-    pub fn free(&mut self, pid: PageId) {
-        self.free.push(pid);
     }
 
     fn read_page(&mut self, pid: PageId) -> Result<Page> {
@@ -115,7 +102,7 @@ impl PoolInner {
     /// Pick a victim frame with the Clock (second-chance) sweep: skip
     /// pinned frames, clear one reference bit per pass, evict the first
     /// unpinned frame whose bit is already clear.
-    fn evict_victim(&mut self, wal: Option<&Wal>, stats: &Stats) -> Result<usize> {
+    fn evict_victim(&mut self, wal: &Wal, stats: &Stats) -> Result<usize> {
         let n = self.frames.len();
         // Two full sweeps guarantee every unpinned frame's reference bit
         // has been cleared at least once before we give up.
@@ -133,9 +120,7 @@ impl PoolInner {
             if frame.dirty {
                 // Write-ahead: the log record covering this page must be
                 // durable before the page image may reach disk.
-                if let Some(wal) = wal {
-                    wal.sync_to(frame.page.lsn())?;
-                }
+                wal.sync_to(frame.page.lsn())?;
                 let (pid, page) = (frame.pid, frame.page.clone());
                 self.mgr.write_page(pid, &page)?;
                 stats.page_write();
@@ -150,13 +135,7 @@ impl PoolInner {
 
     /// Return the frame index for `pid`, faulting it in if needed. `load`
     /// says whether a miss reads from disk (false for brand-new pages).
-    fn frame_for(
-        &mut self,
-        pid: PageId,
-        load: bool,
-        wal: Option<&Wal>,
-        stats: &Stats,
-    ) -> Result<usize> {
+    fn frame_for(&mut self, pid: PageId, load: bool, wal: &Wal, stats: &Stats) -> Result<usize> {
         if let Some(&i) = self.map.get(&pid) {
             self.frames[i].refbit = true;
             stats.pool_hit();
@@ -197,7 +176,8 @@ impl PoolInner {
 /// A bounded cache of page frames over a [`PageManager`].
 pub struct BufferPool {
     inner: Mutex<PoolInner>,
-    wal: Mutex<Option<Arc<Wal>>>,
+    /// The log whose `sync_to` gates every dirty-page write.
+    wal: Arc<Wal>,
     stats: Stats,
 }
 
@@ -212,8 +192,9 @@ impl std::fmt::Debug for BufferPool {
 }
 
 impl BufferPool {
-    /// Create a pool of `cap` frames over a fresh page file at `path`.
-    pub fn create(path: &Path, cap: usize, stats: Stats) -> Result<Self> {
+    /// Create a pool of `cap` frames over a fresh page file at `path`,
+    /// writing dirty pages back only once `wal` is durable past them.
+    pub fn create(path: &Path, cap: usize, stats: Stats, wal: Arc<Wal>) -> Result<Self> {
         Ok(BufferPool {
             inner: Mutex::new(PoolInner {
                 mgr: PageManager::create(path)?,
@@ -222,18 +203,9 @@ impl BufferPool {
                 clock: 0,
                 cap: cap.max(1),
             }),
-            wal: Mutex::new(None),
+            wal,
             stats,
         })
-    }
-
-    /// Attach the WAL whose `sync_to` gates dirty-page writes.
-    pub fn set_wal(&self, wal: Arc<Wal>) {
-        *self.wal.lock() = Some(wal);
-    }
-
-    fn wal_handle(&self) -> Option<Arc<Wal>> {
-        self.wal.lock().clone()
     }
 
     /// Number of frames the pool may hold.
@@ -244,39 +216,18 @@ impl BufferPool {
     /// Allocate a fresh page, resident and dirty (it has never been on
     /// disk, so it must not be dropped clean).
     pub fn alloc_page(&self) -> Result<PageId> {
-        let wal = self.wal_handle();
         let mut g = self.inner.lock();
         let pid = g.mgr.allocate();
-        let i = g.frame_for(pid, false, wal.as_deref(), &self.stats)?;
+        let i = g.frame_for(pid, false, &self.wal, &self.stats)?;
         g.frames[i].dirty = true;
         Ok(pid)
-    }
-
-    /// Drop a page: evict its frame without writing and recycle the id.
-    pub fn free_page(&self, pid: PageId) -> Result<()> {
-        let mut g = self.inner.lock();
-        if let Some(i) = g.map.remove(&pid) {
-            if g.frames[i].pin > 0 {
-                g.map.insert(pid, i);
-                return Err(Error::Io("freeing a pinned page".into()));
-            }
-            // Leave a dead frame for the clock sweep to reuse. Tombstone
-            // the pid so evicting the dead frame can't unmap a future
-            // resident of the recycled id.
-            g.frames[i].pid = PageId::MAX;
-            g.frames[i].dirty = false;
-            g.frames[i].refbit = false;
-        }
-        g.mgr.free(pid);
-        Ok(())
     }
 
     /// Pin `pid` resident. While pinned the frame cannot be evicted; pair
     /// with [`BufferPool::unpin`].
     pub fn pin(&self, pid: PageId) -> Result<()> {
-        let wal = self.wal_handle();
         let mut g = self.inner.lock();
-        let i = g.frame_for(pid, true, wal.as_deref(), &self.stats)?;
+        let i = g.frame_for(pid, true, &self.wal, &self.stats)?;
         g.frames[i].pin += 1;
         Ok(())
     }
@@ -291,9 +242,8 @@ impl BufferPool {
 
     /// Run `f` over the page, read-only. Faults the page in on a miss.
     pub fn with_page<R>(&self, pid: PageId, f: impl FnOnce(&Page) -> R) -> Result<R> {
-        let wal = self.wal_handle();
         let mut g = self.inner.lock();
-        let i = g.frame_for(pid, true, wal.as_deref(), &self.stats)?;
+        let i = g.frame_for(pid, true, &self.wal, &self.stats)?;
         Ok(f(&g.frames[i].page))
     }
 
@@ -305,9 +255,8 @@ impl BufferPool {
         lsn: u64,
         f: impl FnOnce(&mut Page) -> R,
     ) -> Result<R> {
-        let wal = self.wal_handle();
         let mut g = self.inner.lock();
-        let i = g.frame_for(pid, true, wal.as_deref(), &self.stats)?;
+        let i = g.frame_for(pid, true, &self.wal, &self.stats)?;
         let frame = &mut g.frames[i];
         frame.dirty = true;
         if lsn > frame.page.lsn() {
@@ -318,7 +267,6 @@ impl BufferPool {
 
     /// Write every dirty frame (WAL-first) and fsync the page file.
     pub fn flush_all(&self) -> Result<()> {
-        let wal = self.wal_handle();
         let mut g = self.inner.lock();
         let mut max_lsn = 0;
         for f in &g.frames {
@@ -326,9 +274,7 @@ impl BufferPool {
                 max_lsn = max_lsn.max(f.page.lsn());
             }
         }
-        if let Some(wal) = wal.as_deref() {
-            wal.sync_to(max_lsn)?;
-        }
+        self.wal.sync_to(max_lsn)?;
         let dirty: Vec<usize> = (0..g.frames.len()).filter(|&i| g.frames[i].dirty).collect();
         for i in dirty {
             let (pid, page) = (g.frames[i].pid, g.frames[i].page.clone());
@@ -344,16 +290,22 @@ impl BufferPool {
 mod tests {
     use super::*;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
+    /// A pool over `{name}.pages`, gated on the log `{name}.log` beside it.
+    fn pool_at(name: &str, cap: usize, stats: Stats) -> (BufferPool, Arc<Wal>) {
         let dir = std::env::temp_dir().join(format!("relstore-pool-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+        let wal = Arc::new(Wal::create(&dir.join(format!("{name}.log"))).unwrap());
+        let pages = dir.join(format!("{name}.pages"));
+        (
+            BufferPool::create(&pages, cap, stats, wal.clone()).unwrap(),
+            wal,
+        )
     }
 
     #[test]
     fn pages_survive_eviction_roundtrip() {
         let stats = Stats::new();
-        let pool = BufferPool::create(&tmp("roundtrip.pages"), 2, stats.clone()).unwrap();
+        let (pool, _) = pool_at("roundtrip", 2, stats.clone());
         // Three pages through a two-frame pool forces eviction.
         let pids: Vec<PageId> = (0..3).map(|_| pool.alloc_page().unwrap()).collect();
         for (n, &pid) in pids.iter().enumerate() {
@@ -378,7 +330,7 @@ mod tests {
 
     #[test]
     fn pinned_frames_are_not_evicted() {
-        let pool = BufferPool::create(&tmp("pinned.pages"), 2, Stats::new()).unwrap();
+        let (pool, _) = pool_at("pinned", 2, Stats::new());
         let a = pool.alloc_page().unwrap();
         let b = pool.alloc_page().unwrap();
         pool.pin(a).unwrap();
@@ -400,9 +352,7 @@ mod tests {
     #[test]
     fn dirty_page_flush_is_gated_on_wal_durability() {
         let stats = Stats::new();
-        let pool = BufferPool::create(&tmp("walgate.pages"), 1, stats.clone()).unwrap();
-        let wal = Arc::new(Wal::new());
-        pool.set_wal(wal.clone());
+        let (pool, wal) = pool_at("walgate", 1, stats.clone());
         let lsn = wal
             .append(&crate::wal::WalRecord::Insert {
                 rel: crate::schema::RelId(0),
@@ -428,7 +378,7 @@ mod tests {
     #[test]
     fn flush_all_clears_dirty_frames() {
         let stats = Stats::new();
-        let pool = BufferPool::create(&tmp("flush.pages"), 4, stats.clone()).unwrap();
+        let (pool, _) = pool_at("flush", 4, stats.clone());
         let a = pool.alloc_page().unwrap();
         pool.with_page_mut(a, 3, |p| {
             p.insert(b"abc").unwrap();
@@ -440,18 +390,5 @@ mod tests {
         // Second flush writes nothing new.
         pool.flush_all().unwrap();
         assert_eq!(stats.snapshot().page_writes, w);
-    }
-
-    #[test]
-    fn freed_pages_recycle_ids() {
-        let pool = BufferPool::create(&tmp("freelist.pages"), 4, Stats::new()).unwrap();
-        let a = pool.alloc_page().unwrap();
-        pool.free_page(a).unwrap();
-        let b = pool.alloc_page().unwrap();
-        assert_eq!(a, b, "freed id is reused");
-        // The recycled page starts empty even though the old frame was
-        // dropped without a write.
-        let live = pool.with_page(b, |p| p.live_records()).unwrap();
-        assert_eq!(live, 0);
     }
 }

@@ -8,10 +8,10 @@
 //! share identical ids, index maintenance, and logical-I/O accounting,
 //! so every engine runs unchanged on either.
 //!
-//! Mutations go through [`Relation::insert_logged`] /
-//! [`Relation::delete_logged`], which append the WAL record *before*
-//! touching any page — under the relation's write latch, so the log
-//! order matches the apply order and a page can never carry a change
+//! Mutations are crate-private and reached through [`crate::Database`]:
+//! `Relation::insert` / `Relation::delete` append the WAL record
+//! *before* touching any page — under the relation's write latch, so the
+//! log order matches the apply order and a page can never carry a change
 //! whose log record does not precede it.
 
 use std::sync::Arc;
@@ -124,7 +124,7 @@ impl Relation {
         matches!(self.store, Store::Paged(_))
     }
 
-    /// Write-version counter: bumped on every insert, delete, or clear.
+    /// Write-version counter: bumped on every insert or delete.
     /// Lets caches keyed on relation contents (e.g. the ANALYZE
     /// distinct-count memo) invalidate without being notified.
     pub fn version(&self) -> u64 {
@@ -214,7 +214,7 @@ impl Relation {
     }
 
     /// Build (or rebuild) a hash index on `attr`.
-    pub fn create_hash_index(&mut self, attr: AttrIdx) -> Result<()> {
+    pub(crate) fn create_hash_index(&mut self, attr: AttrIdx) -> Result<()> {
         self.check_attr(attr)?;
         let mut idx = HashIndex::new();
         self.for_each_live(|tid, t| idx.insert(t[attr].clone(), tid))?;
@@ -223,7 +223,7 @@ impl Relation {
     }
 
     /// Build (or rebuild) an ordered index on `attr`.
-    pub fn create_ord_index(&mut self, attr: AttrIdx) -> Result<()> {
+    pub(crate) fn create_ord_index(&mut self, attr: AttrIdx) -> Result<()> {
         self.check_attr(attr)?;
         let mut idx = OrdIndex::new();
         self.for_each_live(|tid, t| idx.insert(t[attr].clone(), tid))?;
@@ -241,16 +241,11 @@ impl Relation {
         self.ord_indexes.get(attr).is_some_and(Option::is_some)
     }
 
-    /// Insert a tuple, returning its id (unlogged convenience).
-    pub fn insert(&mut self, tuple: Tuple) -> Result<TupleId> {
-        self.insert_logged(tuple, None)
-    }
-
-    /// Insert a tuple, appending the WAL record *before* the page write.
-    /// The returned LSN tags the touched page so eviction can enforce
-    /// write-ahead ordering. Callers hold the relation's write latch, so
-    /// log order equals apply order.
-    pub(crate) fn insert_logged(&mut self, tuple: Tuple, wal: Option<&Wal>) -> Result<TupleId> {
+    /// Insert a tuple, appending the WAL record (when `wal` is given)
+    /// *before* the page write. The record's LSN tags the touched page so
+    /// eviction can enforce write-ahead ordering. Callers hold the
+    /// relation's write latch, so log order equals apply order.
+    pub(crate) fn insert(&mut self, tuple: Tuple, wal: Option<&Wal>) -> Result<TupleId> {
         if tuple.arity() != self.schema.arity() {
             return Err(Error::ArityMismatch {
                 relation: self.name().to_string(),
@@ -355,14 +350,9 @@ impl Relation {
         Ok(tid)
     }
 
-    /// Delete by id, returning the removed tuple (unlogged convenience).
-    pub fn delete(&mut self, tid: TupleId) -> Result<Tuple> {
-        self.delete_logged(tid, None)
-    }
-
-    /// Delete by id, appending the WAL record before the page mutation
-    /// (see [`Relation::insert_logged`] for the ordering argument).
-    pub(crate) fn delete_logged(&mut self, tid: TupleId, wal: Option<&Wal>) -> Result<Tuple> {
+    /// Delete by id, returning the removed tuple; the WAL record goes
+    /// before the page mutation (see [`Relation::insert`]).
+    pub(crate) fn delete(&mut self, tid: TupleId, wal: Option<&Wal>) -> Result<Tuple> {
         let tuple = self
             .live_tuple(tid)?
             .ok_or(Error::NoSuchTuple(self.id, tid.pack()))?;
@@ -647,30 +637,6 @@ impl Relation {
                 .sum::<usize>();
         Ok(tuples + postings)
     }
-
-    /// Drop every tuple but keep schema and index definitions. Paged
-    /// relations return their pages to the pool's free list.
-    pub fn clear(&mut self) {
-        let arity = self.schema.arity();
-        let had_hash: Vec<bool> = self.hash_indexes.iter().map(Option::is_some).collect();
-        let had_ord: Vec<bool> = self.ord_indexes.iter().map(Option::is_some).collect();
-        match &mut self.store {
-            Store::Mem(slots) => slots.clear(),
-            Store::Paged(p) => {
-                for (pid, _) in p.pages.drain(..) {
-                    let _ = p.pool.free_page(pid);
-                }
-                p.slots.clear();
-            }
-        }
-        self.free.clear();
-        self.live = 0;
-        self.hash_indexes = (0..arity)
-            .map(|i| had_hash[i].then(HashIndex::new))
-            .collect();
-        self.ord_indexes = (0..arity).map(|i| had_ord[i].then(OrdIndex::new)).collect();
-        self.version += 1;
-    }
 }
 
 #[cfg(test)]
@@ -690,7 +656,8 @@ mod tests {
         emp_paged_at(pool_pages).0
     }
 
-    /// A paged `Emp` and the page file behind it.
+    /// A paged `Emp` and the page file behind it (its log is the page
+    /// file's `.log` sibling).
     fn emp_paged_at(pool_pages: usize) -> (Relation, std::path::PathBuf) {
         let dir = std::env::temp_dir().join(format!(
             "relstore-rel-{}-{:p}",
@@ -705,7 +672,8 @@ mod tests {
                 .unwrap()
                 .as_nanos()
         ));
-        let pool = Arc::new(BufferPool::create(&path, pool_pages, Stats::new()).unwrap());
+        let wal = Arc::new(Wal::create(&path.with_extension("log")).unwrap());
+        let pool = Arc::new(BufferPool::create(&path, pool_pages, Stats::new(), wal).unwrap());
         let rel = Relation::new_paged(
             RelId(0),
             Schema::new("Emp", ["name", "age", "salary", "dno"]),
@@ -718,32 +686,32 @@ mod tests {
     #[test]
     fn insert_get_delete_roundtrip() {
         let mut r = emp();
-        let tid = r.insert(tuple!["Mike", 32, 5000, 7]).unwrap();
+        let tid = r.insert(tuple!["Mike", 32, 5000, 7], None).unwrap();
         assert_eq!(r.len(), 1);
         assert_eq!(r.get(tid).unwrap()[0], Value::str("Mike"));
-        let t = r.delete(tid).unwrap();
+        let t = r.delete(tid, None).unwrap();
         assert_eq!(t[1], Value::Int(32));
         assert!(r.is_empty());
         assert!(r.get(tid).is_err());
-        assert!(r.delete(tid).is_err());
+        assert!(r.delete(tid, None).is_err());
     }
 
     #[test]
     fn paged_roundtrip_matches_memory_semantics() {
         let mut r = emp_paged(4);
         assert!(r.is_paged());
-        let tid = r.insert(tuple!["Mike", 32, 5000, 7]).unwrap();
+        let tid = r.insert(tuple!["Mike", 32, 5000, 7], None).unwrap();
         assert_eq!(r.len(), 1);
         assert_eq!(r.get(tid).unwrap()[0], Value::str("Mike"));
-        let t = r.delete(tid).unwrap();
+        let t = r.delete(tid, None).unwrap();
         assert_eq!(t[1], Value::Int(32));
         assert!(r.is_empty());
         assert!(r.get(tid).is_err());
-        assert!(r.delete(tid).is_err());
+        assert!(r.delete(tid, None).is_err());
         // Slot reuse keeps the stale-generation discipline.
-        let a = r.insert(tuple!["A", 1, 1, 1]).unwrap();
-        r.delete(a).unwrap();
-        let b = r.insert(tuple!["B", 2, 2, 2]).unwrap();
+        let a = r.insert(tuple!["A", 1, 1, 1], None).unwrap();
+        r.delete(a, None).unwrap();
+        let b = r.insert(tuple!["B", 2, 2, 2], None).unwrap();
         assert_eq!(a.slot, b.slot);
         assert!(r.get(a).is_err());
         assert_eq!(r.get(b).unwrap()[0], Value::str("B"));
@@ -755,8 +723,8 @@ mod tests {
         let mut p = emp_paged(2); // smaller than the working set: evicts
         for i in 0..200i64 {
             let t = tuple![format!("e{i}"), 20 + (i % 40), 1000 * i, i % 10];
-            m.insert(t.clone()).unwrap();
-            p.insert(t).unwrap();
+            m.insert(t.clone(), None).unwrap();
+            p.insert(t, None).unwrap();
         }
         let restriction = Restriction::new(vec![Selection::eq(3, 4)]);
         let from_m: Vec<Tuple> = m
@@ -793,9 +761,9 @@ mod tests {
     #[test]
     fn stale_id_rejected_after_slot_reuse() {
         let mut r = emp();
-        let a = r.insert(tuple!["A", 1, 1, 1]).unwrap();
-        r.delete(a).unwrap();
-        let b = r.insert(tuple!["B", 2, 2, 2]).unwrap();
+        let a = r.insert(tuple!["A", 1, 1, 1], None).unwrap();
+        r.delete(a, None).unwrap();
+        let b = r.insert(tuple!["B", 2, 2, 2], None).unwrap();
         assert_eq!(a.slot, b.slot, "slot should be recycled");
         assert!(r.get(a).is_err(), "stale generation must not resolve");
         assert_eq!(r.get(b).unwrap()[0], Value::str("B"));
@@ -805,7 +773,7 @@ mod tests {
     fn arity_mismatch_rejected() {
         let mut r = emp();
         assert!(matches!(
-            r.insert(tuple!["Mike", 32]),
+            r.insert(tuple!["Mike", 32], None),
             Err(Error::ArityMismatch { .. })
         ));
     }
@@ -814,8 +782,11 @@ mod tests {
     fn select_with_and_without_index() {
         let mut r = emp();
         for i in 0..100i64 {
-            r.insert(tuple![format!("e{i}"), 20 + (i % 40), 1000 * i, i % 10])
-                .unwrap();
+            r.insert(
+                tuple![format!("e{i}"), 20 + (i % 40), 1000 * i, i % 10],
+                None,
+            )
+            .unwrap();
         }
         let scan_res = r
             .select(&Restriction::new(vec![Selection::eq(3, 4)]))
@@ -837,7 +808,7 @@ mod tests {
     fn ord_index_range_select() {
         let mut r = emp();
         for i in 0..50i64 {
-            r.insert(tuple![format!("e{i}"), i, 0, 0]).unwrap();
+            r.insert(tuple![format!("e{i}"), i, 0, 0], None).unwrap();
         }
         r.create_ord_index(1).unwrap();
         let res = r
@@ -850,20 +821,20 @@ mod tests {
     fn index_maintained_across_delete() {
         let mut r = emp();
         r.create_hash_index(0).unwrap();
-        let tid = r.insert(tuple!["Mike", 32, 5000, 7]).unwrap();
+        let tid = r.insert(tuple!["Mike", 32, 5000, 7], None).unwrap();
         assert_eq!(
             r.find_equal(&tuple!["Mike", 32, 5000, 7]).unwrap(),
             Some(tid)
         );
-        r.delete(tid).unwrap();
+        r.delete(tid, None).unwrap();
         assert_eq!(r.find_equal(&tuple!["Mike", 32, 5000, 7]).unwrap(), None);
     }
 
     #[test]
     fn find_equal_distinguishes_duplicates_by_content() {
         let mut r = emp();
-        r.insert(tuple!["A", 1, 1, 1]).unwrap();
-        let b = r.insert(tuple!["B", 2, 2, 2]).unwrap();
+        r.insert(tuple!["A", 1, 1, 1], None).unwrap();
+        let b = r.insert(tuple!["B", 2, 2, 2], None).unwrap();
         assert_eq!(r.find_equal(&tuple!["B", 2, 2, 2]).unwrap(), Some(b));
         assert_eq!(r.find_equal(&tuple!["C", 3, 3, 3]).unwrap(), None);
     }
@@ -872,7 +843,7 @@ mod tests {
     fn io_accounting_counts_scans_and_probes() {
         let mut r = emp();
         for i in 0..10i64 {
-            r.insert(tuple![format!("e{i}"), i, 0, 0]).unwrap();
+            r.insert(tuple![format!("e{i}"), i, 0, 0], None).unwrap();
         }
         let before = r.stats.snapshot();
         r.select(&Restriction::new(vec![Selection::eq(1, 3)]))
@@ -892,36 +863,11 @@ mod tests {
     }
 
     #[test]
-    fn clear_keeps_index_definitions() {
-        let mut r = emp();
-        r.create_hash_index(0).unwrap();
-        r.insert(tuple!["A", 1, 1, 1]).unwrap();
-        r.clear();
-        assert!(r.is_empty());
-        assert!(r.has_hash_index(0));
-        let tid = r.insert(tuple!["B", 2, 2, 2]).unwrap();
-        assert_eq!(r.find_equal(&tuple!["B", 2, 2, 2]).unwrap(), Some(tid));
-    }
-
-    #[test]
-    fn paged_clear_recycles_pages() {
-        let mut r = emp_paged(2);
-        for i in 0..100i64 {
-            r.insert(tuple![format!("e{i}"), i, 0, 0]).unwrap();
-        }
-        r.clear();
-        assert!(r.is_empty());
-        for i in 0..100i64 {
-            r.insert(tuple![format!("f{i}"), i, 0, 0]).unwrap();
-        }
-        assert_eq!(r.len(), 100);
-    }
-
-    #[test]
     fn probe_uses_selection_path() {
         let mut r = emp();
         for i in 0..20i64 {
-            r.insert(tuple![format!("e{i}"), i, 0, i % 2]).unwrap();
+            r.insert(tuple![format!("e{i}"), i, 0, i % 2], None)
+                .unwrap();
         }
         assert_eq!(r.probe(3, CompOp::Eq, &Value::Int(1)).unwrap().len(), 10);
         assert_eq!(r.probe(1, CompOp::Lt, &Value::Int(5)).unwrap().len(), 5);
@@ -1001,7 +947,7 @@ mod tests {
                     }
                 }
                 for t in &rows {
-                    r.insert(t.clone()).unwrap();
+                    r.insert(t.clone(), None).unwrap();
                 }
                 for &attr in &hashed {
                     r.create_hash_index(attr).unwrap();
@@ -1023,6 +969,7 @@ mod tests {
                     proptest::prop_assert_eq!(read, shortest);
                 }
             }
+            std::fs::remove_file(page_file.with_extension("log")).unwrap();
             std::fs::remove_file(page_file).unwrap();
         }
     }

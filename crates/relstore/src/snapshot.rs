@@ -8,12 +8,16 @@
 //! The value encoding is the shared [`crate::codec`], so oversized
 //! strings are rejected at encode time rather than silently truncated.
 //!
+//! An in-memory database ([`Database::new`]) has no log: [`save`] and
+//! [`load`] are its whole persistence. A paged database writes the same
+//! image as its checkpoint ([`Database::checkpoint`]).
+//!
 //! The image is a **consistent cut**: [`save`] latches the catalog and
 //! every relation for the duration of serialization, and the header
-//! records the WAL's last LSN at that cut — the *watermark*. Recovery
-//! ([`crate::wal::recover`], [`Database::open_paged`]) skips log
-//! records at or below the watermark, so a snapshot paired with an
-//! untruncated log replays each change exactly once.
+//! records the WAL's last LSN at that cut — the *watermark* (0 without a
+//! log). [`Database::open_paged`] skips log records at or below the
+//! watermark, so a checkpoint paired with an untruncated log replays each
+//! change exactly once.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -37,7 +41,7 @@ pub fn save(db: &Database) -> Result<Bytes> {
 /// latch on every relation plus the catalog lock, so a concurrent
 /// writer can neither straddle the image nor commit a record at or
 /// below the watermark after it is chosen.
-pub fn save_with_watermark(db: &Database) -> Result<(Bytes, u64)> {
+pub(crate) fn save_with_watermark(db: &Database) -> Result<(Bytes, u64)> {
     db.with_quiesced(|rels, watermark| -> Result<(Bytes, u64)> {
         let mut buf = BytesMut::new();
         buf.put_u32_le(MAGIC);
@@ -88,7 +92,7 @@ pub fn save_with_watermark(db: &Database) -> Result<(Bytes, u64)> {
 /// database rehomes every tuple onto heap pages. Returns the image's
 /// WAL watermark: log records with `lsn <= watermark` are already in
 /// the restored state and must not be replayed on top of it.
-pub fn load_into(mut bytes: Bytes, db: &Database) -> Result<u64> {
+pub(crate) fn load_into(mut bytes: Bytes, db: &Database) -> Result<u64> {
     if db.relation_count() != 0 {
         return Err(Error::Corrupt("snapshot restore into non-empty database"));
     }
@@ -145,10 +149,10 @@ pub fn load_into(mut bytes: Bytes, db: &Database) -> Result<u64> {
             db.insert(rid, Tuple::new(values))?;
         }
         for a in hash_attrs {
-            db.write(rid, |r| r.create_hash_index(a))??;
+            db.create_hash_index(rid, a)?;
         }
         for a in ord_attrs {
-            db.write(rid, |r| r.create_ord_index(a))??;
+            db.create_ord_index(rid, a)?;
         }
     }
     Ok(watermark)
@@ -180,8 +184,8 @@ mod tests {
         db.insert(emp, tuple!["Mike", 32, 6000.5]).unwrap();
         db.insert(emp, tuple!["Sam", Value::Null, 5000]).unwrap();
         db.insert(dept, tuple![1, "Toy"]).unwrap();
-        db.write(emp, |r| r.create_hash_index(0)).unwrap().unwrap();
-        db.write(emp, |r| r.create_ord_index(1)).unwrap().unwrap();
+        db.create_hash_index(emp, 0).unwrap();
+        db.create_ord_index(emp, 1).unwrap();
 
         let image = save(&db).unwrap();
         let restored = load(image).unwrap();
@@ -203,16 +207,17 @@ mod tests {
 
     #[test]
     fn watermark_matches_wal_cut_and_roundtrips() {
-        let db = Database::new();
-        let wal = db.enable_wal();
+        let dir = std::env::temp_dir().join(format!("relstore-snap-{}", std::process::id()));
+        let db = Database::new_paged(&dir, 4).unwrap();
         let rid = db.create_relation(Schema::new("R", ["a"])).unwrap();
         db.insert(rid, tuple![1]).unwrap();
         let (image, watermark) = save_with_watermark(&db).unwrap();
         assert_eq!(watermark, 2, "create + insert are in the image");
-        assert_eq!(watermark, wal.last_lsn());
+        assert_eq!(watermark, db.wal.as_ref().unwrap().last_lsn());
         let restored = Database::new();
         assert_eq!(load_into(image, &restored).unwrap(), watermark);
         assert_eq!(restored.relation_count(), 1);
+        std::fs::remove_dir_all(&dir).ok();
         // A database without a WAL snapshots at watermark 0.
         let plain = Database::new();
         assert_eq!(save_with_watermark(&plain).unwrap().1, 0);

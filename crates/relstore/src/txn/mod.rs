@@ -252,8 +252,8 @@ impl<'db> Txn<'db> {
     /// every lock (strict 2PL — nothing was released earlier) and discard
     /// the undo log. If the WAL write/fsync fails the transaction rolls
     /// back and the error is returned — a caller that sees `Ok` knows its
-    /// records are durable. (An in-memory database has no device behind
-    /// its publish point, so its sync never fails.)
+    /// records are durable. (An in-memory database has no log, so its
+    /// commit cannot fail.)
     pub fn commit(mut self) -> Result<()> {
         match self.db.sync_wal() {
             Ok(()) => {

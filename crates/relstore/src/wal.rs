@@ -1,10 +1,12 @@
-//! Write-ahead logging and recovery.
+//! Write-ahead logging.
 //!
 //! A persistent working memory needs more than snapshots: the paper's
 //! §3.2 "persistent WM" claim implies surviving a crash between
-//! checkpoints. `relstore` logs every logical change (relation creation,
-//! index creation, tuple insert/delete) as a framed binary record;
-//! [`recover`] replays a log on top of an optional snapshot.
+//! checkpoints. A paged database ([`Database::new_paged`]) appends every
+//! logical change (relation creation, index creation, tuple
+//! insert/delete) to its `wal.log` as a framed binary record before the
+//! change touches a page, and [`Database::open_paged`] — the one recovery
+//! path — replays the log on top of the last checkpoint snapshot.
 //!
 //! Each record is framed as `[lsn u64][payload len u32][crc32 u32][payload]`,
 //! with the checksum covering the LSN, length, and payload. The frame makes
@@ -19,10 +21,10 @@
 //!   and the buffer pool calls [`Wal::sync_to`] before a dirty page may
 //!   reach disk.
 //!
-//! The log may be purely in-memory ([`Wal::new`], the default for
-//! in-memory databases, where "durable" is a publish point with no
-//! device behind it) or file-backed ([`Wal::create`] / [`Wal::open`]),
-//! in which case [`Wal::sync`] appends new bytes and fsyncs.
+//! The log is a file fixed at construction ([`Wal::create`] /
+//! [`Wal::open`]). Memory holds only the frames appended since the last
+//! [`Wal::sync`], which writes them and fsyncs; [`Wal::truncate_through`]
+//! drops the prefix a checkpoint covers by an atomic rewrite.
 //!
 //! Deletions are logged *by content*, matching OPS5 `remove` semantics —
 //! tuple ids are physical slot handles and not stable across replay.
@@ -152,13 +154,13 @@ impl WalRecord {
     }
 }
 
-/// Report of a torn tail found while decoding a log: the log was valid up
-/// to `valid_bytes` and the remaining `dropped_bytes` were discarded.
 /// What [`Wal::open`] found on disk: the log handle, the decoded records
 /// of the valid prefix (in LSN order, for replay), and the torn-tail
 /// report if the file ended mid-frame.
 pub type WalOpened = (Wal, Vec<(u64, WalRecord)>, Option<TornTail>);
 
+/// Report of a torn tail found while decoding a log: the log was valid up
+/// to `valid_bytes` and the remaining `dropped_bytes` were discarded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TornTail {
     /// Length of the valid prefix, in bytes.
@@ -169,51 +171,42 @@ pub struct TornTail {
     pub reason: &'static str,
 }
 
-/// Position of an incremental reader over the log, used by
-/// [`Wal::bytes_since`]. [`Wal::truncate`] starts a new epoch; a cursor
-/// from an older epoch restarts from the beginning of the current one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WalCursor {
-    epoch: u64,
-    offset: usize,
+/// The LSN and payload length in the header at the start of `frame`.
+fn frame_header(frame: &[u8]) -> (u64, usize) {
+    let lsn = u64::from_le_bytes(frame[..8].try_into().expect("8-byte lsn"));
+    let len = u32::from_le_bytes(frame[8..12].try_into().expect("4-byte length"));
+    (lsn, len as usize)
 }
 
-impl WalCursor {
-    /// A cursor positioned before the first byte ever logged.
-    pub fn start() -> Self {
-        WalCursor {
-            epoch: 0,
-            offset: 0,
-        }
-    }
-}
-
-impl Default for WalCursor {
-    fn default() -> Self {
-        Self::start()
-    }
+/// Fsync the directory holding `path`, so a rename into it survives a
+/// crash.
+pub(crate) fn sync_dir(path: &Path) -> Result<()> {
+    let dir = path
+        .parent()
+        .filter(|d| !d.as_os_str().is_empty())
+        .unwrap_or(Path::new("."));
+    File::open(dir)?.sync_all()?;
+    Ok(())
 }
 
 #[derive(Debug)]
 struct WalInner {
-    /// Encoded frames of the current epoch (since the last truncate).
+    /// Frames appended since the last sync: the only part of the log
+    /// held in memory.
     buf: BytesMut,
-    /// Bytes of `buf` already written to `file`.
-    flushed: usize,
+    /// Bytes of `file` written by successful syncs and rewrites. A failed
+    /// write may leave a partial suffix past it, which a rewrite ignores.
+    file_len: u64,
     /// LSN the next append will receive. Starts at 1 and is monotonic
-    /// across truncates, so a page's LSN is meaningful for its lifetime.
+    /// across truncations, so a page's LSN is meaningful for its lifetime.
     next_lsn: u64,
     /// LSN of the most recent append (0 before any).
     last_lsn: u64,
-    /// Highest LSN known durable (flushed + fsynced, or published for an
-    /// in-memory log).
+    /// Highest LSN known durable (written and fsynced).
     durable_lsn: u64,
-    /// Bumped by truncate; lets [`WalCursor`]s detect resets.
-    epoch: u64,
-    /// Backing file, when the log is durable at all.
-    file: Option<File>,
-    /// Path of the backing file (for atomic rewrites on truncate).
-    path: Option<PathBuf>,
+    file: File,
+    /// Path of `file`, for the atomic rewrite of a truncation.
+    path: PathBuf,
     /// Set when a write/fsync failed. After a failed fsync the kernel
     /// may silently drop the dirty pages, so a bare retry could report
     /// durability the device never provided (the "fsyncgate" pattern);
@@ -222,42 +215,29 @@ struct WalInner {
     poisoned: bool,
 }
 
-/// An append-only log of logical changes, optionally file-backed.
+/// An append-only, file-backed log of logical changes.
 #[derive(Debug)]
 pub struct Wal {
     inner: Mutex<WalInner>,
 }
 
-impl Default for Wal {
-    fn default() -> Self {
-        Wal::new()
-    }
-}
-
 impl Wal {
-    fn from_parts(buf: BytesMut, next_lsn: u64, file: Option<File>, path: Option<PathBuf>) -> Self {
-        let flushed = buf.len();
+    fn from_file(file: File, file_len: u64, next_lsn: u64, path: &Path) -> Self {
         Wal {
             inner: Mutex::new(WalInner {
-                buf,
-                flushed,
+                buf: BytesMut::new(),
+                file_len,
                 next_lsn,
                 last_lsn: next_lsn - 1,
                 durable_lsn: next_lsn - 1,
-                epoch: 0,
                 file,
-                path,
+                path: path.to_path_buf(),
                 poisoned: false,
             }),
         }
     }
 
-    /// Create a new, empty in-memory log.
-    pub fn new() -> Self {
-        Wal::from_parts(BytesMut::new(), 1, None, None)
-    }
-
-    /// Create a fresh file-backed log, truncating any existing file.
+    /// Create a fresh log file, truncating any existing file.
     pub fn create(path: &Path) -> Result<Self> {
         let file = OpenOptions::new()
             .read(true)
@@ -266,17 +246,12 @@ impl Wal {
             .truncate(true)
             .open(path)?;
         file.sync_data()?;
-        Ok(Wal::from_parts(
-            BytesMut::new(),
-            1,
-            Some(file),
-            Some(path.to_path_buf()),
-        ))
+        Ok(Wal::from_file(file, 0, 1, path))
     }
 
-    /// Open an existing file-backed log (creating it if absent), decode
-    /// its valid prefix, and physically truncate any torn tail so the
-    /// file and the in-memory buffer agree.
+    /// Open an existing log file (creating it if absent), decode its
+    /// valid prefix, and physically truncate any torn tail so new appends
+    /// follow the last whole record.
     ///
     /// Returns the records of the valid prefix (for replay) and the torn
     /// tail report, if one was found.
@@ -290,20 +265,14 @@ impl Wal {
         let mut raw = Vec::new();
         file.read_to_end(&mut raw)?;
         let (records, torn) = Wal::decode_prefix(&raw);
-        let valid = torn.map_or(raw.len(), |t| t.valid_bytes);
-        if valid < raw.len() {
-            file.set_len(valid as u64)?;
+        let valid = torn.map_or(raw.len(), |t| t.valid_bytes) as u64;
+        if valid < raw.len() as u64 {
+            file.set_len(valid)?;
             file.sync_data()?;
         }
-        file.seek(SeekFrom::Start(valid as u64))?;
+        file.seek(SeekFrom::Start(valid))?;
         let next_lsn = records.last().map_or(1, |(lsn, _)| lsn + 1);
-        let mut buf = BytesMut::with_capacity(valid);
-        buf.put_slice(&raw[..valid]);
-        Ok((
-            Wal::from_parts(buf, next_lsn, Some(file), Some(path.to_path_buf())),
-            records,
-            torn,
-        ))
+        Ok((Wal::from_file(file, valid, next_lsn, path), records, torn))
     }
 
     /// Append a record to the log and return its LSN. The record is
@@ -333,29 +302,25 @@ impl Wal {
                 "wal poisoned by an earlier sync failure: durability unknown".into(),
             ));
         }
-        if let Some(file) = g.file.as_mut() {
-            let from = g.flushed;
-            let res = file
-                .write_all(&g.buf.as_ref()[from..])
-                .and_then(|()| file.sync_data());
-            if let Err(e) = res {
-                // `flushed` has NOT advanced: a retry would rewrite the
-                // suffix rather than re-fsyncing possibly-dropped pages.
-                // But the kernel may already have discarded this write's
-                // dirty pages while clearing the error, so no retry can
-                // be trusted — poison the handle instead.
-                g.poisoned = true;
-                return Err(e.into());
-            }
+        if let Err(e) = g
+            .file
+            .write_all(g.buf.as_ref())
+            .and_then(|()| g.file.sync_data())
+        {
+            // The kernel may already have discarded this write's dirty
+            // pages while clearing the error, so no retry can be
+            // trusted — poison the handle instead.
+            g.poisoned = true;
+            return Err(e.into());
         }
-        // In-memory log: "durable" is a publish point, not a device.
-        g.flushed = g.buf.len();
+        g.file_len += g.buf.len() as u64;
+        g.buf.clear();
         g.durable_lsn = g.last_lsn;
         Ok(())
     }
 
-    /// Make every appended record durable: write the unflushed suffix to
-    /// the backing file and fsync. O(new bytes), not O(log).
+    /// Make every appended record durable: write the unwritten frames to
+    /// the file and fsync. O(new bytes), not O(log).
     pub fn sync(&self) -> Result<()> {
         Wal::sync_locked(&mut self.inner.lock())
     }
@@ -394,173 +359,117 @@ impl Wal {
         }
     }
 
-    /// The encoded log of the current epoch, as one contiguous buffer.
-    ///
-    /// This copies the whole epoch and exists for recovery and tests;
-    /// incremental consumers (checkpointers, shippers) should use
-    /// [`Wal::bytes_since`], which is O(new bytes).
-    pub fn bytes(&self) -> Bytes {
-        let g = self.inner.lock();
-        Bytes::from(g.buf.as_ref())
-    }
-
-    /// The bytes appended since `cursor` last observed the log, advancing
-    /// the cursor. If the log was truncated since, the cursor restarts at
-    /// the current epoch's beginning (the caller sees a full fresh copy).
-    pub fn bytes_since(&self, cursor: &mut WalCursor) -> Bytes {
-        let g = self.inner.lock();
-        if cursor.epoch != g.epoch || cursor.offset > g.buf.len() {
-            cursor.epoch = g.epoch;
-            cursor.offset = 0;
-        }
-        let out = Bytes::from(&g.buf.as_ref()[cursor.offset..]);
-        cursor.offset = g.buf.len();
-        out
-    }
-
     /// Drop every record with `lsn <= watermark` — superseded by a
     /// checkpoint snapshot carrying that watermark — and keep the suffix
     /// (records committed while the checkpoint was writing its files).
     ///
-    /// File-backed logs are rewritten atomically: the suffix goes to a
-    /// sibling temp file (fsynced) that is renamed over the log, so a
-    /// crash leaves either the old full log (recovery skips the prefix
-    /// via the snapshot's watermark) or the new suffix — never a
-    /// partially truncated file. Because the whole remaining buffer is
-    /// written and fsynced, a successful rewrite also clears a poisoned
-    /// handle. Starts a new epoch; LSNs keep counting.
+    /// The suffix, read back from the file and followed by the unwritten
+    /// frames, goes to a sibling temp file (fsynced) that is renamed over
+    /// the log, and the directory is fsynced: a crash leaves either the
+    /// old full log (recovery skips the prefix via the snapshot's
+    /// watermark) or the new suffix — never a partially truncated file.
+    /// Because the whole log is rewritten and fsynced, a successful
+    /// rewrite also clears a poisoned handle. LSNs keep counting.
     pub fn truncate_through(&self, watermark: u64) -> Result<()> {
         let mut g = self.inner.lock();
-        // Find the first frame past the watermark (LSNs in the buffer
-        // are strictly increasing, so the cut is a prefix boundary).
-        let mut at = 0usize;
-        {
-            let bytes = g.buf.as_ref();
-            while at + FRAME_HEADER <= bytes.len() {
-                let lsn = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-                if lsn > watermark {
-                    break;
-                }
-                let len = u32::from_le_bytes(bytes[at + 8..at + 12].try_into().unwrap()) as usize;
-                at += FRAME_HEADER + len;
+        match Wal::rewrite_past(&g, watermark) {
+            Ok((file, file_len)) => {
+                g.file = file;
+                g.file_len = file_len;
+                g.buf.clear();
+                g.durable_lsn = g.last_lsn;
+                g.poisoned = false;
+                Ok(())
+            }
+            Err(e) => {
+                g.poisoned = true;
+                Err(e)
             }
         }
-        let at = at.min(g.buf.len());
-        let mut tail = BytesMut::with_capacity(g.buf.len() - at);
-        tail.put_slice(&g.buf.as_ref()[at..]);
-        g.buf = tail;
-        g.epoch += 1;
-        // Keep flushed consistent with the shrunk buffer until the file
-        // rewrite lands; on any file error the handle is poisoned, so a
-        // stale value can never be trusted afterwards.
-        g.flushed = g.flushed.saturating_sub(at).min(g.buf.len());
-        if g.file.is_some() {
-            let path = g.path.clone().expect("file-backed wal has a path");
-            let tmp = path.with_extension("tmp");
-            let rewrite = (|| -> Result<File> {
-                {
-                    let mut f = File::create(&tmp)?;
-                    f.write_all(g.buf.as_ref())?;
-                    f.sync_data()?;
-                }
-                std::fs::rename(&tmp, &path)?;
-                let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
-                file.seek(SeekFrom::End(0))?;
-                Ok(file)
-            })();
-            match rewrite {
-                Ok(file) => g.file = Some(file),
-                Err(e) => {
-                    g.poisoned = true;
-                    return Err(e);
-                }
-            }
-        }
-        g.flushed = g.buf.len();
-        g.durable_lsn = g.last_lsn;
-        g.poisoned = false;
-        Ok(())
     }
 
-    /// Truncate after a checkpoint (snapshot taken). Starts a new epoch;
-    /// LSNs keep counting so page LSNs stay meaningful.
-    pub fn truncate(&self) -> Result<()> {
-        let mut g = self.inner.lock();
-        g.buf.clear();
-        g.flushed = 0;
-        g.epoch += 1;
-        // Everything logged so far is superseded by the checkpoint, so
-        // it is trivially "durable" for write-ahead purposes.
-        g.durable_lsn = g.last_lsn;
-        if let Some(file) = g.file.as_mut() {
-            file.set_len(0)?;
-            file.seek(SeekFrom::Start(0))?;
-            file.sync_data()?;
-        }
-        Ok(())
-    }
-
-    /// True when there are no entries in the current epoch.
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().buf.is_empty()
-    }
-
-    /// Walk frames; returns the decoded records, the length of the valid
-    /// prefix, and what the first invalid frame failed on (if any).
-    fn parse_frames(bytes: &[u8]) -> (Vec<(u64, WalRecord)>, usize, Option<&'static str>) {
-        let mut out = Vec::new();
+    /// The rewrite of [`Wal::truncate_through`]; returns the new handle,
+    /// positioned at its end, and its length.
+    ///
+    /// The prefix is read through `g.file`, the inode `file_len` describes,
+    /// never through `g.path`: if an earlier rewrite failed after its
+    /// rename, the path already holds that rewrite while `file_len` and
+    /// `buf` still describe the old inode, and mixing the two would
+    /// duplicate frames. Moving the old handle's position is harmless: a
+    /// failed rewrite poisons it and a successful one replaces it.
+    fn rewrite_past(g: &WalInner, watermark: u64) -> Result<(File, u64)> {
+        let mut log = Vec::with_capacity(g.file_len as usize + g.buf.len());
+        let mut old = &g.file;
+        old.seek(SeekFrom::Start(0))?;
+        old.take(g.file_len).read_to_end(&mut log)?;
+        log.extend_from_slice(g.buf.as_ref());
+        // LSNs are strictly increasing, so the cut is a frame boundary.
         let mut at = 0;
-        while at < bytes.len() {
-            if bytes.len() - at < FRAME_HEADER {
-                return (out, at, Some("torn frame header"));
-            }
-            let lsn = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-            let len = u32::from_le_bytes(bytes[at + 8..at + 12].try_into().unwrap()) as usize;
-            let crc = u32::from_le_bytes(bytes[at + 12..at + 16].try_into().unwrap());
-            if len > MAX_FRAME_PAYLOAD {
-                return (out, at, Some("frame length over limit"));
-            }
-            if bytes.len() - at - FRAME_HEADER < len {
-                return (out, at, Some("torn frame payload"));
-            }
-            let payload = &bytes[at + FRAME_HEADER..at + FRAME_HEADER + len];
-            let mut check = Crc32::new();
-            check.update(&bytes[at..at + 12]);
-            check.update(payload);
-            if check.finish() != crc {
-                return (out, at, Some("frame checksum mismatch"));
-            }
-            let mut pb = Bytes::from(payload);
-            match WalRecord::decode(&mut pb) {
-                Ok(rec) if !pb.has_remaining() => out.push((lsn, rec)),
-                _ => return (out, at, Some("frame payload undecodable")),
+        while at + FRAME_HEADER <= log.len() {
+            let (lsn, len) = frame_header(&log[at..]);
+            if lsn > watermark {
+                break;
             }
             at += FRAME_HEADER + len;
         }
-        (out, at, None)
-    }
-
-    /// Decode a log strictly: any invalid byte rejects the whole log.
-    /// Recovery paths want [`Wal::decode_prefix`] instead.
-    pub fn decode_all(bytes: Bytes) -> Result<Vec<WalRecord>> {
-        let (records, _, err) = Wal::parse_frames(&bytes);
-        match err {
-            Some(msg) => Err(Error::Corrupt(msg)),
-            None => Ok(records.into_iter().map(|(_, r)| r).collect()),
-        }
+        let kept = &log[at.min(log.len())..];
+        let tmp = g.path.with_extension("tmp");
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&tmp)?;
+        file.write_all(kept)?;
+        file.sync_data()?;
+        // The handle follows the inode through the rename.
+        std::fs::rename(&tmp, &g.path)?;
+        sync_dir(&g.path)?;
+        Ok((file, kept.len() as u64))
     }
 
     /// Decode the valid prefix of a log, tolerating a torn tail: every
     /// whole, checksummed record is returned; the first invalid frame and
     /// everything after it are reported as a [`TornTail`].
     pub fn decode_prefix(bytes: &[u8]) -> (Vec<(u64, WalRecord)>, Option<TornTail>) {
-        let (records, valid, err) = Wal::parse_frames(bytes);
-        let torn = err.map(|reason| TornTail {
-            valid_bytes: valid,
-            dropped_bytes: bytes.len() - valid,
+        let mut out = Vec::new();
+        let mut at = 0;
+        let failed = loop {
+            let frame = &bytes[at..];
+            if frame.is_empty() {
+                break None;
+            }
+            if frame.len() < FRAME_HEADER {
+                break Some("torn frame header");
+            }
+            let (lsn, len) = frame_header(frame);
+            if len > MAX_FRAME_PAYLOAD {
+                break Some("frame length over limit");
+            }
+            if frame.len() - FRAME_HEADER < len {
+                break Some("torn frame payload");
+            }
+            let crc = u32::from_le_bytes(frame[12..16].try_into().expect("4-byte crc"));
+            let payload = &frame[FRAME_HEADER..FRAME_HEADER + len];
+            let mut check = Crc32::new();
+            check.update(&frame[..12]);
+            check.update(payload);
+            if check.finish() != crc {
+                break Some("frame checksum mismatch");
+            }
+            let mut pb = Bytes::from(payload);
+            match WalRecord::decode(&mut pb) {
+                Ok(rec) if !pb.has_remaining() => out.push((lsn, rec)),
+                _ => break Some("frame payload undecodable"),
+            }
+            at += FRAME_HEADER + len;
+        };
+        let torn = failed.map(|reason| TornTail {
+            valid_bytes: at,
+            dropped_bytes: bytes.len() - at,
             reason,
         });
-        (records, torn)
+        (out, torn)
     }
 }
 
@@ -570,12 +479,8 @@ pub(crate) fn apply_record(db: &Database, rec: WalRecord) -> Result<()> {
         WalRecord::CreateRelation { name, attrs } => {
             db.create_relation(Schema::new(&name, attrs))?;
         }
-        WalRecord::CreateHashIndex { rel, attr } => {
-            db.write(rel, |r| r.create_hash_index(attr))??;
-        }
-        WalRecord::CreateOrdIndex { rel, attr } => {
-            db.write(rel, |r| r.create_ord_index(attr))??;
-        }
+        WalRecord::CreateHashIndex { rel, attr } => db.create_hash_index(rel, attr)?,
+        WalRecord::CreateOrdIndex { rel, attr } => db.create_ord_index(rel, attr)?,
         WalRecord::Insert { rel, tuple } => {
             db.insert(rel, tuple)?;
         }
@@ -586,47 +491,50 @@ pub(crate) fn apply_record(db: &Database, rec: WalRecord) -> Result<()> {
     Ok(())
 }
 
-/// Rebuild a database from an optional snapshot plus a log. A torn tail
-/// in the log is truncated silently; use [`recover_with_report`] to
-/// observe it.
-pub fn recover(snapshot: Option<Bytes>, log: Bytes) -> Result<Database> {
-    recover_with_report(snapshot, log).map(|(db, _)| db)
-}
-
-/// Like [`recover`], also reporting whether a torn tail was dropped.
-///
-/// Log records at or below the snapshot's LSN watermark are already
-/// reflected in the snapshot image and are skipped, so recovering from
-/// a snapshot plus a log that was never truncated (e.g. a crash between
-/// the checkpoint's snapshot rename and its log truncation) does not
-/// double-apply the prefix.
-pub fn recover_with_report(
-    snapshot: Option<Bytes>,
-    log: Bytes,
-) -> Result<(Database, Option<TornTail>)> {
-    let (db, watermark) = match snapshot {
-        Some(s) => {
-            let db = Database::new();
-            let watermark = crate::snapshot::load_into(s, &db)?;
-            (db, watermark)
-        }
-        None => (Database::new(), 0),
-    };
-    let (records, torn) = Wal::decode_prefix(&log);
-    for (lsn, rec) in records {
-        if lsn > watermark {
-            apply_record(&db, rec)?;
-        }
-    }
-    Ok((db, torn))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pred::{Restriction, Selection};
+    use crate::pred::Restriction;
     use crate::tuple;
     use crate::value::Value;
+
+    /// A fresh directory for one test's log files.
+    fn tmp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("relstore-wal-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn ins(i: i64) -> WalRecord {
+        WalRecord::Insert {
+            rel: RelId(0),
+            tuple: tuple![i],
+        }
+    }
+
+    /// Log `recs` to a fresh file, syncing after each; returns the file's
+    /// bytes and its length after every record.
+    fn logged(tag: &str, recs: &[WalRecord]) -> (Vec<u8>, Vec<usize>) {
+        let dir = tmp_dir(tag);
+        let path = dir.join("wal.log");
+        let wal = Wal::create(&path).unwrap();
+        let mut boundaries = vec![0];
+        for r in recs {
+            wal.append(r).unwrap();
+            wal.sync().unwrap();
+            boundaries.push(std::fs::metadata(&path).unwrap().len() as usize);
+        }
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        (bytes, boundaries)
+    }
+
+    fn lsns(bytes: &[u8]) -> Vec<u64> {
+        let (records, torn) = Wal::decode_prefix(bytes);
+        assert!(torn.is_none());
+        records.iter().map(|(l, _)| *l).collect()
+    }
 
     #[test]
     fn record_roundtrip() {
@@ -652,88 +560,50 @@ mod tests {
                 tuple: tuple![Value::Null, true],
             },
         ];
-        let wal = Wal::new();
-        for r in &records {
-            wal.append(r).unwrap();
-        }
-        let decoded = Wal::decode_all(wal.bytes()).unwrap();
+        let (bytes, _) = logged("roundtrip", &records);
+        let (decoded, torn) = Wal::decode_prefix(&bytes);
+        assert!(torn.is_none());
+        let decoded: Vec<WalRecord> = decoded.into_iter().map(|(_, r)| r).collect();
         assert_eq!(decoded, records);
     }
 
     #[test]
-    fn lsns_are_sequential_and_survive_truncate() {
-        let wal = Wal::new();
-        let rec = WalRecord::Insert {
-            rel: RelId(0),
-            tuple: tuple![1],
-        };
-        assert_eq!(wal.append(&rec).unwrap(), 1);
-        assert_eq!(wal.append(&rec).unwrap(), 2);
-        wal.truncate().unwrap();
-        // LSNs keep counting across epochs.
-        assert_eq!(wal.append(&rec).unwrap(), 3);
+    fn lsns_are_sequential_and_survive_truncation() {
+        let dir = tmp_dir("lsns");
+        let wal = Wal::create(&dir.join("wal.log")).unwrap();
+        assert_eq!(wal.append(&ins(1)).unwrap(), 1);
+        assert_eq!(wal.append(&ins(1)).unwrap(), 2);
+        wal.truncate_through(2).unwrap();
+        // LSNs keep counting across truncations.
+        assert_eq!(wal.append(&ins(1)).unwrap(), 3);
         assert_eq!(wal.durable_lsn(), 2);
         wal.sync().unwrap();
         assert_eq!(wal.durable_lsn(), 3);
-    }
-
-    #[test]
-    fn recover_from_log_only() {
-        let wal = Wal::new();
-        wal.append(&WalRecord::CreateRelation {
-            name: "Emp".into(),
-            attrs: vec!["name".into(), "salary".into()],
-        })
-        .unwrap();
-        wal.append(&WalRecord::CreateHashIndex {
-            rel: RelId(0),
-            attr: 0,
-        })
-        .unwrap();
-        wal.append(&WalRecord::Insert {
-            rel: RelId(0),
-            tuple: tuple!["Mike", 6000],
-        })
-        .unwrap();
-        wal.append(&WalRecord::Insert {
-            rel: RelId(0),
-            tuple: tuple!["Sam", 5000],
-        })
-        .unwrap();
-        wal.append(&WalRecord::Delete {
-            rel: RelId(0),
-            tuple: tuple!["Mike", 6000],
-        })
-        .unwrap();
-
-        let db = recover(None, wal.bytes()).unwrap();
-        let emp = db.rel_id("Emp").unwrap();
-        assert_eq!(db.relation_len(emp), 1);
-        assert!(db.read(emp, |r| r.has_hash_index(0)).unwrap());
-        let rows = db
-            .select(emp, &Restriction::new(vec![Selection::eq(0, "Sam")]))
-            .unwrap();
-        assert_eq!(rows.len(), 1);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn corrupt_log_rejected() {
-        assert!(Wal::decode_all(Bytes::from_static(b"\xFF")).is_err());
-        assert!(Wal::decode_all(Bytes::from_static(b"\x04\x00\x00")).is_err());
-        assert!(Wal::decode_all(Bytes::new()).unwrap().is_empty());
+        for bad in [&b"\xFF"[..], b"\x04\x00\x00"] {
+            let (records, torn) = Wal::decode_prefix(bad);
+            assert!(records.is_empty());
+            assert_eq!(torn.unwrap().dropped_bytes, bad.len());
+        }
+        let (records, torn) = Wal::decode_prefix(&[]);
+        assert!(records.is_empty() && torn.is_none());
     }
 
     #[test]
     fn flipped_bit_caught_by_checksum() {
-        let wal = Wal::new();
-        wal.append(&WalRecord::Insert {
-            rel: RelId(0),
-            tuple: tuple!["abc", 42],
-        })
-        .unwrap();
-        let good = wal.bytes();
+        let (good, _) = logged(
+            "flip",
+            &[WalRecord::Insert {
+                rel: RelId(0),
+                tuple: tuple!["abc", 42],
+            }],
+        );
         for i in 0..good.len() {
-            let mut bad = good.to_vec();
+            let mut bad = good.clone();
             bad[i] ^= 0x40;
             let (records, torn) = Wal::decode_prefix(&bad);
             assert!(records.is_empty(), "flip at {i} produced a record");
@@ -743,27 +613,15 @@ mod tests {
 
     #[test]
     fn torn_tail_tolerated_at_every_offset() {
-        let wal = Wal::new();
         let recs = [
             WalRecord::CreateRelation {
                 name: "T".into(),
                 attrs: vec!["x".into()],
             },
-            WalRecord::Insert {
-                rel: RelId(0),
-                tuple: tuple![1],
-            },
-            WalRecord::Insert {
-                rel: RelId(0),
-                tuple: tuple![2],
-            },
+            ins(1),
+            ins(2),
         ];
-        let mut boundaries = vec![0];
-        for r in &recs {
-            wal.append(r).unwrap();
-            boundaries.push(wal.bytes().len());
-        }
-        let log = wal.bytes();
+        let (log, boundaries) = logged("torn", &recs);
         for cut in 0..=log.len() {
             let (records, torn) = Wal::decode_prefix(&log[..cut]);
             let whole = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
@@ -777,47 +635,8 @@ mod tests {
     }
 
     #[test]
-    fn bytes_since_is_incremental_and_epoch_aware() {
-        let wal = Wal::new();
-        let rec = WalRecord::Insert {
-            rel: RelId(0),
-            tuple: tuple![7],
-        };
-        let mut cur = WalCursor::start();
-        assert!(wal.bytes_since(&mut cur).is_empty());
-        wal.append(&rec).unwrap();
-        let first = wal.bytes_since(&mut cur);
-        assert_eq!(first, wal.bytes());
-        // Nothing new: empty delta, no copy of the old bytes.
-        assert!(wal.bytes_since(&mut cur).is_empty());
-        wal.append(&rec).unwrap();
-        let second = wal.bytes_since(&mut cur);
-        assert_eq!(first.len() + second.len(), wal.bytes().len());
-        // Truncate starts a new epoch; a stale cursor sees the fresh log
-        // from its beginning.
-        wal.truncate().unwrap();
-        wal.append(&rec).unwrap();
-        assert_eq!(wal.bytes_since(&mut cur), wal.bytes());
-    }
-
-    #[test]
-    fn truncate_after_checkpoint() {
-        let wal = Wal::new();
-        wal.append(&WalRecord::Insert {
-            rel: RelId(0),
-            tuple: tuple![1],
-        })
-        .unwrap();
-        assert!(!wal.is_empty());
-        wal.truncate().unwrap();
-        assert!(wal.is_empty());
-        assert!(Wal::decode_all(wal.bytes()).unwrap().is_empty());
-    }
-
-    #[test]
     fn file_backed_log_persists_and_truncates_torn_tail() {
-        let dir = std::env::temp_dir().join(format!("relstore-wal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tmp_dir("persist");
         let path = dir.join("test.log");
         {
             let wal = Wal::create(&path).unwrap();
@@ -826,11 +645,7 @@ mod tests {
                 attrs: vec!["x".into()],
             })
             .unwrap();
-            wal.append(&WalRecord::Insert {
-                rel: RelId(0),
-                tuple: tuple![1],
-            })
-            .unwrap();
+            wal.append(&ins(1)).unwrap();
             wal.sync().unwrap();
         }
         // Simulate a crash mid-append: chop 3 bytes off the tail.
@@ -843,13 +658,7 @@ mod tests {
         // The file was physically truncated to the valid prefix and new
         // appends continue the LSN sequence.
         assert_eq!(std::fs::read(&path).unwrap().len(), torn.valid_bytes);
-        let lsn = wal
-            .append(&WalRecord::Insert {
-                rel: RelId(0),
-                tuple: tuple![2],
-            })
-            .unwrap();
-        assert_eq!(lsn, 2);
+        assert_eq!(wal.append(&ins(2)).unwrap(), 2);
         wal.sync().unwrap();
         let (_, records, torn) = Wal::open(&path).unwrap();
         assert_eq!(records.len(), 2);
@@ -858,101 +667,150 @@ mod tests {
     }
 
     #[test]
-    fn truncate_through_keeps_suffix_and_lsn_sequence() {
-        let wal = Wal::new();
-        let rec = |i: i64| WalRecord::Insert {
-            rel: RelId(0),
-            tuple: tuple![i],
-        };
-        for i in 1..=4i64 {
-            assert_eq!(wal.append(&rec(i)).unwrap(), i as u64);
+    fn truncate_through_cuts_across_written_and_unwritten_frames() {
+        let dir = tmp_dir("cut");
+        let path = dir.join("wal.log");
+        let wal = Wal::create(&path).unwrap();
+        for i in 1..=2i64 {
+            assert_eq!(wal.append(&ins(i)).unwrap(), i as u64);
         }
-        wal.truncate_through(2).unwrap();
-        let (records, torn) = Wal::decode_prefix(&wal.bytes());
-        assert!(torn.is_none());
-        let lsns: Vec<u64> = records.iter().map(|(l, _)| *l).collect();
-        assert_eq!(lsns, vec![3, 4], "records past the watermark survive");
+        wal.sync().unwrap();
+        // 3 and 4 are still only in memory when the cut lands at 3.
+        for i in 3..=4i64 {
+            wal.append(&ins(i)).unwrap();
+        }
+        wal.truncate_through(3).unwrap();
+        assert_eq!(lsns(&std::fs::read(&path).unwrap()), vec![4]);
         assert_eq!(wal.last_lsn(), 4);
         assert_eq!(wal.durable_lsn(), 4, "surviving suffix counts as durable");
-        assert_eq!(wal.append(&rec(5)).unwrap(), 5, "LSNs keep counting");
+        assert_eq!(wal.append(&ins(5)).unwrap(), 5, "LSNs keep counting");
         // A watermark covering everything empties the log.
         wal.truncate_through(5).unwrap();
-        assert!(wal.is_empty());
-        assert_eq!(wal.append(&rec(6)).unwrap(), 6);
+        assert!(std::fs::read(&path).unwrap().is_empty());
+        assert_eq!(wal.append(&ins(6)).unwrap(), 6);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn truncate_through_file_backed_rewrites_and_reopens() {
-        let dir = std::env::temp_dir().join(format!(
-            "relstore-wal-tt-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tmp_dir("rewrite");
         let path = dir.join("test.log");
-        let rec = |i: i64| WalRecord::Insert {
-            rel: RelId(0),
-            tuple: tuple![i],
-        };
         {
             let wal = Wal::create(&path).unwrap();
             for i in 1..=4i64 {
-                wal.append(&rec(i)).unwrap();
+                wal.append(&ins(i)).unwrap();
             }
             wal.sync().unwrap();
             wal.truncate_through(2).unwrap();
             // The on-disk file holds exactly the surviving suffix.
-            let bytes = std::fs::read(&path).unwrap();
-            let (records, torn) = Wal::decode_prefix(&bytes);
-            assert!(torn.is_none());
-            let lsns: Vec<u64> = records.iter().map(|(l, _)| *l).collect();
-            assert_eq!(lsns, vec![3, 4]);
+            assert_eq!(lsns(&std::fs::read(&path).unwrap()), vec![3, 4]);
             // The rewritten handle keeps appending in place.
-            wal.append(&rec(5)).unwrap();
+            wal.append(&ins(5)).unwrap();
             wal.sync().unwrap();
         }
         let (wal, records, torn) = Wal::open(&path).unwrap();
         assert!(torn.is_none());
         let lsns: Vec<u64> = records.iter().map(|(l, _)| *l).collect();
         assert_eq!(lsns, vec![3, 4, 5]);
-        assert_eq!(wal.append(&rec(6)).unwrap(), 6);
+        assert_eq!(wal.append(&ins(6)).unwrap(), 6);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A rewrite whose rename landed but whose last step failed leaves the
+    /// path holding the new file while the handle state still describes
+    /// the old one; the retry must rebuild the log from the old state, not
+    /// mix the two.
+    #[test]
+    fn truncate_through_after_a_failure_past_the_rename_duplicates_nothing() {
+        let dir = tmp_dir("retry");
+        let path = dir.join("wal.log");
+        let wal = Wal::create(&path).unwrap();
+        for i in 1..=2i64 {
+            wal.append(&ins(i)).unwrap();
+        }
+        wal.sync().unwrap();
+        for i in 3..=4i64 {
+            wal.append(&ins(i)).unwrap();
+        }
+        {
+            // The first truncate_through(1): the rewrite runs through its
+            // rename, then the step after it fails.
+            let mut g = wal.inner.lock();
+            Wal::rewrite_past(&g, 1).unwrap();
+            g.poisoned = true;
+        }
+        assert_eq!(lsns(&std::fs::read(&path).unwrap()), vec![2, 3, 4]);
+        assert!(wal.sync().is_err(), "poisoned");
+        wal.truncate_through(1).unwrap();
+        assert_eq!(lsns(&std::fs::read(&path).unwrap()), vec![2, 3, 4]);
+        wal.append(&ins(5)).unwrap();
+        wal.sync().unwrap();
+        let (_, records, torn) = Wal::open(&path).unwrap();
+        assert!(torn.is_none());
+        let lsns: Vec<u64> = records.iter().map(|(l, _)| *l).collect();
+        assert_eq!(lsns, vec![2, 3, 4, 5]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn bump_lsn_raises_floor_only_forward() {
-        let wal = Wal::new();
+        let dir = tmp_dir("bump");
+        let wal = Wal::create(&dir.join("wal.log")).unwrap();
         wal.bump_lsn(10);
         assert_eq!(wal.last_lsn(), 10);
-        let lsn = wal
-            .append(&WalRecord::Insert {
-                rel: RelId(0),
-                tuple: tuple![1],
-            })
-            .unwrap();
-        assert_eq!(lsn, 11, "appends continue past the floor");
+        assert_eq!(
+            wal.append(&ins(1)).unwrap(),
+            11,
+            "appends continue past the floor"
+        );
         wal.bump_lsn(5);
         assert_eq!(wal.last_lsn(), 11, "a lower floor is a no-op");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The fsyncgate rule end to end: a failed write poisons the log, a
+    /// commit over a poisoned log fails and rolls back, and only a full
+    /// rewrite makes the log trustworthy again.
     #[test]
-    fn recover_skips_records_at_or_below_snapshot_watermark() {
-        let db = Database::new();
-        let wal = db.enable_wal();
-        let rid = db.create_relation(Schema::new("R", ["v"])).unwrap();
-        db.insert(rid, tuple![1]).unwrap();
-        db.insert(rid, tuple![2]).unwrap();
-        // Snapshot taken but the log NOT truncated — exactly the state a
-        // crash between a checkpoint's snapshot rename and its WAL
-        // truncation leaves behind.
-        let snap = crate::snapshot::save(&db).unwrap();
-        db.insert(rid, tuple![3]).unwrap();
-        let back = recover(Some(snap), wal.bytes()).unwrap();
-        let r2 = back.rel_id("R").unwrap();
-        assert_eq!(
-            back.relation_len(r2),
-            3,
-            "pre-snapshot records skipped, post-snapshot record replayed"
-        );
+    fn failed_sync_poisons_the_log_until_a_rewrite() {
+        let dir = tmp_dir("poison");
+        let values = |db: &Database| {
+            let r = db.rel_id("R").unwrap();
+            let mut v: Vec<Tuple> = db
+                .select(r, &Restriction::default())
+                .unwrap()
+                .into_iter()
+                .map(|(_, t)| t)
+                .collect();
+            v.sort();
+            v
+        };
+        {
+            let db = Database::new_paged(&dir, 4).unwrap();
+            let r = db.create_relation(Schema::new("R", ["v"])).unwrap();
+            db.insert(r, tuple![1]).unwrap();
+            db.sync_wal().unwrap();
+            let wal = db.wal.clone().expect("a paged database logs");
+            // A read-only handle: the next write fails.
+            wal.inner.lock().file = File::open(dir.join("wal.log")).unwrap();
+            db.insert(r, tuple![2]).unwrap();
+            assert!(db.sync_wal().is_err(), "the write fails");
+            assert!(db.sync_wal().is_err(), "a retry is refused: poisoned");
+
+            let mut txn = db.begin();
+            txn.insert(r, tuple![3]).unwrap();
+            assert!(txn.commit().is_err(), "commit over a poisoned log fails");
+            assert_eq!(values(&db), vec![tuple![1], tuple![2]], "rolled back");
+            assert_eq!(db.lock_manager().held_count(), 0, "locks released");
+
+            wal.truncate_through(0).unwrap();
+            db.insert(r, tuple![4]).unwrap();
+            db.sync_wal()
+                .expect("a successful rewrite clears the poison");
+        }
+        let (back, report) = Database::open_paged(&dir, 4).unwrap();
+        assert!(report.torn.is_none());
+        assert_eq!(values(&back), vec![tuple![1], tuple![2], tuple![4]]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

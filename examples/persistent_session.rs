@@ -1,14 +1,15 @@
-//! Persistent working memory (§3.2): checkpoint a running production
-//! system, "crash", recover from snapshot + write-ahead log, and resume
-//! the recognize-act cycle exactly where it stopped.
+//! Persistent working memory (§3.2): run a production system on a paged
+//! database, checkpoint it mid-flight, "crash", recover from checkpoint +
+//! write-ahead log, and resume the recognize-act cycle exactly where it
+//! stopped.
 //!
 //! ```sh
-//! cargo run --example persistent_session
+//! cargo run --release --example persistent_session
 //! ```
 
 use ops5::ClassId;
 use prodsys::{bootstrap, make_engine, EngineKind, ProductionDb};
-use relstore::{recover, snapshot, tuple};
+use relstore::{tuple, Database};
 use std::sync::Arc;
 
 const RULES: &str = r#"
@@ -27,13 +28,23 @@ const RULES: &str = r#"
         (write finished task <I>))
 "#;
 
+/// Buffer-pool frames: plenty for this working memory.
+const POOL_PAGES: usize = 16;
+
+fn file_len(path: &std::path::Path) -> u64 {
+    std::fs::metadata(path).map_or(0, |m| m.len())
+}
+
 fn main() {
-    // Session 1: enable the WAL, run half the work, checkpoint mid-flight.
+    let dir = std::env::temp_dir().join(format!("persistent-session-{}", std::process::id()));
     let rules = ops5::compile(RULES).unwrap();
-    let pdb = ProductionDb::new(rules.clone()).unwrap();
-    let wal = pdb.db().enable_wal();
+
+    // Session 1: run half the work on a paged database, checkpointing
+    // mid-flight.
+    let db = Arc::new(Database::new_paged(&dir, POOL_PAGES).unwrap());
+    let pdb = ProductionDb::with_db(db.clone(), rules.clone()).unwrap();
     let mut exec = prodsys::SequentialExecutor::new(
-        make_engine(EngineKind::Cond, pdb.clone()),
+        make_engine(EngineKind::Cond, pdb),
         prodsys::Strategy::Fifo,
     );
     for i in 0..6i64 {
@@ -43,26 +54,33 @@ fn main() {
     for _ in 0..5 {
         exec.step();
     }
-    let checkpoint = snapshot::save(pdb.db()).unwrap();
-    wal.truncate().unwrap();
-    println!("checkpoint taken: {} bytes", checkpoint.len());
+    db.checkpoint().unwrap();
+    println!(
+        "checkpoint taken: {} bytes",
+        file_len(&dir.join("checkpoint.snap"))
+    );
 
     // More work lands after the checkpoint — the WAL captures it.
     for _ in 0..3 {
         exec.step();
     }
     exec.insert(ClassId(0), tuple![99, "queued"]);
-    let wal_bytes = wal.bytes();
+    db.sync_wal().unwrap();
     println!(
         "write-ahead log since checkpoint: {} bytes",
-        wal_bytes.len()
+        file_len(&dir.join("wal.log"))
     );
     let conflicts_before = exec.engine().conflict_set().sorted();
-    drop(exec); // "crash"
+    drop(exec);
+    drop(db); // "crash"
 
-    // Session 2: recover = snapshot + WAL replay, re-attach, resume.
-    let recovered = Arc::new(recover(Some(checkpoint), wal_bytes).unwrap());
-    let pdb2 = ProductionDb::attach(recovered, rules).unwrap();
+    // Session 2: recover = checkpoint + WAL replay, re-attach, resume.
+    let (recovered, report) = Database::open_paged(&dir, POOL_PAGES).unwrap();
+    println!(
+        "recovered: checkpoint loaded = {}, {} log records replayed",
+        report.snapshot_loaded, report.records_replayed
+    );
+    let pdb2 = ProductionDb::attach(Arc::new(recovered), rules).unwrap();
     let mut engine = make_engine(EngineKind::Cond, pdb2.clone());
     bootstrap(engine.as_mut());
     assert_eq!(
@@ -71,7 +89,7 @@ fn main() {
         "conflict set identical after recovery"
     );
     println!(
-        "recovered: {} WM tuples, {} pending instantiations",
+        "{} WM tuples, {} pending instantiations",
         pdb2.wm_total(),
         engine.conflict_set().len()
     );
@@ -85,4 +103,5 @@ fn main() {
     let done = pdb2.wm_len(ClassId(1));
     println!("all {done} tasks done");
     assert_eq!(done, 7);
+    std::fs::remove_dir_all(&dir).ok();
 }

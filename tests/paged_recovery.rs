@@ -197,7 +197,8 @@ fn production_db_indexes_survive_crash_without_checkpoint() {
 /// but the WAL was not yet truncated when the process died. Recovery
 /// must skip every log record the snapshot already contains (replaying
 /// them would duplicate the inserts — and fail outright on the replayed
-/// CreateRelation) and finish the interrupted truncation.
+/// CreateRelation), replay every record past the snapshot's watermark,
+/// and finish the interrupted truncation.
 #[test]
 fn crash_between_snapshot_rename_and_wal_truncate_recovers() {
     let dir = tmp_dir("midckpt");
@@ -209,21 +210,30 @@ fn crash_between_snapshot_rename_and_wal_truncate_recovers() {
             db.insert(r, tuple![i]).unwrap();
         }
         db.sync_wal().unwrap();
-        // Save the pre-checkpoint log, checkpoint, then put the old log
-        // back: the state a crash right after the snapshot rename leaves.
         let pre_wal = std::fs::read(dir.join("wal.log")).unwrap();
         db.checkpoint().unwrap();
+        // Post-checkpoint work: the shortened log holds only its frames.
+        for i in 20..23i64 {
+            db.insert(r, tuple![i]).unwrap();
+        }
+        db.delete_equal(r, &tuple![0]).unwrap();
+        db.sync_wal().unwrap();
         before = dump(&db);
         drop(db);
-        std::fs::write(dir.join("wal.log"), &pre_wal).unwrap();
+        // Put the pre-checkpoint log back in front of those frames: the
+        // log a crash right after the snapshot rename leaves, once later
+        // work was logged behind it.
+        let post_wal = std::fs::read(dir.join("wal.log")).unwrap();
+        std::fs::write(dir.join("wal.log"), [pre_wal, post_wal].concat()).unwrap();
     }
     let (back, report) = Database::open_paged(&dir, 4).unwrap();
     assert!(report.snapshot_loaded);
-    assert_eq!(
-        report.records_replayed, 0,
-        "snapshot already holds them all"
-    );
     assert_eq!(report.records_skipped, 21, "create + 20 inserts skipped");
+    assert_eq!(
+        report.records_replayed, 4,
+        "3 inserts + 1 delete past the watermark"
+    );
+    assert!(report.torn.is_none());
     assert_eq!(dump(&back), before);
     // New work after recovery must not collide with skipped LSNs.
     let r = back.rel_id("R").unwrap();
@@ -231,11 +241,12 @@ fn crash_between_snapshot_rename_and_wal_truncate_recovers() {
     back.sync_wal().unwrap();
     drop(back);
     // The interrupted truncation was finished on open: a second recovery
-    // sees only the post-recovery insert.
+    // skips nothing and replays the post-checkpoint work plus the
+    // post-recovery insert.
     let (again, report2) = Database::open_paged(&dir, 4).unwrap();
     assert_eq!(report2.records_skipped, 0);
-    assert_eq!(report2.records_replayed, 1);
-    assert_eq!(again.relation_len(again.rel_id("R").unwrap()), 21);
+    assert_eq!(report2.records_replayed, 5);
+    assert_eq!(again.relation_len(again.rel_id("R").unwrap()), 23);
     std::fs::remove_dir_all(&dir).ok();
 }
 
