@@ -11,7 +11,7 @@ use obs::json::{Arr, Obj};
 use prodsys::{
     make_engine, ClassId, EngineKind, MatchEngine, ProductionDb, ProductionSystem, Strategy,
 };
-use relstore::tuple;
+use relstore::{tuple, Tuple};
 
 /// Schema identifier embedded in every snapshot. Bump only when a field
 /// is renamed or removed; adding fields is backward compatible.
@@ -22,7 +22,8 @@ pub const BENCH_WORKLOAD: &str = "scaled-skew";
 /// One row's measurements over the scaled workload.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BenchRow {
-    /// Engine label (`rete`, `db-rete`, `query`, `cond`, `marker`).
+    /// Engine label (`rete`, `db-rete`, `query`, `cond`, `marker`), or
+    /// `query-paged`.
     pub engine: &'static str,
     /// Wall time of load + run, in nanoseconds.
     pub wall_ns: u64,
@@ -35,7 +36,7 @@ pub struct BenchRow {
     /// Approximate bytes of match-support memory after the run.
     pub match_bytes: u64,
     /// Matching-pattern index probes served (0 for engines without a
-    /// pattern store, or with its index disabled).
+    /// pattern store).
     pub pattern_probes: u64,
     /// Matching patterns examined during maintenance — the candidate
     /// lists behind probes, or whole groups under full scans.
@@ -170,10 +171,9 @@ fn profiled_rerun<R>(profiled: bool, f: impl FnOnce() -> R) -> Rerun {
 /// `Hit` CE. The key distribution is skewed — three quarters of the
 /// items funnel onto [`SCALED_HOT`] hot keys with *no* referent, the
 /// rest spread over the cold tail where the referents live — so the
-/// join is selective and the fired count stays far below `N` while the
-/// per-change maintenance cost of tuple-at-a-time engines is dominated
-/// by `N` full re-evaluations during the load. Set-oriented engines
-/// (§4.2 delta batching) collapse that load into one batched pass.
+/// join is selective and the fired count stays far below `N`. Every
+/// engine loads the `N` items as one delta set (§4.2 delta batching), so
+/// the load costs one batched maintenance pass, not `N`.
 pub const SCALED_DEMO: &str = r#"
     (literalize Item n k)
     (literalize Ref k w)
@@ -187,7 +187,7 @@ pub const SCALED_KEYS: i64 = 64;
 pub const SCALED_HOT: i64 = 4;
 /// Cold keys that have a `Ref` row (the join's probe targets).
 pub const SCALED_REFS: i64 = 4;
-/// Upper bound on `--items` (keeps tuple-at-a-time baselines tractable).
+/// Upper bound on `--items`.
 pub const SCALED_MAX_ITEMS: i64 = 10_000;
 
 /// The skewed key of item `i`: items `i % 4 != 0` pile onto the hot
@@ -213,64 +213,41 @@ pub fn scaled_fired(items: i64) -> u64 {
         .count() as u64
 }
 
-fn scaled_system(kind: EngineKind) -> ProductionSystem {
-    ProductionSystem::from_source(SCALED_DEMO, kind, Strategy::Fifo)
-        .expect("scaled program compiles")
+/// The scaled workload's working memory at `items`: the `Ref` rows and
+/// the skewed `Item` rows, each loaded as one delta set.
+pub fn scaled_load(items: i64) -> (Vec<Tuple>, Vec<Tuple>) {
+    let refs = (0..SCALED_REFS)
+        .map(|r| tuple![SCALED_HOT + r, r * 10])
+        .collect();
+    let item_rows = (0..items).map(|i| tuple![i, scaled_key(i)]).collect();
+    (refs, item_rows)
 }
 
 /// Load + run one scaled pass on a fresh system of `kind`.
-fn scaled_pass(
-    kind: EngineKind,
-    items: i64,
-    batch: bool,
-    pattern_index: bool,
-) -> (ProductionSystem, u64) {
-    let mut sys = scaled_system(kind);
-    sys.set_batching(batch);
-    sys.executor_mut()
-        .engine_mut()
-        .set_pattern_index(pattern_index);
-    let refs: Vec<_> = (0..SCALED_REFS)
-        .map(|r| tuple![SCALED_HOT + r, r * 10])
-        .collect();
-    let item_rows: Vec<_> = (0..items).map(|i| tuple![i, scaled_key(i)]).collect();
-    if batch {
-        sys.insert_batch("Ref", refs).expect("Ref class");
-        sys.insert_batch("Item", item_rows).expect("Item class");
-    } else {
-        for t in refs {
-            sys.insert("Ref", t).expect("Ref class");
-        }
-        for t in item_rows {
-            sys.insert("Item", t).expect("Item class");
-        }
-    }
+fn scaled_pass(kind: EngineKind, items: i64) -> (ProductionSystem, u64) {
+    let mut sys = ProductionSystem::from_source(SCALED_DEMO, kind, Strategy::Fifo)
+        .expect("scaled program compiles");
+    let (refs, item_rows) = scaled_load(items);
+    sys.insert_batch("Ref", refs).expect("Ref class");
+    sys.insert_batch("Item", item_rows).expect("Item class");
     let out = sys.run(100_000);
     (sys, out.fired as u64)
 }
 
-fn scaled_row(
-    label: &'static str,
-    kind: EngineKind,
-    items: i64,
-    batch: bool,
-    pattern_index: bool,
-    profiled: bool,
-) -> BenchRow {
-    // Wall is best-of-two fresh passes: the run-to-run jitter of the
-    // scan-heavy rows (allocator and page-cache state) reaches ~40%,
-    // too much for the same-run COND gap gate, while the min of two
-    // passes is stable. Each pass builds its own system, so the
-    // counters (fired, logical_io, probes) are identical whichever pass
-    // the row keeps.
+fn scaled_row(kind: EngineKind, items: i64, profiled: bool) -> BenchRow {
+    // Wall is best-of-two fresh passes: the run-to-run jitter of a row
+    // (allocator and page-cache state) can reach ~40%, too much for the
+    // same-run COND gap gate, while the min of two passes is stable.
+    // Each pass builds its own system, so the counters (fired,
+    // logical_io, probes) are identical whichever pass the row keeps.
     let start = Instant::now();
-    let (sys, fired) = scaled_pass(kind, items, batch, pattern_index);
+    let (sys, fired) = scaled_pass(kind, items);
     let mut wall_ns = start.elapsed().as_nanos() as u64;
     let start = Instant::now();
-    let _ = scaled_pass(kind, items, batch, pattern_index);
+    let _ = scaled_pass(kind, items);
     wall_ns = wall_ns.min(start.elapsed().as_nanos() as u64);
-    let rerun = profiled_rerun(profiled, || scaled_pass(kind, items, batch, pattern_index));
-    BenchRow::new(label, wall_ns, fired, sys.engine(), rerun)
+    let rerun = profiled_rerun(profiled, || scaled_pass(kind, items));
+    BenchRow::new(kind.label(), wall_ns, fired, sys.engine(), rerun)
 }
 
 /// Buffer-pool frames for the `query-paged` row — deliberately far
@@ -282,7 +259,7 @@ pub const SCALED_PAGED_POOL: usize = 2;
 /// One scaled pass of the Query engine over a *file-backed* working
 /// memory (§3.2 made literal): heap pages under a [`SCALED_PAGED_POOL`]
 /// buffer pool, WAL-before-data on eviction. Same program, same skew,
-/// same batching as the in-memory `query` row, so `fired` must agree
+/// same batched load as the in-memory `query` row, so `fired` must agree
 /// exactly; only the storage layer differs.
 fn scaled_paged_pass(items: i64, pool_pages: usize) -> (prodsys::SequentialExecutor, u64) {
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -295,21 +272,17 @@ fn scaled_paged_pass(items: i64, pool_pages: usize) -> (prodsys::SequentialExecu
     let db = relstore::Database::new_paged(&dir, pool_pages).expect("paged database");
     let rules = ops5::compile(SCALED_DEMO).expect("scaled program compiles");
     let pdb = ProductionDb::with_db(std::sync::Arc::new(db), rules).expect("paged pdb");
-    let mut engine = make_engine(EngineKind::Query, pdb);
-    engine.set_batching(true);
+    let engine = make_engine(EngineKind::Query, pdb);
     let mut exec = prodsys::SequentialExecutor::new(engine, Strategy::Fifo);
-    let refs: Vec<_> = (0..SCALED_REFS)
-        .map(|r| tuple![SCALED_HOT + r, r * 10])
-        .collect();
+    let (refs, item_rows) = scaled_load(items);
     exec.insert_batch(ClassId(1), refs);
-    let item_rows: Vec<_> = (0..items).map(|i| tuple![i, scaled_key(i)]).collect();
     exec.insert_batch(ClassId(0), item_rows);
     let out = exec.run(100_000);
     std::fs::remove_dir_all(&dir).ok();
     (exec, out.fired as u64)
 }
 
-fn scaled_paged_row(label: &'static str, items: i64, profiled: bool) -> BenchRow {
+fn scaled_paged_row(items: i64, profiled: bool) -> BenchRow {
     // Best-of-two wall, same rationale as `scaled_row`.
     let start = Instant::now();
     let (exec, fired) = scaled_paged_pass(items, SCALED_PAGED_POOL);
@@ -318,18 +291,14 @@ fn scaled_paged_row(label: &'static str, items: i64, profiled: bool) -> BenchRow
     let _ = scaled_paged_pass(items, SCALED_PAGED_POOL);
     wall_ns = wall_ns.min(start.elapsed().as_nanos() as u64);
     let rerun = profiled_rerun(profiled, || scaled_paged_pass(items, SCALED_PAGED_POOL));
-    BenchRow::new(label, wall_ns, fired, exec.engine(), rerun)
+    BenchRow::new("query-paged", wall_ns, fired, exec.engine(), rerun)
 }
 
-/// Run the scaled skewed-join workload at `items` on every engine in
-/// set-oriented mode, plus the COND engine with its σ-binding pattern
-/// index on (`cond-indexed`) and tuple-at-a-time nested-loop baselines
-/// of the query and marker engines (`query-nl`, `marker-nl`), all
-/// measured in the same run, same machine, same `items`. The historical
-/// `cond` row pins the index off so it stays comparable across
-/// snapshots. A final `query-paged` row reruns the Query engine over file-backed pages
-/// with a [`SCALED_PAGED_POOL`]-frame buffer pool (§3.2), so its page
-/// counters are live and its `fired` must match the in-memory rows.
+/// Run the scaled skewed-join workload at `items` once per engine, in
+/// the same run, same machine, same `items`. A final `query-paged` row
+/// reruns the Query engine over file-backed pages with a
+/// [`SCALED_PAGED_POOL`]-frame buffer pool (§3.2), so its page counters
+/// are live and its `fired` must match the in-memory rows.
 pub fn bench_scaled_rows(items: i64) -> Vec<BenchRow> {
     bench_scaled_rows_with(items, false)
 }
@@ -342,36 +311,9 @@ pub fn bench_scaled_rows_with(items: i64, profiled: bool) -> Vec<BenchRow> {
     let items = items.clamp(1, SCALED_MAX_ITEMS);
     let mut rows: Vec<BenchRow> = EngineKind::ALL
         .iter()
-        .map(|&kind| {
-            let indexed = kind != EngineKind::Cond;
-            scaled_row(kind.label(), kind, items, true, indexed, profiled)
-        })
+        .map(|&kind| scaled_row(kind, items, profiled))
         .collect();
-    rows.push(scaled_row(
-        "cond-indexed",
-        EngineKind::Cond,
-        items,
-        true,
-        true,
-        profiled,
-    ));
-    rows.push(scaled_row(
-        "query-nl",
-        EngineKind::Query,
-        items,
-        false,
-        true,
-        profiled,
-    ));
-    rows.push(scaled_row(
-        "marker-nl",
-        EngineKind::Marker,
-        items,
-        false,
-        true,
-        profiled,
-    ));
-    rows.push(scaled_paged_row("query-paged", items, profiled));
+    rows.push(scaled_paged_row(items, profiled));
     rows
 }
 
@@ -416,13 +358,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scaled_rows_agree_on_fired_and_batching_beats_nested_loop() {
+    fn scaled_rows_agree_on_fired() {
         let items = 192;
         let rows = bench_scaled_rows(items);
+        let labels: Vec<_> = rows.iter().map(|r| r.engine).collect();
         assert_eq!(
-            rows.len(),
-            9,
-            "5 engines + cond-indexed + 2 nested-loop baselines + query-paged"
+            labels,
+            ["rete", "db-rete", "query", "cond", "marker", "query-paged"]
         );
         let expect = scaled_fired(items);
         assert!(expect > 0);
@@ -434,43 +376,7 @@ mod tests {
                 .find(|r| r.engine == label)
                 .unwrap_or_else(|| panic!("{label} row"))
         };
-        let io = |label: &str| find(label).logical_io;
-        // Logical I/O is deterministic (unlike wall time under test
-        // parallelism): tuple-at-a-time loading re-evaluates per change,
-        // so even at this small scale the batched engines must read far
-        // fewer tuples. The committed snapshots record wall too.
-        assert!(
-            io("query-nl") >= 2 * io("query"),
-            "query-nl {} vs query {}",
-            io("query-nl"),
-            io("query")
-        );
-        assert!(
-            io("marker-nl") >= 2 * io("marker"),
-            "marker-nl {} vs marker {}",
-            io("marker-nl"),
-            io("marker")
-        );
-        // The σ-binding pattern index: probes replace full group scans,
-        // so the indexed COND run examines far fewer patterns (and reads
-        // far fewer tuples) than the pinned full-scan `cond` baseline,
-        // while firing identically.
-        let cond = find("cond");
-        let indexed = find("cond-indexed");
-        assert_eq!(cond.pattern_probes, 0, "cond pins the index off");
-        assert!(indexed.pattern_probes > 0, "cond-indexed probes");
-        assert!(
-            indexed.pattern_scanned <= cond.pattern_scanned,
-            "indexed scanned {} vs scan {}",
-            indexed.pattern_scanned,
-            cond.pattern_scanned
-        );
-        assert!(
-            cond.logical_io >= 2 * indexed.logical_io,
-            "cond {} vs cond-indexed {}",
-            cond.logical_io,
-            indexed.logical_io
-        );
+        assert!(find("cond").pattern_probes > 0, "cond probes its index");
         // The paged row runs the same join over file-backed pages with a
         // pool far smaller than the working set: it must actually fault,
         // write back, and evict — and still fire identically (checked by
@@ -496,17 +402,7 @@ mod tests {
         );
         assert!(json.contains("\"workload\":\"scaled-skew\""), "{json}");
         assert!(json.contains("\"items\":96"), "{json}");
-        for engine in [
-            "rete",
-            "db-rete",
-            "query",
-            "cond",
-            "marker",
-            "cond-indexed",
-            "query-nl",
-            "marker-nl",
-            "query-paged",
-        ] {
+        for engine in ["rete", "db-rete", "query", "cond", "marker", "query-paged"] {
             assert!(
                 json.contains(&format!("{{\"engine\":\"{engine}\",\"wall_ns\":")),
                 "{json}"
@@ -525,7 +421,7 @@ mod tests {
     /// identically and leave identical working memories, and the paged
     /// run must evict (the pool is smaller than the working set).
     fn paged_smoke(items: i64, pool_pages: usize) {
-        let (sys, mem_fired) = scaled_pass(EngineKind::Query, items, true, true);
+        let (sys, mem_fired) = scaled_pass(EngineKind::Query, items);
         let (exec, paged_fired) = scaled_paged_pass(items, pool_pages);
         assert_eq!(mem_fired, scaled_fired(items));
         assert_eq!(paged_fired, mem_fired);

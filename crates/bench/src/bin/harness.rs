@@ -600,9 +600,8 @@ fn usage() {
     println!("  --trace FILE       stream JSONL events of the instrumented run to FILE");
     println!("  --report FILE      write the instrumented run's JSON report to FILE");
     println!("  --bench-json FILE  write a benchmark snapshot (sellis88-bench/v2) of the scaled");
-    println!("                     skewed-join workload: every engine set-oriented, cond-indexed,");
-    println!("                     query-nl/marker-nl nested-loop baselines, and query-paged");
-    println!("                     over file-backed pages (§3.2)");
+    println!("                     skewed-join workload, six rows: rete, db-rete, query, cond,");
+    println!("                     marker, and query-paged over file-backed pages (§3.2)");
     println!("  --items N          workload size: the scaled workload of --bench-json/--profile");
     println!(
         "                     (default {SCALED_DEFAULT_ITEMS}, clamped to {}), the journal workload of",

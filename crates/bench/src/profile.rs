@@ -14,15 +14,15 @@ use crate::bench_json::{bench_scaled_rows_with, BenchRow, BENCH_SCHEMA, BENCH_WO
 /// gated by a bound, not exactly: a toolchain update can move the sizes
 /// the standard library allocates.
 pub const ALLOC_REGRESSION: f64 = 2.0;
-/// `cond`/`cond-indexed` rows get a tighter allocation-regression bound
-/// than the generic [`ALLOC_REGRESSION`]: their hot path is supposed to
-/// be allocation-free, so even a 1.5x creep means a reintroduced
-/// per-delta clone.
+/// The `cond` row gets a tighter allocation-regression bound than the
+/// generic [`ALLOC_REGRESSION`]: its hot path is supposed to be
+/// allocation-free, so even a 1.5x creep means a reintroduced per-delta
+/// clone.
 pub const COND_ALLOC_REGRESSION: f64 = 1.5;
 /// Floor of the COND gap gate: below it, a same-run wall ratio is
 /// machine noise (the fast engines finish in ~2ms).
 pub const WALL_SLACK_NS: u64 = 10_000_000;
-/// The COND wall-time gap gate: `cond-indexed` must finish within this
+/// The COND wall-time gap gate: `cond` must finish within this
 /// factor of the `query` engine's wall clock *on the same run*. Before
 /// the interned/arena pattern store the gap was ~90x, before the one-walk
 /// insert and the chained postings 6.7x; the committed snapshots measure
@@ -186,7 +186,7 @@ fn check_rows(committed: &Snapshot, current: &[BenchRow]) -> Vec<String> {
                 None => out.push(format!("{engine}: {field} missing from the snapshot")),
             }
         }
-        let bound = if engine.starts_with("cond") {
+        let bound = if engine == "cond" {
             COND_ALLOC_REGRESSION
         } else {
             ALLOC_REGRESSION
@@ -212,19 +212,19 @@ fn check_rows(committed: &Snapshot, current: &[BenchRow]) -> Vec<String> {
 
 /// The COND wall-time gap gate, evaluated entirely on the current run
 /// (both engines measured on the same machine in the same pass, so no
-/// cross-run noise): `cond-indexed` must finish within
+/// cross-run noise): `cond` must finish within
 /// [`COND_VS_QUERY_WALL`]× the `query` engine's wall, or within
 /// [`WALL_SLACK_NS`], so small workloads cannot flake.
 fn cond_gate(current: &[BenchRow]) -> Vec<String> {
     let find = |name: &str| current.iter().find(|r| r.engine == name);
-    let (Some(idx), Some(q)) = (find("cond-indexed"), find("query")) else {
+    let (Some(cond), Some(q)) = (find("cond"), find("query")) else {
         return Vec::new();
     };
     let bound = (q.wall_ns as f64 * COND_VS_QUERY_WALL).max(WALL_SLACK_NS as f64);
-    if idx.wall_ns as f64 > bound {
+    if cond.wall_ns as f64 > bound {
         vec![format!(
-            "cond-indexed: wall {:.2}ms vs query {:.2}ms (> {:.1}x COND gap gate)",
-            idx.wall_ns as f64 / 1e6,
+            "cond: wall {:.2}ms vs query {:.2}ms (> {:.1}x COND gap gate)",
+            cond.wall_ns as f64 / 1e6,
             q.wall_ns as f64 / 1e6,
             COND_VS_QUERY_WALL
         )]
@@ -245,7 +245,7 @@ pub fn bench_check(snapshot_text: &str) -> Result<String, Vec<String>> {
     }
     Ok(format!(
         "bench-check: {} rows at {} items repeat every committed counter; alloc within \
-         {ALLOC_REGRESSION:.0}x ({COND_ALLOC_REGRESSION:.1}x cond); cond-indexed within \
+         {ALLOC_REGRESSION:.0}x ({COND_ALLOC_REGRESSION:.1}x cond); cond within \
          {COND_VS_QUERY_WALL:.1}x of query",
         rows.len(),
         committed.items
@@ -304,30 +304,30 @@ mod tests {
     }
 
     #[test]
-    fn alloc_bound_is_tighter_on_cond_rows() {
-        let committed = snapshot(96, &[row("rete", 0, 100), row("cond-indexed", 0, 1000)]);
-        let ok = [row("rete", 0, 200), row("cond-indexed", 0, 1499)];
+    fn alloc_bound_is_tighter_on_the_cond_row() {
+        let committed = snapshot(96, &[row("rete", 0, 100), row("cond", 0, 1000)]);
+        let ok = [row("rete", 0, 200), row("cond", 0, 1499)];
         assert!(check_rows(&committed, &ok).is_empty());
-        let bad = [row("rete", 0, 201), row("cond-indexed", 0, 1600)];
+        let bad = [row("rete", 0, 201), row("cond", 0, 1600)];
         let msgs = check_rows(&committed, &bad);
         assert_eq!(msgs.len(), 2, "{msgs:?}");
         assert!(msgs[0].starts_with("rete: alloc_bytes 201") && msgs[0].contains("2.0x"));
-        assert!(msgs[1].starts_with("cond-indexed: alloc_bytes") && msgs[1].contains("1.5x"));
+        assert!(msgs[1].starts_with("cond: alloc_bytes") && msgs[1].contains("1.5x"));
     }
 
     #[test]
-    fn cond_gap_gate_bounds_indexed_wall_by_query_wall() {
+    fn cond_gap_gate_bounds_cond_wall_by_query_wall() {
         const MS: u64 = 1_000_000;
         // Within the bound (and over the absolute slack): passes.
-        let ok = [row("query", 2 * MS, 0), row("cond-indexed", 12 * MS, 0)];
+        let ok = [row("query", 2 * MS, 0), row("cond", 12 * MS, 0)];
         assert!(cond_gate(&ok).is_empty());
         // Blown: 60ms against a 2ms query (6.6x bound = 13.2ms).
-        let bad = [row("query", 2 * MS, 0), row("cond-indexed", 60 * MS, 0)];
+        let bad = [row("query", 2 * MS, 0), row("cond", 60 * MS, 0)];
         let msgs = cond_gate(&bad);
         assert_eq!(msgs.len(), 1);
         assert!(msgs[0].contains("COND gap gate"), "{msgs:?}");
         // Sub-slack workloads can't flake even at a huge ratio.
-        let tiny = [row("query", 100, 0), row("cond-indexed", 9 * MS, 0)];
+        let tiny = [row("query", 100, 0), row("cond", 9 * MS, 0)];
         assert!(cond_gate(&tiny).is_empty());
         // Either row missing: gate is silent.
         assert!(cond_gate(&[row("query", MS, 0)]).is_empty());
@@ -384,17 +384,14 @@ mod tests {
             }],
         });
         let row = BenchRow {
-            engine: "cond-indexed",
+            engine: "cond",
             wall_ns: 10,
             prof_wall_ns: 10,
             profile,
             ..BenchRow::default()
         };
         let text = folded_stacks(&[row]);
-        assert!(text.contains("cond-indexed;exec.load 3\n"), "{text}");
-        assert!(
-            text.contains("cond-indexed;exec.load;cond.maintain 7\n"),
-            "{text}"
-        );
+        assert!(text.contains("cond;exec.load 3\n"), "{text}");
+        assert!(text.contains("cond;exec.load;cond.maintain 7\n"), "{text}");
     }
 }

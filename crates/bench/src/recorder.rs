@@ -113,7 +113,6 @@ pub fn record_run_with(
         engine: kind.label().to_string(),
         mode: mode.to_string(),
         workers,
-        batching: true,
         strategy: "canonical".to_string(),
         max_fired: max_fired as u64,
         program: program.to_string(),

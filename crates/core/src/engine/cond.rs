@@ -598,17 +598,13 @@ pub struct CondEngine {
     conflict: ConflictSet,
     /// Probe-vs-scan selector for pattern-group lookups. The σ-binding
     /// hash index is always maintained; `false` restores the full group
-    /// scan (the historical `cond` bench row, and the E10-style
-    /// ablation baseline).
+    /// scan, the reference the access-path equivalence tests compare the
+    /// probes against.
     pattern_index: bool,
     /// Index probes served.
     pat_probes: u64,
     /// Patterns examined across all lookups, probed or scanned.
     pat_scanned: u64,
-    /// Set-oriented evaluation: hash-join executor for the seeded fire
-    /// expansions and unblock re-evaluations, plus whole-delta batching
-    /// of those expansions per (rule, seeded-term) in `maintain_delta`.
-    batch: bool,
     last_detect_ns: u64,
     last_total_ns: u64,
     tracer: obs::Tracer,
@@ -673,7 +669,6 @@ impl CondEngine {
             pattern_index: true,
             pat_probes: 0,
             pat_scanned: 0,
-            batch: true,
             last_detect_ns: 0,
             last_total_ns: 0,
             tracer: obs::Tracer::disabled(),
@@ -1428,7 +1423,7 @@ impl CondEngine {
         let mut deltas = Vec::new();
         for ((rid, cen), seeds) in groups {
             let rule = self.pdb.rules().rule(RuleId(rid));
-            let matches = eval_rule_seeded_batch(&self.pdb, rule, cen, &seeds, self.batch);
+            let matches = eval_rule_seeded_batch(&self.pdb, rule, cen, &seeds);
             deltas.extend(self.inst.add_missing(rule, matches));
         }
         deltas
@@ -1473,8 +1468,8 @@ impl CondEngine {
         for (rid, cen) in unblocked {
             let rule = rules.rule(RuleId(rid));
             let matches = match joined_rows(&self.pdb, rule, cen, tuple) {
-                Some((ce, rows)) => eval_rule_seeded_batch(&self.pdb, rule, ce, &rows, self.batch),
-                None => eval_rule_via(&self.pdb, rule, self.batch),
+                Some((ce, rows)) => eval_rule_seeded_batch(&self.pdb, rule, ce, &rows),
+                None => eval_rule_via(&self.pdb, rule, true),
             };
             enable_deltas.extend(self.inst.add_missing(rule, matches));
         }
@@ -1573,17 +1568,6 @@ impl MatchEngine for CondEngine {
     /// tuple id) because [`TupleId`] is a per-relation (slot, gen) pair
     /// that collides across classes.
     fn maintain_delta(&mut self, deltas: &[WmDelta]) -> Vec<ConflictDelta> {
-        if !self.batch {
-            let mut out = Vec::new();
-            for d in deltas {
-                if d.insert {
-                    out.extend(self.maintain_insert(d.class, d.tid, &d.tuple));
-                } else {
-                    out.extend(self.maintain_remove(d.class, d.tid, &d.tuple));
-                }
-            }
-            return out;
-        }
         obs::prof_span!("cond.maintain");
         let start = Instant::now();
         let mut detect_ns: u64 = 0;
@@ -1626,10 +1610,6 @@ impl MatchEngine for CondEngine {
         self.last_detect_ns = detect_ns;
         self.last_total_ns = start.elapsed().as_nanos() as u64;
         out
-    }
-
-    fn set_batching(&mut self, on: bool) {
-        self.batch = on;
     }
 
     fn conflict_set(&self) -> &ConflictSet {

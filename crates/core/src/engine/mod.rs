@@ -178,14 +178,16 @@ pub trait MatchEngine: Send {
         deltas
     }
 
-    /// Toggle set-oriented (batched, hash-join) evaluation where the
-    /// engine supports it. Default: no-op — the engine keeps its only
-    /// strategy. Used by benchmarks to pin the nested-loop baseline.
+    /// No-op that no engine overrides: every engine is set-oriented (§4.2
+    /// delta batching, planner-chosen joins) and has no other mode. Kept
+    /// on the trait only because the repo benchmark's engine wrapper
+    /// forwards it.
     fn set_batching(&mut self, _on: bool) {}
 
     /// Toggle the σ-binding hash index over matching patterns where the
-    /// engine keeps one (the COND engine). Default: no-op. Benchmarks pin
-    /// `false` to reproduce the historical full-scan baseline.
+    /// engine keeps one (the COND engine). Default: no-op. `false` is the
+    /// full-scan reference the access-path equivalence tests compare
+    /// against.
     fn set_pattern_index(&mut self, _on: bool) {}
 
     /// `(probes, patterns_examined)` counters of the matching-pattern

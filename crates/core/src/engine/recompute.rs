@@ -77,7 +77,8 @@ fn eval(
 }
 
 /// Evaluate a rule's LHS against the current WM. Returns every match.
-/// Runs the nested-loop plan (the pre-batching strategy).
+/// Runs the nested-loop plan: the oracle the engines' planner-chosen
+/// plans are checked against.
 pub fn eval_rule(pdb: &ProductionDb, rule: &Rule) -> Vec<Match> {
     eval_rule_via(pdb, rule, false)
 }
@@ -89,39 +90,17 @@ pub fn eval_rule_via(pdb: &ProductionDb, rule: &Rule, set_oriented: bool) -> Vec
     eval(pdb, rule, None, &[], set_oriented)
 }
 
-/// Evaluate a rule's LHS seeded with a specific tuple filling positive CE
-/// `ce` (§4.1.2's insertion path).
-pub fn eval_rule_seeded(
-    pdb: &ProductionDb,
-    rule: &Rule,
-    ce: usize,
-    tid: TupleId,
-    tuple: &Tuple,
-) -> Vec<Match> {
-    eval(pdb, rule, Some(ce), &[(tid, tuple.clone())], false)
-}
-
-/// Evaluate a rule's LHS once per seed tuple filling positive CE `ce`,
-/// returning the concatenation. `set_oriented` evaluates the whole seed
-/// set in one pass under one plan; otherwise the seeds are planned and
-/// probed one at a time — the two produce equal match multisets, in
-/// possibly different order, so callers must dedup/diff by tid vector
-/// (they do: [`InstStore`]).
+/// Evaluate a rule's LHS with the seed tuples filling positive CE `ce`
+/// (§4.1.2's insertion path), the whole seed set in one pass under one
+/// planner-chosen plan. Matches come back in plan order, so callers
+/// dedup/diff by tid vector ([`InstStore`]).
 pub fn eval_rule_seeded_batch(
     pdb: &ProductionDb,
     rule: &Rule,
     ce: usize,
     seeds: &[(TupleId, Tuple)],
-    set_oriented: bool,
 ) -> Vec<Match> {
-    if set_oriented {
-        eval(pdb, rule, Some(ce), seeds, true)
-    } else {
-        seeds
-            .chunks(1)
-            .flat_map(|seed| eval(pdb, rule, Some(ce), seed, false))
-            .collect()
-    }
+    eval(pdb, rule, Some(ce), seeds, true)
 }
 
 /// Address of one stored match: its rule, the hash of its tid vector and
@@ -369,7 +348,7 @@ mod tests {
         let rule = pdb.rules().rule(rid).clone();
         pdb.insert_wm(ClassId(0), tuple!["Ann", 7]).unwrap();
         let tid = pdb.insert_wm(ClassId(1), tuple![7, "Toy"]).unwrap();
-        let seeded = eval_rule_seeded(&pdb, &rule, 1, tid, &tuple![7, "Toy"]);
+        let seeded = eval_rule_seeded_batch(&pdb, &rule, 1, &[(tid, tuple![7, "Toy"])]);
         let full = eval_rule(&pdb, &rule);
         assert_eq!(seeded.len(), full.len());
         assert_eq!(seeded[0].tids, full[0].tids);

@@ -155,9 +155,6 @@ pub struct ReevalEngine<A> {
     store: InstStore,
     conflict: ConflictSet,
     last_total: u64,
-    /// Set-oriented evaluation: planner-chosen hash joins + whole-delta
-    /// batching; off pins nested-loop plans and per-change maintenance.
-    batch: bool,
     tracer: obs::Tracer,
 }
 
@@ -242,7 +239,6 @@ impl<A: Awakening> ReevalEngine<A> {
             store: InstStore::new(),
             conflict: ConflictSet::new(),
             last_total: 0,
-            batch: true,
             tracer: obs::Tracer::disabled(),
         }
     }
@@ -268,7 +264,7 @@ impl<A: Awakening> ReevalEngine<A> {
             obs::prof_span!("eval");
             for rid in awakened {
                 let rule = self.pdb.rules().rule(RuleId(rid));
-                let matches = eval_rule_via(&self.pdb, rule, self.batch);
+                let matches = eval_rule_via(&self.pdb, rule, true);
                 let d = self.store.replace(rule, matches);
                 if d.is_empty() {
                     self.awakening.woke_for_nothing();
@@ -311,20 +307,9 @@ impl<A: Awakening> MatchEngine for ReevalEngine<A> {
 
     /// Batched maintenance (§4.1 meets §4.2's "update first, maintain
     /// once"): with the whole WM delta applied, one [`Self::maintain`]
-    /// pass; per change when batching is off.
+    /// pass.
     fn maintain_delta(&mut self, deltas: &[WmDelta]) -> Vec<ConflictDelta> {
-        if self.batch {
-            self.maintain(deltas.iter().map(|d| (d.class, &d.tuple)))
-        } else {
-            deltas
-                .iter()
-                .flat_map(|d| self.maintain([(d.class, &d.tuple)]))
-                .collect()
-        }
-    }
-
-    fn set_batching(&mut self, on: bool) {
-        self.batch = on;
+        self.maintain(deltas.iter().map(|d| (d.class, &d.tuple)))
     }
 
     fn conflict_set(&self) -> &ConflictSet {

@@ -30,18 +30,19 @@ impl ProductionSystem {
         })
     }
 
-    fn class(&self, name: &str) -> Result<ClassId> {
-        self.exec
-            .engine()
-            .pdb()
-            .rules()
-            .class_id(name)
-            .ok_or_else(|| Error::UnknownClass(name.to_string()))
+    fn rules(&self) -> &RuleSet {
+        self.exec.engine().pdb().rules()
     }
 
-    /// Insert a WM element by class name.
+    fn class(&self, name: &str) -> Result<ClassId> {
+        class_id(self.rules(), name)
+    }
+
+    /// Insert a WM element by class name. A tuple whose arity is not the
+    /// class's is refused before anything is applied.
     pub fn insert(&mut self, class: &str, tuple: Tuple) -> Result<()> {
         let c = self.class(class)?;
+        check_arity(self.rules(), c, &tuple)?;
         self.exec.insert(c, tuple);
         Ok(())
     }
@@ -55,18 +56,15 @@ impl ProductionSystem {
 
     /// Insert many WM elements of one class as a single delta set (one
     /// set-oriented maintenance pass; see
-    /// [`SequentialExecutor::insert_batch`]).
+    /// [`SequentialExecutor::insert_batch`]). One wrong-arity tuple
+    /// refuses the whole batch: working memory stays unchanged.
     pub fn insert_batch(&mut self, class: &str, tuples: Vec<Tuple>) -> Result<()> {
         let c = self.class(class)?;
+        for t in &tuples {
+            check_arity(self.rules(), c, t)?;
+        }
         self.exec.insert_batch(c, tuples);
         Ok(())
-    }
-
-    /// Toggle set-oriented (hash-join, delta-batched) evaluation in the
-    /// matching engine. Engines without a batch strategy ignore it. Used
-    /// by benchmarks to pin the nested-loop baseline.
-    pub fn set_batching(&mut self, on: bool) {
-        self.exec.engine_mut().set_batching(on);
     }
 
     /// Run the recognize-act cycle.
@@ -158,7 +156,29 @@ impl ProductionSystem {
     }
 }
 
-/// Convenience: build, load, and run concurrently in one call.
+/// The class declared as `name`.
+fn class_id(rules: &RuleSet, name: &str) -> Result<ClassId> {
+    rules
+        .class_id(name)
+        .ok_or_else(|| Error::UnknownClass(name.to_string()))
+}
+
+/// Refuse `tuple` unless it has exactly as many attributes as `class`
+/// (the store would reject it after earlier changes had been applied).
+fn check_arity(rules: &RuleSet, class: ClassId, tuple: &Tuple) -> Result<()> {
+    let class = rules.class(class);
+    if tuple.arity() == class.arity() {
+        return Ok(());
+    }
+    Err(Error::Store(relstore::Error::ArityMismatch {
+        relation: class.name.clone(),
+        expected: class.arity(),
+        got: tuple.arity(),
+    }))
+}
+
+/// Convenience: build, load, and run concurrently in one call. An
+/// unknown class or a wrong-arity tuple in `wm` is an error.
 pub fn run_concurrent(
     src: &str,
     kind: EngineKind,
@@ -170,11 +190,8 @@ pub fn run_concurrent(
     let pdb = ProductionDb::new(rules)?;
     let mut engine = make_engine(kind, pdb);
     for (class, tuple) in wm {
-        let c = engine
-            .pdb()
-            .rules()
-            .class_id(&class)
-            .ok_or_else(|| Error::UnknownClass(class.clone()))?;
+        let c = class_id(engine.pdb().rules(), &class)?;
+        check_arity(engine.pdb().rules(), c, &tuple)?;
         engine.insert(c, tuple);
     }
     let mut ex = ConcurrentExecutor::new(engine, workers);
@@ -213,6 +230,31 @@ mod tests {
         let mut sys = ProductionSystem::from_source(SRC, EngineKind::Rete, Strategy::Fifo).unwrap();
         assert!(sys.insert("Ghost", tuple![1]).is_err());
         assert!(sys.wm("Ghost").is_err());
+    }
+
+    #[test]
+    fn wrong_arity_is_an_error_and_applies_nothing() {
+        let arity_err = |got| {
+            Some(Error::Store(relstore::Error::ArityMismatch {
+                relation: "Emp".into(),
+                expected: 3,
+                got,
+            }))
+        };
+        let mut sys = ProductionSystem::from_source(SRC, EngineKind::Cond, Strategy::Fifo).unwrap();
+        assert_eq!(sys.insert("Emp", tuple![1]).err(), arity_err(1));
+        let batch = vec![tuple!["Sam", 5000, "Root"], tuple!["Mike", 6000]];
+        assert_eq!(sys.insert_batch("Emp", batch).err(), arity_err(2));
+        assert!(
+            sys.wm("Emp").unwrap().is_empty(),
+            "nothing of the batch applied"
+        );
+        assert_eq!(sys.conflict_len(), 0);
+        let wm = vec![("Emp".to_string(), tuple!["Sam", 5000, "Root", 1])];
+        assert_eq!(
+            run_concurrent(SRC, EngineKind::Rete, 2, wm, 10).err(),
+            arity_err(4)
+        );
     }
 
     #[test]

@@ -124,8 +124,6 @@ pub struct JournalMeta {
     pub mode: String,
     /// Worker count of a concurrent run (1 for sequential).
     pub workers: usize,
-    /// Whether §4.2 set-oriented batching was on.
-    pub batching: bool,
     /// Conflict-resolution strategy name of a sequential run (`fifo`,
     /// `canonical`, …); replay re-instantiates it by name.
     pub strategy: String,
@@ -149,7 +147,6 @@ impl JournalMeta {
             .str("engine", &self.engine)
             .str("mode", &self.mode)
             .usize("workers", self.workers)
-            .bool("batching", self.batching)
             .str("strategy", &self.strategy)
             .u64("max_fired", self.max_fired)
             .str("program", &self.program)
@@ -158,7 +155,8 @@ impl JournalMeta {
     }
 
     /// Parse a meta line; rejects schema identifiers other than
-    /// [`JOURNAL_SCHEMA`].
+    /// [`JOURNAL_SCHEMA`]. Fields it does not know are ignored, among
+    /// them the `batching` flag older journals carry.
     pub fn from_json(line: &str) -> Result<JournalMeta, String> {
         let v = json::parse(line)?;
         let schema = v
@@ -190,10 +188,6 @@ impl JournalMeta {
                 .get("workers")
                 .and_then(Value::as_u64)
                 .ok_or("meta missing workers")? as usize,
-            batching: match v.get("batching") {
-                Some(Value::Bool(b)) => *b,
-                _ => return Err("meta missing batching".into()),
-            },
             strategy: field("strategy")?,
             max_fired: v
                 .get("max_fired")
@@ -324,7 +318,6 @@ mod tests {
             engine: "query".into(),
             mode: "concurrent".into(),
             workers: 4,
-            batching: true,
             strategy: "canonical".into(),
             max_fired: 100,
             program: "(literalize A x)\n(p R (A ^x <V>) --> (remove 1))".into(),

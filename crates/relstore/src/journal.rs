@@ -267,7 +267,6 @@ mod tests {
             engine: "query".into(),
             mode: "concurrent".into(),
             workers: 2,
-            batching: true,
             strategy: "canonical".into(),
             max_fired: 100,
             program: "(literalize A x)".into(),

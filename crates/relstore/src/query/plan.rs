@@ -188,8 +188,8 @@ impl<'a> Planner<'a> {
     }
 
     /// The join order of [`Planner::plan`] with every step pinned to an
-    /// index nested loop ([`Plan::nested_loop`]) — the baseline the
-    /// `query-nl`/`marker-nl` bench rows and the `eval_rule` oracle run.
+    /// index nested loop ([`Plan::nested_loop`]) — the plan the
+    /// `eval_rule` oracle and the repo benchmark's nested-loop timing run.
     pub fn plan_nested_loop(&self, query: &ConjunctiveQuery, seed: Option<usize>) -> Plan {
         let plan = self.plan(query, seed);
         Plan {

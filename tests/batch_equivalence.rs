@@ -25,8 +25,7 @@ const LOAD_SRC: &str = r#"
 
 /// Loading a delta set through `insert_batch` (one set-oriented
 /// maintenance pass) must leave every engine with the same conflict set
-/// and the same run trajectory as tuple-at-a-time inserts — in both the
-/// set-oriented and the nested-loop evaluation modes.
+/// and the same run trajectory as tuple-at-a-time inserts.
 #[test]
 fn insert_batch_matches_per_tuple_loading() {
     use relstore::tuple;
@@ -34,14 +33,9 @@ fn insert_batch_matches_per_tuple_loading() {
     let items: Vec<Tuple> = (0..24i64).map(|i| tuple![i, i % 6]).collect();
     for kind in EngineKind::ALL {
         let mut results = Vec::new();
-        for (label, batched_load, set_oriented) in [
-            ("per-tuple", false, true),
-            ("batch", true, true),
-            ("batch nested-loop", true, false),
-        ] {
+        for (label, batched_load) in [("per-tuple", false), ("batch", true)] {
             let mut sys = ProductionSystem::from_source(LOAD_SRC, kind, Strategy::Canonical)
                 .expect("program compiles");
-            sys.set_batching(set_oriented);
             if batched_load {
                 sys.insert_batch("Ref", refs.clone()).unwrap();
                 sys.insert_batch("Item", items.clone()).unwrap();

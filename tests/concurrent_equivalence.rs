@@ -107,7 +107,7 @@ fn regenerate_flake_fixture() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
-    /// Every (engine, workers, batching) concurrent configuration commits
+    /// Every (engine, workers) concurrent configuration commits
     /// the same number of transactions and leaves the same final WM as
     /// the sequential executor on the same program and working memory.
     #[test]
@@ -128,31 +128,24 @@ proptest! {
             let base_wm = wm_all(seq.engine());
 
             for workers in [1usize, 4] {
-                for batching in [true, false] {
-                    let mut exec =
-                        ConcurrentExecutor::new(load(kind, &items, &removes), workers);
-                    exec.engine().lock().set_batching(batching);
-                    let stats = exec.run(10_000);
-                    let label = format!(
-                        "{} workers={workers} batching={batching}",
-                        kind.label()
-                    );
-                    prop_assert_eq!(
-                        stats.committed, out.fired,
-                        "{}: committed txns vs sequential firings", &label
-                    );
-                    prop_assert!(!stats.halted, "{}: no halt in this program", &label);
-                    let engine = exec.engine();
-                    let g = engine.lock();
-                    prop_assert_eq!(
-                        wm_all(&**g), base_wm.clone(),
-                        "{}: final working memory", &label
-                    );
-                    prop_assert_eq!(
-                        g.conflict_set().len(), 0,
-                        "{}: quiescent conflict set", &label
-                    );
-                }
+                let mut exec = ConcurrentExecutor::new(load(kind, &items, &removes), workers);
+                let stats = exec.run(10_000);
+                let label = format!("{} workers={workers}", kind.label());
+                prop_assert_eq!(
+                    stats.committed, out.fired,
+                    "{}: committed txns vs sequential firings", &label
+                );
+                prop_assert!(!stats.halted, "{}: no halt in this program", &label);
+                let engine = exec.engine();
+                let g = engine.lock();
+                prop_assert_eq!(
+                    wm_all(&**g), base_wm.clone(),
+                    "{}: final working memory", &label
+                );
+                prop_assert_eq!(
+                    g.conflict_set().len(), 0,
+                    "{}: quiescent conflict set", &label
+                );
             }
         }
     }

@@ -93,24 +93,21 @@ fn stress_concurrent_equals_sequential() {
             let out = seq.run(10_000);
             let base_wm = wm_all(seq.engine());
 
-            for batching in [true, false] {
-                let mut exec = ConcurrentExecutor::new(load(kind, &items, &removes), 4);
-                exec.engine().lock().set_batching(batching);
-                let stats = exec.run(10_000);
-                let engine = exec.engine();
-                let g = engine.lock();
-                let wm = wm_all(&**g);
-                let cs_len = g.conflict_set().len();
-                if stats.committed != out.fired || wm != base_wm || cs_len != 0 {
-                    mismatches += 1;
-                    eprintln!(
-                        "MISMATCH iter={it} {} batching={batching}: \
-                         committed={} seq_fired={} cs_len={cs_len} items={items:?} removes={removes:?}",
-                        kind.label(),
-                        stats.committed,
-                        out.fired,
-                    );
-                }
+            let mut exec = ConcurrentExecutor::new(load(kind, &items, &removes), 4);
+            let stats = exec.run(10_000);
+            let engine = exec.engine();
+            let g = engine.lock();
+            let wm = wm_all(&**g);
+            let cs_len = g.conflict_set().len();
+            if stats.committed != out.fired || wm != base_wm || cs_len != 0 {
+                mismatches += 1;
+                eprintln!(
+                    "MISMATCH iter={it} {}: \
+                     committed={} seq_fired={} cs_len={cs_len} items={items:?} removes={removes:?}",
+                    kind.label(),
+                    stats.committed,
+                    out.fired,
+                );
             }
         }
     }
