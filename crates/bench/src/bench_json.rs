@@ -50,6 +50,8 @@ pub struct BenchRow {
     /// Buffer-pool frames evicted to make room (0 unless the pool is
     /// smaller than the working set).
     pub pool_evictions: u64,
+    /// WAL write + fsync pairs (0 for in-memory rows, which have no log).
+    pub wal_syncs: u64,
     /// Bytes allocated during the profiled re-run (0 when the row was
     /// built without profiling, or in binaries that don't install
     /// [`obs::alloc::CountingAlloc`]).
@@ -89,6 +91,7 @@ impl BenchRow {
             page_writes: ops.page_writes,
             pool_hits: ops.pool_hits,
             pool_evictions: ops.pool_evictions,
+            wal_syncs: ops.wal_syncs,
             alloc_bytes: rerun.alloc_bytes,
             prof_wall_ns: rerun.prof_wall_ns,
             profile: rerun.profile,
@@ -97,7 +100,7 @@ impl BenchRow {
 
     /// The counters a run repeats exactly, in snapshot field order: what
     /// `--bench-check` requires to equal the committed snapshot.
-    pub fn counters(&self) -> [(&'static str, u64); 10] {
+    pub fn counters(&self) -> [(&'static str, u64); 11] {
         [
             ("fired", self.fired),
             ("logical_io", self.logical_io),
@@ -109,6 +112,7 @@ impl BenchRow {
             ("page_writes", self.page_writes),
             ("pool_hits", self.pool_hits),
             ("pool_evictions", self.pool_evictions),
+            ("wal_syncs", self.wal_syncs),
         ]
     }
 
@@ -389,6 +393,7 @@ mod tests {
             if row.engine != "query-paged" {
                 assert_eq!(row.page_reads, 0, "{} is in-memory", row.engine);
                 assert_eq!(row.pool_evictions, 0, "{} is in-memory", row.engine);
+                assert_eq!(row.wal_syncs, 0, "{} has no log", row.engine);
             }
         }
     }

@@ -257,6 +257,7 @@ impl AnalyzeSnapshot {
             .u64("page_writes", self.ops.page_writes)
             .u64("pool_hits", self.ops.pool_hits)
             .u64("pool_evictions", self.ops.pool_evictions)
+            .u64("wal_syncs", self.ops.wal_syncs)
             .finish();
         Obj::new()
             .raw("relations", &rels.finish())

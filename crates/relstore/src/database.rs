@@ -118,27 +118,29 @@ impl Database {
     pub fn new_paged(path: impl AsRef<Path>, pool_pages: usize) -> Result<Database> {
         let dir = path.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        let wal = Arc::new(Wal::create(&dir.join("wal.log"))?);
+        let wal = Wal::create(&dir.join("wal.log"))?;
         // Remove any stale checkpoint so a later open_paged can't resurrect
         // state this fresh database never held.
         let _ = std::fs::remove_file(dir.join("checkpoint.snap"));
-        let mut db = Database::paged_at(dir, pool_pages, wal.clone())?;
+        let (mut db, wal) = Database::paged_at(dir, pool_pages, wal)?;
         db.wal = Some(wal);
         Ok(db)
     }
 
     /// A paged database over a fresh page file in `dir`, its pool gated
-    /// on `wal`, not yet logging to it.
-    fn paged_at(dir: PathBuf, pool_pages: usize, wal: Arc<Wal>) -> Result<Database> {
+    /// on `wal`, not yet logging to it. The log counts its syncs in the
+    /// database's [`Stats`] and is returned for the caller to attach.
+    fn paged_at(dir: PathBuf, pool_pages: usize, wal: Wal) -> Result<(Database, Arc<Wal>)> {
         let mut db = Database::new();
+        let wal = Arc::new(wal.with_stats(db.stats.clone()));
         let pool = Arc::new(BufferPool::create(
             &dir.join("data.pages"),
             pool_pages,
             db.stats.clone(),
-            wal,
+            wal.clone(),
         )?);
         db.paged = Some(PagedMeta { dir, pool });
-        Ok(db)
+        Ok((db, wal))
     }
 
     /// Recover a paged database from directory `path`: load the
@@ -154,8 +156,7 @@ impl Database {
         let dir = path.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         let (wal, records, torn) = Wal::open(&dir.join("wal.log"))?;
-        let wal = Arc::new(wal);
-        let mut db = Database::paged_at(dir.clone(), pool_pages, wal.clone())?;
+        let (mut db, wal) = Database::paged_at(dir.clone(), pool_pages, wal)?;
         // A checkpoint that crashed before its rename leaves a stale tmp.
         let _ = std::fs::remove_file(dir.join("checkpoint.tmp"));
         let snap_path = dir.join("checkpoint.snap");
@@ -254,8 +255,9 @@ impl Database {
         f(&refs, watermark)
     }
 
-    /// Make the WAL durable through its latest record (write + fsync).
-    /// Called on transaction commit; a no-op without a WAL.
+    /// Make the WAL durable through its latest record (write + fsync,
+    /// counted as `wal_syncs`). Called on transaction commit; a no-op
+    /// without a WAL or when every record is already durable.
     pub fn sync_wal(&self) -> Result<()> {
         match &self.wal {
             Some(wal) => wal.sync(),

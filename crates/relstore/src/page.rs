@@ -39,8 +39,8 @@ pub const MAX_RECORD: usize = PAGE_SIZE - PAGE_HEADER - DIR_ENTRY;
 /// Identifies a page within the page file.
 pub type PageId = u32;
 
-/// One fixed-size page image.
-#[derive(Clone)]
+/// One fixed-size page image. The buffer pool allocates one per frame and
+/// reuses it for every page the frame holds, so there is no `Clone`.
 pub struct Page {
     bytes: Box<[u8; PAGE_SIZE]>,
 }
@@ -67,20 +67,24 @@ impl Page {
         let mut page = Page {
             bytes: Box::new([0u8; PAGE_SIZE]),
         };
-        page.set_free_start(PAGE_HEADER as u16);
+        page.reset();
         page
     }
 
-    /// A page from a raw on-disk image.
-    pub fn from_bytes(bytes: [u8; PAGE_SIZE]) -> Self {
-        Page {
-            bytes: Box::new(bytes),
-        }
+    /// Make this buffer a fresh, empty page in place.
+    pub fn reset(&mut self) {
+        self.bytes.fill(0);
+        self.set_free_start(PAGE_HEADER as u16);
     }
 
     /// The raw image, for writing to disk.
     pub fn as_bytes(&self) -> &[u8; PAGE_SIZE] {
         &self.bytes
+    }
+
+    /// The raw image, for reading an on-disk page into this buffer.
+    pub fn as_bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
+        &mut self.bytes
     }
 
     /// LSN of the last WAL record that modified this page.
@@ -309,8 +313,13 @@ mod tests {
         let mut p = Page::new();
         p.set_lsn(0xDEAD_BEEF_CAFE);
         let idx = p.insert(b"x").unwrap();
-        let q = Page::from_bytes(*p.as_bytes());
+        let mut q = Page::new();
+        q.as_bytes_mut().copy_from_slice(p.as_bytes());
         assert_eq!(q.lsn(), 0xDEAD_BEEF_CAFE);
         assert_eq!(q.record(idx).unwrap(), b"x");
+        // A reset buffer is an empty page again.
+        q.reset();
+        assert_eq!((q.lsn(), q.nrecs()), (0, 0));
+        assert_eq!(q.free_bytes(), PAGE_SIZE - PAGE_HEADER);
     }
 }

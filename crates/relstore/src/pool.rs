@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Seek, SeekFrom, Write as _};
+use std::os::unix::fs::FileExt as _;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -30,7 +30,8 @@ use crate::page::{Page, PageId, PAGE_SIZE};
 use crate::stats::Stats;
 use crate::wal::Wal;
 
-/// Owns the page file: id allocation and whole-page transfer.
+/// Owns the page file: id allocation and whole-page transfer. Every
+/// transfer is one positioned read or write of a caller-owned buffer.
 #[derive(Debug)]
 pub struct PageManager {
     file: File,
@@ -59,26 +60,31 @@ impl PageManager {
         pid
     }
 
-    fn read_page(&mut self, pid: PageId) -> Result<Page> {
-        let mut bytes = [0u8; PAGE_SIZE];
-        self.file
-            .seek(SeekFrom::Start(pid as u64 * PAGE_SIZE as u64))?;
-        self.file.read_exact(&mut bytes)?;
-        Ok(Page::from_bytes(bytes))
+    fn offset(pid: PageId) -> u64 {
+        pid as u64 * PAGE_SIZE as u64
     }
 
-    fn write_page(&mut self, pid: PageId, page: &Page) -> Result<()> {
+    /// Read page `pid` into `page`'s buffer.
+    fn read_page(&self, pid: PageId, page: &mut Page) -> Result<()> {
         self.file
-            .seek(SeekFrom::Start(pid as u64 * PAGE_SIZE as u64))?;
-        self.file.write_all(page.as_bytes())?;
+            .read_exact_at(page.as_bytes_mut(), Self::offset(pid))?;
         Ok(())
     }
 
-    fn sync(&mut self) -> Result<()> {
+    fn write_page(&self, pid: PageId, page: &Page) -> Result<()> {
+        self.file.write_all_at(page.as_bytes(), Self::offset(pid))?;
+        Ok(())
+    }
+
+    fn sync(&self) -> Result<()> {
         self.file.sync_data()?;
         Ok(())
     }
 }
+
+/// The page id of a frame that holds no page: a fault whose read failed
+/// leaves its frame so, mapped to nothing and reused by a later miss.
+const NO_PAGE: PageId = PageId::MAX;
 
 #[derive(Debug)]
 struct Frame {
@@ -101,7 +107,9 @@ struct PoolInner {
 impl PoolInner {
     /// Pick a victim frame with the Clock (second-chance) sweep: skip
     /// pinned frames, clear one reference bit per pass, evict the first
-    /// unpinned frame whose bit is already clear.
+    /// unpinned frame whose bit is already clear. A dirty victim is
+    /// written back from its own buffer; on return the frame is mapped
+    /// to no page id.
     fn evict_victim(&mut self, wal: &Wal, stats: &Stats) -> Result<usize> {
         let n = self.frames.len();
         // Two full sweeps guarantee every unpinned frame's reference bit
@@ -121,13 +129,13 @@ impl PoolInner {
                 // Write-ahead: the log record covering this page must be
                 // durable before the page image may reach disk.
                 wal.sync_to(frame.page.lsn())?;
-                let (pid, page) = (frame.pid, frame.page.clone());
-                self.mgr.write_page(pid, &page)?;
+                self.mgr.write_page(frame.pid, &frame.page)?;
+                frame.dirty = false;
                 stats.page_write();
             }
             stats.pool_eviction();
-            let pid = self.frames[i].pid;
-            self.map.remove(&pid);
+            self.map.remove(&frame.pid);
+            frame.pid = NO_PAGE;
             return Ok(i);
         }
         Err(Error::Io("buffer pool exhausted: all frames pinned".into()))
@@ -135,39 +143,36 @@ impl PoolInner {
 
     /// Return the frame index for `pid`, faulting it in if needed. `load`
     /// says whether a miss reads from disk (false for brand-new pages).
+    /// Once the pool is full a miss reuses the victim's buffer: one
+    /// positioned read into it, or an in-place reset for a new page. If
+    /// that read fails the frame stays mapped to no page id.
     fn frame_for(&mut self, pid: PageId, load: bool, wal: &Wal, stats: &Stats) -> Result<usize> {
         if let Some(&i) = self.map.get(&pid) {
             self.frames[i].refbit = true;
             stats.pool_hit();
             return Ok(i);
         }
-        let page = if load {
-            let page = self.mgr.read_page(pid)?;
-            stats.page_read();
-            page
-        } else {
-            Page::new()
-        };
         let i = if self.frames.len() < self.cap {
             self.frames.push(Frame {
-                pid,
-                page,
+                pid: NO_PAGE,
+                page: Page::new(),
                 pin: 0,
                 dirty: false,
-                refbit: true,
+                refbit: false,
             });
             self.frames.len() - 1
         } else {
-            let i = self.evict_victim(wal, stats)?;
-            self.frames[i] = Frame {
-                pid,
-                page,
-                pin: 0,
-                dirty: false,
-                refbit: true,
-            };
-            i
+            self.evict_victim(wal, stats)?
         };
+        let frame = &mut self.frames[i];
+        if load {
+            self.mgr.read_page(pid, &mut frame.page)?;
+            stats.page_read();
+        } else {
+            frame.page.reset();
+        }
+        frame.pid = pid;
+        frame.refbit = true;
         self.map.insert(pid, i);
         Ok(i)
     }
@@ -267,7 +272,8 @@ impl BufferPool {
 
     /// Write every dirty frame (WAL-first) and fsync the page file.
     pub fn flush_all(&self) -> Result<()> {
-        let mut g = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let g = &mut *guard;
         let mut max_lsn = 0;
         for f in &g.frames {
             if f.dirty {
@@ -275,12 +281,10 @@ impl BufferPool {
             }
         }
         self.wal.sync_to(max_lsn)?;
-        let dirty: Vec<usize> = (0..g.frames.len()).filter(|&i| g.frames[i].dirty).collect();
-        for i in dirty {
-            let (pid, page) = (g.frames[i].pid, g.frames[i].page.clone());
-            g.mgr.write_page(pid, &page)?;
+        for f in g.frames.iter_mut().filter(|f| f.dirty) {
+            g.mgr.write_page(f.pid, &f.page)?;
             self.stats.page_write();
-            g.frames[i].dirty = false;
+            f.dirty = false;
         }
         g.mgr.sync()
     }
@@ -290,9 +294,14 @@ impl BufferPool {
 mod tests {
     use super::*;
 
+    /// The directory the test pools' files live in.
+    fn pool_dir() -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("relstore-pool-{}", std::process::id()))
+    }
+
     /// A pool over `{name}.pages`, gated on the log `{name}.log` beside it.
     fn pool_at(name: &str, cap: usize, stats: Stats) -> (BufferPool, Arc<Wal>) {
-        let dir = std::env::temp_dir().join(format!("relstore-pool-{}", std::process::id()));
+        let dir = pool_dir();
         std::fs::create_dir_all(&dir).unwrap();
         let wal = Arc::new(Wal::create(&dir.join(format!("{name}.log"))).unwrap());
         let pages = dir.join(format!("{name}.pages"));
@@ -326,6 +335,68 @@ mod tests {
         assert!(snap.page_writes > 0, "dirty eviction wrote");
         assert!(snap.page_reads > 0, "refetch read from disk");
         assert!(snap.pool_hits > 0);
+    }
+
+    /// A miss evicts before it reads, so a read that fails must leave the
+    /// evicted frame mapped to neither page: the fault errs, a retry errs
+    /// again instead of serving the victim's bytes, and the page that
+    /// stayed resident still reads.
+    #[test]
+    fn failed_read_after_eviction_leaves_the_pool_consistent() {
+        let stats = Stats::new();
+        let (pool, _) = pool_at("failedread", 2, stats.clone());
+        let pids: Vec<PageId> = (0..3).map(|_| pool.alloc_page().unwrap()).collect();
+        for (n, &pid) in pids.iter().enumerate() {
+            pool.with_page_mut(pid, 0, |p| p.insert(&[n as u8; 64]).unwrap())
+                .unwrap();
+        }
+        pool.flush_all().unwrap();
+        // Page 1 pinned resident, page 0 in the other frame, page 2 on
+        // disk only.
+        let (victim, resident, evicted) = (pids[0], pids[1], pids[2]);
+        pool.pin(resident).unwrap();
+        pool.with_page(victim, |_| ()).unwrap();
+        OpenOptions::new()
+            .write(true)
+            .open(pool_dir().join("failedread.pages"))
+            .unwrap()
+            .set_len(0)
+            .unwrap();
+
+        assert!(pool.with_page(evicted, |_| ()).is_err(), "short read");
+        assert!(
+            pool.with_page(evicted, |_| ()).is_err(),
+            "a retry must not serve the victim's bytes"
+        );
+        assert!(
+            pool.with_page(victim, |_| ()).is_err(),
+            "the victim is no longer resident"
+        );
+        let reads = stats.snapshot().page_reads;
+        let kept = pool
+            .with_page(resident, |p| p.record(0).unwrap() == [1u8; 64])
+            .unwrap();
+        assert!(kept, "the resident page still reads");
+        assert_eq!(stats.snapshot().page_reads, reads, "served from its frame");
+        pool.unpin(resident);
+    }
+
+    /// Once the pool is full, a miss reuses the victim's buffer in place.
+    #[test]
+    fn a_full_pool_faults_into_the_victims_buffer() {
+        let (pool, _) = pool_at("inplace", 1, Stats::new());
+        let a = pool.alloc_page().unwrap();
+        pool.with_page_mut(a, 0, |p| p.insert(b"a").unwrap())
+            .unwrap();
+        let buffer = pool.with_page(a, |p| p.as_bytes().as_ptr()).unwrap();
+        let b = pool.alloc_page().unwrap();
+        assert_eq!(pool.with_page(b, |p| p.nrecs()).unwrap(), 0, "reset");
+        assert_eq!(
+            pool.with_page(b, |p| p.as_bytes().as_ptr()).unwrap(),
+            buffer
+        );
+        let back = pool.with_page(a, |p| (p.record(0).unwrap() == b"a", p.as_bytes().as_ptr()));
+        assert_eq!(back.unwrap(), (true, buffer));
     }
 
     #[test]

@@ -491,14 +491,8 @@ impl Relation {
         restriction: &Restriction,
         bound: &[(AttrIdx, CompOp, &Value)],
     ) -> Result<Vec<(TupleId, Tuple)>> {
-        let ids = self.select_ids_with(restriction, bound)?;
-        let mut out = Vec::with_capacity(ids.len());
-        for tid in ids {
-            let t = self
-                .live_tuple(tid)?
-                .ok_or(Error::Corrupt("selected id resolves to a dead tuple"))?;
-            out.push((tid, t));
-        }
+        let mut out = Vec::new();
+        self.select_each(restriction, bound, |tid, t| out.push((tid, t)))?;
         Ok(out)
     }
 
@@ -513,12 +507,35 @@ impl Relation {
         restriction: &Restriction,
         bound: &[(AttrIdx, CompOp, &Value)],
     ) -> Result<Vec<TupleId>> {
+        let mut out = Vec::new();
+        self.select_each(restriction, bound, |tid, _| out.push(tid))?;
+        Ok(out)
+    }
+
+    /// The one candidate loop behind every selection: hand each live
+    /// tuple that passes `restriction` and `bound` to `emit`, reading
+    /// each candidate once (one page access in paged mode).
+    fn select_each(
+        &self,
+        restriction: &Restriction,
+        bound: &[(AttrIdx, CompOp, &Value)],
+        mut emit: impl FnMut(TupleId, Tuple),
+    ) -> Result<()> {
         let tests = (restriction.tests.len() + bound.len()) as u64;
         let qualifies = |t: &Tuple| {
             restriction.matches(t)
                 && bound
                     .iter()
                     .all(|&(attr, op, v)| t.get(attr).is_some_and(|mine| op.eval(mine, v)))
+        };
+        let mut fetch = |tid: TupleId| -> Result<()> {
+            let t = self
+                .live_tuple(tid)?
+                .ok_or(Error::Corrupt("index entry points at a dead tuple"))?;
+            if qualifies(&t) {
+                emit(tid, t);
+            }
+            Ok(())
         };
         // 1. Equality tests with a hash index, restriction or bound:
         //    probe the one with the shortest posting list.
@@ -535,16 +552,7 @@ impl Relation {
             self.stats.index_probe();
             self.stats.read_tuples(candidates.len() as u64);
             self.stats.pred_evals(candidates.len() as u64 * tests);
-            let mut out = Vec::new();
-            for &tid in candidates {
-                let t = self
-                    .live_tuple(tid)?
-                    .ok_or(Error::Corrupt("index entry points at a dead tuple"))?;
-                if qualifies(&t) {
-                    out.push(tid);
-                }
-            }
-            return Ok(out);
+            return candidates.iter().try_for_each(|&tid| fetch(tid));
         }
         // 2. Range test with an ordered index?
         let range_probe = restriction
@@ -560,28 +568,17 @@ impl Relation {
             let candidates = idx.probe_op(op, value);
             self.stats.read_tuples(candidates.len() as u64);
             self.stats.pred_evals(candidates.len() as u64 * tests);
-            let mut out = Vec::new();
-            for tid in candidates {
-                let t = self
-                    .live_tuple(tid)?
-                    .ok_or(Error::Corrupt("index entry points at a dead tuple"))?;
-                if qualifies(&t) {
-                    out.push(tid);
-                }
-            }
-            return Ok(out);
+            return candidates.into_iter().try_for_each(fetch);
         }
         // 3. Fall back to a scan.
         self.stats.scan();
         self.stats.read_tuples(self.live as u64);
         self.stats.pred_evals(self.live as u64 * tests.max(1));
-        let mut out = Vec::new();
         self.for_each_live(|tid, t| {
             if qualifies(t) {
-                out.push(tid);
+                emit(tid, t.clone());
             }
-        })?;
-        Ok(out)
+        })
     }
 
     /// Tuple ids where `attr op value`, used by join inner loops.
@@ -673,14 +670,54 @@ mod tests {
                 .as_nanos()
         ));
         let wal = Arc::new(Wal::create(&path.with_extension("log")).unwrap());
-        let pool = Arc::new(BufferPool::create(&path, pool_pages, Stats::new(), wal).unwrap());
+        let stats = Stats::new();
+        let pool = Arc::new(BufferPool::create(&path, pool_pages, stats.clone(), wal).unwrap());
         let rel = Relation::new_paged(
             RelId(0),
             Schema::new("Emp", ["name", "age", "salary", "dno"]),
-            Stats::new(),
+            stats,
             pool,
         );
         (rel, path)
+    }
+
+    /// Through a one-frame pool, an indexed `select_with` faults in a page
+    /// only where the posting list moves to another page: each candidate
+    /// is read once, not once to qualify and again to return.
+    #[test]
+    fn paged_select_reads_each_candidates_page_once() {
+        let (mut r, page_file) = emp_paged_at(1);
+        r.create_hash_index(3).unwrap();
+        // Matching rows interleave with the rest over several pages; the
+        // last insert is a match, so its page is the resident one.
+        for i in 1..=600i64 {
+            r.insert(tuple![format!("e{i}"), i, 0, i % 3], None)
+                .unwrap();
+        }
+        let key = Value::Int(0);
+        let postings = r.hash_indexes[3].as_ref().unwrap().probe(&key).to_vec();
+        let Store::Paged(store) = &r.store else {
+            unreachable!("paged relation")
+        };
+        let page_of = |tid: TupleId| store.slots[tid.slot as usize].loc.unwrap().0;
+        let mut at = page_of(*postings.last().unwrap());
+        let mut changes = 0;
+        for &tid in &postings {
+            changes += u64::from(page_of(tid) != at);
+            at = page_of(tid);
+        }
+        assert!(changes >= 3, "postings span {changes} page changes");
+
+        let before = r.stats.snapshot();
+        let rows = r
+            .select_with(&Restriction::new(vec![Selection::eq(3, 0)]), &[])
+            .unwrap();
+        let io = r.stats.snapshot().since(&before);
+        assert_eq!(rows.len(), postings.len());
+        assert_eq!(io.tuples_read, postings.len() as u64);
+        assert_eq!(io.page_reads, changes, "one fault per page change");
+        std::fs::remove_file(page_file.with_extension("log")).unwrap();
+        std::fs::remove_file(page_file).unwrap();
     }
 
     #[test]

@@ -42,6 +42,10 @@ pub struct Counters {
     pub pool_hits: AtomicU64,
     /// Frames evicted to make room for another page.
     pub pool_evictions: AtomicU64,
+    /// WAL syncs (`Wal::sync` / `sync_to`) that wrote and fsynced
+    /// appended frames; a sync with nothing new to make durable is not
+    /// one, nor is a checkpoint's log rewrite.
+    pub wal_syncs: AtomicU64,
 }
 
 /// A point-in-time copy of the counters.
@@ -75,6 +79,8 @@ pub struct OpSnapshot {
     pub pool_hits: u64,
     /// Buffer-pool frames evicted.
     pub pool_evictions: u64,
+    /// WAL write + fsync pairs.
+    pub wal_syncs: u64,
 }
 
 impl OpSnapshot {
@@ -102,6 +108,7 @@ impl OpSnapshot {
             page_writes: self.page_writes.saturating_sub(earlier.page_writes),
             pool_hits: self.pool_hits.saturating_sub(earlier.pool_hits),
             pool_evictions: self.pool_evictions.saturating_sub(earlier.pool_evictions),
+            wal_syncs: self.wal_syncs.saturating_sub(earlier.wal_syncs),
         }
     }
 }
@@ -110,7 +117,7 @@ impl fmt::Display for OpSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "reads={} ins={} del={} probes={} scans={} preds={} locks={} waits={} wait_ns={} aborts={} pg_r={} pg_w={} pool_hit={} evict={}",
+            "reads={} ins={} del={} probes={} scans={} preds={} locks={} waits={} wait_ns={} aborts={} pg_r={} pg_w={} pool_hit={} evict={} wal_syncs={}",
             self.tuples_read,
             self.tuples_inserted,
             self.tuples_deleted,
@@ -124,7 +131,8 @@ impl fmt::Display for OpSnapshot {
             self.page_reads,
             self.page_writes,
             self.pool_hits,
-            self.pool_evictions
+            self.pool_evictions,
+            self.wal_syncs
         )
     }
 }
@@ -220,6 +228,12 @@ impl Stats {
         self.inner.pool_evictions.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Count one WAL write + fsync.
+    #[inline]
+    pub fn wal_sync(&self) {
+        self.inner.wal_syncs.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Copy out the current values.
     pub fn snapshot(&self) -> OpSnapshot {
         OpSnapshot {
@@ -237,6 +251,7 @@ impl Stats {
             page_writes: self.inner.page_writes.load(Ordering::Relaxed),
             pool_hits: self.inner.pool_hits.load(Ordering::Relaxed),
             pool_evictions: self.inner.pool_evictions.load(Ordering::Relaxed),
+            wal_syncs: self.inner.wal_syncs.load(Ordering::Relaxed),
         }
     }
 
@@ -256,6 +271,7 @@ impl Stats {
         self.inner.page_writes.store(0, Ordering::Relaxed);
         self.inner.pool_hits.store(0, Ordering::Relaxed);
         self.inner.pool_evictions.store(0, Ordering::Relaxed);
+        self.inner.wal_syncs.store(0, Ordering::Relaxed);
     }
 }
 

@@ -40,6 +40,7 @@ use crate::codec::{get_str, get_tuple, put_str, put_tuple, Crc32};
 use crate::database::Database;
 use crate::error::{Error, Result};
 use crate::schema::{RelId, Schema};
+use crate::stats::Stats;
 use crate::tuple::Tuple;
 
 const REC_CREATE: u8 = 1;
@@ -219,11 +220,14 @@ struct WalInner {
 #[derive(Debug)]
 pub struct Wal {
     inner: Mutex<WalInner>,
+    /// Where each write + fsync of appended frames is counted.
+    stats: Stats,
 }
 
 impl Wal {
     fn from_file(file: File, file_len: u64, next_lsn: u64, path: &Path) -> Self {
         Wal {
+            stats: Stats::new(),
             inner: Mutex::new(WalInner {
                 buf: BytesMut::new(),
                 file_len,
@@ -275,6 +279,13 @@ impl Wal {
         Ok((Wal::from_file(file, valid, next_lsn, path), records, torn))
     }
 
+    /// Count this log's syncs in `stats` (a database's counter set)
+    /// rather than in a private one.
+    pub(crate) fn with_stats(mut self, stats: Stats) -> Self {
+        self.stats = stats;
+        self
+    }
+
     /// Append a record to the log and return its LSN. The record is
     /// buffered; it becomes durable at the next [`Wal::sync`].
     pub fn append(&self, rec: &WalRecord) -> Result<u64> {
@@ -296,11 +307,17 @@ impl Wal {
         Ok(lsn)
     }
 
-    fn sync_locked(g: &mut WalInner) -> Result<()> {
+    /// Write the unwritten frames and fsync, unless every appended record
+    /// is already durable. A poisoned log refuses first, whatever is
+    /// pending.
+    fn sync_locked(&self, g: &mut WalInner) -> Result<()> {
         if g.poisoned {
             return Err(Error::Io(
                 "wal poisoned by an earlier sync failure: durability unknown".into(),
             ));
+        }
+        if g.durable_lsn >= g.last_lsn {
+            return Ok(());
         }
         if let Err(e) = g
             .file
@@ -316,13 +333,16 @@ impl Wal {
         g.file_len += g.buf.len() as u64;
         g.buf.clear();
         g.durable_lsn = g.last_lsn;
+        self.stats.wal_sync();
         Ok(())
     }
 
     /// Make every appended record durable: write the unwritten frames to
-    /// the file and fsync. O(new bytes), not O(log).
+    /// the file and fsync. O(new bytes), not O(log). A no-op once another
+    /// sync has covered every record, so a read-only commit, or one whose
+    /// records an earlier commit's fsync carried, costs no syscall.
     pub fn sync(&self) -> Result<()> {
-        Wal::sync_locked(&mut self.inner.lock())
+        self.sync_locked(&mut self.inner.lock())
     }
 
     /// Ensure records up to and including `lsn` are durable — the
@@ -333,7 +353,7 @@ impl Wal {
         if g.durable_lsn >= lsn {
             return Ok(());
         }
-        Wal::sync_locked(&mut g)
+        self.sync_locked(&mut g)
     }
 
     /// Highest LSN known durable.
@@ -765,6 +785,50 @@ mod tests {
         );
         wal.bump_lsn(5);
         assert_eq!(wal.last_lsn(), 11, "a lower floor is a no-op");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A commit writes and fsyncs only when some record is not yet
+    /// durable, and each real sync is counted once in `wal_syncs`.
+    #[test]
+    fn commit_syncs_only_what_is_not_yet_durable() {
+        let dir = tmp_dir("commits");
+        {
+            let db = Database::new_paged(&dir, 4).unwrap();
+            let r = db.create_relation(Schema::new("R", ["v"])).unwrap();
+            let s = db.create_relation(Schema::new("S", ["v"])).unwrap();
+            db.sync_wal().unwrap();
+            let syncs = || db.stats().snapshot().wal_syncs;
+            let start = syncs();
+            assert_eq!(start, 1, "the catalog's sync counted");
+
+            let txn = db.begin();
+            txn.select(r, &Restriction::default()).unwrap();
+            txn.commit().unwrap();
+            assert_eq!(syncs(), start, "a read-only commit does not sync");
+
+            let mut txn = db.begin();
+            txn.insert(r, tuple![1]).unwrap();
+            txn.commit().unwrap();
+            assert_eq!(syncs(), start + 1, "a writing commit syncs once");
+
+            // `a`'s record is carried by `b`'s fsync, so `a` has nothing
+            // left to make durable.
+            let mut a = db.begin();
+            a.insert(r, tuple![2]).unwrap();
+            let mut b = db.begin();
+            b.insert(s, tuple![3]).unwrap();
+            b.commit().unwrap();
+            assert_eq!(syncs(), start + 2);
+            a.commit().expect("a covered commit succeeds");
+            assert_eq!(syncs(), start + 2, "a covered commit does not sync");
+        }
+        let (back, _) = Database::open_paged(&dir, 4).unwrap();
+        let count = |name| {
+            let rel = back.rel_id(name).unwrap();
+            back.select(rel, &Restriction::default()).unwrap().len()
+        };
+        assert_eq!((count("R"), count("S")), (2, 1), "every commit durable");
         std::fs::remove_dir_all(&dir).ok();
     }
 
