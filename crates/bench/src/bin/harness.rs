@@ -630,10 +630,11 @@ fn usage() {
     println!("  --replay FILE      re-execute a journal pinning its recorded commit schedule;");
     println!("                     verifies the exact firing sequence and final WM (exit 1 on");
     println!("                     any divergence)");
-    println!("  --journal FILE     load a journal into relstore relations (j_event, j_firing,");
-    println!("                     j_wm_delta, j_conflict, j_txn, j_lock, j_deadlock) for:");
+    println!("  --journal FILE     load a journal into relstore relations (j_event, and one");
+    println!("                     j_<kind>(seq, wire keys…) per event kind) for:");
     println!("  --why RULE@CYCLE     which instantiation committed there, its support tuples,");
-    println!("                       and the WM context (a query over j_firing/j_wm_delta)");
+    println!("                       and the WM context (a query over j_firing/j_wm_insert/");
+    println!("                       j_wm_remove)");
     println!("  --why-not RULE@CYCLE why the rule had no firing: replays WM to the cycle and");
     println!("                       probes the LHS prefix-by-prefix for the failing CE");
     println!("  --help, -h         this text");

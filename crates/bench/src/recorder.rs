@@ -298,33 +298,32 @@ pub fn parse_spec(spec: &str) -> Result<(String, u64), String> {
 
 /// `--why RULE@CYCLE`: which instantiation(s) of the rule committed at
 /// that round, answered by ordinary selections over the ingested
-/// `j_firing` relation, with working memory context reconstructed by a
-/// range query over `j_wm_delta`.
+/// `j_firing` relation, with working memory context reconstructed by
+/// range queries over `j_wm_insert`/`j_wm_remove`.
 pub fn why_run(path: &str, spec: &str) -> Result<String, String> {
     let (rule, round) = parse_spec(spec)?;
     let journal = Journal::read_file(path)?;
     let db = relstore::Database::new();
     let rels = relstore::ingest(&db, &journal).map_err(|e| e.to_string())?;
-    let rows = db
-        .select(
-            rels.firing,
-            &Restriction::new(vec![
-                Selection::new(5, CompOp::Eq, rule.as_str()),
-                Selection::new(2, CompOp::Eq, round as i64),
-            ]),
-        )
-        .map_err(|e| e.to_string())?;
+    let firing = rels.of("firing").map_err(|e| e.to_string())?;
+    let schema = db.schema(firing).map_err(|e| e.to_string())?;
+    let col = |name| schema.attr_index(name).map_err(|e| e.to_string());
+    let select = |tests| {
+        db.select(firing, &Restriction::new(tests))
+            .map_err(|e| e.to_string())
+    };
+    let by_rule = Selection::new(col("rule_name")?, CompOp::Eq, rule.as_str());
+    let rows = select(vec![
+        by_rule.clone(),
+        Selection::new(col("round")?, CompOp::Eq, round as i64),
+    ])?;
     let mut out = String::new();
     if rows.is_empty() {
-        let all = db
-            .select(
-                rels.firing,
-                &Restriction::new(vec![Selection::new(5, CompOp::Eq, rule.as_str())]),
-            )
-            .map_err(|e| e.to_string())?;
+        let all = select(vec![by_rule])?;
+        let round_col = col("round")?;
         let rounds: Vec<String> = all
             .iter()
-            .filter_map(|(_, t)| match &t.values()[2] {
+            .filter_map(|(_, t)| match &t.values()[round_col] {
                 Value::Int(n) => Some(n.to_string()),
                 _ => None,
             })
@@ -340,9 +339,11 @@ pub fn why_run(path: &str, spec: &str) -> Result<String, String> {
         ));
         return Ok(out);
     }
+    let (fseq_col, seq_col, txn_col) = (col("fseq")?, col("seq")?, col("txn")?);
+    let (wmes_col, support_col) = (col("wmes")?, col("support")?);
     for (_, t) in &rows {
         let v = t.values();
-        let (fseq, seq, txn) = match (&v[0], &v[1], &v[3]) {
+        let (fseq, seq, txn) = match (&v[fseq_col], &v[seq_col], &v[txn_col]) {
             (Value::Int(f), Value::Int(s), Value::Int(x)) => (*f, *s, *x),
             _ => (0, 0, 0),
         };
@@ -352,9 +353,9 @@ pub fn why_run(path: &str, spec: &str) -> Result<String, String> {
         };
         out.push_str(&format!(
             "{rule} fired at round {round} (commit #{fseq}, txn {txn}):\n  wmes:    {}\n",
-            text(6)
+            text(wmes_col)
         ));
-        let support = text(7);
+        let support = text(support_col);
         if !support.is_empty() {
             out.push_str(&format!("  support: {support}\n"));
         }
@@ -474,7 +475,7 @@ pub fn why_not_run(path: &str, spec: &str) -> Result<String, String> {
         prev.len()
     ));
     out.push_str(
-        "  (If it still did not fire, check refraction or conflict resolution in j_conflict.)\n",
+        "  (If it still did not fire, check refraction or conflict resolution in j_conflict_delta.)\n",
     );
     Ok(out)
 }

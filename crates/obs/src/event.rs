@@ -2,409 +2,397 @@
 //! recognize-act lifecycle (§3–§4 matching, OPS5 act phase, §5
 //! transactions). Events carry only primitive ids and pre-rendered
 //! strings so `obs` stays dependency-free and every crate can emit them.
+//!
+//! Each variant is declared once, in the `events!` table below: its
+//! kind tag and, per field, the field's name, type and JSON key (plus a
+//! codec when the wire form is not the plain one). The enum, [`Event::kind`],
+//! [`Event::to_json`], [`Event::from_json`], the field visitor
+//! [`Event::for_each_field`] and the kind/key list [`Event::KINDS`] that
+//! `relstore::journal` turns into relations are all generated from it.
 
-use crate::json::Obj;
+use crate::json::{Obj, Value};
 
-/// One traced moment. Field conventions: `class`/`rule` are the numeric
-/// ids of the production DB, `*_name` the human names, durations are
-/// nanoseconds.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Event {
-    /// A recognize-act cycle began.
-    CycleStart { cycle: u64 },
-    /// A recognize-act cycle finished (conflict-set size after act).
-    CycleEnd {
-        cycle: u64,
-        conflict_len: usize,
-        fired_total: u64,
-    },
-    /// A tuple entered working memory. `tid` is the packed storage tuple
-    /// id it resolved to (0 when the emitter does not know it), so journal
-    /// queries can join WM deltas against firing provenance.
-    WmInsert {
-        class: u32,
-        class_name: String,
-        tuple: String,
-        tid: u64,
-    },
-    /// A tuple left working memory.
-    WmRemove {
-        class: u32,
-        class_name: String,
-        tuple: String,
-        tid: u64,
-    },
-    /// One engine finished match maintenance for one WM change.
-    /// `detect_ns`/`total_ns` are the §4.2.3 detect/maintain split when
-    /// the engine reports it (0/0 otherwise).
-    MatchMaintain {
-        engine: &'static str,
-        class: u32,
-        insert: bool,
-        adds: usize,
-        removes: usize,
-        detect_ns: u64,
-        total_ns: u64,
-    },
-    /// One COND store's propagation finished (§4.2.3's per-relation
-    /// maintenance): the class whose store was updated, how many COND
-    /// tuples it examined, the index probes that narrowed them, and its
-    /// wall time.
-    PropagateSpan {
-        class: u32,
-        class_name: String,
-        scanned: u64,
-        probes: u64,
-        span_ns: u64,
-    },
-    /// One whole delta batch finished maintenance (§4.2 set-oriented
-    /// mode): how many WM inserts/deletes it carried and how many
-    /// distinct rules its conflict deltas touched.
-    BatchApplied {
-        engine: &'static str,
-        inserts: usize,
-        deletes: usize,
-        rules_awakened: usize,
-        total_ns: u64,
-    },
-    /// One §5 synchronization round finished: how many candidate
-    /// instantiations were dispatched to the workers, how many of them
-    /// committed, how many aborted (deadlock victims, invalidations, or
-    /// storage errors), and how much of the round's wall time
-    /// (`span_ns`) was serialized inside the engine critical section
-    /// (`critical_ns`, summed over the round's transactions).
-    RoundSpan {
-        round: u64,
-        candidates: usize,
-        committed: usize,
-        aborted: usize,
-        critical_ns: u64,
-        span_ns: u64,
-    },
-    /// The conflict set gained or lost one instantiation. `support` is
-    /// the provenance tuple-id list ("t3.1 t7.2") when the engine tracks
-    /// it; `absent` the concrete negated patterns that must stay absent.
-    ConflictDelta {
-        add: bool,
-        rule: u32,
-        rule_name: String,
-        wmes: String,
-        support: String,
-        absent: String,
-    },
-    /// Conflict resolution picked an instantiation to fire.
-    RuleSelect {
-        cycle: u64,
-        rule: u32,
-        rule_name: String,
-        conflict_len: usize,
-    },
-    /// An instantiation's RHS ran to completion.
-    RuleFire {
-        cycle: u64,
-        rule: u32,
-        rule_name: String,
-        rhs_ns: u64,
-        inserts: usize,
-        removes: usize,
-    },
-    /// Full derivation of one firing: which WM elements (by storage tuple
-    /// id, when the engine tracks them) supported the instantiation, and
-    /// which concrete patterns had to be absent (negated CEs).
-    Derivation {
-        rule: u32,
-        rule_name: String,
-        wmes: String,
-        support: String,
-        absent: String,
-    },
-    /// A §5 rule-transaction began.
-    TxnBegin {
-        txn: u64,
-        rule: u32,
-        rule_name: String,
-    },
-    /// A transaction had to wait for a lock.
-    LockWait {
-        txn: u64,
-        target: String,
-        mode: &'static str,
-    },
-    /// A lock was granted (wait_ns = 0 for an immediate grant).
-    LockAcquire {
-        txn: u64,
-        target: String,
-        mode: &'static str,
-        wait_ns: u64,
-    },
-    /// The deadlock detector chose this transaction as victim.
-    DeadlockVictim { txn: u64 },
-    /// Snapshot of the waits-for graph at the moment a deadlock victim
-    /// was chosen, so journals show *why* the transaction aborted. Each
-    /// edge is rendered `t<waiter>->t<holder> <mode> <target>` and edges
-    /// are `"; "`-joined.
-    DeadlockGraph { victim: u64, edges: String },
-    /// Contention summary for one lock-table shard over a run: how many
-    /// lock requests blocked there and for how long in total. Emitted
-    /// per shard with non-zero waits when a concurrent run finishes.
-    ShardContention {
-        shard: u32,
-        waits: u64,
-        wait_ns: u64,
-    },
-    /// One production committed its firing. `seq` is the global commit
-    /// sequence number — assigned while the transaction still holds its
-    /// locks, so for conflicting transactions it IS the serialization
-    /// order and replaying firings serially in `seq` order reproduces
-    /// the run. `round` is the §5 synchronization round (the cycle
-    /// number under the sequential executor, where `txn` is 0).
-    Firing {
-        seq: u64,
-        round: u64,
-        txn: u64,
-        rule: u32,
-        rule_name: String,
-        wmes: String,
-        support: String,
-    },
-    /// A transaction rolled back. `reason` is `deadlock`, `invalidated`,
-    /// or `error: …` with the storage error that forced the abort.
-    TxnAbort { txn: u64, reason: String },
-    /// A transaction committed.
-    TxnCommit { txn: u64, writes: usize },
+/// One field's value as it goes on the wire: a JSON number, string or
+/// bool, and the column value of the field's journal relation.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Wire<'a> {
+    U64(u64),
+    Str(&'a str),
+    Bool(bool),
+}
+
+/// How one field of type `T` is written and read back.
+trait Codec<T> {
+    fn wire<'a>(&self, v: &'a T) -> Wire<'a>;
+    fn parse(&self, v: &Value, key: &str) -> Result<T, String>;
+}
+
+/// The default codec: integers as JSON numbers (rejected when out of the
+/// field type's range), strings as strings, bools as bools.
+struct Plain;
+/// `ConflictDelta.add` on the wire: `"op":"add"` or `"op":"remove"`.
+struct Op;
+/// A `&'static str` label that must be one of a fixed table, so parsing
+/// interns it instead of leaking a heap string.
+struct Labels(&'static [&'static str]);
+
+/// The engine labels events may carry (`MatchEngine::name`).
+const ENGINE: Labels = Labels(&["rete", "db-rete", "query", "cond", "marker"]);
+/// The lock modes events may carry.
+const LOCK_MODE: Labels = Labels(&["shared", "exclusive"]);
+
+fn field<'v>(v: &'v Value, key: &str) -> Result<&'v Value, String> {
+    v.get(key).ok_or_else(|| format!("missing field {key:?}"))
+}
+
+fn str_field<'v>(v: &'v Value, key: &str) -> Result<&'v str, String> {
+    field(v, key)?
+        .as_str()
+        .ok_or_else(|| format!("field {key:?} is not a string"))
+}
+
+fn unknown<T>(key: &str, s: &str) -> Result<T, String> {
+    Err(format!("field {key:?} has unknown value {s:?}"))
+}
+
+macro_rules! int_codec {
+    ($($t:ty),*) => {$(
+        impl Codec<$t> for Plain {
+            fn wire<'a>(&self, v: &'a $t) -> Wire<'a> {
+                Wire::U64(*v as u64)
+            }
+            fn parse(&self, v: &Value, key: &str) -> Result<$t, String> {
+                let n = field(v, key)?
+                    .as_u64()
+                    .ok_or_else(|| format!("field {key:?} is not a u64"))?;
+                <$t>::try_from(n).map_err(|_| format!("field {key:?} out of range"))
+            }
+        }
+    )*};
+}
+int_codec!(u64, u32, usize);
+
+impl Codec<String> for Plain {
+    fn wire<'a>(&self, v: &'a String) -> Wire<'a> {
+        Wire::Str(v)
+    }
+    fn parse(&self, v: &Value, key: &str) -> Result<String, String> {
+        str_field(v, key).map(str::to_string)
+    }
+}
+
+impl Codec<bool> for Plain {
+    fn wire<'a>(&self, v: &'a bool) -> Wire<'a> {
+        Wire::Bool(*v)
+    }
+    fn parse(&self, v: &Value, key: &str) -> Result<bool, String> {
+        match field(v, key)? {
+            Value::Bool(b) => Ok(*b),
+            _ => Err(format!("field {key:?} is not a bool")),
+        }
+    }
+}
+
+impl Codec<bool> for Op {
+    fn wire<'a>(&self, v: &'a bool) -> Wire<'a> {
+        Wire::Str(if *v { "add" } else { "remove" })
+    }
+    fn parse(&self, v: &Value, key: &str) -> Result<bool, String> {
+        match str_field(v, key)? {
+            "add" => Ok(true),
+            "remove" => Ok(false),
+            s => unknown(key, s),
+        }
+    }
+}
+
+impl Codec<&'static str> for Labels {
+    fn wire<'a>(&self, v: &'a &'static str) -> Wire<'a> {
+        Wire::Str(v)
+    }
+    fn parse(&self, v: &Value, key: &str) -> Result<&'static str, String> {
+        let s = str_field(v, key)?;
+        match self.0.iter().find(|l| **l == s) {
+            Some(l) => Ok(l),
+            None => unknown(key, s),
+        }
+    }
+}
+
+/// The codec a table field names after `via`, or [`Plain`].
+macro_rules! codec {
+    () => {
+        Plain
+    };
+    ($c:ident) => {
+        $c
+    };
+}
+
+/// Generates the enum and its wire code from one table of
+/// `Variant = "kind" { field: Type = "key" [via CODEC], … }` entries.
+macro_rules! events {
+    (
+        $(#[$enum_attr:meta])*
+        pub enum Event {$(
+            $(#[$attr:meta])*
+            $variant:ident = $kind:literal {
+                $($field:ident: $ty:ty = $key:literal $(via $codec:ident)?,)*
+            }
+        )*}
+    ) => {
+        $(#[$enum_attr])*
+        pub enum Event {$(
+            $(#[$attr])*
+            $variant { $($field: $ty),* },
+        )*}
+
+        impl Event {
+            /// Every kind tag with its fields' JSON keys, in table order:
+            /// the shape of the journal relations.
+            pub const KINDS: &'static [(&'static str, &'static [&'static str])] =
+                &[$(($kind, &[$($key),*])),*];
+
+            /// Stable kind tag used as the JSONL discriminator.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(Event::$variant { .. } => $kind,)*
+                }
+            }
+
+            /// Visit each field's JSON key and wire value, in table order.
+            pub fn for_each_field<'a>(&'a self, mut f: impl FnMut(&'static str, Wire<'a>)) {
+                match self {
+                    $(Event::$variant { $($field),* } => {
+                        $(f($key, Codec::<$ty>::wire(&codec!($($codec)?), $field));)*
+                    })*
+                }
+            }
+
+            /// Read the fields of a `kind` record from a parsed line.
+            fn from_fields(kind: &str, v: &Value) -> Result<Event, String> {
+                Ok(match kind {
+                    $($kind => Event::$variant {
+                        $($field: Codec::<$ty>::parse(&codec!($($codec)?), v, $key)?,)*
+                    },)*
+                    other => return Err(format!("unknown event kind {other:?}")),
+                })
+            }
+        }
+    };
+}
+
+events! {
+    /// One traced moment. Field conventions: `class`/`rule` are the numeric
+    /// ids of the production DB, `*_name` the human names, durations are
+    /// nanoseconds.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Event {
+        /// A recognize-act cycle began.
+        CycleStart = "cycle_start" {
+            cycle: u64 = "cycle",
+        }
+        /// A recognize-act cycle finished (conflict-set size after act).
+        CycleEnd = "cycle_end" {
+            cycle: u64 = "cycle",
+            conflict_len: usize = "conflict_len",
+            fired_total: u64 = "fired_total",
+        }
+        /// A tuple entered working memory. `tid` is the packed storage tuple
+        /// id it resolved to (0 when the emitter does not know it), so journal
+        /// queries can join WM deltas against firing provenance.
+        WmInsert = "wm_insert" {
+            class: u32 = "class",
+            class_name: String = "class_name",
+            tuple: String = "tuple",
+            tid: u64 = "tid",
+        }
+        /// A tuple left working memory.
+        WmRemove = "wm_remove" {
+            class: u32 = "class",
+            class_name: String = "class_name",
+            tuple: String = "tuple",
+            tid: u64 = "tid",
+        }
+        /// One engine finished match maintenance for one WM change.
+        /// `detect_ns`/`total_ns` are the §4.2.3 detect/maintain split when
+        /// the engine reports it (0/0 otherwise).
+        MatchMaintain = "match_maintain" {
+            engine: &'static str = "engine" via ENGINE,
+            class: u32 = "class",
+            insert: bool = "insert",
+            adds: usize = "adds",
+            removes: usize = "removes",
+            detect_ns: u64 = "detect_ns",
+            total_ns: u64 = "total_ns",
+        }
+        /// One COND store's propagation finished (§4.2.3's per-relation
+        /// maintenance): the class whose store was updated, how many COND
+        /// tuples it examined, the index probes that narrowed them, and its
+        /// wall time.
+        PropagateSpan = "propagate_span" {
+            class: u32 = "class",
+            class_name: String = "class_name",
+            scanned: u64 = "scanned",
+            probes: u64 = "probes",
+            span_ns: u64 = "span_ns",
+        }
+        /// One whole delta batch finished maintenance (§4.2 set-oriented
+        /// mode): how many WM inserts/deletes it carried and how many
+        /// distinct rules its conflict deltas touched.
+        BatchApplied = "batch_applied" {
+            engine: &'static str = "engine" via ENGINE,
+            inserts: usize = "inserts",
+            deletes: usize = "deletes",
+            rules_awakened: usize = "rules_awakened",
+            total_ns: u64 = "total_ns",
+        }
+        /// One §5 synchronization round finished: how many candidate
+        /// instantiations were dispatched to the workers, how many of them
+        /// committed, how many aborted (deadlock victims, invalidations, or
+        /// storage errors), and how much of the round's wall time
+        /// (`span_ns`) was serialized inside the engine critical section
+        /// (`critical_ns`, summed over the round's transactions).
+        RoundSpan = "round_span" {
+            round: u64 = "round",
+            candidates: usize = "candidates",
+            committed: usize = "committed",
+            aborted: usize = "aborted",
+            critical_ns: u64 = "critical_ns",
+            span_ns: u64 = "span_ns",
+        }
+        /// The conflict set gained or lost one instantiation. `support` is
+        /// the provenance tuple-id list ("t3.1 t7.2") when the engine tracks
+        /// it; `absent` the concrete negated patterns that must stay absent.
+        ConflictDelta = "conflict_delta" {
+            add: bool = "op" via Op,
+            rule: u32 = "rule",
+            rule_name: String = "rule_name",
+            wmes: String = "wmes",
+            support: String = "support",
+            absent: String = "absent",
+        }
+        /// Conflict resolution picked an instantiation to fire.
+        RuleSelect = "rule_select" {
+            cycle: u64 = "cycle",
+            rule: u32 = "rule",
+            rule_name: String = "rule_name",
+            conflict_len: usize = "conflict_len",
+        }
+        /// An instantiation's RHS ran to completion.
+        RuleFire = "rule_fire" {
+            cycle: u64 = "cycle",
+            rule: u32 = "rule",
+            rule_name: String = "rule_name",
+            rhs_ns: u64 = "rhs_ns",
+            inserts: usize = "inserts",
+            removes: usize = "removes",
+        }
+        /// Full derivation of one firing: which WM elements (by storage tuple
+        /// id, when the engine tracks them) supported the instantiation, and
+        /// which concrete patterns had to be absent (negated CEs).
+        Derivation = "derivation" {
+            rule: u32 = "rule",
+            rule_name: String = "rule_name",
+            wmes: String = "wmes",
+            support: String = "support",
+            absent: String = "absent",
+        }
+        /// A §5 rule-transaction began.
+        TxnBegin = "txn_begin" {
+            txn: u64 = "txn",
+            rule: u32 = "rule",
+            rule_name: String = "rule_name",
+        }
+        /// A transaction had to wait for a lock.
+        LockWait = "lock_wait" {
+            txn: u64 = "txn",
+            target: String = "target",
+            mode: &'static str = "mode" via LOCK_MODE,
+        }
+        /// A lock was granted (wait_ns = 0 for an immediate grant).
+        LockAcquire = "lock_acquire" {
+            txn: u64 = "txn",
+            target: String = "target",
+            mode: &'static str = "mode" via LOCK_MODE,
+            wait_ns: u64 = "wait_ns",
+        }
+        /// The deadlock detector chose this transaction as victim.
+        DeadlockVictim = "deadlock_victim" {
+            txn: u64 = "txn",
+        }
+        /// Snapshot of the waits-for graph at the moment a deadlock victim
+        /// was chosen, so journals show *why* the transaction aborted. Each
+        /// edge is rendered `t<waiter>->t<holder> <mode> <target>` and edges
+        /// are `"; "`-joined.
+        DeadlockGraph = "deadlock_graph" {
+            victim: u64 = "victim",
+            edges: String = "edges",
+        }
+        /// Contention summary for one lock-table shard over a run: how many
+        /// lock requests blocked there and for how long in total. Emitted
+        /// per shard with non-zero waits when a concurrent run finishes.
+        ShardContention = "shard_contention" {
+            shard: u32 = "shard",
+            waits: u64 = "waits",
+            wait_ns: u64 = "wait_ns",
+        }
+        /// One production committed its firing. `seq` is the global commit
+        /// sequence number — assigned while the transaction still holds its
+        /// locks, so for conflicting transactions it IS the serialization
+        /// order and replaying firings serially in `seq` order reproduces
+        /// the run. `round` is the §5 synchronization round (the cycle
+        /// number under the sequential executor, where `txn` is 0). Its JSON
+        /// key is `fseq`, apart from the line's own `seq`.
+        Firing = "firing" {
+            seq: u64 = "fseq",
+            round: u64 = "round",
+            txn: u64 = "txn",
+            rule: u32 = "rule",
+            rule_name: String = "rule_name",
+            wmes: String = "wmes",
+            support: String = "support",
+        }
+        /// A transaction rolled back. `reason` is `deadlock`, `invalidated`,
+        /// or `error: …` with the storage error that forced the abort.
+        TxnAbort = "txn_abort" {
+            txn: u64 = "txn",
+            reason: String = "reason",
+        }
+        /// A transaction committed.
+        TxnCommit = "txn_commit" {
+            txn: u64 = "txn",
+            writes: usize = "writes",
+        }
+    }
 }
 
 impl Event {
-    /// Stable kind tag used as the JSONL discriminator.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::CycleStart { .. } => "cycle_start",
-            Event::CycleEnd { .. } => "cycle_end",
-            Event::WmInsert { .. } => "wm_insert",
-            Event::WmRemove { .. } => "wm_remove",
-            Event::MatchMaintain { .. } => "match_maintain",
-            Event::PropagateSpan { .. } => "propagate_span",
-            Event::BatchApplied { .. } => "batch_applied",
-            Event::RoundSpan { .. } => "round_span",
-            Event::ConflictDelta { .. } => "conflict_delta",
-            Event::RuleSelect { .. } => "rule_select",
-            Event::RuleFire { .. } => "rule_fire",
-            Event::Derivation { .. } => "derivation",
-            Event::TxnBegin { .. } => "txn_begin",
-            Event::LockWait { .. } => "lock_wait",
-            Event::LockAcquire { .. } => "lock_acquire",
-            Event::DeadlockVictim { .. } => "deadlock_victim",
-            Event::DeadlockGraph { .. } => "deadlock_graph",
-            Event::ShardContention { .. } => "shard_contention",
-            Event::Firing { .. } => "firing",
-            Event::TxnAbort { .. } => "txn_abort",
-            Event::TxnCommit { .. } => "txn_commit",
-        }
-    }
-
     /// Render as a single JSON object (one JSONL line, no newline).
     pub fn to_json(&self, seq: u64) -> String {
-        let o = Obj::new().u64("seq", seq).str("event", self.kind());
-        match self {
-            Event::CycleStart { cycle } => o.u64("cycle", *cycle).finish(),
-            Event::CycleEnd {
-                cycle,
-                conflict_len,
-                fired_total,
-            } => o
-                .u64("cycle", *cycle)
-                .usize("conflict_len", *conflict_len)
-                .u64("fired_total", *fired_total)
-                .finish(),
-            Event::WmInsert {
-                class,
-                class_name,
-                tuple,
-                tid,
-            }
-            | Event::WmRemove {
-                class,
-                class_name,
-                tuple,
-                tid,
-            } => o
-                .u64("class", *class as u64)
-                .str("class_name", class_name)
-                .str("tuple", tuple)
-                .u64("tid", *tid)
-                .finish(),
-            Event::MatchMaintain {
-                engine,
-                class,
-                insert,
-                adds,
-                removes,
-                detect_ns,
-                total_ns,
-            } => o
-                .str("engine", engine)
-                .u64("class", *class as u64)
-                .bool("insert", *insert)
-                .usize("adds", *adds)
-                .usize("removes", *removes)
-                .u64("detect_ns", *detect_ns)
-                .u64("total_ns", *total_ns)
-                .finish(),
-            Event::PropagateSpan {
-                class,
-                class_name,
-                scanned,
-                probes,
-                span_ns,
-            } => o
-                .u64("class", *class as u64)
-                .str("class_name", class_name)
-                .u64("scanned", *scanned)
-                .u64("probes", *probes)
-                .u64("span_ns", *span_ns)
-                .finish(),
-            Event::BatchApplied {
-                engine,
-                inserts,
-                deletes,
-                rules_awakened,
-                total_ns,
-            } => o
-                .str("engine", engine)
-                .usize("inserts", *inserts)
-                .usize("deletes", *deletes)
-                .usize("rules_awakened", *rules_awakened)
-                .u64("total_ns", *total_ns)
-                .finish(),
-            Event::RoundSpan {
-                round,
-                candidates,
-                committed,
-                aborted,
-                critical_ns,
-                span_ns,
-            } => o
-                .u64("round", *round)
-                .usize("candidates", *candidates)
-                .usize("committed", *committed)
-                .usize("aborted", *aborted)
-                .u64("critical_ns", *critical_ns)
-                .u64("span_ns", *span_ns)
-                .finish(),
-            Event::ConflictDelta {
-                add,
-                rule,
-                rule_name,
-                wmes,
-                support,
-                absent,
-            } => o
-                .str("op", if *add { "add" } else { "remove" })
-                .u64("rule", *rule as u64)
-                .str("rule_name", rule_name)
-                .str("wmes", wmes)
-                .str("support", support)
-                .str("absent", absent)
-                .finish(),
-            Event::RuleSelect {
-                cycle,
-                rule,
-                rule_name,
-                conflict_len,
-            } => o
-                .u64("cycle", *cycle)
-                .u64("rule", *rule as u64)
-                .str("rule_name", rule_name)
-                .usize("conflict_len", *conflict_len)
-                .finish(),
-            Event::RuleFire {
-                cycle,
-                rule,
-                rule_name,
-                rhs_ns,
-                inserts,
-                removes,
-            } => o
-                .u64("cycle", *cycle)
-                .u64("rule", *rule as u64)
-                .str("rule_name", rule_name)
-                .u64("rhs_ns", *rhs_ns)
-                .usize("inserts", *inserts)
-                .usize("removes", *removes)
-                .finish(),
-            Event::Derivation {
-                rule,
-                rule_name,
-                wmes,
-                support,
-                absent,
-            } => o
-                .u64("rule", *rule as u64)
-                .str("rule_name", rule_name)
-                .str("wmes", wmes)
-                .str("support", support)
-                .str("absent", absent)
-                .finish(),
-            Event::TxnBegin {
-                txn,
-                rule,
-                rule_name,
-            } => o
-                .u64("txn", *txn)
-                .u64("rule", *rule as u64)
-                .str("rule_name", rule_name)
-                .finish(),
-            Event::LockWait { txn, target, mode } => o
-                .u64("txn", *txn)
-                .str("target", target)
-                .str("mode", mode)
-                .finish(),
-            Event::LockAcquire {
-                txn,
-                target,
-                mode,
-                wait_ns,
-            } => o
-                .u64("txn", *txn)
-                .str("target", target)
-                .str("mode", mode)
-                .u64("wait_ns", *wait_ns)
-                .finish(),
-            Event::DeadlockVictim { txn } => o.u64("txn", *txn).finish(),
-            Event::DeadlockGraph { victim, edges } => {
-                o.u64("victim", *victim).str("edges", edges).finish()
-            }
-            Event::ShardContention {
-                shard,
-                waits,
-                wait_ns,
-            } => o
-                .u64("shard", u64::from(*shard))
-                .u64("waits", *waits)
-                .u64("wait_ns", *wait_ns)
-                .finish(),
-            Event::Firing {
-                seq: fseq,
-                round,
-                txn,
-                rule,
-                rule_name,
-                wmes,
-                support,
-            } => o
-                .u64("fseq", *fseq)
-                .u64("round", *round)
-                .u64("txn", *txn)
-                .u64("rule", *rule as u64)
-                .str("rule_name", rule_name)
-                .str("wmes", wmes)
-                .str("support", support)
-                .finish(),
-            Event::TxnAbort { txn, reason } => o.u64("txn", *txn).str("reason", reason).finish(),
-            Event::TxnCommit { txn, writes } => {
-                o.u64("txn", *txn).usize("writes", *writes).finish()
-            }
-        }
+        let mut o = Obj::new().u64("seq", seq).str("event", self.kind());
+        self.for_each_field(|key, w| {
+            let prev = std::mem::take(&mut o);
+            o = match w {
+                Wire::U64(n) => prev.u64(key, n),
+                Wire::Str(s) => prev.str(key, s),
+                Wire::Bool(b) => prev.bool(key, b),
+            };
+        });
+        o.finish()
+    }
+
+    /// Parse one JSONL line produced by [`Event::to_json`] back into the
+    /// sink sequence number and the event — the read side of the
+    /// `sellis88-journal/v1` schema. Every variant round-trips; unknown
+    /// kinds, missing fields, out-of-range integers and labels outside
+    /// their table are errors, so journal readers fail loudly on schema
+    /// drift instead of silently dropping records. Keys the table does
+    /// not name are ignored.
+    pub fn from_json(line: &str) -> Result<(u64, Event), String> {
+        let v = crate::json::parse(line)?;
+        let seq = Plain.parse(&v, "seq")?;
+        Ok((seq, Event::from_fields(str_field(&v, "event")?, &v)?))
     }
 
     /// Render in the spirit of OPS5's `(watch 2)` trace: one short human
@@ -546,197 +534,6 @@ impl Event {
             }
         }
     }
-
-    /// Parse one JSONL line produced by [`Event::to_json`] back into the
-    /// sink sequence number and the event — the read side of the
-    /// `sellis88-journal/v1` schema. Every variant round-trips; unknown
-    /// kinds and missing fields are errors, so journal readers fail
-    /// loudly on schema drift instead of silently dropping records.
-    pub fn from_json(line: &str) -> Result<(u64, Event), String> {
-        let v = crate::json::parse(line)?;
-        let seq = field_u64(&v, "seq")?;
-        let kind = field_str(&v, "event")?;
-        let event = match kind.as_str() {
-            "cycle_start" => Event::CycleStart {
-                cycle: field_u64(&v, "cycle")?,
-            },
-            "cycle_end" => Event::CycleEnd {
-                cycle: field_u64(&v, "cycle")?,
-                conflict_len: field_usize(&v, "conflict_len")?,
-                fired_total: field_u64(&v, "fired_total")?,
-            },
-            "wm_insert" => Event::WmInsert {
-                class: field_u64(&v, "class")? as u32,
-                class_name: field_str(&v, "class_name")?,
-                tuple: field_str(&v, "tuple")?,
-                tid: field_u64(&v, "tid")?,
-            },
-            "wm_remove" => Event::WmRemove {
-                class: field_u64(&v, "class")? as u32,
-                class_name: field_str(&v, "class_name")?,
-                tuple: field_str(&v, "tuple")?,
-                tid: field_u64(&v, "tid")?,
-            },
-            "match_maintain" => Event::MatchMaintain {
-                engine: field_static(&v, "engine", ENGINE_LABELS)?,
-                class: field_u64(&v, "class")? as u32,
-                insert: field_bool(&v, "insert")?,
-                adds: field_usize(&v, "adds")?,
-                removes: field_usize(&v, "removes")?,
-                detect_ns: field_u64(&v, "detect_ns")?,
-                total_ns: field_u64(&v, "total_ns")?,
-            },
-            "propagate_span" => Event::PropagateSpan {
-                class: field_u64(&v, "class")? as u32,
-                class_name: field_str(&v, "class_name")?,
-                scanned: field_u64(&v, "scanned")?,
-                probes: field_u64(&v, "probes")?,
-                span_ns: field_u64(&v, "span_ns")?,
-            },
-            "batch_applied" => Event::BatchApplied {
-                engine: field_static(&v, "engine", ENGINE_LABELS)?,
-                inserts: field_usize(&v, "inserts")?,
-                deletes: field_usize(&v, "deletes")?,
-                rules_awakened: field_usize(&v, "rules_awakened")?,
-                total_ns: field_u64(&v, "total_ns")?,
-            },
-            "round_span" => Event::RoundSpan {
-                round: field_u64(&v, "round")?,
-                candidates: field_usize(&v, "candidates")?,
-                committed: field_usize(&v, "committed")?,
-                aborted: field_usize(&v, "aborted")?,
-                critical_ns: field_u64(&v, "critical_ns")?,
-                span_ns: field_u64(&v, "span_ns")?,
-            },
-            "conflict_delta" => Event::ConflictDelta {
-                add: match field_str(&v, "op")?.as_str() {
-                    "add" => true,
-                    "remove" => false,
-                    other => return Err(format!("bad conflict_delta op {other:?}")),
-                },
-                rule: field_u64(&v, "rule")? as u32,
-                rule_name: field_str(&v, "rule_name")?,
-                wmes: field_str(&v, "wmes")?,
-                support: field_str(&v, "support")?,
-                absent: field_str(&v, "absent")?,
-            },
-            "rule_select" => Event::RuleSelect {
-                cycle: field_u64(&v, "cycle")?,
-                rule: field_u64(&v, "rule")? as u32,
-                rule_name: field_str(&v, "rule_name")?,
-                conflict_len: field_usize(&v, "conflict_len")?,
-            },
-            "rule_fire" => Event::RuleFire {
-                cycle: field_u64(&v, "cycle")?,
-                rule: field_u64(&v, "rule")? as u32,
-                rule_name: field_str(&v, "rule_name")?,
-                rhs_ns: field_u64(&v, "rhs_ns")?,
-                inserts: field_usize(&v, "inserts")?,
-                removes: field_usize(&v, "removes")?,
-            },
-            "derivation" => Event::Derivation {
-                rule: field_u64(&v, "rule")? as u32,
-                rule_name: field_str(&v, "rule_name")?,
-                wmes: field_str(&v, "wmes")?,
-                support: field_str(&v, "support")?,
-                absent: field_str(&v, "absent")?,
-            },
-            "txn_begin" => Event::TxnBegin {
-                txn: field_u64(&v, "txn")?,
-                rule: field_u64(&v, "rule")? as u32,
-                rule_name: field_str(&v, "rule_name")?,
-            },
-            "lock_wait" => Event::LockWait {
-                txn: field_u64(&v, "txn")?,
-                target: field_str(&v, "target")?,
-                mode: field_static(&v, "mode", LOCK_MODES)?,
-            },
-            "lock_acquire" => Event::LockAcquire {
-                txn: field_u64(&v, "txn")?,
-                target: field_str(&v, "target")?,
-                mode: field_static(&v, "mode", LOCK_MODES)?,
-                wait_ns: field_u64(&v, "wait_ns")?,
-            },
-            "deadlock_victim" => Event::DeadlockVictim {
-                txn: field_u64(&v, "txn")?,
-            },
-            "deadlock_graph" => Event::DeadlockGraph {
-                victim: field_u64(&v, "victim")?,
-                edges: field_str(&v, "edges")?,
-            },
-            "shard_contention" => Event::ShardContention {
-                shard: field_u64(&v, "shard")? as u32,
-                waits: field_u64(&v, "waits")?,
-                wait_ns: field_u64(&v, "wait_ns")?,
-            },
-            "firing" => Event::Firing {
-                seq: field_u64(&v, "fseq")?,
-                round: field_u64(&v, "round")?,
-                txn: field_u64(&v, "txn")?,
-                rule: field_u64(&v, "rule")? as u32,
-                rule_name: field_str(&v, "rule_name")?,
-                wmes: field_str(&v, "wmes")?,
-                support: field_str(&v, "support")?,
-            },
-            "txn_abort" => Event::TxnAbort {
-                txn: field_u64(&v, "txn")?,
-                reason: field_str(&v, "reason")?,
-            },
-            "txn_commit" => Event::TxnCommit {
-                txn: field_u64(&v, "txn")?,
-                writes: field_usize(&v, "writes")?,
-            },
-            other => return Err(format!("unknown event kind {other:?}")),
-        };
-        Ok((seq, event))
-    }
-}
-
-/// The `&'static str` engine labels events may carry. `from_json` interns
-/// parsed labels against this table instead of leaking heap strings.
-const ENGINE_LABELS: &[&str] = &["rete", "db-rete", "query", "cond", "marker"];
-/// The `&'static str` lock modes events may carry.
-const LOCK_MODES: &[&str] = &["shared", "exclusive"];
-
-fn field<'a>(v: &'a crate::json::Value, k: &str) -> Result<&'a crate::json::Value, String> {
-    v.get(k).ok_or_else(|| format!("missing field {k:?}"))
-}
-
-fn field_u64(v: &crate::json::Value, k: &str) -> Result<u64, String> {
-    field(v, k)?
-        .as_u64()
-        .ok_or_else(|| format!("field {k:?} is not a u64"))
-}
-
-fn field_usize(v: &crate::json::Value, k: &str) -> Result<usize, String> {
-    field_u64(v, k).map(|n| n as usize)
-}
-
-fn field_str(v: &crate::json::Value, k: &str) -> Result<String, String> {
-    field(v, k)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("field {k:?} is not a string"))
-}
-
-fn field_bool(v: &crate::json::Value, k: &str) -> Result<bool, String> {
-    match field(v, k)? {
-        crate::json::Value::Bool(b) => Ok(*b),
-        _ => Err(format!("field {k:?} is not a bool")),
-    }
-}
-
-fn field_static(
-    v: &crate::json::Value,
-    k: &str,
-    table: &[&'static str],
-) -> Result<&'static str, String> {
-    let s = field_str(v, k)?;
-    table
-        .iter()
-        .find(|t| **t == s)
-        .copied()
-        .ok_or_else(|| format!("field {k:?} has unknown value {s:?}"))
 }
 
 #[cfg(test)]
@@ -760,6 +557,52 @@ mod tests {
         );
         assert!(line.contains("\"rule_name\":\"R\\\"1\""), "{line}");
         assert!(!line.contains('\n'));
+    }
+
+    #[test]
+    fn parsing_rejects_schema_drift() {
+        let ok = concat!(
+            "{\"seq\":1,\"event\":\"lock_wait\",\"txn\":2,",
+            "\"target\":\"rel0\",\"mode\":\"shared\"}"
+        );
+        assert!(Event::from_json(ok).is_ok());
+        let bad = [
+            (ok.replace(",\"txn\":2", ""), "missing field \"txn\""),
+            (ok.replace("lock_wait", "lock_wiat"), "unknown event kind"),
+            (ok.replace("shared", "intent"), "field \"mode\" has unknown"),
+            (ok.replace("\"txn\":2", "\"txn\":\"2\""), "is not a u64"),
+            (
+                Event::MatchMaintain {
+                    engine: "query",
+                    class: 0,
+                    insert: true,
+                    adds: 0,
+                    removes: 0,
+                    detect_ns: 0,
+                    total_ns: 0,
+                }
+                .to_json(0)
+                .replace("query", "treat"),
+                "field \"engine\" has unknown",
+            ),
+            (
+                Event::ConflictDelta {
+                    add: true,
+                    rule: 0,
+                    rule_name: "R".into(),
+                    wmes: String::new(),
+                    support: String::new(),
+                    absent: String::new(),
+                }
+                .to_json(0)
+                .replace("\"add\"", "\"added\""),
+                "field \"op\" has unknown",
+            ),
+        ];
+        for (line, want) in bad {
+            let err = Event::from_json(&line).unwrap_err();
+            assert!(err.contains(want), "{line}: {err}");
+        }
     }
 
     #[test]

@@ -98,7 +98,8 @@ impl LoadOp {
         let class = v
             .get("class")
             .and_then(Value::as_u64)
-            .ok_or("load op missing class")? as u32;
+            .ok_or("load op missing class")?;
+        let class = u32::try_from(class).map_err(|_| "field \"class\" out of range")?;
         let values = v
             .get("values")
             .and_then(Value::as_array)

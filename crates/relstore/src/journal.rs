@@ -6,252 +6,109 @@
 //!
 //! This is the paper's own thesis applied to the runtime itself: the
 //! DBMS that hosts the production system also hosts its execution
-//! history. One relation per record family, `seq` everywhere, so joins
-//! against the total event order are ordinary equi/range predicates.
+//! history. The relations follow from the event table
+//! ([`obs::Event::KINDS`]) by one rule: `j_event(seq, kind, line)` holds
+//! every record, and each kind gets `j_<kind>(seq, <its JSON keys in
+//! table order>)`. `seq` is everywhere, so joins against the total event
+//! order are ordinary equi/range predicates.
 
 use std::collections::BTreeMap;
 
+use obs::event::Wire;
 use obs::{Event, Journal};
 
 use crate::database::Database;
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::pred::{CompOp, Restriction, Selection};
 use crate::schema::{RelId, Schema};
-use crate::tuple;
+use crate::tuple::Tuple;
 use crate::value::Value;
 
 /// Relation ids of an ingested journal.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct JournalRels {
     /// `j_event(seq, kind, line)` — every record, with its OPS5-style
     /// watch line. The spine of the total order.
     pub event: RelId,
-    /// `j_wm_delta(seq, op, class, class_name, tid, tuple)` — WM
-    /// inserts/removes ("insert" / "remove").
-    pub wm_delta: RelId,
-    /// `j_firing(fseq, seq, round, txn, rule, rule_name, wmes, support)`
-    /// — committed firings in serialization (`fseq`) order.
-    pub firing: RelId,
-    /// `j_conflict(seq, op, rule, rule_name, wmes, support, absent)` —
-    /// conflict-set adds/retires with provenance.
-    pub conflict: RelId,
-    /// `j_txn(seq, op, txn, detail)` — txn begin/commit/abort; `detail`
-    /// is the rule name, the write count, or the abort reason.
-    pub txn: RelId,
-    /// `j_lock(seq, op, txn, target, mode, wait_ns)` — lock waits and
-    /// grants ("wait" / "acquire").
-    pub lock: RelId,
-    /// `j_deadlock(seq, victim, edges)` — waits-for-graph snapshots
-    /// taken when a deadlock victim was chosen.
-    pub deadlock: RelId,
+    kinds: BTreeMap<&'static str, RelId>,
 }
 
-/// Load a parsed journal into `db`, creating the seven `j_*` relations.
+impl JournalRels {
+    /// The `j_<kind>` relation of one event kind.
+    pub fn of(&self, kind: &str) -> Result<RelId> {
+        self.kinds
+            .get(kind)
+            .copied()
+            .ok_or_else(|| Error::UnknownRelation(format!("j_{kind}")))
+    }
+}
+
+/// Load a parsed journal into `db`, creating `j_event` and one `j_<kind>`
+/// relation per event kind.
 ///
-/// `seq` is stored as `Int`, so the relations inherit relstore's ordered
-/// indexes and range predicates; every event lands in `j_event` and the
-/// typed families additionally land in their own relation.
+/// `seq` and integer fields are stored as `Int`, so the relations inherit
+/// relstore's ordered indexes and range predicates; every event lands in
+/// `j_event` and, with its fields' wire values, in its kind's relation.
 pub fn ingest(db: &Database, journal: &Journal) -> Result<JournalRels> {
-    let rels = JournalRels {
-        event: db.create_relation(Schema::new("j_event", ["seq", "kind", "line"]))?,
-        wm_delta: db.create_relation(Schema::new(
-            "j_wm_delta",
-            ["seq", "op", "class", "class_name", "tid", "tuple"],
-        ))?,
-        firing: db.create_relation(Schema::new(
-            "j_firing",
-            [
-                "fseq",
-                "seq",
-                "round",
-                "txn",
-                "rule",
-                "rule_name",
-                "wmes",
-                "support",
-            ],
-        ))?,
-        conflict: db.create_relation(Schema::new(
-            "j_conflict",
-            [
-                "seq",
-                "op",
-                "rule",
-                "rule_name",
-                "wmes",
-                "support",
-                "absent",
-            ],
-        ))?,
-        txn: db.create_relation(Schema::new("j_txn", ["seq", "op", "txn", "detail"]))?,
-        lock: db.create_relation(Schema::new(
-            "j_lock",
-            ["seq", "op", "txn", "target", "mode", "wait_ns"],
-        ))?,
-        deadlock: db.create_relation(Schema::new("j_deadlock", ["seq", "victim", "edges"]))?,
-    };
-    for (seq, event) in &journal.events {
+    let event = db.create_relation(Schema::new("j_event", ["seq", "kind", "line"]))?;
+    let mut kinds = BTreeMap::new();
+    for &(kind, keys) in Event::KINDS {
+        let attrs = std::iter::once("seq").chain(keys.iter().copied());
+        kinds.insert(
+            kind,
+            db.create_relation(Schema::new(format!("j_{kind}"), attrs))?,
+        );
+    }
+    let rels = JournalRels { event, kinds };
+    for (seq, e) in &journal.events {
         let seq = *seq as i64;
-        db.insert(rels.event, tuple![seq, event.kind(), event.watch_line()])?;
-        match event {
-            Event::WmInsert {
-                class,
-                class_name,
-                tuple,
-                tid,
-            } => {
-                db.insert(
-                    rels.wm_delta,
-                    tuple![
-                        seq,
-                        "insert",
-                        *class as i64,
-                        class_name.as_str(),
-                        *tid as i64,
-                        tuple.as_str()
-                    ],
-                )?;
-            }
-            Event::WmRemove {
-                class,
-                class_name,
-                tuple,
-                tid,
-            } => {
-                db.insert(
-                    rels.wm_delta,
-                    tuple![
-                        seq,
-                        "remove",
-                        *class as i64,
-                        class_name.as_str(),
-                        *tid as i64,
-                        tuple.as_str()
-                    ],
-                )?;
-            }
-            Event::Firing {
-                seq: fseq,
-                round,
-                txn,
-                rule,
-                rule_name,
-                wmes,
-                support,
-            } => {
-                db.insert(
-                    rels.firing,
-                    tuple![
-                        *fseq as i64,
-                        seq,
-                        *round as i64,
-                        *txn as i64,
-                        *rule as i64,
-                        rule_name.as_str(),
-                        wmes.as_str(),
-                        support.as_str()
-                    ],
-                )?;
-            }
-            Event::ConflictDelta {
-                add,
-                rule,
-                rule_name,
-                wmes,
-                support,
-                absent,
-            } => {
-                db.insert(
-                    rels.conflict,
-                    tuple![
-                        seq,
-                        if *add { "add" } else { "remove" },
-                        *rule as i64,
-                        rule_name.as_str(),
-                        wmes.as_str(),
-                        support.as_str(),
-                        absent.as_str()
-                    ],
-                )?;
-            }
-            Event::TxnBegin { txn, rule_name, .. } => {
-                db.insert(
-                    rels.txn,
-                    tuple![seq, "begin", *txn as i64, rule_name.as_str()],
-                )?;
-            }
-            Event::TxnCommit { txn, writes } => {
-                db.insert(
-                    rels.txn,
-                    tuple![seq, "commit", *txn as i64, format!("{writes} writes")],
-                )?;
-            }
-            Event::TxnAbort { txn, reason } => {
-                db.insert(rels.txn, tuple![seq, "abort", *txn as i64, reason.as_str()])?;
-            }
-            Event::LockWait { txn, target, mode } => {
-                db.insert(
-                    rels.lock,
-                    tuple![seq, "wait", *txn as i64, target.as_str(), *mode, 0i64],
-                )?;
-            }
-            Event::LockAcquire {
-                txn,
-                target,
-                mode,
-                wait_ns,
-            } => {
-                db.insert(
-                    rels.lock,
-                    tuple![
-                        seq,
-                        "acquire",
-                        *txn as i64,
-                        target.as_str(),
-                        *mode,
-                        *wait_ns as i64
-                    ],
-                )?;
-            }
-            Event::DeadlockGraph { victim, edges } => {
-                db.insert(rels.deadlock, tuple![seq, *victim as i64, edges.as_str()])?;
-            }
-            _ => {}
-        }
+        db.insert(rels.event, crate::tuple![seq, e.kind(), e.watch_line()])?;
+        let mut row = vec![Value::Int(seq)];
+        e.for_each_field(|_, w| {
+            row.push(match w {
+                Wire::U64(n) => Value::Int(n as i64),
+                Wire::Str(s) => Value::str(s),
+                Wire::Bool(b) => Value::Bool(b),
+            })
+        });
+        db.insert(rels.of(e.kind())?, Tuple::new(row))?;
     }
     Ok(rels)
 }
 
 /// Working memory as of just before journal sequence number `seq`,
-/// reconstructed by a range query over the ingested `j_wm_delta`
-/// relation: multiset counts keyed by `(class, tuple_text)`, zero
-/// counts dropped.
+/// reconstructed by range queries over the ingested `j_wm_insert` and
+/// `j_wm_remove` relations: multiset counts keyed by
+/// `(class, tuple_text)`, zero counts dropped.
 ///
 /// Equivalent to [`obs::Journal::wm_before`], but computed inside the
-/// DBMS — the form `--why-not` uses so the answer demonstrably comes
-/// from the journal relations.
+/// DBMS — the form `--why` uses so the answer demonstrably comes from
+/// the journal relations.
 pub fn wm_as_of(
     db: &Database,
     rels: &JournalRels,
     seq: u64,
 ) -> Result<BTreeMap<(i64, String), i64>> {
-    let deltas = db.select(
-        rels.wm_delta,
-        &Restriction::new(vec![Selection::new(0, CompOp::Lt, seq as i64)]),
-    )?;
+    let before = i64::try_from(seq).unwrap_or(i64::MAX);
     let mut wm: BTreeMap<(i64, String), i64> = BTreeMap::new();
-    for (_, t) in deltas {
-        let v = t.values();
-        let class = match &v[2] {
-            Value::Int(n) => *n,
-            _ => 0,
-        };
-        let text = match &v[5] {
-            Value::Str(s) => s.to_string(),
-            _ => String::new(),
-        };
-        let insert = matches!(&v[1], Value::Str(s) if s.as_ref() == "insert");
-        *wm.entry((class, text)).or_insert(0) += if insert { 1 } else { -1 };
+    for (kind, delta) in [("wm_insert", 1), ("wm_remove", -1)] {
+        let rel = rels.of(kind)?;
+        let schema = db.schema(rel)?;
+        let col = |name| schema.attr_index(name);
+        let (class, text) = (col("class")?, col("tuple")?);
+        let earlier = Restriction::new(vec![Selection::new(col("seq")?, CompOp::Lt, before)]);
+        for (_, t) in db.select(rel, &earlier)? {
+            let v = t.values();
+            let class = match &v[class] {
+                Value::Int(n) => *n,
+                _ => 0,
+            };
+            let text = match &v[text] {
+                Value::Str(s) => s.to_string(),
+                _ => String::new(),
+            };
+            *wm.entry((class, text)).or_insert(0) += delta;
+        }
     }
     wm.retain(|_, n| *n != 0);
     Ok(wm)
@@ -357,22 +214,31 @@ mod tests {
         let db = Database::new();
         let rels = ingest(&db, &sample_journal()).unwrap();
         let all = |rel| db.select(rel, &Restriction::default()).unwrap().len();
+        let kind = |k| all(rels.of(k).unwrap());
         assert_eq!(all(rels.event), 8, "every record lands in j_event");
-        assert_eq!(all(rels.wm_delta), 2);
-        assert_eq!(all(rels.firing), 1);
-        assert_eq!(all(rels.conflict), 1);
-        assert_eq!(all(rels.txn), 2, "begin + commit");
-        assert_eq!(all(rels.lock), 1);
-        assert_eq!(all(rels.deadlock), 1);
+        assert_eq!(kind("wm_insert") + kind("wm_remove"), 2);
+        assert_eq!(kind("firing"), 1);
+        assert_eq!(kind("conflict_delta"), 1);
+        assert_eq!(kind("txn_begin") + kind("txn_commit"), 2, "begin + commit");
+        assert_eq!(kind("lock_wait") + kind("lock_acquire"), 1);
+        assert_eq!(kind("deadlock_graph"), 1);
+        let typed: usize = Event::KINDS.iter().map(|(k, _)| kind(k)).sum();
+        assert_eq!(typed, 8, "every record lands in its kind's relation");
         // Firings are queryable by name via ordinary predicates.
+        let firing = rels.of("firing").unwrap();
+        let schema = db.schema(firing).unwrap();
+        let col = |name| schema.attr_index(name).unwrap();
         let firings = db
             .select(
-                rels.firing,
-                &Restriction::new(vec![Selection::new(5, CompOp::Eq, "R")]),
+                firing,
+                &Restriction::new(vec![Selection::new(col("rule_name"), CompOp::Eq, "R")]),
             )
             .unwrap();
         assert_eq!(firings.len(), 1);
-        assert!(matches!(&firings[0].1.values()[7], Value::Str(s) if s.as_ref() == "t0.1"));
+        let v = firings[0].1.values();
+        assert!(matches!(&v[col("support")], Value::Str(s) if s.as_ref() == "t0.1"));
+        assert_eq!(v[col("seq")], Value::Int(4), "the sink sequence number");
+        assert_eq!(v[col("fseq")], Value::Int(0), "the commit sequence number");
     }
 
     #[test]

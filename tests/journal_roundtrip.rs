@@ -9,10 +9,15 @@
 //!    survive `to_json` → `from_json` unchanged, so journals written by
 //!    one build are readable by the next (and a field a later build
 //!    drops is ignored when an older journal is read).
+//! 3. Wire format and ingest pinned by the checked-in journal
+//!    `tests/fixtures/flake_regression.jsonl`: every event line
+//!    re-encodes byte for byte, and the relations generated from the
+//!    event table hold exactly its records.
 
-use obs::{Event, JournalMeta, LoadOp, LoadValue};
-use prodsys::EngineKind;
+use obs::{Event, Journal, JournalMeta, LoadOp, LoadValue};
+use prodsys::{EngineKind, ProductionDb};
 use proptest::prelude::*;
+use relstore::{Database, Restriction};
 
 /// The confluent Mark/Consume family the concurrent-equivalence suite
 /// uses: racy (Consume deletes support out from under Mark) but with an
@@ -188,6 +193,11 @@ fn all_variants() -> Vec<Event> {
             victim: 9,
             edges: "t9->t4 exclusive rel3[t9.1]; t4->t9 shared rel3".into(),
         },
+        Event::ShardContention {
+            shard: 3,
+            waits: 12,
+            wait_ns: 3400,
+        },
         Event::Firing {
             seq: 41,
             round: 7,
@@ -210,7 +220,11 @@ fn every_event_variant_round_trips_through_json() {
     let variants = all_variants();
     // One of each variant is present (two ConflictDelta directions).
     let kinds: std::collections::BTreeSet<&str> = variants.iter().map(Event::kind).collect();
-    assert_eq!(kinds.len(), 20, "cover every Event variant: {kinds:?}");
+    assert_eq!(
+        kinds.len(),
+        Event::KINDS.len(),
+        "cover every Event variant: {kinds:?}"
+    );
     for (i, event) in variants.iter().enumerate() {
         let line = event.to_json(i as u64);
         let (seq, back) = Event::from_json(&line)
@@ -277,4 +291,156 @@ fn journal_meta_round_trips_through_json() {
     let legacy = line.replacen(",\"strategy\"", ",\"batching\":true,\"strategy\"", 1);
     assert!(legacy.contains("\"batching\":true"), "{legacy}");
     assert_eq!(JournalMeta::from_json(&legacy).unwrap(), meta);
+}
+
+/// A `u32` field (`class`, `rule`, `shard`) at 2^32 is rejected, not
+/// truncated to 0: journal files come from outside the program.
+#[test]
+fn u32_fields_out_of_range_are_rejected() {
+    let mut checked = 0;
+    for event in all_variants() {
+        let line = event.to_json(0);
+        for key in ["class", "rule", "shard"] {
+            let Some((head, rest)) = line.split_once(&format!("\"{key}\":")) else {
+                continue;
+            };
+            let tail = rest.trim_start_matches(|c: char| c.is_ascii_digit());
+            let at = |n: u64| format!("{head}\"{key}\":{n}{tail}");
+            let max = Event::from_json(&at(u64::from(u32::MAX)));
+            assert!(max.is_ok(), "{}: {max:?}", event.kind());
+            let err = Event::from_json(&at(1 << 32)).unwrap_err();
+            assert_eq!(
+                err,
+                format!("field \"{key}\" out of range"),
+                "{}",
+                at(1 << 32)
+            );
+            checked += 1;
+        }
+    }
+    assert_eq!(
+        checked, 12,
+        "4 class + 7 rule (two conflict_delta lines) + 1 shard"
+    );
+    // The meta line's load ops carry a class too.
+    let meta = JournalMeta {
+        engine: "query".into(),
+        mode: "sequential".into(),
+        workers: 1,
+        strategy: "canonical".into(),
+        max_fired: 1,
+        program: SRC.into(),
+        load: item_load(&[(1, 2)]),
+    }
+    .to_json();
+    let wide = meta.replacen("\"class\":0", "\"class\":4294967296", 1);
+    assert_ne!(wide, meta);
+    let err = JournalMeta::from_json(&wide).unwrap_err();
+    assert_eq!(err, "field \"class\" out of range");
+}
+
+fn fixture() -> (String, Journal) {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/flake_regression.jsonl"
+    );
+    let text = std::fs::read_to_string(path).unwrap();
+    let journal = Journal::parse(&text).unwrap();
+    (text, journal)
+}
+
+/// The `sellis88-journal/v1` wire format is pinned by a journal written
+/// before the event table existed: every event line re-encodes byte for
+/// byte, and its meta line (which still carries the legacy `batching`
+/// key) parses.
+#[test]
+fn fixture_event_lines_re_encode_byte_identically() {
+    let (text, journal) = fixture();
+    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
+    let meta = lines.next().unwrap();
+    assert!(meta.contains("\"batching\":true"), "{meta}");
+    assert_eq!(JournalMeta::from_json(meta).unwrap(), journal.meta);
+    let mut n = 0;
+    for line in lines {
+        let (seq, event) = Event::from_json(line).unwrap();
+        assert_eq!(event.to_json(seq), line);
+        n += 1;
+    }
+    assert_eq!(n, 123);
+}
+
+/// Ingest generated from the event table: each `j_<kind>` holds exactly
+/// that kind's records, `j_event` holds them all, and the DBMS fold of
+/// the WM deltas agrees with the in-memory one.
+#[test]
+fn fixture_ingests_into_per_kind_relations() {
+    let (_, journal) = fixture();
+    let db = Database::new();
+    let rels = relstore::ingest(&db, &journal).unwrap();
+    let all = |rel| db.select(rel, &Restriction::default()).unwrap().len();
+    assert_eq!(all(rels.event), 123);
+    let expected = [
+        ("wm_insert", 17),
+        ("wm_remove", 7),
+        ("conflict_delta", 28),
+        ("derivation", 14),
+        ("firing", 10),
+        ("batch_applied", 10),
+        ("match_maintain", 7),
+        ("round_span", 2),
+        ("txn_begin", 14),
+        ("txn_commit", 10),
+        ("txn_abort", 4),
+    ];
+    for (kind, keys) in Event::KINDS {
+        let rel = rels.of(kind).unwrap();
+        let want = expected.iter().find(|(k, _)| k == kind).map_or(0, |e| e.1);
+        assert_eq!(all(rel), want, "j_{kind}");
+        let schema = db.schema(rel).unwrap();
+        let cols: Vec<&str> = schema.attrs().iter().map(|a| a.name.as_ref()).collect();
+        assert_eq!(cols[0], "seq");
+        assert_eq!(&cols[1..], *keys, "j_{kind} columns are the wire keys");
+    }
+    let fold = relstore::wm_as_of(&db, &rels, u64::MAX).unwrap();
+    let in_memory: std::collections::BTreeMap<(i64, String), i64> = journal
+        .final_wm()
+        .into_iter()
+        .map(|((class, tuple), n)| ((i64::from(class), tuple), n))
+        .collect();
+    assert!(!in_memory.is_empty());
+    assert_eq!(fold, in_memory);
+}
+
+/// Every engine's own name is a label `match_maintain` and
+/// `batch_applied` lines may carry, so a journal from any engine parses.
+#[test]
+fn every_engine_label_parses() {
+    let rules = ops5::compile(SRC).unwrap();
+    for kind in EngineKind::ALL {
+        let engine = prodsys::make_engine(kind, ProductionDb::new(rules.clone()).unwrap());
+        let name = engine.name();
+        for event in [
+            Event::MatchMaintain {
+                engine: name,
+                class: 0,
+                insert: false,
+                adds: 1,
+                removes: 0,
+                detect_ns: 2,
+                total_ns: 3,
+            },
+            Event::BatchApplied {
+                engine: name,
+                inserts: 1,
+                deletes: 2,
+                rules_awakened: 3,
+                total_ns: 4,
+            },
+        ] {
+            let line = event.to_json(0);
+            assert!(line.contains(&format!("\"engine\":\"{name}\"")), "{line}");
+            let parsed = Event::from_json(&line);
+            assert_eq!(parsed, Ok((0, event)), "{}: {line}", kind.label());
+        }
+    }
 }
