@@ -5,13 +5,14 @@
 //! snapshots (`BENCH_batch.json`, `BENCH_batch_10k.json`) pin every row's
 //! counters, which `--bench-check` re-runs and requires to repeat exactly.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use obs::json::{Arr, Obj};
 use prodsys::{
-    make_engine, ClassId, EngineKind, MatchEngine, ProductionDb, ProductionSystem, Strategy,
+    make_engine, ClassId, EngineKind, MatchEngine, ProductionDb, SequentialExecutor, Strategy,
 };
-use relstore::{tuple, Tuple};
+use relstore::{tuple, Database, Tuple};
 
 /// Schema identifier embedded in every snapshot. Bump only when a field
 /// is renamed or removed; adding fields is backward compatible.
@@ -52,15 +53,13 @@ pub struct BenchRow {
     pub pool_evictions: u64,
     /// WAL write + fsync pairs (0 for in-memory rows, which have no log).
     pub wal_syncs: u64,
-    /// Bytes allocated during the profiled re-run (0 when the row was
-    /// built without profiling, or in binaries that don't install
-    /// [`obs::alloc::CountingAlloc`]).
+    /// Bytes allocated during the profiled re-run (0 in binaries that
+    /// don't install [`obs::alloc::CountingAlloc`]).
     pub alloc_bytes: u64,
-    /// Wall time of the profiled re-run (0 when not profiled) — the
-    /// denominator for span attribution; `wall_ns` stays profiler-free.
+    /// Wall time of the profiled re-run — the denominator for span
+    /// attribution; `wall_ns` stays profiler-free.
     pub prof_wall_ns: u64,
-    /// Merged span call tree of the profiled re-run (empty when not
-    /// profiled).
+    /// Merged span call tree of the profiled re-run.
     pub profile: obs::Profile,
 }
 
@@ -116,13 +115,8 @@ impl BenchRow {
         ]
     }
 
-    /// Top-`n` self-time hotspots of the profiled re-run.
-    pub fn hotspots(&self, n: usize) -> Vec<obs::prof::Hotspot> {
-        self.profile.hotspots(n)
-    }
-
     /// Share of the profiled re-run's wall time attributed to named
-    /// spans (0.0 when the row was not profiled).
+    /// spans (0.0 when the re-run took no time).
     pub fn attribution(&self) -> f64 {
         if self.prof_wall_ns == 0 {
             return 0.0;
@@ -131,26 +125,18 @@ impl BenchRow {
     }
 }
 
-/// What a row's optional profiled re-run measured: the merged profile,
-/// its wall time, and the bytes allocated (empty and zeros when the row
-/// is not profiled).
+/// What a row's profiled re-run measured: the merged profile, its wall
+/// time, and the bytes allocated.
 struct Rerun {
     profile: obs::Profile,
     prof_wall_ns: u64,
     alloc_bytes: u64,
 }
 
-/// When `profiled`, run `f` once more with the profiler + allocation
-/// counters on. The profiler is process-global: callers are sequential
-/// (bench passes run one engine at a time).
-fn profiled_rerun<R>(profiled: bool, f: impl FnOnce() -> R) -> Rerun {
-    if !profiled {
-        return Rerun {
-            profile: obs::Profile::new(),
-            prof_wall_ns: 0,
-            alloc_bytes: 0,
-        };
-    }
+/// Run `f` once more with the profiler + allocation counters on. The
+/// profiler is process-global: callers are sequential (bench passes run
+/// one engine at a time).
+fn profiled_rerun<R>(f: impl FnOnce() -> R) -> Rerun {
     obs::prof::reset();
     obs::alloc::reset();
     obs::prof::set_enabled(true);
@@ -227,98 +213,71 @@ pub fn scaled_load(items: i64) -> (Vec<Tuple>, Vec<Tuple>) {
     (refs, item_rows)
 }
 
-/// Load + run one scaled pass on a fresh system of `kind`.
-fn scaled_pass(kind: EngineKind, items: i64) -> (ProductionSystem, u64) {
-    let mut sys = ProductionSystem::from_source(SCALED_DEMO, kind, Strategy::Fifo)
-        .expect("scaled program compiles");
-    let (refs, item_rows) = scaled_load(items);
-    sys.insert_batch("Ref", refs).expect("Ref class");
-    sys.insert_batch("Item", item_rows).expect("Item class");
-    let out = sys.run(100_000);
-    (sys, out.fired as u64)
-}
-
-fn scaled_row(kind: EngineKind, items: i64, profiled: bool) -> BenchRow {
-    // Wall is best-of-two fresh passes: the run-to-run jitter of a row
-    // (allocator and page-cache state) can reach ~40%, too much for the
-    // same-run COND gap gate, while the min of two passes is stable.
-    // Each pass builds its own system, so the counters (fired,
-    // logical_io, probes) are identical whichever pass the row keeps.
-    let start = Instant::now();
-    let (sys, fired) = scaled_pass(kind, items);
-    let mut wall_ns = start.elapsed().as_nanos() as u64;
-    let start = Instant::now();
-    let _ = scaled_pass(kind, items);
-    wall_ns = wall_ns.min(start.elapsed().as_nanos() as u64);
-    let rerun = profiled_rerun(profiled, || scaled_pass(kind, items));
-    BenchRow::new(kind.label(), wall_ns, fired, sys.engine(), rerun)
-}
-
 /// Buffer-pool frames for the `query-paged` row — deliberately far
 /// smaller than the scaled workload's working set, so the row always
 /// exercises eviction, write-back, and page faults rather than running
 /// as an in-memory benchmark with extra bookkeeping.
 pub const SCALED_PAGED_POOL: usize = 2;
 
-/// One scaled pass of the Query engine over a *file-backed* working
-/// memory (§3.2 made literal): heap pages under a [`SCALED_PAGED_POOL`]
-/// buffer pool, WAL-before-data on eviction. Same program, same skew,
-/// same batched load as the in-memory `query` row, so `fired` must agree
+/// The scaled rows, in snapshot order: label, engine, and the buffer-pool
+/// frames of a file-backed working memory (`None`: in memory). The
+/// `query-paged` row is §3.2 made literal: heap pages under a
+/// [`SCALED_PAGED_POOL`]-frame pool, WAL-before-data on eviction. Same
+/// program, skew and batched load as `query`, so `fired` must agree
 /// exactly; only the storage layer differs.
-fn scaled_paged_pass(items: i64, pool_pages: usize) -> (prodsys::SequentialExecutor, u64) {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "sellis88-bench-paged-{}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ));
-    let db = relstore::Database::new_paged(&dir, pool_pages).expect("paged database");
+pub const SCALED_ROWS: [(&str, EngineKind, Option<usize>); 6] = [
+    ("rete", EngineKind::Rete, None),
+    ("db-rete", EngineKind::DbRete, None),
+    ("query", EngineKind::Query, None),
+    ("cond", EngineKind::Cond, None),
+    ("marker", EngineKind::Marker, None),
+    ("query-paged", EngineKind::Query, Some(SCALED_PAGED_POOL)),
+];
+
+/// Load + run one scaled pass of `kind` on a fresh database: in memory,
+/// or paged under a `pool`-frame buffer pool in a temp directory.
+fn scaled_pass(kind: EngineKind, pool: Option<usize>, items: i64) -> (SequentialExecutor, u64) {
+    let paged = pool.map(|pages| (crate::scratch_dir("bench-paged"), pages));
+    let db = match &paged {
+        Some((dir, pages)) => Database::new_paged(dir, *pages).expect("paged database"),
+        None => Database::new(),
+    };
     let rules = ops5::compile(SCALED_DEMO).expect("scaled program compiles");
-    let pdb = ProductionDb::with_db(std::sync::Arc::new(db), rules).expect("paged pdb");
-    let engine = make_engine(EngineKind::Query, pdb);
-    let mut exec = prodsys::SequentialExecutor::new(engine, Strategy::Fifo);
+    let pdb = ProductionDb::with_db(Arc::new(db), rules).expect("scaled pdb");
+    let mut exec = SequentialExecutor::new(make_engine(kind, pdb), Strategy::Fifo);
     let (refs, item_rows) = scaled_load(items);
     exec.insert_batch(ClassId(1), refs);
     exec.insert_batch(ClassId(0), item_rows);
     let out = exec.run(100_000);
-    std::fs::remove_dir_all(&dir).ok();
+    if let Some((dir, _)) = paged {
+        std::fs::remove_dir_all(dir).ok();
+    }
     (exec, out.fired as u64)
 }
 
-fn scaled_paged_row(items: i64, profiled: bool) -> BenchRow {
-    // Best-of-two wall, same rationale as `scaled_row`.
-    let start = Instant::now();
-    let (exec, fired) = scaled_paged_pass(items, SCALED_PAGED_POOL);
-    let mut wall_ns = start.elapsed().as_nanos() as u64;
-    let start = Instant::now();
-    let _ = scaled_paged_pass(items, SCALED_PAGED_POOL);
-    wall_ns = wall_ns.min(start.elapsed().as_nanos() as u64);
-    let rerun = profiled_rerun(profiled, || scaled_paged_pass(items, SCALED_PAGED_POOL));
-    BenchRow::new("query-paged", wall_ns, fired, exec.engine(), rerun)
-}
-
-/// Run the scaled skewed-join workload at `items` once per engine, in
-/// the same run, same machine, same `items`. A final `query-paged` row
-/// reruns the Query engine over file-backed pages with a
-/// [`SCALED_PAGED_POOL`]-frame buffer pool (§3.2), so its page counters
-/// are live and its `fired` must match the in-memory rows.
+/// Run the scaled skewed-join workload at `items` once per
+/// [`SCALED_ROWS`] row, in the same run, same machine, same `items`.
+/// Each row's wall is the best of two fresh passes, both profiler-off:
+/// the run-to-run jitter of a row (allocator and page-cache state) can
+/// reach ~40%, too much for the same-run COND gap gate, while the min of
+/// two passes is stable. Each pass builds its own system, so the counters
+/// are identical whichever pass the row keeps. A third, profiled pass
+/// fills `profile`, `prof_wall_ns` and `alloc_bytes`.
 pub fn bench_scaled_rows(items: i64) -> Vec<BenchRow> {
-    bench_scaled_rows_with(items, false)
-}
-
-/// [`bench_scaled_rows`] with an optional profiled re-run per row. The
-/// timed pass always runs profiler-off so `wall_ns` stays comparable
-/// with unprofiled snapshots; the re-run fills `profile`,
-/// `prof_wall_ns`, and `alloc_bytes`.
-pub fn bench_scaled_rows_with(items: i64, profiled: bool) -> Vec<BenchRow> {
     let items = items.clamp(1, SCALED_MAX_ITEMS);
-    let mut rows: Vec<BenchRow> = EngineKind::ALL
+    SCALED_ROWS
         .iter()
-        .map(|&kind| scaled_row(kind, items, profiled))
-        .collect();
-    rows.push(scaled_paged_row(items, profiled));
-    rows
+        .map(|&(label, kind, pool)| {
+            let start = Instant::now();
+            let (exec, fired) = scaled_pass(kind, pool, items);
+            let mut wall_ns = start.elapsed().as_nanos() as u64;
+            let start = Instant::now();
+            let _ = scaled_pass(kind, pool, items);
+            wall_ns = wall_ns.min(start.elapsed().as_nanos() as u64);
+            let rerun = profiled_rerun(|| scaled_pass(kind, pool, items));
+            BenchRow::new(label, wall_ns, fired, exec.engine(), rerun)
+        })
+        .collect()
 }
 
 /// Render `rows` as a `sellis88-bench/v2` document of the
@@ -333,7 +292,7 @@ pub(crate) fn snapshot_json(items: i64, rows: &[BenchRow]) -> String {
             obj = obj.u64(field, value);
         }
         let mut hs = Arr::new();
-        for h in row.hotspots(3) {
+        for h in row.profile.hotspots(3) {
             hs = hs.raw(&h.to_json());
         }
         engines = engines.raw(
@@ -350,11 +309,11 @@ pub(crate) fn snapshot_json(items: i64, rows: &[BenchRow]) -> String {
         .finish()
 }
 
-/// Run [`bench_scaled_rows_with`] profiled at `items` and render the
-/// snapshot `harness --bench-json` writes.
+/// Run [`bench_scaled_rows`] at `items` and render the snapshot
+/// `harness --bench-json` writes.
 pub fn bench_scaled_snapshot(items: i64) -> String {
     let items = items.clamp(1, SCALED_MAX_ITEMS);
-    snapshot_json(items, &bench_scaled_rows_with(items, true))
+    snapshot_json(items, &bench_scaled_rows(items))
 }
 
 #[cfg(test)]
@@ -426,8 +385,8 @@ mod tests {
     /// identically and leave identical working memories, and the paged
     /// run must evict (the pool is smaller than the working set).
     fn paged_smoke(items: i64, pool_pages: usize) {
-        let (sys, mem_fired) = scaled_pass(EngineKind::Query, items);
-        let (exec, paged_fired) = scaled_paged_pass(items, pool_pages);
+        let (mem, mem_fired) = scaled_pass(EngineKind::Query, None, items);
+        let (exec, paged_fired) = scaled_pass(EngineKind::Query, Some(pool_pages), items);
         assert_eq!(mem_fired, scaled_fired(items));
         assert_eq!(paged_fired, mem_fired);
         let dump = |db: &relstore::Database| -> Vec<(String, Vec<relstore::Tuple>)> {
@@ -449,7 +408,7 @@ mod tests {
             out
         };
         assert!(
-            dump(sys.engine().pdb().db()) == dump(exec.engine().pdb().db()),
+            dump(mem.engine().pdb().db()) == dump(exec.engine().pdb().db()),
             "final working memories diverged between in-memory and paged runs"
         );
         let ops = exec.engine().pdb().db().stats().snapshot();

@@ -6,16 +6,17 @@
 //! fire counts, match-latency histograms, a detect/maintain split per
 //! engine, and lock-contention totals.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use obs::json::Obj;
 use obs::{Event, RunReport, Sink, Tracer};
-use prodsys::{
-    make_engine, plans_to_json, ClassId, ConcurrentExecutor, ConcurrentStats, EngineKind,
-    MatchPlan, ProductionDb, ProductionSystem, Strategy,
-};
+use prodsys::{plans_to_json, ConcurrentStats, EngineKind, MatchPlan, ProductionSystem, Strategy};
 use relstore::tuple;
 use workload::paper;
+
+use crate::cli::Args;
+use crate::experiments::{concurrent_pass, Table, SKEWED};
 
 /// Chained demo program: `Mark` tags every `Item`, `Tally` consumes
 /// tagged items into `Total`. Every cycle both grows and shrinks the
@@ -26,14 +27,6 @@ pub(crate) const OBS_DEMO: &str = r#"
     (literalize Total n v)
     (p Mark (Item ^n <N> ^v <V>) -(Done ^n <N>) --> (make Done ^n <N>))
     (p Tally (Item ^n <N> ^v <V>) (Done ^n <N>) --> (remove 1) (make Total ^n <N> ^v <V>))
-"#;
-
-/// Skewed §5 workload for the lock-contention part of the report: every
-/// firing funnels into the single shared `Total` relation.
-const OBS_SKEWED: &str = r#"
-    (literalize Item n v)
-    (literalize Total n v)
-    (p Funnel (Item ^n <N> ^v <V>) --> (remove 1) (make Total ^n <N> ^v <V>))
 "#;
 
 const OBS_ITEMS: i64 = 24;
@@ -119,14 +112,8 @@ pub fn observability_run(trace: Option<&str>, report: Option<&str>) -> std::io::
 
     // §5 concurrent pass: skewed workload, so transactions contend for
     // the shared relation's locks.
-    let rules = ops5::compile(OBS_SKEWED).expect("skewed program compiles");
-    let mut engine = make_engine(EngineKind::Rete, ProductionDb::new(rules).unwrap());
-    for i in 0..OBS_ITEMS {
-        engine.insert(ClassId(0), tuple![i, i * 3]);
-    }
-    let mut exec = ConcurrentExecutor::new(engine, OBS_WORKERS);
-    exec.set_tracer(tracer.clone());
-    let stats = exec.run(OBS_ITEMS as usize * 4);
+    let db = Arc::new(relstore::Database::new());
+    let (stats, _) = concurrent_pass(db, SKEWED, OBS_ITEMS as usize, OBS_WORKERS, tracer.clone());
     let wall_ns = start.elapsed().as_nanos() as u64;
     tracer.flush();
     obs::prof::set_enabled(false);
@@ -162,6 +149,32 @@ pub fn observability_run(trace: Option<&str>, report: Option<&str>) -> std::io::
     })
 }
 
+/// The `obs` experiment: [`observability_run`] with the `--trace` and
+/// `--report` paths of `args`, summarised as one text block.
+pub fn obs_tables(args: &Args) -> Result<Vec<Table>, String> {
+    let (trace, report) = (args.trace.as_deref(), args.report.as_deref());
+    let run =
+        observability_run(trace, report).map_err(|e| format!("observability run failed: {e}"))?;
+    let mut lines = vec![
+        format!(
+            "sequential pass: {} productions fired across 5 engines",
+            run.fired
+        ),
+        format!("concurrent pass: {}", run.concurrent),
+    ];
+    if let Some(p) = trace {
+        lines.push(format!("trace  -> {p}"));
+    }
+    lines.push(match report {
+        Some(p) => format!("report -> {p}"),
+        None => format!("report:\n{}", run.report_json),
+    });
+    Ok(vec![Table::text(
+        "Observability — instrumented run (all engines + §5 concurrent)",
+        lines.join("\n"),
+    )])
+}
+
 /// What [`explain_run`] produced, for the harness to print.
 #[derive(Debug)]
 pub struct ExplainRun {
@@ -181,14 +194,7 @@ pub struct ExplainRun {
 /// of its firings — supporting WM elements with storage tuple ids, and
 /// for negated CEs the concrete pattern whose absence enabled the firing.
 pub fn explain_run(rule: &str) -> Result<ExplainRun, String> {
-    let rules = ops5::compile(EXPLAIN_DEMO).expect("explain demo compiles");
-    if !rules.rules.iter().any(|r| r.name == rule) {
-        let known: Vec<&str> = rules.rules.iter().map(|r| r.name.as_str()).collect();
-        return Err(format!(
-            "unknown rule {rule:?}; the explain workload defines: {}",
-            known.join(", ")
-        ));
-    }
+    explain_rule(rule)?;
 
     // Plans before firing: the run consumes the matched WM elements.
     let mut plans = Vec::new();
@@ -210,6 +216,20 @@ pub fn explain_run(rule: &str) -> Result<ExplainRun, String> {
         derivations: derivations.iter().map(Event::watch_line).collect(),
         fired,
     })
+}
+
+/// `rule` when the [`EXPLAIN_DEMO`] workload defines it, else an error
+/// naming the rules it does define.
+pub fn explain_rule(rule: &str) -> Result<String, String> {
+    let rules = ops5::compile(EXPLAIN_DEMO).expect("explain demo compiles");
+    if rules.rules.iter().any(|r| r.name == rule) {
+        return Ok(rule.to_string());
+    }
+    let known: Vec<&str> = rules.rules.iter().map(|r| r.name.as_str()).collect();
+    Err(format!(
+        "unknown rule {rule:?}; the explain workload defines: {}",
+        known.join(", ")
+    ))
 }
 
 /// The [`EXPLAIN_DEMO`] system on `kind`, loaded with Example 3's working

@@ -7,7 +7,8 @@
 
 use obs::json::Value;
 
-use crate::bench_json::{bench_scaled_rows_with, BenchRow, BENCH_SCHEMA, BENCH_WORKLOAD};
+use crate::bench_json::{bench_scaled_rows, BenchRow, BENCH_SCHEMA, BENCH_WORKLOAD};
+use crate::experiments::Table;
 
 /// `--bench-check` fails when a row's profiled allocation volume grows
 /// by more than this factor over the committed snapshot. Allocation is
@@ -95,22 +96,19 @@ fn fmt_delta(cur: u64, base: u64) -> String {
     }
 }
 
-/// One line of the attribution table printed alongside `--profile`:
-/// how much of the profiled wall clock the named spans account for.
+/// The attribution table printed alongside `--profile`, one line per
+/// row: how much of the profiled wall clock the named spans account for.
 /// When one of `snapshots` ran at the same `items`, two Δalloc columns
 /// diff the engine's total allocation and its top spans' per-span
 /// allocation against that snapshot's recorded hotspots — new bytes on a
 /// supposedly allocation-free path show up here before they show up as
 /// a wall regression. Without one, both columns read `n/a`.
-pub fn attribution_table(
-    rows: &[BenchRow],
-    items: i64,
-    snapshots: &[Snapshot],
-) -> Vec<Vec<String>> {
+pub fn attribution_table(rows: &[BenchRow], items: i64, snapshots: &[Snapshot]) -> Table {
     let baseline = snapshots.iter().find(|s| s.items == items);
-    rows.iter()
+    let lines = rows
+        .iter()
         .map(|row| {
-            let hotspots = row.hotspots(3);
+            let hotspots = row.profile.hotspots(3);
             let top = hotspots
                 .iter()
                 .map(|h| {
@@ -162,7 +160,12 @@ pub fn attribution_table(
                 top,
             ]
         })
-        .collect()
+        .collect();
+    Table::new(
+        "Profile — span attribution per engine (profiled re-run)",
+        "engine | attributed | alloc bytes | Δalloc | Δalloc by span | top self-time spans",
+        lines,
+    )
 }
 
 /// Compare a fresh run against a committed snapshot at the same
@@ -238,7 +241,7 @@ fn cond_gate(current: &[BenchRow]) -> Vec<String> {
 /// carries a short pass summary; `Err` one message per failed check.
 pub fn bench_check(snapshot_text: &str) -> Result<String, Vec<String>> {
     let committed = Snapshot::parse(snapshot_text).map_err(|e| vec![e])?;
-    let rows = bench_scaled_rows_with(committed.items, true);
+    let rows = bench_scaled_rows(committed.items);
     let bad = check_rows(&committed, &rows);
     if !bad.is_empty() {
         return Err(bad);
@@ -355,13 +358,13 @@ mod tests {
         base.alloc_bytes = 60;
         base.profile.roots[0].alloc_bytes = 50;
         let snapshots = [snapshot(2_000, &[base.clone()]), snapshot(96, &[base])];
-        let at_96 = &attribution_table(&rows, 96, &snapshots)[0];
+        let at_96 = &attribution_table(&rows, 96, &snapshots).rows[0];
         assert_eq!(
             at_96[..5],
             ["cond", "100.0%", "100", "+40", "exec.load +30"]
         );
         // No committed snapshot at 500 items: no baseline to diff.
-        let at_500 = &attribution_table(&rows, 500, &snapshots[..1])[0];
+        let at_500 = &attribution_table(&rows, 500, &snapshots[..1]).rows[0];
         assert_eq!(at_500[3..5], ["n/a", "n/a"]);
     }
 

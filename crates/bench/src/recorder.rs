@@ -27,25 +27,19 @@ pub const DEFAULT_WORKERS: usize = 4;
 /// Resolve an `--engine` argument: a matching-engine label
 /// (`rete`, `db-rete`, `query`, `cond`, `marker`) records a sequential
 /// run; `concurrent` is shorthand for the query engine under the §5
-/// concurrent executor.
+/// concurrent executor. A journal's meta names only the labels.
 pub fn parse_engine(s: &str) -> Result<(EngineKind, Option<usize>), String> {
     if s == "concurrent" {
         return Ok((EngineKind::Query, Some(DEFAULT_WORKERS)));
     }
-    EngineKind::ALL
-        .into_iter()
-        .find(|k| k.label() == s)
-        .map(|k| (k, None))
-        .ok_or_else(|| {
-            format!("unknown engine {s:?} (rete, db-rete, query, cond, marker, concurrent)")
-        })
+    engine_kind(s).map(|k| (k, None))
 }
 
 fn engine_kind(label: &str) -> Result<EngineKind, String> {
     EngineKind::ALL
         .into_iter()
         .find(|k| k.label() == label)
-        .ok_or_else(|| format!("journal meta names unknown engine {label:?}"))
+        .ok_or_else(|| format!("unknown engine {label:?} (rete, db-rete, query, cond, marker)"))
 }
 
 fn load_value(v: &LoadValue) -> Value {
@@ -60,8 +54,8 @@ fn load_value(v: &LoadValue) -> Value {
 
 /// The recorded demo workload: `items` rows of `(Item ^n i ^v 2i)` into
 /// the [`OBS_DEMO`] program (Mark tags each Item, Tally consumes it).
-fn demo_load(items: i64) -> Vec<LoadOp> {
-    (0..items)
+fn demo_load(items: usize) -> Vec<LoadOp> {
+    (0..items as i64)
         .map(|i| LoadOp {
             insert: true,
             class: 0, // Item is the first literalize of OBS_DEMO
@@ -87,9 +81,9 @@ pub fn record_run(
     path: &str,
     kind: EngineKind,
     workers: usize,
-    items: i64,
+    items: usize,
 ) -> Result<RecordOutcome, String> {
-    let max_fired = (items as usize * 4).max(64);
+    let max_fired = (items * 4).max(64);
     record_run_with(path, kind, workers, OBS_DEMO, demo_load(items), max_fired)
 }
 
@@ -121,38 +115,70 @@ pub fn record_run_with(
     let sink = obs::journal::recording_sink(path, &meta)
         .map_err(|e| format!("cannot write {path}: {e}"))?;
     let tracer = Tracer::new(sink);
+    let fired = run_workload(&meta, &tracer, None)?.fired;
+    tracer.flush();
+    Ok(RecordOutcome { fired, mode })
+}
+
+/// What one run of a journaled workload left behind.
+struct Run {
+    /// Productions committed/fired.
+    fired: usize,
+    /// Where the run left a pinned commit schedule, if it did.
+    divergence: Option<String>,
+    /// The production database holding the final working memory.
+    pdb: ProductionDb,
+}
+
+/// Run `meta`'s workload: a fresh engine over its program, `tracer`
+/// installed first (the load itself is part of the record, so a
+/// journal's WM fold starts from an empty working memory), then the load
+/// script, then up to `max_fired` firings. Concurrent mode runs the §5
+/// executor on `meta.workers` threads, pinned to `oracle` when given;
+/// sequential mode runs canonical conflict resolution.
+fn run_workload(
+    meta: &JournalMeta,
+    tracer: &Tracer,
+    oracle: Option<ScheduleOracle>,
+) -> Result<Run, String> {
+    let kind = engine_kind(&meta.engine)?;
     let rules = ops5::compile(&meta.program).map_err(|e| e.to_string())?;
-    let fired = if workers > 0 {
+    let load = meta.load.iter().map(|op| {
+        let t = Tuple::new(op.values.iter().map(load_value).collect::<Vec<Value>>());
+        (ClassId(op.class as usize), t)
+    });
+    if meta.mode == "concurrent" {
         let mut engine = make_engine(kind, ProductionDb::new(rules).map_err(|e| e.to_string())?);
-        // Tracer first: the load itself is part of the record, so the
-        // journal's WM fold starts from an empty working memory.
         engine.set_tracer(tracer.clone());
-        for op in &meta.load {
-            let t = Tuple::new(op.values.iter().map(load_value).collect::<Vec<Value>>());
-            engine.insert(ClassId(op.class as usize), t);
+        for (class, t) in load {
+            engine.insert(class, t);
         }
-        let mut exec = ConcurrentExecutor::new(engine, workers);
-        let stats = exec.run(max_fired);
-        stats.committed
+        let mut exec = ConcurrentExecutor::new(engine, meta.workers.max(1));
+        if let Some(oracle) = oracle {
+            exec.set_oracle(oracle);
+        }
+        let stats = exec.run(meta.max_fired as usize);
+        let pdb = exec.engine().lock().pdb().clone();
+        Ok(Run {
+            fired: stats.committed,
+            divergence: stats.divergence,
+            pdb,
+        })
     } else {
         let mut sys = ProductionSystem::from_rules(rules, kind, Strategy::Canonical)
             .map_err(|e| e.to_string())?;
         sys.set_tracer(tracer.clone());
-        for op in &meta.load {
-            let name = sys
-                .engine()
-                .pdb()
-                .rules()
-                .class(ClassId(op.class as usize))
-                .name
-                .clone();
-            let t = Tuple::new(op.values.iter().map(load_value).collect::<Vec<Value>>());
+        for (class, t) in load {
+            let name = sys.engine().pdb().rules().class(class).name.clone();
             sys.insert(&name, t).map_err(|e| e.to_string())?;
         }
-        sys.run(max_fired).fired
-    };
-    tracer.flush();
-    Ok(RecordOutcome { fired, mode })
+        let fired = sys.run(meta.max_fired as usize).fired;
+        Ok(Run {
+            fired,
+            divergence: None,
+            pdb: sys.engine().pdb().clone(),
+        })
+    }
 }
 
 /// What a successful [`replay_run`] verified.
@@ -200,49 +226,16 @@ fn firing_keys_of(events: &[Event]) -> Vec<(String, String)> {
 /// naming the first discrepancy.
 pub fn replay_run(path: &str) -> Result<ReplayOutcome, String> {
     let journal = Journal::read_file(path)?;
-    let meta = &journal.meta;
-    let kind = engine_kind(&meta.engine)?;
-    let rules = ops5::compile(&meta.program).map_err(|e| e.to_string())?;
     let expected_keys = journal.firing_keys();
     let expected_wm = journal.final_wm();
     let tracer = Tracer::new(Sink::ring(1 << 20));
-
-    let (actual_keys, actual_wm) = if meta.mode == "concurrent" {
-        let mut engine = make_engine(kind, ProductionDb::new(rules).map_err(|e| e.to_string())?);
-        engine.set_tracer(tracer.clone());
-        for op in &meta.load {
-            let t = Tuple::new(op.values.iter().map(load_value).collect::<Vec<Value>>());
-            engine.insert(ClassId(op.class as usize), t);
-        }
-        let mut exec = ConcurrentExecutor::new(engine, meta.workers.max(1));
-        exec.set_oracle(ScheduleOracle::new(expected_keys.clone()));
-        let stats = exec.run(meta.max_fired as usize);
-        if let Some(d) = stats.divergence {
-            return Err(d);
-        }
-        let keys = firing_keys_of(&tracer.ring_events().unwrap_or_default());
-        let eng = exec.engine();
-        let g = eng.lock();
-        (keys, engine_final_wm(g.pdb()))
-    } else {
-        let mut sys = ProductionSystem::from_rules(rules, kind, Strategy::Canonical)
-            .map_err(|e| e.to_string())?;
-        sys.set_tracer(tracer.clone());
-        for op in &meta.load {
-            let name = sys
-                .engine()
-                .pdb()
-                .rules()
-                .class(ClassId(op.class as usize))
-                .name
-                .clone();
-            let t = Tuple::new(op.values.iter().map(load_value).collect::<Vec<Value>>());
-            sys.insert(&name, t).map_err(|e| e.to_string())?;
-        }
-        sys.run(meta.max_fired as usize);
-        let keys = firing_keys_of(&tracer.ring_events().unwrap_or_default());
-        (keys, engine_final_wm(sys.engine().pdb()))
-    };
+    let oracle = ScheduleOracle::new(expected_keys.clone());
+    let run = run_workload(&journal.meta, &tracer, Some(oracle))?;
+    if let Some(d) = run.divergence {
+        return Err(d);
+    }
+    let actual_keys = firing_keys_of(&tracer.ring_events().unwrap_or_default());
+    let actual_wm = engine_final_wm(&run.pdb);
 
     if actual_keys != expected_keys {
         let at = actual_keys
@@ -277,7 +270,7 @@ pub fn replay_run(path: &str) -> Result<ReplayOutcome, String> {
     }
     Ok(ReplayOutcome {
         firings: actual_keys.len(),
-        mode: meta.mode.clone(),
+        mode: journal.meta.mode.clone(),
         final_wm: actual_wm.len(),
     })
 }
@@ -376,9 +369,7 @@ pub fn why_run(path: &str, spec: &str) -> Result<String, String> {
 pub fn why_not_run(path: &str, spec: &str) -> Result<String, String> {
     let (rule_name, round) = parse_spec(spec)?;
     let journal = Journal::read_file(path)?;
-    let meta = &journal.meta;
-    let kind = engine_kind(&meta.engine)?;
-    let rules = ops5::compile(&meta.program).map_err(|e| e.to_string())?;
+    let rules = ops5::compile(&journal.meta.program).map_err(|e| e.to_string())?;
     let rule = rules
         .rules
         .iter()
@@ -403,24 +394,18 @@ pub fn why_not_run(path: &str, spec: &str) -> Result<String, String> {
         .count();
     let keys: Vec<(String, String)> = journal.firing_keys().into_iter().take(budget).collect();
 
-    let mut engine = make_engine(
-        kind,
-        ProductionDb::new(rules.clone()).map_err(|e| e.to_string())?,
-    );
-    for op in &meta.load {
-        let t = Tuple::new(op.values.iter().map(load_value).collect::<Vec<Value>>());
-        engine.insert(ClassId(op.class as usize), t);
-    }
-    let mut exec = ConcurrentExecutor::new(engine, 1);
-    exec.set_oracle(ScheduleOracle::new(keys));
-    let stats = exec.run(budget);
-    if let Some(d) = stats.divergence {
+    let replay = JournalMeta {
+        mode: "concurrent".to_string(),
+        workers: 1,
+        max_fired: budget as u64,
+        ..journal.meta.clone()
+    };
+    let oracle = ScheduleOracle::new(keys);
+    let run = run_workload(&replay, &Tracer::disabled(), Some(oracle))?;
+    if let Some(d) = run.divergence {
         return Err(format!("could not reconstruct WM as of round {round}: {d}"));
     }
-
-    let eng = exec.engine();
-    let g = eng.lock();
-    let pdb = g.pdb();
+    let pdb = &run.pdb;
     let class_rels: Vec<relstore::RelId> = (0..pdb.class_count())
         .map(|c| pdb.class_rel(ClassId(c)))
         .collect();

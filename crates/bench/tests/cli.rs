@@ -1,5 +1,6 @@
-//! Harness CLI contract: unknown flags exit 2, `--help` documents
-//! every flag the parser accepts, and `--bench-check` gates a snapshot.
+//! Harness CLI contract: rejected arguments exit 2 before anything runs,
+//! `--help` documents every flag and selector the parser accepts, and
+//! `--bench-check` gates a snapshot.
 
 use std::process::Command;
 
@@ -36,21 +37,32 @@ fn unknown_selector_exits_2() {
 }
 
 #[test]
-fn help_documents_profiler_flags() {
+fn help_documents_every_flag_and_selector() {
     let out = harness().arg("--help").output().unwrap();
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
-    for flag in [
-        "--trace",
-        "--report",
-        "--bench-json",
-        "--items",
-        "--explain",
-        "--profile",
-        "--bench-check",
-    ] {
-        assert!(text.contains(flag), "--help missing {flag}:\n{text}");
+    let flags = prodsys_bench::FLAGS.iter().flat_map(|f| f.names);
+    let selectors = prodsys_bench::EXPERIMENTS.iter().flat_map(|e| e.names);
+    for name in flags.chain(selectors) {
+        assert!(text.contains(name), "--help missing {name}:\n{text}");
     }
+}
+
+#[test]
+fn rejected_arguments_exit_2_before_any_output() {
+    let journal = std::env::temp_dir().join(format!("cli_items_{}.jsonl", std::process::id()));
+    for args in [
+        vec!["e7", "--items", "5"],
+        vec!["all", "--why", "Mark@1"],
+        vec!["--bench-json", "F", "--items", "0"],
+        vec!["--record", journal.to_str().unwrap(), "--items", "0"],
+        vec!["--record", journal.to_str().unwrap(), "--items", "-5"],
+    ] {
+        let out = harness().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed before failing");
+    }
+    assert!(!journal.exists(), "a rejected --record wrote its journal");
 }
 
 /// `json` with `f` applied to the first `"key":N` value after `row`.
