@@ -68,17 +68,32 @@ pub struct ObsRun {
     pub concurrent: ConcurrentStats,
 }
 
-/// Run the instrumented demo: a sequential pass over all five engines
-/// (sharing one tracer, so the report's detect/maintain section covers
-/// each engine) followed by a §5 concurrent pass that exercises the lock
-/// manager. Streams JSONL events to `trace` and writes the report JSON to
-/// `report` when those paths are given.
-pub fn observability_run(trace: Option<&str>, report: Option<&str>) -> std::io::Result<ObsRun> {
+/// Run the instrumented demo ([`instrumented_run`]), streaming JSONL
+/// events to `trace` and writing the report JSON to `report` when those
+/// paths are given; a file that cannot be written fails the run with
+/// `cannot write PATH: …`.
+pub fn observability_run(trace: Option<&str>, report: Option<&str>) -> Result<ObsRun, String> {
+    let cannot_write = |path: &str, e: std::io::Error| format!("cannot write {path}: {e}");
     let sink = match trace {
-        Some(path) => Sink::jsonl_file(path)?,
+        Some(path) => Sink::jsonl_file(path).map_err(|e| cannot_write(path, e))?,
         None => Sink::Null,
     };
     let tracer = Tracer::new(sink);
+    let run = instrumented_run(&tracer);
+    if let Some(path) = trace {
+        tracer.flush().map_err(|e| cannot_write(path, e))?;
+    }
+    if let Some(path) = report {
+        std::fs::write(path, &run.report_json).map_err(|e| cannot_write(path, e))?;
+    }
+    Ok(run)
+}
+
+/// The instrumented demo on `tracer`: a sequential pass over all five
+/// engines (sharing one tracer, so the report's detect/maintain section
+/// covers each engine) followed by a §5 concurrent pass that exercises
+/// the lock manager.
+fn instrumented_run(tracer: &Tracer) -> ObsRun {
     // Span profile of the whole instrumented run (both passes): the
     // report's `profile` section is the call tree, merged across the
     // concurrent pass's worker threads.
@@ -115,7 +130,6 @@ pub fn observability_run(trace: Option<&str>, report: Option<&str>) -> std::io::
     let db = Arc::new(relstore::Database::new());
     let (stats, _) = concurrent_pass(db, SKEWED, OBS_ITEMS as usize, OBS_WORKERS, tracer.clone());
     let wall_ns = start.elapsed().as_nanos() as u64;
-    tracer.flush();
     obs::prof::set_enabled(false);
     let profile = obs::prof::take();
 
@@ -139,22 +153,18 @@ pub fn observability_run(trace: Option<&str>, report: Option<&str>) -> std::io::
         .section("match_plans", plans_to_json(&plans))
         .section("analyze", analyze_json.expect("query engine ran"))
         .to_json(tracer.metrics().expect("tracer is enabled"));
-    if let Some(path) = report {
-        std::fs::write(path, &report_json)?;
-    }
-    Ok(ObsRun {
+    ObsRun {
         report_json,
         fired,
         concurrent: stats,
-    })
+    }
 }
 
 /// The `obs` experiment: [`observability_run`] with the `--trace` and
 /// `--report` paths of `args`, summarised as one text block.
 pub fn obs_tables(args: &Args) -> Result<Vec<Table>, String> {
     let (trace, report) = (args.trace.as_deref(), args.report.as_deref());
-    let run =
-        observability_run(trace, report).map_err(|e| format!("observability run failed: {e}"))?;
+    let run = observability_run(trace, report)?;
     let mut lines = vec![
         format!(
             "sequential pass: {} productions fired across 5 engines",
@@ -265,6 +275,7 @@ fn explain_firings(kind: EngineKind, rule: &str) -> (Vec<Event>, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn report_covers_rules_engines_and_locks() {
@@ -302,6 +313,79 @@ mod tests {
         // ANALYZE section: relation statistics + observed selectivities.
         assert!(json.contains("\"analyze\":{\"relations\":["), "{json}");
         assert!(json.contains("\"selection_selectivity\":"), "{json}");
+    }
+
+    /// The report samples every maintenance pass — the load's passes of
+    /// one, each firing's pass and each §5 transaction's — once: its
+    /// match-latency and pass counts, each engine's detect/maintain
+    /// samples, the per-class WM changes and the cycle count all equal
+    /// what the trace holds.
+    #[test]
+    fn report_counts_every_pass_the_trace_holds() {
+        let tracer = Tracer::new(Sink::ring(1 << 16));
+        let run = instrumented_run(&tracer);
+        let events = tracer.ring_events().unwrap();
+        let count = |kind: &str| events.iter().filter(|e| e.kind() == kind).count() as u64;
+        let report = obs::json::parse(&run.report_json).unwrap();
+        let metrics = report.get("metrics").unwrap();
+        let num = |v: &obs::json::Value, path: &[&str]| {
+            path.iter()
+                .fold(v, |v, key| v.get(key).unwrap_or_else(|| panic!("{path:?}")))
+                .as_u64()
+                .unwrap()
+        };
+        let passes = count("batch_applied");
+        assert!(
+            passes > count("firing"),
+            "firings and loads both run passes"
+        );
+        assert_eq!(num(metrics, &["match_latency_ns", "count"]), passes);
+        assert_eq!(num(metrics, &["batches", "count"]), passes);
+        assert_eq!(
+            num(metrics, &["batches", "conflict_deltas"]),
+            count("conflict_delta")
+        );
+        assert_eq!(num(metrics, &["cycles"]), count("cycle_end"));
+
+        let mut engine_passes: BTreeMap<String, u64> = BTreeMap::new();
+        let mut class_changes: BTreeMap<(u64, String), u64> = BTreeMap::new();
+        for e in &events {
+            match e {
+                Event::BatchApplied { engine, .. } => {
+                    *engine_passes.entry(engine.to_string()).or_default() += 1;
+                }
+                Event::WmInsert {
+                    class, class_name, ..
+                }
+                | Event::WmRemove {
+                    class, class_name, ..
+                } => {
+                    *class_changes
+                        .entry((*class as u64, class_name.clone()))
+                        .or_default() += 1
+                }
+                _ => {}
+            }
+        }
+        let array = |key: &str| metrics.get(key).unwrap().as_array().unwrap().to_vec();
+        let str_of =
+            |v: &obs::json::Value, key: &str| v.get(key).unwrap().as_str().unwrap().to_string();
+        let split_samples: BTreeMap<String, u64> = array("detect_split")
+            .iter()
+            .map(|s| (str_of(s, "engine"), num(s, &["samples"])))
+            .collect();
+        assert_eq!(split_samples, engine_passes);
+        assert_eq!(split_samples.len(), 5, "every engine ran");
+        let reported: BTreeMap<(u64, String), u64> = array("classes")
+            .iter()
+            .map(|c| {
+                (
+                    (num(c, &["class"]), str_of(c, "name")),
+                    num(c, &["wm_changes"]),
+                )
+            })
+            .collect();
+        assert_eq!(reported, class_changes);
     }
 
     #[test]

@@ -116,7 +116,9 @@ pub fn record_run_with(
         .map_err(|e| format!("cannot write {path}: {e}"))?;
     let tracer = Tracer::new(sink);
     let fired = run_workload(&meta, &tracer, None)?.fired;
-    tracer.flush();
+    tracer
+        .flush()
+        .map_err(|e| format!("cannot write {path}: {e}"))?;
     Ok(RecordOutcome { fired, mode })
 }
 

@@ -1340,9 +1340,8 @@ impl CondEngine {
     /// tuple matches is recorded in `scratch.hits` for
     /// [`CondEngine::propagate`], so maintenance searches nothing again.
     /// Returns the retraction deltas caused by new blockers, plus the
-    /// `(rule, cen)` fire triggers whose seeded expansion the caller runs
-    /// — inline per change, or deferred and batched per (rule,
-    /// seeded-term) by `maintain_delta`.
+    /// `(rule, cen)` fire triggers whose seeded expansion
+    /// `maintain_delta` defers and batches per (rule, seeded-term).
     fn detect_insert(
         &mut self,
         class: ClassId,
@@ -1513,52 +1512,8 @@ impl MatchEngine for CondEngine {
         &self.pdb
     }
 
-    fn maintain_insert(
-        &mut self,
-        class: ClassId,
-        tid: TupleId,
-        tuple: &Tuple,
-    ) -> Vec<ConflictDelta> {
-        obs::prof_span!("cond.maintain");
-        let start = Instant::now();
-        let (mut deltas, fire) = self.detect_insert(class, tuple);
-        let fires: Vec<(usize, usize, TupleId, Tuple)> = fire
-            .into_iter()
-            .map(|(rid, cen)| (rid, cen, tid, tuple.clone()))
-            .collect();
-        deltas.extend(self.expand_fires(fires));
-        self.conflict.apply_all(&deltas);
-        self.last_detect_ns = start.elapsed().as_nanos() as u64;
-        // Maintenance follows detection.
-        self.propagate(class, tid, tuple);
-        self.last_total_ns = start.elapsed().as_nanos() as u64;
-        deltas
-    }
-
-    fn maintain_remove(
-        &mut self,
-        class: ClassId,
-        tid: TupleId,
-        tuple: &Tuple,
-    ) -> Vec<ConflictDelta> {
-        obs::prof_span!("cond.maintain");
-        let start = Instant::now();
-        // Detection: retract instantiations containing the tuple.
-        let mut deltas = self.retract_containing(class, tid);
-        self.conflict.apply_all(&deltas);
-        self.last_detect_ns = start.elapsed().as_nanos() as u64;
-
-        // Maintenance: withdraw support; a deleted blocker may enable
-        // negated rules.
-        let enable_deltas = self.remove_maintenance(class, tid, tuple);
-        self.conflict.apply_all(&enable_deltas);
-        deltas.extend(enable_deltas);
-        self.last_total_ns = start.elapsed().as_nanos() as u64;
-        deltas
-    }
-
-    /// Batched maintenance (§4.2 set-at-a-time): the whole WM delta is
-    /// already applied, so walk the changes in action order — detection
+    /// Set-oriented maintenance (§4.2): the whole WM delta is already
+    /// applied, so walk the changes in action order — detection
     /// triggers and COND propagation stay per-tuple sequential because
     /// contributions read the evolving pattern store — but *defer* the
     /// seeded fire expansions, then run one hash-join evaluation per
@@ -1566,16 +1521,21 @@ impl MatchEngine for CondEngine {
     /// deleted later in the same cycle are dropped (their matches no
     /// longer exist against the final WM); seeds are keyed by (class,
     /// tuple id) because [`TupleId`] is a per-relation (slot, gen) pair
-    /// that collides across classes.
+    /// that collides across classes. The last change propagates after
+    /// the expansions, so a pass of one insert keeps §4.2.3's order —
+    /// every conflict delta is applied before the first pattern is
+    /// created. Expansion reads only WM and the instantiation store, and
+    /// propagation emits no delta, so the deltas' order is the same.
     fn maintain_delta(&mut self, deltas: &[WmDelta]) -> Vec<ConflictDelta> {
         obs::prof_span!("cond.maintain");
         let start = Instant::now();
         let mut detect_ns: u64 = 0;
         let mut out = Vec::new();
         let mut pending: Vec<(usize, usize, ClassId, TupleId, Tuple)> = Vec::new();
-        for d in deltas {
+        let mut last_insert = None;
+        for (i, d) in deltas.iter().enumerate() {
+            let t0 = Instant::now();
             if d.insert {
-                let t0 = Instant::now();
                 let (dd, fire) = self.detect_insert(d.class, &d.tuple);
                 self.conflict.apply_all(&dd);
                 out.extend(dd);
@@ -1584,9 +1544,12 @@ impl MatchEngine for CondEngine {
                         .map(|(rid, cen)| (rid, cen, d.class, d.tid, d.tuple.clone())),
                 );
                 detect_ns += t0.elapsed().as_nanos() as u64;
-                self.propagate(d.class, d.tid, &d.tuple);
+                if i + 1 == deltas.len() {
+                    last_insert = Some(d);
+                } else {
+                    self.propagate(d.class, d.tid, &d.tuple);
+                }
             } else {
-                let t0 = Instant::now();
                 pending.retain(|(_, _, class, tid, _)| !(*class == d.class && *tid == d.tid));
                 let dd = self.retract_containing(d.class, d.tid);
                 self.conflict.apply_all(&dd);
@@ -1597,17 +1560,22 @@ impl MatchEngine for CondEngine {
                 out.extend(dd);
             }
         }
-        let t0 = Instant::now();
-        let dd = self.expand_fires(
-            pending
-                .into_iter()
-                .map(|(rid, cen, _, tid, tuple)| (rid, cen, tid, tuple))
-                .collect(),
-        );
-        self.conflict.apply_all(&dd);
-        out.extend(dd);
-        detect_ns += t0.elapsed().as_nanos() as u64;
+        if !pending.is_empty() {
+            let t0 = Instant::now();
+            let dd = self.expand_fires(
+                pending
+                    .into_iter()
+                    .map(|(rid, cen, _, tid, tuple)| (rid, cen, tid, tuple))
+                    .collect(),
+            );
+            self.conflict.apply_all(&dd);
+            out.extend(dd);
+            detect_ns += t0.elapsed().as_nanos() as u64;
+        }
         self.last_detect_ns = detect_ns;
+        if let Some(d) = last_insert {
+            self.propagate(d.class, d.tid, &d.tuple);
+        }
         self.last_total_ns = start.elapsed().as_nanos() as u64;
         out
     }

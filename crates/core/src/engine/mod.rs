@@ -73,84 +73,64 @@ pub trait MatchEngine: Send {
     /// Shared database/rules handle.
     fn pdb(&self) -> &ProductionDb;
 
-    /// Match maintenance for a tuple already inserted into its WM
-    /// relation (the §5 concurrent executor updates WM transactionally
-    /// and then runs maintenance before commit).
+    /// Match maintenance for a delta set already applied to working
+    /// memory, in action order (§4.2: "the conflict set is updated first,
+    /// and then the maintenance process follows" — here the WM is updated
+    /// first, then matching runs once over the full delta). The one
+    /// maintenance method every engine implements: a single change is a
+    /// pass of one. Callers go through [`MatchEngine::insert`],
+    /// [`MatchEngine::remove`] or [`MatchEngine::apply_delta`] (the §5
+    /// executor through the same pass helper), so every pass is traced.
+    fn maintain_delta(&mut self, deltas: &[WmDelta]) -> Vec<ConflictDelta>;
+
+    /// [`MatchEngine::maintain_delta`] over one inserted tuple. No engine
+    /// overrides it; kept, like `set_batching`, for the repo benchmark's
+    /// engine wrapper.
     fn maintain_insert(
         &mut self,
         class: ClassId,
         tid: TupleId,
         tuple: &Tuple,
-    ) -> Vec<ConflictDelta>;
+    ) -> Vec<ConflictDelta> {
+        self.maintain_delta(&[WmChange::Insert(class, tuple.clone()).resolved(tid)])
+    }
 
-    /// Match maintenance for a tuple already deleted from its WM relation.
+    /// [`MatchEngine::maintain_delta`] over one deleted tuple; see
+    /// [`MatchEngine::maintain_insert`].
     fn maintain_remove(
         &mut self,
         class: ClassId,
         tid: TupleId,
         tuple: &Tuple,
-    ) -> Vec<ConflictDelta>;
+    ) -> Vec<ConflictDelta> {
+        self.maintain_delta(&[WmChange::Remove(class, tuple.clone()).resolved(tid)])
+    }
 
-    /// Insert a WM element (relation + maintenance). When a tracer is
-    /// installed, the WM change, the match-maintenance timing, and every
-    /// conflict-set delta are emitted from here — one code path for all
-    /// five engines, so their delta event streams are directly comparable.
+    /// Insert a WM element: the relation, then a maintenance pass of one.
     fn insert(&mut self, class: ClassId, tuple: Tuple) -> Vec<ConflictDelta> {
         let tid = self
             .pdb()
             .insert_wm(class, tuple.clone())
             .expect("wm insert");
-        let start = self.tracer().enabled().then(Instant::now);
-        let deltas = self.maintain_insert(class, tid, &tuple);
-        if let Some(start) = start {
-            let total_ns = start.elapsed().as_nanos() as u64;
-            trace_wm_change(self, class, true, tid, &tuple, &deltas, total_ns);
-        }
-        deltas
+        maintenance_pass(self, &[WmChange::Insert(class, tuple).resolved(tid)])
     }
 
-    /// Remove one WM element equal to `tuple`; no-op when absent.
+    /// Remove one WM element equal to `tuple`; no-op when absent (no pass
+    /// runs and nothing is traced).
     fn remove(&mut self, class: ClassId, tuple: &Tuple) -> Vec<ConflictDelta> {
         match self.pdb().remove_wm_equal(class, tuple).expect("wm remove") {
-            Some(tid) => {
-                let start = self.tracer().enabled().then(Instant::now);
-                let deltas = self.maintain_remove(class, tid, tuple);
-                if let Some(start) = start {
-                    let total_ns = start.elapsed().as_nanos() as u64;
-                    trace_wm_change(self, class, false, tid, tuple, &deltas, total_ns);
-                }
-                deltas
-            }
+            Some(tid) => maintenance_pass(
+                self,
+                &[WmChange::Remove(class, tuple.clone()).resolved(tid)],
+            ),
             None => Vec::new(),
         }
-    }
-
-    /// Match maintenance for a whole cycle's delta set, applied after all
-    /// the WM changes are in place (§4.2: "the conflict set is updated
-    /// first, and then the maintenance process follows" — here the WM is
-    /// updated first, then matching runs once over the full delta). The
-    /// default processes changes one at a time; set-oriented engines
-    /// override it to evaluate each affected (rule, seeded-term) pair in
-    /// one batched pass.
-    fn maintain_delta(&mut self, deltas: &[WmDelta]) -> Vec<ConflictDelta> {
-        let mut out = Vec::new();
-        for d in deltas {
-            if d.insert {
-                out.extend(self.maintain_insert(d.class, d.tid, &d.tuple));
-            } else {
-                out.extend(self.maintain_remove(d.class, d.tid, &d.tuple));
-            }
-        }
-        out
     }
 
     /// Apply a cycle's WM changes (in action order) and then run one
     /// set-oriented maintenance pass over the resulting delta set. Removes
     /// of absent tuples are dropped, exactly as [`MatchEngine::remove`]
-    /// drops them. When a tracer is installed, the batch emits the WM
-    /// change events, the canonically ordered conflict-set deltas for the
-    /// whole batch, and one [`Event::BatchApplied`] summary — batched runs
-    /// trace without falling back to per-change maintenance.
+    /// drops them.
     fn apply_delta(&mut self, changes: &[WmChange]) -> Vec<ConflictDelta> {
         let mut resolved: Vec<WmDelta> = Vec::with_capacity(changes.len());
         for change in changes {
@@ -169,13 +149,7 @@ pub trait MatchEngine: Send {
                 resolved.push(change.resolved(tid));
             }
         }
-        let start = self.tracer().enabled().then(Instant::now);
-        let deltas = self.maintain_delta(&resolved);
-        if let Some(start) = start {
-            let total_ns = start.elapsed().as_nanos() as u64;
-            trace_batch(self, &resolved, &deltas, total_ns);
-        }
-        deltas
+        maintenance_pass(self, &resolved)
     }
 
     /// No-op that no engine overrides: every engine is set-oriented (§4.2
@@ -226,17 +200,17 @@ pub trait MatchEngine: Send {
         explain::match_plans(self.pdb(), self.name(), OrderPolicy::Planner)
     }
 
-    /// Nanoseconds of the last operation spent before the conflict set
-    /// was fully updated, and total nanoseconds, when the engine
+    /// Nanoseconds of the last maintenance pass spent before the conflict
+    /// set was fully updated, and total nanoseconds, when the engine
     /// distinguishes the two phases (§4.2.3: "the conflict set is updated
     /// first, and then the maintenance process follows").
     fn last_detect_split(&self) -> Option<(u64, u64)> {
         None
     }
 
-    /// The engine's tracing handle. Disabled by default; the default
-    /// `insert`/`remove` wrappers consult it on every WM change, so the
-    /// accessor must stay trivially cheap.
+    /// The engine's tracing handle. Disabled by default; every
+    /// maintenance pass consults it, so the accessor must stay trivially
+    /// cheap.
     fn tracer(&self) -> &Tracer;
 
     /// Install a tracing handle (shared with the executor and the lock
@@ -244,74 +218,68 @@ pub trait MatchEngine: Send {
     fn set_tracer(&mut self, tracer: Tracer);
 }
 
-/// Emit the trace events and metrics for one completed WM change. Shared
-/// by the default `insert`/`remove` wrappers and the §5 concurrent
-/// executor's maintenance step, so every engine produces the same event
-/// stream for the same conflict-set changes.
-pub(crate) fn trace_wm_change<E: MatchEngine + ?Sized>(
-    engine: &E,
-    class: ClassId,
-    insert: bool,
-    tid: TupleId,
-    tuple: &Tuple,
-    deltas: &[ConflictDelta],
-    total_ns: u64,
-) {
+/// One maintenance pass: [`MatchEngine::maintain_delta`] over `resolved`,
+/// changes already applied to WM in action order. Every pass runs through
+/// here — the default `insert`, `remove` and `apply_delta`, and the §5
+/// executor's pre-commit step — so when a tracer is installed each pass,
+/// on every engine, emits its WM change events, its conflict-set deltas
+/// in canonical order and one [`Event::BatchApplied`] summary, and
+/// records one metrics sample.
+pub(crate) fn maintenance_pass<E: MatchEngine + ?Sized>(
+    engine: &mut E,
+    resolved: &[WmDelta],
+) -> Vec<ConflictDelta> {
+    if !engine.tracer().enabled() {
+        return engine.maintain_delta(resolved);
+    }
+    let start = Instant::now();
+    let deltas = engine.maintain_delta(resolved);
+    let total_ns = start.elapsed().as_nanos() as u64;
     let tracer = engine.tracer();
     let rules = engine.pdb().rules();
-    let class_name = &rules.class(class).name;
-    let (detect_ns, split_total_ns) = engine.last_detect_split().unwrap_or((0, 0));
-    // Engines that do not time their phases still contribute the wall
-    // time measured by the wrapper.
-    let detect_ns = if split_total_ns == 0 { 0 } else { detect_ns };
-    tracer.emit(|| {
-        if insert {
-            Event::WmInsert {
-                class: class.0 as u32,
-                class_name: class_name.clone(),
-                tuple: tuple.to_string(),
-                tid: tid.pack(),
-            }
-        } else {
-            Event::WmRemove {
-                class: class.0 as u32,
-                class_name: class_name.clone(),
-                tuple: tuple.to_string(),
-                tid: tid.pack(),
-            }
+    for d in resolved {
+        let class_name = &rules.class(d.class).name;
+        if let Some(m) = tracer.metrics() {
+            m.record_class_change(d.class.0 as u32, class_name);
         }
-    });
-    emit_conflict_deltas(tracer, rules, deltas);
-    let (adds, removes) =
-        deltas.iter().fold(
-            (0, 0),
-            |(a, r), d| {
-                if d.is_add() {
-                    (a + 1, r)
-                } else {
-                    (a, r + 1)
+        tracer.emit(|| {
+            if d.insert {
+                Event::WmInsert {
+                    class: d.class.0 as u32,
+                    class_name: class_name.clone(),
+                    tuple: d.tuple.to_string(),
+                    tid: d.tid.pack(),
                 }
-            },
-        );
-    tracer.emit(|| Event::MatchMaintain {
+            } else {
+                Event::WmRemove {
+                    class: d.class.0 as u32,
+                    class_name: class_name.clone(),
+                    tuple: d.tuple.to_string(),
+                    tid: d.tid.pack(),
+                }
+            }
+        });
+    }
+    let rules_awakened = emit_conflict_deltas(tracer, rules, &deltas);
+    let inserts = resolved.iter().filter(|d| d.insert).count();
+    tracer.emit(|| Event::BatchApplied {
         engine: engine.name(),
-        class: class.0 as u32,
-        insert,
-        adds,
-        removes,
-        detect_ns,
+        inserts,
+        deletes: resolved.len() - inserts,
+        rules_awakened,
         total_ns,
     });
     if let Some(m) = tracer.metrics() {
-        m.record_match(
+        let detect_ns = engine.last_detect_split().map_or(0, |(detect, _)| detect);
+        m.record_pass(
             engine.name(),
-            class.0 as u32,
-            class_name,
-            deltas.len(),
+            resolved.len() as u64,
+            deltas.len() as u64,
             detect_ns,
             total_ns,
         );
     }
+    deltas
 }
 
 /// Emit the canonically ordered conflict-set delta events (removes first,
@@ -342,62 +310,6 @@ fn emit_conflict_deltas(tracer: &Tracer, rules: &ops5::RuleSet, deltas: &[Confli
         });
     }
     awakened.len()
-}
-
-/// Emit the trace events and metrics for one completed batched delta
-/// (§4.2 set-oriented maintenance): every WM change event, the whole
-/// batch's conflict-set deltas in canonical order, and a
-/// [`Event::BatchApplied`] summary. Used by [`MatchEngine::apply_delta`]
-/// so batched runs trace without a per-change fallback.
-pub(crate) fn trace_batch<E: MatchEngine + ?Sized>(
-    engine: &E,
-    resolved: &[WmDelta],
-    deltas: &[ConflictDelta],
-    total_ns: u64,
-) {
-    let tracer = engine.tracer();
-    let rules = engine.pdb().rules();
-    let mut inserts = 0usize;
-    let mut deletes = 0usize;
-    for d in resolved {
-        let class_name = &rules.class(d.class).name;
-        if d.insert {
-            inserts += 1;
-        } else {
-            deletes += 1;
-        }
-        if let Some(m) = tracer.metrics() {
-            m.record_class_change(d.class.0 as u32, class_name);
-        }
-        tracer.emit(|| {
-            if d.insert {
-                Event::WmInsert {
-                    class: d.class.0 as u32,
-                    class_name: class_name.clone(),
-                    tuple: d.tuple.to_string(),
-                    tid: d.tid.pack(),
-                }
-            } else {
-                Event::WmRemove {
-                    class: d.class.0 as u32,
-                    class_name: class_name.clone(),
-                    tuple: d.tuple.to_string(),
-                    tid: d.tid.pack(),
-                }
-            }
-        });
-    }
-    let rules_awakened = emit_conflict_deltas(tracer, rules, deltas);
-    tracer.emit(|| Event::BatchApplied {
-        engine: engine.name(),
-        inserts,
-        deletes,
-        rules_awakened,
-        total_ns,
-    });
-    if let Some(m) = tracer.metrics() {
-        m.record_batch((inserts + deletes) as u64);
-    }
 }
 
 /// Which engine to instantiate (experiment configuration).

@@ -31,7 +31,7 @@ use std::time::Instant;
 
 use ops5::{ClassId, RuleId};
 use predindex::{make_index, ConditionIndex, IndexKind, Interval, Rect};
-use relstore::{CompOp, Tuple, TupleId};
+use relstore::{CompOp, Tuple};
 use rete::{ConflictDelta, ConflictSet};
 
 use crate::engine::recompute::{eval_rule_via, InstStore};
@@ -242,22 +242,30 @@ impl<A: Awakening> ReevalEngine<A> {
             tracer: obs::Tracer::disabled(),
         }
     }
+}
 
-    /// One maintenance entry point: union the rules the `changes` awaken
+impl<A: Awakening> MatchEngine for ReevalEngine<A> {
+    fn name(&self) -> &'static str {
+        A::NAME
+    }
+
+    fn pdb(&self) -> &ProductionDb {
+        &self.pdb
+    }
+
+    /// Batched maintenance (§4.1 meets §4.2's "update first, maintain
+    /// once"): union the rules the changes of the applied delta awaken
     /// and re-evaluate each exactly once against the current WM. Since
     /// full re-evaluation is idempotent, one pass per rule over a whole
     /// applied delta yields the same conflict-set diff a per-change loop
     /// would — and a rule awakened by several changes of one delta counts
     /// at most one false drop.
-    fn maintain<'t>(
-        &mut self,
-        changes: impl IntoIterator<Item = (ClassId, &'t Tuple)>,
-    ) -> Vec<ConflictDelta> {
+    fn maintain_delta(&mut self, changes: &[WmDelta]) -> Vec<ConflictDelta> {
         obs::prof_span!(A::SPAN);
         let start = Instant::now();
         let mut awakened = BTreeSet::new();
-        for (class, tuple) in changes {
-            awakened.extend(self.awakening.awakened(&self.pdb, class, tuple));
+        for d in changes {
+            awakened.extend(self.awakening.awakened(&self.pdb, d.class, &d.tuple));
         }
         let mut deltas = Vec::new();
         {
@@ -275,41 +283,6 @@ impl<A: Awakening> ReevalEngine<A> {
         self.conflict.apply_all(&deltas);
         self.last_total = start.elapsed().as_nanos() as u64;
         deltas
-    }
-}
-
-impl<A: Awakening> MatchEngine for ReevalEngine<A> {
-    fn name(&self) -> &'static str {
-        A::NAME
-    }
-
-    fn pdb(&self) -> &ProductionDb {
-        &self.pdb
-    }
-
-    fn maintain_insert(
-        &mut self,
-        class: ClassId,
-        _tid: TupleId,
-        tuple: &Tuple,
-    ) -> Vec<ConflictDelta> {
-        self.maintain([(class, tuple)])
-    }
-
-    fn maintain_remove(
-        &mut self,
-        class: ClassId,
-        _tid: TupleId,
-        tuple: &Tuple,
-    ) -> Vec<ConflictDelta> {
-        self.maintain([(class, tuple)])
-    }
-
-    /// Batched maintenance (§4.1 meets §4.2's "update first, maintain
-    /// once"): with the whole WM delta applied, one [`Self::maintain`]
-    /// pass.
-    fn maintain_delta(&mut self, deltas: &[WmDelta]) -> Vec<ConflictDelta> {
-        self.maintain(deltas.iter().map(|d| (d.class, &d.tuple)))
     }
 
     fn conflict_set(&self) -> &ConflictSet {

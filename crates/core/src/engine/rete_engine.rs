@@ -8,14 +8,12 @@
 
 use std::time::Instant;
 
-use ops5::ClassId;
-use relstore::{Tuple, TupleId};
 use rete::{
     ConflictDelta, ConflictSet, DbReteNetwork, Network, OpMetrics, RelMemory, ReteNetwork,
     TokenMemory, VecMemory, Wme,
 };
 
-use crate::engine::{MatchEngine, SpaceStats};
+use crate::engine::{MatchEngine, SpaceStats, WmDelta};
 use crate::pdb::ProductionDb;
 
 /// What the engine needs to know about a token memory beyond the
@@ -23,7 +21,7 @@ use crate::pdb::ProductionDb;
 pub trait ReteBackend: TokenMemory<Wid: Send> + Send + Sized {
     /// Engine label ([`MatchEngine::name`]).
     const NAME: &'static str;
-    /// Profile span of one maintenance entry point.
+    /// Profile span of one maintenance pass.
     const SPAN: &'static str;
 
     /// The network for a production database's rule set.
@@ -119,30 +117,22 @@ impl<M: ReteBackend> MatchEngine for NetworkEngine<M> {
         &self.pdb
     }
 
-    fn maintain_insert(
-        &mut self,
-        class: ClassId,
-        _tid: TupleId,
-        tuple: &Tuple,
-    ) -> Vec<ConflictDelta> {
+    /// The network propagates one WME at a time; the pass is timed as a
+    /// whole, so [`MatchEngine::last_detect_split`] covers every change.
+    fn maintain_delta(&mut self, deltas: &[WmDelta]) -> Vec<ConflictDelta> {
         obs::prof_span!(M::SPAN);
         let start = Instant::now();
-        let deltas = self.net.insert(Wme::new(class, tuple.clone()));
+        let mut out = Vec::new();
+        for d in deltas {
+            let wme = Wme::new(d.class, d.tuple.clone());
+            out.extend(if d.insert {
+                self.net.insert(wme)
+            } else {
+                self.net.remove(&wme)
+            });
+        }
         self.last_total = start.elapsed().as_nanos() as u64;
-        deltas
-    }
-
-    fn maintain_remove(
-        &mut self,
-        class: ClassId,
-        _tid: TupleId,
-        tuple: &Tuple,
-    ) -> Vec<ConflictDelta> {
-        obs::prof_span!(M::SPAN);
-        let start = Instant::now();
-        let deltas = self.net.remove(&Wme::new(class, tuple.clone()));
-        self.last_total = start.elapsed().as_nanos() as u64;
-        deltas
+        out
     }
 
     fn conflict_set(&self) -> &ConflictSet {
@@ -181,6 +171,7 @@ impl<M: ReteBackend> MatchEngine for NetworkEngine<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ops5::ClassId;
     use relstore::tuple;
 
     fn mirrors_wm_and_stores_tokens<M: ReteBackend>() {

@@ -35,7 +35,7 @@ use parking_lot::Mutex;
 use relstore::{Error, Restriction, Tuple, TupleId};
 use rete::Instantiation;
 
-use crate::engine::{trace_batch, MatchEngine, WmDelta};
+use crate::engine::{maintenance_pass, MatchEngine, WmDelta};
 use crate::exec::{eval_rhs, Refraction, WmChange};
 use crate::pdb::ProductionDb;
 
@@ -369,17 +369,14 @@ impl ConcurrentExecutor {
 
         // 4. Maintenance BEFORE commit: the transaction still holds
         //    every lock while the match structures (COND relations)
-        //    are updated — one set-oriented `maintain_delta` pass over
-        //    the transaction's whole delta set (§4.2 × §5.2), inside
-        //    the engine critical section.
+        //    are updated — one set-oriented maintenance pass over the
+        //    transaction's whole delta set (§4.2 × §5.2), inside the
+        //    engine critical section.
         let critical_ns = {
             let mut g = self.engine.lock();
             obs::prof_span!("exec.critical");
             let held = Instant::now();
-            let deltas = g.maintain_delta(&applied);
-            if tracer.enabled() {
-                trace_batch(&**g, &applied, &deltas, held.elapsed().as_nanos() as u64);
-            }
+            maintenance_pass(&mut **g, &applied);
             let critical_ns = held.elapsed().as_nanos() as u64;
             if let Some(m) = tracer.metrics() {
                 m.record_critical_section(critical_ns);

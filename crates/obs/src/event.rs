@@ -216,7 +216,9 @@ events! {
         }
         /// One engine finished match maintenance for one WM change.
         /// `detect_ns`/`total_ns` are the §4.2.3 detect/maintain split when
-        /// the engine reports it (0/0 otherwise).
+        /// the engine reports it (0/0 otherwise). No longer emitted — every
+        /// change is part of a [`Event::BatchApplied`] pass — and kept so
+        /// that older journals still parse.
         MatchMaintain = "match_maintain" {
             engine: &'static str = "engine" via ENGINE,
             class: u32 = "class",
@@ -237,9 +239,10 @@ events! {
             probes: u64 = "probes",
             span_ns: u64 = "span_ns",
         }
-        /// One whole delta batch finished maintenance (§4.2 set-oriented
-        /// mode): how many WM inserts/deletes it carried and how many
-        /// distinct rules its conflict deltas touched.
+        /// One maintenance pass finished (§4.2 set-oriented maintenance; a
+        /// single WM change is a pass of one): how many WM inserts/deletes
+        /// it carried and how many distinct rules its conflict deltas
+        /// touched.
         BatchApplied = "batch_applied" {
             engine: &'static str = "engine" via ENGINE,
             inserts: usize = "inserts",

@@ -423,7 +423,7 @@ mod tests {
         }
         let sink = recording_sink_to(Box::new(Shared(buf.clone())), &meta()).unwrap();
         sink.accept(Event::CycleStart { cycle: 0 });
-        sink.flush();
+        sink.flush().unwrap();
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         let j = Journal::parse(&text).unwrap();
         assert_eq!(j.meta, meta());

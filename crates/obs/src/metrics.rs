@@ -1,7 +1,7 @@
 //! Aggregated run metrics, concurrently updatable: per-rule activity,
-//! latency histograms for the match and act phases, per-COND-relation
-//! propagation fan-out, a conflict-set-size timeline, detect/maintain
-//! splits per engine, and lock-contention totals.
+//! latency histograms for the match and act phases, per-class WM change
+//! counts, a conflict-set-size timeline, detect/maintain splits per
+//! engine, and lock-contention totals.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,14 +22,12 @@ pub struct RuleMetrics {
     pub instantiations_removed: u64,
 }
 
-/// Per-COND-relation (class) propagation counters (§4.2).
+/// Per-WM-class (COND relation, §4.2) counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClassMetrics {
     pub name: String,
     /// WM changes on this class.
     pub wm_changes: u64,
-    /// Conflict-set deltas those changes fanned out to.
-    pub fanout_deltas: u64,
 }
 
 /// Accumulated §4.2.3 detect/maintain split for one engine.
@@ -44,9 +42,11 @@ pub struct DetectSplit {
 #[derive(Default)]
 pub struct MetricsRegistry {
     rules: Mutex<HashMap<u32, RuleMetrics>>,
-    classes: Mutex<HashMap<u32, ClassMetrics>>,
+    /// WM changes per `(class id, class name)`: runs of different
+    /// programs may share a registry and reuse a class id.
+    classes: Mutex<HashMap<(u32, String), u64>>,
     splits: Mutex<HashMap<&'static str, DetectSplit>>,
-    /// Latency of one match-maintenance call (ns).
+    /// Latency of one match-maintenance pass (ns).
     pub match_hist: Log2Histogram,
     /// Latency of one RHS execution (ns).
     pub rhs_hist: Log2Histogram,
@@ -58,6 +58,8 @@ pub struct MetricsRegistry {
     pub critical_section_hist: Log2Histogram,
     /// `(cycle, conflict_len)` after each act phase.
     conflict_timeline: Mutex<Vec<(u64, usize)>>,
+    /// Recognize-act cycles ended, across every executor sharing the
+    /// registry.
     cycles: AtomicU64,
     lock_waits: AtomicU64,
     lock_wait_ns: AtomicU64,
@@ -68,10 +70,12 @@ pub struct MetricsRegistry {
     pattern_probes: AtomicU64,
     /// Matching patterns examined across probe candidates and full scans.
     pattern_scanned: AtomicU64,
-    /// Delta batches applied (§4.2 set-oriented maintenance).
+    /// Maintenance passes run (§4.2 set-oriented maintenance).
     batches: AtomicU64,
-    /// WM changes carried by those batches.
+    /// WM changes carried by those passes.
     batch_changes: AtomicU64,
+    /// Conflict-set deltas those passes emitted.
+    batch_conflict_deltas: AtomicU64,
 }
 
 impl MetricsRegistry {
@@ -103,32 +107,6 @@ impl MetricsRegistry {
         }
     }
 
-    pub fn record_match(
-        &self,
-        engine: &'static str,
-        class: u32,
-        class_name: &str,
-        deltas: usize,
-        detect_ns: u64,
-        total_ns: u64,
-    ) {
-        self.match_hist.record(total_ns);
-        {
-            let mut classes = self.classes.lock().expect("classes");
-            let c = classes.entry(class).or_default();
-            if c.name.is_empty() {
-                c.name = class_name.to_string();
-            }
-            c.wm_changes += 1;
-            c.fanout_deltas += deltas as u64;
-        }
-        let mut splits = self.splits.lock().expect("splits");
-        let s = splits.entry(engine).or_default();
-        s.detect_ns += detect_ns;
-        s.total_ns += total_ns;
-        s.samples += 1;
-    }
-
     /// One COND store's propagation finished in `span_ns`.
     pub fn record_propagate(&self, span_ns: u64) {
         self.propagate_hist.record(span_ns);
@@ -146,25 +124,38 @@ impl MetricsRegistry {
         self.pattern_scanned.fetch_add(scanned, Ordering::Relaxed);
     }
 
-    /// One delta batch of `changes` WM changes finished maintenance.
-    pub fn record_batch(&self, changes: u64) {
+    /// One maintenance pass of `engine` over `changes` WM changes
+    /// finished in `total_ns`, `detect_ns` of them before the conflict set
+    /// was up to date, and emitted `conflict_deltas` conflict-set deltas.
+    pub fn record_pass(
+        &self,
+        engine: &'static str,
+        changes: u64,
+        conflict_deltas: u64,
+        detect_ns: u64,
+        total_ns: u64,
+    ) {
+        self.match_hist.record(total_ns);
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batch_changes.fetch_add(changes, Ordering::Relaxed);
+        self.batch_conflict_deltas
+            .fetch_add(conflict_deltas, Ordering::Relaxed);
+        let mut splits = self.splits.lock().expect("splits");
+        let s = splits.entry(engine).or_default();
+        s.detect_ns += detect_ns;
+        s.total_ns += total_ns;
+        s.samples += 1;
     }
 
-    /// One WM change on `class` (batched path — per-change maintenance
-    /// records the same count through [`MetricsRegistry::record_match`]).
+    /// One WM change on `class`, within a maintenance pass.
     pub fn record_class_change(&self, class: u32, class_name: &str) {
         let mut classes = self.classes.lock().expect("classes");
-        let c = classes.entry(class).or_default();
-        if c.name.is_empty() {
-            c.name = class_name.to_string();
-        }
-        c.wm_changes += 1;
+        *classes.entry((class, class_name.to_string())).or_default() += 1;
     }
 
+    /// One recognize-act cycle ended with `conflict_len` instantiations.
     pub fn record_cycle(&self, cycle: u64, conflict_len: usize) {
-        self.cycles.fetch_max(cycle + 1, Ordering::Relaxed);
+        self.cycles.fetch_add(1, Ordering::Relaxed);
         self.conflict_timeline
             .lock()
             .expect("timeline")
@@ -206,9 +197,18 @@ impl MetricsRegistry {
             .lock()
             .expect("classes")
             .iter()
-            .map(|(k, m)| (*k, m.clone()))
+            .map(|((id, name), n)| {
+                let name = name.clone();
+                (
+                    *id,
+                    ClassMetrics {
+                        name,
+                        wm_changes: *n,
+                    },
+                )
+            })
             .collect();
-        v.sort_by_key(|(k, _)| *k);
+        v.sort_by(|(a, x), (b, y)| (a, &x.name).cmp(&(b, &y.name)));
         v
     }
 
@@ -268,6 +268,10 @@ impl MetricsRegistry {
         self.batch_changes.load(Ordering::Relaxed)
     }
 
+    pub fn batch_conflict_deltas(&self) -> u64 {
+        self.batch_conflict_deltas.load(Ordering::Relaxed)
+    }
+
     /// Render the whole registry as a JSON object.
     pub fn to_json(&self) -> String {
         let mut rules = Arr::new();
@@ -289,15 +293,6 @@ impl MetricsRegistry {
                     .u64("class", id as u64)
                     .str("name", &c.name)
                     .u64("wm_changes", c.wm_changes)
-                    .u64("fanout_deltas", c.fanout_deltas)
-                    .f64(
-                        "mean_fanout",
-                        if c.wm_changes == 0 {
-                            0.0
-                        } else {
-                            c.fanout_deltas as f64 / c.wm_changes as f64
-                        },
-                    )
                     .finish(),
             );
         }
@@ -361,6 +356,7 @@ impl MetricsRegistry {
                 &Obj::new()
                     .u64("count", self.batches())
                     .u64("wm_changes", self.batch_changes())
+                    .u64("conflict_deltas", self.batch_conflict_deltas())
                     .finish(),
             )
             .finish()
@@ -378,20 +374,26 @@ mod tests {
         m.record_fire(1, "R1", 200);
         m.record_conflict_delta(1, "R1", true);
         m.record_conflict_delta(1, "R1", false);
-        m.record_match("cond", 0, "C0", 3, 40, 100);
+        m.record_class_change(0, "C0");
         m.record_cycle(0, 2);
+        m.record_cycle(0, 1);
         m.record_lock_wait(500);
         m.record_deadlock();
         m.record_txn(true);
         m.record_pattern_io(1, 4);
         m.record_pattern_io(0, 7);
-        m.record_batch(3);
+        m.record_pass("cond", 3, 2, 40, 100);
         m.record_critical_section(250);
         let rules = m.rules();
         assert_eq!(rules.len(), 1);
         assert_eq!(rules[0].1.fires, 2);
         assert_eq!(rules[0].1.instantiations_added, 1);
-        assert_eq!(m.classes()[0].1.fanout_deltas, 3);
+        assert_eq!(m.classes()[0].1.wm_changes, 1);
+        assert_eq!(m.batch_conflict_deltas(), 2);
+        assert_eq!(m.match_hist.count(), 1);
+        // Cycles are counted, not read off the largest cycle index: two
+        // executors sharing a registry both end a cycle 0.
+        assert_eq!(m.cycles(), 2);
         assert_eq!(m.splits()[0].1.detect_ns, 40);
         assert_eq!(m.lock_wait_ns(), 500);
         assert_eq!(m.pattern_probes(), 1);
@@ -405,7 +407,7 @@ mod tests {
             "{json}"
         );
         assert!(
-            json.contains("\"batches\":{\"count\":1,\"wm_changes\":3}"),
+            json.contains("\"batches\":{\"count\":1,\"wm_changes\":3,\"conflict_deltas\":2}"),
             "{json}"
         );
         assert!(json.contains("\"critical_section_ns\":"), "{json}");

@@ -1,6 +1,6 @@
-//! Where trace events go: nothing, a bounded ring, a JSONL stream, or a
-//! human-readable watch printer. The enum (rather than a trait object)
-//! keeps the disabled path a single discriminant check.
+//! Where trace events go: nothing, a bounded ring, or a JSONL stream.
+//! The enum (rather than a trait object) keeps the disabled path a single
+//! discriminant check.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -68,15 +68,22 @@ impl RingBuffer {
     }
 }
 
-/// Streams one JSON object per line to any writer.
+/// Streams one JSON object per line to any writer. The first I/O error
+/// ends the stream and is kept for [`JsonlWriter::flush`] to return: a
+/// full disk does not kill the run, and does not pass unnoticed either.
 pub struct JsonlWriter {
     out: Box<dyn Write + Send>,
     seq: u64,
+    error: Option<std::io::Error>,
 }
 
 impl JsonlWriter {
     pub fn new(out: Box<dyn Write + Send>) -> Self {
-        JsonlWriter { out, seq: 0 }
+        JsonlWriter {
+            out,
+            seq: 0,
+            error: None,
+        }
     }
 
     pub fn create<P: AsRef<Path>>(path: P) -> std::io::Result<Self> {
@@ -86,40 +93,23 @@ impl JsonlWriter {
     }
 
     pub fn write(&mut self, event: &Event) {
-        let line = event.to_json(self.seq);
+        let mut line = event.to_json(self.seq);
         self.seq += 1;
-        // Trace output is best-effort; a full disk should not kill the run.
-        let _ = self.out.write_all(line.as_bytes());
-        let _ = self.out.write_all(b"\n");
-    }
-
-    pub fn flush(&mut self) {
-        let _ = self.out.flush();
-    }
-}
-
-/// OPS5-`watch`-style human trace lines.
-pub struct WatchPrinter {
-    out: Box<dyn Write + Send>,
-}
-
-impl WatchPrinter {
-    pub fn stdout() -> Self {
-        WatchPrinter {
-            out: Box::new(std::io::stdout()),
+        if self.error.is_none() {
+            line.push('\n');
+            self.error = self.out.write_all(line.as_bytes()).err();
         }
     }
 
-    pub fn new(out: Box<dyn Write + Send>) -> Self {
-        WatchPrinter { out }
-    }
-
-    pub fn write(&mut self, event: &Event) {
-        let _ = writeln!(self.out, "{}", event.watch_line());
-    }
-
-    pub fn flush(&mut self) {
-        let _ = self.out.flush();
+    /// Flush the writer; the first error of any write or flush so far.
+    pub fn flush(&mut self) -> std::io::Result<()> {
+        if self.error.is_none() {
+            self.error = self.out.flush().err();
+        }
+        match &self.error {
+            Some(e) => Err(std::io::Error::new(e.kind(), e.to_string())),
+            None => Ok(()),
+        }
     }
 }
 
@@ -130,7 +120,6 @@ pub enum Sink {
     Null,
     Ring(Mutex<RingBuffer>),
     Jsonl(Mutex<JsonlWriter>),
-    Watch(Mutex<WatchPrinter>),
 }
 
 impl Sink {
@@ -146,24 +135,19 @@ impl Sink {
         Sink::Jsonl(Mutex::new(JsonlWriter::new(out)))
     }
 
-    pub fn watch() -> Self {
-        Sink::Watch(Mutex::new(WatchPrinter::stdout()))
-    }
-
     pub fn accept(&self, event: Event) {
         match self {
             Sink::Null => {}
             Sink::Ring(ring) => ring.lock().expect("ring sink").push(event),
             Sink::Jsonl(w) => w.lock().expect("jsonl sink").write(&event),
-            Sink::Watch(w) => w.lock().expect("watch sink").write(&event),
         }
     }
 
-    pub fn flush(&self) {
+    /// Flush buffered output; the first I/O error the sink met, if any.
+    pub fn flush(&self) -> std::io::Result<()> {
         match self {
-            Sink::Null | Sink::Ring(_) => {}
+            Sink::Null | Sink::Ring(_) => Ok(()),
             Sink::Jsonl(w) => w.lock().expect("jsonl sink").flush(),
-            Sink::Watch(w) => w.lock().expect("watch sink").flush(),
         }
     }
 
@@ -230,11 +214,50 @@ mod tests {
         let sink = Sink::jsonl_writer(Box::new(Shared(buf.clone())));
         sink.accept(ev(1));
         sink.accept(ev(2));
-        sink.flush();
+        sink.flush().unwrap();
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("{\"seq\":0,"));
         assert!(lines[1].starts_with("{\"seq\":1,"));
+    }
+
+    /// A writer that accepts `room` bytes and then fails every write, as a
+    /// full disk does.
+    struct Full {
+        room: usize,
+    }
+
+    impl std::io::Write for Full {
+        fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
+            if self.room == 0 {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::StorageFull,
+                    "no space left",
+                ));
+            }
+            let n = b.len().min(self.room);
+            self.room -= n;
+            Ok(n)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn jsonl_keeps_the_first_write_error_for_flush() {
+        let room = ev(1).to_json(0).len() + 1;
+        let sink = Sink::jsonl_writer(Box::new(Full { room }));
+        sink.accept(ev(1));
+        sink.flush().expect("the first line fits");
+        for cycle in 2..5 {
+            sink.accept(ev(cycle));
+        }
+        let err = sink.flush().expect_err("a lost line is reported");
+        assert_eq!(err.kind(), std::io::ErrorKind::StorageFull);
+        assert!(err.to_string().contains("no space left"), "{err}");
+        // The error stays: a later flush still reports it.
+        assert!(sink.flush().is_err());
     }
 }

@@ -118,7 +118,8 @@ fn oracle(engine: &dyn MatchEngine) -> Vec<Instantiation> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-    /// One change at a time: `maintain_insert` / `maintain_remove`.
+    /// Passes of one: `insert` / `remove` run `maintain_delta` over a
+    /// single change.
     #[test]
     fn cond_equals_oracle_and_rete_after_every_change(
         specs in proptest::collection::vec(rule_strategy(), 1..6),
