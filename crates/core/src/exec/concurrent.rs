@@ -75,9 +75,9 @@ pub struct ConcurrentStats {
     /// schedule: the step it stopped at and why. `None` for live runs and
     /// for replays that reproduced every recorded firing.
     pub divergence: Option<String>,
-    /// Per-lock-shard contention over this run, `(shard, waits, wait_ns)`
-    /// for every shard where at least one request blocked. Empty when the
-    /// run never contended.
+    /// `[(0, lock_waits, lock_wait_ns)]` when at least one lock request
+    /// blocked, empty otherwise: at most one entry, for the one lock
+    /// table. Kept only because the repo benchmark reads it.
     pub shard_contention: Vec<(u32, u64, u64)>,
 }
 
@@ -419,44 +419,22 @@ impl ConcurrentExecutor {
 
     /// Execute one round's candidates: raced over the worker threads, or
     /// — replaying a [`ScheduleOracle`] step — on the calling thread.
-    ///
-    /// Shard-affine dispatch: each candidate is queued on its home lock
-    /// shard (the shard of its first positive CE's class relation), and
-    /// worker `w` drains the queue of shard `w % shards` first, so
-    /// co-resident workers mostly touch their own shard's lock table and
-    /// condvar. Workers steal from the other shards' queues once their
-    /// own is empty — the affinity is a fast path, not a partition: no
-    /// work is stranded on an unstaffed shard.
+    /// Every worker pops the next candidate from one shared queue.
     ///
     /// A committed `(halt)` stops further dispatch *within* the round:
     /// transactions already started may finish (they hold locks and must
     /// release cleanly), but queued ones stay unexecuted.
     fn dispatch(
         &self,
-        pdb: &ProductionDb,
         candidates: Vec<Instantiation>,
         round: u64,
     ) -> Vec<(Instantiation, TxnOutcome)> {
-        let locks = pdb.db().lock_manager();
-        let mut by_shard: Vec<VecDeque<Instantiation>> =
-            (0..locks.shard_count()).map(|_| VecDeque::new()).collect();
-        for inst in candidates {
-            let home = inst
-                .wmes
-                .first()
-                .map_or(0, |w| locks.shard_of(pdb.class_rel(w.class)));
-            by_shard[home].push_back(inst);
-        }
-        let queues: Vec<Mutex<VecDeque<Instantiation>>> =
-            by_shard.into_iter().map(Mutex::new).collect();
+        let queue = Mutex::new(VecDeque::from(candidates));
         let results = Mutex::new(Vec::new());
         let halted = AtomicBool::new(false);
-        let work = |w: usize| {
+        let work = || {
             while !halted.load(Ordering::Relaxed) {
-                // Home queue first, then steal round-robin.
-                let next = (0..queues.len())
-                    .find_map(|off| queues[(w + off) % queues.len()].lock().pop_front());
-                let Some(inst) = next else {
+                let Some(inst) = queue.lock().pop_front() else {
                     break;
                 };
                 let outcome = self.run_one(&inst, round);
@@ -467,12 +445,11 @@ impl ConcurrentExecutor {
             }
         };
         if self.oracle.is_some() {
-            work(0);
+            work();
         } else {
             crossbeam::thread::scope(|scope| {
-                for w in 0..self.workers {
-                    let work = &work;
-                    scope.spawn(move |_| work(w));
+                for _ in 0..self.workers {
+                    scope.spawn(|_| work());
                 }
             })
             .expect("worker scope");
@@ -510,7 +487,6 @@ impl ConcurrentExecutor {
         };
         let db = pdb.db();
         let base = db.stats().snapshot();
-        let shard_base = db.lock_manager().shard_stats();
         while stats.committed < max_fired && !stats.halted {
             // Snapshot Ψ_i: conflict set minus already-fired (refraction),
             // narrowed to the recorded step when replaying.
@@ -549,7 +525,7 @@ impl ConcurrentExecutor {
             let round = stats.rounds as u64;
             let dispatched = candidates.len();
             let round_start = Instant::now();
-            let results = self.dispatch(&pdb, candidates, round);
+            let results = self.dispatch(candidates, round);
             let executed = results.len();
             let mut round_committed = 0usize;
             let mut round_critical = 0u64;
@@ -631,20 +607,8 @@ impl ConcurrentExecutor {
         let delta = db.stats().snapshot().since(&base);
         stats.lock_waits = delta.lock_waits;
         stats.lock_wait_ns = delta.lock_wait_ns;
-        // Surface where the contention landed: per-shard wait deltas over
-        // this run, journaled so traces show hot lock shards.
-        let shard_now = db.lock_manager().shard_stats();
-        for (i, (now, before)) in shard_now.iter().zip(&shard_base).enumerate() {
-            let waits = now.waits.saturating_sub(before.waits);
-            let wait_ns = now.wait_ns.saturating_sub(before.wait_ns);
-            if waits > 0 {
-                stats.shard_contention.push((i as u32, waits, wait_ns));
-                tracer.emit(|| Event::ShardContention {
-                    shard: i as u32,
-                    waits,
-                    wait_ns,
-                });
-            }
+        if delta.lock_waits > 0 {
+            stats.shard_contention = vec![(0, delta.lock_waits, delta.lock_wait_ns)];
         }
         stats
     }

@@ -333,8 +333,10 @@ events! {
             edges: String = "edges",
         }
         /// Contention summary for one lock-table shard over a run: how many
-        /// lock requests blocked there and for how long in total. Emitted
-        /// per shard with non-zero waits when a concurrent run finishes.
+        /// lock requests blocked there and for how long in total. No longer
+        /// emitted — the lock manager is one table, and a run's waits are
+        /// in [`Event::LockAcquire`] and the run's stats — and kept so that
+        /// older journals still parse.
         ShardContention = "shard_contention" {
             shard: u32 = "shard",
             waits: u64 = "waits",

@@ -1,5 +1,5 @@
 //! The database: a catalog of relations plus shared services (statistics,
-//! lock manager, transaction manager).
+//! the one 2PL lock table, transaction ids).
 //!
 //! Physical access uses per-relation reader/writer latches; *logical*
 //! isolation is the transaction layer's job ([`crate::txn`]). Matching
@@ -21,7 +21,7 @@
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -34,7 +34,7 @@ use crate::relation::Relation;
 use crate::schema::{RelId, Schema};
 use crate::stats::Stats;
 use crate::tuple::{Tuple, TupleId};
-use crate::txn::{LockManager, Txn, TxnManager};
+use crate::txn::{LockManager, Txn, TxnId};
 use crate::wal::{sync_dir, TornTail, Wal, WalRecord};
 
 /// Paged-mode state: the storage directory and the buffer pool every
@@ -67,7 +67,8 @@ pub struct Database {
     names: RwLock<HashMap<String, RelId>>,
     stats: Stats,
     locks: LockManager,
-    txns: TxnManager,
+    /// The next transaction id [`Database::begin`] hands out.
+    next_txn: AtomicU64,
     analyze: AnalyzeRegistry,
     /// The log every change is appended to: `Some` exactly for a paged
     /// database, set at construction (after replay, for a recovered one).
@@ -86,22 +87,14 @@ impl Default for Database {
 }
 
 impl Database {
-    /// Create a new, empty instance with the default lock-shard count
-    /// ([`crate::DEFAULT_LOCK_SHARDS`]).
+    /// Create a new, empty in-memory instance.
     pub fn new() -> Self {
-        Self::new_with_shards(crate::DEFAULT_LOCK_SHARDS)
-    }
-
-    /// Create a new, empty instance whose lock manager is partitioned
-    /// into `shards` lock-table shards (relations hash onto shards, so
-    /// transactions over disjoint relations never contend on one table).
-    pub fn new_with_shards(shards: usize) -> Self {
         let stats = Stats::new();
         Database {
             relations: RwLock::new(Vec::new()),
             names: RwLock::new(HashMap::new()),
-            locks: LockManager::with_shards(stats.clone(), shards),
-            txns: TxnManager::new(),
+            locks: LockManager::new(stats.clone()),
+            next_txn: AtomicU64::new(0),
             analyze: AnalyzeRegistry::new(),
             stats,
             wal: None,
@@ -329,7 +322,8 @@ impl Database {
 
     /// Begin a transaction (strict 2PL).
     pub fn begin(&self) -> Txn<'_> {
-        Txn::new(self, self.txns.begin())
+        let id = TxnId(self.next_txn.fetch_add(1, Ordering::Relaxed));
+        Txn::new(self, id)
     }
 
     /// Create a relation; names must be unique.

@@ -65,6 +65,6 @@ pub use relation::Relation;
 pub use schema::{AttrIdx, Attribute, RelId, Schema};
 pub use stats::{OpSnapshot, Stats};
 pub use tuple::{Tuple, TupleId};
-pub use txn::{LockManager, LockMode, LockShardStats, LockTarget, Txn, TxnId, DEFAULT_LOCK_SHARDS};
+pub use txn::{LockManager, LockMode, LockTarget, Txn, TxnId};
 pub use value::{Value, ValueType};
 pub use wal::{TornTail, Wal, WalRecord};

@@ -1,4 +1,4 @@
-//! Two-phase-locking lock manager, sharded by relation.
+//! Two-phase-locking lock manager: one lock table behind one mutex.
 //!
 //! §5.2 of the paper requires read locks on retrieved WM tuples, write
 //! locks for RHS updates, **relation-granularity** read locks for negated
@@ -9,31 +9,23 @@
 //! other transactions (computed directly instead of via intention modes —
 //! exact at our scale).
 //!
-//! **Sharding.** The lock table is partitioned: relations hash onto
-//! [`LockManager::shard_count`] shards, each with its own mutex, condvar,
-//! and contention counters, so worker transactions that touch disjoint
-//! relations never serialize on one table. Within a shard, holders are
-//! bucketed **per relation** — a tuple-level request examines only its
-//! relation's entries (the relation-level holders plus that one tuple's),
-//! never every held lock in the database, so conflict checking no longer
-//! degrades as O(total held locks) per request. A transaction whose LHS
-//! joins across shards simply acquires in several shards — cross-shard
-//! strict 2PL with no extra protocol.
+//! Holders are bucketed **per relation**: a tuple-level request examines
+//! only its relation's entries (the relation-level holders plus that one
+//! tuple's), never every held lock in the database.
 //!
 //! Deadlocks — which §5.2 explicitly predicts ("this could lead to a
-//! deadlock of the two transactions") — are detected on a waits-for graph
-//! **merged across shards**: every blocked waiter computes its outgoing
-//! edges under its shard's mutex and publishes them into one shared
-//! [`WaitGraph`]; cycle detection and victim self-removal run atomically
-//! under the graph mutex, so a two-cycle aborts exactly one victim even
-//! when its edges live in different shards. Lock order is always shard
-//! mutex → graph mutex, and the graph is a leaf: no path re-enters a
-//! shard while holding it.
+//! deadlock of the two transactions") — are found on a waits-for graph
+//! computed from the table on demand: a waiter's edges point at the
+//! current holders that conflict with its pending request. The cycle
+//! check runs once, under the table mutex, when a request starts to wait.
+//! Only that event can close a cycle — a holder granted later has no
+//! outgoing edge until it waits itself — so the requester that closes a
+//! cycle is its victim. Waiters sleep on one condvar that
+//! [`LockManager::release_all`] wakes.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use obs::Event;
 use parking_lot::{Condvar, Mutex};
@@ -43,9 +35,6 @@ use crate::schema::RelId;
 use crate::stats::Stats;
 use crate::tuple::TupleId;
 use crate::txn::TxnId;
-
-/// Default lock-table shard count for a new [`LockManager`].
-pub const DEFAULT_LOCK_SHARDS: usize = 16;
 
 /// What is being locked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -117,10 +106,16 @@ impl RelBucket {
 
 #[derive(Debug, Default)]
 struct Tables {
-    /// relation → its lock bucket. Only relations of this shard appear.
+    /// relation → its lock bucket.
     buckets: HashMap<RelId, RelBucket>,
-    /// txn → targets it holds in this shard (for release_all).
+    /// txn → targets it holds (for release_all).
     holdings: HashMap<TxnId, HashSet<LockTarget>>,
+    /// txn → the request it is blocked on. Its waits-for edges are the
+    /// holders conflicting with that request, computed when needed.
+    waiting: HashMap<TxnId, (LockTarget, LockMode)>,
+    /// Contention tracing. Only consulted on the blocking path, so the
+    /// uncontended fast path costs nothing extra.
+    tracer: obs::Tracer,
 }
 
 impl Tables {
@@ -166,6 +161,50 @@ impl Tables {
         out
     }
 
+    /// Would `me`, about to wait on `holders`, close a waits-for cycle?
+    /// Follows each reached transaction's edges while it waits itself.
+    fn closes_cycle(&self, me: TxnId, holders: Vec<TxnId>) -> bool {
+        let mut stack = holders;
+        let mut seen = HashSet::new();
+        while let Some(t) = stack.pop() {
+            if t == me {
+                return true;
+            }
+            if seen.insert(t) {
+                if let Some(&(target, mode)) = self.waiting.get(&t) {
+                    stack.extend(self.conflicting_holders(t, target, mode));
+                }
+            }
+        }
+        false
+    }
+
+    /// Render the waits-for graph, with `me` waiting on (`target`,
+    /// `mode`), as "; "-joined edges, one per (waiter, conflicting
+    /// holder) pair: `t<waiter>->t<holder> <mode> <target>`. Edges are
+    /// sorted so the snapshot is stable regardless of hash iteration order.
+    fn render(&self, me: TxnId, target: LockTarget, mode: LockMode) -> String {
+        let waiters = self.waiting.iter().map(|(&w, &(t, m))| (w, t, m));
+        let mut edges: Vec<String> = waiters
+            .chain(std::iter::once((me, target, mode)))
+            .flat_map(|(waiter, target, mode)| {
+                self.conflicting_holders(waiter, target, mode)
+                    .into_iter()
+                    .map(move |holder| {
+                        format!(
+                            "t{}->t{} {} {}",
+                            waiter.0,
+                            holder.0,
+                            mode.as_str(),
+                            target.describe()
+                        )
+                    })
+            })
+            .collect();
+        edges.sort();
+        edges.join("; ")
+    }
+
     fn grant(&mut self, me: TxnId, target: LockTarget, mode: LockMode) {
         let bucket = self.buckets.entry(target.rel()).or_default();
         let entry = match target {
@@ -179,8 +218,8 @@ impl Tables {
         self.holdings.entry(me).or_default().insert(target);
     }
 
-    /// Drop every lock `txn` holds in this shard. Returns whether
-    /// anything was released (a waiter might be unblocked).
+    /// Drop every lock `txn` holds. Returns whether anything was
+    /// released (a waiter might be unblocked).
     fn release(&mut self, txn: TxnId) -> bool {
         let Some(targets) = self.holdings.remove(&txn) else {
             return false;
@@ -211,169 +250,36 @@ impl Tables {
     }
 }
 
-/// The published waits-for graph, merged across every shard: each blocked
-/// waiter's outgoing edges, keyed by waiter. Writers hold their shard
-/// mutex while publishing, so an entry is always a consistent snapshot of
-/// one waiter's blocked request.
-#[derive(Debug, Default)]
-struct WaitGraph {
-    edges: HashMap<TxnId, Vec<(TxnId, LockMode, LockTarget)>>,
-}
-
-impl WaitGraph {
-    /// Replace `waiter`'s outgoing edges with its current conflict set.
-    fn publish(&mut self, waiter: TxnId, holders: &[TxnId], mode: LockMode, target: LockTarget) {
-        self.edges
-            .insert(waiter, holders.iter().map(|&h| (h, mode, target)).collect());
-    }
-
-    /// Remove every edge out of `txn` (granted, aborted, or released).
-    fn clear(&mut self, txn: TxnId) {
-        self.edges.remove(&txn);
-    }
-
-    /// Does `start` participate in a cycle of published edges?
-    fn in_cycle(&self, start: TxnId) -> bool {
-        let mut queue: VecDeque<TxnId> = self
-            .edges
-            .get(&start)
-            .into_iter()
-            .flatten()
-            .map(|&(h, ..)| h)
-            .collect();
-        let mut seen = HashSet::new();
-        while let Some(t) = queue.pop_front() {
-            if t == start {
-                return true;
-            }
-            if !seen.insert(t) {
-                continue;
-            }
-            if let Some(out) = self.edges.get(&t) {
-                queue.extend(out.iter().map(|&(h, ..)| h));
-            }
-        }
-        false
-    }
-
-    /// Render the merged graph as "; "-joined edges, one per
-    /// (waiter, conflicting holder) pair:
-    /// `t<waiter>->t<holder> <mode> <target>`. Edges are sorted so the
-    /// snapshot is stable regardless of hash iteration order.
-    fn render(&self) -> String {
-        let mut edges = Vec::new();
-        for (&waiter, out) in &self.edges {
-            for &(holder, mode, target) in out {
-                edges.push(format!(
-                    "t{}->t{} {} {}",
-                    waiter.0,
-                    holder.0,
-                    mode.as_str(),
-                    target.describe()
-                ));
-            }
-        }
-        edges.sort();
-        edges.join("; ")
-    }
-}
-
-/// One lock-table shard: its own tables, wakeup channel, and contention
-/// counters.
-#[derive(Debug)]
-struct Shard {
-    tables: Mutex<Tables>,
-    cv: Condvar,
-    acquired: AtomicU64,
-    waits: AtomicU64,
-    wait_ns: AtomicU64,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            tables: Mutex::new(Tables::default()),
-            cv: Condvar::new(),
-            acquired: AtomicU64::new(0),
-            waits: AtomicU64::new(0),
-            wait_ns: AtomicU64::new(0),
-        }
-    }
-}
-
-/// Per-shard contention counters ([`LockManager::shard_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LockShardStats {
-    /// Locks granted by this shard.
-    pub acquired: u64,
-    /// Lock requests that blocked in this shard.
-    pub waits: u64,
-    /// Total nanoseconds requests spent blocked in this shard.
-    pub wait_ns: u64,
-}
-
 /// The lock manager. Shared by all transactions of a database.
 #[derive(Debug)]
 pub struct LockManager {
-    shards: Vec<Shard>,
-    /// The merged cross-shard waits-for graph. Leaf lock: taken only
-    /// while a shard mutex is held, never the other way around.
-    graph: Mutex<WaitGraph>,
+    tables: Mutex<Tables>,
+    /// Signalled by [`LockManager::release_all`]: the only event that can
+    /// unblock a waiter.
+    released: Condvar,
     stats: Stats,
-    /// Contention tracing. Only consulted on the blocking path, so the
-    /// uncontended fast path costs nothing extra.
-    tracer: Mutex<obs::Tracer>,
 }
 
 impl LockManager {
-    /// Create a new instance with [`DEFAULT_LOCK_SHARDS`] shards.
+    /// Create a new, empty instance.
     pub fn new(stats: Stats) -> Self {
-        Self::with_shards(stats, DEFAULT_LOCK_SHARDS)
-    }
-
-    /// Create a new instance with `shards` lock-table shards (min 1).
-    pub fn with_shards(stats: Stats, shards: usize) -> Self {
         LockManager {
-            shards: (0..shards.max(1)).map(|_| Shard::new()).collect(),
-            graph: Mutex::new(WaitGraph::default()),
+            tables: Mutex::new(Tables::default()),
+            released: Condvar::new(),
             stats,
-            tracer: Mutex::new(obs::Tracer::disabled()),
         }
-    }
-
-    /// Number of lock-table shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard a relation's locks live in.
-    pub fn shard_of(&self, rel: RelId) -> usize {
-        rel.0 as usize % self.shards.len()
-    }
-
-    /// Per-shard contention counters, indexed by shard.
-    pub fn shard_stats(&self) -> Vec<LockShardStats> {
-        self.shards
-            .iter()
-            .map(|s| LockShardStats {
-                acquired: s.acquired.load(Ordering::Relaxed),
-                waits: s.waits.load(Ordering::Relaxed),
-                wait_ns: s.wait_ns.load(Ordering::Relaxed),
-            })
-            .collect()
     }
 
     /// Install a tracing handle; lock waits, grants after a wait, and
     /// deadlock victims are emitted through it.
     pub fn set_tracer(&self, tracer: obs::Tracer) {
-        *self.tracer.lock() = tracer;
+        self.tables.lock().tracer = tracer;
     }
 
     /// Acquire a lock, blocking until granted or until this transaction is
     /// chosen as a deadlock victim (in which case the caller must abort).
     pub fn acquire(&self, txn: TxnId, target: LockTarget, mode: LockMode) -> Result<()> {
-        let shard = &self.shards[self.shard_of(target.rel())];
-        let mut tables = shard.tables.lock();
+        let mut tables = self.tables.lock();
         // Fast path: already holding a sufficient lock.
         if let Some(held) = tables.held(txn, &target) {
             if held == LockMode::Exclusive || mode == LockMode::Shared {
@@ -387,15 +293,11 @@ impl LockManager {
             let conflicts = tables.conflicting_holders(txn, target, mode);
             if conflicts.is_empty() {
                 tables.grant(txn, target, mode);
-                shard.acquired.fetch_add(1, Ordering::Relaxed);
                 self.stats.lock_acquired();
                 if let Some((start, tracer)) = blocked_since {
-                    // Retract the published edges before returning.
-                    self.graph.lock().clear(txn);
+                    tables.waiting.remove(&txn);
                     let wait_ns = start.elapsed().as_nanos() as u64;
                     self.stats.lock_waited(wait_ns);
-                    shard.waits.fetch_add(1, Ordering::Relaxed);
-                    shard.wait_ns.fetch_add(wait_ns, Ordering::Relaxed);
                     tracer.emit(|| Event::LockAcquire {
                         txn: txn.0,
                         target: target.describe(),
@@ -409,65 +311,40 @@ impl LockManager {
                 return Ok(());
             }
             if blocked_since.is_none() {
-                let tracer = self.tracer.lock().clone();
+                let start = Instant::now();
+                let tracer = tables.tracer.clone();
                 tracer.emit(|| Event::LockWait {
                     txn: txn.0,
                     target: target.describe(),
                     mode: mode.as_str(),
                 });
-                blocked_since = Some((Instant::now(), tracer));
-            }
-            // Publish this waiter's edges into the merged graph and check
-            // for a cycle, atomically under the graph mutex. A victim
-            // removes its own edges in the same critical section, so a
-            // two-cycle — even one spanning shards — aborts exactly one
-            // of the two: the second detector no longer sees the cycle.
-            let deadlocked = {
-                let mut graph = self.graph.lock();
-                graph.publish(txn, &conflicts, mode, target);
-                if graph.in_cycle(txn) {
-                    // Snapshot the merged waits-for graph *before* removing
-                    // the victim, so the cycle it closed is visible.
-                    let edges = graph.render();
-                    graph.clear(txn);
-                    Some(edges)
-                } else {
-                    None
-                }
-            };
-            if let Some(edges) = deadlocked {
-                self.stats.abort();
-                if let Some((start, tracer)) = blocked_since {
+                if tables.closes_cycle(txn, conflicts) {
+                    self.stats.abort();
                     let wait_ns = start.elapsed().as_nanos() as u64;
                     self.stats.lock_waited(wait_ns);
-                    shard.waits.fetch_add(1, Ordering::Relaxed);
-                    shard.wait_ns.fetch_add(wait_ns, Ordering::Relaxed);
                     if let Some(m) = tracer.metrics() {
                         m.record_lock_wait(wait_ns);
                         m.record_deadlock();
                     }
                     tracer.emit(|| Event::DeadlockGraph {
                         victim: txn.0,
-                        edges: edges.clone(),
+                        edges: tables.render(txn, target, mode),
                     });
                     tracer.emit(|| Event::DeadlockVictim { txn: txn.0 });
+                    return Err(Error::Deadlock(txn));
                 }
-                return Err(Error::Deadlock(txn));
+                tables.waiting.insert(txn, (target, mode));
+                blocked_since = Some((start, tracer));
             }
-            // Re-check periodically: a competing waiter in another shard
-            // may have published the edge that closes our cycle after we
-            // went to sleep, and its shard's condvar can't wake us.
-            shard.cv.wait_for(&mut tables, Duration::from_millis(10));
+            self.released.wait(&mut tables);
         }
     }
 
     /// Try to acquire without blocking.
     pub fn try_acquire(&self, txn: TxnId, target: LockTarget, mode: LockMode) -> bool {
-        let shard = &self.shards[self.shard_of(target.rel())];
-        let mut tables = shard.tables.lock();
+        let mut tables = self.tables.lock();
         if tables.conflicting_holders(txn, target, mode).is_empty() {
             tables.grant(txn, target, mode);
-            shard.acquired.fetch_add(1, Ordering::Relaxed);
             self.stats.lock_acquired();
             true
         } else {
@@ -477,47 +354,30 @@ impl LockManager {
 
     /// Does `txn` hold (at least) `mode` on `target`?
     pub fn holds(&self, txn: TxnId, target: LockTarget, mode: LockMode) -> bool {
-        let shard = &self.shards[self.shard_of(target.rel())];
-        let tables = shard.tables.lock();
-        tables
+        self.tables
+            .lock()
             .held(txn, &target)
             .is_some_and(|held| held == LockMode::Exclusive || mode == LockMode::Shared)
     }
 
-    /// Release every lock held by `txn` (commit or abort — strict 2PL).
-    /// Spans shards: each shard the transaction holds locks in is drained
-    /// and its waiters woken.
+    /// Release every lock held by `txn` (commit or abort — strict 2PL)
+    /// and wake the waiters.
     pub fn release_all(&self, txn: TxnId) {
-        for shard in &self.shards {
-            let released = shard.tables.lock().release(txn);
-            if released {
-                shard.cv.notify_all();
-            }
+        if self.tables.lock().release(txn) {
+            self.released.notify_all();
         }
-        // Belt and braces: a finished transaction owns no graph edges
-        // (grant and victim paths clear them), but make it invariant.
-        self.graph.lock().clear(txn);
     }
 
-    /// Number of currently held (txn, target) lock pairs, over all shards.
+    /// Number of currently held (txn, target) lock pairs.
     pub fn held_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.tables
-                    .lock()
-                    .holdings
-                    .values()
-                    .map(HashSet::len)
-                    .sum::<usize>()
-            })
-            .sum()
+        self.tables.lock().holdings.values().map(HashSet::len).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn tid(n: u32) -> TupleId {
         TupleId::new(n, 0)
@@ -612,11 +472,11 @@ mod tests {
 
     #[test]
     fn conflict_check_is_per_relation_bucket() {
-        // Load one shard with many held locks of *other* relations: a
-        // request for an uninvolved relation in the same shard must still
-        // be grantable immediately (its bucket is empty) — the check no
-        // longer sweeps every held lock.
-        let lm = LockManager::with_shards(Stats::new(), 1);
+        // Load the table with many held locks of *other* relations: a
+        // request for an uninvolved relation must still be grantable
+        // immediately (its bucket is empty) — the check never sweeps
+        // every held lock.
+        let lm = LockManager::new(Stats::new());
         for rel in 0..64u32 {
             for t in 0..16 {
                 lm.acquire(
@@ -643,25 +503,6 @@ mod tests {
             LockTarget::Tuple(RelId(0), tid(0)),
             LockMode::Shared
         ));
-    }
-
-    #[test]
-    fn shard_routing_and_counters() {
-        let lm = LockManager::with_shards(Stats::new(), 4);
-        assert_eq!(lm.shard_count(), 4);
-        assert_eq!(lm.shard_of(RelId(0)), 0);
-        assert_eq!(lm.shard_of(RelId(5)), 1);
-        lm.acquire(TxnId(1), LockTarget::Relation(RelId(0)), LockMode::Shared)
-            .unwrap();
-        lm.acquire(TxnId(1), LockTarget::Relation(RelId(1)), LockMode::Shared)
-            .unwrap();
-        let stats = lm.shard_stats();
-        assert_eq!(stats.len(), 4);
-        assert_eq!(stats[0].acquired, 1);
-        assert_eq!(stats[1].acquired, 1);
-        assert_eq!(stats[2].acquired + stats[3].acquired, 0);
-        lm.release_all(TxnId(1));
-        assert_eq!(lm.held_count(), 0);
     }
 
     #[test]
@@ -734,16 +575,12 @@ mod tests {
             .any(|e| matches!(e, Event::DeadlockVictim { .. })));
     }
 
-    /// Regression for the sharded detector: a cycle whose two edges live
-    /// in *different* shard lock managers (t1 holds in shard A and waits
-    /// in shard B, t2 the reverse) is only visible on the merged graph.
-    /// It must be detected, journaled with both edges, and abort exactly
-    /// one victim.
+    /// A cycle whose two edges are on *different* relations (t1 holds in
+    /// rel0 and waits in rel1, t2 the reverse) must be detected, journaled
+    /// with both edges, and abort exactly one victim.
     #[test]
-    fn cross_shard_deadlock_aborts_exactly_one_victim() {
-        let lm = std::sync::Arc::new(LockManager::with_shards(Stats::new(), 2));
-        // rel0 → shard 0, rel1 → shard 1.
-        assert_ne!(lm.shard_of(RelId(0)), lm.shard_of(RelId(1)));
+    fn two_relation_deadlock_aborts_exactly_one_victim() {
+        let lm = std::sync::Arc::new(LockManager::new(Stats::new()));
         let tracer = obs::Tracer::new(obs::Sink::ring(256));
         lm.set_tracer(tracer.clone());
         let a = LockTarget::Tuple(RelId(0), tid(1));
@@ -752,26 +589,26 @@ mod tests {
         lm.acquire(TxnId(2), b, LockMode::Exclusive).unwrap();
         let lm2 = lm.clone();
         let h = std::thread::spawn(move || {
-            // Txn 2 blocks in shard 0, waiting on txn 1's lock.
+            // Txn 2 blocks on rel0, waiting on txn 1's lock.
             let res = lm2.acquire(TxnId(2), a, LockMode::Exclusive);
             lm2.release_all(TxnId(2));
             res
         });
         std::thread::sleep(Duration::from_millis(30));
-        // Txn 1 requesting `b` (shard 1) closes the cross-shard cycle.
+        // Txn 1 requesting `b` (rel1) closes the cycle.
         let r1 = lm.acquire(TxnId(1), b, LockMode::Exclusive);
         lm.release_all(TxnId(1));
         let r2 = h.join().unwrap();
         assert!(
             r1.is_err() || r2.is_err(),
-            "the cross-shard cycle must be detected"
+            "the two-relation cycle must be detected"
         );
         assert!(
             r1.is_ok() || r2.is_ok(),
             "exactly one of the two transactions aborts"
         );
-        assert_eq!(lm.held_count(), 0, "both sides released across shards");
-        // The journaled DeadlockGraph snapshot merged both shards' edges.
+        assert_eq!(lm.held_count(), 0, "both sides released");
+        // The journaled DeadlockGraph snapshot holds both relations' edges.
         let edges = tracer
             .ring_events()
             .unwrap()
@@ -780,11 +617,53 @@ mod tests {
                 Event::DeadlockGraph { edges, .. } => Some(edges.clone()),
                 _ => None,
             })
-            .expect("DeadlockGraph journaled for the cross-shard cycle");
+            .expect("DeadlockGraph journaled for the two-relation cycle");
         assert!(edges.contains("t1->t2"), "{edges}");
         assert!(edges.contains("t2->t1"), "{edges}");
         assert!(edges.contains("rel0["), "{edges}");
         assert!(edges.contains("rel1["), "{edges}");
+    }
+
+    /// The requester that closes a cycle is its victim, even when the
+    /// cycle runs through a holder granted after the other waiter blocked:
+    /// t2 waits on `a` held by t1; t3 is then granted `a` too, so t2 also
+    /// waits on t3, and t3's request for t2's `b` closes t3 → t2 → t3.
+    #[test]
+    fn cycle_through_a_later_grant_aborts_the_requester() {
+        let lm = std::sync::Arc::new(LockManager::new(Stats::new()));
+        let tracer = obs::Tracer::new(obs::Sink::ring(256));
+        lm.set_tracer(tracer.clone());
+        let a = LockTarget::Tuple(RelId(0), tid(1));
+        let b = LockTarget::Tuple(RelId(0), tid(2));
+        lm.acquire(TxnId(1), a, LockMode::Shared).unwrap();
+        lm.acquire(TxnId(2), b, LockMode::Exclusive).unwrap();
+        let lm2 = lm.clone();
+        let h = std::thread::spawn(move || {
+            let res = lm2.acquire(TxnId(2), a, LockMode::Exclusive);
+            lm2.release_all(TxnId(2));
+            res
+        });
+        // Proceed once t2 is blocked on `a`.
+        while !tracer
+            .ring_events()
+            .unwrap()
+            .iter()
+            .any(|e| matches!(e, Event::LockWait { txn: 2, .. }))
+        {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        lm.acquire(TxnId(3), a, LockMode::Shared).unwrap();
+        assert!(matches!(
+            lm.acquire(TxnId(3), b, LockMode::Exclusive),
+            Err(Error::Deadlock(TxnId(3)))
+        ));
+        lm.release_all(TxnId(3));
+        lm.release_all(TxnId(1));
+        assert!(
+            h.join().unwrap().is_ok(),
+            "t2 finishes once t1 and t3 release"
+        );
+        assert_eq!(lm.held_count(), 0);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! §5 of the paper treats each conflict-set instantiation as a transaction.
 //! The locking discipline implemented here follows §5.2 exactly:
 //!
-//! * reading specific WM tuples takes **shared tuple locks**;
+//! * reading specific WM tuples takes **shared tuple locks**
+//!   ([`Txn::select_eq_batch`]); a predicate read ([`Txn::select`]) takes
+//!   a **shared relation lock**, like a negated condition;
 //! * deleting/updating takes **exclusive tuple locks** (only on tuples the
 //!   LHS tested positively — OPS5 only deletes what it matched);
 //! * inserting takes an **exclusive relation lock** (so transactions that
@@ -14,14 +16,11 @@
 //!   commit point — and released all at once (strict 2PL).
 
 mod locks;
-mod log;
 
-pub use locks::{LockManager, LockMode, LockShardStats, LockTarget, DEFAULT_LOCK_SHARDS};
-pub use log::{Undo, UndoLog};
+pub use locks::{LockManager, LockMode, LockTarget};
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::database::Database;
 use crate::error::{Error, Result};
@@ -39,29 +38,24 @@ impl fmt::Display for TxnId {
     }
 }
 
-/// Issues transaction ids.
-#[derive(Debug, Default)]
-pub struct TxnManager {
-    next: AtomicU64,
-}
-
-impl TxnManager {
-    /// Create a new, empty instance.
-    pub fn new() -> Self {
-        TxnManager::default()
-    }
-
-    /// Allocate the next transaction id.
-    pub fn begin(&self) -> TxnId {
-        TxnId(self.next.fetch_add(1, Ordering::Relaxed))
-    }
+/// One undoable physical action, applied last-in-first-out on abort.
+#[derive(Debug)]
+enum Undo {
+    /// The transaction inserted `tid` into `rel`; undo by deleting it.
+    Insert { rel: RelId, tid: TupleId },
+    /// The transaction deleted `tuple` from `rel`; undo by reinserting.
+    ///
+    /// Reinsertion may assign a different tuple id; that is acceptable
+    /// because ids are never exposed across transaction boundaries (the
+    /// conflict set stores matching patterns, not tuple ids — §5.1).
+    Delete { rel: RelId, tuple: Tuple },
 }
 
 /// A live transaction. Dropped without [`Txn::commit`] → automatic abort.
 pub struct Txn<'db> {
     db: &'db Database,
     id: TxnId,
-    undo: UndoLog,
+    undo: Vec<Undo>,
     finished: bool,
 }
 
@@ -70,7 +64,7 @@ impl<'db> Txn<'db> {
         Txn {
             db,
             id,
-            undo: UndoLog::new(),
+            undo: Vec::new(),
             finished: false,
         }
     }
@@ -93,37 +87,27 @@ impl<'db> Txn<'db> {
         self.db.lock_manager().acquire(self.id, target, mode)
     }
 
-    /// Select with shared locks on every returned tuple (positive
-    /// dependence, §5.2).
+    /// Select under a shared relation lock. A restriction is a predicate,
+    /// and §5.2's lock for a predicate read is the read lock on the whole
+    /// relation (as in [`Txn::verify_absent`]): while it is held no other
+    /// transaction has an uncommitted change in the relation or can make
+    /// one, so the rows are a committed state and stay so until commit.
     pub fn select(&self, rel: RelId, restriction: &Restriction) -> Result<Vec<(TupleId, Tuple)>> {
         self.check_live()?;
         self.db.check_fault()?;
-        let rows = self.db.read(rel, |r| r.select(restriction))??;
-        for (tid, _) in &rows {
-            self.db.lock_manager().acquire(
-                self.id,
-                LockTarget::Tuple(rel, *tid),
-                LockMode::Shared,
-            )?;
-        }
-        // Re-read under lock: a concurrent deleter may have removed a row
-        // between the unlocked select and lock acquisition.
-        let mut live = Vec::with_capacity(rows.len());
-        for (tid, t) in rows {
-            if self.db.read(rel, |r| r.contains(tid))? {
-                live.push((tid, t));
-            }
-        }
-        Ok(live)
+        self.db
+            .lock_manager()
+            .acquire(self.id, LockTarget::Relation(rel), LockMode::Shared)?;
+        self.db.read(rel, |r| r.select(restriction))?
     }
 
-    /// Batched [`Txn::select`] of whole-tuple equality matches: one group
-    /// of `(tid, tuple)` rows per key, shared tuple locks on everything
-    /// returned. This is the §5 executor's step-1 re-selection evaluated
-    /// set-at-a-time — one read pass over the relation for *all* of a
-    /// rule's positive condition elements on one class, one lock
-    /// acquisition per distinct tuple, and one liveness re-read, instead
-    /// of a full select/lock/re-read round trip per condition element.
+    /// Whole-tuple equality matches, one group of `(tid, tuple)` rows per
+    /// key, with shared tuple locks on everything returned. This is the §5
+    /// executor's step-1 re-selection of the specific tuples an
+    /// instantiation matched, evaluated set-at-a-time — one read pass over
+    /// the relation for *all* of a rule's positive condition elements on
+    /// one class, one lock acquisition per distinct tuple, and one
+    /// liveness re-read.
     ///
     /// The read pass picks its strategy the way the batch executor's
     /// seeded planner does: a small key set probes the relation's indexes
@@ -219,7 +203,7 @@ impl<'db> Txn<'db> {
             .lock_manager()
             .acquire(self.id, LockTarget::Relation(rel), LockMode::Exclusive)?;
         let tid = self.db.insert(rel, tuple)?;
-        self.undo.record(Undo::Insert { rel, tid });
+        self.undo.push(Undo::Insert { rel, tid });
         Ok(tid)
     }
 
@@ -241,10 +225,19 @@ impl<'db> Txn<'db> {
             return Ok(None);
         }
         let tuple = self.db.delete(rel, tid)?;
-        self.undo.record(Undo::Delete {
-            rel,
-            tuple: tuple.clone(),
-        });
+        // A row this transaction inserted needs no undo once it is gone
+        // again: reinserting it would give it a new id, and its insert's
+        // undo would then delete nothing.
+        let own = |u: &Undo| matches!(u, Undo::Insert { rel: r, tid: t } if (*r, *t) == (rel, tid));
+        match self.undo.iter().rposition(own) {
+            Some(i) => {
+                self.undo.remove(i);
+            }
+            None => self.undo.push(Undo::Delete {
+                rel,
+                tuple: tuple.clone(),
+            }),
+        }
         Ok(Some(tuple))
     }
 
@@ -276,8 +269,7 @@ impl<'db> Txn<'db> {
     }
 
     fn rollback(&mut self) {
-        let records: Vec<Undo> = self.undo.drain_reverse().collect();
-        for undo in records {
+        while let Some(undo) = self.undo.pop() {
             match undo {
                 Undo::Insert { rel, tid } => {
                     // Best effort: the tuple must still exist because we
@@ -364,6 +356,39 @@ mod tests {
     }
 
     #[test]
+    fn rollback_is_lifo() {
+        // Delete Mike, then insert an equal row into the slot the delete
+        // freed. Undone newest-first, that row is deleted before Mike is
+        // reinserted, so Mike gets his slot back; oldest-first, Mike would
+        // land in a fresh slot.
+        let (db, rid) = setup();
+        let is_mike = Restriction::new(vec![Selection::eq(0, "Mike")]);
+        let mike = db.select(rid, &is_mike).unwrap()[0].0;
+        let mut txn = db.begin();
+        txn.delete(rid, mike).unwrap();
+        txn.insert(rid, tuple!["Mike", 6000]).unwrap();
+        assert!(matches!(
+            txn.undo[..],
+            [Undo::Delete { .. }, Undo::Insert { .. }]
+        ));
+        txn.abort();
+        let rows = db.select(rid, &is_mike).unwrap();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].0.slot, mike.slot);
+    }
+
+    #[test]
+    fn abort_of_insert_then_delete_leaves_nothing() {
+        let (db, rid) = setup();
+        let mut txn = db.begin();
+        let jane = txn.insert(rid, tuple!["Jane", 4000]).unwrap();
+        txn.delete(rid, jane).unwrap();
+        assert!(txn.undo.is_empty());
+        txn.abort();
+        assert_eq!(db.relation_len(rid), 2);
+    }
+
+    #[test]
     fn drop_without_commit_aborts() {
         let (db, rid) = setup();
         {
@@ -386,20 +411,48 @@ mod tests {
     }
 
     #[test]
-    fn select_takes_shared_locks() {
+    fn select_takes_a_shared_relation_lock() {
         let (db, rid) = setup();
         let txn = db.begin();
         let rows = txn.select(rid, &Restriction::default()).unwrap();
         assert_eq!(rows.len(), 2);
-        for (tid, _) in &rows {
-            assert!(db.lock_manager().holds(
-                txn.id(),
-                LockTarget::Tuple(rid, *tid),
-                LockMode::Shared
-            ));
-        }
+        assert!(db
+            .lock_manager()
+            .holds(txn.id(), LockTarget::Relation(rid), LockMode::Shared));
         txn.commit().unwrap();
         assert_eq!(db.lock_manager().held_count(), 0);
+    }
+
+    #[test]
+    fn select_does_not_see_an_uncommitted_delete() {
+        // The deleter aborts, so Mike was never gone: a select running
+        // while the delete is uncommitted must wait and return both rows.
+        let (db, rid) = setup();
+        let tracer = obs::Tracer::new(obs::Sink::ring(64));
+        db.lock_manager().set_tracer(tracer.clone());
+        let is_mike = Restriction::new(vec![Selection::eq(0, "Mike")]);
+        let mike = db.select(rid, &is_mike).unwrap()[0].0;
+        let mut deleter = db.begin();
+        deleter.delete(rid, mike).unwrap();
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let txn = db.begin();
+                let rows = txn.select(rid, &Restriction::default()).unwrap();
+                txn.commit().unwrap();
+                rows.len()
+            });
+            let blocked = || {
+                let events = tracer.ring_events().unwrap();
+                events
+                    .iter()
+                    .any(|e| matches!(e, obs::Event::LockWait { .. }))
+            };
+            while !blocked() && !reader.is_finished() {
+                std::thread::yield_now();
+            }
+            deleter.abort();
+            assert_eq!(reader.join().unwrap(), 2);
+        });
     }
 
     #[test]

@@ -36,21 +36,8 @@ fn load(
     items: &[(i64, i64)],
     removes: &[usize],
 ) -> Box<dyn prodsys::MatchEngine> {
-    load_sharded(kind, relstore::DEFAULT_LOCK_SHARDS, items, removes)
-}
-
-/// Same loader but over a database with an explicit lock-shard count, so
-/// the proptests can pin the degenerate 1-shard layout and the sharded
-/// layouts against the same oracle.
-fn load_sharded(
-    kind: EngineKind,
-    shards: usize,
-    items: &[(i64, i64)],
-    removes: &[usize],
-) -> Box<dyn prodsys::MatchEngine> {
     let rules = ops5::compile(SRC).expect("program compiles");
-    let db = std::sync::Arc::new(relstore::Database::new_with_shards(shards));
-    let mut engine = make_engine(kind, ProductionDb::with_db(db, rules).unwrap());
+    let mut engine = make_engine(kind, ProductionDb::new(rules).unwrap());
     for &(n, k) in items {
         engine.insert(ClassId(0), tuple![n, k]);
     }
@@ -150,13 +137,12 @@ proptest! {
         }
     }
 
-    /// Shard count is invisible to the program: for every lock-shard
-    /// layout and worker count, the sharded concurrent run commits the
-    /// same transactions, converges to the same WM, and leaves the same
-    /// refraction state (a second run fires nothing) as an *unsharded*
-    /// sequential oracle.
+    /// Worker count is invisible to the program: for 1, 4 and 16
+    /// workers the concurrent run commits the same transactions,
+    /// converges to the same WM, and leaves the same refraction state (a
+    /// second run fires nothing) as the sequential oracle.
     #[test]
-    fn sharded_concurrent_matches_unsharded_sequential(
+    fn many_workers_match_sequential_and_drain_refraction(
         items in proptest::collection::vec((0i64..6, 0i64..4), 1..19),
         remove_idx in proptest::collection::vec(0usize..64, 0..4),
     ) {
@@ -166,49 +152,41 @@ proptest! {
         removes.dedup();
 
         for kind in [EngineKind::Query, EngineKind::Cond] {
-            // Oracle: unsharded (1 lock shard), sequential recognize-act.
+            // Oracle: sequential recognize-act.
             let mut seq = SequentialExecutor::new(
-                load_sharded(kind, 1, &items, &removes),
+                load(kind, &items, &removes),
                 Strategy::Canonical,
             );
             let out = seq.run(10_000);
             let base_wm = wm_all(seq.engine());
 
-            for shards in [1usize, 4] {
-                for workers in [1usize, 4, 16] {
-                    let mut exec = ConcurrentExecutor::new(
-                        load_sharded(kind, shards, &items, &removes),
-                        workers,
-                    );
-                    let stats = exec.run(10_000);
-                    let label = format!(
-                        "{} shards={shards} workers={workers}",
-                        kind.label()
+            for workers in [1usize, 4, 16] {
+                let mut exec = ConcurrentExecutor::new(load(kind, &items, &removes), workers);
+                let stats = exec.run(10_000);
+                let label = format!("{} workers={workers}", kind.label());
+                prop_assert_eq!(
+                    stats.committed, out.fired,
+                    "{}: committed txns vs sequential firings", &label
+                );
+                {
+                    let engine = exec.engine();
+                    let g = engine.lock();
+                    prop_assert_eq!(
+                        wm_all(&**g), base_wm.clone(),
+                        "{}: final working memory", &label
                     );
                     prop_assert_eq!(
-                        stats.committed, out.fired,
-                        "{}: committed txns vs unsharded sequential firings", &label
-                    );
-                    {
-                        let engine = exec.engine();
-                        let g = engine.lock();
-                        prop_assert_eq!(
-                            wm_all(&**g), base_wm.clone(),
-                            "{}: final working memory", &label
-                        );
-                        prop_assert_eq!(
-                            g.conflict_set().len(), 0,
-                            "{}: quiescent conflict set", &label
-                        );
-                    }
-                    // Refraction survives the shard layout: everything that
-                    // could fire already has, so a second pass is a no-op.
-                    let again = exec.run(10_000);
-                    prop_assert_eq!(
-                        again.committed, 0,
-                        "{}: refraction state drained", &label
+                        g.conflict_set().len(), 0,
+                        "{}: quiescent conflict set", &label
                     );
                 }
+                // Everything that could fire already has, so a second
+                // pass is a no-op.
+                let again = exec.run(10_000);
+                prop_assert_eq!(
+                    again.committed, 0,
+                    "{}: refraction state drained", &label
+                );
             }
         }
     }
