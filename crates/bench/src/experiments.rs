@@ -697,18 +697,18 @@ pub fn e10_index_ablation(ops: usize) -> Table {
 pub fn e10_cond_index_ablation(ops: usize) -> Table {
     let (cfg, trace) = e10_workload(ops);
     let mut rows = Vec::new();
-    for (variant, kind) in [
-        ("unindexed scan", None),
-        ("r-tree", Some(IndexKind::RTree)),
-        ("r+-tree", Some(IndexKind::RPlus)),
+    for (name, kind) in [
+        ("linear", IndexKind::Linear),
+        ("r-tree", IndexKind::RTree),
+        ("r+-tree", IndexKind::RPlus),
     ] {
         let mut e = CondEngine::with_index(ProductionDb::new(cfg.rules()).unwrap(), kind);
         let (ns, io, _) = run_trace(&mut e, &trace, |_| {});
-        rows.push(row![variant, ns, io]);
+        rows.push(row![name, ns, io, e.index_visits() / trace.len() as u64]);
     }
     Table::new(
         "E10c — indexing the COND relations themselves (§4.2.3, 512 rules)",
-        "COND search | ns/op | logical I/O/op",
+        "index | ns/op | logical I/O/op | index visits/op",
         rows,
     )
 }
@@ -858,5 +858,13 @@ mod tests {
         assert_eq!(e10_delete_ablation(&[0.0, 0.4], 60).rows.len(), 2);
         let c = e10_cond_index_ablation(40);
         assert_eq!(c.rows.len(), 3);
+        let col = |index: &str, column: &str| cell(&c, "index", index, column);
+        // Every kind stabs the same condition set, so the engine reads the
+        // same tuples; the trees visit fewer index nodes than the linear
+        // index has entries.
+        for tree in ["r-tree", "r+-tree"] {
+            assert_eq!(col(tree, "logical I/O/op"), col("linear", "logical I/O/op"));
+            assert!(col(tree, "index visits/op") < col("linear", "index visits/op"));
+        }
     }
 }

@@ -52,7 +52,7 @@ use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
 use ops5::{ClassId, Rule, RuleId};
-use predindex::{make_index, ConditionIndex, IndexKind, Rect};
+use predindex::IndexKind;
 use relstore::{CompOp, Tuple, TupleId, Value};
 use rete::{ConflictDelta, ConflictSet};
 
@@ -61,6 +61,7 @@ use crate::engine::intern::{Extra, FastMap, FnvHasher, IdentityInterner, PatId};
 use crate::engine::recompute::{eval_rule_seeded_batch, eval_rule_via, InstStore};
 use crate::engine::{MatchEngine, SpaceStats, WmDelta};
 use crate::pdb::ProductionDb;
+use crate::rulebase::CondIndex;
 
 /// A variable occurrence: condition element, attribute, operator.
 type Occurrence = (usize, usize, CompOp);
@@ -471,10 +472,6 @@ impl SupportLog {
     }
 }
 
-/// A per-class predicate index over condition elements (payload = the
-/// group's position in the class store).
-type AlphaIndex = Vec<Box<dyn ConditionIndex<u32> + Send + Sync>>;
-
 /// One planned support-set change, keyed by `(rule, n, k_idx, id)`
 /// packed into a u64. Distinct derivation paths reaching the same target
 /// union into one proposal. Plain integers: what a proposal carries lives
@@ -587,12 +584,11 @@ pub struct CondEngine {
     interner: IdentityInterner,
     /// Reused propagation buffers.
     scratch: PropScratch,
-    /// Per-class predicate index over the condition elements' alpha
+    /// The COND-relation index over the condition elements' alpha
     /// rectangles: only groups whose one-input tests match the tuple are
     /// searched ("building indices such as R-trees or R+-trees on COND
-    /// relations can help in speeding up this process", §4.2.3). `None`
-    /// disables the index (the E10 ablation).
-    alpha_index: Option<AlphaIndex>,
+    /// relations can help in speeding up this process", §4.2.3).
+    cond: CondIndex,
     log: SupportLog,
     inst: InstStore,
     conflict: ConflictSet,
@@ -613,12 +609,12 @@ pub struct CondEngine {
 impl CondEngine {
     /// Create a new, empty instance.
     pub fn new(pdb: ProductionDb) -> Self {
-        Self::with_index(pdb, Some(IndexKind::RTree))
+        Self::with_index(pdb, IndexKind::RTree)
     }
 
-    /// Build with an explicit COND-relation index choice (`None` scans
-    /// every group — the unindexed §4.1-style search).
-    pub fn with_index(pdb: ProductionDb, index: Option<IndexKind>) -> Self {
+    /// Build with an explicit COND-relation index kind (E10c ablation;
+    /// [`IndexKind::Linear`] tests every condition template).
+    pub fn with_index(pdb: ProductionDb, kind: IndexKind) -> Self {
         let infos: Vec<RuleInfo> = pdb.rules().rules.iter().map(RuleInfo::build).collect();
         let mut stores: Vec<CondStore> = pdb
             .rules()
@@ -626,13 +622,6 @@ impl CondEngine {
             .iter()
             .map(|_| CondStore::default())
             .collect();
-        let mut alpha_index = index.map(|kind| -> AlphaIndex {
-            pdb.rules()
-                .classes
-                .iter()
-                .map(|c| make_index(kind, c.arity()))
-                .collect()
-        });
         let mut interner = IdentityInterner::new();
         let mut group_at = Vec::with_capacity(infos.len());
         for (rule, info) in pdb.rules().rules.iter().zip(&infos) {
@@ -646,23 +635,17 @@ impl CondEngine {
                 group.insert(original_id, &none_sigma, &[]);
                 groups.push(group);
                 at.push(position);
-                let arity = pdb.rules().class(ce.class).arity();
-                if let (Some(idx), Some(rect)) =
-                    (&mut alpha_index, Rect::from_restriction(arity, &ce.alpha))
-                {
-                    idx[ce.class.0].insert(rect, position);
-                }
             }
             group_at.push(at);
         }
         CondEngine {
+            cond: CondIndex::new(pdb.shared_rules(), kind),
             pdb,
             infos,
             stores,
             group_at,
             interner,
             scratch: PropScratch::default(),
-            alpha_index,
             log: SupportLog::default(),
             inst: InstStore::new(),
             conflict: ConflictSet::new(),
@@ -675,19 +658,16 @@ impl CondEngine {
         }
     }
 
-    /// The groups of `class` (positions in its store) whose alpha tests
-    /// can match the tuple — one stab of the COND index when present,
-    /// else every group, each one's condition template read to be tested.
-    fn candidate_groups(&self, class: ClassId, tuple: &Tuple) -> Vec<u32> {
+    /// The `(rule, cen)` of `class` whose alpha rectangle contains the
+    /// tuple: one stab of the COND index.
+    fn candidate_groups(&self, class: ClassId, tuple: &Tuple) -> Vec<(usize, usize)> {
         obs::prof_span!("stab");
-        match &self.alpha_index {
-            Some(idx) => idx[class.0].stab(tuple),
-            None => {
-                let groups = self.stores[class.0].groups.len() as u32;
-                self.pdb.db().stats().read_tuples(u64::from(groups));
-                (0..groups).collect()
-            }
-        }
+        self.cond.stab(class, tuple)
+    }
+
+    /// Stabbing-cost metric (COND index nodes visited so far).
+    pub fn index_visits(&self) -> u64 {
+        self.cond.node_visits()
     }
 
     /// The pattern group of `(rule, cen)` within its class's `store`.
@@ -1355,9 +1335,9 @@ impl CondEngine {
         let mut fire: Vec<(usize, usize)> = Vec::new();
         let mut blockers: Vec<(usize, usize)> = Vec::new();
         let (mut scanned, mut probes) = (0, 0);
-        for g in self.candidate_groups(class, tuple) {
+        for (rid, cen) in self.candidate_groups(class, tuple) {
+            let g = self.group_at[rid][cen];
             let group = &self.stores[class.0].groups[g as usize];
-            let (rid, cen) = (group.rule, group.cen);
             let ce = &self.rule(rid).ces[cen];
             if !ce.alpha.matches(tuple) {
                 continue;
@@ -1453,10 +1433,6 @@ impl CondEngine {
         let mut unblocked: Vec<(usize, usize)> = self
             .candidate_groups(class, tuple)
             .into_iter()
-            .map(|g| {
-                let group = &self.stores[class.0].groups[g as usize];
-                (group.rule, group.cen)
-            })
             .filter(|&(rid, cen)| {
                 let ce = &rules.rule(RuleId(rid)).ces[cen];
                 ce.negated && ce.alpha.matches(tuple)

@@ -10,11 +10,11 @@
 //! LHS query is re-evaluated against the current WM. They differ only in
 //! the [`Awakening`] policy — which rules a change wakes:
 //!
-//! * [`CondStab`] (§4.1, [`QueryEngine`]): one COND relation per WM class
-//!   behind a [`predindex`] condition index ("one can use intelligent
-//!   indexing techniques such as R-trees or R+-trees … to check if a given
-//!   tuple satisfies conditions stored in the COND relations"). Exact on
-//!   the one-input tests.
+//! * [`CondIndex`] (§4.1, [`QueryEngine`]): one COND relation per WM
+//!   class behind a [`predindex`] condition index ("one can use
+//!   intelligent indexing techniques such as R-trees or R+-trees … to
+//!   check if a given tuple satisfies conditions stored in the COND
+//!   relations"). Exact on the one-input tests.
 //! * [`IntervalMarkers`] (§2.3, [`MarkerEngine`]): "POSTGRES uses a dual
 //!   approach, i.e. it stores identifiers of possibly qualifying rules
 //!   with the data … The space overhead incurred in such an
@@ -30,13 +30,14 @@ use std::collections::BTreeSet;
 use std::time::Instant;
 
 use ops5::{ClassId, RuleId};
-use predindex::{make_index, ConditionIndex, IndexKind, Interval, Rect};
+use predindex::{IndexKind, Interval};
 use relstore::{CompOp, Tuple};
 use rete::{ConflictDelta, ConflictSet};
 
 use crate::engine::recompute::{eval_rule_via, InstStore};
 use crate::engine::{MatchEngine, SpaceStats, WmDelta};
 use crate::pdb::ProductionDb;
+use crate::rulebase::CondIndex;
 
 /// Which rules a WM change awakens for re-evaluation, and what the
 /// structure deciding it costs.
@@ -48,8 +49,9 @@ pub trait Awakening: Send {
     /// Approximate bytes per stored entry ([`SpaceStats::match_bytes`]).
     const ENTRY_BYTES: usize;
 
-    /// Rules the change of `tuple` in `class` may affect.
-    fn awakened(&self, pdb: &ProductionDb, class: ClassId, tuple: &Tuple) -> BTreeSet<usize>;
+    /// Rules the change of `tuple` in `class` may affect (a rule may
+    /// repeat).
+    fn awakened(&self, class: ClassId, tuple: &Tuple) -> Vec<RuleId>;
 
     /// Stored entries (one per condition element under both policies).
     fn entries(&self) -> usize;
@@ -63,16 +65,8 @@ pub trait Awakening: Send {
     }
 }
 
-/// Payload of a COND index entry: (rule, condition element number).
-type CondRef = (usize, usize);
-
 /// §4.1 awakening: stab the class's COND relation with the tuple.
-pub struct CondStab {
-    /// COND relation per class: the conditions referring to that class.
-    cond: Vec<Box<dyn ConditionIndex<CondRef> + Send + Sync>>,
-}
-
-impl Awakening for CondStab {
+impl Awakening for CondIndex {
     const NAME: &'static str = "query";
     const SPAN: &'static str = "query.maintain";
     // "In terms of space, this algorithm is much better than the Rete
@@ -81,23 +75,13 @@ impl Awakening for CondStab {
     const ENTRY_BYTES: usize = 96;
 
     /// Rules with a condition element whose one-input tests match this
-    /// tuple — the only rules the change can affect. Exact stabbing over
-    /// rectangles plus the intra-tuple attr tests the rectangles cannot
-    /// encode.
-    fn awakened(&self, pdb: &ProductionDb, class: ClassId, tuple: &Tuple) -> BTreeSet<usize> {
-        self.cond[class.0]
-            .stab(tuple)
-            .into_iter()
-            .filter(|&(rid, cen)| {
-                let ce = &pdb.rules().rule(RuleId(rid)).ces[cen];
-                ce.alpha.attr_tests.iter().all(|t| t.matches(tuple))
-            })
-            .map(|(rid, _)| rid)
-            .collect()
+    /// tuple — the only rules the change can affect.
+    fn awakened(&self, class: ClassId, tuple: &Tuple) -> Vec<RuleId> {
+        self.rules_for_tuple(class, tuple)
     }
 
     fn entries(&self) -> usize {
-        self.cond.iter().map(|i| i.len()).sum()
+        CondIndex::entries(self)
     }
 }
 
@@ -124,14 +108,14 @@ impl Awakening for IntervalMarkers {
     // Rule identifiers are tiny — the paper's space advantage.
     const ENTRY_BYTES: usize = 24;
 
-    fn awakened(&self, _pdb: &ProductionDb, class: ClassId, tuple: &Tuple) -> BTreeSet<usize> {
+    fn awakened(&self, class: ClassId, tuple: &Tuple) -> Vec<RuleId> {
         self.markers[class.0]
             .iter()
             .filter(|m| match m.attr {
                 Some(a) => tuple.get(a).is_some_and(|v| m.interval.contains(v)),
                 None => true,
             })
-            .map(|m| m.rule)
+            .map(|m| RuleId(m.rule))
             .collect()
     }
 
@@ -159,7 +143,7 @@ pub struct ReevalEngine<A> {
 }
 
 /// §4.1 matching engine: exact COND-relation stab, then re-evaluation.
-pub type QueryEngine = ReevalEngine<CondStab>;
+pub type QueryEngine = ReevalEngine<CondIndex>;
 
 /// The marker-based engine: coarse interval markers, then verification.
 pub type MarkerEngine = ReevalEngine<IntervalMarkers>;
@@ -170,30 +154,15 @@ impl QueryEngine {
         Self::with_index(pdb, IndexKind::RTree)
     }
 
-    /// Choose the COND-relation index implementation (E9 ablation).
+    /// Choose the COND-relation index implementation (E10a ablation).
     pub fn with_index(pdb: ProductionDb, kind: IndexKind) -> Self {
-        let mut cond: Vec<Box<dyn ConditionIndex<CondRef> + Send + Sync>> = pdb
-            .rules()
-            .classes
-            .iter()
-            .map(|c| make_index(kind, c.arity()))
-            .collect();
-        for rule in &pdb.rules().rules {
-            for (cen, ce) in rule.ces.iter().enumerate() {
-                let arity = pdb.rules().class(ce.class).arity();
-                // A contradictory alpha restriction can never match: the
-                // CE (and for positive CEs the whole rule) is dead.
-                if let Some(rect) = Rect::from_restriction(arity, &ce.alpha) {
-                    cond[ce.class.0].insert(rect, (rule.id.0, cen));
-                }
-            }
-        }
-        Self::with_awakening(pdb, CondStab { cond })
+        let cond = CondIndex::new(pdb.shared_rules(), kind);
+        Self::with_awakening(pdb, cond)
     }
 
     /// Stabbing-cost metric (index nodes visited so far).
     pub fn index_visits(&self) -> u64 {
-        self.awakening.cond.iter().map(|i| i.node_visits()).sum()
+        self.awakening.node_visits()
     }
 }
 
@@ -265,13 +234,13 @@ impl<A: Awakening> MatchEngine for ReevalEngine<A> {
         let start = Instant::now();
         let mut awakened = BTreeSet::new();
         for d in changes {
-            awakened.extend(self.awakening.awakened(&self.pdb, d.class, &d.tuple));
+            awakened.extend(self.awakening.awakened(d.class, &d.tuple));
         }
         let mut deltas = Vec::new();
         {
             obs::prof_span!("eval");
             for rid in awakened {
-                let rule = self.pdb.rules().rule(RuleId(rid));
+                let rule = self.pdb.rules().rule(rid);
                 let matches = eval_rule_via(&self.pdb, rule, true);
                 let d = self.store.replace(rule, matches);
                 if d.is_empty() {
@@ -365,7 +334,7 @@ mod tests {
         let mut e = QueryEngine::new(pdb(R1_R2));
         // A Dept tuple that fails R2's alpha tests affects nothing.
         let shoe = tuple![9, "Shoe", 2, "X"];
-        assert!(e.awakening.awakened(&e.pdb, ClassId(1), &shoe).is_empty());
+        assert!(e.awakening.awakened(ClassId(1), &shoe).is_empty());
         assert!(e.insert(ClassId(1), shoe).is_empty());
     }
 

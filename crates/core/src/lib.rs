@@ -48,7 +48,7 @@ pub use exec::{
     SequentialExecutor, TxnOps, WmChange,
 };
 pub use pdb::ProductionDb;
-pub use rulebase::RulebaseIndex;
+pub use rulebase::CondIndex;
 pub use strategy::Strategy;
 pub use system::{run_concurrent, ProductionSystem};
 

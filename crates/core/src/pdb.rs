@@ -111,6 +111,11 @@ impl ProductionDb {
         &self.rules
     }
 
+    /// The compiled rule set, shared (e.g. by a [`crate::CondIndex`]).
+    pub fn shared_rules(&self) -> Arc<RuleSet> {
+        Arc::clone(&self.rules)
+    }
+
     /// The WM relation storing this class.
     pub fn class_rel(&self, class: ClassId) -> RelId {
         self.class_rel[class.0]

@@ -1,4 +1,10 @@
-//! Rule-base queries (§4.2.3).
+//! The COND-relation index (§4.1, §4.2.3).
+//!
+//! §4.1 keeps one COND relation per WM class, holding the condition
+//! elements that refer to it, and notes that "one can use intelligent
+//! indexing techniques such as R-trees or R+-trees … to check if a given
+//! tuple satisfies conditions stored in the COND relations". §4.2.3 adds
+//! that the same index answers queries on the rule base itself:
 //!
 //! "Another significant advantage of such indices is their use in
 //! answering queries on the rulebase itself. For example, questions of
@@ -7,38 +13,45 @@
 //! possible in systems, such as POSTGRES, where rule information is
 //! stored together with the actual data."
 //!
-//! [`RulebaseIndex`] puts every condition element's variable-free
-//! restriction into a per-class predicate index (R-tree by default) and
-//! answers:
+//! [`CondIndex`] is that one index. It puts every condition element's
+//! variable-free restriction into a per-class predicate index (payload
+//! `(rule, cen)`) once, when the rule base is compiled; the entries never
+//! change afterwards. The query engine wakes rules with it, the COND
+//! engine prunes its pattern groups with it, and it answers:
 //!
-//! * [`RulebaseIndex::rules_for_tuple`] — which rules could a concrete
-//!   tuple trigger? (point stabbing);
-//! * [`RulebaseIndex::rules_overlapping`] — which rules could apply to
-//!   *any* tuple in a region, whether or not such data exists yet?
-//!   (box query — the "employees older than 55" form).
+//! * [`CondIndex::stab`] — which condition elements' rectangles contain a
+//!   concrete tuple? (point stabbing, exact on the rectangle);
+//! * [`CondIndex::rules_for_tuple`] — which rules could a concrete tuple
+//!   trigger? (the stab plus the intra-tuple attribute tests);
+//! * [`CondIndex::rules_overlapping`] — which rules could apply to *any*
+//!   tuple in a region, whether or not such data exists yet? (box query —
+//!   the "employees older than 55" form).
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use ops5::{ClassId, RuleId, RuleSet};
 use predindex::{make_index, ConditionIndex, IndexKind, Rect};
 use relstore::{Restriction, Tuple};
 
-/// A queryable index over the rule base's condition elements.
-pub struct RulebaseIndex {
-    rules: RuleSet,
-    /// One predicate index per class; payload = (rule, cen).
-    per_class: Vec<Box<dyn ConditionIndex<(usize, usize)> + Send + Sync>>,
+use crate::error::{Error, Result};
+
+/// Payload of a COND entry: (rule, condition element number).
+pub type CondRef = (usize, usize);
+
+/// The per-class index over the rule base's condition elements.
+pub struct CondIndex {
+    rules: Arc<RuleSet>,
+    /// One predicate index per class.
+    per_class: Vec<Box<dyn ConditionIndex<CondRef> + Send + Sync>>,
 }
 
-impl RulebaseIndex {
-    /// Create a new, empty instance.
-    pub fn new(rules: &RuleSet) -> Self {
-        Self::with_kind(rules, IndexKind::RTree)
-    }
-
-    /// Build with an explicit index implementation.
-    pub fn with_kind(rules: &RuleSet, kind: IndexKind) -> Self {
-        let mut per_class: Vec<Box<dyn ConditionIndex<(usize, usize)> + Send + Sync>> = rules
+impl CondIndex {
+    /// Index every condition element of `rules`, in rule-then-CE order,
+    /// with the `kind` of predicate index.
+    pub fn new(rules: impl Into<Arc<RuleSet>>, kind: IndexKind) -> Self {
+        let rules = rules.into();
+        let mut per_class: Vec<_> = rules
             .classes
             .iter()
             .map(|c| make_index(kind, c.arity()))
@@ -46,54 +59,74 @@ impl RulebaseIndex {
         for rule in &rules.rules {
             for (cen, ce) in rule.ces.iter().enumerate() {
                 let arity = rules.class(ce.class).arity();
+                // A contradictory alpha restriction can never match: the
+                // CE (and for positive CEs the whole rule) is dead.
                 if let Some(rect) = Rect::from_restriction(arity, &ce.alpha) {
                     per_class[ce.class.0].insert(rect, (rule.id.0, cen));
                 }
             }
         }
-        RulebaseIndex {
-            rules: rules.clone(),
-            per_class,
-        }
+        CondIndex { rules, per_class }
     }
 
-    /// Rules with a condition element satisfied by this concrete tuple.
+    /// The condition elements of `class` whose variable-free rectangle
+    /// contains the tuple. Exact on the rectangle; the intra-tuple
+    /// attribute tests it cannot encode are not checked.
+    pub fn stab(&self, class: ClassId, tuple: &Tuple) -> Vec<CondRef> {
+        self.per_class[class.0].stab(tuple)
+    }
+
+    /// Rules with a condition element whose one-input tests this concrete
+    /// tuple satisfies, ascending: the rules its insertion or deletion
+    /// can affect.
     pub fn rules_for_tuple(&self, class: ClassId, tuple: &Tuple) -> Vec<RuleId> {
-        self.per_class[class.0]
-            .stab(tuple)
+        self.stab(class, tuple)
             .into_iter()
             .filter(|&(rid, cen)| {
-                // Rectangles cannot encode intra-tuple attr tests; check
-                // them exactly.
                 self.rules.rule(RuleId(rid)).ces[cen]
                     .alpha
                     .attr_tests
                     .iter()
                     .all(|t| t.matches(tuple))
             })
-            .map(|(rid, _)| rid)
+            .map(|(rid, _)| RuleId(rid))
             .collect::<BTreeSet<_>>()
             .into_iter()
-            .map(RuleId)
             .collect()
     }
 
     /// Rules whose conditions overlap a region of a class's value space —
     /// answerable "even if data that satisfy the conditions of the rules
-    /// has not already been stored in the database" (§4.2.3).
-    pub fn rules_overlapping(&self, class: ClassId, region: &Restriction) -> Vec<RuleId> {
-        let arity = self.rules.class(class).arity();
-        let Some(rect) = Rect::from_restriction(arity, region) else {
-            return Vec::new(); // contradictory region matches nothing
+    /// has not already been stored in the database" (§4.2.3). A
+    /// contradictory region matches nothing; an unknown class or an
+    /// attribute the class lacks is an error.
+    pub fn rules_overlapping(&self, class: ClassId, region: &Restriction) -> Result<Vec<RuleId>> {
+        let def = (self.rules.classes.get(class.0))
+            .ok_or_else(|| Error::UnknownClass(format!("#{}", class.0)))?;
+        if let Some(sel) = region.tests.iter().find(|s| s.attr >= def.arity()) {
+            let (relation, index) = (def.name.clone(), sel.attr);
+            return Err(relstore::Error::BadAttrIndex { relation, index }.into());
+        }
+        let Some(rect) = Rect::from_restriction(def.arity(), region) else {
+            return Ok(Vec::new());
         };
-        self.per_class[class.0]
+        Ok(self.per_class[class.0]
             .query(&rect)
             .into_iter()
-            .map(|(rid, _)| rid)
+            .map(|(rid, _)| RuleId(rid))
             .collect::<BTreeSet<_>>()
             .into_iter()
-            .map(RuleId)
-            .collect()
+            .collect())
+    }
+
+    /// Stored entries: one per satisfiable condition element.
+    pub fn entries(&self) -> usize {
+        self.per_class.iter().map(|i| i.len()).sum()
+    }
+
+    /// Index nodes (for the linear kind, entries) visited so far.
+    pub fn node_visits(&self) -> u64 {
+        self.per_class.iter().map(|i| i.node_visits()).sum()
     }
 
     /// Names instead of ids, for display.
@@ -109,7 +142,7 @@ mod tests {
     use super::*;
     use relstore::{tuple, CompOp, Selection};
 
-    fn index() -> RulebaseIndex {
+    fn index() -> CondIndex {
         let rules = ops5::compile(
             r#"
             (literalize Emp name age salary)
@@ -122,7 +155,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        RulebaseIndex::new(&rules)
+        CondIndex::new(rules, IndexKind::RTree)
     }
 
     #[test]
@@ -130,7 +163,7 @@ mod tests {
         let idx = index();
         // "Give me all the rules that apply on employees older than 55."
         let region = Restriction::new(vec![Selection::new(1, CompOp::Gt, 55)]);
-        let hits = idx.rules_overlapping(ClassId(0), &region);
+        let hits = idx.rules_overlapping(ClassId(0), &region).unwrap();
         let names = idx.rule_names(&hits);
         assert_eq!(names, vec!["Retire", "Senior", "Mike"]);
     }
@@ -150,7 +183,7 @@ mod tests {
         let idx = index();
         let region = Restriction::new(vec![Selection::new(1, CompOp::Lt, 20)]);
         assert_eq!(
-            idx.rule_names(&idx.rules_overlapping(ClassId(0), &region)),
+            idx.rule_names(&idx.rules_overlapping(ClassId(0), &region).unwrap()),
             vec!["Junior", "Mike"]
         );
     }
@@ -170,7 +203,33 @@ mod tests {
             Selection::new(1, CompOp::Lt, 10),
             Selection::new(1, CompOp::Gt, 90),
         ]);
-        assert!(idx.rules_overlapping(ClassId(0), &region).is_empty());
+        assert!(idx
+            .rules_overlapping(ClassId(0), &region)
+            .unwrap()
+            .is_empty());
+    }
+
+    #[test]
+    fn region_on_a_missing_attribute_is_an_error() {
+        let idx = index();
+        // Dept has one attribute; a test on its fourth is not a region.
+        let region = Restriction::new(vec![Selection::new(3, CompOp::Gt, 55)]);
+        let err = idx.rules_overlapping(ClassId(1), &region).unwrap_err();
+        assert_eq!(
+            err,
+            Error::Store(relstore::Error::BadAttrIndex {
+                relation: "Dept".into(),
+                index: 3
+            })
+        );
+    }
+
+    #[test]
+    fn region_of_an_unknown_class_is_an_error() {
+        let idx = index();
+        let region = Restriction::new(vec![Selection::new(0, CompOp::Gt, 55)]);
+        let err = idx.rules_overlapping(ClassId(2), &region).unwrap_err();
+        assert_eq!(err, Error::UnknownClass("#2".into()));
     }
 
     #[test]
@@ -181,16 +240,35 @@ mod tests {
             (p A (Emp ^age {>= 65}) --> (remove 1))
             (p B (Emp ^age {>= 50} ^salary {>= 9000}) --> (remove 1))
             (p C (Emp ^age {< 30}) --> (remove 1))
+            (p D (Emp ^name <N> ^salary <N>) --> (remove 1))
             "#,
         )
         .unwrap();
         let region = Restriction::new(vec![Selection::new(1, CompOp::Ge, 40)]);
+        let emps = [
+            tuple!["Ann", 70, 9500],
+            tuple![20, 25, 20],
+            tuple!["Bo", 55, 10],
+        ];
         let mut results = Vec::new();
         for kind in [IndexKind::Linear, IndexKind::RTree, IndexKind::RPlus] {
-            let idx = RulebaseIndex::with_kind(&rules, kind);
-            results.push(idx.rules_overlapping(ClassId(0), &region));
+            let idx = CondIndex::new(rules.clone(), kind);
+            let mut stabs = Vec::new();
+            let mut woken = Vec::new();
+            for t in &emps {
+                let mut s = idx.stab(ClassId(0), t);
+                s.sort_unstable();
+                stabs.push(s);
+                woken.push(idx.rules_for_tuple(ClassId(0), t));
+            }
+            let overlap = idx.rules_overlapping(ClassId(0), &region).unwrap();
+            results.push((overlap, stabs, woken));
         }
         assert_eq!(results[0], results[1]);
         assert_eq!(results[0], results[2]);
+        // D's attr test (name = salary) is checked by rules_for_tuple only.
+        assert!(results[0].1[1].contains(&(3, 0)));
+        assert!(results[0].2[1].contains(&RuleId(3)));
+        assert!(!results[0].2[0].contains(&RuleId(3)));
     }
 }

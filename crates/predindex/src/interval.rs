@@ -169,25 +169,28 @@ impl Interval {
     /// (areas, split choices). Monotone non-strict: `a <= b` implies
     /// `key(a) <= key(b)`. Exact containment is always re-checked against
     /// the real interval, so precision loss here only costs pruning power.
+    ///
+    /// The key line follows [`Value`]'s order: `Null` at -∞, then the
+    /// two booleans, then every number (an `i64` is at most 2^63 in
+    /// magnitude; floats clamp just past that), then NaN, then strings.
     pub fn value_key(v: &Value) -> f64 {
         const STR_OFFSET: f64 = 1e19;
+        const NUM_CLAMP: f64 = 9.5e18; // past ±2^63 ≈ ±9.22e18
         match v {
             Value::Null => f64::NEG_INFINITY,
             Value::Bool(b) => {
-                // Two distinct, exactly representable keys (adding 1.0 to
-                // -1e18 would round back to -1e18).
                 if *b {
-                    -0.999e18
+                    -9.7e18
                 } else {
-                    -1e18
+                    -9.8e18
                 }
             }
             Value::Int(i) => *i as f64,
             Value::Float(f) => {
                 if f.is_nan() {
-                    9e18 // NaN sorts above all numbers in Value's order
+                    9.6e18 // NaN sorts above all numbers in Value's order
                 } else {
-                    f.clamp(-8.9e18, 8.9e18)
+                    f.clamp(-NUM_CLAMP, NUM_CLAMP)
                 }
             }
             Value::Str(s) => {
@@ -294,23 +297,45 @@ mod tests {
             Value::Null,
             Value::Bool(false),
             Value::Bool(true),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Float(-1e19),
+            Value::Int(i64::MIN),
+            Value::Int(-2_000_000_000_000_000_000),
             Value::Int(-5),
             Value::Int(0),
             Value::Float(0.5),
             Value::Int(3),
+            Value::Int(9_000_000_000_000_000_000),
+            Value::Int(i64::MAX),
+            Value::Float(1e19),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NAN),
+            Value::str(""),
             Value::str("abc"),
             Value::str("abd"),
             Value::str("b"),
         ];
-        for w in samples.windows(2) {
-            assert!(w[0] < w[1], "{:?} < {:?}", w[0], w[1]);
-            assert!(
-                Interval::value_key(&w[0]) <= Interval::value_key(&w[1]),
-                "key monotone for {:?} vs {:?}",
-                w[0],
-                w[1]
-            );
+        for a in &samples {
+            for b in &samples {
+                if a <= b {
+                    assert!(
+                        Interval::value_key(a) <= Interval::value_key(b),
+                        "key monotone for {a:?} <= {b:?}"
+                    );
+                }
+            }
         }
+        assert!(samples.windows(2).all(|w| w[0] < w[1]), "samples ascend");
+    }
+
+    /// Values of magnitude below 8.9e18, and all strings, keep the keys
+    /// they always had, so the trees built over them keep their shapes.
+    #[test]
+    fn value_key_is_unchanged_inside_the_old_clamp() {
+        assert_eq!(Interval::value_key(&Value::Int(-7)), -7.0);
+        assert_eq!(Interval::value_key(&Value::Float(8.8e18)), 8.8e18);
+        assert_eq!(Interval::value_key(&Value::Float(-2.5)), -2.5);
+        assert_eq!(Interval::value_key(&Value::str("")), 1e19);
     }
 
     #[test]

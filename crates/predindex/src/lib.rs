@@ -13,6 +13,12 @@
 //! * **box queries** — rule-base introspection such as *"give me all the
 //!   rules that apply on employees older than 55"* (§4.2.3).
 //!
+//! The condition set is static: a rule base is compiled once, its
+//! condition elements are inserted once, and nothing is ever removed
+//! (the COND relations of §4.1 hold one entry per condition element for
+//! the life of the program). The indexes therefore support insertion and
+//! the two queries only.
+//!
 //! Three interchangeable implementations share the [`ConditionIndex`]
 //! trait: [`LinearIndex`] (scan baseline), [`RTree`] (Guttman, quadratic
 //! split), and [`RPlusTree`] (non-overlapping, clipped). Experiment E9
@@ -50,24 +56,17 @@ pub use rect::{key_point, NumRect, Rect};
 pub use rplus::RPlusTree;
 pub use rtree::RTree;
 
-use relstore::{Tuple, Value};
+use relstore::Tuple;
 
-/// A dynamic set of predicate rectangles supporting stabbing and overlap
-/// queries. Payloads identify conditions, e.g. `(RuleId, cond#)`.
-pub trait ConditionIndex<T: Clone + PartialEq> {
+/// A set of predicate rectangles, built by insertion, supporting
+/// stabbing and overlap queries. Payloads identify conditions, e.g.
+/// `(RuleId, cond#)`.
+pub trait ConditionIndex<T: Clone> {
     /// Add a condition rectangle.
     fn insert(&mut self, rect: Rect, payload: T);
 
-    /// Remove the first condition whose payload equals `payload`
-    /// (including all clipped copies). Returns whether anything was
-    /// removed.
-    fn remove(&mut self, payload: &T) -> bool;
-
     /// All conditions satisfied by this tuple (exact, no false drops).
     fn stab(&self, tuple: &Tuple) -> Vec<T>;
-
-    /// All conditions satisfied by an explicit point.
-    fn stab_point(&self, point: &[Value]) -> Vec<T>;
 
     /// All conditions whose rectangle overlaps `rect` (rule-base query).
     fn query(&self, rect: &Rect) -> Vec<T>;
@@ -100,7 +99,7 @@ pub enum IndexKind {
 }
 
 /// Construct a boxed index of the requested kind.
-pub fn make_index<T: Clone + PartialEq + Send + Sync + 'static>(
+pub fn make_index<T: Clone + Send + Sync + 'static>(
     kind: IndexKind,
     arity: usize,
 ) -> Box<dyn ConditionIndex<T> + Send + Sync> {
@@ -114,7 +113,7 @@ pub fn make_index<T: Clone + PartialEq + Send + Sync + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relstore::{tuple, CompOp, Restriction, Selection};
+    use relstore::{tuple, CompOp, Restriction, Selection, Value};
 
     fn cond(arity: usize, tests: Vec<Selection>) -> Rect {
         Rect::from_restriction(arity, &Restriction::new(tests)).unwrap()
@@ -144,8 +143,20 @@ mod tests {
             rtree.insert(rect.clone(), id);
             rplus.insert(rect, id);
         }
-        for _ in 0..200 {
-            let p = tuple![rng.gen_range(0..120i64), rng.gen_range(0..12i64)];
+        // Conditions bounded by, and points at, the edges of the key map.
+        let mut id = 300;
+        for bound in extremes() {
+            for op in [CompOp::Eq, CompOp::Lt, CompOp::Le, CompOp::Gt, CompOp::Ge] {
+                let rect = cond(2, vec![Selection::new(0, op, bound.clone())]);
+                linear.insert(rect.clone(), id);
+                rtree.insert(rect.clone(), id);
+                rplus.insert(rect, id);
+                id += 1;
+            }
+        }
+        let random = (0..200).map(|_| tuple![rng.gen_range(0..120i64), rng.gen_range(0..12i64)]);
+        let edges = extremes().into_iter().map(|v| tuple![v, 5]);
+        for p in random.chain(edges) {
             let mut a = linear.stab(&p);
             let mut b = rtree.stab(&p);
             let mut c = rplus.stab(&p);
@@ -155,23 +166,27 @@ mod tests {
             assert_eq!(a, b, "rtree disagrees at {p}");
             assert_eq!(a, c, "rplus disagrees at {p}");
         }
-        // And after random deletions.
-        for id in (0..300u32).step_by(3) {
-            assert!(linear.remove(&id));
-            assert!(rtree.remove(&id));
-            assert!(rplus.remove(&id));
-        }
-        for _ in 0..100 {
-            let p = tuple![rng.gen_range(0..120i64), rng.gen_range(0..12i64)];
-            let mut a = linear.stab(&p);
-            let mut b = rtree.stab(&p);
-            let mut c = rplus.stab(&p);
-            a.sort_unstable();
-            b.sort_unstable();
-            c.sort_unstable();
-            assert_eq!(a, b);
-            assert_eq!(a, c);
-        }
+    }
+
+    /// Values at the edges of the key map: infinities, NaN, the i64
+    /// limits, floats past them, and both booleans.
+    fn extremes() -> Vec<Value> {
+        vec![
+            Value::Null,
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Float(-1e19),
+            Value::Int(i64::MIN),
+            Value::Int(-2_000_000_000_000_000_000),
+            Value::Int(0),
+            Value::Int(9_000_000_000_000_000_000),
+            Value::Int(i64::MAX),
+            Value::Float(1e19),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NAN),
+            Value::str("a"),
+        ]
     }
 
     #[test]

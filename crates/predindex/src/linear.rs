@@ -6,7 +6,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use relstore::{Tuple, Value};
+use relstore::Tuple;
 
 use crate::rect::Rect;
 use crate::ConditionIndex;
@@ -28,19 +28,9 @@ impl<T> LinearIndex<T> {
     }
 }
 
-impl<T: Clone + PartialEq> ConditionIndex<T> for LinearIndex<T> {
+impl<T: Clone> ConditionIndex<T> for LinearIndex<T> {
     fn insert(&mut self, rect: Rect, payload: T) {
         self.items.push((rect, payload));
-    }
-
-    fn remove(&mut self, payload: &T) -> bool {
-        match self.items.iter().position(|(_, p)| p == payload) {
-            Some(pos) => {
-                self.items.swap_remove(pos);
-                true
-            }
-            None => false,
-        }
     }
 
     fn stab(&self, tuple: &Tuple) -> Vec<T> {
@@ -49,16 +39,6 @@ impl<T: Clone + PartialEq> ConditionIndex<T> for LinearIndex<T> {
         self.items
             .iter()
             .filter(|(r, _)| r.contains_tuple(tuple))
-            .map(|(_, p)| p.clone())
-            .collect()
-    }
-
-    fn stab_point(&self, point: &[Value]) -> Vec<T> {
-        self.visits
-            .fetch_add(self.items.len() as u64, Ordering::Relaxed);
-        self.items
-            .iter()
-            .filter(|(r, _)| r.contains_point(point))
             .map(|(_, p)| p.clone())
             .collect()
     }
@@ -92,7 +72,7 @@ mod tests {
     use relstore::{tuple, CompOp, Restriction, Selection};
 
     #[test]
-    fn linear_stab_and_remove() {
+    fn linear_stab_counts_every_condition() {
         let mut idx: LinearIndex<u32> = LinearIndex::new();
         for i in 0..10 {
             let rect = Rect::from_restriction(
@@ -103,9 +83,7 @@ mod tests {
             idx.insert(rect, i as u32);
         }
         assert_eq!(idx.stab(&tuple![5]).len(), 6);
-        assert!(idx.remove(&0));
-        assert_eq!(idx.stab(&tuple![5]).len(), 5);
-        assert_eq!(idx.len(), 9);
-        assert!(idx.node_visits() > 0);
+        assert_eq!(idx.len(), 10);
+        assert_eq!(idx.node_visits(), 10);
     }
 }

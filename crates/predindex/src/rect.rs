@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use relstore::{Restriction, Tuple, Value};
+use relstore::{Restriction, Tuple};
 
 use crate::interval::Interval;
 
@@ -59,11 +59,6 @@ impl Rect {
                 .iter()
                 .zip(tuple.values())
                 .all(|(iv, v)| iv.contains(v))
-    }
-
-    /// Does the box contain an explicit point?
-    pub fn contains_point(&self, point: &[Value]) -> bool {
-        self.dims.len() == point.len() && self.dims.iter().zip(point).all(|(iv, v)| iv.contains(v))
     }
 
     /// Do two boxes overlap (in every dimension)?

@@ -12,7 +12,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use relstore::{Tuple, Value};
+use relstore::Tuple;
 
 use crate::rect::{key_point, NumRect, Rect};
 use crate::ConditionIndex;
@@ -48,7 +48,7 @@ pub struct RPlusTree<T> {
     visits: AtomicU64,
 }
 
-impl<T: Clone + PartialEq> RPlusTree<T> {
+impl<T: Clone> RPlusTree<T> {
     /// Create a new, empty instance.
     pub fn new(arity: usize) -> Self {
         RPlusTree {
@@ -157,22 +157,6 @@ impl<T: Clone + PartialEq> RPlusTree<T> {
         }
     }
 
-    fn remove_rec(node: &mut Node<T>, payload: &T) -> bool {
-        match node {
-            Node::Leaf { entries } => {
-                let before = entries.len();
-                entries.retain(|e| e.payload != *payload);
-                before != entries.len()
-            }
-            Node::Inner { left, right, .. } => {
-                // Clipped copies live on both sides; remove everywhere.
-                let l = Self::remove_rec(left, payload);
-                let r = Self::remove_rec(right, payload);
-                l || r
-            }
-        }
-    }
-
     fn stab_rec<'a>(
         &self,
         node: &'a Node<T>,
@@ -274,7 +258,7 @@ fn dedup_by_ptr<T: Clone>(hits: Vec<&Arc<Entry<T>>>) -> Vec<T> {
     out
 }
 
-impl<T: Clone + PartialEq> ConditionIndex<T> for RPlusTree<T> {
+impl<T: Clone> ConditionIndex<T> for RPlusTree<T> {
     fn insert(&mut self, rect: Rect, payload: T) {
         debug_assert_eq!(rect.arity(), self.arity);
         let bbox = rect.num_bbox();
@@ -287,23 +271,11 @@ impl<T: Clone + PartialEq> ConditionIndex<T> for RPlusTree<T> {
         self.len += 1;
     }
 
-    fn remove(&mut self, payload: &T) -> bool {
-        let removed = Self::remove_rec(&mut self.root, payload);
-        if removed {
-            self.len -= 1;
-        }
-        removed
-    }
-
     fn stab(&self, tuple: &Tuple) -> Vec<T> {
         let point = key_point(tuple);
         let mut hits = Vec::new();
         self.stab_rec(&self.root, &point, tuple, &mut hits);
         dedup_by_ptr(hits)
-    }
-
-    fn stab_point(&self, point: &[Value]) -> Vec<T> {
-        self.stab(&Tuple::new(point.to_vec()))
     }
 
     fn query(&self, rect: &Rect) -> Vec<T> {
@@ -380,27 +352,6 @@ mod tests {
             ],
         );
         assert_eq!(t.query(&q).len(), 40);
-    }
-
-    #[test]
-    fn remove_eliminates_all_copies() {
-        let mut t: RPlusTree<u32> = RPlusTree::new(1);
-        for i in 0..40i64 {
-            t.insert(
-                cond(
-                    1,
-                    vec![
-                        Selection::new(0, CompOp::Ge, i),
-                        Selection::new(0, CompOp::Le, i + 10),
-                    ],
-                ),
-                i as u32,
-            );
-        }
-        assert!(t.remove(&15));
-        assert!(!t.remove(&15));
-        assert!(!t.stab(&tuple![20]).contains(&15));
-        assert_eq!(t.len(), 39);
     }
 
     #[test]

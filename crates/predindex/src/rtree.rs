@@ -8,7 +8,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use relstore::{Tuple, Value};
+use relstore::Tuple;
 
 use crate::rect::{key_point, NumRect, Rect};
 use crate::ConditionIndex;
@@ -39,64 +39,50 @@ struct Node {
 #[derive(Debug)]
 pub struct RTree<T> {
     arity: usize,
-    nodes: Vec<Option<Node>>,
-    entries: Vec<Option<Entry<T>>>,
+    nodes: Vec<Node>,
+    entries: Vec<Entry<T>>,
     root: usize,
-    len: usize,
     visits: AtomicU64,
 }
 
-impl<T: Clone + PartialEq> RTree<T> {
+impl<T: Clone> RTree<T> {
     /// Create a new, empty instance.
     pub fn new(arity: usize) -> Self {
         RTree {
             arity,
-            nodes: vec![Some(Node {
+            nodes: vec![Node {
                 bbox: NumRect::empty(arity),
                 kind: NodeKind::Leaf(Vec::new()),
-            })],
+            }],
             entries: Vec::new(),
             root: 0,
-            len: 0,
             visits: AtomicU64::new(0),
         }
     }
 
     fn alloc_node(&mut self, node: Node) -> usize {
-        self.nodes.push(Some(node));
+        self.nodes.push(node);
         self.nodes.len() - 1
     }
 
-    fn node(&self, id: usize) -> &Node {
-        self.nodes[id].as_ref().expect("live node")
-    }
-
-    fn node_mut(&mut self, id: usize) -> &mut Node {
-        self.nodes[id].as_mut().expect("live node")
-    }
-
-    fn entry_bbox(&self, eid: usize) -> &NumRect {
-        &self.entries[eid].as_ref().expect("live entry").bbox
-    }
-
     fn recompute_bbox(&mut self, id: usize) {
-        let bbox = match &self.node(id).kind {
+        let bbox = match &self.nodes[id].kind {
             NodeKind::Leaf(es) => {
                 let mut b = NumRect::empty(self.arity);
                 for &e in es {
-                    b.enlarge(self.entry_bbox(e));
+                    b.enlarge(&self.entries[e].bbox);
                 }
                 b
             }
             NodeKind::Inner(cs) => {
                 let mut b = NumRect::empty(self.arity);
                 for &c in cs {
-                    b.enlarge(&self.node(c).bbox.clone());
+                    b.enlarge(&self.nodes[c].bbox);
                 }
                 b
             }
         };
-        self.node_mut(id).bbox = bbox;
+        self.nodes[id].bbox = bbox;
     }
 
     /// Quadratic split of a set of (id, bbox) items into two groups.
@@ -154,10 +140,10 @@ impl<T: Clone + PartialEq> RTree<T> {
 
     /// Recursive insert. Returns the id of a new sibling when `node` split.
     fn insert_rec(&mut self, node_id: usize, eid: usize) -> Option<usize> {
-        let ebbox = self.entry_bbox(eid).clone();
-        let split = match &self.node(node_id).kind {
+        let ebbox = self.entries[eid].bbox.clone();
+        let split = match &self.nodes[node_id].kind {
             NodeKind::Leaf(_) => {
-                if let NodeKind::Leaf(es) = &mut self.node_mut(node_id).kind {
+                if let NodeKind::Leaf(es) = &mut self.nodes[node_id].kind {
                     es.push(eid);
                 }
                 self.maybe_split_leaf(node_id)
@@ -167,7 +153,7 @@ impl<T: Clone + PartialEq> RTree<T> {
                 let mut best = children[0];
                 let mut best_cost = (f64::INFINITY, f64::INFINITY);
                 for &c in children {
-                    let b = &self.node(c).bbox;
+                    let b = &self.nodes[c].bbox;
                     let cost = (b.enlargement(&ebbox), b.area());
                     if cost.0 < best_cost.0 || (cost.0 == best_cost.0 && cost.1 < best_cost.1) {
                         best_cost = cost;
@@ -176,7 +162,7 @@ impl<T: Clone + PartialEq> RTree<T> {
                 }
                 let new_sib = self.insert_rec(best, eid);
                 if let Some(sib) = new_sib {
-                    if let NodeKind::Inner(cs) = &mut self.node_mut(node_id).kind {
+                    if let NodeKind::Inner(cs) = &mut self.nodes[node_id].kind {
                         cs.push(sib);
                     }
                 }
@@ -189,21 +175,21 @@ impl<T: Clone + PartialEq> RTree<T> {
 
     fn maybe_split_leaf(&mut self, node_id: usize) -> Option<usize> {
         let needs =
-            matches!(&self.node(node_id).kind, NodeKind::Leaf(es) if es.len() > MAX_ENTRIES);
+            matches!(&self.nodes[node_id].kind, NodeKind::Leaf(es) if es.len() > MAX_ENTRIES);
         if !needs {
             return None;
         }
         let NodeKind::Leaf(es) =
-            std::mem::replace(&mut self.node_mut(node_id).kind, NodeKind::Leaf(Vec::new()))
+            std::mem::replace(&mut self.nodes[node_id].kind, NodeKind::Leaf(Vec::new()))
         else {
             unreachable!()
         };
         let items: Vec<(usize, NumRect)> = es
             .into_iter()
-            .map(|e| (e, self.entry_bbox(e).clone()))
+            .map(|e| (e, self.entries[e].bbox.clone()))
             .collect();
         let (g1, g2) = Self::quadratic_split(items);
-        self.node_mut(node_id).kind = NodeKind::Leaf(g1);
+        self.nodes[node_id].kind = NodeKind::Leaf(g1);
         self.recompute_bbox(node_id);
         let sib = self.alloc_node(Node {
             bbox: NumRect::empty(self.arity),
@@ -215,22 +201,21 @@ impl<T: Clone + PartialEq> RTree<T> {
 
     fn maybe_split_inner(&mut self, node_id: usize) -> Option<usize> {
         let needs =
-            matches!(&self.node(node_id).kind, NodeKind::Inner(cs) if cs.len() > MAX_ENTRIES);
+            matches!(&self.nodes[node_id].kind, NodeKind::Inner(cs) if cs.len() > MAX_ENTRIES);
         if !needs {
             return None;
         }
-        let NodeKind::Inner(cs) = std::mem::replace(
-            &mut self.node_mut(node_id).kind,
-            NodeKind::Inner(Vec::new()),
-        ) else {
+        let NodeKind::Inner(cs) =
+            std::mem::replace(&mut self.nodes[node_id].kind, NodeKind::Inner(Vec::new()))
+        else {
             unreachable!()
         };
         let items: Vec<(usize, NumRect)> = cs
             .into_iter()
-            .map(|c| (c, self.node(c).bbox.clone()))
+            .map(|c| (c, self.nodes[c].bbox.clone()))
             .collect();
         let (g1, g2) = Self::quadratic_split(items);
-        self.node_mut(node_id).kind = NodeKind::Inner(g1);
+        self.nodes[node_id].kind = NodeKind::Inner(g1);
         self.recompute_bbox(node_id);
         let sib = self.alloc_node(Node {
             bbox: NumRect::empty(self.arity),
@@ -240,8 +225,70 @@ impl<T: Clone + PartialEq> RTree<T> {
         Some(sib)
     }
 
-    fn insert_entry_id(&mut self, eid: usize) {
-        if let Some(sib) = self.insert_rec(self.root, eid) {
+    fn stab_rec(&self, node_id: usize, point: &[f64], tuple: &Tuple, out: &mut Vec<T>) {
+        self.visits.fetch_add(1, Ordering::Relaxed);
+        match &self.nodes[node_id].kind {
+            NodeKind::Leaf(es) => {
+                for &e in es {
+                    let en = &self.entries[e];
+                    if en.bbox.contains_key_point(point) && en.rect.contains_tuple(tuple) {
+                        out.push(en.payload.clone());
+                    }
+                }
+            }
+            NodeKind::Inner(cs) => {
+                for &c in cs {
+                    if self.nodes[c].bbox.contains_key_point(point) {
+                        self.stab_rec(c, point, tuple, out);
+                    }
+                }
+            }
+        }
+    }
+
+    fn query_rec(&self, node_id: usize, nbox: &NumRect, rect: &Rect, out: &mut Vec<T>) {
+        self.visits.fetch_add(1, Ordering::Relaxed);
+        match &self.nodes[node_id].kind {
+            NodeKind::Leaf(es) => {
+                for &e in es {
+                    let en = &self.entries[e];
+                    if en.bbox.intersects(nbox) && en.rect.intersects(rect) {
+                        out.push(en.payload.clone());
+                    }
+                }
+            }
+            NodeKind::Inner(cs) => {
+                for &c in cs {
+                    if self.nodes[c].bbox.intersects(nbox) {
+                        self.query_rec(c, nbox, rect, out);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Maximum leaf depth (diagnostics).
+    pub fn depth(&self) -> usize {
+        fn go(t: &[Node], id: usize) -> usize {
+            match &t[id].kind {
+                NodeKind::Leaf(_) => 1,
+                NodeKind::Inner(cs) => 1 + cs.iter().map(|&c| go(t, c)).max().unwrap_or(0),
+            }
+        }
+        go(&self.nodes, self.root)
+    }
+}
+
+impl<T: Clone> ConditionIndex<T> for RTree<T> {
+    fn insert(&mut self, rect: Rect, payload: T) {
+        debug_assert_eq!(rect.arity(), self.arity);
+        let bbox = rect.num_bbox();
+        self.entries.push(Entry {
+            rect,
+            bbox,
+            payload,
+        });
+        if let Some(sib) = self.insert_rec(self.root, self.entries.len() - 1) {
             let old_root = self.root;
             let new_root = self.alloc_node(Node {
                 bbox: NumRect::empty(self.arity),
@@ -252,172 +299,11 @@ impl<T: Clone + PartialEq> RTree<T> {
         }
     }
 
-    /// Remove one entry with this payload; returns orphan entry ids that
-    /// must be reinserted (leaf underflow) as a side effect. `true` when an
-    /// entry was removed.
-    fn remove_rec(&mut self, node_id: usize, payload: &T, orphans: &mut Vec<usize>) -> bool {
-        match &self.node(node_id).kind {
-            NodeKind::Leaf(es) => {
-                let found = es.iter().position(|&e| {
-                    self.entries[e]
-                        .as_ref()
-                        .is_some_and(|en| &en.payload == payload)
-                });
-                if let Some(pos) = found {
-                    let NodeKind::Leaf(es) = &mut self.node_mut(node_id).kind else {
-                        unreachable!()
-                    };
-                    let eid = es.swap_remove(pos);
-                    self.entries[eid] = None;
-                    // Leaf underflow (non-root): orphan the remainder.
-                    if node_id != self.root {
-                        let under = matches!(&self.node(node_id).kind, NodeKind::Leaf(es) if es.len() < MIN_ENTRIES);
-                        if under {
-                            let NodeKind::Leaf(es) = std::mem::replace(
-                                &mut self.node_mut(node_id).kind,
-                                NodeKind::Leaf(Vec::new()),
-                            ) else {
-                                unreachable!()
-                            };
-                            orphans.extend(es);
-                        }
-                    }
-                    self.recompute_bbox(node_id);
-                    true
-                } else {
-                    false
-                }
-            }
-            NodeKind::Inner(children) => {
-                let children = children.clone();
-                for c in children {
-                    if self.remove_rec(c, payload, orphans) {
-                        // Drop emptied children.
-                        let empty = match &self.node(c).kind {
-                            NodeKind::Leaf(es) => es.is_empty(),
-                            NodeKind::Inner(cs) => cs.is_empty(),
-                        };
-                        if empty {
-                            if let NodeKind::Inner(cs) = &mut self.node_mut(node_id).kind {
-                                cs.retain(|&x| x != c);
-                            }
-                            self.nodes[c] = None;
-                        }
-                        self.recompute_bbox(node_id);
-                        return true;
-                    }
-                }
-                false
-            }
-        }
-    }
-
-    fn shrink_root(&mut self) {
-        loop {
-            let replace = match &self.node(self.root).kind {
-                NodeKind::Inner(cs) if cs.len() == 1 => Some(cs[0]),
-                _ => None,
-            };
-            match replace {
-                Some(only) => {
-                    self.nodes[self.root] = None;
-                    self.root = only;
-                }
-                None => break,
-            }
-        }
-    }
-
-    fn stab_rec(&self, node_id: usize, point: &[f64], tuple: &Tuple, out: &mut Vec<T>) {
-        self.visits.fetch_add(1, Ordering::Relaxed);
-        match &self.node(node_id).kind {
-            NodeKind::Leaf(es) => {
-                for &e in es {
-                    let en = self.entries[e].as_ref().expect("live entry");
-                    if en.bbox.contains_key_point(point) && en.rect.contains_tuple(tuple) {
-                        out.push(en.payload.clone());
-                    }
-                }
-            }
-            NodeKind::Inner(cs) => {
-                for &c in cs {
-                    if self.node(c).bbox.contains_key_point(point) {
-                        self.stab_rec(c, point, tuple, out);
-                    }
-                }
-            }
-        }
-    }
-
-    fn query_rec(&self, node_id: usize, nbox: &NumRect, rect: &Rect, out: &mut Vec<T>) {
-        self.visits.fetch_add(1, Ordering::Relaxed);
-        match &self.node(node_id).kind {
-            NodeKind::Leaf(es) => {
-                for &e in es {
-                    let en = self.entries[e].as_ref().expect("live entry");
-                    if en.bbox.intersects(nbox) && en.rect.intersects(rect) {
-                        out.push(en.payload.clone());
-                    }
-                }
-            }
-            NodeKind::Inner(cs) => {
-                for &c in cs {
-                    if self.node(c).bbox.intersects(nbox) {
-                        self.query_rec(c, nbox, rect, out);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Maximum leaf depth (diagnostics).
-    pub fn depth(&self) -> usize {
-        fn go(t: &[Option<Node>], id: usize) -> usize {
-            match &t[id].as_ref().unwrap().kind {
-                NodeKind::Leaf(_) => 1,
-                NodeKind::Inner(cs) => 1 + cs.iter().map(|&c| go(t, c)).max().unwrap_or(0),
-            }
-        }
-        go(&self.nodes, self.root)
-    }
-}
-
-impl<T: Clone + PartialEq> ConditionIndex<T> for RTree<T> {
-    fn insert(&mut self, rect: Rect, payload: T) {
-        debug_assert_eq!(rect.arity(), self.arity);
-        let bbox = rect.num_bbox();
-        self.entries.push(Some(Entry {
-            rect,
-            bbox,
-            payload,
-        }));
-        let eid = self.entries.len() - 1;
-        self.insert_entry_id(eid);
-        self.len += 1;
-    }
-
-    fn remove(&mut self, payload: &T) -> bool {
-        let mut orphans = Vec::new();
-        let removed = self.remove_rec(self.root, payload, &mut orphans);
-        if removed {
-            self.len -= 1;
-            self.shrink_root();
-            for e in orphans {
-                self.insert_entry_id(e);
-            }
-        }
-        removed
-    }
-
     fn stab(&self, tuple: &Tuple) -> Vec<T> {
         let point = key_point(tuple);
         let mut out = Vec::new();
         self.stab_rec(self.root, &point, tuple, &mut out);
         out
-    }
-
-    fn stab_point(&self, point: &[Value]) -> Vec<T> {
-        self.stab(&Tuple::new(point.to_vec()))
     }
 
     fn query(&self, rect: &Rect) -> Vec<T> {
@@ -428,7 +314,7 @@ impl<T: Clone + PartialEq> ConditionIndex<T> for RTree<T> {
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     fn node_visits(&self) -> u64 {
@@ -470,24 +356,6 @@ mod tests {
         t.insert(cond(1, vec![Selection::eq(0, "prefix-aaaa")]), "a");
         t.insert(cond(1, vec![Selection::eq(0, "prefix-aaab")]), "b");
         assert_eq!(t.stab(&tuple!["prefix-aaab"]), vec!["b"]);
-    }
-
-    #[test]
-    fn remove_and_restab() {
-        let mut t: RTree<u32> = RTree::new(1);
-        for i in 0..50 {
-            t.insert(cond(1, vec![Selection::eq(0, i)]), i as u32);
-        }
-        assert_eq!(t.stab(&tuple![7]), vec![7]);
-        assert!(t.remove(&7));
-        assert!(!t.remove(&7));
-        assert!(t.stab(&tuple![7]).is_empty());
-        assert_eq!(t.len(), 49);
-        // All other conditions still reachable after condense/reinsert.
-        for i in 0..50u32 {
-            let expect = usize::from(i != 7);
-            assert_eq!(t.stab(&tuple![i as i64]).len(), expect, "key {i}");
-        }
     }
 
     #[test]

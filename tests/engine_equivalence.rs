@@ -196,6 +196,46 @@ fn one_tuple_fills_two_ces_of_the_same_class() {
     }
 }
 
+/// Constants and values at the edge of the numeric range: a float past
+/// `i64::MAX` satisfies `>= 9e18`, and NaN sorts above every number. The
+/// COND index must not prune either away, so every engine agrees with
+/// the `eval_rule` oracle.
+#[test]
+fn extreme_values_match_on_every_engine() {
+    use prodsys::engine::recompute::eval_rule;
+    use relstore::{Tuple, Value};
+    let rules = ops5::compile(
+        "(literalize C x)\n\
+         (p Big (C ^x >= 9000000000000000000) --> (remove 1))\n\
+         (p Past (C ^x > 9223372036854775807) --> (remove 1))",
+    )
+    .unwrap();
+    let inserts = [
+        Value::Float(1e19),
+        Value::Float(f64::NAN),
+        Value::Int(i64::MAX),
+        Value::Int(0),
+    ];
+    for kind in EngineKind::ALL {
+        let mut e = make_engine(kind, ProductionDb::new(rules.clone()).unwrap());
+        for v in &inserts {
+            e.insert(ClassId(0), Tuple::new(vec![v.clone()]));
+        }
+        let mut oracle: Vec<_> = (e.pdb().rules().rules.iter())
+            .flat_map(|rule| {
+                eval_rule(e.pdb(), rule)
+                    .iter()
+                    .map(|m| m.instantiation(rule))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        oracle.sort();
+        // Big: 1e19, NaN, i64::MAX; Past: 1e19, NaN.
+        assert_eq!(oracle.len(), 5);
+        assert_eq!(e.conflict_set().sorted(), oracle, "{}", e.name());
+    }
+}
+
 /// Trace-level equivalence: beyond ending with identical conflict sets,
 /// every engine must *emit* the identical ordered stream of
 /// conflict-delta trace events for the same WM update stream (removes
