@@ -318,8 +318,8 @@ mod tests {
     /// The report samples every maintenance pass — the load's passes of
     /// one, each firing's pass and each §5 transaction's — once: its
     /// match-latency and pass counts, each engine's detect/maintain
-    /// samples, the per-class WM changes and the cycle count all equal
-    /// what the trace holds.
+    /// samples, the per-class WM changes, the per-rule conflict deltas
+    /// and fires, and the cycle count all equal what the trace holds.
     #[test]
     fn report_counts_every_pass_the_trace_holds() {
         let tracer = Tracer::new(Sink::ring(1 << 16));
@@ -346,11 +346,38 @@ mod tests {
             count("conflict_delta")
         );
         assert_eq!(num(metrics, &["cycles"]), count("cycle_end"));
+        // Every §5 transaction of the in-memory concurrent pass that
+        // commits held the critical section once, the first one included.
+        assert_eq!(
+            num(metrics, &["critical_section_ns", "count"]),
+            count("txn_commit")
+        );
 
         let mut engine_passes: BTreeMap<String, u64> = BTreeMap::new();
         let mut class_changes: BTreeMap<(u64, String), u64> = BTreeMap::new();
+        // Per (rule, rule_name): [added, removed, fires]. The sequential
+        // demo's `Mark` and the concurrent pass's first rule share id 0.
+        let mut rule_counts: BTreeMap<(u64, String), [u64; 3]> = BTreeMap::new();
         for e in &events {
             match e {
+                Event::ConflictDelta {
+                    add,
+                    rule,
+                    rule_name,
+                    ..
+                } => {
+                    let c = rule_counts
+                        .entry((*rule as u64, rule_name.clone()))
+                        .or_default();
+                    c[usize::from(!*add)] += 1;
+                }
+                Event::RuleFire {
+                    rule, rule_name, ..
+                } => {
+                    rule_counts
+                        .entry((*rule as u64, rule_name.clone()))
+                        .or_default()[2] += 1;
+                }
                 Event::BatchApplied { engine, .. } => {
                     *engine_passes.entry(engine.to_string()).or_default() += 1;
                 }
@@ -386,6 +413,37 @@ mod tests {
             })
             .collect();
         assert_eq!(reported, class_changes);
+        let reported: BTreeMap<(u64, String), [u64; 3]> = array("rules")
+            .iter()
+            .map(|r| {
+                let n = |key| num(r, &[key]);
+                (
+                    (n("rule"), str_of(r, "name")),
+                    [
+                        n("instantiations_added"),
+                        n("instantiations_removed"),
+                        n("fires"),
+                    ],
+                )
+            })
+            .collect();
+        assert_eq!(reported, rule_counts);
+    }
+
+    /// The metrics are a pure function of the events: folding the run's
+    /// recorded events into a fresh registry renders the live one.
+    #[test]
+    fn metrics_are_a_fold_of_the_trace() {
+        let tracer = Tracer::new(Sink::ring(1 << 16));
+        instrumented_run(&tracer);
+        let events = tracer.ring_events().unwrap();
+        assert!(events.len() < 1 << 16, "the ring dropped events");
+        let folded = obs::MetricsRegistry::new();
+        for e in &events {
+            folded.observe(e);
+        }
+        let live = tracer.metrics().unwrap().to_json();
+        assert_eq!(folded.to_json(), live);
     }
 
     #[test]

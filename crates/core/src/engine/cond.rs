@@ -675,16 +675,14 @@ impl CondEngine {
         &store.groups[self.group_at[rid][cen] as usize]
     }
 
-    /// Account one pattern-group lookup in the store statistics and the
-    /// run metrics: `examined` candidates surfaced, via an index probe
-    /// (`indexed`) or a full scan. The callers add the same counts to
-    /// the engine's own totals ([`MatchEngine::pattern_io`]).
-    fn note_pattern_lookup(&self, examined: u64, indexed: bool) {
+    /// Account one pattern-group lookup in the store statistics: an
+    /// index probe when `indexed`, else a full scan. The callers add it
+    /// and the candidates it surfaced to the engine's own totals
+    /// ([`MatchEngine::pattern_io`]), whose change over a pass is that
+    /// pass's `batch_applied` pattern I/O.
+    fn note_pattern_lookup(&self, indexed: bool) {
         if indexed {
             self.pdb.db().stats().index_probe();
-        }
-        if let Some(m) = self.tracer.metrics() {
-            m.record_pattern_io(indexed as u64, examined);
         }
     }
 
@@ -1076,9 +1074,6 @@ impl CondEngine {
                 probes,
                 span_ns,
             });
-            if let Some(m) = self.tracer.metrics() {
-                m.record_propagate(span_ns);
-            }
             for (supporter, pat) in scratch.apply.entries.drain(..) {
                 self.log.record(supporter, pat);
             }
@@ -1134,7 +1129,7 @@ impl CondEngine {
             };
             let ncands = cands.len() as u64;
             self.pdb.db().stats().read_tuples(ncands);
-            self.note_pattern_lookup(ncands, indexed);
+            self.note_pattern_lookup(indexed);
             scanned += ncands;
             probes += indexed as u64;
             // The proposal marking `id` at `k_idx`, and whether it is new.
@@ -1343,7 +1338,7 @@ impl CondEngine {
                 continue;
             }
             let (cands, indexed) = self.tuple_candidates(group, tuple);
-            self.note_pattern_lookup(cands.len() as u64, indexed);
+            self.note_pattern_lookup(indexed);
             scanned += cands.len() as u64;
             probes += indexed as u64;
             // A sibling CE on the same class may be filled by this very

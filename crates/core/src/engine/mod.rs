@@ -223,8 +223,9 @@ pub trait MatchEngine: Send {
 /// here — the default `insert`, `remove` and `apply_delta`, and the §5
 /// executor's pre-commit step — so when a tracer is installed each pass,
 /// on every engine, emits its WM change events, its conflict-set deltas
-/// in canonical order and one [`Event::BatchApplied`] summary, and
-/// records one metrics sample.
+/// in canonical order and one [`Event::BatchApplied`] summary (its time,
+/// detect/maintain split and pattern-store I/O), which the tracer folds
+/// into its metrics.
 pub(crate) fn maintenance_pass<E: MatchEngine + ?Sized>(
     engine: &mut E,
     resolved: &[WmDelta],
@@ -232,16 +233,15 @@ pub(crate) fn maintenance_pass<E: MatchEngine + ?Sized>(
     if !engine.tracer().enabled() {
         return engine.maintain_delta(resolved);
     }
+    let io_before = engine.pattern_io().unwrap_or_default();
     let start = Instant::now();
     let deltas = engine.maintain_delta(resolved);
     let total_ns = start.elapsed().as_nanos() as u64;
+    let io_after = engine.pattern_io().unwrap_or_default();
     let tracer = engine.tracer();
     let rules = engine.pdb().rules();
     for d in resolved {
         let class_name = &rules.class(d.class).name;
-        if let Some(m) = tracer.metrics() {
-            m.record_class_change(d.class.0 as u32, class_name);
-        }
         tracer.emit(|| {
             if d.insert {
                 Event::WmInsert {
@@ -268,17 +268,10 @@ pub(crate) fn maintenance_pass<E: MatchEngine + ?Sized>(
         deletes: resolved.len() - inserts,
         rules_awakened,
         total_ns,
+        detect_ns: engine.last_detect_split().map_or(0, |(detect, _)| detect),
+        pattern_probes: io_after.0 - io_before.0,
+        pattern_scanned: io_after.1 - io_before.1,
     });
-    if let Some(m) = tracer.metrics() {
-        let detect_ns = engine.last_detect_split().map_or(0, |(detect, _)| detect);
-        m.record_pass(
-            engine.name(),
-            resolved.len() as u64,
-            deltas.len() as u64,
-            detect_ns,
-            total_ns,
-        );
-    }
     deltas
 }
 
@@ -297,9 +290,6 @@ fn emit_conflict_deltas(tracer: &Tracer, rules: &ops5::RuleSet, deltas: &[Confli
         let inst = delta.instantiation();
         awakened.insert(inst.rule.0);
         let rule_name = &rules.rule(inst.rule).name;
-        if let Some(m) = tracer.metrics() {
-            m.record_conflict_delta(inst.rule.0 as u32, rule_name, delta.is_add());
-        }
         tracer.emit(|| Event::ConflictDelta {
             add: delta.is_add(),
             rule: inst.rule.0 as u32,

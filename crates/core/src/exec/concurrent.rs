@@ -260,9 +260,6 @@ impl ConcurrentExecutor {
                 reason: abort.reason(),
             });
         }
-        if let Some(m) = tracer.metrics() {
-            m.record_txn(outcome.is_ok());
-        }
         outcome
     }
 
@@ -377,11 +374,7 @@ impl ConcurrentExecutor {
             obs::prof_span!("exec.critical");
             let held = Instant::now();
             maintenance_pass(&mut **g, &applied);
-            let critical_ns = held.elapsed().as_nanos() as u64;
-            if let Some(m) = tracer.metrics() {
-                m.record_critical_section(critical_ns);
-            }
-            critical_ns
+            held.elapsed().as_nanos() as u64
         };
 
         // 5. Commit point. The firing's global sequence number is
@@ -400,6 +393,7 @@ impl ConcurrentExecutor {
             rule_name: rule.name.clone(),
             wmes: inst.wmes_display(rules),
             support: inst.support_display(),
+            critical_ns,
         });
         // A failed commit-time WAL sync rolls the WM changes back; the
         // instantiation stays unfired and is retried if still applicable,

@@ -151,6 +151,7 @@ impl SequentialExecutor {
             rule_name: rule_name.clone(),
             wmes: inst.wmes_display(rules),
             support: inst.support_display(),
+            critical_ns: 0,
         });
         if let Some(start) = start {
             let rhs_ns = start.elapsed().as_nanos() as u64;
@@ -167,10 +168,6 @@ impl SequentialExecutor {
                 inserts,
                 removes: rhs.changes.len() - inserts,
             });
-            if let Some(m) = tracer.metrics() {
-                m.record_fire(inst.rule.0 as u32, rule_name, rhs_ns);
-                m.record_cycle(cycle, self.engine.conflict_set().len());
-            }
         }
         self.cycle += 1;
         let fired_total = self.cycle;

@@ -17,6 +17,9 @@ use crate::json::{Obj, Value};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Wire<'a> {
     U64(u64),
+    /// A number of a field added after `sellis88-journal/v1`: left off
+    /// the JSON line when 0.
+    Added(u64),
     Str(&'a str),
     Bool(bool),
 }
@@ -30,6 +33,10 @@ trait Codec<T> {
 /// The default codec: integers as JSON numbers (rejected when out of the
 /// field type's range), strings as strings, bools as bools.
 struct Plain;
+/// A `u64` field added after `sellis88-journal/v1`: read as 0 when its
+/// key is absent and left off the line when 0, so older journals still
+/// parse and an event whose added fields are 0 keeps its v1 line.
+struct Added;
 /// `ConflictDelta.add` on the wire: `"op":"add"` or `"op":"remove"`.
 struct Op;
 /// A `&'static str` label that must be one of a fixed table, so parsing
@@ -71,6 +78,18 @@ macro_rules! int_codec {
     )*};
 }
 int_codec!(u64, u32, usize);
+
+impl Codec<u64> for Added {
+    fn wire<'a>(&self, v: &'a u64) -> Wire<'a> {
+        Wire::Added(*v)
+    }
+    fn parse(&self, v: &Value, key: &str) -> Result<u64, String> {
+        match v.get(key) {
+            Some(_) => Plain.parse(v, key),
+            None => Ok(0),
+        }
+    }
+}
 
 impl Codec<String> for Plain {
     fn wire<'a>(&self, v: &'a String) -> Wire<'a> {
@@ -241,14 +260,20 @@ events! {
         }
         /// One maintenance pass finished (§4.2 set-oriented maintenance; a
         /// single WM change is a pass of one): how many WM inserts/deletes
-        /// it carried and how many distinct rules its conflict deltas
-        /// touched.
+        /// it carried, how many distinct rules its conflict deltas
+        /// touched, its wall time and the part of it spent before the
+        /// conflict set was up to date (§4.2.3's detect/maintain split; 0
+        /// when the engine does not split), and the COND pattern-store
+        /// probes and scanned patterns it cost (0 off COND).
         BatchApplied = "batch_applied" {
             engine: &'static str = "engine" via ENGINE,
             inserts: usize = "inserts",
             deletes: usize = "deletes",
             rules_awakened: usize = "rules_awakened",
             total_ns: u64 = "total_ns",
+            detect_ns: u64 = "detect_ns" via Added,
+            pattern_probes: u64 = "pattern_probes" via Added,
+            pattern_scanned: u64 = "pattern_scanned" via Added,
         }
         /// One §5 synchronization round finished: how many candidate
         /// instantiations were dispatched to the workers, how many of them
@@ -313,16 +338,19 @@ events! {
             target: String = "target",
             mode: &'static str = "mode" via LOCK_MODE,
         }
-        /// A lock was granted (wait_ns = 0 for an immediate grant).
+        /// A lock was granted after its request blocked, `wait_ns` later.
+        /// An immediate grant emits nothing.
         LockAcquire = "lock_acquire" {
             txn: u64 = "txn",
             target: String = "target",
             mode: &'static str = "mode" via LOCK_MODE,
             wait_ns: u64 = "wait_ns",
         }
-        /// The deadlock detector chose this transaction as victim.
+        /// The deadlock detector chose this transaction as victim, `wait_ns`
+        /// after its request blocked.
         DeadlockVictim = "deadlock_victim" {
             txn: u64 = "txn",
+            wait_ns: u64 = "wait_ns" via Added,
         }
         /// Snapshot of the waits-for graph at the moment a deadlock victim
         /// was chosen, so journals show *why* the transaction aborted. Each
@@ -332,23 +360,15 @@ events! {
             victim: u64 = "victim",
             edges: String = "edges",
         }
-        /// Contention summary for one lock-table shard over a run: how many
-        /// lock requests blocked there and for how long in total. No longer
-        /// emitted — the lock manager is one table, and a run's waits are
-        /// in [`Event::LockAcquire`] and the run's stats — and kept so that
-        /// older journals still parse.
-        ShardContention = "shard_contention" {
-            shard: u32 = "shard",
-            waits: u64 = "waits",
-            wait_ns: u64 = "wait_ns",
-        }
         /// One production committed its firing. `seq` is the global commit
         /// sequence number — assigned while the transaction still holds its
         /// locks, so for conflicting transactions it IS the serialization
         /// order and replaying firings serially in `seq` order reproduces
         /// the run. `round` is the §5 synchronization round (the cycle
         /// number under the sequential executor, where `txn` is 0). Its JSON
-        /// key is `fseq`, apart from the line's own `seq`.
+        /// key is `fseq`, apart from the line's own `seq`. `critical_ns` is
+        /// how long the transaction held the engine critical section for
+        /// its pre-commit maintenance pass (0 when `txn` is 0).
         Firing = "firing" {
             seq: u64 = "fseq",
             round: u64 = "round",
@@ -357,6 +377,7 @@ events! {
             rule_name: String = "rule_name",
             wmes: String = "wmes",
             support: String = "support",
+            critical_ns: u64 = "critical_ns" via Added,
         }
         /// A transaction rolled back. `reason` is `deadlock`, `invalidated`,
         /// or `error: …` with the storage error that forced the abort.
@@ -379,7 +400,8 @@ impl Event {
         self.for_each_field(|key, w| {
             let prev = std::mem::take(&mut o);
             o = match w {
-                Wire::U64(n) => prev.u64(key, n),
+                Wire::Added(0) => prev,
+                Wire::U64(n) | Wire::Added(n) => prev.u64(key, n),
                 Wire::Str(s) => prev.str(key, s),
                 Wire::Bool(b) => prev.bool(key, b),
             };
@@ -448,6 +470,7 @@ impl Event {
                 deletes,
                 rules_awakened,
                 total_ns,
+                ..
             } => {
                 format!(
                     "   batch[{engine}]: +{inserts}/-{deletes} wm -> {rules_awakened} rule(s) in {total_ns}ns"
@@ -513,16 +536,9 @@ impl Event {
             } => {
                 format!("   txn{txn} holds {mode} {target} (waited {wait_ns}ns)")
             }
-            Event::DeadlockVictim { txn } => format!("   txn{txn} DEADLOCK victim"),
+            Event::DeadlockVictim { txn, .. } => format!("   txn{txn} DEADLOCK victim"),
             Event::DeadlockGraph { victim, edges } => {
                 format!("   txn{victim} deadlock graph: {edges}")
-            }
-            Event::ShardContention {
-                shard,
-                waits,
-                wait_ns,
-            } => {
-                format!("   lock shard {shard}: {waits} waits, {wait_ns}ns blocked")
             }
             Event::Firing {
                 seq,
@@ -610,9 +626,55 @@ mod tests {
         }
     }
 
+    /// A key added after `sellis88-journal/v1` reads as 0 when a line
+    /// lacks it, is left off again when 0, and is still type-checked when
+    /// present.
+    #[test]
+    fn added_fields_default_to_zero() {
+        let batch = concat!(
+            "{\"seq\":3,\"event\":\"batch_applied\",\"engine\":\"cond\",",
+            "\"inserts\":1,\"deletes\":0,\"rules_awakened\":1,\"total_ns\":900}"
+        );
+        let firing = concat!(
+            "{\"seq\":4,\"event\":\"firing\",\"fseq\":0,\"round\":1,\"txn\":2,",
+            "\"rule\":0,\"rule_name\":\"R\",\"wmes\":\"\",\"support\":\"\"}"
+        );
+        assert_eq!(
+            Event::from_json(batch).unwrap().1,
+            Event::BatchApplied {
+                engine: "cond",
+                inserts: 1,
+                deletes: 0,
+                rules_awakened: 1,
+                total_ns: 900,
+                detect_ns: 0,
+                pattern_probes: 0,
+                pattern_scanned: 0,
+            }
+        );
+        let (seq, back) = Event::from_json(firing).unwrap();
+        assert!(matches!(
+            back,
+            Event::Firing {
+                txn: 2,
+                critical_ns: 0,
+                ..
+            }
+        ));
+        assert_eq!(back.to_json(seq), firing);
+        let typed = [
+            batch.replace("}", ",\"pattern_probes\":\"7\"}"),
+            firing.replace("}", ",\"critical_ns\":-1}"),
+        ];
+        for line in typed {
+            let err = Event::from_json(&line).unwrap_err();
+            assert!(err.contains("is not a u64"), "{line}: {err}");
+        }
+    }
+
     #[test]
     fn watch_lines_render() {
-        let e = Event::DeadlockVictim { txn: 4 };
+        let e = Event::DeadlockVictim { txn: 4, wait_ns: 0 };
         assert!(e.watch_line().contains("DEADLOCK"));
     }
 }

@@ -385,6 +385,7 @@ mod tests {
                 rule_name: "R".into(),
                 wmes: "A(1)".into(),
                 support: "t0.0".into(),
+                critical_ns: 0,
             },
             Event::WmRemove {
                 class: 0,

@@ -1,81 +1,92 @@
-//! Aggregated run metrics, concurrently updatable: per-rule activity,
-//! latency histograms for the match and act phases, per-class WM change
-//! counts, a conflict-set-size timeline, detect/maintain splits per
-//! engine, and lock-contention totals.
+//! Aggregated run metrics: per-rule activity, latency histograms for the
+//! match and act phases, per-class WM change counts, a conflict-set-size
+//! timeline, detect/maintain splits per engine, and lock-contention
+//! totals.
+//!
+//! Every metric is a fold of the trace events: [`MetricsRegistry::observe`]
+//! is the only thing that changes one, and [`crate::Tracer::emit`] calls it
+//! on every event it emits, whatever the sink. Folding a run's recorded
+//! events into a fresh registry therefore renders the same JSON as the
+//! live one.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
+use crate::event::Event;
 use crate::hist::Log2Histogram;
 use crate::json::{Arr, Obj};
 
 /// Per-rule counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RuleMetrics {
-    pub name: String,
+#[derive(Default)]
+struct RuleMetrics {
     /// RHS executions.
-    pub fires: u64,
+    fires: u64,
     /// Instantiations that entered the conflict set.
-    pub instantiations_added: u64,
+    instantiations_added: u64,
     /// Instantiations that left the conflict set.
-    pub instantiations_removed: u64,
-}
-
-/// Per-WM-class (COND relation, §4.2) counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ClassMetrics {
-    pub name: String,
-    /// WM changes on this class.
-    pub wm_changes: u64,
+    instantiations_removed: u64,
 }
 
 /// Accumulated §4.2.3 detect/maintain split for one engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DetectSplit {
-    pub detect_ns: u64,
-    pub total_ns: u64,
-    pub samples: u64,
+#[derive(Default)]
+struct DetectSplit {
+    detect_ns: u64,
+    total_ns: u64,
+    samples: u64,
 }
 
-/// The registry every layer records into. All methods take `&self`.
+/// Everything the registry has folded so far.
 #[derive(Default)]
-pub struct MetricsRegistry {
-    rules: Mutex<HashMap<u32, RuleMetrics>>,
-    /// WM changes per `(class id, class name)`: runs of different
-    /// programs may share a registry and reuse a class id.
-    classes: Mutex<HashMap<(u32, String), u64>>,
-    splits: Mutex<HashMap<&'static str, DetectSplit>>,
+struct Fold {
+    /// Per `(rule id, rule name)` and per `(class id, class name)`: runs
+    /// of different programs may share a registry and reuse an id.
+    rules: BTreeMap<(u32, String), RuleMetrics>,
+    /// WM changes per class.
+    classes: BTreeMap<(u32, String), u64>,
+    splits: BTreeMap<&'static str, DetectSplit>,
     /// Latency of one match-maintenance pass (ns).
-    pub match_hist: Log2Histogram,
+    match_hist: Log2Histogram,
     /// Latency of one RHS execution (ns).
-    pub rhs_hist: Log2Histogram,
-    /// Latency of one COND store's propagation (ns), recorded per class.
-    pub propagate_hist: Log2Histogram,
+    rhs_hist: Log2Histogram,
+    /// Latency of one COND store's propagation (ns), per class.
+    propagate_hist: Log2Histogram,
     /// Time one §5 transaction held the engine critical section for its
     /// pre-commit maintenance pass (ns) — the serialized fraction of
     /// concurrent execution.
-    pub critical_section_hist: Log2Histogram,
+    critical_section_hist: Log2Histogram,
     /// `(cycle, conflict_len)` after each act phase.
-    conflict_timeline: Mutex<Vec<(u64, usize)>>,
+    conflict_timeline: Vec<(u64, usize)>,
     /// Recognize-act cycles ended, across every executor sharing the
     /// registry.
-    cycles: AtomicU64,
-    lock_waits: AtomicU64,
-    lock_wait_ns: AtomicU64,
-    deadlocks: AtomicU64,
-    txn_commits: AtomicU64,
-    txn_aborts: AtomicU64,
+    cycles: u64,
+    /// Lock requests that blocked (granted later or deadlock victims).
+    lock_waits: u64,
+    lock_wait_ns: u64,
+    deadlocks: u64,
+    txn_commits: u64,
+    txn_aborts: u64,
     /// σ-binding hash-index probes into COND pattern groups.
-    pattern_probes: AtomicU64,
+    pattern_probes: u64,
     /// Matching patterns examined across probe candidates and full scans.
-    pattern_scanned: AtomicU64,
+    pattern_scanned: u64,
     /// Maintenance passes run (§4.2 set-oriented maintenance).
-    batches: AtomicU64,
+    batches: u64,
     /// WM changes carried by those passes.
-    batch_changes: AtomicU64,
+    batch_changes: u64,
     /// Conflict-set deltas those passes emitted.
-    batch_conflict_deltas: AtomicU64,
+    batch_conflict_deltas: u64,
+}
+
+impl Fold {
+    fn rule(&mut self, rule: u32, name: &str) -> &mut RuleMetrics {
+        self.rules.entry((rule, name.to_string())).or_default()
+    }
+}
+
+/// The registry a tracer folds its events into. All methods take `&self`.
+#[derive(Default)]
+pub struct MetricsRegistry {
+    fold: Mutex<Fold>,
 }
 
 impl MetricsRegistry {
@@ -83,203 +94,97 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    pub fn record_fire(&self, rule: u32, name: &str, rhs_ns: u64) {
-        let mut rules = self.rules.lock().expect("rules");
-        let m = rules.entry(rule).or_default();
-        if m.name.is_empty() {
-            m.name = name.to_string();
+    /// Fold one event into the metrics. Kinds no metric reads are
+    /// ignored.
+    pub fn observe(&self, event: &Event) {
+        let mut f = self.fold.lock().expect("metrics");
+        match event {
+            Event::CycleEnd {
+                cycle,
+                conflict_len,
+                ..
+            } => {
+                f.cycles += 1;
+                f.conflict_timeline.push((*cycle, *conflict_len));
+            }
+            Event::WmInsert {
+                class, class_name, ..
+            }
+            | Event::WmRemove {
+                class, class_name, ..
+            } => *f.classes.entry((*class, class_name.clone())).or_default() += 1,
+            Event::PropagateSpan { span_ns, .. } => f.propagate_hist.record(*span_ns),
+            Event::BatchApplied {
+                engine,
+                inserts,
+                deletes,
+                total_ns,
+                detect_ns,
+                pattern_probes,
+                pattern_scanned,
+                ..
+            } => {
+                f.match_hist.record(*total_ns);
+                f.batches += 1;
+                f.batch_changes += (inserts + deletes) as u64;
+                f.pattern_probes += pattern_probes;
+                f.pattern_scanned += pattern_scanned;
+                let s = f.splits.entry(engine).or_default();
+                s.detect_ns += detect_ns;
+                s.total_ns += total_ns;
+                s.samples += 1;
+            }
+            Event::ConflictDelta {
+                add,
+                rule,
+                rule_name,
+                ..
+            } => {
+                f.batch_conflict_deltas += 1;
+                let m = f.rule(*rule, rule_name);
+                if *add {
+                    m.instantiations_added += 1;
+                } else {
+                    m.instantiations_removed += 1;
+                }
+            }
+            Event::RuleFire {
+                rule,
+                rule_name,
+                rhs_ns,
+                ..
+            } => {
+                f.rule(*rule, rule_name).fires += 1;
+                f.rhs_hist.record(*rhs_ns);
+            }
+            Event::LockAcquire { wait_ns, .. } => {
+                f.lock_waits += 1;
+                f.lock_wait_ns += wait_ns;
+            }
+            Event::DeadlockVictim { wait_ns, .. } => {
+                f.lock_waits += 1;
+                f.lock_wait_ns += wait_ns;
+                f.deadlocks += 1;
+            }
+            // Only a §5 transaction (txn != 0) holds a critical section.
+            Event::Firing {
+                txn, critical_ns, ..
+            } if *txn != 0 => f.critical_section_hist.record(*critical_ns),
+            Event::TxnCommit { .. } => f.txn_commits += 1,
+            Event::TxnAbort { .. } => f.txn_aborts += 1,
+            _ => {}
         }
-        m.fires += 1;
-        drop(rules);
-        self.rhs_hist.record(rhs_ns);
-    }
-
-    pub fn record_conflict_delta(&self, rule: u32, name: &str, add: bool) {
-        let mut rules = self.rules.lock().expect("rules");
-        let m = rules.entry(rule).or_default();
-        if m.name.is_empty() {
-            m.name = name.to_string();
-        }
-        if add {
-            m.instantiations_added += 1;
-        } else {
-            m.instantiations_removed += 1;
-        }
-    }
-
-    /// One COND store's propagation finished in `span_ns`.
-    pub fn record_propagate(&self, span_ns: u64) {
-        self.propagate_hist.record(span_ns);
-    }
-
-    /// One §5 transaction held the engine critical section for `ns`.
-    pub fn record_critical_section(&self, ns: u64) {
-        self.critical_section_hist.record(ns);
-    }
-
-    /// One COND pattern-group lookup: `probes` index probes (0 for a
-    /// full scan) that examined `scanned` patterns.
-    pub fn record_pattern_io(&self, probes: u64, scanned: u64) {
-        self.pattern_probes.fetch_add(probes, Ordering::Relaxed);
-        self.pattern_scanned.fetch_add(scanned, Ordering::Relaxed);
-    }
-
-    /// One maintenance pass of `engine` over `changes` WM changes
-    /// finished in `total_ns`, `detect_ns` of them before the conflict set
-    /// was up to date, and emitted `conflict_deltas` conflict-set deltas.
-    pub fn record_pass(
-        &self,
-        engine: &'static str,
-        changes: u64,
-        conflict_deltas: u64,
-        detect_ns: u64,
-        total_ns: u64,
-    ) {
-        self.match_hist.record(total_ns);
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batch_changes.fetch_add(changes, Ordering::Relaxed);
-        self.batch_conflict_deltas
-            .fetch_add(conflict_deltas, Ordering::Relaxed);
-        let mut splits = self.splits.lock().expect("splits");
-        let s = splits.entry(engine).or_default();
-        s.detect_ns += detect_ns;
-        s.total_ns += total_ns;
-        s.samples += 1;
-    }
-
-    /// One WM change on `class`, within a maintenance pass.
-    pub fn record_class_change(&self, class: u32, class_name: &str) {
-        let mut classes = self.classes.lock().expect("classes");
-        *classes.entry((class, class_name.to_string())).or_default() += 1;
-    }
-
-    /// One recognize-act cycle ended with `conflict_len` instantiations.
-    pub fn record_cycle(&self, cycle: u64, conflict_len: usize) {
-        self.cycles.fetch_add(1, Ordering::Relaxed);
-        self.conflict_timeline
-            .lock()
-            .expect("timeline")
-            .push((cycle, conflict_len));
-    }
-
-    pub fn record_lock_wait(&self, wait_ns: u64) {
-        self.lock_waits.fetch_add(1, Ordering::Relaxed);
-        self.lock_wait_ns.fetch_add(wait_ns, Ordering::Relaxed);
-    }
-
-    pub fn record_deadlock(&self) {
-        self.deadlocks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_txn(&self, committed: bool) {
-        if committed {
-            self.txn_commits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.txn_aborts.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    pub fn rules(&self) -> Vec<(u32, RuleMetrics)> {
-        let mut v: Vec<_> = self
-            .rules
-            .lock()
-            .expect("rules")
-            .iter()
-            .map(|(k, m)| (*k, m.clone()))
-            .collect();
-        v.sort_by_key(|(k, _)| *k);
-        v
-    }
-
-    pub fn classes(&self) -> Vec<(u32, ClassMetrics)> {
-        let mut v: Vec<_> = self
-            .classes
-            .lock()
-            .expect("classes")
-            .iter()
-            .map(|((id, name), n)| {
-                let name = name.clone();
-                (
-                    *id,
-                    ClassMetrics {
-                        name,
-                        wm_changes: *n,
-                    },
-                )
-            })
-            .collect();
-        v.sort_by(|(a, x), (b, y)| (a, &x.name).cmp(&(b, &y.name)));
-        v
-    }
-
-    pub fn splits(&self) -> Vec<(&'static str, DetectSplit)> {
-        let mut v: Vec<_> = self
-            .splits
-            .lock()
-            .expect("splits")
-            .iter()
-            .map(|(k, s)| (*k, *s))
-            .collect();
-        v.sort_by_key(|(k, _)| *k);
-        v
-    }
-
-    pub fn conflict_timeline(&self) -> Vec<(u64, usize)> {
-        self.conflict_timeline.lock().expect("timeline").clone()
-    }
-
-    pub fn cycles(&self) -> u64 {
-        self.cycles.load(Ordering::Relaxed)
-    }
-
-    pub fn lock_waits(&self) -> u64 {
-        self.lock_waits.load(Ordering::Relaxed)
-    }
-
-    pub fn lock_wait_ns(&self) -> u64 {
-        self.lock_wait_ns.load(Ordering::Relaxed)
-    }
-
-    pub fn deadlocks(&self) -> u64 {
-        self.deadlocks.load(Ordering::Relaxed)
-    }
-
-    pub fn txn_commits(&self) -> u64 {
-        self.txn_commits.load(Ordering::Relaxed)
-    }
-
-    pub fn txn_aborts(&self) -> u64 {
-        self.txn_aborts.load(Ordering::Relaxed)
-    }
-
-    pub fn pattern_probes(&self) -> u64 {
-        self.pattern_probes.load(Ordering::Relaxed)
-    }
-
-    pub fn pattern_scanned(&self) -> u64 {
-        self.pattern_scanned.load(Ordering::Relaxed)
-    }
-
-    pub fn batches(&self) -> u64 {
-        self.batches.load(Ordering::Relaxed)
-    }
-
-    pub fn batch_changes(&self) -> u64 {
-        self.batch_changes.load(Ordering::Relaxed)
-    }
-
-    pub fn batch_conflict_deltas(&self) -> u64 {
-        self.batch_conflict_deltas.load(Ordering::Relaxed)
     }
 
     /// Render the whole registry as a JSON object.
     pub fn to_json(&self) -> String {
+        let f = self.fold.lock().expect("metrics");
         let mut rules = Arr::new();
-        for (id, m) in self.rules() {
+        for ((id, name), m) in &f.rules {
             rules = rules.raw(
                 &Obj::new()
-                    .u64("rule", id as u64)
-                    .str("name", &m.name)
+                    .u64("rule", *id as u64)
+                    .str("name", name)
                     .u64("fires", m.fires)
                     .u64("instantiations_added", m.instantiations_added)
                     .u64("instantiations_removed", m.instantiations_removed)
@@ -287,17 +192,17 @@ impl MetricsRegistry {
             );
         }
         let mut classes = Arr::new();
-        for (id, c) in self.classes() {
+        for ((id, name), n) in &f.classes {
             classes = classes.raw(
                 &Obj::new()
-                    .u64("class", id as u64)
-                    .str("name", &c.name)
-                    .u64("wm_changes", c.wm_changes)
+                    .u64("class", *id as u64)
+                    .str("name", name)
+                    .u64("wm_changes", *n)
                     .finish(),
             );
         }
         let mut splits = Arr::new();
-        for (engine, s) in self.splits() {
+        for (engine, s) in &f.splits {
             splits = splits.raw(
                 &Obj::new()
                     .str("engine", engine)
@@ -316,47 +221,47 @@ impl MetricsRegistry {
             );
         }
         let mut timeline = Arr::new();
-        for (cycle, len) in self.conflict_timeline() {
+        for (cycle, len) in &f.conflict_timeline {
             timeline = timeline.raw(&format!("[{cycle},{len}]"));
         }
         Obj::new()
-            .u64("cycles", self.cycles())
+            .u64("cycles", f.cycles)
             .raw("rules", &rules.finish())
             .raw("classes", &classes.finish())
             .raw("detect_split", &splits.finish())
-            .raw("match_latency_ns", &self.match_hist.to_json())
-            .raw("rhs_latency_ns", &self.rhs_hist.to_json())
-            .raw("propagate_latency_ns", &self.propagate_hist.to_json())
-            .raw("critical_section_ns", &self.critical_section_hist.to_json())
+            .raw("match_latency_ns", &f.match_hist.to_json())
+            .raw("rhs_latency_ns", &f.rhs_hist.to_json())
+            .raw("propagate_latency_ns", &f.propagate_hist.to_json())
+            .raw("critical_section_ns", &f.critical_section_hist.to_json())
             .raw("conflict_timeline", &timeline.finish())
             .raw(
                 "locks",
                 &Obj::new()
-                    .u64("waits", self.lock_waits())
-                    .u64("wait_ns", self.lock_wait_ns())
-                    .u64("deadlocks", self.deadlocks())
+                    .u64("waits", f.lock_waits)
+                    .u64("wait_ns", f.lock_wait_ns)
+                    .u64("deadlocks", f.deadlocks)
                     .finish(),
             )
             .raw(
                 "txns",
                 &Obj::new()
-                    .u64("commits", self.txn_commits())
-                    .u64("aborts", self.txn_aborts())
+                    .u64("commits", f.txn_commits)
+                    .u64("aborts", f.txn_aborts)
                     .finish(),
             )
             .raw(
                 "pattern_store",
                 &Obj::new()
-                    .u64("probes", self.pattern_probes())
-                    .u64("scanned", self.pattern_scanned())
+                    .u64("probes", f.pattern_probes)
+                    .u64("scanned", f.pattern_scanned)
                     .finish(),
             )
             .raw(
                 "batches",
                 &Obj::new()
-                    .u64("count", self.batches())
-                    .u64("wm_changes", self.batch_changes())
-                    .u64("conflict_deltas", self.batch_conflict_deltas())
+                    .u64("count", f.batches)
+                    .u64("wm_changes", f.batch_changes)
+                    .u64("conflict_deltas", f.batch_conflict_deltas)
                     .finish(),
             )
             .finish()
@@ -367,50 +272,118 @@ impl MetricsRegistry {
 mod tests {
     use super::*;
 
+    fn fire(rule: u32, name: &str, rhs_ns: u64) -> Event {
+        Event::RuleFire {
+            cycle: 0,
+            rule,
+            rule_name: name.into(),
+            rhs_ns,
+            inserts: 0,
+            removes: 0,
+        }
+    }
+
+    fn delta(add: bool, rule: u32, name: &str) -> Event {
+        Event::ConflictDelta {
+            add,
+            rule,
+            rule_name: name.into(),
+            wmes: String::new(),
+            support: String::new(),
+            absent: String::new(),
+        }
+    }
+
+    fn batch(engine: &'static str, probes: u64, scanned: u64) -> Event {
+        Event::BatchApplied {
+            engine,
+            inserts: 2,
+            deletes: 1,
+            rules_awakened: 1,
+            total_ns: 100,
+            detect_ns: 40,
+            pattern_probes: probes,
+            pattern_scanned: scanned,
+        }
+    }
+
+    fn firing(txn: u64, critical_ns: u64) -> Event {
+        Event::Firing {
+            seq: 0,
+            round: 0,
+            txn,
+            rule: 1,
+            rule_name: "R1".into(),
+            wmes: String::new(),
+            support: String::new(),
+            critical_ns,
+        }
+    }
+
     #[test]
-    fn records_aggregate() {
+    fn events_fold_into_metrics() {
         let m = MetricsRegistry::new();
-        m.record_fire(1, "R1", 100);
-        m.record_fire(1, "R1", 200);
-        m.record_conflict_delta(1, "R1", true);
-        m.record_conflict_delta(1, "R1", false);
-        m.record_class_change(0, "C0");
-        m.record_cycle(0, 2);
-        m.record_cycle(0, 1);
-        m.record_lock_wait(500);
-        m.record_deadlock();
-        m.record_txn(true);
-        m.record_pattern_io(1, 4);
-        m.record_pattern_io(0, 7);
-        m.record_pass("cond", 3, 2, 40, 100);
-        m.record_critical_section(250);
-        let rules = m.rules();
-        assert_eq!(rules.len(), 1);
-        assert_eq!(rules[0].1.fires, 2);
-        assert_eq!(rules[0].1.instantiations_added, 1);
-        assert_eq!(m.classes()[0].1.wm_changes, 1);
-        assert_eq!(m.batch_conflict_deltas(), 2);
-        assert_eq!(m.match_hist.count(), 1);
-        // Cycles are counted, not read off the largest cycle index: two
-        // executors sharing a registry both end a cycle 0.
-        assert_eq!(m.cycles(), 2);
-        assert_eq!(m.splits()[0].1.detect_ns, 40);
-        assert_eq!(m.lock_wait_ns(), 500);
-        assert_eq!(m.pattern_probes(), 1);
-        assert_eq!(m.pattern_scanned(), 11);
-        assert_eq!((m.batches(), m.batch_changes()), (1, 3));
+        let cycle_end = |conflict_len| Event::CycleEnd {
+            cycle: 0,
+            conflict_len,
+            fired_total: 1,
+        };
+        for e in [
+            fire(1, "R1", 100),
+            fire(1, "R1", 200),
+            delta(true, 1, "R1"),
+            delta(false, 1, "R1"),
+            // Another program sharing the registry also has a rule 1.
+            delta(false, 1, "Other"),
+            Event::WmInsert {
+                class: 0,
+                class_name: "C0".into(),
+                tuple: "(1)".into(),
+                tid: 0,
+            },
+            cycle_end(2),
+            cycle_end(1),
+            Event::LockAcquire {
+                txn: 2,
+                target: "rel0".into(),
+                mode: "shared",
+                wait_ns: 500,
+            },
+            Event::DeadlockVictim {
+                txn: 3,
+                wait_ns: 20,
+            },
+            Event::TxnCommit { txn: 2, writes: 1 },
+            batch("cond", 1, 4),
+            batch("cond", 0, 7),
+            firing(0, 0),
+            firing(2, 250),
+        ] {
+            m.observe(&e);
+        }
         let json = m.to_json();
-        assert!(json.contains("\"fires\":2"), "{json}");
-        assert!(json.contains("\"deadlocks\":1"), "{json}");
-        assert!(
-            json.contains("\"pattern_store\":{\"probes\":1,\"scanned\":11}"),
-            "{json}"
-        );
-        assert!(
-            json.contains("\"batches\":{\"count\":1,\"wm_changes\":3,\"conflict_deltas\":2}"),
-            "{json}"
-        );
-        assert!(json.contains("\"critical_section_ns\":"), "{json}");
-        assert_eq!(m.critical_section_hist.count(), 1);
+        let want = [
+            // Cycles are counted, not read off the largest cycle index:
+            // two executors sharing a registry both end a cycle 0.
+            "\"cycles\":2,",
+            "\"rules\":[{\"rule\":1,\"name\":\"Other\",\"fires\":0,\
+             \"instantiations_added\":0,\"instantiations_removed\":1},\
+             {\"rule\":1,\"name\":\"R1\",\"fires\":2,\
+             \"instantiations_added\":1,\"instantiations_removed\":1}]",
+            "\"classes\":[{\"class\":0,\"name\":\"C0\",\"wm_changes\":1}]",
+            "{\"engine\":\"cond\",\"detect_ns\":80,\"total_ns\":200,\"samples\":2,",
+            "\"match_latency_ns\":{\"count\":2,",
+            "\"rhs_latency_ns\":{\"count\":2,",
+            // The sequential executor's firing (txn 0) has no critical section.
+            "\"critical_section_ns\":{\"count\":1,\"sum\":250,",
+            "\"conflict_timeline\":[[0,2],[0,1]]",
+            "\"locks\":{\"waits\":2,\"wait_ns\":520,\"deadlocks\":1}",
+            "\"txns\":{\"commits\":1,\"aborts\":0}",
+            "\"pattern_store\":{\"probes\":1,\"scanned\":11}",
+            "\"batches\":{\"count\":2,\"wm_changes\":6,\"conflict_deltas\":3}",
+        ];
+        for w in want {
+            assert!(json.contains(w), "{w} not in {json}");
+        }
     }
 }

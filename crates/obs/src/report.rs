@@ -70,7 +70,14 @@ mod tests {
     #[test]
     fn report_embeds_metrics_and_sections() {
         let m = MetricsRegistry::new();
-        m.record_fire(0, "R0", 50);
+        m.observe(&crate::Event::RuleFire {
+            cycle: 0,
+            rule: 0,
+            rule_name: "R0".into(),
+            rhs_ns: 50,
+            inserts: 0,
+            removes: 0,
+        });
         let json = RunReport::new("cond", "paper-example-3")
             .wall_ns(1234)
             .fired(1)

@@ -1,6 +1,8 @@
 //! The handle every layer holds. A disabled tracer is a `None` — emitting
 //! through it is one branch and the event closure is never even built,
-//! which keeps the E1/E4 hot paths at their untraced cost.
+//! which keeps the E1/E4 hot paths at their untraced cost. An enabled
+//! tracer folds every event into its metrics registry before the sink
+//! sees it, so the metrics are a function of the event stream.
 
 use std::sync::Arc;
 
@@ -27,7 +29,7 @@ impl Tracer {
     }
 
     /// An enabled tracer writing events to `sink` (use [`Sink::Null`] to
-    /// collect metrics only).
+    /// fold metrics only).
     pub fn new(sink: Sink) -> Self {
         Tracer {
             shared: Some(Arc::new(Shared {
@@ -43,14 +45,18 @@ impl Tracer {
     }
 
     /// Emit one event; the closure only runs when tracing is enabled.
+    /// The event is folded into the metrics, then handed to the sink.
     #[inline]
     pub fn emit(&self, f: impl FnOnce() -> Event) {
         if let Some(shared) = &self.shared {
-            shared.sink.accept(f());
+            let event = f();
+            shared.metrics.observe(&event);
+            shared.sink.accept(event);
         }
     }
 
-    /// The shared metrics registry, when enabled.
+    /// The shared metrics registry, when enabled: the fold of every
+    /// event emitted so far.
     #[inline]
     pub fn metrics(&self) -> Option<&MetricsRegistry> {
         self.shared.as_ref().map(|s| &s.metrics)
@@ -106,7 +112,18 @@ mod tests {
         t.emit(|| Event::CycleStart { cycle: 7 });
         let events = t.ring_events().unwrap();
         assert_eq!(events, vec![Event::CycleStart { cycle: 7 }]);
-        t.metrics().unwrap().record_cycle(7, 0);
-        assert_eq!(t.metrics().unwrap().cycles(), 1);
+    }
+
+    #[test]
+    fn every_sink_folds_into_metrics() {
+        let t = Tracer::new(Sink::Null);
+        t.emit(|| Event::CycleEnd {
+            cycle: 7,
+            conflict_len: 3,
+            fired_total: 1,
+        });
+        let json = t.metrics().unwrap().to_json();
+        assert!(json.starts_with("{\"cycles\":1,"), "{json}");
+        assert!(json.contains("\"conflict_timeline\":[[7,3]]"), "{json}");
     }
 }

@@ -67,7 +67,9 @@ pub struct Database {
     names: RwLock<HashMap<String, RelId>>,
     stats: Stats,
     locks: LockManager,
-    /// The next transaction id [`Database::begin`] hands out.
+    /// The next transaction id [`Database::begin`] hands out. Ids start
+    /// at 1: trace events use txn 0 for work outside any transaction
+    /// (the sequential executor's firings).
     next_txn: AtomicU64,
     analyze: AnalyzeRegistry,
     /// The log every change is appended to: `Some` exactly for a paged
@@ -94,7 +96,7 @@ impl Database {
             relations: RwLock::new(Vec::new()),
             names: RwLock::new(HashMap::new()),
             locks: LockManager::new(stats.clone()),
-            next_txn: AtomicU64::new(0),
+            next_txn: AtomicU64::new(1),
             analyze: AnalyzeRegistry::new(),
             stats,
             wal: None,

@@ -66,7 +66,7 @@ pub fn ingest(db: &Database, journal: &Journal) -> Result<JournalRels> {
         let mut row = vec![Value::Int(seq)];
         e.for_each_field(|_, w| {
             row.push(match w {
-                Wire::U64(n) => Value::Int(n as i64),
+                Wire::U64(n) | Wire::Added(n) => Value::Int(n as i64),
                 Wire::Str(s) => Value::str(s),
                 Wire::Bool(b) => Value::Bool(b),
             })
@@ -186,6 +186,7 @@ mod tests {
                         rule_name: "R".into(),
                         wmes: "(A ^x 1)".into(),
                         support: "t0.1".into(),
+                        critical_ns: 0,
                     },
                 ),
                 (

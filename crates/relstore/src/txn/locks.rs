@@ -304,9 +304,6 @@ impl LockManager {
                         mode: mode.as_str(),
                         wait_ns,
                     });
-                    if let Some(m) = tracer.metrics() {
-                        m.record_lock_wait(wait_ns);
-                    }
                 }
                 return Ok(());
             }
@@ -322,15 +319,14 @@ impl LockManager {
                     self.stats.abort();
                     let wait_ns = start.elapsed().as_nanos() as u64;
                     self.stats.lock_waited(wait_ns);
-                    if let Some(m) = tracer.metrics() {
-                        m.record_lock_wait(wait_ns);
-                        m.record_deadlock();
-                    }
                     tracer.emit(|| Event::DeadlockGraph {
                         victim: txn.0,
                         edges: tables.render(txn, target, mode),
                     });
-                    tracer.emit(|| Event::DeadlockVictim { txn: txn.0 });
+                    tracer.emit(|| Event::DeadlockVictim {
+                        txn: txn.0,
+                        wait_ns,
+                    });
                     return Err(Error::Deadlock(txn));
                 }
                 tables.waiting.insert(txn, (target, mode));

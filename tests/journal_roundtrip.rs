@@ -126,6 +126,9 @@ fn all_variants() -> Vec<Event> {
             deletes: 0,
             rules_awakened: 2,
             total_ns: 9,
+            detect_ns: 5,
+            pattern_probes: 3,
+            pattern_scanned: 11,
         },
         Event::RoundSpan {
             round: 2,
@@ -188,15 +191,13 @@ fn all_variants() -> Vec<Event> {
             mode: "exclusive",
             wait_ns: 123,
         },
-        Event::DeadlockVictim { txn: 9 },
+        Event::DeadlockVictim {
+            txn: 9,
+            wait_ns: 70,
+        },
         Event::DeadlockGraph {
             victim: 9,
             edges: "t9->t4 exclusive rel3[t9.1]; t4->t9 shared rel3".into(),
-        },
-        Event::ShardContention {
-            shard: 3,
-            waits: 12,
-            wait_ns: 3400,
         },
         Event::Firing {
             seq: 41,
@@ -206,6 +207,7 @@ fn all_variants() -> Vec<Event> {
             rule_name: "Consume".into(),
             wmes: "Item(1, 2), Done(1)".into(),
             support: "t0.1 t1.1".into(),
+            critical_ns: 800,
         },
         Event::TxnAbort {
             txn: 9,
@@ -293,14 +295,14 @@ fn journal_meta_round_trips_through_json() {
     assert_eq!(JournalMeta::from_json(&legacy).unwrap(), meta);
 }
 
-/// A `u32` field (`class`, `rule`, `shard`) at 2^32 is rejected, not
+/// A `u32` field (`class`, `rule`) at 2^32 is rejected, not
 /// truncated to 0: journal files come from outside the program.
 #[test]
 fn u32_fields_out_of_range_are_rejected() {
     let mut checked = 0;
     for event in all_variants() {
         let line = event.to_json(0);
-        for key in ["class", "rule", "shard"] {
+        for key in ["class", "rule"] {
             let Some((head, rest)) = line.split_once(&format!("\"{key}\":")) else {
                 continue;
             };
@@ -318,10 +320,7 @@ fn u32_fields_out_of_range_are_rejected() {
             checked += 1;
         }
     }
-    assert_eq!(
-        checked, 12,
-        "4 class + 7 rule (two conflict_delta lines) + 1 shard"
-    );
+    assert_eq!(checked, 11, "4 class + 7 rule (two conflict_delta lines)");
     // The meta line's load ops carry a class too.
     let meta = JournalMeta {
         engine: "query".into(),
@@ -435,6 +434,9 @@ fn every_engine_label_parses() {
                 deletes: 2,
                 rules_awakened: 3,
                 total_ns: 4,
+                detect_ns: 0,
+                pattern_probes: 0,
+                pattern_scanned: 0,
             },
         ] {
             let line = event.to_json(0);
