@@ -8,7 +8,7 @@ use std::time::Instant;
 
 use obs::Tracer;
 use ops5::ClassId;
-use predindex::{ConditionIndex, IndexKind, LinearIndex, RPlusTree, RTree, Rect};
+use predindex::{IndexKind, Rect};
 use prodsys::{
     count_equivalent_schedules, critical_path, interleaving_upper_bound, make_engine,
     ops_of_instantiation, ConcurrentExecutor, ConcurrentStats, CondEngine, EngineKind, MatchEngine,
@@ -598,33 +598,38 @@ pub fn e8_false_drops(domains: &[i64], ops: usize) -> Table {
     .note("(expected shape: small domains → overlapping markers → many false drops)")
 }
 
-fn e9_conditions(n: usize) -> Vec<Rect> {
+fn e9_conditions(n: usize) -> Vec<(Rect, u32)> {
     // Age-interval conditions over Emp(name-key, age): [lo, lo+width].
     (0..n)
         .map(|i| {
             let lo = (i * 7 % 1000) as i64;
-            Rect::from_restriction(
+            let rect = Rect::from_restriction(
                 2,
                 &Restriction::new(vec![
                     Selection::new(1, CompOp::Ge, lo),
                     Selection::new(1, CompOp::Le, lo + 25),
                 ]),
             )
-            .unwrap()
+            .unwrap();
+            (rect, i as u32)
         })
         .collect()
 }
+
+/// The predicate index kinds E9, E10a and E10c compare, by row label.
+const INDEX_KINDS: [(&str, IndexKind); 3] = [
+    ("linear", IndexKind::Linear),
+    ("r-tree", IndexKind::RTree),
+    ("r+-tree", IndexKind::RPlus),
+];
 
 /// E9: predicate indexing — stabbing and rule-base queries.
 pub fn e9_predindex(sizes: &[usize], probes: usize) -> Table {
     let mut rows = Vec::new();
     for &n in sizes {
         let conds = e9_conditions(n);
-        let mut run = |name: &str, idx: &mut dyn ConditionIndex<u32>| {
-            for (i, c) in conds.iter().enumerate() {
-                idx.insert(c.clone(), i as u32);
-            }
-            idx.reset_visits();
+        for (name, kind) in INDEX_KINDS {
+            let idx = predindex::build(kind, 2, conds.clone());
             let start = Instant::now();
             for p in 0..probes {
                 let t = tuple![p as i64, ((p * 13) % 1050) as i64];
@@ -644,10 +649,7 @@ pub fn e9_predindex(sizes: &[usize], probes: usize) -> Table {
             }
             let query_ns = start.elapsed().as_nanos() as u64 / probes as u64;
             rows.push(row![n, name, stab_ns, stab_visits, query_ns]);
-        };
-        run("linear", &mut LinearIndex::new());
-        run("r-tree", &mut RTree::new(2));
-        run("r+-tree", &mut RPlusTree::new(2));
+        }
     }
     Table::new(
         "E9 — predicate indexing: point stabbing and rule-base queries",
@@ -677,11 +679,7 @@ fn e10_workload(ops: usize) -> (RuleGenConfig, Vec<Op>) {
 pub fn e10_index_ablation(ops: usize) -> Table {
     let (cfg, trace) = e10_workload(ops);
     let mut rows = Vec::new();
-    for (name, kind) in [
-        ("linear", IndexKind::Linear),
-        ("r-tree", IndexKind::RTree),
-        ("r+-tree", IndexKind::RPlus),
-    ] {
+    for (name, kind) in INDEX_KINDS {
         let mut engine = QueryEngine::with_index(ProductionDb::new(cfg.rules()).unwrap(), kind);
         let (ns, _, _) = run_trace(&mut engine, &trace, |_| {});
         rows.push(row![name, ns, engine.index_visits() / trace.len() as u64]);
@@ -697,11 +695,7 @@ pub fn e10_index_ablation(ops: usize) -> Table {
 pub fn e10_cond_index_ablation(ops: usize) -> Table {
     let (cfg, trace) = e10_workload(ops);
     let mut rows = Vec::new();
-    for (name, kind) in [
-        ("linear", IndexKind::Linear),
-        ("r-tree", IndexKind::RTree),
-        ("r+-tree", IndexKind::RPlus),
-    ] {
+    for (name, kind) in INDEX_KINDS {
         let mut e = CondEngine::with_index(ProductionDb::new(cfg.rules()).unwrap(), kind);
         let (ns, io, _) = run_trace(&mut e, &trace, |_| {});
         rows.push(row![name, ns, io, e.index_visits() / trace.len() as u64]);
@@ -849,7 +843,9 @@ mod tests {
         let t = e9_predindex(&[1500], 30);
         let visits = |index: &str| cell(&t, "index", index, "stab visits");
         assert!(visits("r-tree") < (visits("linear") / 2.0).floor());
-        assert!(visits("r+-tree") < (visits("linear") / 2.0).floor());
+        // Insertion-built trees read 12 (R) and 25 (R+) visits here.
+        assert!(visits("r-tree") <= 12.0, "r-tree: {}", visits("r-tree"));
+        assert!(visits("r+-tree") <= 16.0, "r+-tree: {}", visits("r+-tree"));
     }
 
     #[test]

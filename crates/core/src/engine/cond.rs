@@ -659,7 +659,7 @@ impl CondEngine {
     }
 
     /// The `(rule, cen)` of `class` whose alpha rectangle contains the
-    /// tuple: one stab of the COND index.
+    /// tuple, ascending: one stab of the COND index.
     fn candidate_groups(&self, class: ClassId, tuple: &Tuple) -> Vec<(usize, usize)> {
         obs::prof_span!("stab");
         self.cond.stab(class, tuple)
@@ -1425,7 +1425,7 @@ impl CondEngine {
         obs::prof_span!("remove");
         self.withdraw((class.0, tid));
         let rules = self.pdb.rules();
-        let mut unblocked: Vec<(usize, usize)> = self
+        let unblocked: Vec<(usize, usize)> = self
             .candidate_groups(class, tuple)
             .into_iter()
             .filter(|&(rid, cen)| {
@@ -1433,7 +1433,6 @@ impl CondEngine {
                 ce.negated && ce.alpha.matches(tuple)
             })
             .collect();
-        unblocked.sort_unstable();
         let mut enable_deltas = Vec::new();
         for (rid, cen) in unblocked {
             let rule = rules.rule(RuleId(rid));

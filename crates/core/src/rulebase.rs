@@ -27,11 +27,10 @@
 //!   tuple in a region, whether or not such data exists yet? (box query —
 //!   the "employees older than 55" form).
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use ops5::{ClassId, RuleId, RuleSet};
-use predindex::{make_index, ConditionIndex, IndexKind, Rect};
+use predindex::{ConditionIndex, IndexKind, Rect};
 use relstore::{Restriction, Tuple};
 
 use crate::error::{Error, Result};
@@ -43,35 +42,35 @@ pub type CondRef = (usize, usize);
 pub struct CondIndex {
     rules: Arc<RuleSet>,
     /// One predicate index per class.
-    per_class: Vec<Box<dyn ConditionIndex<CondRef> + Send + Sync>>,
+    per_class: Vec<ConditionIndex<CondRef>>,
 }
 
 impl CondIndex {
-    /// Index every condition element of `rules`, in rule-then-CE order,
-    /// with the `kind` of predicate index.
+    /// Index every condition element of `rules` with the `kind` of
+    /// predicate index. Entries go in rule-then-CE order, so every answer
+    /// is ascending in `(rule, cen)`.
     pub fn new(rules: impl Into<Arc<RuleSet>>, kind: IndexKind) -> Self {
         let rules = rules.into();
-        let mut per_class: Vec<_> = rules
-            .classes
-            .iter()
-            .map(|c| make_index(kind, c.arity()))
-            .collect();
+        let mut conds = vec![Vec::new(); rules.classes.len()];
         for rule in &rules.rules {
             for (cen, ce) in rule.ces.iter().enumerate() {
                 let arity = rules.class(ce.class).arity();
                 // A contradictory alpha restriction can never match: the
                 // CE (and for positive CEs the whole rule) is dead.
                 if let Some(rect) = Rect::from_restriction(arity, &ce.alpha) {
-                    per_class[ce.class.0].insert(rect, (rule.id.0, cen));
+                    conds[ce.class.0].push((rect, (rule.id.0, cen)));
                 }
             }
         }
+        let per_class = (rules.classes.iter().zip(conds))
+            .map(|(c, conds)| predindex::build(kind, c.arity(), conds))
+            .collect();
         CondIndex { rules, per_class }
     }
 
     /// The condition elements of `class` whose variable-free rectangle
-    /// contains the tuple. Exact on the rectangle; the intra-tuple
-    /// attribute tests it cannot encode are not checked.
+    /// contains the tuple, ascending. Exact on the rectangle; the
+    /// intra-tuple attribute tests it cannot encode are not checked.
     pub fn stab(&self, class: ClassId, tuple: &Tuple) -> Vec<CondRef> {
         self.per_class[class.0].stab(tuple)
     }
@@ -80,8 +79,7 @@ impl CondIndex {
     /// tuple satisfies, ascending: the rules its insertion or deletion
     /// can affect.
     pub fn rules_for_tuple(&self, class: ClassId, tuple: &Tuple) -> Vec<RuleId> {
-        self.stab(class, tuple)
-            .into_iter()
+        let mut rules: Vec<RuleId> = (self.stab(class, tuple).into_iter())
             .filter(|&(rid, cen)| {
                 self.rules.rule(RuleId(rid)).ces[cen]
                     .alpha
@@ -90,9 +88,9 @@ impl CondIndex {
                     .all(|t| t.matches(tuple))
             })
             .map(|(rid, _)| RuleId(rid))
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect()
+            .collect();
+        rules.dedup();
+        rules
     }
 
     /// Rules whose conditions overlap a region of a class's value space —
@@ -110,13 +108,10 @@ impl CondIndex {
         let Some(rect) = Rect::from_restriction(def.arity(), region) else {
             return Ok(Vec::new());
         };
-        Ok(self.per_class[class.0]
-            .query(&rect)
-            .into_iter()
-            .map(|(rid, _)| RuleId(rid))
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect())
+        let hits = self.per_class[class.0].query(&rect);
+        let mut rules: Vec<RuleId> = hits.into_iter().map(|(rid, _)| RuleId(rid)).collect();
+        rules.dedup();
+        Ok(rules)
     }
 
     /// Stored entries: one per satisfiable condition element.
@@ -256,9 +251,7 @@ mod tests {
             let mut stabs = Vec::new();
             let mut woken = Vec::new();
             for t in &emps {
-                let mut s = idx.stab(ClassId(0), t);
-                s.sort_unstable();
-                stabs.push(s);
+                stabs.push(idx.stab(ClassId(0), t));
                 woken.push(idx.rules_for_tuple(ClassId(0), t));
             }
             let overlap = idx.rules_overlapping(ClassId(0), &region).unwrap();
@@ -270,5 +263,24 @@ mod tests {
         assert!(results[0].1[1].contains(&(3, 0)));
         assert!(results[0].2[1].contains(&RuleId(3)));
         assert!(!results[0].2[0].contains(&RuleId(3)));
+    }
+
+    #[test]
+    fn tuple_of_another_arity_wakes_nothing() {
+        let rules: String = (0..40)
+            .map(|i| format!("(p R{i} (T ^c {i}) --> (remove 1))"))
+            .collect();
+        let rules = ops5::compile(&format!("(literalize T a b c) {rules}")).unwrap();
+        for kind in [IndexKind::Linear, IndexKind::RTree, IndexKind::RPlus] {
+            let idx = CondIndex::new(rules.clone(), kind);
+            assert_eq!(
+                idx.rules_for_tuple(ClassId(0), &tuple![0, 0, 7]),
+                vec![RuleId(7)]
+            );
+            assert!(
+                idx.rules_for_tuple(ClassId(0), &tuple![7]).is_empty(),
+                "{kind:?}"
+            );
+        }
     }
 }

@@ -96,9 +96,8 @@ impl fmt::Display for Rect {
     }
 }
 
-/// Numeric (f64) rectangle used for R-tree node navigation. Infinite
-/// extents are clamped when computing areas so unbounded predicates do not
-/// poison split heuristics.
+/// Numeric (f64) rectangle used for tree navigation: the key range of
+/// each interval ([`Interval::key_range`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct NumRect {
     /// Lower bounds per dimension.
@@ -106,8 +105,6 @@ pub struct NumRect {
     /// Upper bounds per dimension.
     pub hi: Vec<f64>,
 }
-
-const CLAMP: f64 = 1e20;
 
 impl NumRect {
     /// The empty rectangle (inverted bounds) in `arity` dimensions.
@@ -123,11 +120,6 @@ impl NumRect {
         self.lo.len()
     }
 
-    /// True when there are no entries.
-    pub fn is_empty(&self) -> bool {
-        self.lo.iter().zip(&self.hi).any(|(l, h)| l > h)
-    }
-
     /// Grow to cover `other`.
     pub fn enlarge(&mut self, other: &NumRect) {
         for i in 0..self.lo.len() {
@@ -136,46 +128,14 @@ impl NumRect {
         }
     }
 
-    /// The union of two rectangles.
-    pub fn union(&self, other: &NumRect) -> NumRect {
-        let mut r = self.clone();
-        r.enlarge(other);
-        r
-    }
-
-    /// Do the rectangles overlap in every dimension?
+    /// Do the rectangles overlap in every dimension? A point is the
+    /// rectangle whose bounds coincide.
     pub fn intersects(&self, other: &NumRect) -> bool {
         self.lo
             .iter()
             .zip(&self.hi)
             .zip(other.lo.iter().zip(&other.hi))
             .all(|((alo, ahi), (blo, bhi))| alo <= bhi && blo <= ahi)
-    }
-
-    /// Does the rectangle contain the numeric key point?
-    pub fn contains_key_point(&self, p: &[f64]) -> bool {
-        self.lo
-            .iter()
-            .zip(&self.hi)
-            .zip(p)
-            .all(|((l, h), x)| l <= x && x <= h)
-    }
-
-    /// Clamped area (product of extents).
-    pub fn area(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        self.lo
-            .iter()
-            .zip(&self.hi)
-            .map(|(l, h)| (h.clamp(-CLAMP, CLAMP) - l.clamp(-CLAMP, CLAMP)).max(1e-9))
-            .product()
-    }
-
-    /// Area increase needed to cover `other`.
-    pub fn enlargement(&self, other: &NumRect) -> f64 {
-        self.union(other).area() - self.area()
     }
 }
 
@@ -251,21 +211,17 @@ mod tests {
             lo: vec![1.0, 1.0],
             hi: vec![3.0, 3.0],
         };
+        let point = NumRect {
+            lo: vec![2.5, 0.5],
+            hi: vec![2.5, 0.5],
+        };
         assert!(a.intersects(&b));
-        assert!((a.area() - 4.0).abs() < 1e-9);
-        let u = a.union(&b);
-        assert!((u.area() - 9.0).abs() < 1e-9);
-        assert!((a.enlargement(&b) - 5.0).abs() < 1e-9);
-        assert!(u.contains_key_point(&[2.5, 0.5]));
+        assert!(!a.intersects(&point));
         let mut e = NumRect::empty(2);
-        assert!(e.is_empty());
+        assert!(!e.intersects(&point));
         e.enlarge(&a);
         assert_eq!(e, a);
-    }
-
-    #[test]
-    fn unbounded_rect_area_is_clamped() {
-        let rect = Rect::full(2).num_bbox();
-        assert!(rect.area().is_finite());
+        e.enlarge(&b);
+        assert!(e.intersects(&point));
     }
 }

@@ -1,348 +1,184 @@
 //! R+-tree: a non-overlapping condition index.
 //!
 //! §4.2.3 and \[SELL87\] advocate R+-trees on COND relations "as fast
-//! matching devices". The defining property — internal regions never
+//! matching devices". The defining property — sibling regions never
 //! overlap, objects crossing a region boundary are *clipped* into both
-//! sides — means a point-stabbing query descends exactly one path. This
-//! implementation realizes that property with recursive binary space
-//! splits (a kd-flavored variant of the published packing algorithm):
-//! each overflowing leaf is split by a cut plane, entries crossing the cut
-//! are duplicated, and sibling regions stay disjoint by construction.
+//! sides — means a point-stabbing query descends exactly one path. The
+//! condition set is static, so the tree is built top-down once, by
+//! recursive binary space splits (a kd-flavoured variant of the published
+//! packing algorithm): a node that holds too many entries is cut at the
+//! median of their distinct lower bounds on one dimension, and entries
+//! crossing the cut go to both sides.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use relstore::Tuple;
-
-use crate::rect::{key_point, NumRect, Rect};
-use crate::ConditionIndex;
+use crate::leaf_hit;
+use crate::rect::NumRect;
 
 const MAX_ENTRIES: usize = 8;
 
+/// A region of the key space: a leaf of entry positions, or a cut whose
+/// `left` side holds keys below `cut` on `dim` and `right` the rest.
 #[derive(Debug)]
-struct Entry<T> {
-    rect: Rect,
-    bbox: NumRect,
-    payload: T,
-}
-
-#[derive(Debug)]
-enum Node<T> {
-    Leaf {
-        entries: Vec<Arc<Entry<T>>>,
-    },
-    Inner {
+pub(crate) enum RPlusTree {
+    Leaf(Vec<u32>),
+    Cut {
         dim: usize,
         cut: f64,
-        left: Box<Node<T>>,
-        right: Box<Node<T>>,
+        left: Box<RPlusTree>,
+        right: Box<RPlusTree>,
     },
 }
 
-/// An R+-tree mapping predicate rectangles to payloads.
-#[derive(Debug)]
-pub struct RPlusTree<T> {
-    arity: usize,
-    root: Node<T>,
-    len: usize,
-    visits: AtomicU64,
-}
+impl RPlusTree {
+    /// Split the whole entry set top-down.
+    pub(crate) fn split(boxes: &[NumRect]) -> Self {
+        Self::split_rec(boxes, (0..boxes.len() as u32).collect())
+    }
 
-impl<T: Clone> RPlusTree<T> {
-    /// Create a new, empty instance.
-    pub fn new(arity: usize) -> Self {
-        RPlusTree {
-            arity,
-            root: Node::Leaf {
-                entries: Vec::new(),
-            },
-            len: 0,
-            visits: AtomicU64::new(0),
+    /// Cut `entries` until a side fits a leaf, or until a cut would leave
+    /// a side as large as its parent: that side would be cut the same way
+    /// forever, and clipping would copy every spanning entry each time.
+    fn split_rec(boxes: &[NumRect], entries: Vec<u32>) -> Self {
+        if entries.len() <= MAX_ENTRIES {
+            return RPlusTree::Leaf(entries);
+        }
+        let Some((dim, cut)) = choose_cut(boxes, &entries) else {
+            return RPlusTree::Leaf(entries);
+        };
+        // The entry whose lower bound is the cut stays off the left side,
+        // so only the right side can keep every entry.
+        let mut right = entries.clone();
+        right.retain(|&e| boxes[e as usize].hi[dim] >= cut);
+        if right.len() == entries.len() {
+            return RPlusTree::Leaf(entries);
+        }
+        let mut left = entries;
+        left.retain(|&e| boxes[e as usize].lo[dim] < cut);
+        RPlusTree::Cut {
+            dim,
+            cut,
+            left: Box::new(Self::split_rec(boxes, left)),
+            right: Box::new(Self::split_rec(boxes, right)),
         }
     }
 
-    /// Choose a cut for an overflowing set of entries: the dimension with
-    /// the most distinct finite lower keys, cutting at the median.
-    /// Returns `None` when no cut separates anything (all entries
-    /// identical in key space) — the leaf then stays oversized.
-    fn choose_cut(entries: &[Arc<Entry<T>>], arity: usize) -> Option<(usize, f64)> {
-        let mut best: Option<(usize, f64, usize)> = None; // (dim, cut, distinct)
-        for d in 0..arity {
-            let mut los: Vec<f64> = entries
-                .iter()
-                .map(|e| e.bbox.lo[d])
-                .filter(|x| x.is_finite())
-                .collect();
-            los.sort_by(f64::total_cmp);
-            los.dedup();
-            if los.len() < 2 {
-                continue;
-            }
-            let cut = los[los.len() / 2];
-            let distinct = los.len();
-            if best.is_none_or(|(_, _, bd)| distinct > bd) {
-                best = Some((d, cut, distinct));
-            }
-        }
-        best.map(|(d, c, _)| (d, c))
-    }
-
-    /// Does an entry belong to the left side of a cut? (strictly below)
-    /// An entry crossing the cut belongs to both (clipping).
-    fn sides(e: &Entry<T>, dim: usize, cut: f64) -> (bool, bool) {
-        let left = e.bbox.lo[dim] < cut;
-        let right = e.bbox.hi[dim] >= cut;
-        (left, right)
-    }
-
-    fn insert_rec(node: &mut Node<T>, entry: &Arc<Entry<T>>, arity: usize) {
-        match node {
-            Node::Leaf { entries } => {
-                entries.push(entry.clone());
-                if entries.len() > MAX_ENTRIES {
-                    if let Some((dim, cut)) = Self::choose_cut(entries, arity) {
-                        let n = entries.len();
-                        let mut left = Vec::new();
-                        let mut right = Vec::new();
-                        for e in entries.drain(..) {
-                            let (l, r) = Self::sides(&e, dim, cut);
-                            if l {
-                                left.push(e.clone());
-                            }
-                            if r {
-                                right.push(e);
-                            }
-                        }
-                        // The cut must make strict progress on BOTH sides;
-                        // otherwise a child identical to its parent keeps
-                        // splitting forever and clipping duplicates every
-                        // spanning entry exponentially. Degenerate cuts
-                        // keep the oversized leaf instead.
-                        if left.len() >= n || right.len() >= n {
-                            let mut seen: Vec<*const Entry<T>> = Vec::with_capacity(n);
-                            let mut all = Vec::with_capacity(n);
-                            for e in left.into_iter().chain(right) {
-                                let p = Arc::as_ptr(&e);
-                                if !seen.contains(&p) {
-                                    seen.push(p);
-                                    all.push(e);
-                                }
-                            }
-                            *entries = all;
-                            return;
-                        }
-                        *node = Node::Inner {
-                            dim,
-                            cut,
-                            left: Box::new(Node::Leaf { entries: left }),
-                            right: Box::new(Node::Leaf { entries: right }),
-                        };
-                    }
-                }
-            }
-            Node::Inner {
-                dim,
-                cut,
-                left,
-                right,
-            } => {
-                let (l, r) = Self::sides(entry, *dim, *cut);
-                if l {
-                    Self::insert_rec(left, entry, arity);
-                }
-                if r {
-                    Self::insert_rec(right, entry, arity);
-                }
-            }
-        }
-    }
-
-    fn stab_rec<'a>(
+    /// Report the entries whose box meets `near`, a clipped entry once
+    /// per leaf holding it; returns the nodes visited. A point descends
+    /// one path.
+    pub(crate) fn search(
         &self,
-        node: &'a Node<T>,
-        point: &[f64],
-        tuple: &Tuple,
-        out: &mut Vec<&'a Arc<Entry<T>>>,
-    ) {
-        self.visits.fetch_add(1, Ordering::Relaxed);
-        match node {
-            Node::Leaf { entries } => {
-                for e in entries {
-                    if e.bbox.contains_key_point(point) && e.rect.contains_tuple(tuple) {
-                        out.push(e);
-                    }
-                }
+        boxes: &[NumRect],
+        near: &NumRect,
+        hit: &mut impl FnMut(u32),
+    ) -> u64 {
+        match self {
+            RPlusTree::Leaf(entries) => {
+                entries.iter().for_each(|&e| leaf_hit(boxes, e, near, hit));
+                1
             }
-            Node::Inner {
+            RPlusTree::Cut {
                 dim,
                 cut,
                 left,
                 right,
             } => {
-                // Disjoint regions: exactly one side owns the point.
-                if point[*dim] < *cut {
-                    self.stab_rec(left, point, tuple, out);
-                } else {
-                    self.stab_rec(right, point, tuple, out);
+                let mut visits = 1;
+                if near.lo[*dim] < *cut {
+                    visits += left.search(boxes, near, hit);
                 }
-            }
-        }
-    }
-
-    fn query_rec<'a>(
-        &self,
-        node: &'a Node<T>,
-        rect: &Rect,
-        nbox: &NumRect,
-        out: &mut Vec<&'a Arc<Entry<T>>>,
-    ) {
-        self.visits.fetch_add(1, Ordering::Relaxed);
-        match node {
-            Node::Leaf { entries } => {
-                for e in entries {
-                    if e.bbox.intersects(nbox) && e.rect.intersects(rect) {
-                        out.push(e);
-                    }
+                if near.hi[*dim] >= *cut {
+                    visits += right.search(boxes, near, hit);
                 }
-            }
-            Node::Inner {
-                dim,
-                cut,
-                left,
-                right,
-            } => {
-                if nbox.lo[*dim] < *cut {
-                    self.query_rec(left, rect, nbox, out);
-                }
-                if nbox.hi[*dim] >= *cut {
-                    self.query_rec(right, rect, nbox, out);
-                }
+                visits
             }
         }
     }
 
     /// Total stored entry copies, counting clipped duplicates — the space
     /// overhead R+-trees pay for single-path stabbing.
-    pub fn stored_copies(&self) -> usize {
-        fn go<T>(n: &Node<T>) -> usize {
-            match n {
-                Node::Leaf { entries } => entries.len(),
-                Node::Inner { left, right, .. } => go(left) + go(right),
-            }
+    #[cfg(test)]
+    fn stored_copies(&self) -> usize {
+        match self {
+            RPlusTree::Leaf(entries) => entries.len(),
+            RPlusTree::Cut { left, right, .. } => left.stored_copies() + right.stored_copies(),
         }
-        go(&self.root)
     }
 
     /// Maximum depth (diagnostics).
-    pub fn depth(&self) -> usize {
-        fn go<T>(n: &Node<T>) -> usize {
-            match n {
-                Node::Leaf { .. } => 1,
-                Node::Inner { left, right, .. } => 1 + go(left).max(go(right)),
-            }
+    #[cfg(test)]
+    fn depth(&self) -> usize {
+        match self {
+            RPlusTree::Leaf(_) => 1,
+            RPlusTree::Cut { left, right, .. } => 1 + left.depth().max(right.depth()),
         }
-        go(&self.root)
     }
 }
 
-/// Deduplicate clipped copies by identity, preserving order.
-fn dedup_by_ptr<T: Clone>(hits: Vec<&Arc<Entry<T>>>) -> Vec<T> {
-    let mut seen: std::collections::HashSet<*const Entry<T>> =
-        std::collections::HashSet::with_capacity(hits.len());
-    let mut out = Vec::with_capacity(hits.len());
-    for e in hits {
-        if seen.insert(Arc::as_ptr(e)) {
-            out.push(e.payload.clone());
+/// The cut for an overflowing node: the dimension with the most distinct
+/// finite lower keys, at their median. `None` when no dimension has two.
+fn choose_cut(boxes: &[NumRect], entries: &[u32]) -> Option<(usize, f64)> {
+    let mut best: Option<(usize, f64, usize)> = None; // (dim, cut, distinct)
+    for d in 0..boxes[entries[0] as usize].arity() {
+        let mut los: Vec<f64> = entries
+            .iter()
+            .map(|&e| boxes[e as usize].lo[d])
+            .filter(|x| x.is_finite())
+            .collect();
+        los.sort_by(f64::total_cmp);
+        los.dedup();
+        if los.len() >= 2 && best.is_none_or(|(_, _, distinct)| los.len() > distinct) {
+            best = Some((d, los[los.len() / 2], los.len()));
         }
     }
-    out
-}
-
-impl<T: Clone> ConditionIndex<T> for RPlusTree<T> {
-    fn insert(&mut self, rect: Rect, payload: T) {
-        debug_assert_eq!(rect.arity(), self.arity);
-        let bbox = rect.num_bbox();
-        let entry = Arc::new(Entry {
-            rect,
-            bbox,
-            payload,
-        });
-        Self::insert_rec(&mut self.root, &entry, self.arity);
-        self.len += 1;
-    }
-
-    fn stab(&self, tuple: &Tuple) -> Vec<T> {
-        let point = key_point(tuple);
-        let mut hits = Vec::new();
-        self.stab_rec(&self.root, &point, tuple, &mut hits);
-        dedup_by_ptr(hits)
-    }
-
-    fn query(&self, rect: &Rect) -> Vec<T> {
-        let nbox = rect.num_bbox();
-        let mut hits = Vec::new();
-        self.query_rec(&self.root, rect, &nbox, &mut hits);
-        dedup_by_ptr(hits)
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn node_visits(&self) -> u64 {
-        self.visits.load(Ordering::Relaxed)
-    }
-
-    fn reset_visits(&self) {
-        self.visits.store(0, Ordering::Relaxed);
-    }
+    best.map(|(d, cut, _)| (d, cut))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{build, IndexKind, Rect};
     use relstore::{tuple, CompOp, Restriction, Selection};
 
     fn cond(arity: usize, tests: Vec<Selection>) -> Rect {
         Rect::from_restriction(arity, &Restriction::new(tests)).unwrap()
     }
 
+    fn tree(rects: &[Rect]) -> RPlusTree {
+        RPlusTree::split(&rects.iter().map(Rect::num_bbox).collect::<Vec<_>>())
+    }
+
     #[test]
     fn stab_visits_single_path() {
-        let mut t: RPlusTree<u32> = RPlusTree::new(1);
-        for i in 0..500 {
-            t.insert(cond(1, vec![Selection::eq(0, i)]), i as u32);
-        }
-        assert!(t.depth() > 1);
-        t.reset_visits();
-        assert_eq!(t.stab(&tuple![123]), vec![123]);
-        assert_eq!(
-            t.node_visits() as usize,
-            t.depth().min(t.node_visits() as usize)
+        let rects: Vec<Rect> = (0..500)
+            .map(|i| cond(1, vec![Selection::eq(0, i)]))
+            .collect();
+        let depth = tree(&rects).depth();
+        assert!(
+            (2..=8).contains(&depth),
+            "500 sequential keys split to depth {depth}"
         );
-        assert!(t.node_visits() <= t.depth() as u64);
+        let idx = build(IndexKind::RPlus, 1, rects.into_iter().zip(0u32..).collect());
+        assert_eq!(idx.stab(&tuple![123]), vec![123]);
+        assert!(idx.node_visits() <= depth as u64);
     }
 
     #[test]
     fn overlapping_ranges_are_clipped_and_deduped() {
-        let mut t: RPlusTree<u32> = RPlusTree::new(1);
         // Wide overlapping ranges force clipping.
-        for i in 0..40i64 {
-            t.insert(
-                cond(
-                    1,
-                    vec![
-                        Selection::new(0, CompOp::Ge, i),
-                        Selection::new(0, CompOp::Le, i + 10),
-                    ],
-                ),
-                i as u32,
-            );
-        }
-        assert!(t.stored_copies() >= t.len(), "clipping duplicates entries");
-        let mut hits = t.stab(&tuple![20]);
-        hits.sort_unstable();
-        assert_eq!(hits, (10..=20).collect::<Vec<u32>>());
+        let rects: Vec<Rect> = (0..40i64)
+            .map(|i| {
+                let tests = vec![
+                    Selection::new(0, CompOp::Ge, i),
+                    Selection::new(0, CompOp::Le, i + 10),
+                ];
+                cond(1, tests)
+            })
+            .collect();
+        assert!(
+            tree(&rects).stored_copies() > rects.len(),
+            "clipping duplicates entries"
+        );
+        let idx = build(IndexKind::RPlus, 1, rects.into_iter().zip(0u32..).collect());
+        assert_eq!(idx.stab(&tuple![20]), (10..=20).collect::<Vec<u32>>());
         // Query dedups clipped copies.
         let q = cond(
             1,
@@ -351,36 +187,36 @@ mod tests {
                 Selection::new(0, CompOp::Le, 50),
             ],
         );
-        assert_eq!(t.query(&q).len(), 40);
+        assert_eq!(idx.query(&q), (0..40).collect::<Vec<u32>>());
     }
 
     #[test]
     fn identical_rects_keep_oversized_leaf() {
-        let mut t: RPlusTree<u32> = RPlusTree::new(1);
-        for i in 0..20 {
-            t.insert(cond(1, vec![Selection::eq(0, 7)]), i);
-        }
-        assert_eq!(t.stab(&tuple![7]).len(), 20);
-        assert_eq!(t.depth(), 1, "no useful cut exists");
+        let rects = vec![cond(1, vec![Selection::eq(0, 7)]); 20];
+        assert_eq!(tree(&rects).depth(), 1, "no useful cut exists");
+        let idx = build(IndexKind::RPlus, 1, rects.into_iter().zip(0u32..).collect());
+        assert_eq!(idx.stab(&tuple![7]).len(), 20);
     }
 
     #[test]
     fn multidimensional_conditions() {
-        let mut t: RPlusTree<&'static str> = RPlusTree::new(3);
-        t.insert(
-            cond(
-                3,
-                vec![Selection::eq(0, "Goal"), Selection::eq(1, "Simplify")],
+        let conds = vec![
+            (
+                cond(
+                    3,
+                    vec![Selection::eq(0, "Goal"), Selection::eq(1, "Simplify")],
+                ),
+                "PlusOX",
             ),
-            "PlusOX",
-        );
-        t.insert(
-            cond(
-                3,
-                vec![Selection::eq(0, "Expr"), Selection::new(2, CompOp::Gt, 0)],
+            (
+                cond(
+                    3,
+                    vec![Selection::eq(0, "Expr"), Selection::new(2, CompOp::Gt, 0)],
+                ),
+                "TimesOX",
             ),
-            "TimesOX",
-        );
+        ];
+        let t = build(IndexKind::RPlus, 3, conds);
         assert_eq!(t.stab(&tuple!["Goal", "Simplify", 0]), vec!["PlusOX"]);
         assert_eq!(t.stab(&tuple!["Expr", "x", 3]), vec!["TimesOX"]);
         assert!(t.stab(&tuple!["Expr", "x", 0]).is_empty());
