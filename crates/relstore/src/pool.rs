@@ -3,15 +3,19 @@
 //! [`PageManager`] owns the page file: allocate page ids and move
 //! whole [`Page`] images between memory and disk. [`BufferPool`] caches a
 //! bounded number of frames over it with pin counts, dirty tracking, and
-//! Clock (second-chance) eviction — sized smaller than the working set it
-//! makes the paper's I/O story measurable (`page_reads`, `page_writes`,
-//! `pool_hits`, `pool_evictions` in [`Stats`]).
+//! clean-first Clock (second-chance) eviction — sized smaller than the
+//! working set it makes the paper's I/O story measurable (`page_reads`,
+//! `page_writes`, `pool_hits`, `pool_evictions` in [`Stats`]).
 //!
 //! **Write-ahead ordering.** Pages carry the LSN of the last WAL record
-//! that covered their latest change. Before a dirty frame is written out
-//! (eviction or [`BufferPool::flush_all`]) the pool calls
-//! [`Wal::sync_to`] for that LSN, so a data page can never reach disk
-//! ahead of the log record that justifies it.
+//! that covered their latest change. A page is written only once the log
+//! covers that LSN ([`Wal::covers`]), so a data page can never reach disk
+//! ahead of the log record that justifies it. Eviction prefers clean
+//! frames and passes over dirty ones the log does not cover yet; when no
+//! other victim is left, one [`Wal::sync_to`] covers a write-back of every
+//! dirty frame. [`BufferPool::flush_all`] is the same write-back followed
+//! by an fsync of the page file, and `write_frame` is the one place a
+//! page is written.
 //!
 //! Lock order is relation latch → pool mutex → WAL mutex; the WAL is a
 //! leaf and the pool never calls back into relations, so the order is
@@ -105,15 +109,36 @@ struct PoolInner {
 }
 
 impl PoolInner {
-    /// Pick a victim frame with the Clock (second-chance) sweep: skip
-    /// pinned frames, clear one reference bit per pass, evict the first
-    /// unpinned frame whose bit is already clear. A dirty victim is
-    /// written back from its own buffer; on return the frame is mapped
-    /// to no page id.
+    /// Pick a victim frame, clean frames first. The Clock sweep skips
+    /// pinned frames and clears each reference bit once; after that the
+    /// first unreferenced clean frame is the victim. An unreferenced dirty
+    /// frame whose LSN the log already covers is written back on the spot
+    /// and becomes the victim; one the log does not cover yet is passed
+    /// over. Only when two sweeps find no victim does the pool pay a log
+    /// sync, and that one sync covers a write-back of every dirty frame
+    /// ([`PoolInner::write_back`]) before a last sweep. On return the
+    /// frame is mapped to no page id.
     fn evict_victim(&mut self, wal: &Wal, stats: &Stats) -> Result<usize> {
+        let victim = match self.sweep(wal, stats)? {
+            Some(i) => i,
+            None => {
+                self.write_back(wal, stats)?;
+                self.sweep(wal, stats)?
+                    .ok_or_else(|| Error::Io("buffer pool exhausted: all frames pinned".into()))?
+            }
+        };
+        stats.pool_eviction();
+        let frame = &mut self.frames[victim];
+        self.map.remove(&frame.pid);
+        frame.pid = NO_PAGE;
+        Ok(victim)
+    }
+
+    /// Two full Clock sweeps: every unpinned frame's reference bit is
+    /// cleared at least once before the sweep gives up on finding a clean
+    /// (or already covered) victim.
+    fn sweep(&mut self, wal: &Wal, stats: &Stats) -> Result<Option<usize>> {
         let n = self.frames.len();
-        // Two full sweeps guarantee every unpinned frame's reference bit
-        // has been cleared at least once before we give up.
         for _ in 0..2 * n {
             let i = self.clock;
             self.clock = (self.clock + 1) % n;
@@ -126,19 +151,34 @@ impl PoolInner {
                 continue;
             }
             if frame.dirty {
-                // Write-ahead: the log record covering this page must be
-                // durable before the page image may reach disk.
-                wal.sync_to(frame.page.lsn())?;
-                self.mgr.write_page(frame.pid, &frame.page)?;
-                frame.dirty = false;
-                stats.page_write();
+                if !wal.covers(frame.page.lsn()) {
+                    continue;
+                }
+                write_frame(&self.mgr, frame, wal, stats)?;
             }
-            stats.pool_eviction();
-            self.map.remove(&frame.pid);
-            frame.pid = NO_PAGE;
-            return Ok(i);
+            return Ok(Some(i));
         }
-        Err(Error::Io("buffer pool exhausted: all frames pinned".into()))
+        Ok(None)
+    }
+
+    /// Make the log durable once, through the highest LSN of the dirty
+    /// frames, then write every one of them back and mark it clean. A
+    /// pin only keeps a frame mapped, so pinned frames are written too. A
+    /// failed sync writes nothing; a frame whose write fails stays dirty
+    /// and mapped.
+    fn write_back(&mut self, wal: &Wal, stats: &Stats) -> Result<()> {
+        let max_lsn = self
+            .frames
+            .iter()
+            .filter(|f| f.dirty)
+            .map(|f| f.page.lsn())
+            .max()
+            .unwrap_or(0);
+        wal.sync_to(max_lsn)?;
+        for frame in self.frames.iter_mut().filter(|f| f.dirty) {
+            write_frame(&self.mgr, frame, wal, stats)?;
+        }
+        Ok(())
     }
 
     /// Return the frame index for `pid`, faulting it in if needed. `load`
@@ -176,6 +216,17 @@ impl PoolInner {
         self.map.insert(pid, i);
         Ok(i)
     }
+}
+
+/// Write a dirty frame's page back from its own buffer and mark it clean:
+/// the one place a page reaches the page file. Write-ahead: the caller
+/// has made sure the log covers the page's LSN.
+fn write_frame(mgr: &PageManager, frame: &mut Frame, wal: &Wal, stats: &Stats) -> Result<()> {
+    debug_assert!(wal.covers(frame.page.lsn()));
+    mgr.write_page(frame.pid, &frame.page)?;
+    frame.dirty = false;
+    stats.page_write();
+    Ok(())
 }
 
 /// A bounded cache of page frames over a [`PageManager`].
@@ -270,22 +321,11 @@ impl BufferPool {
         Ok(f(&mut frame.page))
     }
 
-    /// Write every dirty frame (WAL-first) and fsync the page file.
+    /// Write every dirty frame behind one log sync and fsync the page
+    /// file.
     pub fn flush_all(&self) -> Result<()> {
-        let mut guard = self.inner.lock();
-        let g = &mut *guard;
-        let mut max_lsn = 0;
-        for f in &g.frames {
-            if f.dirty {
-                max_lsn = max_lsn.max(f.page.lsn());
-            }
-        }
-        self.wal.sync_to(max_lsn)?;
-        for f in g.frames.iter_mut().filter(|f| f.dirty) {
-            g.mgr.write_page(f.pid, &f.page)?;
-            self.stats.page_write();
-            f.dirty = false;
-        }
+        let mut g = self.inner.lock();
+        g.write_back(&self.wal, &self.stats)?;
         g.mgr.sync()
     }
 }
@@ -303,7 +343,8 @@ mod tests {
     fn pool_at(name: &str, cap: usize, stats: Stats) -> (BufferPool, Arc<Wal>) {
         let dir = pool_dir();
         std::fs::create_dir_all(&dir).unwrap();
-        let wal = Arc::new(Wal::create(&dir.join(format!("{name}.log"))).unwrap());
+        let log = dir.join(format!("{name}.log"));
+        let wal = Arc::new(Wal::create(&log).unwrap().with_stats(stats.clone()));
         let pages = dir.join(format!("{name}.pages"));
         (
             BufferPool::create(&pages, cap, stats, wal.clone()).unwrap(),
@@ -418,6 +459,91 @@ mod tests {
         })
         .unwrap();
         pool.unpin(a);
+    }
+
+    /// Append one log record and return its LSN (not yet durable).
+    fn logged_change(wal: &Wal) -> u64 {
+        wal.append(&crate::wal::WalRecord::Insert {
+            rel: crate::schema::RelId(0),
+            tuple: crate::tuple![1],
+        })
+        .unwrap()
+    }
+
+    /// A dirty frame ahead of the durable LSN is passed over while a
+    /// clean frame can be evicted: faults through the other frames pay
+    /// no log sync and write nothing, and the dirty page stays resident.
+    #[test]
+    fn clean_frames_are_evicted_before_dirty_ones() {
+        let stats = Stats::new();
+        let (pool, wal) = pool_at("cleanfirst", 3, stats.clone());
+        let pids: Vec<PageId> = (0..11).map(|_| pool.alloc_page().unwrap()).collect();
+        pool.flush_all().unwrap();
+        let lsn = logged_change(&wal);
+        let durable = wal.durable_lsn();
+        assert!(durable < lsn);
+        pool.with_page_mut(pids[0], lsn, |p| {
+            p.insert(b"dirty").unwrap();
+        })
+        .unwrap();
+        let before = stats.snapshot();
+        for &pid in &pids[1..] {
+            pool.with_page(pid, |_| ()).unwrap();
+        }
+        let d = stats.snapshot().since(&before);
+        assert_eq!(d.page_reads, 10, "every other page faulted in");
+        assert_eq!(d.wal_syncs, 0, "no log sync for a clean victim");
+        assert_eq!(d.page_writes, 0, "no dirty frame written");
+        assert_eq!(wal.durable_lsn(), durable);
+
+        let before = stats.snapshot();
+        let kept = pool
+            .with_page(pids[0], |p| p.record(0).unwrap() == b"dirty")
+            .unwrap();
+        assert!(kept);
+        let d = stats.snapshot().since(&before);
+        assert_eq!((d.pool_hits, d.page_reads), (1, 0), "still resident");
+    }
+
+    /// With every frame dirty ahead of the log, one fault makes one log
+    /// sync that covers a write-back of every dirty frame.
+    #[test]
+    fn one_log_sync_covers_a_batch_write_back() {
+        let stats = Stats::new();
+        let (pool, wal) = pool_at("batch", 4, stats.clone());
+        let pids: Vec<PageId> = (0..4).map(|_| pool.alloc_page().unwrap()).collect();
+        let lsns: Vec<u64> = pids
+            .iter()
+            .map(|&pid| {
+                let lsn = logged_change(&wal);
+                pool.with_page_mut(pid, lsn, |p| {
+                    p.insert(&lsn.to_le_bytes()).unwrap();
+                })
+                .unwrap();
+                lsn
+            })
+            .collect();
+        let before = stats.snapshot();
+        pool.alloc_page().unwrap();
+        let d = stats.snapshot().since(&before);
+        assert_eq!(d.wal_syncs, 1, "one sync for the whole batch");
+        assert_eq!(d.page_writes, 4, "every dirty frame written");
+        assert_eq!(d.pool_evictions, 1);
+        for &lsn in &lsns {
+            assert!(wal.durable_lsn() >= lsn, "written page {lsn} is covered");
+        }
+
+        // Only the page the fault allocated is left dirty.
+        let before = stats.snapshot();
+        pool.flush_all().unwrap();
+        let d = stats.snapshot().since(&before);
+        assert_eq!((d.page_writes, d.wal_syncs), (1, 0));
+        for (&pid, &lsn) in pids.iter().zip(&lsns) {
+            let same = pool
+                .with_page(pid, |p| p.record(0).unwrap() == lsn.to_le_bytes())
+                .unwrap();
+            assert!(same, "page {pid} reads back its change");
+        }
     }
 
     #[test]

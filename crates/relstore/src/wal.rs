@@ -346,8 +346,9 @@ impl Wal {
     }
 
     /// Ensure records up to and including `lsn` are durable — the
-    /// write-ahead gate the buffer pool calls before flushing a dirty
-    /// page whose `page_lsn` is `lsn`. No-op when already durable.
+    /// write-ahead gate the buffer pool calls once before a batch
+    /// write-back, with the highest LSN of the pages it will write.
+    /// No-op when already durable.
     pub fn sync_to(&self, lsn: u64) -> Result<()> {
         let mut g = self.inner.lock();
         if g.durable_lsn >= lsn {
@@ -359,6 +360,14 @@ impl Wal {
     /// Highest LSN known durable.
     pub fn durable_lsn(&self) -> u64 {
         self.inner.lock().durable_lsn
+    }
+
+    /// True when no record at or below `lsn` is still only in memory:
+    /// the write-ahead condition for writing a page whose LSN is `lsn`.
+    /// Once every appended record is durable, every LSN is covered.
+    pub fn covers(&self, lsn: u64) -> bool {
+        let g = self.inner.lock();
+        g.durable_lsn >= lsn.min(g.last_lsn)
     }
 
     /// LSN of the most recent append (0 before any).
@@ -829,6 +838,38 @@ mod tests {
             back.select(rel, &Restriction::default()).unwrap().len()
         };
         assert_eq!((count("R"), count("S")), (2, 1), "every commit durable");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A page fault that needs a batch write-back over a log that cannot
+    /// be written fails the scan with `Err`: the failed sync writes no
+    /// page and poisons the log.
+    #[test]
+    fn failed_write_back_sync_fails_the_scan() {
+        let dir = tmp_dir("writeback");
+        let db = Database::new_paged(&dir, 2).unwrap();
+        let r = db.create_relation(Schema::new("R", ["k", "pad"])).unwrap();
+        // Three 1 KiB tuples a page: four heap pages through two frames.
+        let pad = "x".repeat(1000);
+        let tids: Vec<_> = (0..12)
+            .map(|i| db.insert(r, tuple![i, pad.as_str()]).unwrap())
+            .collect();
+        db.sync_wal().unwrap();
+        let wal = db.wal.clone().expect("a paged database logs");
+        wal.inner.lock().file = File::open(dir.join("wal.log")).unwrap();
+        // Both frames dirty ahead of the durable LSN: the first and the
+        // last heap page.
+        db.delete(r, tids[0]).unwrap();
+        db.delete(r, tids[11]).unwrap();
+
+        let writes = db.stats().snapshot().page_writes;
+        assert!(db.select(r, &Restriction::default()).is_err());
+        assert_eq!(db.stats().snapshot().page_writes, writes, "nothing written");
+        let refused = db.sync_wal();
+        assert!(
+            matches!(&refused, Err(Error::Io(m)) if m.contains("poisoned")),
+            "{refused:?}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
