@@ -100,10 +100,11 @@ struct RuleInfo {
     /// Per CE: its Eq-constrained variables as `(vid, attr)` hash sites
     /// (one per variable), the keys of the σ-binding pattern index.
     hash_sites: Vec<Vec<(usize, usize)>>,
-    /// Per CE: is it positive with another positive CE of the rule on the
-    /// same class? One inserted tuple can then fill both, and no pattern
-    /// can say so: the tuple's own mark is not set when it is searched.
-    shares_class: Vec<bool>,
+    /// Do two positive CEs of the rule share a class? One inserted tuple
+    /// can then fill both, and no pattern can say so: its own mark is not
+    /// set when it is searched, and its propagation marks the other CEs'
+    /// patterns once per CE it fills, on patterns that never meet.
+    shares_class: bool,
 }
 
 impl RuleInfo {
@@ -176,13 +177,9 @@ impl RuleInfo {
                 }
             }
         }
-        let shares_class = (0..n)
-            .map(|a| {
-                let positive_on =
-                    |b: usize| !rule.ces[b].negated && rule.ces[b].class == rule.ces[a].class;
-                positive_on(a) && (0..n).any(|b| b != a && positive_on(b))
-            })
-            .collect();
+        let positive: Vec<_> = rule.ces.iter().filter(|ce| !ce.negated).collect();
+        let shares_class =
+            (0..positive.len()).any(|a| (0..a).any(|b| positive[a].class == positive[b].class));
         RuleInfo {
             var_sites,
             var_constraints,
@@ -265,6 +262,17 @@ struct PatternGroup {
     /// σ never changes on a live pattern, so a slot stays on the chains
     /// [`PatternGroup::insert`] put it on until [`PatternGroup::remove`].
     by_binding: Vec<SlotChains>,
+}
+
+/// `v` with an integral float written as the `Int` it equals, so that
+/// a pattern whose value first arrived as `2.0` prints as one that got
+/// `2`: [`CondEngine::support_snapshot`] must not tell equal stores apart.
+fn canonical(v: &Value) -> Value {
+    const TWO63: f64 = 9_223_372_036_854_775_808.0;
+    match *v {
+        Value::Float(f) if f.fract() == 0.0 && (-TWO63..TWO63).contains(&f) => Value::Int(f as i64),
+        ref v => v.clone(),
+    }
 }
 
 fn value_hash(v: &Value) -> u64 {
@@ -799,9 +807,14 @@ impl CondEngine {
                             v
                         })
                         .collect();
+                    let sigma: Vec<_> = p.sigma.iter().map(|v| v.as_ref().map(canonical)).collect();
+                    let extra: Vec<_> = p
+                        .extra
+                        .iter()
+                        .map(|(a, op, v)| (a, op, canonical(v)))
+                        .collect();
                     out.push(format!(
-                        "class={class} rule={rid} cen={cen} sigma={:?} extra={:?} support={sup:?}",
-                        p.sigma, p.extra
+                        "class={class} rule={rid} cen={cen} sigma={sigma:?} extra={extra:?} support={sup:?}"
                     ));
                 }
             }
@@ -1341,9 +1354,9 @@ impl CondEngine {
             self.note_pattern_lookup(indexed);
             scanned += cands.len() as u64;
             probes += indexed as u64;
-            // A sibling CE on the same class may be filled by this very
-            // tuple, whose mark no pattern carries yet: always expand.
-            let mut fires = self.infos[rid].shares_class[cen];
+            // One tuple may fill two CEs of this rule, which no pattern
+            // can show (see `RuleInfo::shares_class`): always expand.
+            let mut fires = self.infos[rid].shares_class;
             for slot in cands.iter() {
                 let p = group.pat(slot);
                 if self.pattern_matches(rid, cen, p, tuple) {

@@ -46,7 +46,8 @@ impl WmChange {
 /// Everything an RHS evaluation produces.
 #[derive(Debug, Clone, Default)]
 pub struct RhsResult {
-    /// WM changes, in action order.
+    /// WM changes, in action order, except that removals of matched WMEs
+    /// come first (see [`eval_rhs`]).
     pub changes: Vec<WmChange>,
     /// Lines produced by `write` actions.
     pub writes: Vec<String>,
@@ -103,7 +104,10 @@ fn eval_rhs_val(
 /// changes (in action order), write-log entries, and the halt flag.
 ///
 /// `modify` is "a delete followed by an insert" (§5); consecutive actions
-/// see the current (possibly already modified) tuples of each CE.
+/// see the current (possibly already modified) tuples of each CE. A
+/// removal of a matched WME (by `remove` or `modify`) is moved before
+/// every insert: removal is by content, and an equal tuple a `make` of
+/// this RHS inserted first must not be the one it deletes.
 pub fn eval_rhs(rules: &RuleSet, inst: &Instantiation) -> RhsResult {
     let rule = rules.rule(inst.rule);
     let pos_of = positive_positions(rule);
@@ -111,6 +115,8 @@ pub fn eval_rhs(rules: &RuleSet, inst: &Instantiation) -> RhsResult {
     // Track the live tuple of each positive CE as actions mutate them.
     let mut current: Vec<Tuple> = inst.wmes.iter().map(|w| w.tuple.clone()).collect();
     let mut removed: Vec<bool> = vec![false; current.len()];
+    let mut modified: Vec<bool> = vec![false; current.len()];
+    let mut matched_removals = Vec::new();
     let mut out = RhsResult::default();
     for action in &rule.actions {
         match action {
@@ -125,8 +131,11 @@ pub fn eval_rhs(rules: &RuleSet, inst: &Instantiation) -> RhsResult {
                 let pos = pos_of[*ce].expect("remove references a positive CE");
                 if !removed[pos] {
                     removed[pos] = true;
-                    out.changes
-                        .push(WmChange::Remove(rule.ces[*ce].class, current[pos].clone()));
+                    let change = WmChange::Remove(rule.ces[*ce].class, current[pos].clone());
+                    match modified[pos] {
+                        true => out.changes.push(change),
+                        false => matched_removals.push(change),
+                    }
                 }
             }
             Action::Modify { ce, sets } => {
@@ -138,11 +147,15 @@ pub fn eval_rhs(rules: &RuleSet, inst: &Instantiation) -> RhsResult {
                 for (attr, v) in sets {
                     t = t.with_value(*attr, eval_rhs_val(v, inst, &pos_of, &locals, &current));
                 }
-                out.changes
-                    .push(WmChange::Remove(rule.ces[*ce].class, current[pos].clone()));
+                let change = WmChange::Remove(rule.ces[*ce].class, current[pos].clone());
+                match modified[pos] {
+                    true => out.changes.push(change),
+                    false => matched_removals.push(change),
+                }
                 out.changes
                     .push(WmChange::Insert(rule.ces[*ce].class, t.clone()));
                 current[pos] = t;
+                modified[pos] = true;
             }
             Action::Write(items) => {
                 let line: Vec<String> = items
@@ -157,6 +170,7 @@ pub fn eval_rhs(rules: &RuleSet, inst: &Instantiation) -> RhsResult {
             }
         }
     }
+    out.changes.splice(0..0, matched_removals);
     out
 }
 
@@ -218,8 +232,9 @@ mod tests {
         .unwrap();
         let inst = Instantiation::new(ops5::RuleId(0), vec![Wme::new(ClassId(0), tuple![5, 1])]);
         let r = eval_rhs(&rs, &inst);
-        assert_eq!(r.changes[0], WmChange::Insert(ClassId(0), tuple![9, 5]));
-        assert_eq!(r.changes[1], WmChange::Remove(ClassId(0), tuple![5, 1]));
+        // The matched WME's removal leads the `make` that preceded it.
+        assert_eq!(r.changes[0], WmChange::Remove(ClassId(0), tuple![5, 1]));
+        assert_eq!(r.changes[1], WmChange::Insert(ClassId(0), tuple![9, 5]));
         assert_eq!(r.writes, vec!["fired 5"]);
         assert!(r.halt);
     }

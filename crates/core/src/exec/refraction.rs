@@ -14,6 +14,8 @@ use std::collections::HashMap;
 
 use rete::{ConflictDelta, ConflictSet, Instantiation};
 
+use crate::exec::WmChange;
+
 /// Refraction memory: how many firings each instantiation has been
 /// charged while it stayed in the conflict set.
 #[derive(Debug, Default)]
@@ -51,20 +53,54 @@ impl Refraction {
         *self.fired.entry(inst).or_insert(0) += 1;
     }
 
-    /// Delta-driven reconcile (the sequential executor): every
-    /// conflict-set removal the engine reports returns one charge of that
-    /// instantiation. The executor sees every delta of its own engine, so
-    /// this is exact for what it removed itself; when duplicate WMEs leave
-    /// equal copies and somebody else removes one, the removed copy is
-    /// taken to be the fired one and the survivor may fire again.
-    pub fn release(&mut self, deltas: &[ConflictDelta]) {
+    /// Delta-driven reconcile (the sequential executor) after one pass
+    /// of `changes`: every conflict-set removal the engine reports
+    /// returns one charge of that instantiation, unless the pass adds it
+    /// back and removed none of its WMEs. An engine that maintains a pass
+    /// change by change (Rete, COND) retracts and re-adds an
+    /// instantiation when a tuple the pass inserts and removes blocks it
+    /// in between, where a set-oriented engine reports nothing; a
+    /// released charge would let it fire again on one engine only. A
+    /// `modify` that rewrites a matched WME to equal contents still
+    /// releases: that is a new WME. The executor sees every delta of its
+    /// own engine, so this is exact for what it removed itself; when
+    /// duplicate WMEs leave equal copies and somebody else removes one,
+    /// the removed copy is taken to be the fired one and the survivor may
+    /// fire again.
+    pub fn release(&mut self, deltas: &[ConflictDelta], changes: &[WmChange]) {
+        let mut released: HashMap<&Instantiation, usize> = HashMap::new();
         for delta in deltas {
             if let ConflictDelta::Remove(inst) = delta {
-                if let Some(charged) = self.fired.get_mut(inst) {
-                    *charged -= 1;
-                    if *charged == 0 {
-                        self.fired.remove(inst);
-                    }
+                if self.fired.contains_key(inst) {
+                    *released.entry(inst).or_insert(0) += 1;
+                }
+            }
+        }
+        if released.is_empty() {
+            return;
+        }
+        let untouched = |inst: &Instantiation| {
+            !changes.iter().any(|change| match change {
+                WmChange::Remove(class, tuple) => inst
+                    .wmes
+                    .iter()
+                    .any(|w| w.class == *class && w.tuple == *tuple),
+                WmChange::Insert(..) => false,
+            })
+        };
+        for delta in deltas {
+            if let ConflictDelta::Add(inst) = delta {
+                match released.get_mut(inst) {
+                    Some(n) if untouched(inst) => *n = n.saturating_sub(1),
+                    _ => {}
+                }
+            }
+        }
+        for (inst, n) in released {
+            if let Some(charged) = self.fired.get_mut(inst) {
+                *charged = charged.saturating_sub(n);
+                if *charged == 0 {
+                    self.fired.remove(inst);
                 }
             }
         }

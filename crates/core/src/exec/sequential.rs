@@ -66,13 +66,14 @@ impl SequentialExecutor {
     /// Insert a WM element (runs matching; does not fire rules).
     pub fn insert(&mut self, class: ops5::ClassId, tuple: relstore::Tuple) {
         let deltas = self.engine.insert(class, tuple);
-        self.refraction.release(&deltas);
+        self.refraction.release(&deltas, &[]);
     }
 
     /// Remove a WM element by content.
     pub fn remove(&mut self, class: ops5::ClassId, tuple: &relstore::Tuple) {
         let deltas = self.engine.remove(class, tuple);
-        self.refraction.release(&deltas);
+        self.refraction
+            .release(&deltas, &[WmChange::Remove(class, tuple.clone())]);
     }
 
     /// Insert many WM elements of one class as a single delta set: all
@@ -87,7 +88,7 @@ impl SequentialExecutor {
             .map(|t| WmChange::Insert(class, t))
             .collect();
         let deltas = self.engine.apply_delta(&changes);
-        self.refraction.release(&deltas);
+        self.refraction.release(&deltas, &changes);
     }
 
     /// Instantiations eligible to fire (in conflict set, not yet fired).
@@ -139,7 +140,7 @@ impl SequentialExecutor {
         // maintain it in a single batched pass (§4.2). Traced runs get the
         // batch's events from inside `apply_delta`.
         let deltas = self.engine.apply_delta(&rhs.changes);
-        self.refraction.release(&deltas);
+        self.refraction.release(&deltas, &rhs.changes);
         // The journal's commit record: under sequential execution the
         // firing sequence IS the cycle sequence (txn 0 marks "no §5
         // transaction").

@@ -7,17 +7,23 @@
 # and not comment-only.
 # Options: `pub fn set_*` definitions and `: bool` parameters/fields in
 # the same non-test, non-comment lines.
+# Tests: per file and in total, the non-blank, non-comment lines of the
+# integration tests, tests/*.rs and tests/common/*.rs.
 #
 # Usage: scripts/simplicity_counts.sh            (from anywhere in the repo)
 set -eu
 cd "$(dirname "$0")/.."
 
-# Print a file's counted lines.
-code() {
-    awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
-         /^[[:space:]]*$/ { next }
+# Print a file's non-blank, non-comment lines.
+lines() {
+    awk '/^[[:space:]]*$/ { next }
          /^[[:space:]]*\/\// { next }
          { print }' "$1"
+}
+
+# Print a file's counted lines: those before its first `#[cfg(test)]`.
+code() {
+    awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { print }' "$1" | lines /dev/stdin
 }
 
 echo "# non-test, non-blank, non-comment Rust lines"
@@ -45,3 +51,12 @@ for f in $(find crates -path '*/src/*' -name '*.rs' | LC_ALL=C sort); do
 done
 printf '%7d  pub fn set_*\n' "$setters"
 printf '%7d  : bool params/fields\n' "$bools"
+
+echo "# tests/: non-blank, non-comment Rust lines"
+total=0
+for f in tests/*.rs tests/common/*.rs; do
+    n=$(lines "$f" | wc -l)
+    printf '%7d  %s\n' "$n" "$f"
+    total=$((total + n))
+done
+printf '%7d  tests/ (total)\n' "$total"

@@ -21,3 +21,6 @@ pub fn wm_all(engine: &dyn MatchEngine) -> Vec<Vec<Tuple>> {
         .map(|class| wm_class(engine, class))
         .collect()
 }
+
+pub mod differential;
+pub mod grammar;

@@ -1,246 +1,99 @@
-//! F2 / cross-engine equivalence: all five matching engines consume the
-//! same WM update stream (the paper's Figure 2 loop) and must maintain
-//! identical conflict sets after every operation.
+//! F2 / cross-engine equivalence: every engine consumes the same WM
+//! update stream (the paper's Figure 2 loop) and must keep the conflict
+//! set `eval_rule` recomputes from scratch after every operation. Every
+//! case runs through the one differential driver (`tests/common`); the
+//! generated ones come from the one grammar in blocks of
+//! [`common::differential::BLOCK`] seeds.
 
-use ops5::ClassId;
-use prodsys::{make_engine, EngineKind, MatchEngine, ProductionDb};
-use workload::{Op, RuleGenConfig, TraceConfig};
+mod common;
 
-fn engines_for(cfg: &RuleGenConfig) -> Vec<Box<dyn MatchEngine>> {
-    EngineKind::ALL
-        .iter()
-        .map(|&kind| {
-            let pdb = ProductionDb::new(cfg.rules()).unwrap();
-            make_engine(kind, pdb)
-        })
-        .collect()
-}
-
-fn run_trace_and_compare(cfg: RuleGenConfig, trace_cfg: TraceConfig) {
-    let mut engines = engines_for(&cfg);
-    let trace = trace_cfg.trace(cfg.classes, cfg.attrs);
-    for (step, op) in trace.iter().enumerate() {
-        let mut sets = Vec::new();
-        for e in engines.iter_mut() {
-            match op {
-                Op::Insert(c, t) => {
-                    e.insert(ClassId(*c), t.clone());
-                }
-                Op::Remove(c, t) => {
-                    e.remove(ClassId(*c), t);
-                }
-            }
-            sets.push((e.name(), e.conflict_set().sorted()));
-        }
-        let (base_name, base) = &sets[0];
-        for (name, s) in &sets[1..] {
-            assert_eq!(
-                base, s,
-                "conflict sets diverge at step {step} ({op:?}): {base_name} vs {name}"
-            );
-        }
-    }
-}
+use common::differential::{check, sweep_block, traced_deltas_agree};
+use common::grammar::{Bias, Case};
+use workload::{RuleGenConfig, TraceConfig};
 
 #[test]
 fn equivalence_on_two_way_joins() {
-    run_trace_and_compare(
-        RuleGenConfig {
-            rules: 12,
-            ces_per_rule: 2,
-            domain: 4,
-            seed: 1,
-            ..Default::default()
-        },
-        TraceConfig {
-            ops: 150,
-            delete_fraction: 0.25,
-            join_domain: 3,
-            select_domain: 4,
-            seed: 2,
-        },
-    );
+    sweep_block(0, Bias::TwoWayJoins);
 }
 
 #[test]
 fn equivalence_on_three_way_joins() {
-    run_trace_and_compare(
-        RuleGenConfig {
-            rules: 8,
-            ces_per_rule: 3,
-            classes: 3,
-            domain: 3,
-            seed: 3,
-            ..Default::default()
-        },
-        TraceConfig {
-            ops: 120,
-            delete_fraction: 0.3,
-            join_domain: 2,
-            select_domain: 3,
-            seed: 4,
-        },
-    );
+    sweep_block(1, Bias::ThreeWayJoins);
 }
 
 #[test]
 fn equivalence_with_negation() {
-    run_trace_and_compare(
-        RuleGenConfig {
-            rules: 10,
-            ces_per_rule: 2,
-            domain: 3,
-            negated_fraction: 0.5,
-            seed: 5,
-            ..Default::default()
-        },
-        TraceConfig {
-            ops: 120,
-            delete_fraction: 0.3,
-            join_domain: 2,
-            select_domain: 3,
-            seed: 6,
-        },
-    );
+    sweep_block(2, Bias::Negation);
 }
 
 #[test]
 fn equivalence_delete_heavy() {
-    run_trace_and_compare(
-        RuleGenConfig {
-            rules: 8,
-            ces_per_rule: 2,
-            domain: 3,
-            seed: 7,
-            ..Default::default()
-        },
-        TraceConfig {
-            ops: 200,
-            delete_fraction: 0.45,
-            join_domain: 2,
-            select_domain: 3,
-            seed: 8,
-        },
-    );
+    sweep_block(3, Bias::DeleteHeavy);
 }
 
 #[test]
 fn equivalence_on_paper_example_3() {
-    use relstore::tuple;
-    let rules = workload::paper::example3_rules();
-    let mut engines: Vec<Box<dyn MatchEngine>> = EngineKind::ALL
-        .iter()
-        .map(|&k| make_engine(k, ProductionDb::new(rules.clone()).unwrap()))
-        .collect();
-    let ops: Vec<Op> = vec![
-        Op::Insert(0, tuple!["Sam", 5000, "Root", 1]),
-        Op::Insert(0, tuple!["Mike", 6000, "Sam", 1]),
-        Op::Insert(1, tuple![1, "Toy", 1, "Sam"]),
-        Op::Insert(0, tuple!["Jane", 4000, "Sam", 2]),
-        Op::Remove(0, tuple!["Mike", 6000, "Sam", 1]),
-        Op::Insert(1, tuple![2, "Shoe", 2, "Ann"]),
-        Op::Remove(1, tuple![1, "Toy", 1, "Sam"]),
+    let ops = [
+        "+0 Sam 5000 Root 1",
+        "+0 Mike 6000 Sam 1",
+        "+1 1 Toy 1 Sam",
+        "+0 Jane 4000 Sam 2",
+        "-0 Mike 6000 Sam 1",
+        "+1 2 Shoe 2 Ann",
+        "-1 1 Toy 1 Sam",
     ];
-    for (step, op) in ops.iter().enumerate() {
-        let mut sets = Vec::new();
-        for e in engines.iter_mut() {
-            match op {
-                Op::Insert(c, t) => {
-                    e.insert(ClassId(*c), t.clone());
-                }
-                Op::Remove(c, t) => {
-                    e.remove(ClassId(*c), t);
-                }
-            }
-            sets.push((e.name(), e.conflict_set().sorted()));
-        }
-        for (name, s) in &sets[1..] {
-            assert_eq!(&sets[0].1, s, "step {step}: {} vs {name}", sets[0].0);
-        }
-    }
+    check(&Case::named(workload::paper::EXAMPLE3, &ops));
 }
 
 /// Two positive CEs of one rule on one class: a tuple pairs with itself,
-/// once. After one `C` the rule has `[t1,t1]`; after two, all four pairs.
-/// Every engine against the `eval_rule` oracle.
+/// once.
 #[test]
 fn one_tuple_fills_two_ces_of_the_same_class() {
-    use prodsys::engine::recompute::eval_rule;
-    use relstore::tuple;
-    let rules =
-        ops5::compile("(literalize C a b)\n(p R (C ^a <X>) (C ^b <Y>) --> (remove 1))").unwrap();
-    for kind in EngineKind::ALL {
-        let mut e = make_engine(kind, ProductionDb::new(rules.clone()).unwrap());
-        let (t1, t2) = (tuple![1, 2], tuple![3, 4]);
-        let steps = [
-            (true, &t1, 1),
-            (true, &t2, 4),
-            (false, &t1, 1),
-            (false, &t2, 0),
-        ];
-        for (insert, t, expected) in steps {
-            if insert {
-                e.insert(ClassId(0), t.clone());
-            } else {
-                e.remove(ClassId(0), t);
-            }
-            let rule = &e.pdb().rules().rules[0];
-            let mut oracle: Vec<_> = eval_rule(e.pdb(), rule)
-                .iter()
-                .map(|m| m.instantiation(rule))
-                .collect();
-            oracle.sort();
-            assert_eq!(oracle.len(), expected);
-            assert_eq!(e.conflict_set().sorted(), oracle, "{} after {t}", e.name());
-        }
-    }
+    let src = "(literalize C a b)\n(p R (C ^a <X>) (C ^b <Y>) --> (remove 1))";
+    check(&Case::named(src, &["+0 1 2", "+0 3 4", "-0 1 2", "-0 3 4"]));
+}
+
+/// The tuple that fills two CEs of one class marks the third CE's COND
+/// patterns once per CE, on patterns that never meet: COND missed the
+/// match when the `C0` arrived.
+#[test]
+fn one_tuple_fills_two_ces_beside_a_third_class() {
+    let src = "(literalize C0 a0 a1)\n(literalize C1 a0 a1)\n\
+        (p R0 (C0 ^a0 <V0> ^a1 <V1>) (C1 ^a1 {< <V1>}) (C1 ^a0 2) -(C0 ^a1 <V0>) --> (remove 2))";
+    check(&Case::named(src, &["+1 2 1", "+0 0 2"]));
+}
+
+/// One `Dept` at both negative nodes of a chain: removing it must
+/// release the outer node before the inner one counts the token back in.
+#[test]
+fn removal_through_chained_negated_ces_counts_once() {
+    let src = "(literalize Emp dno grade)\n(literalize Dept dno grade)\n\
+        (p Lost (Emp ^dno <D> ^grade <G>) -(Dept ^dno <D>) -(Dept ^grade {<> <G>}) --> (remove 1))";
+    check(&Case::named(
+        src,
+        &["+0 1 2", "+1 1 0", "+1 2 0", "-1 1 0", "-1 2 0"],
+    ));
 }
 
 /// Constants and values at the edge of the numeric range: a float past
 /// `i64::MAX` satisfies `>= 9e18`, and NaN sorts above every number. The
-/// COND index must not prune either away, so every engine agrees with
-/// the `eval_rule` oracle.
+/// COND-relation index must prune neither away.
 #[test]
 fn extreme_values_match_on_every_engine() {
-    use prodsys::engine::recompute::eval_rule;
-    use relstore::{Tuple, Value};
-    let rules = ops5::compile(
-        "(literalize C x)\n\
-         (p Big (C ^x >= 9000000000000000000) --> (remove 1))\n\
-         (p Past (C ^x > 9223372036854775807) --> (remove 1))",
-    )
-    .unwrap();
-    let inserts = [
-        Value::Float(1e19),
-        Value::Float(f64::NAN),
-        Value::Int(i64::MAX),
-        Value::Int(0),
-    ];
-    for kind in EngineKind::ALL {
-        let mut e = make_engine(kind, ProductionDb::new(rules.clone()).unwrap());
-        for v in &inserts {
-            e.insert(ClassId(0), Tuple::new(vec![v.clone()]));
-        }
-        let mut oracle: Vec<_> = (e.pdb().rules().rules.iter())
-            .flat_map(|rule| {
-                eval_rule(e.pdb(), rule)
-                    .iter()
-                    .map(|m| m.instantiation(rule))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        oracle.sort();
-        // Big: 1e19, NaN, i64::MAX; Past: 1e19, NaN.
-        assert_eq!(oracle.len(), 5);
-        assert_eq!(e.conflict_set().sorted(), oracle, "{}", e.name());
-    }
+    let src = "(literalize C x)\n\
+        (p Big (C ^x >= 9000000000000000000) --> (remove 1))\n\
+        (p Past (C ^x > 9223372036854775807) --> (remove 1))";
+    check(&Case::named(
+        src,
+        &["+0 1e19", "+0 NaN", "+0 9223372036854775807", "+0 0"],
+    ));
 }
 
-/// Trace-level equivalence: beyond ending with identical conflict sets,
-/// every engine must *emit* the identical ordered stream of
-/// conflict-delta trace events for the same WM update stream (removes
-/// before adds per change, then instantiation order — the canonical
-/// order the tracer imposes).
+/// Every engine emits the same conflict-delta events, change by change:
+/// the identical ordered stream (the tracer's canonical order) on the
+/// benchmark generator's two-way-join workload, and the same net effect
+/// per change on generated cases, where Rete can add and retract one
+/// instantiation inside one change.
 #[test]
 fn trace_equivalence_on_conflict_deltas() {
     let cfg = RuleGenConfig {
@@ -257,54 +110,17 @@ fn trace_equivalence_on_conflict_deltas() {
         join_domain: 2,
         select_domain: 3,
         seed: 12,
-    }
-    .trace(cfg.classes, cfg.attrs);
-
-    let mut streams: Vec<(&'static str, Vec<String>)> = Vec::new();
-    for &kind in EngineKind::ALL.iter() {
-        let mut engine = make_engine(kind, ProductionDb::new(cfg.rules()).unwrap());
-        let tracer = obs::Tracer::new(obs::Sink::ring(1_000_000));
-        engine.set_tracer(tracer.clone());
-        for op in &trace {
-            match op {
-                Op::Insert(c, t) => {
-                    engine.insert(ClassId(*c), t.clone());
-                }
-                Op::Remove(c, t) => {
-                    engine.remove(ClassId(*c), t);
-                }
-            }
-        }
-        let deltas: Vec<String> = tracer
-            .ring_events()
-            .unwrap()
-            .into_iter()
-            .filter_map(|ev| match ev {
-                obs::Event::ConflictDelta {
-                    add,
-                    rule,
-                    rule_name,
-                    wmes,
-                    ..
-                } => Some(format!(
-                    "{} r{rule} {rule_name} {wmes}",
-                    if add { '+' } else { '-' }
-                )),
-                _ => None,
-            })
-            .collect();
-        streams.push((engine.name(), deltas));
-    }
-
-    let (base_name, base) = &streams[0];
+    };
+    let mut case = Case::named(&cfg.source(), &[]);
+    case.ops = (trace.trace(cfg.classes, cfg.attrs).into_iter())
+        .map(Into::into)
+        .collect();
+    assert!(traced_deltas_agree(&case, 1, true) > 0);
+    let effects: usize = (0..8)
+        .map(|seed| traced_deltas_agree(&Case::generate(seed, Bias::Any), 1, false))
+        .sum();
     assert!(
-        !base.is_empty(),
-        "workload should produce conflict-delta events"
+        effects > 0,
+        "the cases should produce conflict-delta events"
     );
-    for (name, stream) in &streams[1..] {
-        assert_eq!(
-            base, stream,
-            "conflict-delta event streams diverge: {base_name} vs {name}"
-        );
-    }
 }

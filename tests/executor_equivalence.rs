@@ -1,63 +1,42 @@
-//! Executor-level cross-engine equivalence: full recognize-act *runs*
-//! (not just matching) must produce identical working memories and
-//! firing counts on every engine, including modify-heavy programs.
+//! Executor-level cross-engine equivalence: after its trace every case
+//! the driver checks runs to its cycle cap under the canonical strategy
+//! on every engine, and the outcomes (firings, writes, limit) and final
+//! working memories must agree, including modify-heavy and
+//! non-confluent programs.
 
 mod common;
 
-use common::wm_all;
-use ops5::ClassId;
-use prodsys::{make_engine, EngineKind, ProductionDb, SequentialExecutor, Strategy};
-use relstore::Tuple;
+use common::differential::{check, sweep_block};
+use common::grammar::{Bias, Case};
 
-/// Run with the Canonical strategy: selection depends only on conflict-set
-/// *content*, so equivalent engines must produce identical trajectories
-/// even for non-confluent programs (Fifo/Lifo order is an engine-internal
-/// freedom the paper leaves "arbitrary").
-fn run_all_engines(src: &str, load: &[(usize, Tuple)], max_cycles: usize) {
-    let rules = ops5::compile(src).unwrap();
-    let mut results = Vec::new();
-    for kind in EngineKind::ALL {
-        let mut ex = SequentialExecutor::new(
-            make_engine(kind, ProductionDb::new(rules.clone()).unwrap()),
-            Strategy::Canonical,
-        );
-        for (c, t) in load {
-            ex.insert(ClassId(*c), t.clone());
-        }
-        let out = ex.run(max_cycles);
-        results.push((
-            kind.label(),
-            out.fired,
-            out.writes.clone(),
-            wm_all(ex.engine()),
-        ));
-    }
-    let (base_name, base_fired, base_writes, base_wm) = &results[0];
-    for (name, fired, writes, wm) in &results[1..] {
-        assert_eq!(base_fired, fired, "{base_name} vs {name}: firing count");
-        assert_eq!(base_writes, writes, "{base_name} vs {name}: write log");
-        assert_eq!(base_wm, wm, "{base_name} vs {name}: final WM");
-    }
+/// The ops `each(0)`, …, `each(n - 1)`.
+fn ops(n: usize, each: impl Fn(usize) -> String) -> Vec<String> {
+    (0..n).map(each).collect()
+}
+
+fn run(src: &str, ops: &[String]) {
+    let ops: Vec<&str> = ops.iter().map(String::as_str).collect();
+    assert!(
+        !check(&Case::named(src, &ops)).0.limited,
+        "the program reaches quiescence"
+    );
 }
 
 /// A modify-heavy state machine: tokens ratchet through states until done.
 #[test]
 fn state_machine_runs_identically() {
-    use relstore::tuple;
     let src = r#"
         (literalize Job id state tries)
         (p Advance1 (Job ^id <I> ^state s0) --> (modify 1 ^state s1))
         (p Advance2 (Job ^id <I> ^state s1) --> (modify 1 ^state s2))
         (p Advance3 (Job ^id <I> ^state s2) --> (modify 1 ^state done) (write done <I>))
     "#;
-    let load: Vec<(usize, Tuple)> = (0..6i64).map(|i| (0, tuple![i, "s0", 0])).collect();
-    run_all_engines(src, &load, 100);
+    run(src, &ops(6, |i| format!("+0 {i} s0 0")));
 }
 
 /// Cascading make/remove: firing one rule enables the next.
 #[test]
 fn cascade_runs_identically() {
-    use relstore::tuple;
     let src = r#"
         (literalize A x)
         (literalize B x)
@@ -65,73 +44,55 @@ fn cascade_runs_identically() {
         (p AtoB (A ^x <V>) --> (remove 1) (make B ^x <V>))
         (p BtoC (B ^x <V>) --> (remove 1) (make C ^x <V>))
     "#;
-    let load: Vec<(usize, Tuple)> = (0..8i64).map(|i| (0, tuple![i])).collect();
-    run_all_engines(src, &load, 100);
+    run(src, &ops(8, |i| format!("+0 {i}")));
 }
 
-/// Negation-gated production with churn: the blocked rule must re-fire
-/// identically as blockers come and go during the run.
+/// Negation-gated production with churn: duplicate requests per id; the
+/// first acquires, the rest coalesce.
 #[test]
 fn negation_churn_runs_identically() {
-    use relstore::tuple;
     let src = r#"
         (literalize Req id)
         (literalize Lock id)
         (literalize Grant id)
-        (p Acquire
-            (Req ^id <I>)
-            -(Lock ^id <I>)
-            -->
-            (remove 1)
-            (make Lock ^id <I>)
-            (make Grant ^id <I>))
-        (p Coalesce
-            (Req ^id <I>)
-            (Lock ^id <I>)
-            -->
-            (remove 1)
-            (write coalesced <I>))
+        (p Acquire (Req ^id <I>) -(Lock ^id <I>)
+            --> (remove 1) (make Lock ^id <I>) (make Grant ^id <I>))
+        (p Coalesce (Req ^id <I>) (Lock ^id <I>) --> (remove 1) (write coalesced <I>))
     "#;
-    // Duplicate requests per id: the first acquires, the rest coalesce.
-    let mut load: Vec<(usize, Tuple)> = Vec::new();
-    for i in 0..4i64 {
-        for _ in 0..3 {
-            load.push((0, tuple![i]));
-        }
-    }
-    run_all_engines(src, &load, 200);
+    run(src, &ops(12, |i| format!("+0 {}", i / 3)));
 }
 
-/// Randomized programs from the workload generator, executed to
-/// quiescence on every engine.
+/// Once the tuple a firing makes equals the one it matched, `remove 1`
+/// deleted the made copy on the engines that track tuple ids, which then
+/// stopped while Rete fired on. The matched WME's removal now comes
+/// first, and every engine loops to the cap.
+#[test]
+fn remove_after_an_equal_make_deletes_the_matched_wme() {
+    let src = "(literalize C0 a0 a1 a2)\n(literalize C1 a0 a1)\n\
+        (p R0 (C1 ^a0 <V0>) -(C0 ^a0 {>= <V0>}) --> (make C1 ^a0 <V0> ^a1 2) (remove 1))";
+    let mut case = Case::named(src, &["+1 9223372036854775807 0"]);
+    case.cycles = 20;
+    assert_eq!(check(&case).0.fired, 20);
+}
+
+/// R1's `modify` makes a `C0` that blocks R0 and its `remove` takes it
+/// away again: one pass. Rete and COND retracted R0's fired
+/// instantiation and added it back, which released its refraction
+/// charge, so it fired again there and not on the set-oriented engines.
+#[test]
+fn blocker_made_and_removed_by_one_firing_keeps_refraction() {
+    let src = "(literalize C0 a0 a1)\n(literalize C1 a0 a1)\n\
+        (p R0 (C1 ^a0 <= a ^a1 < 9000000000000000000) -(C0 ^a1 1e19) -(C0 ^a0 a) \
+        --> (write r0 1) (make C1 ^a0 1 ^a1 a))\n\
+        (p R1 (C0 ^a0 >= 2.0 ^a1 > -1e19) -(C0 ^a1 -1e19) --> (modify 1 ^a0 a) (remove 1))";
+    let case = Case::named(
+        src,
+        &["+0 9000000000000000000 1.0", "+1 -9000000000000000000 0"],
+    );
+    assert_eq!(check(&case).0.fired, 2);
+}
+
 #[test]
 fn generated_programs_run_identically() {
-    use workload::{Op, RuleGenConfig, TraceConfig};
-    for seed in [21u64, 22, 23] {
-        let cfg = RuleGenConfig {
-            rules: 10,
-            ces_per_rule: 2,
-            domain: 3,
-            negated_fraction: 0.3,
-            seed,
-            ..Default::default()
-        };
-        let src = cfg.source();
-        let trace = TraceConfig {
-            ops: 40,
-            delete_fraction: 0.0,
-            join_domain: 2,
-            select_domain: 3,
-            seed: seed + 100,
-        }
-        .trace(cfg.classes, cfg.attrs);
-        let load: Vec<(usize, Tuple)> = trace
-            .into_iter()
-            .filter_map(|op| match op {
-                Op::Insert(c, t) => Some((c, t)),
-                Op::Remove(..) => None,
-            })
-            .collect();
-        run_all_engines(&src, &load, 300);
-    }
+    sweep_block(10, Bias::Any);
 }

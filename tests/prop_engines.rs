@@ -1,137 +1,26 @@
-//! Property-based tests over the matching engines.
+//! Generated programs and traces (`tests/common/grammar.rs`) through the
+//! one differential driver. Besides agreeing with the oracle, every case
+//! checks two match-space invariants on every engine: a bounce (insert
+//! then remove one WME) restores `match_entries` (a block of cases where
+//! half the ops bounce), and deleting every WME empties the conflict set
+//! and returns `match_entries` to its value on the empty WM.
 
-use ops5::ClassId;
-use prodsys::{make_engine, EngineKind, ProductionDb};
-use proptest::prelude::*;
-use relstore::{tuple, Tuple};
+mod common;
 
-/// A compact op encoding proptest can shrink: insert/delete of small
-/// tuples over 3 classes of arity 3.
-#[derive(Debug, Clone)]
-enum POp {
-    Insert(u8, i64, i64),
-    /// Delete the i-th oldest live tuple (mod live count).
-    Delete(u8),
+use common::differential::sweep_block;
+use common::grammar::Bias;
+
+#[test]
+fn engines_agree() {
+    sweep_block(4, Bias::Any);
 }
 
-fn op_strategy() -> impl Strategy<Value = POp> {
-    prop_oneof![
-        3 => (0u8..3, 0i64..3, 0i64..4).prop_map(|(c, a, b)| POp::Insert(c, a, b)),
-        1 => (0u8..16).prop_map(POp::Delete),
-    ]
+#[test]
+fn rete_remove_inverts_insert() {
+    sweep_block(5, Bias::Bounces);
 }
 
-const RULES: &str = r#"
-    (literalize C0 a0 a1 a2)
-    (literalize C1 a0 a1 a2)
-    (literalize C2 a0 a1 a2)
-    (p TwoWay (C0 ^a0 <X> ^a1 1) (C1 ^a0 <X>) --> (remove 1))
-    (p ThreeWay (C0 ^a0 <X>) (C1 ^a0 <X> ^a1 <Y>) (C2 ^a1 <Y>) --> (remove 1))
-    (p Neg (C1 ^a0 <X> ^a1 2) -(C2 ^a0 <X>) --> (remove 1))
-    (p Range (C0 ^a0 <X> ^a1 <S>) (C2 ^a0 <X> ^a1 {< <S>}) --> (remove 1))
-    (p SelfJoin (C2 ^a0 <X> ^a1 <A>) (C2 ^a0 <X> ^a1 {<> <A>}) --> (remove 1))
-"#;
-
-fn materialize(ops: &[POp]) -> Vec<(bool, usize, Tuple)> {
-    let mut live: Vec<(usize, Tuple)> = Vec::new();
-    let mut out = Vec::new();
-    for op in ops {
-        match op {
-            POp::Insert(c, a, b) => {
-                let t = tuple![*a, *b, 0];
-                live.push((*c as usize, t.clone()));
-                out.push((true, *c as usize, t));
-            }
-            POp::Delete(i) => {
-                if !live.is_empty() {
-                    let idx = *i as usize % live.len();
-                    let (c, t) = live.remove(idx);
-                    out.push((false, c, t));
-                }
-            }
-        }
-    }
-    out
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
-
-    /// All five engines agree on the conflict set after every operation,
-    /// for arbitrary insert/delete sequences over a rule base exercising
-    /// two-way joins, three-way joins, negation, non-eq joins, and
-    /// self-joins.
-    #[test]
-    fn engines_agree(ops in proptest::collection::vec(op_strategy(), 1..40)) {
-        let rules = ops5::compile(RULES).unwrap();
-        let mut engines: Vec<_> = EngineKind::ALL
-            .iter()
-            .map(|&k| make_engine(k, ProductionDb::new(rules.clone()).unwrap()))
-            .collect();
-        for (step, (is_insert, c, t)) in materialize(&ops).into_iter().enumerate() {
-            let mut sets = Vec::new();
-            for e in engines.iter_mut() {
-                if is_insert {
-                    e.insert(ClassId(c), t.clone());
-                } else {
-                    e.remove(ClassId(c), &t);
-                }
-                sets.push((e.name(), e.conflict_set().sorted()));
-            }
-            for (name, s) in &sets[1..] {
-                prop_assert_eq!(&sets[0].1, s, "step {}: {} vs {}", step, sets[0].0, name);
-            }
-        }
-    }
-
-    /// Rete: remove is the exact inverse of insert (memories and conflict
-    /// set return to their prior state).
-    #[test]
-    fn rete_remove_inverts_insert(
-        pre in proptest::collection::vec(op_strategy(), 0..20),
-        c in 0u8..3,
-        a in 0i64..3,
-        b in 0i64..4,
-    ) {
-        let rules = ops5::compile(RULES).unwrap();
-        let mut net = rete::ReteNetwork::new(&rules);
-        for (is_insert, class, t) in materialize(&pre) {
-            if is_insert {
-                net.insert(rete::Wme::new(ClassId(class), t));
-            } else {
-                net.remove(&rete::Wme::new(ClassId(class), t));
-            }
-        }
-        let entries = net.stored_entries();
-        let cs = net.conflict_set().sorted();
-        let w = rete::Wme::new(ClassId(c as usize), tuple![a, b, 0]);
-        net.insert(w.clone());
-        net.remove(&w);
-        prop_assert_eq!(net.stored_entries(), entries);
-        prop_assert_eq!(net.conflict_set().sorted(), cs);
-    }
-
-    /// The cond engine's pattern store returns to baseline when all WM
-    /// elements are deleted again (full GC of matching patterns).
-    #[test]
-    fn cond_patterns_collected_on_full_deletion(
-        ops in proptest::collection::vec((0u8..3, 0i64..2, 0i64..3), 1..12)
-    ) {
-        let rules = ops5::compile(RULES).unwrap();
-        let pdb = ProductionDb::new(rules).unwrap();
-        let mut e = prodsys::CondEngine::new(pdb);
-        let baseline = e.pattern_count();
-        use prodsys::MatchEngine;
-        let mut inserted = Vec::new();
-        for (c, a, b) in ops {
-            let t = tuple![a, b, 0];
-            e.insert(ClassId(c as usize), t.clone());
-            inserted.push((c as usize, t));
-        }
-        for (c, t) in inserted.into_iter().rev() {
-            e.remove(ClassId(c), &t);
-        }
-        prop_assert!(e.conflict_set().is_empty());
-        prop_assert_eq!(e.pattern_count(), baseline, "patterns leak");
-    }
+#[test]
+fn cond_patterns_collected_on_full_deletion() {
+    sweep_block(6, Bias::Any);
 }
