@@ -185,8 +185,10 @@ pub trait MatchEngine: Send {
     }
 
     /// Should [`bootstrap`] replay working memory into this engine after
-    /// [`ProductionDb::attach`]? Engines whose match state is itself
-    /// DB-resident (and therefore restored by the snapshot) return false.
+    /// [`ProductionDb::attach`]? Always: no engine's match state is logged
+    /// or snapshotted (DB-Rete's LEFT/RIGHT relations are derived), so
+    /// [`bootstrap`] no longer asks. Kept only because `benchmark/`'s
+    /// engine wrapper implements it.
     fn needs_bootstrap(&self) -> bool {
         true
     }
@@ -347,9 +349,6 @@ impl EngineKind {
 /// rather than tuple at a time, so engines with a batch strategy rebuild
 /// at batch cost and the whole replay produces a single maintenance pass.
 pub fn bootstrap(engine: &mut dyn MatchEngine) {
-    if !engine.needs_bootstrap() {
-        return;
-    }
     let pdb = engine.pdb().clone();
     let mut batch = Vec::new();
     for c in 0..pdb.class_count() {

@@ -24,14 +24,8 @@ pub trait ReteBackend: TokenMemory<Wid: Send> + Send + Sized {
     /// Profile span of one maintenance pass.
     const SPAN: &'static str;
 
-    /// The network for a production database's rule set.
+    /// The network for a production database's rule set, empty.
     fn network(pdb: &ProductionDb) -> Network<Self>;
-
-    /// Did `network` find its match state already in the database? Such a
-    /// network must not be bootstrapped: replaying WM would double-count.
-    fn restored(_net: &Network<Self>) -> bool {
-        false
-    }
 }
 
 impl ReteBackend for VecMemory {
@@ -48,21 +42,8 @@ impl ReteBackend for RelMemory {
     const SPAN: &'static str = "dbrete.maintain";
 
     fn network(pdb: &ProductionDb) -> DbReteNetwork {
-        match DbReteNetwork::new(pdb.db().clone(), pdb.rules()) {
-            Ok(net) => net,
-            // The database already holds this rule set's LEFT/RIGHT
-            // relations (restored snapshot): re-attach to them — the whole
-            // network state is DB-resident.
-            Err(relstore::Error::DuplicateRelation(_)) => {
-                DbReteNetwork::attach(pdb.db().clone(), pdb.rules())
-                    .expect("attach to restored LEFT/RIGHT relations")
-            }
-            Err(e) => panic!("LEFT/RIGHT relation creation: {e}"),
-        }
-    }
-
-    fn restored(net: &DbReteNetwork) -> bool {
-        !net.conflict_set().is_empty() || net.stored_entries() > 0
+        DbReteNetwork::new(pdb.db().clone(), pdb.rules())
+            .unwrap_or_else(|e| panic!("LEFT/RIGHT relation creation: {e}"))
     }
 }
 
@@ -80,8 +61,8 @@ pub type ReteEngine = NetworkEngine<VecMemory>;
 pub type DbReteEngine = NetworkEngine<RelMemory>;
 
 impl<M: ReteBackend> NetworkEngine<M> {
-    /// Create a new instance, empty unless the backend's memories were
-    /// restored with the database.
+    /// Create a new instance with empty memories; [`crate::bootstrap`]
+    /// fills them from the working memory already in the database.
     pub fn new(pdb: ProductionDb) -> Self {
         let net = M::network(&pdb);
         NetworkEngine {
@@ -145,10 +126,6 @@ impl<M: ReteBackend> MatchEngine for NetworkEngine<M> {
             match_bytes: self.net.approx_bytes(),
             wm_tuples: self.pdb.wm_total(),
         }
-    }
-
-    fn needs_bootstrap(&self) -> bool {
-        !M::restored(&self.net)
     }
 
     fn last_detect_split(&self) -> Option<(u64, u64)> {

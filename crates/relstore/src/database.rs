@@ -12,11 +12,23 @@
 //! Durability comes in two forms, fixed at construction.
 //! [`Database::new`] is an in-memory store without a log, persisted by
 //! [`crate::snapshot::save`] / [`crate::snapshot::load`].
-//! [`Database::new_paged`] keeps tuples on heap pages and logs every
-//! change to `wal.log` before applying it; [`Database::checkpoint`]
-//! writes `checkpoint.snap` and shortens the log, and
-//! [`Database::open_paged`] — the one recovery path — loads the
-//! checkpoint and replays the log past it.
+//! [`Database::new_paged`] keeps tuples on heap pages and logs committed
+//! changes to `wal.log`: a write outside a transaction as a frame of its
+//! own once it has succeeded, under the relation's latch; a
+//! transaction's writes as one frame at commit ([`crate::wal`]).
+//! [`Database::checkpoint`] writes `checkpoint.snap` and shortens the
+//! log, and [`Database::open_paged`] — the one recovery path — loads the
+//! checkpoint and replays the log past it. The page file is swap: nothing
+//! reads it at recovery.
+//!
+//! A write outside a transaction takes no lock, so it must not touch a
+//! row an open transaction wrote: that transaction's records reach the
+//! log only at its commit, after the outside write's.
+//!
+//! A *derived* relation ([`Database::create_derived_relation`]) holds
+//! state its owner rebuilds from the other relations, such as DB-Rete's
+//! token memories. It is never logged, snapshots leave it out, and
+//! recovery does not bring it back.
 
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -24,7 +36,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::analyze::AnalyzeRegistry;
 use crate::error::{Error, Result};
@@ -61,6 +73,65 @@ pub struct RecoveryReport {
     pub snapshot_loaded: bool,
 }
 
+/// Writing transactions against images ([`Database::with_quiesced`]): a
+/// transaction enters at its first write and leaves at commit or abort,
+/// and an image waits until none is inside and keeps new ones out while
+/// it is taken, so it never holds an open transaction's work. A writer
+/// never waits behind a *waiting* image: it may hold 2PL locks that a
+/// transaction inside is waiting for, a cycle the lock manager cannot
+/// see.
+pub(crate) struct Gate {
+    /// `Some(n)`: open, with `n` writing transactions inside. `None`:
+    /// closed by an image being taken.
+    writers: Mutex<Option<usize>>,
+    changed: Condvar,
+}
+
+impl Gate {
+    /// Enter as a writing transaction; waits only while an image is
+    /// being taken.
+    pub(crate) fn enter(&self) -> GatePass<'_> {
+        let mut g = self.writers.lock();
+        while g.is_none() {
+            self.changed.wait(&mut g);
+        }
+        *g = g.map(|n| n + 1);
+        GatePass(self)
+    }
+
+    /// Close the gate once no writing transaction is inside; it reopens
+    /// when the returned guard drops.
+    fn close(&self) -> GateClosed<'_> {
+        let mut g = self.writers.lock();
+        while *g != Some(0) {
+            self.changed.wait(&mut g);
+        }
+        *g = None;
+        GateClosed(self)
+    }
+}
+
+/// A writing transaction's place inside the [`Gate`]; leaves on drop.
+pub(crate) struct GatePass<'db>(&'db Gate);
+
+impl Drop for GatePass<'_> {
+    fn drop(&mut self) {
+        let mut g = self.0.writers.lock();
+        *g = g.map(|n| n - 1);
+        self.0.changed.notify_all();
+    }
+}
+
+/// The [`Gate`] held closed by an image; reopens on drop.
+struct GateClosed<'a>(&'a Gate);
+
+impl Drop for GateClosed<'_> {
+    fn drop(&mut self) {
+        *self.0.writers.lock() = Some(0);
+        self.0.changed.notify_all();
+    }
+}
+
 /// A shared, thread-safe database.
 pub struct Database {
     relations: RwLock<Vec<Arc<RwLock<Relation>>>>,
@@ -72,9 +143,12 @@ pub struct Database {
     /// (the sequential executor's firings).
     next_txn: AtomicU64,
     analyze: AnalyzeRegistry,
-    /// The log every change is appended to: `Some` exactly for a paged
-    /// database, set at construction (after replay, for a recovered one).
+    /// The log committed changes are appended to: `Some` exactly for a
+    /// paged database, set at construction (after replay, for a recovered
+    /// one).
     pub(crate) wal: Option<Arc<Wal>>,
+    /// Keeps images out while writing transactions are open.
+    pub(crate) gate: Gate,
     paged: Option<PagedMeta>,
     /// Fault-injection countdown armed by [`Database::inject_fault_after`];
     /// negative = disarmed. Transactional operations tick it down and the
@@ -100,6 +174,10 @@ impl Database {
             analyze: AnalyzeRegistry::new(),
             stats,
             wal: None,
+            gate: Gate {
+                writers: Mutex::new(Some(0)),
+                changed: Condvar::new(),
+            },
             paged: None,
             fault_after: AtomicI64::new(-1),
         }
@@ -122,9 +200,9 @@ impl Database {
         Ok(db)
     }
 
-    /// A paged database over a fresh page file in `dir`, its pool gated
-    /// on `wal`, not yet logging to it. The log counts its syncs in the
-    /// database's [`Stats`] and is returned for the caller to attach.
+    /// A paged database over a fresh page file in `dir`, not yet logging
+    /// to `wal`. The log counts its syncs in the database's [`Stats`] and
+    /// is returned for the caller to attach.
     fn paged_at(dir: PathBuf, pool_pages: usize, wal: Wal) -> Result<(Database, Arc<Wal>)> {
         let mut db = Database::new();
         let wal = Arc::new(wal.with_stats(db.stats.clone()));
@@ -132,7 +210,6 @@ impl Database {
             &dir.join("data.pages"),
             pool_pages,
             db.stats.clone(),
-            wal.clone(),
         )?);
         db.paged = Some(PagedMeta { dir, pool });
         Ok((db, wal))
@@ -202,16 +279,21 @@ impl Database {
         self.paged.is_some()
     }
 
-    /// Checkpoint a paged database: take a quiesced snapshot (every
-    /// relation latched, so no writer can straddle the cut), write it
-    /// atomically (tmp + fsync + rename + directory fsync), drop the log
-    /// prefix the snapshot covers, and flush dirty pages. The snapshot
-    /// embeds the WAL watermark of its cut, so a crash *anywhere* in this
-    /// sequence recovers exactly the committed state: before the rename,
-    /// the old snapshot + full log; after it, the new snapshot with
-    /// replay skipping records the image already contains. The log is
-    /// shortened only once the rename is durable, and the rewrite clears
-    /// a log poisoned by an earlier failed sync.
+    /// Checkpoint a paged database: take a quiesced snapshot (no writing
+    /// transaction open and every relation latched, so the image holds
+    /// committed work only and no writer straddles the cut), write it
+    /// atomically (tmp + fsync + rename + directory fsync) and drop the
+    /// log prefix the snapshot covers. The snapshot embeds the WAL
+    /// watermark of its cut, so a crash *anywhere* in this sequence
+    /// recovers exactly the committed state: before the rename, the old
+    /// snapshot + full log; after it, the new snapshot with replay
+    /// skipping records the image already contains. The log is shortened
+    /// only once the rename is durable, and the rewrite clears a log
+    /// poisoned by an earlier failed sync. Pages are not flushed: the page
+    /// file is swap.
+    ///
+    /// Waits for every open writing transaction to finish, so a thread
+    /// must not call it while its own transaction has written.
     pub fn checkpoint(&self) -> Result<()> {
         let paged = self
             .paged
@@ -232,16 +314,19 @@ impl Database {
             // being written to disk are not in the image.
             wal.truncate_through(watermark)?;
         }
-        paged.pool.flush_all()
+        Ok(())
     }
 
-    /// Run `f` with the whole database quiesced: the catalog and every
-    /// relation write-latched (in id order, so this cannot deadlock with
-    /// writers, which hold at most one relation latch), plus the WAL's
-    /// last LSN at that point. While `f` runs no relation can be created
-    /// and no tuple can change, so the LSN is an exact cut: everything
-    /// at or below it is visible to `f`, nothing above it is.
+    /// Run `f` with the whole database quiesced: no writing transaction
+    /// open ([`Gate`]), the catalog and every relation write-latched (in
+    /// id order, so this cannot deadlock with writers, which hold at most
+    /// one relation latch), plus the WAL's last LSN at that point. While
+    /// `f` runs no relation can be created and no tuple can change, and
+    /// every logged change is in the log under the latch that made it, so
+    /// the LSN is an exact cut: everything at or below it is visible to
+    /// `f`, nothing above it is.
     pub(crate) fn with_quiesced<R>(&self, f: impl FnOnce(&[&Relation], u64) -> R) -> R {
+        let _closed = self.gate.close();
         let _names = self.names.read();
         let rels = self.relations.read();
         let guards: Vec<_> = rels.iter().map(|r| r.write()).collect();
@@ -251,8 +336,9 @@ impl Database {
     }
 
     /// Make the WAL durable through its latest record (write + fsync,
-    /// counted as `wal_syncs`). Called on transaction commit; a no-op
-    /// without a WAL or when every record is already durable.
+    /// counted as `wal_syncs`): the durability point of writes outside a
+    /// transaction. A no-op without a WAL or when every record is already
+    /// durable.
     pub fn sync_wal(&self) -> Result<()> {
         match &self.wal {
             Some(wal) => wal.sync(),
@@ -287,23 +373,35 @@ impl Database {
         }
     }
 
-    fn log(&self, rec: WalRecord) -> Result<()> {
-        if let Some(wal) = &self.wal {
-            wal.append(&rec)?;
+    /// True when changes to `r` are logged: the database has a log and
+    /// `r` is not derived.
+    pub(crate) fn logs(&self, r: &Relation) -> bool {
+        self.wal.is_some() && !r.derived
+    }
+
+    /// Append `rec`, a change just made to `r` under its write latch, to
+    /// the log as a frame of its own, unless nothing logs `r`.
+    fn log(&self, r: &Relation, rec: WalRecord) -> Result<()> {
+        match &self.wal {
+            Some(wal) if self.logs(r) => wal.append(&rec).map(drop),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Create a hash index, logged to the WAL.
     pub fn create_hash_index(&self, rid: RelId, attr: usize) -> Result<()> {
-        self.write(rid, |r| r.create_hash_index(attr))??;
-        self.log(WalRecord::CreateHashIndex { rel: rid, attr })
+        self.write(rid, |r| {
+            r.create_hash_index(attr)?;
+            self.log(r, WalRecord::CreateHashIndex { rel: rid, attr })
+        })?
     }
 
     /// Create an ordered index, logged to the WAL.
     pub fn create_ord_index(&self, rid: RelId, attr: usize) -> Result<()> {
-        self.write(rid, |r| r.create_ord_index(attr))??;
-        self.log(WalRecord::CreateOrdIndex { rel: rid, attr })
+        self.write(rid, |r| {
+            r.create_ord_index(attr)?;
+            self.log(r, WalRecord::CreateOrdIndex { rel: rid, attr })
+        })?
     }
 
     /// Shared operation counters for the whole database.
@@ -328,23 +426,43 @@ impl Database {
         Txn::new(self, id)
     }
 
-    /// Create a relation; names must be unique.
+    /// Create a relation; names must be unique. In a logged database it
+    /// must precede every derived relation.
     pub fn create_relation(&self, schema: Schema) -> Result<RelId> {
+        self.add_relation(schema, false)
+    }
+
+    /// Create a derived relation: one whose rows its owner rebuilds from
+    /// the other relations. Neither it nor its rows and indexes are
+    /// logged or snapshotted, so a recovered database does not have it.
+    pub fn create_derived_relation(&self, schema: Schema) -> Result<RelId> {
+        self.add_relation(schema, true)
+    }
+
+    fn add_relation(&self, schema: Schema, derived: bool) -> Result<RelId> {
         let mut names = self.names.write();
         if names.contains_key(schema.name()) {
             return Err(Error::DuplicateRelation(schema.name().to_string()));
         }
         let mut rels = self.relations.write();
+        if let (Some(wal), false) = (&self.wal, derived) {
+            // Replay skips derived relations, so a logged relation after
+            // one would come back under another id.
+            if rels.last().is_some_and(|r| r.read().derived) {
+                return Err(Error::LoggedAfterDerived(schema.name().to_string()));
+            }
+            wal.append(&WalRecord::CreateRelation {
+                name: schema.name().to_string(),
+                attrs: schema.attrs().iter().map(|a| a.name.to_string()).collect(),
+            })?;
+        }
         let rid = RelId(rels.len() as u32);
-        self.log(WalRecord::CreateRelation {
-            name: schema.name().to_string(),
-            attrs: schema.attrs().iter().map(|a| a.name.to_string()).collect(),
-        })?;
         names.insert(schema.name().to_string(), rid);
-        let relation = match &self.paged {
+        let mut relation = match &self.paged {
             Some(paged) => Relation::new_paged(rid, schema, self.stats.clone(), paged.pool.clone()),
             None => Relation::new(rid, schema, self.stats.clone()),
         };
+        relation.derived = derived;
         rels.push(Arc::new(RwLock::new(relation)));
         Ok(rid)
     }
@@ -402,30 +520,38 @@ impl Database {
         self.read(rid, |r| r.schema().clone())
     }
 
-    /// Insert a tuple directly (no logical locking). The WAL record is
-    /// appended before the page write, under the relation's write latch.
+    /// Insert a tuple directly (no logical locking). Once the insert has
+    /// succeeded its record is appended as a frame of its own, under the
+    /// relation's write latch; a failed insert logs nothing.
     pub fn insert(&self, rid: RelId, tuple: Tuple) -> Result<TupleId> {
-        self.write(rid, |r| r.insert(tuple, self.wal.as_deref()))?
+        self.write(rid, |r| {
+            let tid = r.insert(tuple.clone())?;
+            self.log(r, WalRecord::Insert { rel: rid, tuple })?;
+            Ok(tid)
+        })?
     }
 
-    /// Delete a tuple directly (no logical locking). WAL-first, like
+    /// Delete a tuple directly (no logical locking), logged like
     /// [`Database::insert`].
     pub fn delete(&self, rid: RelId, tid: TupleId) -> Result<Tuple> {
-        self.write(rid, |r| r.delete(tid, self.wal.as_deref()))?
+        self.write(rid, |r| self.delete_in(r, tid))?
     }
 
     /// Delete the first tuple equal to `tuple` (OPS5 `remove` semantics).
     /// Returns the deleted tuple's id, or `None` when absent.
     pub fn delete_equal(&self, rid: RelId, tuple: &Tuple) -> Result<Option<TupleId>> {
-        self.write(rid, |r| -> Result<Option<TupleId>> {
-            match r.find_equal(tuple)? {
-                Some(tid) => {
-                    r.delete(tid, self.wal.as_deref())?;
-                    Ok(Some(tid))
-                }
-                None => Ok(None),
-            }
+        self.write(rid, |r| match r.find_equal(tuple)? {
+            Some(tid) => self.delete_in(r, tid).map(|_| Some(tid)),
+            None => Ok(None),
         })?
+    }
+
+    /// Delete `tid` from `r`, under its write latch, and log it.
+    fn delete_in(&self, r: &mut Relation, tid: TupleId) -> Result<Tuple> {
+        let tuple = r.delete(tid)?;
+        let (rel, gone) = (r.id(), tuple.clone());
+        self.log(r, WalRecord::Delete { rel, tuple: gone })?;
+        Ok(tuple)
     }
 
     /// Fetch a tuple by id (owned).
@@ -520,6 +646,57 @@ mod tests {
             Err(Error::BadRelId(_))
         ));
         assert_eq!(db.relation_len(RelId(9)), 0);
+    }
+
+    /// A derived relation works like any other, but leaves no trace in
+    /// the log or a snapshot, and a logged relation may not follow it.
+    #[test]
+    fn derived_relations_are_neither_logged_nor_snapshotted() {
+        let dir = std::env::temp_dir().join(format!("relstore-derived-{}", std::process::id()));
+        let db = Database::new_paged(&dir, 4).unwrap();
+        let wm = db.create_relation(Schema::new("WM", ["a"])).unwrap();
+        let tokens = db
+            .create_derived_relation(Schema::new("__tokens", ["a"]))
+            .unwrap();
+        db.create_hash_index(tokens, 0).unwrap();
+        let tid = db.insert(tokens, tuple![1]).unwrap();
+        db.insert(tokens, tuple![2]).unwrap();
+        db.delete(tokens, tid).unwrap();
+        assert_eq!(db.relation_len(tokens), 1);
+        assert_eq!(db.wal.as_ref().unwrap().last_lsn(), 1, "only WM's creation");
+        assert!(matches!(
+            db.create_relation(Schema::new("Late", ["a"])),
+            Err(Error::LoggedAfterDerived(_))
+        ));
+        db.insert(wm, tuple![3]).unwrap();
+        db.checkpoint().unwrap();
+        let (back, _) = Database::open_paged(&dir, 4).unwrap();
+        assert_eq!(back.relation_names(), vec![(wm, "WM".to_string())]);
+        assert_eq!(back.relation_len(wm), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A checkpoint waits for an open writing transaction, but a writer
+    /// that arrives while the checkpoint waits goes ahead of it.
+    #[test]
+    fn a_writer_never_waits_behind_a_waiting_checkpoint() {
+        let dir = std::env::temp_dir().join(format!("relstore-gate-{}", std::process::id()));
+        let db = Database::new_paged(&dir, 4).unwrap();
+        let a = db.create_relation(Schema::new("A", ["a"])).unwrap();
+        let b = db.create_relation(Schema::new("B", ["b"])).unwrap();
+        let mut first = db.begin();
+        first.insert(a, tuple![1]).unwrap();
+        std::thread::scope(|s| {
+            let checkpoint = s.spawn(|| db.checkpoint().unwrap());
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            let mut second = db.begin();
+            second.insert(b, tuple![2]).unwrap();
+            second.commit().unwrap();
+            assert!(!checkpoint.is_finished(), "waits for the first writer");
+            first.commit().unwrap();
+            checkpoint.join().unwrap();
+        });
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

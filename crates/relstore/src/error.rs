@@ -26,6 +26,10 @@ pub enum Error {
     NoSuchTuple(RelId, u64),
     /// A relation with this name already exists.
     DuplicateRelation(String),
+    /// A logged relation was created after a derived one in a database
+    /// with a log. Replay skips derived relations, so it would come back
+    /// under another id.
+    LoggedAfterDerived(String),
     /// The transaction was chosen as a deadlock victim and must abort.
     Deadlock(TxnId),
     /// The transaction has already committed or aborted.
@@ -79,6 +83,7 @@ impl fmt::Display for Error {
                 write!(f, "no live tuple {tid} in relation {}", rid.0)
             }
             Error::DuplicateRelation(name) => write!(f, "relation `{name}` already exists"),
+            Error::LoggedAfterDerived(name) => write!(f, "`{name}` follows a derived relation"),
             Error::Deadlock(txn) => write!(f, "transaction {} aborted: deadlock victim", txn.0),
             Error::TxnFinished(txn) => write!(f, "transaction {} already finished", txn.0),
             Error::LockProtocol(msg) => write!(f, "lock protocol violation: {msg}"),

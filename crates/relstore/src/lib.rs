@@ -13,8 +13,8 @@
 //! * logical I/O accounting ([`Stats`]) so experiments can report
 //!   device-independent costs;
 //! * snapshot persistence ([`snapshot`]) for in-memory databases, and for
-//!   paged ones a write-ahead log ([`wal`]) with checkpoints and one
-//!   recovery path ([`Database::open_paged`]).
+//!   paged ones a log of committed transactions ([`wal`]) with
+//!   checkpoints and one recovery path ([`Database::open_paged`]).
 //!
 //! ```
 //! use relstore::{Database, Schema, Restriction, Selection, tuple};

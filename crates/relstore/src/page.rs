@@ -6,9 +6,9 @@
 //! classic slotted page:
 //!
 //! ```text
-//! +--------- header (16 B) ---------+--- records grow up --->
-//! | lsn u64 | nrecs u16 | free u16  | rec rec rec ...
-//! +---------------------------------+
+//! +------ header (8 B) ------+--- records grow up --->
+//! | nrecs u16 | free u16 | 4 | rec rec rec ...
+//! +--------------------------+
 //!                       ... free space ...
 //!            <--- directory grows down | (off u16, len u16) per slot |
 //! ```
@@ -16,9 +16,8 @@
 //! Directory entries are never renumbered — a record's slot index is
 //! referenced externally (by the relation's slot directory), so deletes
 //! tombstone the entry (`len == 0`) and compaction moves payloads while
-//! leaving indices stable. The page header carries the LSN of the last
-//! WAL record that modified the page, which the buffer pool uses to
-//! enforce write-ahead ordering at eviction.
+//! leaving indices stable. The page file is swap, not a durable image
+//! (recovery rebuilds it from checkpoint + log), so a page carries no LSN.
 
 use crate::error::{Error, Result};
 
@@ -26,9 +25,8 @@ use crate::error::{Error, Result};
 /// forced-eviction bench configurations small.
 pub const PAGE_SIZE: usize = 4096;
 
-/// Bytes of header: lsn (8) + record count (2) + free-space start (2) +
-/// 4 spare.
-pub const PAGE_HEADER: usize = 16;
+/// Bytes of header: record count (2) + free-space start (2) + 4 spare.
+pub const PAGE_HEADER: usize = 8;
 
 /// Bytes per directory entry: offset (2) + length (2).
 const DIR_ENTRY: usize = 4;
@@ -48,7 +46,6 @@ pub struct Page {
 impl std::fmt::Debug for Page {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Page")
-            .field("lsn", &self.lsn())
             .field("nrecs", &self.nrecs())
             .field("free_bytes", &self.free_bytes())
             .finish()
@@ -87,32 +84,22 @@ impl Page {
         &mut self.bytes
     }
 
-    /// LSN of the last WAL record that modified this page.
-    pub fn lsn(&self) -> u64 {
-        u64::from_le_bytes(self.bytes[0..8].try_into().unwrap())
-    }
-
-    /// Stamp the page with the WAL position that covers its latest change.
-    pub fn set_lsn(&mut self, lsn: u64) {
-        self.bytes[0..8].copy_from_slice(&lsn.to_le_bytes());
-    }
-
     /// Number of directory entries (live and dead).
     pub fn nrecs(&self) -> u16 {
-        u16::from_le_bytes(self.bytes[8..10].try_into().unwrap())
+        u16::from_le_bytes(self.bytes[0..2].try_into().unwrap())
     }
 
     fn set_nrecs(&mut self, n: u16) {
-        self.bytes[8..10].copy_from_slice(&n.to_le_bytes());
+        self.bytes[0..2].copy_from_slice(&n.to_le_bytes());
     }
 
     /// First free byte past the record area.
     fn free_start(&self) -> u16 {
-        u16::from_le_bytes(self.bytes[10..12].try_into().unwrap())
+        u16::from_le_bytes(self.bytes[2..4].try_into().unwrap())
     }
 
     fn set_free_start(&mut self, at: u16) {
-        self.bytes[10..12].copy_from_slice(&at.to_le_bytes());
+        self.bytes[2..4].copy_from_slice(&at.to_le_bytes());
     }
 
     fn dir_pos(&self, idx: u16) -> usize {
@@ -309,17 +296,15 @@ mod tests {
     }
 
     #[test]
-    fn lsn_roundtrips_through_raw_image() {
+    fn page_roundtrips_through_raw_image() {
         let mut p = Page::new();
-        p.set_lsn(0xDEAD_BEEF_CAFE);
         let idx = p.insert(b"x").unwrap();
         let mut q = Page::new();
         q.as_bytes_mut().copy_from_slice(p.as_bytes());
-        assert_eq!(q.lsn(), 0xDEAD_BEEF_CAFE);
         assert_eq!(q.record(idx).unwrap(), b"x");
         // A reset buffer is an empty page again.
         q.reset();
-        assert_eq!((q.lsn(), q.nrecs()), (0, 0));
+        assert_eq!(q.nrecs(), 0);
         assert_eq!(q.free_bytes(), PAGE_SIZE - PAGE_HEADER);
     }
 }

@@ -8,11 +8,9 @@
 //! share identical ids, index maintenance, and logical-I/O accounting,
 //! so every engine runs unchanged on either.
 //!
-//! Mutations are crate-private and reached through [`crate::Database`]:
-//! `Relation::insert` / `Relation::delete` append the WAL record
-//! *before* touching any page — under the relation's write latch, so the
-//! log order matches the apply order and a page can never carry a change
-//! whose log record does not precede it.
+//! Mutations are crate-private and reached through [`crate::Database`],
+//! which logs a change once it has succeeded: a relation knows nothing of
+//! the log.
 
 use std::sync::Arc;
 
@@ -26,7 +24,6 @@ use crate::schema::{AttrIdx, RelId, Schema};
 use crate::stats::Stats;
 use crate::tuple::{Tuple, TupleId};
 use crate::value::Value;
-use crate::wal::{Wal, WalRecord};
 
 /// One in-memory storage slot. Deleted slots keep their generation so
 /// stale [`TupleId`]s can be rejected instead of silently resolving to a
@@ -81,6 +78,9 @@ pub struct Relation {
     ord_indexes: Vec<Option<OrdIndex>>,
     stats: Stats,
     version: u64,
+    /// Rebuilt by its owner rather than logged or snapshotted
+    /// ([`crate::Database::create_derived_relation`]).
+    pub(crate) derived: bool,
 }
 
 impl Relation {
@@ -116,6 +116,7 @@ impl Relation {
             ord_indexes: vec![None; arity],
             stats,
             version: 0,
+            derived: false,
         }
     }
 
@@ -241,11 +242,8 @@ impl Relation {
         self.ord_indexes.get(attr).is_some_and(Option::is_some)
     }
 
-    /// Insert a tuple, appending the WAL record (when `wal` is given)
-    /// *before* the page write. The record's LSN tags the touched page so
-    /// eviction can enforce write-ahead ordering. Callers hold the
-    /// relation's write latch, so log order equals apply order.
-    pub(crate) fn insert(&mut self, tuple: Tuple, wal: Option<&Wal>) -> Result<TupleId> {
+    /// Insert a tuple.
+    pub(crate) fn insert(&mut self, tuple: Tuple) -> Result<TupleId> {
         if tuple.arity() != self.schema.arity() {
             return Err(Error::ArityMismatch {
                 relation: self.name().to_string(),
@@ -254,7 +252,7 @@ impl Relation {
             });
         }
         // Encode first in paged mode: an unencodable tuple must fail
-        // before anything is logged or touched.
+        // before any page is touched.
         let encoded = match &self.store {
             Store::Paged(_) => {
                 let rec = codec::encode_tuple(&tuple)?;
@@ -264,13 +262,6 @@ impl Relation {
                 Some(rec)
             }
             Store::Mem(_) => None,
-        };
-        let lsn = match wal {
-            Some(w) => w.append(&WalRecord::Insert {
-                rel: self.id,
-                tuple: tuple.clone(),
-            })?,
-            None => 0,
         };
         let tid = match &mut self.store {
             Store::Mem(slots) => match self.free.pop() {
@@ -296,7 +287,7 @@ impl Relation {
                     if (entry.1 as usize) < need {
                         continue;
                     }
-                    let (slot, usable) = p.pool.with_page_mut(entry.0, lsn, |page| {
+                    let (slot, usable) = p.pool.with_page_mut(entry.0, |page| {
                         (page.insert(&rec), page.usable_bytes() as u16)
                     })?;
                     entry.1 = usable;
@@ -309,7 +300,7 @@ impl Relation {
                     Some(loc) => loc,
                     None => {
                         let pid = p.pool.alloc_page()?;
-                        let (idx, usable) = p.pool.with_page_mut(pid, lsn, |page| {
+                        let (idx, usable) = p.pool.with_page_mut(pid, |page| {
                             let idx = page.insert(&rec).expect("fresh page fits checked record");
                             (idx, page.usable_bytes() as u16)
                         })?;
@@ -350,19 +341,11 @@ impl Relation {
         Ok(tid)
     }
 
-    /// Delete by id, returning the removed tuple; the WAL record goes
-    /// before the page mutation (see [`Relation::insert`]).
-    pub(crate) fn delete(&mut self, tid: TupleId, wal: Option<&Wal>) -> Result<Tuple> {
+    /// Delete by id, returning the removed tuple.
+    pub(crate) fn delete(&mut self, tid: TupleId) -> Result<Tuple> {
         let tuple = self
             .live_tuple(tid)?
             .ok_or(Error::NoSuchTuple(self.id, tid.pack()))?;
-        let lsn = match wal {
-            Some(w) => w.append(&WalRecord::Delete {
-                rel: self.id,
-                tuple: tuple.clone(),
-            })?,
-            None => 0,
-        };
         match &mut self.store {
             Store::Mem(slots) => {
                 let s = &mut slots[tid.slot as usize];
@@ -373,7 +356,7 @@ impl Relation {
                 let s = &mut p.slots[tid.slot as usize];
                 let (pid, idx) = s.loc.take().expect("checked live");
                 s.gen = s.gen.wrapping_add(1);
-                let usable = p.pool.with_page_mut(pid, lsn, |page| {
+                let usable = p.pool.with_page_mut(pid, |page| {
                     page.delete(idx)?;
                     Ok::<u16, Error>(page.usable_bytes() as u16)
                 })??;
@@ -653,8 +636,7 @@ mod tests {
         emp_paged_at(pool_pages).0
     }
 
-    /// A paged `Emp` and the page file behind it (its log is the page
-    /// file's `.log` sibling).
+    /// A paged `Emp` and the page file behind it.
     fn emp_paged_at(pool_pages: usize) -> (Relation, std::path::PathBuf) {
         let dir = std::env::temp_dir().join(format!(
             "relstore-rel-{}-{:p}",
@@ -669,9 +651,8 @@ mod tests {
                 .unwrap()
                 .as_nanos()
         ));
-        let wal = Arc::new(Wal::create(&path.with_extension("log")).unwrap());
         let stats = Stats::new();
-        let pool = Arc::new(BufferPool::create(&path, pool_pages, stats.clone(), wal).unwrap());
+        let pool = Arc::new(BufferPool::create(&path, pool_pages, stats.clone()).unwrap());
         let rel = Relation::new_paged(
             RelId(0),
             Schema::new("Emp", ["name", "age", "salary", "dno"]),
@@ -691,8 +672,7 @@ mod tests {
         // Matching rows interleave with the rest over several pages; the
         // last insert is a match, so its page is the resident one.
         for i in 1..=600i64 {
-            r.insert(tuple![format!("e{i}"), i, 0, i % 3], None)
-                .unwrap();
+            r.insert(tuple![format!("e{i}"), i, 0, i % 3]).unwrap();
         }
         let key = Value::Int(0);
         let postings = r.hash_indexes[3].as_ref().unwrap().probe(&key).to_vec();
@@ -716,39 +696,38 @@ mod tests {
         assert_eq!(rows.len(), postings.len());
         assert_eq!(io.tuples_read, postings.len() as u64);
         assert_eq!(io.page_reads, changes, "one fault per page change");
-        std::fs::remove_file(page_file.with_extension("log")).unwrap();
         std::fs::remove_file(page_file).unwrap();
     }
 
     #[test]
     fn insert_get_delete_roundtrip() {
         let mut r = emp();
-        let tid = r.insert(tuple!["Mike", 32, 5000, 7], None).unwrap();
+        let tid = r.insert(tuple!["Mike", 32, 5000, 7]).unwrap();
         assert_eq!(r.len(), 1);
         assert_eq!(r.get(tid).unwrap()[0], Value::str("Mike"));
-        let t = r.delete(tid, None).unwrap();
+        let t = r.delete(tid).unwrap();
         assert_eq!(t[1], Value::Int(32));
         assert!(r.is_empty());
         assert!(r.get(tid).is_err());
-        assert!(r.delete(tid, None).is_err());
+        assert!(r.delete(tid).is_err());
     }
 
     #[test]
     fn paged_roundtrip_matches_memory_semantics() {
         let mut r = emp_paged(4);
         assert!(r.is_paged());
-        let tid = r.insert(tuple!["Mike", 32, 5000, 7], None).unwrap();
+        let tid = r.insert(tuple!["Mike", 32, 5000, 7]).unwrap();
         assert_eq!(r.len(), 1);
         assert_eq!(r.get(tid).unwrap()[0], Value::str("Mike"));
-        let t = r.delete(tid, None).unwrap();
+        let t = r.delete(tid).unwrap();
         assert_eq!(t[1], Value::Int(32));
         assert!(r.is_empty());
         assert!(r.get(tid).is_err());
-        assert!(r.delete(tid, None).is_err());
+        assert!(r.delete(tid).is_err());
         // Slot reuse keeps the stale-generation discipline.
-        let a = r.insert(tuple!["A", 1, 1, 1], None).unwrap();
-        r.delete(a, None).unwrap();
-        let b = r.insert(tuple!["B", 2, 2, 2], None).unwrap();
+        let a = r.insert(tuple!["A", 1, 1, 1]).unwrap();
+        r.delete(a).unwrap();
+        let b = r.insert(tuple!["B", 2, 2, 2]).unwrap();
         assert_eq!(a.slot, b.slot);
         assert!(r.get(a).is_err());
         assert_eq!(r.get(b).unwrap()[0], Value::str("B"));
@@ -760,8 +739,8 @@ mod tests {
         let mut p = emp_paged(2); // smaller than the working set: evicts
         for i in 0..200i64 {
             let t = tuple![format!("e{i}"), 20 + (i % 40), 1000 * i, i % 10];
-            m.insert(t.clone(), None).unwrap();
-            p.insert(t, None).unwrap();
+            m.insert(t.clone()).unwrap();
+            p.insert(t).unwrap();
         }
         let restriction = Restriction::new(vec![Selection::eq(3, 4)]);
         let from_m: Vec<Tuple> = m
@@ -798,9 +777,9 @@ mod tests {
     #[test]
     fn stale_id_rejected_after_slot_reuse() {
         let mut r = emp();
-        let a = r.insert(tuple!["A", 1, 1, 1], None).unwrap();
-        r.delete(a, None).unwrap();
-        let b = r.insert(tuple!["B", 2, 2, 2], None).unwrap();
+        let a = r.insert(tuple!["A", 1, 1, 1]).unwrap();
+        r.delete(a).unwrap();
+        let b = r.insert(tuple!["B", 2, 2, 2]).unwrap();
         assert_eq!(a.slot, b.slot, "slot should be recycled");
         assert!(r.get(a).is_err(), "stale generation must not resolve");
         assert_eq!(r.get(b).unwrap()[0], Value::str("B"));
@@ -810,7 +789,7 @@ mod tests {
     fn arity_mismatch_rejected() {
         let mut r = emp();
         assert!(matches!(
-            r.insert(tuple!["Mike", 32], None),
+            r.insert(tuple!["Mike", 32]),
             Err(Error::ArityMismatch { .. })
         ));
     }
@@ -819,11 +798,8 @@ mod tests {
     fn select_with_and_without_index() {
         let mut r = emp();
         for i in 0..100i64 {
-            r.insert(
-                tuple![format!("e{i}"), 20 + (i % 40), 1000 * i, i % 10],
-                None,
-            )
-            .unwrap();
+            r.insert(tuple![format!("e{i}"), 20 + (i % 40), 1000 * i, i % 10])
+                .unwrap();
         }
         let scan_res = r
             .select(&Restriction::new(vec![Selection::eq(3, 4)]))
@@ -845,7 +821,7 @@ mod tests {
     fn ord_index_range_select() {
         let mut r = emp();
         for i in 0..50i64 {
-            r.insert(tuple![format!("e{i}"), i, 0, 0], None).unwrap();
+            r.insert(tuple![format!("e{i}"), i, 0, 0]).unwrap();
         }
         r.create_ord_index(1).unwrap();
         let res = r
@@ -858,20 +834,20 @@ mod tests {
     fn index_maintained_across_delete() {
         let mut r = emp();
         r.create_hash_index(0).unwrap();
-        let tid = r.insert(tuple!["Mike", 32, 5000, 7], None).unwrap();
+        let tid = r.insert(tuple!["Mike", 32, 5000, 7]).unwrap();
         assert_eq!(
             r.find_equal(&tuple!["Mike", 32, 5000, 7]).unwrap(),
             Some(tid)
         );
-        r.delete(tid, None).unwrap();
+        r.delete(tid).unwrap();
         assert_eq!(r.find_equal(&tuple!["Mike", 32, 5000, 7]).unwrap(), None);
     }
 
     #[test]
     fn find_equal_distinguishes_duplicates_by_content() {
         let mut r = emp();
-        r.insert(tuple!["A", 1, 1, 1], None).unwrap();
-        let b = r.insert(tuple!["B", 2, 2, 2], None).unwrap();
+        r.insert(tuple!["A", 1, 1, 1]).unwrap();
+        let b = r.insert(tuple!["B", 2, 2, 2]).unwrap();
         assert_eq!(r.find_equal(&tuple!["B", 2, 2, 2]).unwrap(), Some(b));
         assert_eq!(r.find_equal(&tuple!["C", 3, 3, 3]).unwrap(), None);
     }
@@ -880,7 +856,7 @@ mod tests {
     fn io_accounting_counts_scans_and_probes() {
         let mut r = emp();
         for i in 0..10i64 {
-            r.insert(tuple![format!("e{i}"), i, 0, 0], None).unwrap();
+            r.insert(tuple![format!("e{i}"), i, 0, 0]).unwrap();
         }
         let before = r.stats.snapshot();
         r.select(&Restriction::new(vec![Selection::eq(1, 3)]))
@@ -903,8 +879,7 @@ mod tests {
     fn probe_uses_selection_path() {
         let mut r = emp();
         for i in 0..20i64 {
-            r.insert(tuple![format!("e{i}"), i, 0, i % 2], None)
-                .unwrap();
+            r.insert(tuple![format!("e{i}"), i, 0, i % 2]).unwrap();
         }
         assert_eq!(r.probe(3, CompOp::Eq, &Value::Int(1)).unwrap().len(), 10);
         assert_eq!(r.probe(1, CompOp::Lt, &Value::Int(5)).unwrap().len(), 5);
@@ -984,7 +959,7 @@ mod tests {
                     }
                 }
                 for t in &rows {
-                    r.insert(t.clone(), None).unwrap();
+                    r.insert(t.clone()).unwrap();
                 }
                 for &attr in &hashed {
                     r.create_hash_index(attr).unwrap();
@@ -1006,8 +981,7 @@ mod tests {
                     proptest::prop_assert_eq!(read, shortest);
                 }
             }
-            std::fs::remove_file(page_file.with_extension("log")).unwrap();
-            std::fs::remove_file(page_file).unwrap();
+                std::fs::remove_file(page_file).unwrap();
         }
     }
 }

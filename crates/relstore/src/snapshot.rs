@@ -12,12 +12,14 @@
 //! [`load`] are its whole persistence. A paged database writes the same
 //! image as its checkpoint ([`Database::checkpoint`]).
 //!
-//! The image is a **consistent cut**: [`save`] latches the catalog and
-//! every relation for the duration of serialization, and the header
-//! records the WAL's last LSN at that cut — the *watermark* (0 without a
-//! log). [`Database::open_paged`] skips log records at or below the
-//! watermark, so a checkpoint paired with an untruncated log replays each
-//! change exactly once.
+//! The image is a **consistent cut** of committed work: [`save`] waits
+//! until no writing transaction is open, latches the catalog and every
+//! relation for the duration of serialization, and the header records
+//! the WAL's last LSN at that cut — the *watermark* (0 without a log).
+//! [`Database::open_paged`] skips log records at or below the watermark,
+//! so a checkpoint paired with an untruncated log replays each change
+//! exactly once. Derived relations
+//! ([`Database::create_derived_relation`]) are left out.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -37,16 +39,17 @@ pub fn save(db: &Database) -> Result<Bytes> {
 
 /// Like [`save`], also returning the WAL watermark embedded in the
 /// image: every log record with `lsn <= watermark` is reflected in the
-/// snapshot and none beyond it are. The cut is taken under a write
-/// latch on every relation plus the catalog lock, so a concurrent
-/// writer can neither straddle the image nor commit a record at or
-/// below the watermark after it is chosen.
+/// snapshot and none beyond it are. The cut is taken with no writing
+/// transaction open and under a write latch on every relation plus the
+/// catalog lock, so a concurrent writer can neither straddle the image
+/// nor commit a record at or below the watermark after it is chosen.
 pub(crate) fn save_with_watermark(db: &Database) -> Result<(Bytes, u64)> {
     db.with_quiesced(|rels, watermark| -> Result<(Bytes, u64)> {
         let mut buf = BytesMut::new();
         buf.put_u32_le(MAGIC);
         buf.put_u16_le(VERSION);
         buf.put_u64_le(watermark);
+        let rels: Vec<_> = rels.iter().filter(|r| !r.derived).collect();
         buf.put_u32_le(rels.len() as u32);
         for rel in rels {
             let schema = rel.schema();

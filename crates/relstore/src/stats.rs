@@ -42,7 +42,7 @@ pub struct Counters {
     pub pool_hits: AtomicU64,
     /// Frames evicted to make room for another page.
     pub pool_evictions: AtomicU64,
-    /// WAL syncs (`Wal::sync` / `sync_to`) that wrote and fsynced
+    /// WAL syncs (`Wal::sync`, a commit's frame) that wrote and fsynced
     /// appended frames; a sync with nothing new to make durable is not
     /// one, nor is a checkpoint's log rewrite.
     pub wal_syncs: AtomicU64,

@@ -14,6 +14,14 @@
 //!   (the paper's "read lock on the entire relation R_i");
 //! * locks are held until after the *maintenance process* completes — the
 //!   commit point — and released all at once (strict 2PL).
+//!
+//! Writes apply in place at once; on a logged database their redo
+//! records are buffered in the transaction. Commit appends them as one
+//! WAL frame and waits for it to be durable; abort undoes the writes in
+//! memory and logs nothing, so the log holds committed work only. From
+//! its first write until it ends, a transaction keeps checkpoints and
+//! snapshots out ([`Database::checkpoint`]), so no image holds its
+//! uncommitted work.
 
 mod locks;
 
@@ -22,11 +30,13 @@ pub use locks::{LockManager, LockMode, LockTarget};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use crate::database::Database;
+use crate::database::{Database, GatePass};
 use crate::error::{Error, Result};
 use crate::pred::{Restriction, Selection};
+use crate::relation::Relation;
 use crate::schema::RelId;
 use crate::tuple::{Tuple, TupleId};
+use crate::wal::WalRecord;
 
 /// Transaction identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -56,6 +66,11 @@ pub struct Txn<'db> {
     db: &'db Database,
     id: TxnId,
     undo: Vec<Undo>,
+    /// Redo records of the writes so far: the commit's WAL frame (empty
+    /// without a log).
+    redo: Vec<WalRecord>,
+    /// Held from the first write to commit or abort.
+    writing: Option<GatePass<'db>>,
     finished: bool,
 }
 
@@ -65,6 +80,8 @@ impl<'db> Txn<'db> {
             db,
             id,
             undo: Vec::new(),
+            redo: Vec::new(),
+            writing: None,
             finished: false,
         }
     }
@@ -202,9 +219,24 @@ impl<'db> Txn<'db> {
         self.db
             .lock_manager()
             .acquire(self.id, LockTarget::Relation(rel), LockMode::Exclusive)?;
-        let tid = self.db.insert(rel, tuple)?;
+        let (tid, logged) = self.write(rel, |r| r.insert(tuple.clone()))?;
         self.undo.push(Undo::Insert { rel, tid });
+        if logged {
+            self.redo.push(WalRecord::Insert { rel, tuple });
+        }
         Ok(tid)
+    }
+
+    /// Enter the checkpoint gate (at the first write), then run `change`
+    /// on `rel` under its write latch. Also says whether `rel` is logged.
+    fn write<T>(
+        &mut self,
+        rel: RelId,
+        change: impl FnOnce(&mut Relation) -> Result<T>,
+    ) -> Result<(T, bool)> {
+        self.writing.get_or_insert_with(|| self.db.gate.enter());
+        let db = self.db;
+        db.write(rel, |r| Ok((change(r)?, db.logs(r))))?
     }
 
     /// Delete a tuple by id under an exclusive tuple lock.
@@ -224,7 +256,7 @@ impl<'db> Txn<'db> {
         if !self.db.read(rel, |r| r.contains(tid))? {
             return Ok(None);
         }
-        let tuple = self.db.delete(rel, tid)?;
+        let (tuple, logged) = self.write(rel, |r| r.delete(tid))?;
         // A row this transaction inserted needs no undo once it is gone
         // again: reinserting it would give it a new id, and its insert's
         // undo would then delete nothing.
@@ -238,28 +270,32 @@ impl<'db> Txn<'db> {
                 tuple: tuple.clone(),
             }),
         }
+        if logged {
+            let tuple = tuple.clone();
+            self.redo.push(WalRecord::Delete { rel, tuple });
+        }
         Ok(Some(tuple))
     }
 
-    /// Commit: make the transaction's log records durable, then release
-    /// every lock (strict 2PL — nothing was released earlier) and discard
-    /// the undo log. If the WAL write/fsync fails the transaction rolls
-    /// back and the error is returned — a caller that sees `Ok` knows its
-    /// records are durable. (An in-memory database has no log, so its
-    /// commit cannot fail.)
+    /// Commit: append the transaction's redo records to the log as one
+    /// frame and wait until it is durable, then release every lock
+    /// (strict 2PL — nothing was released earlier) and discard the undo
+    /// log. A transaction that wrote nothing logged appends and syncs
+    /// nothing. If the WAL write/fsync fails the frame is withdrawn, the
+    /// transaction rolls back and the error is returned — a caller that
+    /// sees `Ok` knows its records are durable. (An in-memory database
+    /// has no log, so its commit cannot fail.)
     pub fn commit(mut self) -> Result<()> {
-        match self.db.sync_wal() {
-            Ok(()) => {
-                self.undo.clear();
-                self.finish();
-                Ok(())
-            }
-            Err(e) => {
-                self.rollback();
-                self.finish();
-                Err(e)
-            }
+        let durable = match &self.db.wal {
+            Some(wal) if !self.redo.is_empty() => wal.commit(&self.redo),
+            _ => Ok(()),
+        };
+        match durable {
+            Ok(()) => self.undo.clear(),
+            Err(_) => self.rollback(),
         }
+        self.finish();
+        durable
     }
 
     /// Abort: undo all changes newest-first, then release locks.
@@ -268,25 +304,26 @@ impl<'db> Txn<'db> {
         self.finish();
     }
 
+    /// Undo every write in memory, newest first. The log never saw them,
+    /// so nothing is logged.
     fn rollback(&mut self) {
         while let Some(undo) = self.undo.pop() {
-            match undo {
-                Undo::Insert { rel, tid } => {
-                    // Best effort: the tuple must still exist because we
-                    // hold an exclusive relation lock from the insert.
-                    let _ = self.db.delete(rel, tid);
-                }
-                Undo::Delete { rel, tuple } => {
-                    let _ = self.db.insert(rel, tuple);
-                }
-            }
+            // Best effort: the locks taken by the write keep its row as
+            // the write left it, so only a page-file I/O error can fail.
+            let _ = match undo {
+                Undo::Insert { rel, tid } => self.db.write(rel, |r| r.delete(tid).map(drop)),
+                Undo::Delete { rel, tuple } => self.db.write(rel, |r| r.insert(tuple).map(drop)),
+            };
         }
+        self.redo.clear();
         self.db.stats().abort();
     }
 
+    /// Release every lock and leave the checkpoint gate.
     fn finish(&mut self) {
         if !self.finished {
             self.db.lock_manager().release_all(self.id);
+            self.writing = None;
             self.finished = true;
         }
     }

@@ -1,30 +1,34 @@
-//! Write-ahead logging.
+//! The redo log.
 //!
 //! A persistent working memory needs more than snapshots: the paper's
 //! §3.2 "persistent WM" claim implies surviving a crash between
-//! checkpoints. A paged database ([`Database::new_paged`]) appends every
-//! logical change (relation creation, index creation, tuple
-//! insert/delete) to its `wal.log` as a framed binary record before the
-//! change touches a page, and [`Database::open_paged`] — the one recovery
-//! path — replays the log on top of the last checkpoint snapshot.
+//! checkpoints. A paged database ([`Database::new_paged`]) logs every
+//! committed logical change (relation creation, index creation, tuple
+//! insert/delete) to its `wal.log`, and [`Database::open_paged`] — the
+//! one recovery path — replays the log on top of the last checkpoint
+//! snapshot. The log holds committed work only: a transaction buffers its
+//! records and appends them at commit as one frame, and an abort appends
+//! nothing. A write outside a transaction is its own frame.
 //!
-//! Each record is framed as `[lsn u64][payload len u32][crc32 u32][payload]`,
-//! with the checksum covering the LSN, length, and payload. The frame makes
-//! two crash-safety properties checkable:
+//! A frame is `[lsn u64][payload len u32][crc32 u32][payload]`, with the
+//! checksum covering the LSN, length, and payload; the payload is one or
+//! more records back to back. A one-record frame is byte for byte the
+//! frame of a log that framed every record alone, so such a log still
+//! opens. The frame makes two crash-safety properties checkable:
 //!
 //! * **Torn tails are tolerated.** A crash mid-append leaves a partial
-//!   final frame; [`Wal::decode_prefix`] replays every whole record and
+//!   final frame; [`Wal::decode_prefix`] replays every whole frame and
 //!   reports how many trailing bytes were dropped instead of rejecting
 //!   the entire log.
-//! * **Write-ahead ordering is enforceable.** Every append returns its
-//!   LSN; heap pages carry the LSN of the last record that touched them,
-//!   and the buffer pool calls [`Wal::sync_to`] before a dirty page may
-//!   reach disk.
+//! * **A transaction is all or nothing.** Its records share one frame,
+//!   so replay sees all of them or, past a torn tail, none.
 //!
 //! The log is a file fixed at construction ([`Wal::create`] /
-//! [`Wal::open`]). Memory holds only the frames appended since the last
-//! [`Wal::sync`], which writes them and fsyncs; [`Wal::truncate_through`]
-//! drops the prefix a checkpoint covers by an atomic rewrite.
+//! [`Wal::open`]). Memory holds only the frames not yet written:
+//! [`Wal::append`] writes them, without fsync, once they pass
+//! [`WRITE_BEHIND`] bytes, and [`Wal::sync`] writes the rest and fsyncs.
+//! [`Wal::truncate_through`] drops the prefix a checkpoint covers by an
+//! atomic rewrite.
 //!
 //! Deletions are logged *by content*, matching OPS5 `remove` semantics —
 //! tuple ids are physical slot handles and not stable across replay.
@@ -49,9 +53,12 @@ const REC_ORD_INDEX: u8 = 3;
 const REC_INSERT: u8 = 4;
 const REC_DELETE: u8 = 5;
 
-/// Size of the per-record frame header: LSN (8) + payload length (4) +
-/// CRC-32 (4).
+/// Size of the frame header: LSN (8) + payload length (4) + CRC-32 (4).
 pub const FRAME_HEADER: usize = 16;
+
+/// Unwritten bytes past which [`Wal::append`] writes the buffered frames
+/// to the file (without fsync), so memory holds a bounded tail of the log.
+pub const WRITE_BEHIND: usize = 64 << 10;
 
 /// Sanity bound on a single frame's payload; a length field above this
 /// is treated as corruption rather than attempted as an allocation.
@@ -192,14 +199,14 @@ pub(crate) fn sync_dir(path: &Path) -> Result<()> {
 
 #[derive(Debug)]
 struct WalInner {
-    /// Frames appended since the last sync: the only part of the log
+    /// Frames appended but not yet written: the only part of the log
     /// held in memory.
     buf: BytesMut,
-    /// Bytes of `file` written by successful syncs and rewrites. A failed
+    /// Bytes of `file` written by successful writes and rewrites. A failed
     /// write may leave a partial suffix past it, which a rewrite ignores.
     file_len: u64,
     /// LSN the next append will receive. Starts at 1 and is monotonic
-    /// across truncations, so a page's LSN is meaningful for its lifetime.
+    /// across truncations.
     next_lsn: u64,
     /// LSN of the most recent append (0 before any).
     last_lsn: u64,
@@ -286,25 +293,62 @@ impl Wal {
         self
     }
 
-    /// Append a record to the log and return its LSN. The record is
-    /// buffered; it becomes durable at the next [`Wal::sync`].
+    /// Append a record to the log as a frame of its own and return its
+    /// LSN. The record becomes durable at the next [`Wal::sync`].
     pub fn append(&self, rec: &WalRecord) -> Result<u64> {
+        let mut guard = self.inner.lock();
+        let g = &mut *guard;
+        let lsn = Wal::push_frame(g, std::slice::from_ref(rec))?;
+        if g.buf.len() >= WRITE_BEHIND && !g.poisoned {
+            // Written but not fsynced: a later sync covers these bytes. A
+            // failed write keeps them buffered and poisons the log, so the
+            // next sync reports it.
+            g.poisoned = g.file.write_all(g.buf.as_ref()).is_err();
+            if !g.poisoned {
+                g.file_len += g.buf.len() as u64;
+                g.buf.clear();
+            }
+        }
+        Ok(lsn)
+    }
+
+    /// Frame `records`, encoded back to back, into the unwritten buffer
+    /// under the next LSN. A record that cannot be encoded pushes nothing.
+    fn push_frame(g: &mut WalInner, records: &[WalRecord]) -> Result<u64> {
         let mut payload = BytesMut::new();
-        rec.encode(&mut payload)?;
-        let mut g = self.inner.lock();
+        for rec in records {
+            rec.encode(&mut payload)?;
+        }
+        let payload = payload.as_ref();
         let lsn = g.next_lsn;
         let mut hdr = [0u8; 12];
         hdr[..8].copy_from_slice(&lsn.to_le_bytes());
         hdr[8..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
         let mut crc = Crc32::new();
         crc.update(&hdr);
-        crc.update(payload.as_ref());
+        crc.update(payload);
         g.buf.put_slice(&hdr);
         g.buf.put_u32_le(crc.finish());
-        g.buf.put_slice(payload.as_ref());
+        g.buf.put_slice(payload);
         g.next_lsn += 1;
         g.last_lsn = lsn;
         Ok(lsn)
+    }
+
+    /// Append `records` as one frame and make it durable: a
+    /// transaction's commit. If the write or fsync fails, the frame is
+    /// taken back out of the unwritten buffer before the error returns, so
+    /// no later rewrite ([`Wal::truncate_through`]) can make the failed
+    /// commit durable.
+    pub(crate) fn commit(&self, records: &[WalRecord]) -> Result<()> {
+        let mut g = self.inner.lock();
+        let (mark, last) = (g.buf.len(), g.last_lsn);
+        let lsn = Wal::push_frame(&mut g, records)?;
+        self.sync_locked(&mut g).inspect_err(|_| {
+            g.buf.truncate(mark);
+            g.next_lsn = lsn;
+            g.last_lsn = last;
+        })
     }
 
     /// Write the unwritten frames and fsync, unless every appended record
@@ -338,36 +382,10 @@ impl Wal {
     }
 
     /// Make every appended record durable: write the unwritten frames to
-    /// the file and fsync. O(new bytes), not O(log). A no-op once another
-    /// sync has covered every record, so a read-only commit, or one whose
-    /// records an earlier commit's fsync carried, costs no syscall.
+    /// the file and fsync. O(new bytes), not O(log). A no-op once every
+    /// record is durable.
     pub fn sync(&self) -> Result<()> {
         self.sync_locked(&mut self.inner.lock())
-    }
-
-    /// Ensure records up to and including `lsn` are durable — the
-    /// write-ahead gate the buffer pool calls once before a batch
-    /// write-back, with the highest LSN of the pages it will write.
-    /// No-op when already durable.
-    pub fn sync_to(&self, lsn: u64) -> Result<()> {
-        let mut g = self.inner.lock();
-        if g.durable_lsn >= lsn {
-            return Ok(());
-        }
-        self.sync_locked(&mut g)
-    }
-
-    /// Highest LSN known durable.
-    pub fn durable_lsn(&self) -> u64 {
-        self.inner.lock().durable_lsn
-    }
-
-    /// True when no record at or below `lsn` is still only in memory:
-    /// the write-ahead condition for writing a page whose LSN is `lsn`.
-    /// Once every appended record is durable, every LSN is covered.
-    pub fn covers(&self, lsn: u64) -> bool {
-        let g = self.inner.lock();
-        g.durable_lsn >= lsn.min(g.last_lsn)
     }
 
     /// LSN of the most recent append (0 before any).
@@ -457,9 +475,10 @@ impl Wal {
         Ok((file, kept.len() as u64))
     }
 
-    /// Decode the valid prefix of a log, tolerating a torn tail: every
-    /// whole, checksummed record is returned; the first invalid frame and
-    /// everything after it are reported as a [`TornTail`].
+    /// Decode the valid prefix of a log, tolerating a torn tail: the
+    /// records of every whole, checksummed frame are returned, each with
+    /// its frame's LSN; the first invalid frame and everything after it
+    /// are reported as a [`TornTail`].
     pub fn decode_prefix(bytes: &[u8]) -> (Vec<(u64, WalRecord)>, Option<TornTail>) {
         let mut out = Vec::new();
         let mut at = 0;
@@ -486,11 +505,22 @@ impl Wal {
             if check.finish() != crc {
                 break Some("frame checksum mismatch");
             }
+            // One or more records, back to back, filling the payload.
             let mut pb = Bytes::from(payload);
-            match WalRecord::decode(&mut pb) {
-                Ok(rec) if !pb.has_remaining() => out.push((lsn, rec)),
-                _ => break Some("frame payload undecodable"),
+            let mut recs = Vec::new();
+            let whole = loop {
+                match WalRecord::decode(&mut pb) {
+                    Ok(rec) => recs.push((lsn, rec)),
+                    Err(_) => break false,
+                }
+                if !pb.has_remaining() {
+                    break true;
+                }
+            };
+            if !whole {
+                break Some("frame payload undecodable");
             }
+            out.append(&mut recs);
             at += FRAME_HEADER + len;
         };
         let torn = failed.map(|reason| TornTail {
@@ -559,6 +589,10 @@ mod tests {
         (bytes, boundaries)
     }
 
+    fn durable(wal: &Wal) -> u64 {
+        wal.inner.lock().durable_lsn
+    }
+
     fn lsns(bytes: &[u8]) -> Vec<u64> {
         let (records, torn) = Wal::decode_prefix(bytes);
         assert!(torn.is_none());
@@ -605,9 +639,9 @@ mod tests {
         wal.truncate_through(2).unwrap();
         // LSNs keep counting across truncations.
         assert_eq!(wal.append(&ins(1)).unwrap(), 3);
-        assert_eq!(wal.durable_lsn(), 2);
+        assert_eq!(durable(&wal), 2);
         wal.sync().unwrap();
-        assert_eq!(wal.durable_lsn(), 3);
+        assert_eq!(durable(&wal), 3);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -711,7 +745,7 @@ mod tests {
         wal.truncate_through(3).unwrap();
         assert_eq!(lsns(&std::fs::read(&path).unwrap()), vec![4]);
         assert_eq!(wal.last_lsn(), 4);
-        assert_eq!(wal.durable_lsn(), 4, "surviving suffix counts as durable");
+        assert_eq!(durable(&wal), 4, "surviving suffix counts as durable");
         assert_eq!(wal.append(&ins(5)).unwrap(), 5, "LSNs keep counting");
         // A watermark covering everything empties the log.
         wal.truncate_through(5).unwrap();
@@ -797,8 +831,8 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A commit writes and fsyncs only when some record is not yet
-    /// durable, and each real sync is counted once in `wal_syncs`.
+    /// A commit writes and fsyncs only when it logged something, and each
+    /// real sync is counted once in `wal_syncs`.
     #[test]
     fn commit_syncs_only_what_is_not_yet_durable() {
         let dir = tmp_dir("commits");
@@ -821,16 +855,16 @@ mod tests {
             txn.commit().unwrap();
             assert_eq!(syncs(), start + 1, "a writing commit syncs once");
 
-            // `a`'s record is carried by `b`'s fsync, so `a` has nothing
-            // left to make durable.
+            // `b`'s fsync cannot carry `a`'s record: an open transaction
+            // has not logged it yet.
             let mut a = db.begin();
             a.insert(r, tuple![2]).unwrap();
             let mut b = db.begin();
             b.insert(s, tuple![3]).unwrap();
             b.commit().unwrap();
             assert_eq!(syncs(), start + 2);
-            a.commit().expect("a covered commit succeeds");
-            assert_eq!(syncs(), start + 2, "a covered commit does not sync");
+            a.commit().unwrap();
+            assert_eq!(syncs(), start + 3, "each writing commit syncs its frame");
         }
         let (back, _) = Database::open_paged(&dir, 4).unwrap();
         let count = |name| {
@@ -841,35 +875,54 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A page fault that needs a batch write-back over a log that cannot
-    /// be written fails the scan with `Err`: the failed sync writes no
-    /// page and poisons the log.
+    /// A transaction's writes are one frame: one LSN for all its records,
+    /// and a cut anywhere inside the frame drops every one of them.
     #[test]
-    fn failed_write_back_sync_fails_the_scan() {
-        let dir = tmp_dir("writeback");
-        let db = Database::new_paged(&dir, 2).unwrap();
-        let r = db.create_relation(Schema::new("R", ["k", "pad"])).unwrap();
-        // Three 1 KiB tuples a page: four heap pages through two frames.
-        let pad = "x".repeat(1000);
-        let tids: Vec<_> = (0..12)
-            .map(|i| db.insert(r, tuple![i, pad.as_str()]).unwrap())
-            .collect();
+    fn a_commit_is_one_frame() {
+        let dir = tmp_dir("frame");
+        let db = Database::new_paged(&dir, 4).unwrap();
+        let r = db.create_relation(Schema::new("R", ["v"])).unwrap();
         db.sync_wal().unwrap();
-        let wal = db.wal.clone().expect("a paged database logs");
-        wal.inner.lock().file = File::open(dir.join("wal.log")).unwrap();
-        // Both frames dirty ahead of the durable LSN: the first and the
-        // last heap page.
-        db.delete(r, tids[0]).unwrap();
-        db.delete(r, tids[11]).unwrap();
+        let before = std::fs::read(dir.join("wal.log")).unwrap().len();
+        let mut txn = db.begin();
+        for i in 0..3i64 {
+            txn.insert(r, tuple![i]).unwrap();
+        }
+        let rows = txn.select(r, &Restriction::default()).unwrap();
+        txn.delete(r, rows[0].0).unwrap();
+        txn.commit().unwrap();
+        let log = std::fs::read(dir.join("wal.log")).unwrap();
+        let (records, torn) = Wal::decode_prefix(&log);
+        assert!(torn.is_none());
+        assert_eq!(records.len(), 5, "create + 3 inserts + 1 delete");
+        assert!(records[1..].iter().all(|(lsn, _)| *lsn == 2), "one LSN");
+        for cut in before..log.len() {
+            assert_eq!(Wal::decode_prefix(&log[..cut]).0.len(), 1, "cut {cut}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
-        let writes = db.stats().snapshot().page_writes;
-        assert!(db.select(r, &Restriction::default()).is_err());
-        assert_eq!(db.stats().snapshot().page_writes, writes, "nothing written");
-        let refused = db.sync_wal();
-        assert!(
-            matches!(&refused, Err(Error::Io(m)) if m.contains("poisoned")),
-            "{refused:?}"
-        );
+    /// Frames past [`WRITE_BEHIND`] bytes are written without fsync, so
+    /// the unwritten buffer stays bounded between syncs.
+    #[test]
+    fn appends_write_behind_a_bounded_buffer() {
+        let dir = tmp_dir("behind");
+        let path = dir.join("wal.log");
+        let wal = Wal::create(&path).unwrap();
+        let pad = "x".repeat(1000);
+        for _ in 0..200 {
+            wal.append(&WalRecord::Insert {
+                rel: RelId(0),
+                tuple: tuple![pad.as_str()],
+            })
+            .unwrap();
+            assert!(wal.inner.lock().buf.len() < WRITE_BEHIND + 1100);
+        }
+        assert!(std::fs::metadata(&path).unwrap().len() > 0, "written");
+        assert_eq!(durable(&wal), 0, "but not synced");
+        wal.sync().unwrap();
+        let (records, torn) = Wal::decode_prefix(&std::fs::read(&path).unwrap());
+        assert_eq!((records.len(), torn), (200, None));
         std::fs::remove_dir_all(&dir).ok();
     }
 

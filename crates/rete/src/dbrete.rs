@@ -10,8 +10,13 @@
 //! insertions and deletions against a [`relstore::Database`] — so the
 //! logical I/O this design costs shows up in [`Database::stats`]. Join
 //! tests are pushed into the selections rather than evaluated per token.
+//!
+//! The relations are derived ([`Database::create_derived_relation`]):
+//! §5's maintenance writes them outside any transaction, so logging them
+//! would let token rows outlive a working-memory change that never
+//! committed. They are not logged or snapshotted, and a network over a
+//! recovered or restored database is rebuilt from working memory.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use ops5::{ClassId, RuleId, RuleSet};
@@ -19,7 +24,7 @@ use relstore::{Database, RelId, Restriction, Schema, Selection, Tuple, TupleId, 
 
 use crate::compile::{BJoinTest, BetaKind, NetworkPlan};
 use crate::network::{Network, TokenMemory};
-use crate::wme::{ConflictDelta, Instantiation, Wme};
+use crate::wme::{Instantiation, Wme};
 
 type WmeId = i64;
 
@@ -95,74 +100,28 @@ pub struct RelMemory {
 pub type DbReteNetwork = Network<RelMemory>;
 
 impl Network<RelMemory> {
-    /// Build the LEFT/RIGHT relations for a rule set inside `db`.
+    /// Build a rule set's network over empty LEFT/RIGHT relations inside
+    /// `db`, all derived: one RIGHT relation per alpha memory, one LEFT
+    /// relation per non-root beta node, each hash-indexed on the column
+    /// WME-driven retraction probes.
     ///
     /// Relation names are prefixed `__rete_` to stay clear of WM classes.
     pub fn new(db: Arc<Database>, rules: &RuleSet) -> relstore::Result<Self> {
         let plan = Arc::new(NetworkPlan::compile(rules));
-        let mem = RelMemory::open(db, rules, plan.clone(), |db, schema, probed| {
-            let rid = db.create_relation(schema)?;
+        let relation = |schema: Schema, probed: Option<usize>| -> relstore::Result<RelId> {
+            let rid = db.create_derived_relation(schema)?;
             if let Some(col) = probed {
                 db.create_hash_index(rid, col)?;
             }
             Ok(rid)
-        })?;
-        Ok(Network::over(plan, mem))
-    }
-
-    /// Attach to a database that already contains this rule set's
-    /// LEFT/RIGHT relations (e.g. restored from a snapshot). All network
-    /// state lives in the database, so the conflict set, WME identity map
-    /// and id counter are reconstructed from the stored rows.
-    pub fn attach(db: Arc<Database>, rules: &RuleSet) -> relstore::Result<Self> {
-        let plan = Arc::new(NetworkPlan::compile(rules));
-        let find = |db: &Database, schema: Schema, _| db.rel_id(schema.name());
-        let mem = RelMemory::open(db, rules, plan.clone(), find)?;
-        let mut net = Network::over(plan, mem);
-        // WME identities from the alpha (RIGHT) relations.
-        let mut seen = HashSet::new();
-        for (spec, &rid) in net.plan.alphas.iter().zip(&net.mem.alpha_rel) {
-            for (_, row) in net.mem.db.select(rid, &Restriction::default())? {
-                let Value::Int(wid) = row[0] else { continue };
-                net.mem.next_wid = net.mem.next_wid.max(wid + 1);
-                if seen.insert(wid) {
-                    let wme = Wme::new(spec.class, Tuple::new(row.values()[1..].to_vec()));
-                    net.by_content.entry(wme).or_default().push(wid);
-                }
-            }
-        }
-        // The conflict set from the production-node relations.
-        for (b, spec) in net.plan.betas.iter().enumerate() {
-            if let BetaKind::Production { rule, .. } = spec.kind {
-                let rid = net.mem.left[b].rel();
-                for (_, row) in net.mem.db.select(rid, &Restriction::default())? {
-                    let inst = net.mem.instantiation(b, rule, &row);
-                    net.conflict.apply(&ConflictDelta::Add(inst));
-                }
-            }
-        }
-        Ok(net)
-    }
-}
-
-impl RelMemory {
-    /// Lay a plan's memories out as relations of `db`: one RIGHT relation
-    /// per alpha memory, one LEFT relation per non-root beta node.
-    /// `relation` creates or finds each, given its schema and the column
-    /// WME-driven retraction probes.
-    fn open(
-        db: Arc<Database>,
-        rules: &RuleSet,
-        plan: Arc<NetworkPlan>,
-        relation: impl Fn(&Database, Schema, Option<usize>) -> relstore::Result<RelId>,
-    ) -> relstore::Result<Self> {
+        };
         let arity = |class: ClassId| rules.class(class).arity();
         let mut alpha_rel = Vec::with_capacity(plan.alphas.len());
         for (i, a) in plan.alphas.iter().enumerate() {
             let mut cols = vec!["wid".to_string()];
             cols.extend((0..arity(a.class)).map(|k| format!("v{k}")));
             let schema = Schema::new(format!("__rete_alpha{i}"), cols);
-            alpha_rel.push(relation(&db, schema, Some(0))?);
+            alpha_rel.push(relation(schema, Some(0))?);
         }
         // Children come after parents in the plan's vector by
         // construction, so layouts build top-down.
@@ -189,7 +148,7 @@ impl RelMemory {
                     cols.push("negcount".into());
                 }
                 let schema = Schema::new(format!("__rete_beta{b}"), cols);
-                Some(relation(&db, schema, layout.wids().checked_sub(1))?)
+                Some(relation(schema, layout.wids().checked_sub(1))?)
             };
             left.push(Left {
                 rel,
@@ -197,15 +156,18 @@ impl RelMemory {
                 count_col,
             });
         }
-        Ok(RelMemory {
-            plan,
+        let mem = RelMemory {
+            plan: plan.clone(),
             db,
             alpha_rel,
             left,
             next_wid: 0,
-        })
+        };
+        Ok(Network::over(plan, mem))
     }
+}
 
+impl RelMemory {
     /// Selections on a LEFT relation induced by join tests against a
     /// right WME: `token[token_attr] op.flip() wme[my_attr]`.
     fn token_selections(layout: &Layout, tests: &[BJoinTest], wme: &Wme) -> Vec<Selection> {

@@ -3,7 +3,7 @@
 //! any WAL byte boundary must recover exactly the committed prefix.
 
 use ops5::ClassId;
-use prodsys::{make_engine, EngineKind, ProductionDb};
+use prodsys::{bootstrap, make_engine, EngineKind, ProductionDb};
 use proptest::prelude::*;
 use relstore::{tuple, Database, Restriction, Schema, Tuple, Value};
 use std::path::PathBuf;
@@ -157,8 +157,10 @@ fn indexes(db: &Database) -> Vec<(String, usize, bool, bool)> {
 
 /// Index definitions are part of the durable state: a production system
 /// recovered from the WAL alone (no checkpoint) must come back with the
-/// WM indexes `ProductionDb` chose and the LEFT/RIGHT indexes DB-Rete
-/// retracts through, or replay and every later match run on full scans.
+/// WM indexes `ProductionDb` chose, or replay and every later match run
+/// on full scans. DB-Rete's LEFT/RIGHT relations are derived: recovery
+/// drops them, and re-creating the engine brings back the same rows and
+/// the indexes it retracts through.
 #[test]
 fn production_db_indexes_survive_crash_without_checkpoint() {
     let dir = tmp_dir("pdb-indexes");
@@ -173,7 +175,7 @@ fn production_db_indexes_survive_crash_without_checkpoint() {
     let (wm_before, indexes_before);
     {
         let db = Arc::new(Database::new_paged(&dir, 4).unwrap());
-        let pdb = ProductionDb::with_db(db.clone(), rules).unwrap();
+        let pdb = ProductionDb::with_db(db.clone(), rules.clone()).unwrap();
         let mut engine = make_engine(EngineKind::DbRete, pdb);
         engine.insert(ClassId(0), tuple!["Ann", 9000, 7]);
         engine.insert(ClassId(1), tuple![7]);
@@ -188,8 +190,14 @@ fn production_db_indexes_survive_crash_without_checkpoint() {
 
     let (back, report) = Database::open_paged(&dir, 4).unwrap();
     assert!(!report.snapshot_loaded);
-    assert_eq!(dump(&back), wm_before);
-    assert_eq!(indexes(&back), indexes_before);
+    assert!(dump(&back)
+        .iter()
+        .all(|(name, _)| !name.starts_with("__rete")));
+    let pdb = ProductionDb::attach(Arc::new(back), rules).unwrap();
+    let mut engine = make_engine(EngineKind::DbRete, pdb.clone());
+    bootstrap(engine.as_mut());
+    assert_eq!(dump(pdb.db()), wm_before);
+    assert_eq!(indexes(pdb.db()), indexes_before);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -42,8 +42,8 @@ fn snapshot_restore_rebuilds_conflict_set() {
         let restored = Arc::new(snapshot::load(image).unwrap());
         let pdb2 = ProductionDb::attach(restored, rules).unwrap();
         assert_eq!(pdb2.wm_total(), 3, "{}", kind.label());
-        // The DB-Rete engine re-attaches to its snapshot-restored
-        // LEFT/RIGHT relations; the others rebuild via bootstrap.
+        // Every engine rebuilds via bootstrap: DB-Rete's LEFT/RIGHT
+        // relations are derived, so the image leaves them out.
         let mut engine2 = make_engine(kind, pdb2);
         bootstrap(engine2.as_mut());
         assert_eq!(engine2.conflict_set().sorted(), before, "{}", kind.label());
@@ -102,12 +102,10 @@ fn batched_bootstrap_matches_per_tuple_replay() {
         let restored = Arc::new(snapshot::load(image).unwrap());
         let pdb_seq = ProductionDb::attach(restored, rules).unwrap();
         let mut per_tuple = make_engine(kind, pdb_seq.clone());
-        if batched.needs_bootstrap() {
-            for c in 0..pdb_seq.class_count() {
-                let class = ClassId(c);
-                for (tid, tuple) in pdb_seq.wm_scan(class).unwrap() {
-                    per_tuple.maintain_insert(class, tid, &tuple);
-                }
+        for c in 0..pdb_seq.class_count() {
+            let class = ClassId(c);
+            for (tid, tuple) in pdb_seq.wm_scan(class).unwrap() {
+                per_tuple.maintain_insert(class, tid, &tuple);
             }
         }
 
