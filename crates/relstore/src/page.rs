@@ -126,9 +126,18 @@ impl Page {
         dir_top - self.free_start() as usize
     }
 
-    /// Free bytes an insert could use, counting compactable dead space.
-    pub fn usable_bytes(&self) -> usize {
-        self.free_bytes() + self.dead_bytes()
+    /// The largest record plus directory entry an insert can take: the
+    /// free and compactable dead bytes, and an entry's worth more when a
+    /// dead directory entry is there to reuse. One directory pass.
+    pub fn room(&self) -> usize {
+        let (mut live, mut dead_entry) = (0, false);
+        for i in 0..self.nrecs() {
+            let len = self.dir_entry(i).1 as usize;
+            live += len;
+            dead_entry |= len == 0;
+        }
+        let dead = self.free_start() as usize - PAGE_HEADER - live;
+        self.free_bytes() + dead + if dead_entry { DIR_ENTRY } else { 0 }
     }
 
     /// Bytes reclaimable by [`Page::compact`] (payloads of dead entries).

@@ -46,8 +46,11 @@ struct PagedSlot {
 struct PagedStore {
     pool: Arc<BufferPool>,
     slots: Vec<PagedSlot>,
-    /// Pages owned by this relation with a cached usable-free-bytes hint
-    /// (kept current on every insert/delete touching the page).
+    /// Pages owned by this relation, each with its cached [`Page::room`]:
+    /// the largest record plus directory entry it can take (kept current
+    /// on every insert/delete touching the page).
+    ///
+    /// [`Page::room`]: crate::page::Page::room
     pages: Vec<(PageId, u16)>,
 }
 
@@ -281,16 +284,17 @@ impl Relation {
             },
             Store::Paged(p) => {
                 let rec = encoded.expect("encoded in paged mode");
+                // A record and its directory entry.
                 let need = rec.len() + 4;
                 let mut placed = None;
                 for entry in p.pages.iter_mut() {
                     if (entry.1 as usize) < need {
                         continue;
                     }
-                    let (slot, usable) = p.pool.with_page_mut(entry.0, |page| {
-                        (page.insert(&rec), page.usable_bytes() as u16)
-                    })?;
-                    entry.1 = usable;
+                    let (slot, room) = p
+                        .pool
+                        .with_page_mut(entry.0, |page| (page.insert(&rec), page.room() as u16))?;
+                    entry.1 = room;
                     if let Some(idx) = slot {
                         placed = Some((entry.0, idx));
                         break;
@@ -300,11 +304,11 @@ impl Relation {
                     Some(loc) => loc,
                     None => {
                         let pid = p.pool.alloc_page()?;
-                        let (idx, usable) = p.pool.with_page_mut(pid, |page| {
+                        let (idx, room) = p.pool.with_page_mut(pid, |page| {
                             let idx = page.insert(&rec).expect("fresh page fits checked record");
-                            (idx, page.usable_bytes() as u16)
+                            (idx, page.room() as u16)
                         })?;
-                        p.pages.push((pid, usable));
+                        p.pages.push((pid, room));
                         (pid, idx)
                     }
                 };
@@ -356,12 +360,12 @@ impl Relation {
                 let s = &mut p.slots[tid.slot as usize];
                 let (pid, idx) = s.loc.take().expect("checked live");
                 s.gen = s.gen.wrapping_add(1);
-                let usable = p.pool.with_page_mut(pid, |page| {
+                let room = p.pool.with_page_mut(pid, |page| {
                     page.delete(idx)?;
-                    Ok::<u16, Error>(page.usable_bytes() as u16)
+                    Ok::<u16, Error>(page.room() as u16)
                 })??;
                 if let Some(entry) = p.pages.iter_mut().find(|e| e.0 == pid) {
-                    entry.1 = usable;
+                    entry.1 = room;
                 }
             }
         }
@@ -660,6 +664,37 @@ mod tests {
             pool,
         );
         (rel, path)
+    }
+
+    /// A page that lost a tuple takes back one of equal size: the dead
+    /// directory entry is reused, so the insert needs no entry's worth of
+    /// room beyond the record, and a full page's hint must say so.
+    #[test]
+    fn a_page_with_a_dead_slot_takes_back_an_equal_size_tuple() {
+        let (mut r, page_file) = emp_paged_at(1);
+        // Four records and their directory entries fill a page exactly.
+        let fill = crate::page::PAGE_SIZE - crate::page::PAGE_HEADER;
+        let row = (1..fill)
+            .map(|n| tuple!["x".repeat(n), 0, 0, 0])
+            .find(|t| 4 * (codec::encode_tuple(t).unwrap().len() + 4) == fill)
+            .expect("a record size that fills a page in four");
+        let tids: Vec<TupleId> = (0..4).map(|_| r.insert(row.clone()).unwrap()).collect();
+        let Store::Paged(store) = &r.store else {
+            unreachable!("paged relation")
+        };
+        assert_eq!(store.pages.len(), 1, "four records fit one page");
+        let page = store.pages[0].0;
+        r.delete(tids[1]).unwrap();
+        let before = r.stats.snapshot();
+        let tid = r.insert(row).unwrap();
+        let io = r.stats.snapshot().since(&before);
+        let Store::Paged(store) = &r.store else {
+            unreachable!("paged relation")
+        };
+        assert_eq!(store.pages.len(), 1, "no new page");
+        assert_eq!(store.slots[tid.slot as usize].loc.unwrap().0, page);
+        assert_eq!(io.pool_evictions, 0);
+        std::fs::remove_file(page_file).unwrap();
     }
 
     /// Through a one-frame pool, an indexed `select_with` faults in a page

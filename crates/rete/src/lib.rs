@@ -8,7 +8,8 @@
 //! contract (stated once, on the trait), with two backends:
 //!
 //! * [`VecMemory`] ([`ReteNetwork`]) — the classic in-memory memories:
-//!   vectors of WME ids with position and last-WME indexes.
+//!   vectors of WME ids, hashed on each two-input node's first `=` join
+//!   test.
 //! * [`RelMemory`] ([`DbReteNetwork`]) — the paper's §3.2 "straightforward
 //!   implementation … in a DBMS environment": every memory is a LEFT/RIGHT
 //!   relation in a [`relstore::Database`], so the approach's logical I/O

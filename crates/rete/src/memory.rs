@@ -1,10 +1,19 @@
 //! The classic in-memory token memory (§3.1): alpha memories are vectors
 //! of WME ids, beta memories vectors of id tuples.
+//!
+//! The memories are hashed, as in Doorenbos's Rete: a two-input node
+//! with an `=` join test probes the opposite memory through an index on
+//! the value its first `=` test compares; only a node without one scans.
+//! One index (`Chains`) serves every node that probes a memory on the
+//! same key. Retraction finds its tokens through indexes on WME ids.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
 use ops5::{RuleId, RuleSet};
+use relstore::{CompOp, Value};
 
 use crate::compile::{BJoinTest, BetaKind, NetworkPlan};
 use crate::network::{Network, TokenMemory};
@@ -13,11 +22,263 @@ use crate::wme::{Instantiation, Wme};
 type WmeId = u32;
 
 /// A token suspended at (or output by) a beta node.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct TokenEntry {
     wmes: Vec<WmeId>,
     /// For negative nodes: number of alpha WMEs currently matching.
     negcount: u32,
+    /// For negative nodes: arrival number, the order the node reports its
+    /// tokens in (a removal moves the last token into the gap).
+    seq: u32,
+}
+
+/// What an entry of a memory is keyed by in one of its indexes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Key {
+    /// The id of the entry's WME at this position: a token's last WME
+    /// (the entry point of WME-driven retraction) or its parent token's
+    /// last.
+    Id(usize),
+    /// The value of attribute `attr` of the entry's WME at `pos` (alpha
+    /// entries are one-WME tokens, so `pos` is 0 there).
+    Attr { pos: usize, attr: usize },
+}
+
+/// "No slot".
+const NIL: u32 = u32::MAX;
+
+/// One index over a memory's slots: `heads` maps a key to the newest slot
+/// holding it and `next` links every slot to the next older one with the
+/// same key, so a key with a single entry costs one map cell and no heap
+/// bucket. A value key is a hash of the value: a chain may also hold
+/// entries of another value, and a probe still checks every join test.
+struct Chains {
+    key: Key,
+    heads: HashMap<u32, u32, BuildHasherDefault<KeyHasher>>,
+    next: Vec<u32>,
+}
+
+impl Chains {
+    /// Make the link that reaches slot `from` on the chain of `key` reach
+    /// `to` instead (`NIL`: unlink `from`, whose successor `to` then is).
+    fn relink(&mut self, key: u32, from: u32, to: u32) {
+        let head = self.heads.get_mut(&key).expect("a stored slot is chained");
+        if *head == from {
+            if to == NIL {
+                self.heads.remove(&key);
+            } else {
+                *head = to;
+            }
+            return;
+        }
+        let mut at = *head;
+        while self.next[at as usize] != from {
+            at = self.next[at as usize];
+        }
+        self.next[at as usize] = to;
+    }
+}
+
+/// FxHash's mixing step: the chains need speed and spread, not
+/// resistance to chosen keys.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(i.into());
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(i.into());
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The key of a value: `Value`'s hash agrees with its `==` across `Int`
+/// and `Float`, so equal values share a chain. The high half is taken
+/// because the multiply leaves the low bits of small integers' float
+/// images all zero.
+fn value_key(v: Option<&Value>) -> u32 {
+    let mut h = KeyHasher::default();
+    v.hash(&mut h);
+    (h.finish() >> 32) as u32
+}
+
+fn live(wmes: &[Option<Wme>], id: WmeId) -> &Wme {
+    wmes[id as usize].as_ref().expect("live wme")
+}
+
+fn key_of(key: Key, wmes: &[Option<Wme>], token: &[WmeId]) -> u32 {
+    match key {
+        Key::Id(pos) => token[pos],
+        Key::Attr { pos, attr } => value_key(live(wmes, token[pos]).tuple.get(attr)),
+    }
+}
+
+/// An entry of a memory: a token, or a WME id in an alpha memory.
+trait Entry {
+    fn wmes(&self) -> &[WmeId];
+}
+
+impl Entry for WmeId {
+    fn wmes(&self) -> &[WmeId] {
+        std::slice::from_ref(self)
+    }
+}
+
+impl Entry for TokenEntry {
+    fn wmes(&self) -> &[WmeId] {
+        &self.wmes
+    }
+}
+
+/// One memory: its entries and the indexes over them. A removal moves the
+/// last entry into the gap, so a slot number is only stable until then.
+struct Slots<E> {
+    entries: Vec<E>,
+    chains: Vec<Chains>,
+}
+
+impl<E: Entry> Slots<E> {
+    fn new() -> Self {
+        Slots {
+            entries: Vec::new(),
+            chains: Vec::new(),
+        }
+    }
+
+    /// The index keyed by `key`, made on first use (while empty).
+    fn index(&mut self, key: Key) -> usize {
+        debug_assert!(self.entries.is_empty(), "indexes are made before use");
+        match self.chains.iter().position(|c| c.key == key) {
+            Some(c) => c,
+            None => {
+                self.chains.push(Chains {
+                    key,
+                    heads: HashMap::default(),
+                    next: Vec::new(),
+                });
+                self.chains.len() - 1
+            }
+        }
+    }
+
+    fn push(&mut self, wmes: &[Option<Wme>], entry: E) {
+        let slot = self.entries.len() as u32;
+        assert!(slot < NIL, "slot numbers fit below NIL");
+        for c in &mut self.chains {
+            let head = c.heads.insert(key_of(c.key, wmes, entry.wmes()), slot);
+            c.next.push(head.unwrap_or(NIL));
+        }
+        self.entries.push(entry);
+    }
+
+    /// Remove the entry at `slot`; the last entry takes its place.
+    fn swap_remove(&mut self, wmes: &[Option<Wme>], slot: usize) -> E {
+        let tail = self.entries.len() - 1;
+        for c in &mut self.chains {
+            let gone = key_of(c.key, wmes, self.entries[slot].wmes());
+            c.relink(gone, slot as u32, c.next[slot]);
+            if tail != slot {
+                let moved = key_of(c.key, wmes, self.entries[tail].wmes());
+                c.relink(moved, tail as u32, slot as u32);
+                c.next[slot] = c.next[tail];
+            }
+            c.next.pop();
+        }
+        self.entries.swap_remove(slot)
+    }
+
+    /// Remove the entries at `slots` (distinct), highest first: each move
+    /// then comes from above every slot still to go.
+    fn take(&mut self, wmes: &[Option<Wme>], mut slots: Vec<usize>) -> Vec<E> {
+        slots.sort_unstable_by(|a, b| b.cmp(a));
+        (slots.into_iter())
+            .map(|s| self.swap_remove(wmes, s))
+            .collect()
+    }
+
+    fn candidates(&self, probe: Option<(usize, u32)>) -> Candidates<'_> {
+        Candidates::new(&self.chains, self.entries.len(), probe)
+    }
+
+    fn approx_bytes(&self) -> usize {
+        // A map cell is a key and a slot.
+        (self.chains.iter())
+            .map(|c| c.next.len() * 4 + c.heads.len() * 8)
+            .sum()
+    }
+}
+
+/// The slots a probe visits: the chain of one key of one index, or every
+/// slot when the node has no `=` test to key on.
+enum Candidates<'a> {
+    Chain { next: &'a [u32], at: u32 },
+    All(Range<usize>),
+}
+
+impl<'a> Candidates<'a> {
+    /// `probe` is an index of `chains` and a key.
+    fn new(chains: &'a [Chains], len: usize, probe: Option<(usize, u32)>) -> Self {
+        match probe {
+            Some((c, key)) => Candidates::Chain {
+                next: &chains[c].next,
+                at: chains[c].heads.get(&key).copied().unwrap_or(NIL),
+            },
+            None => Candidates::All(0..len),
+        }
+    }
+}
+
+impl Iterator for Candidates<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        match self {
+            Candidates::Chain { next, at } => (*at != NIL).then(|| {
+                let slot = *at as usize;
+                *at = next[slot];
+                slot
+            }),
+            Candidates::All(slots) => slots.next(),
+        }
+    }
+}
+
+/// The probes of a two-input node with an `=` join test, on its first one.
+#[derive(Clone, Copy)]
+struct Keyed {
+    /// The test's side on the node's own WME.
+    my_attr: usize,
+    /// The test's side on a token.
+    theirs: Key,
+    /// Index of the alpha memory keyed by `my_attr`.
+    right: usize,
+    /// Index keyed by `theirs` of the token memory the node probes: its
+    /// parent's for a join node, its own for a negative node.
+    left: usize,
 }
 
 /// Token memories held in vectors.
@@ -25,17 +286,21 @@ pub struct VecMemory {
     plan: Arc<NetworkPlan>,
     wmes: Vec<Option<Wme>>,
     free: Vec<WmeId>,
-    alpha_mem: Vec<Vec<WmeId>>,
-    /// Position of each WME inside its alpha memory, so a removal is a
-    /// swap_remove instead of an O(|alpha|) retain scan.
-    alpha_pos: Vec<HashMap<WmeId, usize>>,
-    beta_mem: Vec<Vec<TokenEntry>>,
-    /// Join nodes only (`None` elsewhere): token indexes keyed by the
-    /// token's last WME — the entry point of WME-driven retraction.
-    /// Without it, every retraction partitions the node's whole memory,
-    /// and a workload that fires deletes against a large WM pays O(WM)
-    /// per firing.
-    by_last: Vec<Option<HashMap<WmeId, Vec<usize>>>>,
+    /// Every alpha memory has an index, which finds a WME to remove: a
+    /// value index if a node probes the memory, else one keyed by id.
+    alpha_mem: Vec<Slots<WmeId>>,
+    beta_mem: Vec<Slots<TokenEntry>>,
+    /// Per two-input node with an `=` test.
+    keyed: Vec<Option<Keyed>>,
+    /// Join nodes only: the index of the node's memory keyed by the
+    /// token's last WME.
+    by_last: Vec<Option<usize>>,
+    /// Below the root's children: the index of the node's memory keyed by
+    /// the parent token's last WME, which finds a parent token's
+    /// descendants.
+    by_prefix: Vec<Option<usize>>,
+    /// Arrival number of the next negative-node token.
+    seq: u32,
 }
 
 /// The in-memory Rete network.
@@ -59,9 +324,7 @@ fn extended(token: &[WmeId], wid: WmeId) -> Vec<WmeId> {
 /// Do `tests` hold between `token` and the right WME?
 fn passes(wmes: &[Option<Wme>], tests: &[BJoinTest], token: &[WmeId], right: &Wme) -> bool {
     tests.iter().all(|t| {
-        let left = wmes[token[t.token_pos] as usize]
-            .as_ref()
-            .expect("live wme");
+        let left = live(wmes, token[t.token_pos]);
         match (right.tuple.get(t.my_attr), left.tuple.get(t.token_attr)) {
             (Some(rv), Some(lv)) => t.op.eval(rv, lv),
             _ => false,
@@ -71,93 +334,147 @@ fn passes(wmes: &[Option<Wme>], tests: &[BJoinTest], token: &[WmeId], right: &Wm
 
 impl VecMemory {
     fn for_plan(plan: Arc<NetworkPlan>) -> Self {
-        let mut beta_mem = vec![Vec::new(); plan.betas.len()];
-        // The root holds the single empty token.
-        beta_mem[plan.root()] = vec![TokenEntry {
-            wmes: Vec::new(),
-            negcount: 0,
-        }];
-        let by_last = plan.betas.iter().map(|b| {
-            let join = matches!(b.kind, BetaKind::Join { .. });
-            join.then(HashMap::new)
-        });
-        VecMemory {
+        let mut alpha_mem: Vec<_> = plan.alphas.iter().map(|_| Slots::new()).collect();
+        let mut beta_mem: Vec<_> = plan.betas.iter().map(|_| Slots::new()).collect();
+        let mut keyed = vec![None; plan.betas.len()];
+        let mut by_last = vec![None; plan.betas.len()];
+        let mut by_prefix = vec![None; plan.betas.len()];
+        // Token length per node; a parent comes before its children.
+        let mut len = vec![0; plan.betas.len()];
+        for (node, spec) in plan.betas.iter().enumerate() {
+            let (parent, two_input) = match &spec.kind {
+                BetaKind::Root => continue,
+                BetaKind::Join {
+                    parent,
+                    alpha,
+                    tests,
+                } => {
+                    len[node] = len[*parent] + 1;
+                    by_last[node] = Some(beta_mem[node].index(Key::Id(len[node] - 1)));
+                    (*parent, Some((*parent, *alpha, tests)))
+                }
+                BetaKind::Negative {
+                    parent,
+                    alpha,
+                    tests,
+                } => {
+                    len[node] = len[*parent];
+                    (*parent, Some((node, *alpha, tests)))
+                }
+                BetaKind::Production { parent, .. } => {
+                    len[node] = len[*parent];
+                    (*parent, None)
+                }
+            };
+            if len[parent] > 0 {
+                by_prefix[node] = Some(beta_mem[node].index(Key::Id(len[parent] - 1)));
+            }
+            let Some((probed, alpha, tests)) = two_input else {
+                continue;
+            };
+            let Some(eq) = tests.iter().find(|t| t.op == CompOp::Eq) else {
+                continue;
+            };
+            let mine = Key::Attr {
+                pos: 0,
+                attr: eq.my_attr,
+            };
+            let theirs = Key::Attr {
+                pos: eq.token_pos,
+                attr: eq.token_attr,
+            };
+            keyed[node] = Some(Keyed {
+                my_attr: eq.my_attr,
+                theirs,
+                right: alpha_mem[alpha].index(mine),
+                left: beta_mem[probed].index(theirs),
+            });
+        }
+        for mem in alpha_mem.iter_mut().filter(|m| m.chains.is_empty()) {
+            mem.index(Key::Id(0));
+        }
+        let mut mem = VecMemory {
             wmes: Vec::new(),
             free: Vec::new(),
-            alpha_mem: vec![Vec::new(); plan.alphas.len()],
-            alpha_pos: vec![HashMap::new(); plan.alphas.len()],
+            alpha_mem,
             beta_mem,
-            by_last: by_last.collect(),
+            keyed,
+            by_last,
+            by_prefix,
+            seq: 0,
             plan,
-        }
+        };
+        // The root holds the single empty token (no join test reads it).
+        let root = mem.plan.root();
+        mem.beta_mem[root].push(
+            &mem.wmes,
+            TokenEntry {
+                wmes: Vec::new(),
+                negcount: 0,
+                seq: 0,
+            },
+        );
+        mem
     }
 
     fn wme(&self, id: WmeId) -> &Wme {
-        self.wmes[id as usize].as_ref().expect("live wme")
+        live(&self.wmes, id)
     }
 
-    /// WMEs of two-input node `node`'s alpha memory that match `token`.
+    /// Where slot `slot` of `node`'s memory comes in the order the node
+    /// reports its tokens: arrival at negative nodes, slot elsewhere.
+    fn rank(&self, node: usize, slot: usize) -> u32 {
+        match self.plan.betas[node].kind {
+            BetaKind::Negative { .. } => self.beta_mem[node].entries[slot].seq,
+            _ => slot as u32,
+        }
+    }
+
+    /// Slots of two-input node `node`'s alpha memory a probe for `token`
+    /// visits.
+    fn right_candidates(&self, node: usize, token: &[WmeId]) -> Candidates<'_> {
+        let (_, alpha, _) = self.plan.two_input(node);
+        let probe = self.keyed[node].map(|k| (k.right, key_of(k.theirs, &self.wmes, token)));
+        self.alpha_mem[alpha].candidates(probe)
+    }
+
+    /// Slots of two-input node `node`'s alpha memory whose WME matches
+    /// `token`, unordered.
     fn right_matches<'a>(
         &'a self,
         node: usize,
         token: &'a [WmeId],
-    ) -> impl Iterator<Item = WmeId> + 'a {
+    ) -> impl Iterator<Item = usize> + 'a {
         let (_, alpha, tests) = self.plan.two_input(node);
-        self.alpha_mem[alpha]
-            .iter()
-            .copied()
-            .filter(move |&w| passes(&self.wmes, tests, token, self.wme(w)))
+        let mem = &self.alpha_mem[alpha];
+        (self.right_candidates(node, token))
+            .filter(move |&s| passes(&self.wmes, tests, token, self.wme(mem.entries[s])))
     }
 
-    /// Remove one token of join node `node` by index, keeping the
-    /// last-WME index consistent across the swap_remove.
-    fn remove_token_at(&mut self, node: usize, idx: usize) -> Vec<WmeId> {
-        let by_last = self.by_last[node].as_mut().expect("join node");
-        let entry = self.beta_mem[node].swap_remove(idx);
-        let last = *entry.wmes.last().expect("join tokens are non-empty");
-        if let Some(slots) = by_last.get_mut(&last) {
-            if let Some(p) = slots.iter().position(|&x| x == idx) {
-                slots.swap_remove(p);
-            }
-            if slots.is_empty() {
-                by_last.remove(&last);
-            }
-        }
-        // The former tail now lives at `idx`: repoint its index entry.
-        let old_tail = self.beta_mem[node].len();
-        if idx < old_tail {
-            let moved_last = *self.beta_mem[node][idx]
-                .wmes
-                .last()
-                .expect("join tokens are non-empty");
-            if let Some(slots) = by_last.get_mut(&moved_last) {
-                if let Some(p) = slots.iter().position(|&x| x == old_tail) {
-                    slots[p] = idx;
-                }
-            }
-        }
-        entry.wmes
+    /// Slots of join node `node`'s parent memory a probe for the WME
+    /// visits.
+    fn left_candidates(&self, node: usize, wme: &Wme) -> Candidates<'_> {
+        let (parent, _, _) = self.plan.two_input(node);
+        let probe = self.keyed[node].map(|k| (k.left, value_key(wme.tuple.get(k.my_attr))));
+        self.beta_mem[parent].candidates(probe)
     }
 
-    /// Remove the tokens of join node `node` at `idxs`, highest first so
-    /// each swap_remove only disturbs indexes we either already handled
-    /// or retarget on the spot.
-    fn take_tokens_at(&mut self, node: usize, mut idxs: Vec<usize>) -> Vec<Vec<WmeId>> {
-        idxs.sort_unstable_by(|a, b| b.cmp(a));
-        let mut out = Vec::with_capacity(idxs.len());
-        for i in 0..idxs.len() {
-            let t = idxs[i];
-            let tail = self.beta_mem[node].len() - 1;
-            if t != tail {
-                // The tail element moves into `t`; if it is itself a
-                // pending removal target, chase it to its new position.
-                if let Some(p) = idxs[i + 1..].iter().position(|&x| x == tail) {
-                    idxs[i + 1 + p] = t;
+    /// Number the live negative-node tokens afresh, keeping their order,
+    /// once the arrival counter runs out.
+    fn renumber(&mut self) -> u32 {
+        let mut next = 0;
+        for (node, spec) in self.plan.betas.iter().enumerate() {
+            if matches!(spec.kind, BetaKind::Negative { .. }) {
+                let entries = &mut self.beta_mem[node].entries;
+                let mut order: Vec<usize> = (0..entries.len()).collect();
+                order.sort_unstable_by_key(|&s| entries[s].seq);
+                for (seq, s) in order.into_iter().enumerate() {
+                    entries[s].seq = seq as u32;
                 }
+                next = next.max(entries.len() as u32);
             }
-            out.push(self.remove_token_at(node, t));
         }
-        out
+        next
     }
 }
 
@@ -184,31 +501,39 @@ impl TokenMemory for VecMemory {
     }
 
     fn add_right(&mut self, alpha: usize, wid: WmeId, _wme: &Wme) {
-        self.alpha_pos[alpha].insert(wid, self.alpha_mem[alpha].len());
-        self.alpha_mem[alpha].push(wid);
+        self.alpha_mem[alpha].push(&self.wmes, wid);
     }
 
     fn remove_right(&mut self, alpha: usize, wid: WmeId) {
-        if let Some(pos) = self.alpha_pos[alpha].remove(&wid) {
-            self.alpha_mem[alpha].swap_remove(pos);
-            if let Some(&moved) = self.alpha_mem[alpha].get(pos) {
-                self.alpha_pos[alpha].insert(moved, pos);
-            }
+        let mem = &mut self.alpha_mem[alpha];
+        let probe = (0, key_of(mem.chains[0].key, &self.wmes, &[wid]));
+        if let Some(slot) = mem.candidates(Some(probe)).find(|&s| mem.entries[s] == wid) {
+            mem.swap_remove(&self.wmes, slot);
         }
     }
 
     fn join_left(&self, node: usize, wid: WmeId, wme: &Wme) -> Vec<Vec<WmeId>> {
         let (parent, _, tests) = self.plan.two_input(node);
-        self.beta_mem[parent]
-            .iter()
-            .filter(|e| e.negcount == 0 && passes(&self.wmes, tests, &e.wmes, wme))
-            .map(|e| extended(&e.wmes, wid))
+        let mem = &self.beta_mem[parent];
+        let mut hits: Vec<(u32, usize)> = (self.left_candidates(node, wme))
+            .filter(|&s| {
+                let e = &mem.entries[s];
+                e.negcount == 0 && passes(&self.wmes, tests, &e.wmes, wme)
+            })
+            .map(|s| (self.rank(parent, s), s))
+            .collect();
+        hits.sort_unstable();
+        (hits.into_iter())
+            .map(|(_, s)| extended(&mem.entries[s].wmes, wid))
             .collect()
     }
 
     fn join_right(&self, node: usize, token: &Vec<WmeId>) -> Vec<Vec<WmeId>> {
-        self.right_matches(node, token)
-            .map(|w| extended(token, w))
+        let (_, alpha, _) = self.plan.two_input(node);
+        let mut slots: Vec<usize> = self.right_matches(node, token).collect();
+        slots.sort_unstable();
+        (slots.into_iter())
+            .map(|s| extended(token, self.alpha_mem[alpha].entries[s]))
             .collect()
     }
 
@@ -217,66 +542,68 @@ impl TokenMemory for VecMemory {
     }
 
     fn store(&mut self, node: usize, token: &Vec<WmeId>, blockers: usize) {
-        if let Some(by_last) = &mut self.by_last[node] {
-            let last = *token.last().expect("join tokens are non-empty");
-            by_last
-                .entry(last)
-                .or_default()
-                .push(self.beta_mem[node].len());
+        let mut seq = 0;
+        if matches!(self.plan.betas[node].kind, BetaKind::Negative { .. }) {
+            if self.seq == u32::MAX {
+                self.seq = self.renumber();
+            }
+            seq = self.seq;
+            self.seq += 1;
         }
-        self.beta_mem[node].push(TokenEntry {
+        let entry = TokenEntry {
             wmes: token.clone(),
             negcount: blockers as u32,
-        });
+            seq,
+        };
+        self.beta_mem[node].push(&self.wmes, entry);
     }
 
     fn take_with_last(&mut self, node: usize, wid: WmeId) -> Vec<Vec<WmeId>> {
-        let by_last = self.by_last[node].as_ref().expect("join node");
-        match by_last.get(&wid).cloned() {
-            Some(idxs) => self.take_tokens_at(node, idxs),
-            None => Vec::new(),
-        }
+        let chain = self.by_last[node].expect("join node");
+        let mem = &mut self.beta_mem[node];
+        let slots = mem.candidates(Some((chain, wid))).collect();
+        let gone = mem.take(&self.wmes, slots);
+        gone.into_iter().map(|e| e.wmes).collect()
     }
 
     fn take_prefix(&mut self, node: usize, prefix: &Vec<WmeId>) -> Vec<Vec<WmeId>> {
-        if self.by_last[node].is_some() {
-            // Join tokens extend the prefix by one.
-            let idxs = self.beta_mem[node]
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.wmes.starts_with(prefix))
-                .map(|(i, _)| i)
-                .collect();
-            return self.take_tokens_at(node, idxs);
-        }
-        // Negative and production nodes store the prefix itself, and keep
-        // their memories in arrival order.
-        let mut gone = Vec::new();
-        self.beta_mem[node].retain_mut(|e| {
-            if e.wmes != *prefix {
-                return true;
-            }
-            if e.negcount == 0 {
-                gone.push(std::mem::take(&mut e.wmes));
-            }
-            false
-        });
-        gone
+        let mem = &mut self.beta_mem[node];
+        let probe = (self.by_prefix[node]).map(|c| (c, *prefix.last().expect("a stored prefix")));
+        // Join tokens extend the prefix by one; negative and production
+        // nodes store the prefix itself.
+        let join = matches!(self.plan.betas[node].kind, BetaKind::Join { .. });
+        let slots = (mem.candidates(probe))
+            .filter(|&s| match join {
+                true => mem.entries[s].wmes.starts_with(prefix),
+                false => mem.entries[s].wmes == *prefix,
+            })
+            .collect();
+        let gone = mem.take(&self.wmes, slots);
+        (gone.into_iter())
+            .filter(|e| e.negcount == 0)
+            .map(|e| e.wmes)
+            .collect()
     }
 
     fn adjust_count(&mut self, node: usize, wme: &Wme, delta: i32) -> Vec<Vec<WmeId>> {
         let (_, _, tests) = self.plan.two_input(node);
+        let probe = self.keyed[node].map(|k| (k.left, value_key(wme.tuple.get(k.my_attr))));
+        let Slots { entries, chains } = &mut self.beta_mem[node];
         let mut crossed = Vec::new();
-        for e in &mut self.beta_mem[node] {
+        for s in Candidates::new(chains, entries.len(), probe) {
+            let e = &mut entries[s];
             if passes(&self.wmes, tests, &e.wmes, wme) {
                 let was = e.negcount;
                 e.negcount = was.checked_add_signed(delta).expect("count underflow");
                 if was == 0 || e.negcount == 0 {
-                    crossed.push(e.wmes.clone());
+                    crossed.push((e.seq, s));
                 }
             }
         }
-        crossed
+        crossed.sort_unstable();
+        (crossed.into_iter())
+            .map(|(_, s)| entries[s].wmes.clone())
+            .collect()
     }
 
     fn instantiation(&self, _node: usize, rule: RuleId, token: &Vec<WmeId>) -> Instantiation {
@@ -286,25 +613,160 @@ impl TokenMemory for VecMemory {
     }
 
     fn stored_entries(&self) -> usize {
-        let alpha: usize = self.alpha_mem.iter().map(Vec::len).sum();
-        let beta: usize = self.beta_mem.iter().map(Vec::len).sum();
+        let alpha: usize = self.alpha_mem.iter().map(|m| m.entries.len()).sum();
+        let beta: usize = self.beta_mem.iter().map(|m| m.entries.len()).sum();
         alpha + beta
     }
 
     fn approx_bytes(&self) -> usize {
-        let alpha = self.alpha_mem.iter().map(Vec::len).sum::<usize>() * 4;
-        let beta: usize = self
-            .beta_mem
-            .iter()
-            .flatten()
-            .map(|t| 16 + t.wmes.len() * 4)
+        let alpha: usize = (self.alpha_mem.iter())
+            .map(|m| m.entries.len() * 4 + m.approx_bytes())
             .sum();
-        let wmes: usize = self
-            .wmes
-            .iter()
-            .flatten()
+        let beta: usize = (self.beta_mem.iter())
+            .map(|m| {
+                m.entries
+                    .iter()
+                    .map(|t| 16 + t.wmes.len() * 4)
+                    .sum::<usize>()
+                    + m.approx_bytes()
+            })
+            .sum();
+        let wmes: usize = (self.wmes.iter().flatten())
             .map(|w| w.tuple.approx_bytes() + 8)
             .sum();
         alpha + beta + wmes
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use ops5::ClassId;
+    use relstore::{Tuple, Value};
+
+    use super::*;
+
+    const JOIN: &str = r#"
+        (literalize A v)
+        (literalize B v)
+        (p Join (A ^v <X>) (B ^v <X>) --> (remove 1))
+    "#;
+
+    const UNLESS: &str = r#"
+        (literalize A v)
+        (literalize B v)
+        (p Unless (A ^v <X>) -(B ^v <X>) --> (remove 1))
+    "#;
+
+    const A: ClassId = ClassId(0);
+    const B: ClassId = ClassId(1);
+
+    fn wme(class: ClassId, v: &Value) -> Wme {
+        Wme::new(class, Tuple::new(vec![v.clone()]))
+    }
+
+    /// The one two-input node over `B`, which must be keyed.
+    fn keyed_node(net: &ReteNetwork) -> usize {
+        let node = (net.plan.betas.iter())
+            .rposition(|b| matches!(b.kind, BetaKind::Join { .. } | BetaKind::Negative { .. }))
+            .expect("a two-input node");
+        assert!(net.mem.keyed[node].is_some(), "an `=` test is keyed");
+        node
+    }
+
+    /// Does `a` (an `A`) join `b` (a `B`) when `first` arrives first?
+    /// `A` first: `B` right-activates and probes the tokens; `B` first:
+    /// `A`'s token left-activates and probes the alpha memory.
+    fn joins(src: &str, a: &Value, b: &Value, a_first: bool) -> bool {
+        let mut net = ReteNetwork::new(&ops5::compile(src).unwrap());
+        keyed_node(&net);
+        let (a, b) = (wme(A, a), wme(B, b));
+        let [first, second] = if a_first { [a, b] } else { [b, a] };
+        net.insert(first);
+        net.insert(second);
+        let matched = net.conflict_set().len() == 1;
+        // Unless fires exactly when the two do not match.
+        matched == (src == JOIN)
+    }
+
+    #[test]
+    fn the_index_joins_exactly_what_value_equality_joins() {
+        let two53 = 1i64 << 53;
+        let cases = [
+            (Value::Int(1), Value::Float(1.0), true),
+            (Value::Int(0), Value::Float(-0.0), true),
+            (Value::Float(f64::NAN), Value::Float(f64::NAN), true),
+            (Value::Int(i64::MAX), Value::Float(2f64.powi(63)), false),
+            (Value::Int(two53 + 1), Value::Float(two53 as f64), false),
+        ];
+        for (a, b, equal) in cases {
+            assert_eq!(a == b, equal, "{a:?} == {b:?}");
+            for src in [JOIN, UNLESS] {
+                for a_first in [true, false] {
+                    assert_eq!(
+                        joins(src, &a, &b, a_first),
+                        equal,
+                        "{a:?} vs {b:?}, A first: {a_first}\n{src}"
+                    );
+                    assert_eq!(joins(src, &b, &a, a_first), equal, "{b:?} vs {a:?}");
+                }
+            }
+        }
+    }
+
+    /// A negative node reports tokens in arrival order, also after its
+    /// arrival counter runs out and is numbered afresh.
+    #[test]
+    fn arrival_order_survives_renumbering() {
+        let mut net = ReteNetwork::new(&ops5::compile(UNLESS).unwrap());
+        let node = keyed_node(&net);
+        let seqs = |net: &ReteNetwork| {
+            let entries = &net.mem.beta_mem[node].entries;
+            entries.iter().map(|e| e.seq).collect::<Vec<_>>()
+        };
+        for v in [1, 2, 3] {
+            net.insert(wme(A, &Value::Int(v)));
+        }
+        // A removal moves the last token into the gap.
+        net.remove(&wme(A, &Value::Int(1)));
+        assert_eq!(seqs(&net), [2, 1]);
+        net.mem.seq = u32::MAX;
+        net.insert(wme(A, &Value::Int(4)));
+        assert_eq!(seqs(&net), [1, 0, 2]);
+        assert_eq!(net.mem.seq, 3);
+    }
+
+    /// A probe walks the chain of its own value and nothing else, from
+    /// either side of the join.
+    #[test]
+    fn a_keyed_probe_visits_only_its_own_bucket() {
+        let mut net = ReteNetwork::new(&ops5::compile(JOIN).unwrap());
+        let node = keyed_node(&net);
+        for v in 0..10_000 {
+            net.insert(wme(B, &Value::Int(v)));
+        }
+        let a = wme(A, &Value::Int(20_000));
+        net.insert(a.clone());
+        assert!(net.conflict_set().is_empty());
+        let token = vec![net.by_content[&a][0]];
+        assert_eq!(net.mem.right_candidates(node, &token).count(), 0);
+
+        let hit = wme(A, &Value::Int(7));
+        net.insert(hit.clone());
+        assert_eq!(net.conflict_set().len(), 1);
+        let token = vec![net.by_content[&hit][0]];
+        assert_eq!(net.mem.right_candidates(node, &token).count(), 1);
+
+        // From the other side: a B probes a parent memory of 10 002 A
+        // tokens.
+        for v in 0..10_000 {
+            net.insert(wme(A, &Value::Int(30_000 + v)));
+        }
+        let probe = |v| {
+            net.mem
+                .left_candidates(node, &wme(B, &Value::Int(v)))
+                .count()
+        };
+        assert_eq!(probe(30_005), 1);
+        assert_eq!(probe(-1), 0);
     }
 }

@@ -189,7 +189,7 @@ impl<M: TokenMemory> Network<M> {
                 run.right_activate(s, wid, &wme);
             }
         }
-        let deltas = run.deltas;
+        let deltas = net(run.deltas);
         self.conflict.apply_all(&deltas);
         deltas
     }
@@ -230,11 +230,36 @@ impl<M: TokenMemory> Network<M> {
         for s in negatives {
             run.adjust_negative(s, wme, -1);
         }
-        let deltas = run.deltas;
+        let deltas = net(run.deltas);
         self.mem.release(wid);
         self.conflict.apply_all(&deltas);
         deltas
     }
+}
+
+/// One change's deltas with each `Add` cancelled against a later `Remove`
+/// of an equal instantiation. A WME that fills a positive CE below a
+/// negated CE it also blocks is joined before the negative node retracts
+/// the new token; the conflict set never sees that instantiation.
+fn net(deltas: Vec<ConflictDelta>) -> Vec<ConflictDelta> {
+    // Nothing cancels unless a `Remove` follows an `Add`.
+    if !(deltas.iter().skip_while(|d| !d.is_add())).any(|d| !d.is_add()) {
+        return deltas;
+    }
+    let mut out: Vec<ConflictDelta> = Vec::with_capacity(deltas.len());
+    for delta in deltas {
+        if let ConflictDelta::Remove(gone) = &delta {
+            let added = out
+                .iter()
+                .rposition(|d| d.is_add() && d.instantiation() == gone);
+            if let Some(a) = added {
+                out.remove(a);
+                continue;
+            }
+        }
+        out.push(delta);
+    }
+    out
 }
 
 struct Propagation<'a, M: TokenMemory> {
@@ -552,6 +577,27 @@ mod tests {
             assert_eq!(net.insert(Wme::new(ClassId(0), tuple![3, 4])).len(), 3);
             assert_eq!(net.conflict_set().len(), 4);
             assert_eq!(net.remove(&Wme::new(ClassId(0), tuple![1, 2])).len(), 3);
+            assert_eq!(net.conflict_set().len(), 1);
+        });
+    }
+
+    /// A WME that fills a positive CE through an alpha memory met before
+    /// the one feeding the negated CE it also blocks: the network joins
+    /// it and then retracts the new token, and the change must net to
+    /// nothing for that rule.
+    #[test]
+    fn an_add_retracted_in_the_same_change_is_netted_away() {
+        const SELF_BLOCKING: &str = r#"
+            (literalize C1 x)
+            (literalize C2 y z k)
+            (p First (C2 ^k 1) --> (remove 1))
+            (p Later (C1 ^x <X>) -(C2 ^y <X>) (C2 ^z <X> ^k 1) --> (remove 1))
+        "#;
+        on_both_backends!(SELF_BLOCKING, |net| {
+            net.insert(Wme::new(EMP, tuple![1]));
+            let deltas = net.insert(Wme::new(DEPT, tuple![1, 1, 1]));
+            assert_eq!(deltas.len(), 1, "{deltas:?}");
+            assert_eq!(deltas[0].instantiation().rule, RuleId(0));
             assert_eq!(net.conflict_set().len(), 1);
         });
     }

@@ -388,10 +388,8 @@ fn oracle(pdb: &ProductionDb) -> Vec<Instantiation> {
 }
 
 /// `before` with `deltas` applied in order, sorted. A retract must find
-/// its instantiation. Inside one change only the Rete networks may add
-/// and retract one instantiation: a WME that fills a positive CE below a
-/// negated CE it also blocks is joined before the negative node retracts
-/// the new token.
+/// its instantiation, and no engine may add and retract one
+/// instantiation inside one change.
 fn replay(
     label: &str,
     before: &[Instantiation],
@@ -408,7 +406,7 @@ fn replay(
             0 => return Err(format!("{label} retracted {inst:?}, not in its set")),
             n => *n -= 1,
         }
-        if single && !label.contains("rete") && *first.entry(inst).or_insert(add) != add {
+        if single && *first.entry(inst).or_insert(add) != add {
             return Err(format!(
                 "{label} both added and retracted {inst:?} in one change"
             ));
@@ -454,8 +452,8 @@ fn compare(
 /// agree across engines. `exact` compares each pass's ordered stream of
 /// conflict-delta events (removes before adds, then instantiation order:
 /// the tracer's canonical order); otherwise only each pass's net effect,
-/// for a set-oriented pass cancels an add and a retract of one
-/// instantiation that Rete's activation order can emit inside one change.
+/// for a set-oriented pass over a batch cancels an add and a retract of
+/// one instantiation that Rete, change by change, emits in two changes.
 /// Returns the number of passes with conflict-delta events.
 pub fn traced_deltas_agree(case: &Case, width: usize, exact: bool) -> usize {
     let rules = ops5::compile(&case.src).expect("case compiles");
