@@ -278,9 +278,10 @@ impl ConcurrentExecutor {
         let txn_id = txn.id().0;
 
         // 1. Re-select the matched tuples by content, with read locks.
-        //    Duplicate WMEs need distinct tuple ids *within a class*
-        //    (tuple ids are per-relation, so equal ids of different
-        //    classes are unrelated rows). The matched WMEs (one per
+        //    Duplicate WMEs take distinct tuple ids *within a class*
+        //    while there are enough of them (tuple ids are per-relation,
+        //    so equal ids of different classes are unrelated rows); one
+        //    WME may fill several CEs. The matched WMEs (one per
         //    positive CE) are grouped by class and each class is
         //    re-selected in one batched pass (one read, one lock sweep,
         //    one liveness re-read) instead of a select per CE.
@@ -299,7 +300,7 @@ impl ConcurrentExecutor {
                 let free = rows
                     .iter()
                     .find(|(tid, _)| !claimed.iter().any(|(_, c, t)| *c == class && t == tid));
-                match free {
+                match free.or(rows.first()) {
                     Some((tid, _)) => claimed.push((pos, class, *tid)),
                     None => return Err(Abort::Invalid),
                 }
@@ -324,14 +325,19 @@ impl ConcurrentExecutor {
         for change in &rhs.changes {
             match change {
                 WmChange::Remove(class, tuple) => {
-                    // Prefer the claimed (LHS-matched) row of this content;
-                    // a `modify`-generated intermediate takes any row.
+                    // Prefer a claimed (LHS-matched) row of this content
+                    // until it is deleted; a `modify`-generated
+                    // intermediate, even one equal to its original, takes
+                    // any row.
                     let rel = pdb.class_rel(*class);
                     let matched = claimed
                         .iter()
                         .find(|(pos, cl, _)| cl == class && &inst.wmes[*pos].tuple == tuple);
-                    let tid = match matched {
-                        Some((_, _, tid)) => *tid,
+                    let tid = match matched.map(|&(_, _, tid)| tid) {
+                        Some(tid) => {
+                            claimed.retain(|&(_, cl, t)| (cl, t) != (*class, tid));
+                            tid
+                        }
                         None => {
                             let rows = txn.select_eq_batch(rel, std::slice::from_ref(tuple))?;
                             match rows[0].first() {

@@ -68,6 +68,14 @@ enum Store {
     Paged(PagedStore),
 }
 
+/// Take a free slot for an insert: `at`'s, when it is free.
+fn take_slot(free: &mut Vec<u32>, at: Option<TupleId>) -> Option<u32> {
+    match at.and_then(|at| free.iter().rposition(|&s| s == at.slot)) {
+        Some(i) => Some(free.remove(i)),
+        None => free.pop(),
+    }
+}
+
 /// A relation with slotted storage, optional per-attribute indexes, and
 /// logical I/O accounting.
 #[derive(Debug)]
@@ -247,6 +255,21 @@ impl Relation {
 
     /// Insert a tuple.
     pub(crate) fn insert(&mut self, tuple: Tuple) -> Result<TupleId> {
+        self.place(tuple, None)
+    }
+
+    /// Put a deleted tuple back under the id `delete` took it from, if its
+    /// slot is still free (an aborted delete); else insert it anew.
+    pub(crate) fn restore(&mut self, tid: TupleId, tuple: Tuple) -> Result<TupleId> {
+        self.place(tuple, Some(tid))
+    }
+
+    fn place(&mut self, tuple: Tuple, at: Option<TupleId>) -> Result<TupleId> {
+        // The generation a restored slot goes back to.
+        let gen = |slot: u32, gen: u32| match at {
+            Some(at) if at.slot == slot => at.gen,
+            _ => gen,
+        };
         if tuple.arity() != self.schema.arity() {
             return Err(Error::ArityMismatch {
                 relation: self.name().to_string(),
@@ -267,10 +290,11 @@ impl Relation {
             Store::Mem(_) => None,
         };
         let tid = match &mut self.store {
-            Store::Mem(slots) => match self.free.pop() {
+            Store::Mem(slots) => match take_slot(&mut self.free, at) {
                 Some(slot) => {
                     let s = &mut slots[slot as usize];
                     s.tuple = Some(tuple.clone());
+                    s.gen = gen(slot, s.gen);
                     TupleId::new(slot, s.gen)
                 }
                 None => {
@@ -312,10 +336,11 @@ impl Relation {
                         (pid, idx)
                     }
                 };
-                match self.free.pop() {
+                match take_slot(&mut self.free, at) {
                     Some(slot) => {
                         let s = &mut p.slots[slot as usize];
                         s.loc = Some((pid, idx));
+                        s.gen = gen(slot, s.gen);
                         TupleId::new(slot, s.gen)
                     }
                     None => {

@@ -53,12 +53,16 @@ impl fmt::Display for TxnId {
 enum Undo {
     /// The transaction inserted `tid` into `rel`; undo by deleting it.
     Insert { rel: RelId, tid: TupleId },
-    /// The transaction deleted `tuple` from `rel`; undo by reinserting.
-    ///
-    /// Reinsertion may assign a different tuple id; that is acceptable
-    /// because ids are never exposed across transaction boundaries (the
-    /// conflict set stores matching patterns, not tuple ids — §5.1).
-    Delete { rel: RelId, tuple: Tuple },
+    /// The transaction deleted `tuple`, `tid`, from `rel`; undo by
+    /// putting it back under `tid`. Engines key match state by tuple id
+    /// and an abort runs no maintenance, so the row must keep its id. No
+    /// peer can take the freed slot first: inserting needs the relation
+    /// lock, which conflicts with this transaction's tuple lock.
+    Delete {
+        rel: RelId,
+        tid: TupleId,
+        tuple: Tuple,
+    },
 }
 
 /// A live transaction. Dropped without [`Txn::commit`] → automatic abort.
@@ -258,8 +262,7 @@ impl<'db> Txn<'db> {
         }
         let (tuple, logged) = self.write(rel, |r| r.delete(tid))?;
         // A row this transaction inserted needs no undo once it is gone
-        // again: reinserting it would give it a new id, and its insert's
-        // undo would then delete nothing.
+        // again.
         let own = |u: &Undo| matches!(u, Undo::Insert { rel: r, tid: t } if (*r, *t) == (rel, tid));
         match self.undo.iter().rposition(own) {
             Some(i) => {
@@ -267,6 +270,7 @@ impl<'db> Txn<'db> {
             }
             None => self.undo.push(Undo::Delete {
                 rel,
+                tid,
                 tuple: tuple.clone(),
             }),
         }
@@ -312,7 +316,9 @@ impl<'db> Txn<'db> {
             // the write left it, so only a page-file I/O error can fail.
             let _ = match undo {
                 Undo::Insert { rel, tid } => self.db.write(rel, |r| r.delete(tid).map(drop)),
-                Undo::Delete { rel, tuple } => self.db.write(rel, |r| r.insert(tuple).map(drop)),
+                Undo::Delete { rel, tid, tuple } => {
+                    self.db.write(rel, |r| r.restore(tid, tuple).map(drop))
+                }
             };
         }
         self.redo.clear();
@@ -412,6 +418,23 @@ mod tests {
         let rows = db.select(rid, &is_mike).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].0.slot, mike.slot);
+    }
+
+    /// An aborted delete puts the row back under its own id, in memory
+    /// and on pages: match state keyed by that id stays valid.
+    #[test]
+    fn aborted_delete_keeps_the_tuple_id() {
+        let dir = std::env::temp_dir().join(format!("txn-restore-{}", std::process::id()));
+        for db in [Database::new(), Database::new_paged(&dir, 2).unwrap()] {
+            let rid = db.create_relation(Schema::new("R", ["a"])).unwrap();
+            let tid = db.insert(rid, tuple![1]).unwrap();
+            db.begin().delete(rid, tid).unwrap();
+            assert_eq!(
+                db.select(rid, &Restriction::default()).unwrap(),
+                [(tid, tuple![1])]
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -15,24 +15,39 @@
 //! then empty each conflict set and return `match_entries` to its value
 //! on the empty WM.
 //!
+//! Two axes ride on every case:
+//! - **crash** (paged cases): the query lane's log is synced after every
+//!   change and checkpointed once, before an op of the trace's second
+//!   half that the seed picks; the log cut at each later op's end, and
+//!   one byte inside its last frame, must recover the oracle's WM of
+//!   that committed prefix, and every engine bootstrapped over it must
+//!   hold `eval_rule`'s conflict set;
+//! - **§5**: every engine, in memory, from the post-trace WM, under a
+//!   `ConcurrentExecutor` of 2–4 workers to the cycle cap. Its final
+//!   conflict set must be the oracle's; its firings, in commit (`seq`)
+//!   order, must each be a match of the serial WM reached so far and
+//!   their RHSs must end at the live WM; a run that stopped below its cap
+//!   without a halt may leave only instantiations it fired; and no lock
+//!   and no failed transaction may be left over.
+//!
 //! On failure [`check`] delta-debugs the op trace and then the rule list
 //! and panics with the shrunk program and ops, ready to paste into a
 //! named regression.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use ops5::{RuleId, RuleSet};
+use ops5::{ClassId, RuleId, RuleSet};
 use prodsys::engine::recompute::eval_rule;
-use prodsys::{make_engine, CondEngine, EngineKind, Instantiation, MatchEngine, ProductionDb};
-use prodsys::{ConflictDelta, RunOutcome, SequentialExecutor, WmChange};
+use prodsys::exec::eval_rhs;
+use prodsys::WmChange;
+use prodsys::{bootstrap, make_engine, CondEngine, EngineKind, Instantiation, MatchEngine};
+use prodsys::{ConcurrentExecutor, ConflictDelta, ProductionDb, RunOutcome, SequentialExecutor};
 use relstore::{Database, Tuple};
 
 use super::grammar::{Bias, Case, Op};
-use super::wm_all;
+use super::{wm_all, Scratch};
 
 /// Generated cases per block: blocks `0..11` cover seeds `0..154`.
 pub const BLOCK: u64 = 14;
@@ -159,16 +174,8 @@ fn run(case: &Case) -> Result<Agreed, String> {
             agreed.push(result.map_err(|e| format!("{axis}: {e}"))?);
         }
     }
+    concurrent(case, &rules).map_err(|e| format!("§5: {e}"))?;
     Ok(agreed.swap_remove(0))
-}
-
-/// A paged database's directory, removed on drop.
-struct Scratch(PathBuf);
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
 }
 
 /// One lane's engine: COND stays concrete for its pattern store until
@@ -200,20 +207,26 @@ struct Run {
     oracle: ProductionDb,
     /// Each lane's `match_entries` on the empty WM.
     empty: Vec<usize>,
-    _dirs: Vec<Scratch>,
+    /// Each lane's database directory when paged, in lane order.
+    dirs: Vec<Scratch>,
 }
+
+/// The lane whose database the crash axis syncs, checkpoints and cuts.
+const CRASH_LANE: usize = 2;
+
+/// The crash axis's marks: per change after the checkpoint, the synced
+/// log's length and the oracle's WM at that point.
+type Marks = Vec<(u64, Vec<Vec<Tuple>>)>;
 
 impl Run {
     fn new(rules: &RuleSet, paged: bool) -> Run {
-        static DIRS: AtomicUsize = AtomicUsize::new(0);
         let mut dirs = Vec::new();
         let mut pdb = || {
             let db = if paged {
-                let n = DIRS.fetch_add(1, Ordering::Relaxed);
-                let dir =
-                    std::env::temp_dir().join(format!("differential-{}-{n}", std::process::id()));
-                dirs.push(Scratch(dir.clone()));
-                Database::new_paged(&dir, 2).expect("paged database")
+                let dir = Scratch::new("lane");
+                let db = Database::new_paged(&dir.0, 2).expect("paged database");
+                dirs.push(dir);
+                db
             } else {
                 Database::new()
             };
@@ -237,7 +250,7 @@ impl Run {
                 .collect(),
             lanes,
             oracle: ProductionDb::new(rules.clone()).expect("oracle database"),
-            _dirs: dirs,
+            dirs,
         }
     }
 
@@ -251,12 +264,31 @@ impl Run {
                     .map_err(|e| format!("batch {i}: {e}"))?;
             }
         }
+        // The op before which the crash axis checkpoints: one in the
+        // trace's second half, so at most half the ops are cut points.
+        let half = case.ops.len() / 2;
+        let crash = (width == 1 && !self.dirs.is_empty() && !case.ops.is_empty()).then(|| {
+            half + case
+                .seed
+                .map_or(0, |s| s as usize % (case.ops.len() - half))
+        });
+        let (mut marks, mut ends) = (Marks::new(), Vec::new());
         for (i, op) in case.ops.iter().enumerate().filter(|_| width == 1) {
+            let at = |e| format!("op {i} `{op}`: {e}");
+            if crash == Some(i) {
+                let db = self.lanes[CRASH_LANE].view().pdb().db();
+                db.checkpoint()
+                    .map_err(|e| at(format!("checkpoint: {e}")))?;
+                self.mark(&mut marks).map_err(at)?;
+            }
             let before = self.entries();
             for change in op.changes() {
-                self.step(&[change], false)
-                    .map_err(|e| format!("op {i} `{op}`: {e}"))?;
+                self.step(&[change], false).map_err(at)?;
+                if crash.is_some_and(|c| i >= c) {
+                    self.mark(&mut marks).map_err(at)?;
+                }
             }
+            ends.extend(marks.last().map(|m| m.0));
             let after = self.entries();
             if let (Op::Bounce(..), Some(l)) = (op, (0..6).find(|&l| after[l] != before[l])) {
                 let (label, was, is) = (LANES[l].0, before[l], after[l]);
@@ -264,6 +296,11 @@ impl Run {
                     "op {i} `{op}`: the bounce took {label} from {was} match entries to {is}"
                 ));
             }
+        }
+        if crash.is_some() {
+            ends.dedup();
+            self.recover(&marks, &ends)
+                .map_err(|e| format!("crash axis: {e}"))?;
         }
         if let (Engine::Cond(cond), Engine::Cond(scan)) = (&self.lanes[3], &self.lanes[4]) {
             // Printing both stores costs more than the rest of a step, so
@@ -295,6 +332,60 @@ impl Run {
         }
     }
 
+    /// Sync the crash lane's log and mark its length with the oracle's WM.
+    fn mark(&self, marks: &mut Marks) -> Result<(), String> {
+        self.lanes[CRASH_LANE]
+            .view()
+            .pdb()
+            .db()
+            .sync_wal()
+            .map_err(text)?;
+        let log = std::fs::metadata(self.dirs[CRASH_LANE].0.join("wal.log"));
+        marks.push((log.map_err(text)?.len(), wm_all(&self.oracle)));
+        Ok(())
+    }
+
+    /// Recover the crash lane's checkpoint and its log cut at each of
+    /// `ends` and one byte inside its last frame.
+    fn recover(&self, marks: &Marks, ends: &[u64]) -> Result<(), String> {
+        let dir = &self.dirs[CRASH_LANE].0;
+        let read = |f: &str| std::fs::read(dir.join(f)).map_err(text);
+        let (snap, log) = (read("checkpoint.snap")?, read("wal.log")?);
+        let last = marks.last().map_or(0, |m| m.0);
+        let torn = (last > marks[0].0).then(|| last - 1);
+        for cut in ends.iter().copied().chain(torn) {
+            let (_, want) = (marks.iter().rev())
+                .find(|(len, _)| *len <= cut)
+                .expect("the checkpoint's mark");
+            self.recover_cut(&snap, &log[..cut as usize], want)
+                .map_err(|e| format!("log cut at byte {cut} of {last}: {e}"))?;
+        }
+        Ok(())
+    }
+
+    /// Open the checkpoint `snap` and the log `log` as a crashed
+    /// database: its WM must be `want`, and every engine bootstrapped
+    /// over it must hold the oracle's conflict set.
+    fn recover_cut(&self, snap: &[u8], log: &[u8], want: &[Vec<Tuple>]) -> Result<(), String> {
+        let copy = Scratch::new("cut");
+        std::fs::create_dir_all(&copy.0).map_err(text)?;
+        std::fs::write(copy.0.join("checkpoint.snap"), snap).map_err(text)?;
+        std::fs::write(copy.0.join("wal.log"), log).map_err(text)?;
+        let (db, _) = Database::open_paged(&copy.0, 2).map_err(text)?;
+        let pdb = ProductionDb::attach(Arc::new(db), self.oracle.rules().clone()).map_err(text)?;
+        let got = wm_all(&pdb);
+        if got != want {
+            return Err(format!("recovered {got:?}, committed {want:?}"));
+        }
+        let expected = oracle(&pdb);
+        for kind in EngineKind::ALL {
+            let mut engine = make_engine(kind, pdb.clone());
+            bootstrap(engine.as_mut());
+            compare(kind.label(), engine.as_ref(), &expected)?;
+        }
+        Ok(())
+    }
+
     /// Per lane, `match_entries` as far as a bounce must restore it: not
     /// COND's, whose pattern derived from the bounced tuple outlives it
     /// while a supporter it inherited is live.
@@ -309,12 +400,9 @@ impl Run {
     /// Deliver `changes` to every lane and the oracle, then compare.
     fn step(&mut self, changes: &[WmChange], batched: bool) -> Result<(), String> {
         let single = !batched && changes.len() == 1;
-        for change in changes {
-            match change {
-                WmChange::Insert(c, t) => drop(self.oracle.insert_wm(*c, t.clone())),
-                WmChange::Remove(c, t) => drop(self.oracle.remove_wm_equal(*c, t)),
-            }
-        }
+        changes
+            .iter()
+            .for_each(|change| apply(&self.oracle, change));
         let expected = oracle(&self.oracle);
         for (lane, (label, _)) in self.lanes.iter_mut().zip(LANES) {
             let engine = lane.get();
@@ -357,7 +445,7 @@ impl Run {
             let out = exec.run(case.cycles);
             let engine = exec.into_engine();
             compare(label, engine.as_ref(), &oracle(engine.pdb()))?;
-            runs.push((label, (out, wm_all(engine.as_ref()))));
+            runs.push((label, (out, wm_all(engine.pdb()))));
             self.lanes.push(Engine::Boxed(engine));
         }
         if let Some((label, run)) = runs.iter().find(|(_, run)| *run != runs[0].1) {
@@ -368,13 +456,116 @@ impl Run {
         }
         // The oracle's WM follows the lanes' into the deletions.
         let agreed = runs.swap_remove(0).1;
-        self.oracle = ProductionDb::new(self.oracle.rules().clone()).expect("oracle database");
-        for (c, rows) in agreed.1.iter().enumerate() {
-            rows.iter()
-                .for_each(|t| drop(self.oracle.insert_wm(ops5::ClassId(c), t.clone())));
-        }
+        self.oracle = holding(self.oracle.rules(), &agreed.1);
         Ok(agreed)
     }
+}
+
+/// The §5 axis: every engine, in memory, loaded with the case's trace
+/// and run by a `ConcurrentExecutor` of 2–4 workers to the cycle cap.
+fn concurrent(case: &Case, rules: &RuleSet) -> Result<(), String> {
+    let workers = 2 + case.seed.unwrap_or(1) as usize % 3;
+    let changes: Vec<WmChange> = case.ops.iter().flat_map(Op::changes).collect();
+    for kind in EngineKind::ALL {
+        let fail = |e| format!("{}, {workers} workers: {e}", kind.label());
+        let pdb = ProductionDb::new(rules.clone()).expect("wm relations");
+        let mut engine = make_engine(kind, pdb.clone());
+        engine.apply_delta(&changes);
+        let start = wm_all(&pdb);
+        let tracer = obs::Tracer::new(obs::Sink::ring(1 << 16));
+        let mut exec = ConcurrentExecutor::new(engine, workers);
+        exec.set_tracer(tracer.clone());
+        let stats = exec.run(case.cycles);
+        let held = pdb.db().lock_manager().held_count();
+        if held > 0 || stats.failed > 0 {
+            let errors = &stats.errors;
+            return Err(fail(format!("{held} locks held, failed {errors:?}")));
+        }
+        let shared = exec.engine();
+        let engine = shared.lock();
+        compare(kind.label(), engine.as_ref(), &oracle(&pdb)).map_err(fail)?;
+        let mut fired: Vec<(u64, String, String)> = (tracer.ring_events().unwrap().into_iter())
+            .filter_map(|event| match event {
+                obs::Event::Firing {
+                    seq,
+                    rule_name,
+                    wmes,
+                    ..
+                } => Some((seq, rule_name, wmes)),
+                _ => None,
+            })
+            .collect();
+        fired.sort();
+        if fired.len() != stats.committed {
+            let n = fired.len();
+            return Err(fail(format!(
+                "{n} firings traced, {} committed",
+                stats.committed
+            )));
+        }
+        let fired: Vec<(String, String)> = fired.into_iter().map(|(_, r, w)| (r, w)).collect();
+        witness(rules, &start, &fired, &wm_all(&pdb)).map_err(fail)?;
+        if stats.halted || stats.committed == case.cycles {
+            continue;
+        }
+        for inst in engine.conflict_set().sorted() {
+            let key = (rules.rule(inst.rule).name.clone(), inst.wmes_display(rules));
+            if !fired.contains(&key) {
+                let (rule, wmes) = key;
+                return Err(fail(format!("stopped with {rule}: {wmes} unfired")));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The serial run a concurrent one must equal: the `fired` (rule,
+/// WMEs) keys in commit order, from `start`, each a match of the serial
+/// WM reached so far, whose RHSs end at `end`.
+fn witness(
+    rules: &RuleSet,
+    start: &[Vec<Tuple>],
+    fired: &[(String, String)],
+    end: &[Vec<Tuple>],
+) -> Result<(), String> {
+    let serial = holding(rules, start);
+    for (k, (name, wmes)) in fired.iter().enumerate() {
+        let rule = (rules.rules.iter()).find(|r| r.name == *name);
+        let rule = rule.expect("a fired rule is a rule");
+        let inst = (eval_rule(&serial, rule).into_iter())
+            .map(|m| m.instantiation(rule))
+            .find(|inst| inst.wmes_display(rules) == *wmes)
+            .ok_or_else(|| format!("firing {k}, {name}: {wmes}, is no match in serial order"))?;
+        (eval_rhs(rules, &inst).changes.iter()).for_each(|change| apply(&serial, change));
+    }
+    match wm_all(&serial) {
+        wm if wm == end => Ok(()),
+        wm => Err(format!(
+            "the firings serially end at {wm:?}, the run at {end:?}"
+        )),
+    }
+}
+
+/// An in-memory production database holding `wm`.
+fn holding(rules: &RuleSet, wm: &[Vec<Tuple>]) -> ProductionDb {
+    let pdb = ProductionDb::new(rules.clone()).expect("oracle database");
+    for (c, rows) in wm.iter().enumerate() {
+        rows.iter()
+            .for_each(|t| drop(pdb.insert_wm(ClassId(c), t.clone())));
+    }
+    pdb
+}
+
+/// Apply one WM change to `pdb`, as the executors do.
+fn apply(pdb: &ProductionDb, change: &WmChange) {
+    match change {
+        WmChange::Insert(c, t) => drop(pdb.insert_wm(*c, t.clone())),
+        WmChange::Remove(c, t) => drop(pdb.remove_wm_equal(*c, t)),
+    }
+}
+
+fn text(e: impl std::fmt::Display) -> String {
+    e.to_string()
 }
 
 /// Every rule's matches, evaluated from scratch, sorted.

@@ -92,6 +92,9 @@ fn blocker_made_and_removed_by_one_firing_keeps_refraction() {
     assert_eq!(check(&case).0.fired, 2);
 }
 
+/// Includes seed 148, whose duplicate `C0(nil, nil)` rows made COND keep
+/// instantiations of rows an aborted transaction had put back under a
+/// new tuple id (see `differential::conc_rolled_back_delete_keeps_its_tuple_id`).
 #[test]
 fn generated_programs_run_identically() {
     sweep_block(10, Bias::Any);
