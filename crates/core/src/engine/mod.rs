@@ -128,27 +128,11 @@ pub trait MatchEngine: Send {
     }
 
     /// Apply a cycle's WM changes (in action order) and then run one
-    /// set-oriented maintenance pass over the resulting delta set. Removes
-    /// of absent tuples are dropped, exactly as [`MatchEngine::remove`]
-    /// drops them.
+    /// set-oriented maintenance pass over the resulting delta set.
+    /// Removals that find no tuple are dropped, exactly as
+    /// [`MatchEngine::remove`] drops them ([`crate::exec::apply_changes`]).
     fn apply_delta(&mut self, changes: &[WmChange]) -> Vec<ConflictDelta> {
-        let mut resolved: Vec<WmDelta> = Vec::with_capacity(changes.len());
-        for change in changes {
-            let tid = match change {
-                WmChange::Insert(class, tuple) => Some(
-                    self.pdb()
-                        .insert_wm(*class, tuple.clone())
-                        .expect("wm insert"),
-                ),
-                WmChange::Remove(class, tuple) => self
-                    .pdb()
-                    .remove_wm_equal(*class, tuple)
-                    .expect("wm remove"),
-            };
-            if let Some(tid) = tid {
-                resolved.push(change.resolved(tid));
-            }
-        }
+        let resolved = crate::exec::apply_changes(self.pdb(), changes);
         maintenance_pass(self, &resolved)
     }
 

@@ -1,6 +1,6 @@
 //! Shared instantiation bookkeeping for engines that (re)compute LHS
-//! queries: an exact multiset of current instantiations per rule, keyed by
-//! tuple ids so duplicate WM elements are handled correctly.
+//! queries: the set of current instantiations per rule, keyed by tuple
+//! ids, the identity every engine gives an instantiation.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
@@ -32,7 +32,7 @@ impl Match {
             .zip(&self.tuples)
             .map(|(c, t)| Wme::new(c, t.clone()))
             .collect();
-        Instantiation::new(rule.id, wmes).with_support(self.tids.as_slice().into())
+        Instantiation::new(rule.id, wmes, self.tids.as_slice().into())
     }
 }
 
@@ -104,7 +104,8 @@ pub fn eval_rule_seeded_batch(
 }
 
 /// Address of one stored match: its rule, the hash of its tid vector and
-/// its arrival number in the store (never reused).
+/// its arrival number in the store (never reused), which tells apart tid
+/// vectors whose hashes collide.
 type Slot = (RuleId, u64, u64);
 
 /// Every slot `rule` can have, as range bounds.
@@ -123,34 +124,35 @@ fn positive_classes(rule: &Rule) -> impl Iterator<Item = ClassId> + '_ {
     rule.ces.iter().filter(|ce| !ce.negated).map(|ce| ce.class)
 }
 
-#[derive(Debug)]
-struct Stored {
-    m: Match,
-    /// The pairing round ([`InstStore::pair`]) that last claimed this
-    /// match; 0 before any did.
-    paired_in: u64,
-}
-
-/// Exact multiset of live matches per rule.
+/// The set of live matches per rule, by tid vector.
 ///
 /// Two indexes are maintained with every insertion and removal, both
 /// holding slots only. The tid-vector index is the order of the map
-/// itself: the matches of one rule over one tid vector are adjacent,
-/// oldest first, so deciding whether a match is already stored costs one
+/// itself: the matches of one rule whose tid vectors hash alike are
+/// adjacent, so deciding whether a match is already stored costs one
 /// probe. The support index leads from each `(class, tuple id)` to the
 /// slots it supports, so withdrawing a deleted tuple's matches costs what
 /// it removes.
 ///
 /// Additions come back in the caller's order. A rule's matches iterate in
 /// hash order, which is repeatable but means nothing, so removals come
-/// back in no particular order — the conflict set removes by content.
+/// back in no particular order — the conflict set removes by key.
 #[derive(Debug, Default)]
 pub struct InstStore {
     matches: BTreeMap<Slot, Stored>,
     /// `(class, tuple id, slot)` for every position of every match.
     by_support: BTreeSet<(ClassId, TupleId, Slot)>,
     arrivals: u64,
-    rounds: u64,
+    /// `replace` calls so far.
+    calls: u64,
+}
+
+#[derive(Debug)]
+struct Stored {
+    m: Match,
+    /// The last `replace` call whose new matches hold this one: a mark
+    /// that makes the scan for the matches to drop O(1) per match.
+    seen_in: u64,
 }
 
 impl InstStore {
@@ -165,17 +167,24 @@ impl InstStore {
     }
 
     /// Replace rule `rule`'s matches with `new`, emitting deltas for the
-    /// symmetric difference (by tid vector, multiset semantics).
+    /// set difference by tid vector: removals first, then additions in
+    /// `new`'s order.
     pub fn replace(&mut self, rule: &Rule, new: Vec<Match>) -> Vec<ConflictDelta> {
-        let fresh = self.pair(rule.id, new);
-        let gone: Vec<Slot> = self
-            .matches
-            .range(slots_of(rule.id))
-            .filter(|(_, stored)| stored.paired_in != self.rounds)
+        self.calls += 1;
+        let mut fresh = Vec::new();
+        for m in new {
+            let calls = self.calls;
+            match self.find(rule.id, &m.tids) {
+                Some(stored) => stored.seen_in = calls,
+                None => fresh.push(m),
+            }
+        }
+        let gone: Vec<Slot> = (self.matches.range(slots_of(rule.id)))
+            .filter(|(_, stored)| stored.seen_in != self.calls)
             .map(|(slot, _)| *slot)
             .collect();
         let mut deltas = self.take_all(rule, gone);
-        deltas.extend(fresh.into_iter().map(|(hash, m)| self.add(rule, hash, m)));
+        deltas.extend(self.add_missing(rule, fresh));
         deltas
     }
 
@@ -216,49 +225,32 @@ impl InstStore {
     }
 
     /// Matches in `new` not already stored for `rule` (by tid vector),
-    /// added and returned as Add deltas.
+    /// added and returned as Add deltas, the first of a repeat only.
     pub fn add_missing(&mut self, rule: &Rule, new: Vec<Match>) -> Vec<ConflictDelta> {
-        let fresh = self.pair(rule.id, new);
-        fresh
-            .into_iter()
-            .map(|(hash, m)| self.add(rule, hash, m))
+        (new.into_iter())
+            .filter_map(|m| (self.find(rule.id, &m.tids).is_none()).then(|| self.add(rule, m)))
             .collect()
     }
 
-    /// Multiset difference by tid vector, one pairing round: each match of
-    /// `new`, in order, claims the oldest stored match of `rule` over the
-    /// same tuples that this round has not claimed yet. Returns the
-    /// matches of `new` that found none, each with its tid-vector hash;
-    /// the stored matches claimed carry the round in `paired_in`.
-    fn pair(&mut self, rule: RuleId, new: Vec<Match>) -> Vec<(u64, Match)> {
-        self.rounds += 1;
-        let round = self.rounds;
-        let mut fresh = Vec::new();
-        for m in new {
-            let hash = tids_hash(&m.tids);
-            let partner = self
-                .matches
-                .range_mut((rule, hash, 0)..=(rule, hash, u64::MAX))
-                .map(|(_, stored)| stored)
-                .find(|stored| stored.paired_in != round && stored.m.tids == m.tids);
-            match partner {
-                Some(stored) => stored.paired_in = round,
-                None => fresh.push((hash, m)),
-            }
-        }
-        fresh
+    /// `rule`'s match over `tids`, if one is stored.
+    fn find(&mut self, rule: RuleId, tids: &[TupleId]) -> Option<&mut Stored> {
+        let hash = tids_hash(tids);
+        (self
+            .matches
+            .range_mut((rule, hash, 0)..=(rule, hash, u64::MAX)))
+        .map(|(_, stored)| stored)
+        .find(|stored| stored.m.tids == tids)
     }
 
-    /// Store `m`, whose tid vector hashes to `hash`, as the newest match
-    /// of `rule`.
-    fn add(&mut self, rule: &Rule, hash: u64, m: Match) -> ConflictDelta {
-        let slot = (rule.id, hash, self.arrivals);
+    /// Store `m` as the newest match of `rule`.
+    fn add(&mut self, rule: &Rule, m: Match) -> ConflictDelta {
+        let slot = (rule.id, tids_hash(&m.tids), self.arrivals);
         self.arrivals += 1;
         for (class, tid) in positive_classes(rule).zip(&m.tids) {
             self.by_support.insert((class, *tid, slot));
         }
         let delta = ConflictDelta::Add(m.instantiation(rule));
-        self.matches.insert(slot, Stored { m, paired_in: 0 });
+        self.matches.insert(slot, Stored { m, seen_in: 0 });
         delta
     }
 
@@ -323,7 +315,7 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_tuples_tracked_as_multiset() {
+    fn duplicate_tuples_are_two_matches() {
         let (pdb, rid) = setup();
         let rule = pdb.rules().rule(rid).clone();
         pdb.insert_wm(ClassId(0), tuple!["Ann", 7]).unwrap();
@@ -360,30 +352,27 @@ mod tests {
     struct NaiveStore(HashMap<RuleId, Vec<Match>>);
 
     impl NaiveStore {
-        /// Which of `old` and of `new` pair up, oldest first, by tid vector.
-        fn pair(old: &[Match], new: &[Match]) -> (Vec<bool>, Vec<bool>) {
-            let mut old_paired = vec![false; old.len()];
-            let new_paired = new
-                .iter()
-                .map(|m| {
-                    let hit = (0..old.len()).find(|&i| !old_paired[i] && old[i].tids == m.tids);
-                    if let Some(i) = hit {
-                        old_paired[i] = true;
-                    }
-                    hit.is_some()
-                })
-                .collect();
-            (old_paired, new_paired)
+        /// `new` without repeats of a tid vector, first occurrences in
+        /// order.
+        fn distinct(new: Vec<Match>) -> Vec<Match> {
+            let mut out: Vec<Match> = Vec::new();
+            for m in new {
+                if !out.iter().any(|o| o.tids == m.tids) {
+                    out.push(m);
+                }
+            }
+            out
         }
 
         fn replace(&mut self, rule: &Rule, new: Vec<Match>) -> Vec<ConflictDelta> {
             let old = self.0.remove(&rule.id).unwrap_or_default();
-            let (kept, known) = Self::pair(&old, &new);
-            let gone = old.iter().zip(kept).filter(|(_, kept)| !kept);
-            let fresh = new.iter().zip(known).filter(|(_, known)| !known);
+            let new = Self::distinct(new);
+            let known = |set: &[Match], m: &Match| set.iter().any(|o| o.tids == m.tids);
+            let gone = old.iter().filter(|m| !known(&new, m));
+            let fresh = new.iter().filter(|m| !known(&old, m));
             let deltas = gone
-                .map(|(m, _)| ConflictDelta::Remove(m.instantiation(rule)))
-                .chain(fresh.map(|(m, _)| ConflictDelta::Add(m.instantiation(rule))))
+                .map(|m| ConflictDelta::Remove(m.instantiation(rule)))
+                .chain(fresh.map(|m| ConflictDelta::Add(m.instantiation(rule))))
                 .collect();
             self.0.insert(rule.id, new);
             deltas
@@ -391,11 +380,12 @@ mod tests {
 
         fn add_missing(&mut self, rule: &Rule, new: Vec<Match>) -> Vec<ConflictDelta> {
             let existing = self.0.entry(rule.id).or_default();
-            let (_, known) = Self::pair(existing, &new);
             let mut deltas = Vec::new();
-            for (m, _) in new.into_iter().zip(known).filter(|(_, known)| !known) {
-                deltas.push(ConflictDelta::Add(m.instantiation(rule)));
-                existing.push(m);
+            for m in new {
+                if !existing.iter().any(|o| o.tids == m.tids) {
+                    deltas.push(ConflictDelta::Add(m.instantiation(rule)));
+                    existing.push(m);
+                }
             }
             deltas
         }
@@ -454,7 +444,7 @@ mod tests {
 
         /// The indexed store and the naive one emit the same deltas for a
         /// random operation sequence over three rules — additions in the
-        /// same order, removals as the same multiset — and hold the same
+        /// same order, removals as the same set — and hold the same
         /// matches at the end. Tuple ids come from a domain of four, so
         /// tid vectors repeat within one call and across calls, and the
         /// same id names a row of `A` in one position and of `B` in

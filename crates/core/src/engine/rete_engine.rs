@@ -18,7 +18,7 @@ use crate::pdb::ProductionDb;
 
 /// What the engine needs to know about a token memory beyond the
 /// algorithm's [`TokenMemory`] contract.
-pub trait ReteBackend: TokenMemory<Wid: Send> + Send + Sized {
+pub trait ReteBackend: TokenMemory + Send + Sized {
     /// Engine label ([`MatchEngine::name`]).
     const NAME: &'static str;
     /// Profile span of one maintenance pass.
@@ -98,18 +98,18 @@ impl<M: ReteBackend> MatchEngine for NetworkEngine<M> {
         &self.pdb
     }
 
-    /// The network propagates one WME at a time; the pass is timed as a
-    /// whole, so [`MatchEngine::last_detect_split`] covers every change.
+    /// The network propagates one WME at a time, each named by its tuple
+    /// id; the pass is timed as a whole, so
+    /// [`MatchEngine::last_detect_split`] covers every change.
     fn maintain_delta(&mut self, deltas: &[WmDelta]) -> Vec<ConflictDelta> {
         obs::prof_span!(M::SPAN);
         let start = Instant::now();
         let mut out = Vec::new();
         for d in deltas {
-            let wme = Wme::new(d.class, d.tuple.clone());
             out.extend(if d.insert {
-                self.net.insert(wme)
+                self.net.insert(d.tid, Wme::new(d.class, d.tuple.clone()))
             } else {
-                self.net.remove(&wme)
+                self.net.remove(d.class, d.tid)
             });
         }
         self.last_total = start.elapsed().as_nanos() as u64;

@@ -4,13 +4,15 @@
 //! executed" (§5.1). Workers take instantiations from the conflict set and
 //! run each as a strict-2PL transaction:
 //!
-//! 1. **re-select with read locks** — the conflict set stores no tuple
-//!    ids, so "attribute values from the matching pattern tuple are used
-//!    to generate selection predicates" and the selected WM tuples get
-//!    shared locks (§5.2);
+//! 1. **re-select with read locks** — the instantiation's support ids
+//!    each get a shared tuple lock and must still be live at their
+//!    generation. §5.2 re-selects by "selection predicates" from
+//!    attribute values because its conflict set stores no tuple ids; ours
+//!    does, and the locks are the same tuple locks;
 //! 2. **verify negative dependence** — negated CEs take a shared lock on
 //!    the whole relation and check NOT EXISTS (§5.2's "better solution");
-//! 3. **apply the RHS** under exclusive locks;
+//! 3. **apply the RHS** under exclusive locks, each removal on the tuple
+//!    it names ([`crate::exec::Target`]);
 //! 4. **maintenance before commit** — "a production should not commit its
 //!    RHS actions … until the triggered maintenance process updates the
 //!    affected COND relations as well" (§5.2): the matching engine is
@@ -21,7 +23,7 @@
 //! requesting transaction; the instantiation is retried in a later round
 //! if it is still in the conflict set.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -29,14 +31,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use obs::Event;
-use ops5::ClassId;
 use parking_lot::Mutex;
 
-use relstore::{Error, Restriction, Tuple, TupleId};
+use relstore::{Error, Restriction};
 use rete::Instantiation;
 
-use crate::engine::{maintenance_pass, MatchEngine, WmDelta};
-use crate::exec::{eval_rhs, Refraction, WmChange};
+use crate::engine::{maintenance_pass, MatchEngine};
+use crate::exec::{apply_with, eval_rhs, Refraction, WmChange};
 use crate::pdb::ProductionDb;
 
 /// Statistics from a concurrent run.
@@ -118,7 +119,10 @@ pub struct ConcurrentExecutor {
 }
 
 /// A recorded commit schedule: `(rule_name, wmes)` keys in commit-`seq`
-/// order, taken from a journal's `Firing` events. Installed on a
+/// order, taken from a journal's `Firing` events. A key names contents,
+/// not tuple ids (ids are names inside one database), so a step fires the
+/// first eligible instantiation of its contents; refraction, exact by id,
+/// keeps an equal copy that fired from being taken again. Installed on a
 /// [`ConcurrentExecutor`] via [`ConcurrentExecutor::set_oracle`], it
 /// replaces live worker racing with a serial re-execution that fires the
 /// recorded instantiations in the recorded serialization order —
@@ -146,16 +150,6 @@ struct Committed {
     writes: Vec<String>,
     /// Nanoseconds the transaction held the engine critical section.
     critical_ns: u64,
-    /// The transaction deleted one of its own positive-support tuples, so
-    /// the maintenance process retires a conflict-set copy of the fired
-    /// instantiation and refraction must not charge it a firing:
-    /// duplicate WMEs leave equal-content copies behind that are still
-    /// entitled to fire. This is judged from the transaction's *applied*
-    /// RHS, not from its maintenance delta — under concurrency the copy's
-    /// removal can surface in a racing transaction's maintenance pass
-    /// (storage deltas are visible to other workers' recompute passes
-    /// before commit), so delta attribution misses.
-    self_removed: bool,
 }
 
 /// Why a transaction did not commit. The dropped [`relstore::Txn`] rolled
@@ -277,33 +271,11 @@ impl ConcurrentExecutor {
         let rule = rules.rule(inst.rule);
         let txn_id = txn.id().0;
 
-        // 1. Re-select the matched tuples by content, with read locks.
-        //    Duplicate WMEs take distinct tuple ids *within a class*
-        //    while there are enough of them (tuple ids are per-relation,
-        //    so equal ids of different classes are unrelated rows); one
-        //    WME may fill several CEs. The matched WMEs (one per
-        //    positive CE) are grouped by class and each class is
-        //    re-selected in one batched pass (one read, one lock sweep,
-        //    one liveness re-read) instead of a select per CE.
-        let mut claimed: Vec<(usize, ClassId, TupleId)> = Vec::new(); // (positive pos, class, tid)
-        let mut by_class: Vec<(ClassId, Vec<usize>)> = Vec::new(); // positions per class
-        for (pos, wme) in inst.wmes.iter().enumerate() {
-            match by_class.iter_mut().find(|(c, _)| *c == wme.class) {
-                Some((_, poses)) => poses.push(pos),
-                None => by_class.push((wme.class, vec![pos])),
-            }
-        }
-        for (class, poses) in by_class {
-            let keys: Vec<Tuple> = poses.iter().map(|&p| inst.wmes[p].tuple.clone()).collect();
-            let groups = txn.select_eq_batch(pdb.class_rel(class), &keys)?;
-            for (&pos, rows) in poses.iter().zip(&groups) {
-                let free = rows
-                    .iter()
-                    .find(|(tid, _)| !claimed.iter().any(|(_, c, t)| *c == class && t == tid));
-                match free.or(rows.first()) {
-                    Some((tid, _)) => claimed.push((pos, class, *tid)),
-                    None => return Err(Abort::Invalid),
-                }
+        // 1. Re-select the matched tuples by id, with read locks: each
+        //    must still be live at its generation.
+        for (wme, &tid) in inst.wmes.iter().zip(inst.support.iter()) {
+            if txn.get(pdb.class_rel(wme.class), tid)?.is_none() {
+                return Err(Abort::Invalid);
             }
         }
 
@@ -321,54 +293,20 @@ impl ConcurrentExecutor {
         // 3. Apply the RHS under exclusive locks, remembering what
         //    actually happened for the maintenance phase.
         let rhs = eval_rhs(rules, inst);
-        let mut applied: Vec<WmDelta> = Vec::new();
-        for change in &rhs.changes {
-            match change {
-                WmChange::Remove(class, tuple) => {
-                    // Prefer a claimed (LHS-matched) row of this content
-                    // until it is deleted; a `modify`-generated
-                    // intermediate, even one equal to its original, takes
-                    // any row.
-                    let rel = pdb.class_rel(*class);
-                    let matched = claimed
-                        .iter()
-                        .find(|(pos, cl, _)| cl == class && &inst.wmes[*pos].tuple == tuple);
-                    let tid = match matched.map(|&(_, _, tid)| tid) {
-                        Some(tid) => {
-                            claimed.retain(|&(_, cl, t)| (cl, t) != (*class, tid));
-                            tid
-                        }
-                        None => {
-                            let rows = txn.select_eq_batch(rel, std::slice::from_ref(tuple))?;
-                            match rows[0].first() {
-                                Some((tid, _)) => *tid,
-                                None => continue,
-                            }
-                        }
-                    };
-                    // "T_j will not be able to process tuples of R_i that
-                    // have already been deleted" — consistent.
-                    if txn.delete(rel, tid)?.is_some() {
-                        applied.push(change.resolved(tid));
-                    }
-                }
+        let applied = apply_with(&rhs.changes, |change, target| {
+            Ok::<_, Error>(match change {
                 WmChange::Insert(class, tuple) => {
-                    let tid = txn.insert(pdb.class_rel(*class), tuple.clone())?;
-                    applied.push(change.resolved(tid));
+                    Some(txn.insert(pdb.class_rel(*class), tuple.clone())?)
                 }
-            }
-        }
-        // Whether this firing consumed its own support: an applied delete
-        // whose content matches one of the instantiation's positive WMEs
-        // retires a conflict-set copy of it (see `Committed::self_removed`
-        // for why this is not read off the maintenance delta).
-        let self_removed = applied.iter().any(|d| {
-            !d.insert
-                && inst
-                    .wmes
-                    .iter()
-                    .any(|w| w.class == d.class && w.tuple == d.tuple)
-        });
+                // "T_j will not be able to process tuples of R_i that
+                // have already been deleted" — consistent.
+                WmChange::Delete(class, ..) => match target {
+                    Some(tid) => txn.delete(pdb.class_rel(*class), tid)?.map(|_| tid),
+                    None => None,
+                },
+                WmChange::Remove(..) => unreachable!("an RHS names the tuples it removes"),
+            })
+        })?;
 
         // 4. Maintenance BEFORE commit: the transaction still holds
         //    every lock while the match structures (COND relations)
@@ -413,7 +351,6 @@ impl ConcurrentExecutor {
             halt: rhs.halt,
             writes: rhs.writes,
             critical_ns,
-            self_removed,
         })
     }
 
@@ -468,7 +405,7 @@ impl ConcurrentExecutor {
     /// with [`ConcurrentStats::divergence`] set.
     pub fn run(&mut self, max_fired: usize) -> ConcurrentStats {
         let mut stats = ConcurrentStats::default();
-        // Reconciled from the conflict set's state after every round
+        // Reconciled with the conflict set after every round
         // ([`Refraction::trim_to`]).
         let mut refraction = Refraction::default();
         // Deadlock victims awaiting a retry; lock-wait totals come from
@@ -537,14 +474,10 @@ impl ConcurrentExecutor {
                         stats.halted |= done.halt;
                         round_committed += 1;
                         round_critical += done.critical_ns;
-                        // Refraction charges a firing only while the fired
-                        // copy is still *in* the conflict set. A
-                        // self-consuming RHS already retired the fired
-                        // copy; any equal-content copies left behind come
-                        // from duplicate WMEs and may still fire.
-                        if !done.self_removed {
-                            refraction.record(inst);
-                        }
+                        // A firing that consumed its own support has left
+                        // the conflict set already: `trim_to` drops its
+                        // charge after the round.
+                        refraction.record(&inst);
                         if let Some(oracle) = &mut self.oracle {
                             oracle.pos += 1;
                         }
@@ -631,22 +564,13 @@ fn snapshot_round(
     deadlocked: &mut Vec<Instantiation>,
 ) -> (Vec<Instantiation>, u64, usize) {
     let mut h = std::collections::hash_map::DefaultHasher::new();
-    eligible.hash(&mut h);
+    for inst in eligible {
+        (inst.rule, &inst.support).hash(&mut h);
+    }
     let candidates: Vec<Instantiation> = eligible.iter().take(budget).copied().cloned().collect();
-    // The common round has no victims: count the candidates only for them.
-    let mut pool: HashMap<&Instantiation, usize> = HashMap::new();
-    if !deadlocked.is_empty() {
-        for c in &candidates {
-            *pool.entry(c).or_insert(0) += 1;
-        }
-    }
-    let mut retries = 0;
-    for victim in deadlocked.drain(..) {
-        if let Some(n) = pool.get_mut(&victim).filter(|n| **n > 0) {
-            *n -= 1;
-            retries += 1;
-        }
-    }
+    let retries = (deadlocked.drain(..))
+        .filter(|victim| candidates.iter().any(|c| c.key() == victim.key()))
+        .count();
     (candidates, h.finish(), retries)
 }
 
@@ -656,7 +580,7 @@ mod tests {
     use crate::engine::{make_engine, EngineKind};
     use crate::pdb::ProductionDb;
     use ops5::ClassId;
-    use relstore::tuple;
+    use relstore::{tuple, TupleId};
 
     fn setup(src: &str, kind: EngineKind) -> ConcurrentExecutor {
         let rs = ops5::compile(src).unwrap();
@@ -754,6 +678,7 @@ mod tests {
             rete::Instantiation::new(
                 ops5::RuleId(rule),
                 vec![rete::Wme::new(ClassId(0), tuple![v])],
+                Arc::from([TupleId::new(v as u32, 0)]),
             )
         };
         // Victim 0 reappears in the candidates (a genuine retry); victim 1
@@ -764,10 +689,15 @@ mod tests {
         assert_eq!(candidates, vec![a.clone(), b]);
         assert_eq!(retries, 1, "only the reappearing victim is a retry");
         assert!(deadlocked.is_empty(), "the victim list is always cleared");
-        // Duplicate instantiations retire one victim each, not all at once.
-        let mut deadlocked = vec![inst(0, 1), inst(0, 1)];
+        // A victim is matched by key: equal contents on another tuple are
+        // another instantiation.
+        let twin = rete::Instantiation {
+            support: Arc::from([TupleId::new(9, 0)]),
+            ..inst(0, 1)
+        };
+        let mut deadlocked = vec![twin];
         let (_, _, retries) = snapshot_round(&[&a], 10, &mut deadlocked);
-        assert_eq!(retries, 1, "multiset semantics: one candidate, one retry");
+        assert_eq!(retries, 0, "not the candidate's key");
         assert!(deadlocked.is_empty());
     }
 
@@ -1031,14 +961,38 @@ mod tests {
         assert_eq!(stats.errors.len(), 1);
     }
 
-    /// Refraction under duplicate WMEs when a third party removes one
-    /// copy after the other fired. The concurrent executor reconciles
-    /// from the conflict set's *state* ([`Refraction::trim_to`]): the
-    /// charge stays on the surviving copy, which does not fire again.
-    /// (The sequential executor releases the charge instead; see
-    /// `third_party_remove_releases_refraction` there.)
+    /// Refraction under duplicate WMEs when a third party removes a copy
+    /// after one fired, replayed step by step: the same answers as the
+    /// sequential executor's `third_party_remove_*` tests. `Note` fires
+    /// on the first `A(1)`; `Kill` then removes the first `A(1)` too (the
+    /// oracle takes the first eligible instantiation of the recorded
+    /// contents), the fired copy, which takes its charge along: the other
+    /// copy fires.
     #[test]
-    fn third_party_remove_keeps_refraction_charge() {
+    fn third_party_remove_of_the_fired_copy_releases_its_charge() {
+        let (stats, notes) = note_kill_note(&[("Note", "A(1)"), ("Kill", "K(1) A(1)")]);
+        assert_eq!((stats.committed, stats.divergence), (3, None));
+        assert_eq!(notes, 2, "the other copy fired");
+    }
+
+    /// The other side: both copies have fired when `Kill` removes one, so
+    /// the one left keeps its charge and the third `Note` step finds no
+    /// eligible instantiation.
+    #[test]
+    fn third_party_remove_of_the_other_copy_keeps_the_charge() {
+        let steps = [("Note", "A(1)"), ("Note", "A(1)"), ("Kill", "K(1) A(1)")];
+        let (stats, notes) = note_kill_note(&steps);
+        assert_eq!(stats.committed, 3);
+        assert_eq!(
+            stats.divergence.as_deref(),
+            Some("replay diverged at firing 3: no eligible instantiation for Note: A(1)")
+        );
+        assert_eq!(notes, 2, "no copy fired twice");
+    }
+
+    /// Two `A(1)` and one `K(1)`, replaying `steps` and then one more
+    /// `Note`: the stats, and how many times `Note` fired.
+    fn note_kill_note(steps: &[(&str, &str)]) -> (ConcurrentStats, usize) {
         let src = r#"
             (literalize A x)
             (literalize K x)
@@ -1055,24 +1009,15 @@ mod tests {
             g.insert(ClassId(1), tuple![1]);
             assert_eq!(g.conflict_set().len(), 4, "two Note and two Kill copies");
         }
-        // Note fires on one copy, Kill then removes one A(1) (and its own
-        // K(1)); the recorded third step asks for the surviving copy.
-        let step = |rule: &str, wmes: &str| (rule.to_string(), wmes.to_string());
-        ex.set_oracle(ScheduleOracle::new(vec![
-            step("Note", "A(1)"),
-            step("Kill", "K(1) A(1)"),
-            step("Note", "A(1)"),
-        ]));
+        let mut steps: Vec<(String, String)> = (steps.iter())
+            .map(|(rule, wmes)| (rule.to_string(), wmes.to_string()))
+            .collect();
+        steps.push(("Note".into(), "A(1)".into()));
+        ex.set_oracle(ScheduleOracle::new(steps));
         let stats = ex.run(100);
-        assert_eq!(stats.committed, 2);
-        assert_eq!(
-            stats.divergence.as_deref(),
-            Some("replay diverged at firing 2: no eligible instantiation for Note: A(1)")
-        );
         let eng = ex.engine();
         let g = eng.lock();
-        assert_eq!(g.conflict_set().len(), 1, "the surviving Note copy");
         assert_eq!(g.pdb().wm_len(ClassId(0)), 1);
-        assert_eq!(g.pdb().wm_len(ClassId(2)), 1, "Note fired once");
+        (stats, g.pdb().wm_len(ClassId(2)))
     }
 }

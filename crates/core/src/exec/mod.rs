@@ -19,21 +19,38 @@ use relstore::{Tuple, TupleId, Value};
 use rete::Instantiation;
 
 use crate::engine::WmDelta;
+use crate::pdb::ProductionDb;
 
-/// One WM change produced by an RHS.
+/// One WM change: a loader's, or one an RHS produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WmChange {
     /// Insert the tuple.
     Insert(ClassId, Tuple),
     /// Remove one tuple equal to the payload.
     Remove(ClassId, Tuple),
+    /// Remove the tuple `Target` names, whose contents are the payload:
+    /// an RHS removal.
+    Delete(ClassId, Tuple, Target),
+}
+
+/// The tuple an RHS removal deletes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Target {
+    /// A tuple a positive CE matched: one of the instantiation's support
+    /// ids.
+    Matched(TupleId),
+    /// The tuple that change `n` of the same RHS inserted (a `modify`'s
+    /// new tuple).
+    Made(usize),
 }
 
 impl WmChange {
     /// This change as a maintenance delta, once storage resolved it to
     /// the tuple id it inserted or deleted.
     pub fn resolved(&self, tid: TupleId) -> WmDelta {
-        let (WmChange::Insert(class, tuple) | WmChange::Remove(class, tuple)) = self;
+        let (WmChange::Insert(class, tuple)
+        | WmChange::Remove(class, tuple)
+        | WmChange::Delete(class, tuple, _)) = self;
         WmDelta {
             insert: matches!(self, WmChange::Insert(..)),
             class: *class,
@@ -43,11 +60,50 @@ impl WmChange {
     }
 }
 
+/// Apply `changes` to `pdb`'s working memory in order, outside any
+/// transaction. Returns the maintenance deltas of the changes that took
+/// effect: a removal that finds no tuple (none equal, or its target is
+/// gone already) is dropped.
+pub fn apply_changes(pdb: &ProductionDb, changes: &[WmChange]) -> Vec<WmDelta> {
+    let applied = apply_with(changes, |change, target| {
+        relstore::Result::Ok(match change {
+            WmChange::Insert(class, tuple) => Some(pdb.insert_wm(*class, tuple.clone())?),
+            WmChange::Remove(class, tuple) => pdb.remove_wm_equal(*class, tuple)?,
+            WmChange::Delete(class, ..) => match target {
+                Some(tid) => pdb.remove_wm(*class, tid)?.then_some(tid),
+                None => None,
+            },
+        })
+    });
+    applied.expect("wm change")
+}
+
+/// Apply `changes` in order through `apply`, which gets each change and,
+/// for a `Delete`, the id its [`Target`] resolves to, and returns the id
+/// the change took effect on (`None`: it did nothing). Returns the
+/// maintenance deltas of the changes that took effect.
+pub(crate) fn apply_with<E>(
+    changes: &[WmChange],
+    mut apply: impl FnMut(&WmChange, Option<TupleId>) -> Result<Option<TupleId>, E>,
+) -> Result<Vec<WmDelta>, E> {
+    let mut ids: Vec<Option<TupleId>> = Vec::with_capacity(changes.len());
+    for change in changes {
+        let target = match change {
+            WmChange::Delete(_, _, Target::Matched(tid)) => Some(*tid),
+            WmChange::Delete(_, _, Target::Made(n)) => ids[*n],
+            _ => None,
+        };
+        ids.push(apply(change, target)?);
+    }
+    Ok((changes.iter().zip(ids))
+        .filter_map(|(change, id)| Some(change.resolved(id?)))
+        .collect())
+}
+
 /// Everything an RHS evaluation produces.
 #[derive(Debug, Clone, Default)]
 pub struct RhsResult {
-    /// WM changes, in action order, except that removals of matched WMEs
-    /// come first (see [`eval_rhs`]).
+    /// WM changes, in action order.
     pub changes: Vec<WmChange>,
     /// Lines produced by `write` actions.
     pub writes: Vec<String>,
@@ -56,8 +112,7 @@ pub struct RhsResult {
 }
 
 /// Emit the full derivation of a firing: the matched WMEs, the supporting
-/// storage tuple ids (engines that intern WMEs by content report none),
-/// and the concrete absent patterns of negated CEs, derived here for
+/// storage tuple ids, and the concrete absent patterns of negated CEs, derived here for
 /// every engine alike. Shared by both executors so `--explain` sees one
 /// event shape regardless of execution mode.
 pub(crate) fn trace_derivation(tracer: &obs::Tracer, rules: &RuleSet, inst: &Instantiation) {
@@ -104,19 +159,17 @@ fn eval_rhs_val(
 /// changes (in action order), write-log entries, and the halt flag.
 ///
 /// `modify` is "a delete followed by an insert" (§5); consecutive actions
-/// see the current (possibly already modified) tuples of each CE. A
-/// removal of a matched WME (by `remove` or `modify`) is moved before
-/// every insert: removal is by content, and an equal tuple a `make` of
-/// this RHS inserted first must not be the one it deletes.
+/// see the current (possibly already modified) tuples of each CE. Every
+/// removal names the tuple it deletes: the CE's matched tuple, or the one
+/// an earlier `modify` of this RHS made in its place.
 pub fn eval_rhs(rules: &RuleSet, inst: &Instantiation) -> RhsResult {
     let rule = rules.rule(inst.rule);
     let pos_of = positive_positions(rule);
     let mut locals = vec![Value::Null; rule.locals];
     // Track the live tuple of each positive CE as actions mutate them.
     let mut current: Vec<Tuple> = inst.wmes.iter().map(|w| w.tuple.clone()).collect();
+    let mut targets: Vec<Target> = inst.support.iter().map(|&t| Target::Matched(t)).collect();
     let mut removed: Vec<bool> = vec![false; current.len()];
-    let mut modified: Vec<bool> = vec![false; current.len()];
-    let mut matched_removals = Vec::new();
     let mut out = RhsResult::default();
     for action in &rule.actions {
         match action {
@@ -131,11 +184,10 @@ pub fn eval_rhs(rules: &RuleSet, inst: &Instantiation) -> RhsResult {
                 let pos = pos_of[*ce].expect("remove references a positive CE");
                 if !removed[pos] {
                     removed[pos] = true;
-                    let change = WmChange::Remove(rule.ces[*ce].class, current[pos].clone());
-                    match modified[pos] {
-                        true => out.changes.push(change),
-                        false => matched_removals.push(change),
-                    }
+                    let class = rule.ces[*ce].class;
+                    let tuple = current[pos].clone();
+                    out.changes
+                        .push(WmChange::Delete(class, tuple, targets[pos]));
                 }
             }
             Action::Modify { ce, sets } => {
@@ -147,15 +199,11 @@ pub fn eval_rhs(rules: &RuleSet, inst: &Instantiation) -> RhsResult {
                 for (attr, v) in sets {
                     t = t.with_value(*attr, eval_rhs_val(v, inst, &pos_of, &locals, &current));
                 }
-                let change = WmChange::Remove(rule.ces[*ce].class, current[pos].clone());
-                match modified[pos] {
-                    true => out.changes.push(change),
-                    false => matched_removals.push(change),
-                }
-                out.changes
-                    .push(WmChange::Insert(rule.ces[*ce].class, t.clone()));
-                current[pos] = t;
-                modified[pos] = true;
+                let class = rule.ces[*ce].class;
+                let old = std::mem::replace(&mut current[pos], t.clone());
+                out.changes.push(WmChange::Delete(class, old, targets[pos]));
+                targets[pos] = Target::Made(out.changes.len());
+                out.changes.push(WmChange::Insert(class, t));
             }
             Action::Write(items) => {
                 let line: Vec<String> = items
@@ -170,15 +218,25 @@ pub fn eval_rhs(rules: &RuleSet, inst: &Instantiation) -> RhsResult {
             }
         }
     }
-    out.changes.splice(0..0, matched_removals);
     out
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use relstore::tuple;
     use rete::Wme;
+
+    /// Rule 0 over one `A` tuple, `t0.0`.
+    fn one(tuple: Tuple) -> Instantiation {
+        Instantiation::new(
+            ops5::RuleId(0),
+            vec![Wme::new(ClassId(0), tuple)],
+            Arc::from([TupleId::new(0, 0)]),
+        )
+    }
 
     #[test]
     fn modify_is_delete_then_insert() {
@@ -200,12 +258,17 @@ mod tests {
                 Wme::new(ClassId(1), tuple!["Simplify", "TERM"]),
                 Wme::new(ClassId(0), tuple!["TERM", 0, "+", "x"]),
             ],
+            Arc::from([TupleId::new(0, 0), TupleId::new(4, 1)]),
         );
         let r = eval_rhs(&rs, &inst);
         assert_eq!(r.changes.len(), 2);
         assert_eq!(
             r.changes[0],
-            WmChange::Remove(ClassId(0), tuple!["TERM", 0, "+", "x"])
+            WmChange::Delete(
+                ClassId(0),
+                tuple!["TERM", 0, "+", "x"],
+                Target::Matched(TupleId::new(4, 1))
+            )
         );
         let WmChange::Insert(_, t) = &r.changes[1] else {
             panic!("insert expected")
@@ -230,11 +293,16 @@ mod tests {
             "#,
         )
         .unwrap();
-        let inst = Instantiation::new(ops5::RuleId(0), vec![Wme::new(ClassId(0), tuple![5, 1])]);
+        let inst = one(tuple![5, 1]);
         let r = eval_rhs(&rs, &inst);
-        // The matched WME's removal leads the `make` that preceded it.
-        assert_eq!(r.changes[0], WmChange::Remove(ClassId(0), tuple![5, 1]));
-        assert_eq!(r.changes[1], WmChange::Insert(ClassId(0), tuple![9, 5]));
+        // Action order: the removal names the matched tuple, not the
+        // equal one a `make` before it may have made.
+        assert_eq!(r.changes[0], WmChange::Insert(ClassId(0), tuple![9, 5]));
+        let matched = Target::Matched(TupleId::new(0, 0));
+        assert_eq!(
+            r.changes[1],
+            WmChange::Delete(ClassId(0), tuple![5, 1], matched)
+        );
         assert_eq!(r.writes, vec!["fired 5"]);
         assert!(r.halt);
     }
@@ -245,8 +313,35 @@ mod tests {
             "(literalize A x)(p R (A ^x 1) --> (remove 1) (remove 1) (modify 1 ^x 2))",
         )
         .unwrap();
-        let inst = Instantiation::new(ops5::RuleId(0), vec![Wme::new(ClassId(0), tuple![1])]);
-        let r = eval_rhs(&rs, &inst);
+        let r = eval_rhs(&rs, &one(tuple![1]));
         assert_eq!(r.changes.len(), 1, "modify after remove is skipped too");
+    }
+
+    /// A removal after a `modify` names the tuple the `modify` made, and
+    /// `apply_changes` resolves it to that tuple's id.
+    #[test]
+    fn a_removal_after_a_modify_names_the_made_tuple() {
+        let rs =
+            ops5::compile("(literalize A x)(p R (A ^x 1) --> (modify 1 ^x 1) (remove 1))").unwrap();
+        let pdb = ProductionDb::new(rs.clone()).unwrap();
+        let tid = pdb.insert_wm(ClassId(0), tuple![1]).unwrap();
+        let inst = Instantiation::new(
+            ops5::RuleId(0),
+            vec![Wme::new(ClassId(0), tuple![1])],
+            Arc::from([tid]),
+        );
+        let r = eval_rhs(&rs, &inst);
+        assert_eq!(
+            r.changes[2],
+            WmChange::Delete(ClassId(0), tuple![1], Target::Made(1))
+        );
+        let applied = apply_changes(&pdb, &r.changes);
+        assert_eq!(applied.len(), 3);
+        assert_eq!(applied[2].tid, applied[1].tid, "the made tuple goes");
+        assert_eq!(pdb.wm_len(ClassId(0)), 0);
+        assert!(
+            apply_changes(&pdb, &r.changes[..1]).is_empty(),
+            "gone already"
+        );
     }
 }

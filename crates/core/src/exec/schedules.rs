@@ -13,17 +13,17 @@
 //!   respect the serial order.
 //!
 //! Operations carry the same granularity as the §5.2 locking rules:
-//! reads/deletes of matched tuples are tuple-level; insertions take a
-//! relation-level write (so they conflict with everything touching the
-//! relation — the negative-dependence discipline).
+//! reads/deletes of matched tuples are tuple-level, keyed by the tuple's
+//! id; insertions take a relation-level write (so they conflict with
+//! everything touching the relation — the negative-dependence
+//! discipline).
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 
 use ops5::RuleSet;
 use rete::Instantiation;
 
-use crate::exec::{eval_rhs, WmChange};
+use crate::exec::{eval_rhs, Target, WmChange};
 
 /// One relation-or-tuple-granular operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,27 +73,24 @@ pub struct TxnOps {
     pub ops: Vec<OpSpec>,
 }
 
-fn tuple_key(wme: &rete::Wme) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    wme.hash(&mut h);
-    h.finish()
-}
-
 /// Derive a [`TxnOps`] from an instantiation: tuple-level reads of every
-/// matched WME, tuple-level writes for RHS deletes of matched WMEs, and
-/// relation-level writes for insertions.
+/// matched tuple and tuple-level writes for RHS deletes of them, keyed by
+/// [`relstore::TupleId::pack`] of the support ids, and relation-level
+/// writes for insertions. Deleting a tuple a `modify` of the same RHS
+/// made is a relation-level write too: it has no id before the
+/// transaction runs.
 pub fn ops_of_instantiation(rules: &RuleSet, inst: &Instantiation) -> TxnOps {
     let mut ops = Vec::new();
-    for wme in &inst.wmes {
-        ops.push(OpSpec::read(wme.class.0, tuple_key(wme)));
+    for (wme, tid) in inst.wmes.iter().zip(inst.support.iter()) {
+        ops.push(OpSpec::read(wme.class.0, tid.pack()));
     }
     for change in eval_rhs(rules, inst).changes {
-        match change {
-            WmChange::Remove(c, t) => {
-                ops.push(OpSpec::write_tuple(c.0, tuple_key(&rete::Wme::new(c, t))));
+        ops.push(match change {
+            WmChange::Delete(c, _, Target::Matched(tid)) => OpSpec::write_tuple(c.0, tid.pack()),
+            WmChange::Insert(c, _) | WmChange::Remove(c, _) | WmChange::Delete(c, ..) => {
+                OpSpec::insert(c.0)
             }
-            WmChange::Insert(c, _) => ops.push(OpSpec::insert(c.0)),
-        }
+        });
     }
     TxnOps { ops }
 }
@@ -192,6 +189,7 @@ pub fn interleaving_upper_bound(txns: &[TxnOps]) -> u128 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use relstore::TupleId;
 
     fn t(ops: &[OpSpec]) -> TxnOps {
         TxnOps { ops: ops.to_vec() }
@@ -265,10 +263,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        let inst = Instantiation::new(
-            ops5::RuleId(0),
-            vec![rete::Wme::new(ops5::ClassId(0), relstore::tuple![1])],
-        );
+        let inst = a_on(3);
         let ops = ops_of_instantiation(&rs, &inst);
         assert_eq!(ops.ops.len(), 3);
         assert!(!ops.ops[0].write && ops.ops[0].rel == 0);
@@ -276,6 +271,37 @@ mod tests {
         assert!(ops.ops[2].write && ops.ops[2].tuple.is_none() && ops.ops[2].rel == 1);
         // The matched-tuple read and its delete share the tuple key.
         assert_eq!(ops.ops[0].tuple, ops.ops[1].tuple);
+        assert_eq!(ops.ops[0].tuple, Some(TupleId::new(3, 0).pack()));
+    }
+
+    /// Rule 0 over `A(1)`, tuple `slot`.
+    fn a_on(slot: u32) -> Instantiation {
+        Instantiation::new(
+            ops5::RuleId(0),
+            vec![rete::Wme::new(ops5::ClassId(0), relstore::tuple![1])],
+            std::sync::Arc::from([TupleId::new(slot, 0)]),
+        )
+    }
+
+    /// Two transactions over two WMEs of equal contents touch two tuples:
+    /// they interleave freely, as over two different rows.
+    #[test]
+    fn equal_contents_on_two_tuples_do_not_conflict() {
+        let rs = ops5::compile("(literalize A x)(p R (A ^x <V>) --> (remove 1))").unwrap();
+        let txns = [
+            ops_of_instantiation(&rs, &a_on(0)),
+            ops_of_instantiation(&rs, &a_on(1)),
+        ];
+        assert_eq!(count_equivalent_schedules(&txns), 6, "C(4, 2)");
+        let same = [
+            ops_of_instantiation(&rs, &a_on(0)),
+            ops_of_instantiation(&rs, &a_on(0)),
+        ];
+        assert_eq!(
+            count_equivalent_schedules(&same),
+            1,
+            "one tuple: serial only"
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use std::time::Instant;
 
 use obs::Event;
-use rete::Instantiation;
+use rete::{ConflictDelta, Instantiation};
 
 use crate::engine::MatchEngine;
 use crate::exec::{eval_rhs, Refraction, WmChange};
@@ -29,7 +29,7 @@ pub struct RunOutcome {
 pub struct SequentialExecutor {
     engine: Box<dyn MatchEngine>,
     strategy: Strategy,
-    /// Refraction memory, reconciled from the engine's conflict deltas
+    /// Refraction memory, reconciled after every maintenance pass
     /// ([`Refraction::release`]).
     refraction: Refraction,
     /// Recognize-act cycles executed over the executor's lifetime.
@@ -66,14 +66,24 @@ impl SequentialExecutor {
     /// Insert a WM element (runs matching; does not fire rules).
     pub fn insert(&mut self, class: ops5::ClassId, tuple: relstore::Tuple) {
         let deltas = self.engine.insert(class, tuple);
-        self.refraction.release(&deltas, &[]);
+        self.release(&deltas);
     }
 
     /// Remove a WM element by content.
     pub fn remove(&mut self, class: ops5::ClassId, tuple: &relstore::Tuple) {
         let deltas = self.engine.remove(class, tuple);
-        self.refraction
-            .release(&deltas, &[WmChange::Remove(class, tuple.clone())]);
+        self.release(&deltas);
+    }
+
+    /// Apply `changes` as one delta set and one maintenance pass.
+    fn apply(&mut self, changes: &[WmChange]) {
+        let deltas = self.engine.apply_delta(changes);
+        self.release(&deltas);
+    }
+
+    /// Reconcile refraction with a pass's conflict-set deltas.
+    fn release(&mut self, deltas: &[ConflictDelta]) {
+        (self.refraction).release(self.engine.conflict_set(), deltas);
     }
 
     /// Insert many WM elements of one class as a single delta set: all
@@ -87,8 +97,7 @@ impl SequentialExecutor {
             .into_iter()
             .map(|t| WmChange::Insert(class, t))
             .collect();
-        let deltas = self.engine.apply_delta(&changes);
-        self.refraction.release(&deltas, &changes);
+        self.apply(&changes);
     }
 
     /// Instantiations eligible to fire (in conflict set, not yet fired).
@@ -133,14 +142,13 @@ impl SequentialExecutor {
             conflict_len,
         });
         crate::exec::trace_derivation(&tracer, rules, &inst);
-        self.refraction.record(inst.clone());
+        self.refraction.record(&inst);
         let start = tracer.enabled().then(Instant::now);
         let rhs = eval_rhs(rules, &inst);
         // Apply the cycle's whole RHS as one delta set and let the engine
         // maintain it in a single batched pass (§4.2). Traced runs get the
         // batch's events from inside `apply_delta`.
-        let deltas = self.engine.apply_delta(&rhs.changes);
-        self.refraction.release(&deltas, &rhs.changes);
+        self.apply(&rhs.changes);
         // The journal's commit record: under sequential execution the
         // firing sequence IS the cycle sequence (txn 0 marks "no §5
         // transaction").
@@ -309,14 +317,25 @@ mod tests {
         assert!(!out.limited);
     }
 
-    /// Refraction under duplicate WMEs when a third party removes one
-    /// copy after the other fired. The sequential executor reconciles
-    /// from the engine's conflict *deltas* ([`Refraction::release`]): the
-    /// removal returns the charge, so the surviving copy fires again.
-    /// (The concurrent executor keeps the charge instead; see
-    /// `third_party_remove_keeps_refraction_charge` there.)
+    /// Refraction under duplicate WMEs when somebody else removes a copy
+    /// after one fired: removing the fired copy takes its charge along
+    /// and the other copy fires; removing the other copy leaves the fired
+    /// one charged, and nothing fires. The concurrent executor answers
+    /// the same (`third_party_remove_*` there).
     #[test]
-    fn third_party_remove_releases_refraction() {
+    fn third_party_remove_of_the_fired_copy_releases_its_charge() {
+        assert_eq!(note_after_removing(true), (2, 1));
+    }
+
+    /// See [`third_party_remove_of_the_fired_copy_releases_its_charge`].
+    #[test]
+    fn third_party_remove_of_the_other_copy_keeps_the_charge() {
+        assert_eq!(note_after_removing(false), (1, 0));
+    }
+
+    /// `Note` over two `A(1)` copies: one fires, then the fired copy (or
+    /// the other) is deleted by id. Returns `(Log rows, firings after)`.
+    fn note_after_removing(fired_copy: bool) -> (usize, usize) {
         let mut ex = exec(
             EngineKind::Rete,
             r#"
@@ -327,14 +346,65 @@ mod tests {
         );
         ex.insert(ClassId(0), tuple![1]);
         ex.insert(ClassId(0), tuple![1]);
-        assert!(ex.step().is_some(), "one copy fires");
+        let (fired, ..) = ex.step().expect("one copy fires");
         assert_eq!(ex.candidates().len(), 1, "the other is still eligible");
-        ex.remove(ClassId(0), &tuple![1]);
+        let other = ex.candidates()[0].support[0];
+        let doomed = if fired_copy { fired.support[0] } else { other };
+        let target = crate::exec::Target::Matched(doomed);
+        ex.apply(&[WmChange::Delete(ClassId(0), tuple![1], target)]);
         assert_eq!(ex.engine().conflict_set().len(), 1);
-        assert_eq!(ex.candidates().len(), 1, "the survivor is eligible");
         let out = ex.run(10);
-        assert_eq!((out.fired, out.limited), (1, false));
-        assert_eq!(ex.engine().pdb().wm_len(ClassId(1)), 2, "Note fired twice");
+        assert!(!out.limited);
+        (ex.engine().pdb().wm_len(ClassId(1)), out.fired)
+    }
+
+    /// A firing whose pass retracts an instantiation and adds it back
+    /// (its blocker made and removed by two `modify`s) leaves the charge,
+    /// on every engine: the key never left the conflict set.
+    #[test]
+    fn a_retract_and_readd_inside_one_pass_keeps_the_charge() {
+        for kind in EngineKind::ALL {
+            let mut ex = exec(
+                kind,
+                r#"
+                (literalize A x)
+                (literalize B x)
+                (literalize Go x)
+                (literalize Log x)
+                (p Note (A ^x <V>) -(B ^x <V>) --> (make Log ^x <V>))
+                (p Flip (Go ^x <V>) (B ^x 0) --> (modify 2 ^x <V>) (modify 2 ^x 0) (remove 1))
+                "#,
+            );
+            ex.insert(ClassId(0), tuple![1]);
+            ex.insert(ClassId(1), tuple![0]);
+            ex.insert(ClassId(2), tuple![1]);
+            let out = ex.run(10);
+            assert_eq!((out.fired, out.limited), (2, false), "{}", kind.label());
+            assert_eq!(ex.engine().pdb().wm_len(ClassId(3)), 1, "{}", kind.label());
+        }
+    }
+
+    /// A `modify` to equal contents is a new WME: the instantiation over
+    /// the old one leaves, its charge with it, and the new one fires.
+    #[test]
+    fn a_modify_to_equal_contents_releases_the_charge() {
+        for kind in EngineKind::ALL {
+            let mut ex = exec(
+                kind,
+                r#"
+                (literalize A x)
+                (literalize T x)
+                (literalize Log x)
+                (p Note (A ^x <V>) --> (make Log ^x <V>))
+                (p Touch (T ^x <V>) (A ^x <V>) --> (modify 2 ^x <V>) (remove 1))
+                "#,
+            );
+            ex.insert(ClassId(0), tuple![1]);
+            ex.insert(ClassId(1), tuple![1]);
+            let out = ex.run(10);
+            assert_eq!((out.fired, out.limited), (3, false), "{}", kind.label());
+            assert_eq!(ex.engine().pdb().wm_len(ClassId(2)), 2, "{}", kind.label());
+        }
     }
 
     #[test]

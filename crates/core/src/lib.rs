@@ -45,7 +45,7 @@ pub use error::{Error, Result};
 pub use exec::{
     count_equivalent_schedules, critical_path, interleaving_upper_bound, ops_of_instantiation,
     ConcurrentExecutor, ConcurrentStats, Refraction, RunOutcome, ScheduleOracle,
-    SequentialExecutor, TxnOps, WmChange,
+    SequentialExecutor, Target, TxnOps, WmChange,
 };
 pub use pdb::ProductionDb;
 pub use rulebase::CondIndex;
@@ -55,4 +55,4 @@ pub use system::{run_concurrent, ProductionSystem};
 // Re-export the shared runtime vocabulary so downstream users need only
 // this crate.
 pub use ops5::{ClassId, RuleId, RuleSet};
-pub use rete::{AbsentPattern, ConflictDelta, ConflictSet, Instantiation, Wme};
+pub use rete::{AbsentPattern, ConflictDelta, ConflictSet, InstKey, Instantiation, Wme};

@@ -141,6 +141,16 @@ impl ProductionDb {
         self.db.delete_equal(self.class_rel(class), tuple)
     }
 
+    /// Delete WM element `tid`; `false` when it is not live (at its
+    /// generation).
+    pub fn remove_wm(&self, class: ClassId, tid: TupleId) -> Result<bool> {
+        match self.db.delete(self.class_rel(class), tid) {
+            Ok(_) => Ok(true),
+            Err(relstore::Error::NoSuchTuple(..)) => Ok(false),
+            Err(e) => Err(e),
+        }
+    }
+
     /// Live WM size of a class.
     pub fn wm_len(&self, class: ClassId) -> usize {
         self.db.relation_len(self.class_rel(class))

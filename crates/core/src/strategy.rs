@@ -102,7 +102,12 @@ mod tests {
     }
 
     fn inst(rule: usize) -> Instantiation {
-        Instantiation::new(RuleId(rule), vec![Wme::new(ClassId(0), tuple![1, 2])])
+        let support = std::sync::Arc::from([relstore::TupleId::new(0, 0)]);
+        Instantiation::new(
+            RuleId(rule),
+            vec![Wme::new(ClassId(0), tuple![1, 2])],
+            support,
+        )
     }
 
     #[test]

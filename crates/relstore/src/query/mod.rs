@@ -17,7 +17,6 @@ mod exec;
 mod plan;
 
 pub use exec::{Binding, ExecProfile, QueryExecutor};
-pub(crate) use plan::HASH_THRESHOLD;
 pub use plan::{JoinAlgo, Plan, Planner};
 
 use crate::pred::{CompOp, Restriction};

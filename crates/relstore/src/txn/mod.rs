@@ -4,8 +4,8 @@
 //! The locking discipline implemented here follows §5.2 exactly:
 //!
 //! * reading specific WM tuples takes **shared tuple locks**
-//!   ([`Txn::select_eq_batch`]); a predicate read ([`Txn::select`]) takes
-//!   a **shared relation lock**, like a negated condition;
+//!   ([`Txn::get`]); a predicate read ([`Txn::select`]) takes a **shared
+//!   relation lock**, like a negated condition;
 //! * deleting/updating takes **exclusive tuple locks** (only on tuples the
 //!   LHS tested positively — OPS5 only deletes what it matched);
 //! * inserting takes an **exclusive relation lock** (so transactions that
@@ -27,12 +27,11 @@ mod locks;
 
 pub use locks::{LockManager, LockMode, LockTarget};
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use crate::database::{Database, GatePass};
 use crate::error::{Error, Result};
-use crate::pred::{Restriction, Selection};
+use crate::pred::Restriction;
 use crate::relation::Relation;
 use crate::schema::RelId;
 use crate::tuple::{Tuple, TupleId};
@@ -122,83 +121,19 @@ impl<'db> Txn<'db> {
         self.db.read(rel, |r| r.select(restriction))?
     }
 
-    /// Whole-tuple equality matches, one group of `(tid, tuple)` rows per
-    /// key, with shared tuple locks on everything returned. This is the §5
-    /// executor's step-1 re-selection of the specific tuples an
-    /// instantiation matched, evaluated set-at-a-time — one read pass over
-    /// the relation for *all* of a rule's positive condition elements on
-    /// one class, one lock acquisition per distinct tuple, and one
-    /// liveness re-read.
-    ///
-    /// The read pass picks its strategy the way the batch executor's
-    /// seeded planner does: a small key set probes the relation's indexes
-    /// per key, a key set that rivals the relation size builds one
-    /// content-hash table from a single scan.
-    pub fn select_eq_batch(
-        &self,
-        rel: RelId,
-        keys: &[Tuple],
-    ) -> Result<Vec<Vec<(TupleId, Tuple)>>> {
+    /// Tuple `tid` under a shared tuple lock: `None` when it is not live
+    /// at its generation (another transaction deleted it first). The §5
+    /// executor's step-1 re-selection of a tuple an instantiation matched.
+    pub fn get(&self, rel: RelId, tid: TupleId) -> Result<Option<Tuple>> {
         self.check_live()?;
         self.db.check_fault()?;
-        if keys.is_empty() {
-            return Ok(Vec::new());
-        }
-        let groups: Vec<Vec<(TupleId, Tuple)>> = self.db.read(rel, |r| -> Result<_> {
-            let hash = keys.len() as f64 >= crate::query::HASH_THRESHOLD
-                && (keys.len() as f64) * crate::query::HASH_THRESHOLD >= r.len() as f64;
-            if hash {
-                let mut by_content: HashMap<Tuple, Vec<(TupleId, Tuple)>> = HashMap::new();
-                for (tid, t) in r.scan()? {
-                    by_content.entry(t.clone()).or_default().push((tid, t));
-                }
-                Ok(keys
-                    .iter()
-                    .map(|k| by_content.get(k).cloned().unwrap_or_default())
-                    .collect())
-            } else {
-                let mut out = Vec::with_capacity(keys.len());
-                for k in keys {
-                    let full_eq = Restriction::new(
-                        k.values()
-                            .iter()
-                            .enumerate()
-                            .map(|(a, v)| Selection::eq(a, v.clone()))
-                            .collect(),
-                    );
-                    out.push(r.select(&full_eq)?);
-                }
-                Ok(out)
-            }
-        })??;
-        let mut distinct: HashSet<TupleId> = HashSet::new();
-        for (tid, _) in groups.iter().flatten() {
-            if distinct.insert(*tid) {
-                self.db.lock_manager().acquire(
-                    self.id,
-                    LockTarget::Tuple(rel, *tid),
-                    LockMode::Shared,
-                )?;
-            }
-        }
-        // Re-read under lock, once for the whole batch: a concurrent
-        // deleter may have removed rows between the unlocked read pass
-        // and the lock acquisitions.
-        let live: HashSet<TupleId> = self.db.read(rel, |r| {
-            distinct
-                .iter()
-                .copied()
-                .filter(|&tid| r.contains(tid))
-                .collect()
-        })?;
-        Ok(groups
-            .into_iter()
-            .map(|g| {
-                g.into_iter()
-                    .filter(|(tid, _)| live.contains(tid))
-                    .collect()
-            })
-            .collect())
+        self.db
+            .lock_manager()
+            .acquire(self.id, LockTarget::Tuple(rel, tid), LockMode::Shared)?;
+        self.db.read(rel, |r| match r.contains(tid) {
+            true => r.get(tid).map(Some),
+            false => Ok(None),
+        })?
     }
 
     /// Shared lock on a whole relation, then verify no tuple matches —
@@ -516,60 +451,22 @@ mod tests {
     }
 
     #[test]
-    fn select_eq_batch_matches_per_key_selects_and_locks() {
+    fn get_locks_the_tuple_and_sees_a_peer_delete() {
         let (db, rid) = setup();
-        // A duplicate row: both tids must come back for the shared key.
-        db.insert(rid, tuple!["Mike", 6000]).unwrap();
-        let keys = vec![
-            tuple!["Mike", 6000],
-            tuple!["Sam", 5000],
-            tuple!["Nobody", 1],
-        ];
+        let tid = db.insert(rid, tuple!["Mike", 6000]).unwrap();
         let txn = db.begin();
-        let groups = txn.select_eq_batch(rid, &keys).unwrap();
-        assert_eq!(groups.len(), 3);
-        assert_eq!(groups[0].len(), 2, "both Mike rows");
-        assert_eq!(groups[1].len(), 1);
-        assert!(groups[2].is_empty());
-        for (tid, _) in groups.iter().flatten() {
-            assert!(db.lock_manager().holds(
-                txn.id(),
-                LockTarget::Tuple(rid, *tid),
-                LockMode::Shared
-            ));
-        }
+        assert_eq!(txn.get(rid, tid).unwrap(), Some(tuple!["Mike", 6000]));
+        assert!(db
+            .lock_manager()
+            .holds(txn.id(), LockTarget::Tuple(rid, tid), LockMode::Shared));
+        txn.commit().unwrap();
+        db.delete(rid, tid).unwrap();
+        let again = db.insert(rid, tuple!["Mike", 6000]).unwrap();
+        assert_eq!((again.slot, again.gen), (tid.slot, tid.gen + 1));
+        let txn = db.begin();
+        assert_eq!(txn.get(rid, tid).unwrap(), None, "another generation");
         txn.commit().unwrap();
         assert_eq!(db.lock_manager().held_count(), 0);
-    }
-
-    #[test]
-    fn select_eq_batch_hash_path_matches_probe_path() {
-        // Key set large enough (vs the relation) to trip the scan+hash
-        // strategy; the groups must be identical to per-key selects.
-        let db = Database::new();
-        let rid = db.create_relation(Schema::new("R", ["a", "b"])).unwrap();
-        for i in 0..12i64 {
-            db.insert(rid, tuple![i % 4, i]).unwrap();
-        }
-        let keys: Vec<_> = (0..12i64).map(|i| tuple![i % 4, i]).collect();
-        let txn = db.begin();
-        let groups = txn.select_eq_batch(rid, &keys).unwrap();
-        txn.commit().unwrap();
-        for (k, g) in keys.iter().zip(&groups) {
-            let expect = db
-                .select(
-                    rid,
-                    &Restriction::new(
-                        k.values()
-                            .iter()
-                            .enumerate()
-                            .map(|(a, v)| Selection::eq(a, v.clone()))
-                            .collect(),
-                    ),
-                )
-                .unwrap();
-            assert_eq!(g, &expect, "key {k}");
-        }
     }
 
     #[test]

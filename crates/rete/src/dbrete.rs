@@ -23,10 +23,21 @@ use ops5::{ClassId, RuleId, RuleSet};
 use relstore::{Database, RelId, Restriction, Schema, Selection, Tuple, TupleId, Value};
 
 use crate::compile::{BJoinTest, BetaKind, NetworkPlan};
-use crate::network::{Network, TokenMemory};
+use crate::network::{Network, TokenMemory, Wmes};
 use crate::wme::{Instantiation, Wme};
 
-type WmeId = i64;
+/// The id column value of WME `tid`: its packed tuple id.
+fn wid(tid: TupleId) -> Value {
+    Value::Int(tid.pack() as i64)
+}
+
+/// The tuple id an id column holds.
+fn tid_of(column: &Value) -> TupleId {
+    let Value::Int(packed) = column else {
+        unreachable!("wid column")
+    };
+    TupleId::unpack(*packed as u64)
+}
 
 /// Column layout of a beta node's LEFT relation: `wids` id columns, then
 /// the concatenated attribute values of each token WME, then (negative
@@ -93,7 +104,8 @@ pub struct RelMemory {
     db: Arc<Database>,
     alpha_rel: Vec<RelId>,
     left: Vec<Left>,
-    next_wid: WmeId,
+    /// The live WMEs, which a removal reads its WME's contents from.
+    wmes: Wmes,
 }
 
 /// DB-backed Rete network.
@@ -161,7 +173,7 @@ impl Network<RelMemory> {
             db,
             alpha_rel,
             left,
-            next_wid: 0,
+            wmes: Wmes::default(),
         };
         Ok(Network::over(plan, mem))
     }
@@ -204,12 +216,12 @@ impl RelMemory {
     }
 
     /// Extend a token row of `parent` with a right WME.
-    fn extend_row(&self, parent: usize, row: &Tuple, wid: WmeId, values: &[Value]) -> Tuple {
+    fn extend_row(&self, parent: usize, row: &Tuple, wid: Value, values: &[Value]) -> Tuple {
         let layout = &self.left[parent].layout;
         let pw = layout.wids();
         let mut v: Vec<Value> = Vec::with_capacity(pw + 1 + layout.width + values.len());
         v.extend_from_slice(&row.values()[..pw]);
-        v.push(Value::Int(wid));
+        v.push(wid);
         v.extend_from_slice(&row.values()[pw..pw + layout.width]);
         v.extend_from_slice(values);
         Tuple::new(v)
@@ -238,37 +250,37 @@ impl RelMemory {
 }
 
 impl TokenMemory for RelMemory {
-    type Wid = WmeId;
     type Token = Tuple;
 
-    fn intern(&mut self, _wme: &Wme) -> WmeId {
-        self.next_wid += 1;
-        self.next_wid - 1
+    fn wmes(&self) -> &Wmes {
+        &self.wmes
     }
 
-    fn release(&mut self, _wid: WmeId) {}
+    fn wmes_mut(&mut self) -> &mut Wmes {
+        &mut self.wmes
+    }
 
-    fn add_right(&mut self, alpha: usize, wid: WmeId, wme: &Wme) {
+    fn add_right(&mut self, alpha: usize, tid: TupleId, wme: &Wme) {
         let mut v = Vec::with_capacity(1 + wme.tuple.arity());
-        v.push(Value::Int(wid));
+        v.push(wid(tid));
         v.extend_from_slice(wme.tuple.values());
         self.db
             .insert(self.alpha_rel[alpha], Tuple::new(v))
             .expect("alpha insert");
     }
 
-    fn remove_right(&mut self, alpha: usize, wid: WmeId) {
+    fn remove_right(&mut self, alpha: usize, tid: TupleId) {
         let rid = self.alpha_rel[alpha];
         let rows = self
             .db
-            .select(rid, &Restriction::new(vec![Selection::eq(0, wid)]))
+            .select(rid, &Restriction::new(vec![Selection::eq(0, wid(tid))]))
             .expect("alpha select");
         for (tid, _) in rows {
             self.db.delete(rid, tid).expect("alpha delete");
         }
     }
 
-    fn join_left(&self, node: usize, wid: WmeId, wme: &Wme) -> Vec<Tuple> {
+    fn join_left(&self, node: usize, tid: TupleId, wme: &Wme) -> Vec<Tuple> {
         let (parent, _, tests) = self.plan.two_input(node);
         let left = &self.left[parent];
         let rows = match left.rel {
@@ -289,7 +301,7 @@ impl TokenMemory for RelMemory {
             }
         };
         rows.iter()
-            .map(|row| self.extend_row(parent, row, wid, wme.tuple.values()))
+            .map(|row| self.extend_row(parent, row, wid(tid), wme.tuple.values()))
             .collect()
     }
 
@@ -297,12 +309,7 @@ impl TokenMemory for RelMemory {
         let (parent, ..) = self.plan.two_input(node);
         self.right_rows(node, token)
             .iter()
-            .map(|(_, arow)| {
-                let Value::Int(wid) = arow[0] else {
-                    unreachable!("wid column")
-                };
-                self.extend_row(parent, token, wid, &arow.values()[1..])
-            })
+            .map(|(_, arow)| self.extend_row(parent, token, arow[0].clone(), &arow.values()[1..]))
             .collect()
     }
 
@@ -322,9 +329,9 @@ impl TokenMemory for RelMemory {
         self.db.insert(left.rel(), row).expect("token insert");
     }
 
-    fn take_with_last(&mut self, node: usize, wid: WmeId) -> Vec<Tuple> {
+    fn take_with_last(&mut self, node: usize, tid: TupleId) -> Vec<Tuple> {
         let last = self.left[node].layout.wids() - 1;
-        self.take(node, vec![Selection::eq(last, wid)])
+        self.take(node, vec![Selection::eq(last, wid(tid))])
     }
 
     fn take_prefix(&mut self, node: usize, prefix: &Tuple) -> Vec<Tuple> {
@@ -373,7 +380,8 @@ impl TokenMemory for RelMemory {
                 Wme::new(layout.classes[pos], Tuple::new(values))
             })
             .collect();
-        Instantiation::new(rule, wmes)
+        let support = (0..layout.wids()).map(|pos| tid_of(&row[pos])).collect();
+        Instantiation::new(rule, wmes, support)
     }
 
     fn stored_entries(&self) -> usize {
@@ -406,11 +414,19 @@ mod tests {
         let mut dbnet = DbReteNetwork::new(db.clone(), rules).unwrap();
         let mut memnet = ReteNetwork::new(rules);
         let before = db.stats().snapshot();
+        // Ids as storage gives them: the next slot of the class; a removal
+        // names the oldest live WME of its contents.
+        let (mut live, mut next): (Vec<(TupleId, Wme)>, Vec<u32>) = (Vec::new(), vec![0; 2]);
         for (is_insert, w) in ops {
             let (a, b) = if is_insert {
-                (dbnet.insert(w.clone()), memnet.insert(w))
+                let tid = TupleId::new(next[w.class.0], 0);
+                next[w.class.0] += 1;
+                live.push((tid, w.clone()));
+                (dbnet.insert(tid, w.clone()), memnet.insert(tid, w))
             } else {
-                (dbnet.remove(&w), memnet.remove(&w))
+                let at = live.iter().position(|(_, l)| *l == w).expect("a live wme");
+                let (tid, _) = live.remove(at);
+                (dbnet.remove(w.class, tid), memnet.remove(w.class, tid))
             };
             let mut a: Vec<_> = a.iter().map(|d| format!("{d:?}")).collect();
             let mut b: Vec<_> = b.iter().map(|d| format!("{d:?}")).collect();

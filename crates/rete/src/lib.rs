@@ -21,7 +21,7 @@
 //! ```
 //! use ops5::ClassId;
 //! use rete::{ReteNetwork, Wme};
-//! use relstore::tuple;
+//! use relstore::{tuple, TupleId};
 //!
 //! let rules = ops5::compile(r#"
 //!     (literalize Emp name dno)
@@ -30,8 +30,9 @@
 //! "#).unwrap();
 //! let mut net = ReteNetwork::new(&rules);
 //! // The Emp token queues at the join, waiting for a matching Dept.
-//! assert!(net.insert(Wme::new(ClassId(0), tuple!["Ann", 7])).is_empty());
-//! let deltas = net.insert(Wme::new(ClassId(1), tuple![7]));
+//! // A WME is named by the tuple id storage gave it.
+//! assert!(net.insert(TupleId::new(0, 0), Wme::new(ClassId(0), tuple!["Ann", 7])).is_empty());
+//! let deltas = net.insert(TupleId::new(0, 0), Wme::new(ClassId(1), tuple![7]));
 //! assert_eq!(deltas.len(), 1);       // rule R enters the conflict set
 //! assert_eq!(net.conflict_set().len(), 1);
 //! ```
@@ -45,5 +46,5 @@ pub mod wme;
 pub use compile::{AlphaSpec, BJoinTest, BetaKind, BetaSpec, NetworkPlan};
 pub use dbrete::{DbReteNetwork, RelMemory};
 pub use memory::{ReteNetwork, VecMemory};
-pub use network::{Network, OpMetrics, TokenMemory};
-pub use wme::{AbsentPattern, ConflictDelta, ConflictSet, Instantiation, Wme};
+pub use network::{Network, OpMetrics, TokenMemory, Wmes};
+pub use wme::{AbsentPattern, ConflictDelta, ConflictSet, InstKey, Instantiation, KeyMap, Wme};

@@ -6,19 +6,24 @@
 //! the value its first `=` test compares; only a node without one scans.
 //! One index (`Chains`) serves every node that probes a memory on the
 //! same key. Retraction finds its tokens through indexes on WME ids.
+//!
+//! A WME id is its tuple's slot: a token position has one class, and a
+//! slot is unique among a relation's live tuples. The WMEs themselves sit
+//! in the network's [`Wmes`] table, by class and slot.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ops::Range;
 use std::sync::Arc;
 
-use ops5::{RuleId, RuleSet};
-use relstore::{CompOp, Value};
+use ops5::{ClassId, RuleId, RuleSet};
+use relstore::{CompOp, TupleId, Value};
 
 use crate::compile::{BJoinTest, BetaKind, NetworkPlan};
-use crate::network::{Network, TokenMemory};
-use crate::wme::{Instantiation, Wme};
+use crate::network::{Network, TokenMemory, Wmes};
+use crate::wme::{Instantiation, KeyHasher, Wme};
 
+/// A WME's tuple slot.
 type WmeId = u32;
 
 /// A token suspended at (or output by) a beta node.
@@ -39,9 +44,14 @@ enum Key {
     /// (the entry point of WME-driven retraction) or its parent token's
     /// last.
     Id(usize),
-    /// The value of attribute `attr` of the entry's WME at `pos` (alpha
-    /// entries are one-WME tokens, so `pos` is 0 there).
-    Attr { pos: usize, attr: usize },
+    /// The value of attribute `attr` of the entry's WME at `pos`, of
+    /// class `class` (alpha entries are one-WME tokens, so `pos` is 0
+    /// there).
+    Attr {
+        pos: usize,
+        class: ClassId,
+        attr: usize,
+    },
 }
 
 /// "No slot".
@@ -79,43 +89,6 @@ impl Chains {
     }
 }
 
-/// FxHash's mixing step: the chains need speed and spread, not
-/// resistance to chosen keys.
-#[derive(Default)]
-struct KeyHasher(u64);
-
-impl KeyHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for KeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u8(&mut self, i: u8) {
-        self.add(i.into());
-    }
-
-    fn write_u32(&mut self, i: u32) {
-        self.add(i.into());
-    }
-
-    fn write_u64(&mut self, i: u64) {
-        self.add(i);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// The key of a value: `Value`'s hash agrees with its `==` across `Int`
 /// and `Float`, so equal values share a chain. The high half is taken
 /// because the multiply leaves the low bits of small integers' float
@@ -126,14 +99,10 @@ fn value_key(v: Option<&Value>) -> u32 {
     (h.finish() >> 32) as u32
 }
 
-fn live(wmes: &[Option<Wme>], id: WmeId) -> &Wme {
-    wmes[id as usize].as_ref().expect("live wme")
-}
-
-fn key_of(key: Key, wmes: &[Option<Wme>], token: &[WmeId]) -> u32 {
+fn key_of(key: Key, wmes: &Wmes, token: &[WmeId]) -> u32 {
     match key {
         Key::Id(pos) => token[pos],
-        Key::Attr { pos, attr } => value_key(live(wmes, token[pos]).tuple.get(attr)),
+        Key::Attr { pos, class, attr } => value_key(wmes.get(class, token[pos]).1.tuple.get(attr)),
     }
 }
 
@@ -185,7 +154,7 @@ impl<E: Entry> Slots<E> {
         }
     }
 
-    fn push(&mut self, wmes: &[Option<Wme>], entry: E) {
+    fn push(&mut self, wmes: &Wmes, entry: E) {
         let slot = self.entries.len() as u32;
         assert!(slot < NIL, "slot numbers fit below NIL");
         for c in &mut self.chains {
@@ -196,7 +165,7 @@ impl<E: Entry> Slots<E> {
     }
 
     /// Remove the entry at `slot`; the last entry takes its place.
-    fn swap_remove(&mut self, wmes: &[Option<Wme>], slot: usize) -> E {
+    fn swap_remove(&mut self, wmes: &Wmes, slot: usize) -> E {
         let tail = self.entries.len() - 1;
         for c in &mut self.chains {
             let gone = key_of(c.key, wmes, self.entries[slot].wmes());
@@ -213,7 +182,7 @@ impl<E: Entry> Slots<E> {
 
     /// Remove the entries at `slots` (distinct), highest first: each move
     /// then comes from above every slot still to go.
-    fn take(&mut self, wmes: &[Option<Wme>], mut slots: Vec<usize>) -> Vec<E> {
+    fn take(&mut self, wmes: &Wmes, mut slots: Vec<usize>) -> Vec<E> {
         slots.sort_unstable_by(|a, b| b.cmp(a));
         (slots.into_iter())
             .map(|s| self.swap_remove(wmes, s))
@@ -284,8 +253,9 @@ struct Keyed {
 /// Token memories held in vectors.
 pub struct VecMemory {
     plan: Arc<NetworkPlan>,
-    wmes: Vec<Option<Wme>>,
-    free: Vec<WmeId>,
+    wmes: Wmes,
+    /// Per beta node: the class of each position of its tokens.
+    classes: Vec<Vec<ClassId>>,
     /// Every alpha memory has an index, which finds a WME to remove: a
     /// value index if a node probes the memory, else one keyed by id.
     alpha_mem: Vec<Slots<WmeId>>,
@@ -321,10 +291,17 @@ fn extended(token: &[WmeId], wid: WmeId) -> Vec<WmeId> {
     out
 }
 
-/// Do `tests` hold between `token` and the right WME?
-fn passes(wmes: &[Option<Wme>], tests: &[BJoinTest], token: &[WmeId], right: &Wme) -> bool {
+/// Do `tests` hold between `token`, whose positions have classes
+/// `classes`, and the right WME?
+fn passes(
+    wmes: &Wmes,
+    tests: &[BJoinTest],
+    classes: &[ClassId],
+    token: &[WmeId],
+    right: &Wme,
+) -> bool {
     tests.iter().all(|t| {
-        let left = live(wmes, token[t.token_pos]);
+        let (_, left) = wmes.get(classes[t.token_pos], token[t.token_pos]);
         match (right.tuple.get(t.my_attr), left.tuple.get(t.token_attr)) {
             (Some(rv), Some(lv)) => t.op.eval(rv, lv),
             _ => false,
@@ -339,8 +316,8 @@ impl VecMemory {
         let mut keyed = vec![None; plan.betas.len()];
         let mut by_last = vec![None; plan.betas.len()];
         let mut by_prefix = vec![None; plan.betas.len()];
-        // Token length per node; a parent comes before its children.
-        let mut len = vec![0; plan.betas.len()];
+        // Token classes per node; a parent comes before its children.
+        let mut classes: Vec<Vec<ClassId>> = vec![Vec::new(); plan.betas.len()];
         for (node, spec) in plan.betas.iter().enumerate() {
             let (parent, two_input) = match &spec.kind {
                 BetaKind::Root => continue,
@@ -349,8 +326,9 @@ impl VecMemory {
                     alpha,
                     tests,
                 } => {
-                    len[node] = len[*parent] + 1;
-                    by_last[node] = Some(beta_mem[node].index(Key::Id(len[node] - 1)));
+                    classes[node] = classes[*parent].clone();
+                    classes[node].push(plan.alphas[*alpha].class);
+                    by_last[node] = Some(beta_mem[node].index(Key::Id(classes[node].len() - 1)));
                     (*parent, Some((*parent, *alpha, tests)))
                 }
                 BetaKind::Negative {
@@ -358,16 +336,17 @@ impl VecMemory {
                     alpha,
                     tests,
                 } => {
-                    len[node] = len[*parent];
+                    classes[node] = classes[*parent].clone();
                     (*parent, Some((node, *alpha, tests)))
                 }
                 BetaKind::Production { parent, .. } => {
-                    len[node] = len[*parent];
+                    classes[node] = classes[*parent].clone();
                     (*parent, None)
                 }
             };
-            if len[parent] > 0 {
-                by_prefix[node] = Some(beta_mem[node].index(Key::Id(len[parent] - 1)));
+            let parent_len = classes[parent].len();
+            if parent_len > 0 {
+                by_prefix[node] = Some(beta_mem[node].index(Key::Id(parent_len - 1)));
             }
             let Some((probed, alpha, tests)) = two_input else {
                 continue;
@@ -377,10 +356,12 @@ impl VecMemory {
             };
             let mine = Key::Attr {
                 pos: 0,
+                class: plan.alphas[alpha].class,
                 attr: eq.my_attr,
             };
             let theirs = Key::Attr {
                 pos: eq.token_pos,
+                class: classes[probed][eq.token_pos],
                 attr: eq.token_attr,
             };
             keyed[node] = Some(Keyed {
@@ -394,8 +375,8 @@ impl VecMemory {
             mem.index(Key::Id(0));
         }
         let mut mem = VecMemory {
-            wmes: Vec::new(),
-            free: Vec::new(),
+            wmes: Wmes::default(),
+            classes,
             alpha_mem,
             beta_mem,
             keyed,
@@ -415,10 +396,6 @@ impl VecMemory {
             },
         );
         mem
-    }
-
-    fn wme(&self, id: WmeId) -> &Wme {
-        live(&self.wmes, id)
     }
 
     /// Where slot `slot` of `node`'s memory comes in the order the node
@@ -445,10 +422,13 @@ impl VecMemory {
         node: usize,
         token: &'a [WmeId],
     ) -> impl Iterator<Item = usize> + 'a {
-        let (_, alpha, tests) = self.plan.two_input(node);
-        let mem = &self.alpha_mem[alpha];
-        (self.right_candidates(node, token))
-            .filter(move |&s| passes(&self.wmes, tests, token, self.wme(mem.entries[s])))
+        let (parent, alpha, tests) = self.plan.two_input(node);
+        let (mem, class) = (&self.alpha_mem[alpha], self.plan.alphas[alpha].class);
+        let classes = &self.classes[parent];
+        (self.right_candidates(node, token)).filter(move |&s| {
+            let (_, right) = self.wmes.get(class, mem.entries[s]);
+            passes(&self.wmes, tests, classes, token, right)
+        })
     }
 
     /// Slots of join node `node`'s parent memory a probe for the WME
@@ -479,52 +459,41 @@ impl VecMemory {
 }
 
 impl TokenMemory for VecMemory {
-    type Wid = WmeId;
     type Token = Vec<WmeId>;
 
-    fn intern(&mut self, wme: &Wme) -> WmeId {
-        match self.free.pop() {
-            Some(id) => {
-                self.wmes[id as usize] = Some(wme.clone());
-                id
-            }
-            None => {
-                self.wmes.push(Some(wme.clone()));
-                (self.wmes.len() - 1) as WmeId
-            }
-        }
+    fn wmes(&self) -> &Wmes {
+        &self.wmes
     }
 
-    fn release(&mut self, wid: WmeId) {
-        self.wmes[wid as usize] = None;
-        self.free.push(wid);
+    fn wmes_mut(&mut self) -> &mut Wmes {
+        &mut self.wmes
     }
 
-    fn add_right(&mut self, alpha: usize, wid: WmeId, _wme: &Wme) {
-        self.alpha_mem[alpha].push(&self.wmes, wid);
+    fn add_right(&mut self, alpha: usize, tid: TupleId, _wme: &Wme) {
+        self.alpha_mem[alpha].push(&self.wmes, tid.slot);
     }
 
-    fn remove_right(&mut self, alpha: usize, wid: WmeId) {
+    fn remove_right(&mut self, alpha: usize, tid: TupleId) {
         let mem = &mut self.alpha_mem[alpha];
-        let probe = (0, key_of(mem.chains[0].key, &self.wmes, &[wid]));
-        if let Some(slot) = mem.candidates(Some(probe)).find(|&s| mem.entries[s] == wid) {
+        let probe = (0, key_of(mem.chains[0].key, &self.wmes, &[tid.slot]));
+        if let Some(slot) = (mem.candidates(Some(probe))).find(|&s| mem.entries[s] == tid.slot) {
             mem.swap_remove(&self.wmes, slot);
         }
     }
 
-    fn join_left(&self, node: usize, wid: WmeId, wme: &Wme) -> Vec<Vec<WmeId>> {
+    fn join_left(&self, node: usize, tid: TupleId, wme: &Wme) -> Vec<Vec<WmeId>> {
         let (parent, _, tests) = self.plan.two_input(node);
-        let mem = &self.beta_mem[parent];
+        let (mem, classes) = (&self.beta_mem[parent], &self.classes[parent]);
         let mut hits: Vec<(u32, usize)> = (self.left_candidates(node, wme))
             .filter(|&s| {
                 let e = &mem.entries[s];
-                e.negcount == 0 && passes(&self.wmes, tests, &e.wmes, wme)
+                e.negcount == 0 && passes(&self.wmes, tests, classes, &e.wmes, wme)
             })
             .map(|s| (self.rank(parent, s), s))
             .collect();
         hits.sort_unstable();
         (hits.into_iter())
-            .map(|(_, s)| extended(&mem.entries[s].wmes, wid))
+            .map(|(_, s)| extended(&mem.entries[s].wmes, tid.slot))
             .collect()
     }
 
@@ -558,10 +527,10 @@ impl TokenMemory for VecMemory {
         self.beta_mem[node].push(&self.wmes, entry);
     }
 
-    fn take_with_last(&mut self, node: usize, wid: WmeId) -> Vec<Vec<WmeId>> {
+    fn take_with_last(&mut self, node: usize, tid: TupleId) -> Vec<Vec<WmeId>> {
         let chain = self.by_last[node].expect("join node");
         let mem = &mut self.beta_mem[node];
-        let slots = mem.candidates(Some((chain, wid))).collect();
+        let slots = mem.candidates(Some((chain, tid.slot))).collect();
         let gone = mem.take(&self.wmes, slots);
         gone.into_iter().map(|e| e.wmes).collect()
     }
@@ -589,10 +558,11 @@ impl TokenMemory for VecMemory {
         let (_, _, tests) = self.plan.two_input(node);
         let probe = self.keyed[node].map(|k| (k.left, value_key(wme.tuple.get(k.my_attr))));
         let Slots { entries, chains } = &mut self.beta_mem[node];
+        let classes = &self.classes[node];
         let mut crossed = Vec::new();
         for s in Candidates::new(chains, entries.len(), probe) {
             let e = &mut entries[s];
-            if passes(&self.wmes, tests, &e.wmes, wme) {
+            if passes(&self.wmes, tests, classes, &e.wmes, wme) {
                 let was = e.negcount;
                 e.negcount = was.checked_add_signed(delta).expect("count underflow");
                 if was == 0 || e.negcount == 0 {
@@ -606,10 +576,10 @@ impl TokenMemory for VecMemory {
             .collect()
     }
 
-    fn instantiation(&self, _node: usize, rule: RuleId, token: &Vec<WmeId>) -> Instantiation {
-        // WMEs are interned by content here; storage-level provenance
-        // (tuple ids) is only available to the recompute-based engines.
-        Instantiation::new(rule, token.iter().map(|&id| self.wme(id).clone()).collect())
+    fn instantiation(&self, node: usize, rule: RuleId, token: &Vec<WmeId>) -> Instantiation {
+        let live = || (token.iter().zip(&self.classes[node])).map(|(&s, &c)| self.wmes.get(c, s));
+        let wmes = live().map(|(_, wme)| wme.clone()).collect();
+        Instantiation::new(rule, wmes, live().map(|(tid, _)| tid).collect())
     }
 
     fn stored_entries(&self) -> usize {
@@ -631,10 +601,7 @@ impl TokenMemory for VecMemory {
                     + m.approx_bytes()
             })
             .sum();
-        let wmes: usize = (self.wmes.iter().flatten())
-            .map(|w| w.tuple.approx_bytes() + 8)
-            .sum();
-        alpha + beta + wmes
+        alpha + beta + self.wmes.approx_bytes()
     }
 }
 
@@ -681,8 +648,8 @@ mod tests {
         keyed_node(&net);
         let (a, b) = (wme(A, a), wme(B, b));
         let [first, second] = if a_first { [a, b] } else { [b, a] };
-        net.insert(first);
-        net.insert(second);
+        net.insert(TupleId::new(0, 0), first);
+        net.insert(TupleId::new(0, 0), second);
         let matched = net.conflict_set().len() == 1;
         // Unless fires exactly when the two do not match.
         matched == (src == JOIN)
@@ -724,13 +691,13 @@ mod tests {
             entries.iter().map(|e| e.seq).collect::<Vec<_>>()
         };
         for v in [1, 2, 3] {
-            net.insert(wme(A, &Value::Int(v)));
+            net.insert(TupleId::new(v, 0), wme(A, &Value::Int(v.into())));
         }
         // A removal moves the last token into the gap.
-        net.remove(&wme(A, &Value::Int(1)));
+        net.remove(A, TupleId::new(1, 0));
         assert_eq!(seqs(&net), [2, 1]);
         net.mem.seq = u32::MAX;
-        net.insert(wme(A, &Value::Int(4)));
+        net.insert(TupleId::new(4, 0), wme(A, &Value::Int(4)));
         assert_eq!(seqs(&net), [1, 0, 2]);
         assert_eq!(net.mem.seq, 3);
     }
@@ -742,24 +709,21 @@ mod tests {
         let mut net = ReteNetwork::new(&ops5::compile(JOIN).unwrap());
         let node = keyed_node(&net);
         for v in 0..10_000 {
-            net.insert(wme(B, &Value::Int(v)));
+            net.insert(TupleId::new(v, 0), wme(B, &Value::Int(v.into())));
         }
-        let a = wme(A, &Value::Int(20_000));
-        net.insert(a.clone());
+        net.insert(TupleId::new(0, 0), wme(A, &Value::Int(20_000)));
         assert!(net.conflict_set().is_empty());
-        let token = vec![net.by_content[&a][0]];
-        assert_eq!(net.mem.right_candidates(node, &token).count(), 0);
+        assert_eq!(net.mem.right_candidates(node, &[0]).count(), 0);
 
-        let hit = wme(A, &Value::Int(7));
-        net.insert(hit.clone());
+        net.insert(TupleId::new(1, 0), wme(A, &Value::Int(7)));
         assert_eq!(net.conflict_set().len(), 1);
-        let token = vec![net.by_content[&hit][0]];
-        assert_eq!(net.mem.right_candidates(node, &token).count(), 1);
+        assert_eq!(net.mem.right_candidates(node, &[1]).count(), 1);
 
         // From the other side: a B probes a parent memory of 10 002 A
         // tokens.
         for v in 0..10_000 {
-            net.insert(wme(A, &Value::Int(30_000 + v)));
+            let tid = TupleId::new(2 + v, 0);
+            net.insert(tid, wme(A, &Value::Int(30_000 + i64::from(v))));
         }
         let probe = |v| {
             net.mem

@@ -7,16 +7,18 @@
 //! insertion (§3.1). Negated condition elements are negative nodes with
 //! per-token match counts.
 //!
-//! [`Network`] owns the compiled plan, the WME identity map, the conflict
-//! set and the whole activation/retraction control flow. Where the tokens
-//! live is the only thing that varies (§3.2 moves them into LEFT/RIGHT
-//! relations and changes nothing else), so storage sits behind the
-//! [`TokenMemory`] contract.
+//! [`Network`] owns the compiled plan, the conflict set and the whole
+//! activation/retraction control flow. A WME is named by the tuple id
+//! storage gave it (OPS5's time tag): [`Network::insert`] takes the id
+//! with the WME, [`Network::remove`] the class and the id. Where the
+//! tokens live is the only thing that varies (§3.2 moves them into
+//! LEFT/RIGHT relations and changes nothing else), so storage sits behind
+//! the [`TokenMemory`] contract.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use ops5::RuleId;
+use ops5::{ClassId, RuleId};
+use relstore::TupleId;
 
 use crate::compile::{BetaKind, NetworkPlan};
 use crate::wme::{ConflictDelta, ConflictSet, Instantiation, Wme};
@@ -33,6 +35,60 @@ pub struct OpMetrics {
     /// Deepest beta node touched — the sequential propagation delay the
     /// paper's Figure 1 argument concerns.
     pub max_depth: usize,
+}
+
+/// The live WMEs by class and tuple slot, each with its generation. A
+/// slot is unique among the live tuples of a relation, and a position of
+/// a token has one class, so a token names its WMEs by slot.
+#[derive(Debug, Default)]
+pub struct Wmes {
+    by_class: Vec<Vec<Option<(u32, Wme)>>>,
+    live: usize,
+}
+
+impl Wmes {
+    fn insert(&mut self, tid: TupleId, wme: Wme) {
+        let class = wme.class.0;
+        if self.by_class.len() <= class {
+            self.by_class.resize_with(class + 1, Vec::new);
+        }
+        let slots = &mut self.by_class[class];
+        let slot = tid.slot as usize;
+        if slots.len() <= slot {
+            slots.resize(slot + 1, None);
+        }
+        assert!(slots[slot].is_none(), "{tid} is live already");
+        slots[slot] = Some((tid.gen, wme));
+        self.live += 1;
+    }
+
+    /// The live WME `tid` of `class`, at its generation.
+    pub fn find(&self, class: ClassId, tid: TupleId) -> Option<&Wme> {
+        match self.by_class.get(class.0)?.get(tid.slot as usize)? {
+            Some((gen, wme)) if *gen == tid.gen => Some(wme),
+            _ => None,
+        }
+    }
+
+    fn remove(&mut self, class: ClassId, tid: TupleId) {
+        self.by_class[class.0][tid.slot as usize] = None;
+        self.live -= 1;
+    }
+
+    /// The live WME in slot `slot` of `class`, and its tuple id.
+    pub fn get(&self, class: ClassId, slot: u32) -> (TupleId, &Wme) {
+        let (gen, wme) = self.by_class[class.0][slot as usize]
+            .as_ref()
+            .expect("live wme");
+        (TupleId::new(slot, *gen), wme)
+    }
+
+    /// Approximate bytes of the live WMEs.
+    pub fn approx_bytes(&self) -> usize {
+        (self.by_class.iter().flatten().flatten())
+            .map(|(_, w)| w.tuple.approx_bytes() + 8)
+            .sum()
+    }
 }
 
 /// Where a [`Network`] keeps its alpha (RIGHT) and beta (LEFT) memories.
@@ -54,24 +110,23 @@ pub struct OpMetrics {
 /// * A token and a WME *match at* a two-input node when the node's join
 ///   tests ([`NetworkPlan::two_input`]) hold between them.
 pub trait TokenMemory {
-    /// Identity of a stored WME (duplicates get distinct ids).
-    type Wid: Copy;
     /// A partial join.
     type Token;
 
-    /// Give a new WME an identity.
-    fn intern(&mut self, wme: &Wme) -> Self::Wid;
-    /// Forget an identity once every memory has dropped it.
-    fn release(&mut self, wid: Self::Wid);
+    /// The live WMEs: the network adds a WME before its first primitive
+    /// call and drops it after its last.
+    fn wmes(&self) -> &Wmes;
+    /// See [`TokenMemory::wmes`].
+    fn wmes_mut(&mut self) -> &mut Wmes;
 
-    /// Add a WME to an alpha memory.
-    fn add_right(&mut self, alpha: usize, wid: Self::Wid, wme: &Wme);
-    /// Remove a WME from an alpha memory.
-    fn remove_right(&mut self, alpha: usize, wid: Self::Wid);
+    /// Add WME `tid` to an alpha memory.
+    fn add_right(&mut self, alpha: usize, tid: TupleId, wme: &Wme);
+    /// Remove WME `tid` from an alpha memory.
+    fn remove_right(&mut self, alpha: usize, tid: TupleId);
 
     /// Tokens the parent of join node `node` passes that match the WME at
     /// `node`, each extended by it.
-    fn join_left(&self, node: usize, wid: Self::Wid, wme: &Wme) -> Vec<Self::Token>;
+    fn join_left(&self, node: usize, tid: TupleId, wme: &Wme) -> Vec<Self::Token>;
     /// `token`, one of the parent's, extended by each WME of join node
     /// `node`'s alpha memory that matches it.
     fn join_right(&self, node: usize, token: &Self::Token) -> Vec<Self::Token>;
@@ -82,8 +137,9 @@ pub trait TokenMemory {
     /// Store a token in `node`'s memory; `blockers` is its match count
     /// (zero except at negative nodes).
     fn store(&mut self, node: usize, token: &Self::Token, blockers: usize);
-    /// Remove and return the tokens of join node `node` that end in `wid`.
-    fn take_with_last(&mut self, node: usize, wid: Self::Wid) -> Vec<Self::Token>;
+    /// Remove and return the tokens of join node `node` that end in WME
+    /// `tid`.
+    fn take_with_last(&mut self, node: usize, tid: TupleId) -> Vec<Self::Token>;
     /// Remove the tokens of `node` that descend from `prefix`, one of the
     /// parent's tokens; return those `node` was passing.
     fn take_prefix(&mut self, node: usize, prefix: &Self::Token) -> Vec<Self::Token>;
@@ -106,8 +162,6 @@ pub trait TokenMemory {
 pub struct Network<M: TokenMemory> {
     pub(crate) plan: Arc<NetworkPlan>,
     pub(crate) mem: M,
-    /// WME identities by content (`remove` takes a WME, not an id).
-    pub(crate) by_content: HashMap<Wme, Vec<M::Wid>>,
     pub(crate) conflict: ConflictSet,
     metrics: OpMetrics,
 }
@@ -127,7 +181,6 @@ impl<M: TokenMemory> Network<M> {
         Network {
             plan,
             mem,
-            by_content: HashMap::new(),
             conflict: ConflictSet::new(),
             metrics: OpMetrics::default(),
         }
@@ -150,7 +203,7 @@ impl<M: TokenMemory> Network<M> {
 
     /// Number of live WMEs.
     pub fn wme_count(&self) -> usize {
-        self.by_content.values().map(Vec::len).sum()
+        self.mem.wmes().live
     }
 
     /// See [`TokenMemory::stored_entries`].
@@ -174,19 +227,18 @@ impl<M: TokenMemory> Network<M> {
         }
     }
 
-    /// Insert a WME, returning conflict-set deltas.
-    pub fn insert(&mut self, wme: Wme) -> Vec<ConflictDelta> {
+    /// Insert WME `tid`, returning conflict-set deltas.
+    pub fn insert(&mut self, tid: TupleId, wme: Wme) -> Vec<ConflictDelta> {
         self.metrics = OpMetrics {
             alpha_tests: self.plan.alphas.len() as u64,
             ..OpMetrics::default()
         };
-        let wid = self.mem.intern(&wme);
-        self.by_content.entry(wme.clone()).or_default().push(wid);
+        self.mem.wmes_mut().insert(tid, wme.clone());
         let mut run = self.propagation();
         for a in alphas_of(run.plan, &wme) {
-            run.mem.add_right(a, wid, &wme);
+            run.mem.add_right(a, tid, &wme);
             for &s in &run.plan.alpha_successors[a] {
-                run.right_activate(s, wid, &wme);
+                run.right_activate(s, tid, &wme);
             }
         }
         let deltas = net(run.deltas);
@@ -194,25 +246,21 @@ impl<M: TokenMemory> Network<M> {
         deltas
     }
 
-    /// Remove one WME equal to `wme` (multiset semantics). Returns the
-    /// conflict-set deltas, empty when no such WME exists.
-    pub fn remove(&mut self, wme: &Wme) -> Vec<ConflictDelta> {
+    /// Remove WME `tid` of `class`. Returns the conflict-set deltas, empty
+    /// when no such WME is live.
+    pub fn remove(&mut self, class: ClassId, tid: TupleId) -> Vec<ConflictDelta> {
         self.metrics = OpMetrics::default();
-        let Some(ids) = self.by_content.get_mut(wme) else {
+        let Some(wme) = self.mem.wmes().find(class, tid).cloned() else {
             return Vec::new();
         };
-        let wid = ids.pop().expect("content map entries are non-empty");
-        if ids.is_empty() {
-            self.by_content.remove(wme);
-        }
         let mut run = self.propagation();
         // Pass 1: retract tokens that contain this WME (it was appended at
         // the join nodes fed by its alpha memories).
-        for a in alphas_of(run.plan, wme) {
-            run.mem.remove_right(a, wid);
+        for a in alphas_of(run.plan, &wme) {
+            run.mem.remove_right(a, tid);
             for &s in &run.plan.alpha_successors[a] {
                 if matches!(run.plan.betas[s].kind, BetaKind::Join { .. }) {
-                    run.retract_with_last(s, wid);
+                    run.retract_with_last(s, tid);
                 }
             }
         }
@@ -221,24 +269,24 @@ impl<M: TokenMemory> Network<M> {
         // Deepest node first: a token revived at one negative node reaches
         // the negative nodes below it counted without the WME already, so
         // those must have given the WME up before it arrives.
-        let mut negatives: Vec<usize> = alphas_of(run.plan, wme)
+        let mut negatives: Vec<usize> = alphas_of(run.plan, &wme)
             .flat_map(|a| &run.plan.alpha_successors[a])
             .copied()
             .filter(|&s| matches!(run.plan.betas[s].kind, BetaKind::Negative { .. }))
             .collect();
         negatives.sort_by_key(|&s| std::cmp::Reverse(run.plan.betas[s].depth));
         for s in negatives {
-            run.adjust_negative(s, wme, -1);
+            run.adjust_negative(s, &wme, -1);
         }
         let deltas = net(run.deltas);
-        self.mem.release(wid);
+        self.mem.wmes_mut().remove(class, tid);
         self.conflict.apply_all(&deltas);
         deltas
     }
 }
 
 /// One change's deltas with each `Add` cancelled against a later `Remove`
-/// of an equal instantiation. A WME that fills a positive CE below a
+/// of its key. A WME that fills a positive CE below a
 /// negated CE it also blocks is joined before the negative node retracts
 /// the new token; the conflict set never sees that instantiation.
 fn net(deltas: Vec<ConflictDelta>) -> Vec<ConflictDelta> {
@@ -251,7 +299,7 @@ fn net(deltas: Vec<ConflictDelta>) -> Vec<ConflictDelta> {
         if let ConflictDelta::Remove(gone) = &delta {
             let added = out
                 .iter()
-                .rposition(|d| d.is_add() && d.instantiation() == gone);
+                .rposition(|d| d.is_add() && d.instantiation().key() == gone.key());
             if let Some(a) = added {
                 out.remove(a);
                 continue;
@@ -276,11 +324,11 @@ impl<M: TokenMemory> Propagation<'_, M> {
     }
 
     /// A new WME arrived in the alpha memory feeding `node`.
-    fn right_activate(&mut self, node: usize, wid: M::Wid, wme: &Wme) {
+    fn right_activate(&mut self, node: usize, tid: TupleId, wme: &Wme) {
         match self.plan.betas[node].kind {
             BetaKind::Join { .. } => {
                 self.touch(node);
-                for token in self.mem.join_left(node, wid, wme) {
+                for token in self.mem.join_left(node, tid, wme) {
                     self.emit(node, &token);
                 }
             }
@@ -344,10 +392,10 @@ impl<M: TokenMemory> Propagation<'_, M> {
         }
     }
 
-    /// Remove tokens of join node `node` whose last element is `wid`.
-    fn retract_with_last(&mut self, node: usize, wid: M::Wid) {
+    /// Remove tokens of join node `node` whose last element is `tid`.
+    fn retract_with_last(&mut self, node: usize, tid: TupleId) {
         self.touch(node);
-        for token in self.mem.take_with_last(node, wid) {
+        for token in self.mem.take_with_last(node, tid) {
             for &c in &self.plan.betas[node].children {
                 self.retract_exact(c, &token);
             }
@@ -377,12 +425,14 @@ impl<M: TokenMemory> Propagation<'_, M> {
 
 #[cfg(test)]
 mod tests {
+    use std::ops::{Deref, DerefMut};
     use std::sync::Arc;
 
     use ops5::{ClassId, RuleId};
-    use relstore::{tuple, Database};
+    use relstore::{tuple, Database, TupleId};
 
-    use crate::wme::Wme;
+    use crate::network::{Network, TokenMemory};
+    use crate::wme::{ConflictDelta, Wme};
     use crate::{DbReteNetwork, ReteNetwork};
 
     const EXAMPLE_3: &str = r#"
@@ -409,16 +459,76 @@ mod tests {
     const EMP: ClassId = ClassId(0);
     const DEPT: ClassId = ClassId(1);
 
+    /// A network whose WMEs get ids the way storage gives them: each
+    /// insert takes the next slot of its class. `remove` names the oldest
+    /// live WME of the given contents.
+    pub(crate) struct Fed<M: TokenMemory> {
+        net: Network<M>,
+        live: Vec<(TupleId, Wme)>,
+        next: Vec<u32>,
+    }
+
+    impl<M: TokenMemory> Fed<M> {
+        pub(crate) fn new(net: Network<M>) -> Self {
+            Fed {
+                net,
+                live: Vec::new(),
+                next: Vec::new(),
+            }
+        }
+
+        pub(crate) fn insert(&mut self, wme: Wme) -> Vec<ConflictDelta> {
+            let class = wme.class.0;
+            if self.next.len() <= class {
+                self.next.resize(class + 1, 0);
+            }
+            let tid = TupleId::new(self.next[class], 0);
+            self.next[class] += 1;
+            self.live.push((tid, wme.clone()));
+            self.net.insert(tid, wme)
+        }
+
+        pub(crate) fn remove(&mut self, wme: &Wme) -> Vec<ConflictDelta> {
+            match self.live.iter().position(|(_, w)| w == wme) {
+                Some(at) => {
+                    let (tid, _) = self.live.remove(at);
+                    self.net.remove(wme.class, tid)
+                }
+                None => Vec::new(),
+            }
+        }
+
+        /// The id of the oldest live WME of these contents.
+        pub(crate) fn tid(&self, wme: &Wme) -> TupleId {
+            let live = self.live.iter().find(|(_, w)| w == wme);
+            live.expect("a live wme").0
+        }
+    }
+
+    impl<M: TokenMemory> Deref for Fed<M> {
+        type Target = Network<M>;
+        fn deref(&self) -> &Network<M> {
+            &self.net
+        }
+    }
+
+    impl<M: TokenMemory> DerefMut for Fed<M> {
+        fn deref_mut(&mut self) -> &mut Network<M> {
+            &mut self.net
+        }
+    }
+
     /// Run the body once per token-memory backend.
     macro_rules! on_both_backends {
         ($src:expr, |$net:ident| $body:block) => {{
             let rules = ops5::compile($src).unwrap();
             {
-                let mut $net = ReteNetwork::new(&rules);
+                let mut $net = Fed::new(ReteNetwork::new(&rules));
                 $body
             }
             {
-                let mut $net = DbReteNetwork::new(Arc::new(Database::new()), &rules).unwrap();
+                let db = Arc::new(Database::new());
+                let mut $net = Fed::new(DbReteNetwork::new(db, &rules).unwrap());
                 $body
             }
         }};
@@ -484,19 +594,33 @@ mod tests {
         });
     }
 
+    /// Two WMEs of equal contents are two WMEs, and a removal takes the
+    /// one its id names.
     #[test]
-    fn duplicate_wmes_are_multiset() {
+    fn equal_wmes_are_told_apart_by_id() {
         on_both_backends!(EXAMPLE_3, |net| {
+            let ann = Wme::new(EMP, tuple!["Ann", 1000, "Sam", 7]);
             net.insert(Wme::new(DEPT, tuple![7, "Toy", 1, "Sam"]));
-            net.insert(Wme::new(EMP, tuple!["Ann", 1000, "Sam", 7]));
-            net.insert(Wme::new(EMP, tuple!["Ann", 1000, "Sam", 7]));
+            net.insert(ann.clone());
+            let first = net.tid(&ann);
+            net.insert(ann.clone());
             assert_eq!(
                 net.conflict_set().len(),
                 2,
                 "two identical emps, two instantiations"
             );
-            net.remove(&Wme::new(EMP, tuple!["Ann", 1000, "Sam", 7]));
-            assert_eq!(net.conflict_set().len(), 1);
+            let second = TupleId::new(first.slot + 1, 0);
+            let deltas = net.net.remove(EMP, second);
+            assert_eq!(deltas.len(), 1);
+            assert_eq!(deltas[0].instantiation().support[0], second);
+            let left = net.conflict_set().iter().next().unwrap();
+            assert_eq!(left.support[0], first, "the other copy stays");
+            assert!(net.net.remove(EMP, second).is_empty(), "gone already");
+            assert!(
+                net.net.remove(EMP, TupleId::new(first.slot, 1)).is_empty(),
+                "another generation of the slot is another tuple"
+            );
+            assert_eq!(net.wme_count(), 2);
         });
     }
 

@@ -1,8 +1,15 @@
-//! Working-memory elements and conflict-set change records.
+//! Working-memory elements, instantiations, conflict-set change records
+//! and the conflict set.
+//!
+//! An instantiation's identity is its rule and the tuple ids of the WMEs
+//! it matched ([`Instantiation::key`]): tuple ids play OPS5's time tags,
+//! so the conflict set is a set by key in which two WMEs of equal
+//! contents make two entries. Equality and ordering stay on contents,
+//! because ids are names inside one database only.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
-use std::hash::{BuildHasher, Hash, Hasher, RandomState};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 use ops5::{ClassId, RuleId, RuleSet};
@@ -58,33 +65,38 @@ impl AbsentPattern {
 }
 
 /// One satisfied production: the rule plus the WM elements matched by its
-/// positive condition elements, in CE order.
+/// positive condition elements, in CE order, and the storage ids of the
+/// tuples that are those elements.
 ///
 /// This is an entry of the paper's *conflict set* — "information on all
 /// applicable rules and the data elements (tuples) that cause these rules
 /// to fire" (§3.1).
 ///
-/// It stores only what cannot be derived: the rule, the WMEs and the
-/// storage ids that supported them. The absent patterns of its negated
-/// CEs are a function of the first two and are built when a reader asks
-/// ([`Instantiation::absent`]). The support ids are shared by every copy,
-/// so a copy allocates the `wmes` vector and nothing else.
+/// Its identity is [`Instantiation::key`]: the rule and the support ids.
+/// The ids play the part of OPS5's time tags, so two WM elements of equal
+/// contents make two instantiations, and the conflict set, refraction and
+/// §5 re-selection all tell them apart by id. A tuple id is a name inside
+/// one database only (a snapshot or a log replay gives rows new ids), so
+/// equality and ordering compare `(rule, wmes)`: what a conflict set holds
+/// is comparable across databases by content.
 ///
-/// Equality, ordering and hashing compare only `(rule, wmes)`: engines
-/// identify instantiations by content (the conflict set is a
-/// content-keyed multiset, and the two Rete variants track WMEs by
-/// content rather than by storage id), so support rides along without
-/// perturbing conflict-set semantics.
+/// It stores only what cannot be derived. The absent patterns of its
+/// negated CEs are built when a reader asks ([`Instantiation::absent`]).
+/// The support ids are shared by every copy, so a copy allocates the
+/// `wmes` vector and nothing else.
 #[derive(Debug, Clone)]
 pub struct Instantiation {
     /// The owning rule.
     pub rule: RuleId,
     /// Matched WMEs aligned with the rule's *positive* CEs, in order.
     pub wmes: Vec<Wme>,
-    /// Storage ids of the supporting tuples, aligned with `wmes`; `None`
-    /// when the engine does not track storage ids (the Rete variants).
-    pub support: Option<Arc<[TupleId]>>,
+    /// Storage ids of the supporting tuples, aligned with `wmes`.
+    pub support: Arc<[TupleId]>,
 }
+
+/// An instantiation's identity: its rule and its support ids. The class
+/// of CE *i* is fixed by the rule, so per-relation ids suffice.
+pub type InstKey<'a> = (RuleId, &'a [TupleId]);
 
 impl PartialEq for Instantiation {
     fn eq(&self, other: &Self) -> bool {
@@ -116,27 +128,25 @@ impl Ord for Instantiation {
 }
 
 impl Instantiation {
-    /// Create an instantiation without support ids.
-    pub fn new(rule: RuleId, wmes: Vec<Wme>) -> Self {
+    /// Create an instantiation of `rule` over `wmes`, the tuples `support`.
+    pub fn new(rule: RuleId, wmes: Vec<Wme>, support: Arc<[TupleId]>) -> Self {
+        debug_assert_eq!(wmes.len(), support.len(), "one id per WME");
         Instantiation {
             rule,
             wmes,
-            support: None,
+            support,
         }
     }
 
-    /// Attach the supporting tuple ids.
-    pub fn with_support(mut self, support: Arc<[TupleId]>) -> Self {
-        self.support = Some(support);
-        self
+    /// The identity: rule and support ids.
+    pub fn key(&self) -> InstKey<'_> {
+        (self.rule, &self.support)
     }
 
     /// Space-joined supporting tuple ids (`t3.1 t7.2`), aligned with the
-    /// WMEs; empty when the engine tracks none.
+    /// WMEs.
     pub fn support_display(&self) -> String {
-        let support = self.support.as_deref().unwrap_or_default();
-        support
-            .iter()
+        (self.support.iter())
             .map(TupleId::to_string)
             .collect::<Vec<_>>()
             .join(" ")
@@ -212,7 +222,7 @@ impl Instantiation {
 pub enum ConflictDelta {
     /// The instantiation entered the conflict set.
     Add(Instantiation),
-    /// Remove one tuple equal to the payload.
+    /// The instantiation with the payload's key left the conflict set.
     Remove(Instantiation),
 }
 
@@ -230,9 +240,6 @@ impl ConflictDelta {
     }
 }
 
-/// "No slot" in the hash chains of a [`ConflictSet`].
-const NIL: u32 = u32::MAX;
-
 /// A [`ConflictSet`] squeezes its tombstones out when they exceed one per
 /// `TOMBSTONE_SHARE` live entries plus `TOMBSTONE_FLOOR`. A tombstone is
 /// as wide as an instantiation, so the share is kept small: the copying
@@ -243,27 +250,80 @@ const TOMBSTONE_FLOOR: usize = 16;
 
 /// A maintained conflict set: applies deltas, iterates instantiations.
 ///
-/// Semantically a **multiset**: OPS5 WMEs carry identity (time tags), so
-/// two content-identical WM elements yield two separate instantiations.
-/// Engines identify instantiations by content here, so duplicates are
-/// tracked by multiplicity.
-///
-/// Entries stay in arrival order (the Fifo/Lifo strategies and refraction
-/// read it), and a removal takes the *oldest* entry equal to its payload.
-/// Both cost O(1) expected: a removal finds its entry through a
-/// content-hash → slot index and leaves a tombstone, and tombstones are
-/// squeezed out once they exceed a fixed share of the live entries. The
-/// index holds slot numbers only, never a second copy of an instantiation.
+/// A **set** keyed by [`Instantiation::key`]: two content-identical WM
+/// elements have two ids and yield two entries, and a removal takes the
+/// entry of its own ids. Entries stay in arrival order (the Fifo/Lifo
+/// strategies read it). Both cost O(1) expected: a key → slot index finds
+/// an entry, a removal leaves a tombstone, and tombstones are squeezed
+/// out once they exceed a fixed share of the live entries.
 #[derive(Debug, Clone, Default)]
 pub struct ConflictSet {
     /// Entries in arrival order; `None` is a tombstone.
     slots: Vec<Option<Instantiation>>,
-    /// Per slot: the next-newer live slot whose content hashes alike.
-    next: Vec<u32>,
-    /// Content hash → (oldest, newest) live slot hashing to it.
-    chains: HashMap<u64, (u32, u32)>,
-    live: usize,
-    hasher: RandomState,
+    /// Key → slot of every live entry.
+    index: KeyMap<u32>,
+}
+
+/// A map keyed by [`Instantiation::key`]: per rule, a hash map from
+/// support ids, which a lookup borrows.
+#[derive(Debug, Clone, Default)]
+pub struct KeyMap<V> {
+    by_rule: Vec<HashMap<Arc<[TupleId]>, V, BuildHasherDefault<KeyHasher>>>,
+    len: usize,
+}
+
+impl<V> KeyMap<V> {
+    /// Number of keys.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when there are no keys.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The value of `key`.
+    pub fn get(&self, (rule, ids): InstKey<'_>) -> Option<&V> {
+        self.by_rule.get(rule.0)?.get(ids)
+    }
+
+    /// Mutable access to the value of `key`.
+    pub fn get_mut(&mut self, (rule, ids): InstKey<'_>) -> Option<&mut V> {
+        self.by_rule.get_mut(rule.0)?.get_mut(ids)
+    }
+
+    /// Map `inst`'s key to `value` unless the key is present; `false`
+    /// when it was.
+    pub fn insert(&mut self, inst: &Instantiation, value: V) -> bool {
+        let rule = inst.rule.0;
+        if self.by_rule.len() <= rule {
+            self.by_rule.resize_with(rule + 1, HashMap::default);
+        }
+        match self.by_rule[rule].entry(inst.support.clone()) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(entry) => {
+                entry.insert(value);
+                self.len += 1;
+                true
+            }
+        }
+    }
+
+    /// Remove `key`, returning its value.
+    pub fn remove(&mut self, (rule, ids): InstKey<'_>) -> Option<V> {
+        let value = self.by_rule.get_mut(rule.0)?.remove(ids)?;
+        self.len -= 1;
+        Some(value)
+    }
+
+    /// Keep the keys `keep` holds for.
+    pub fn retain(&mut self, mut keep: impl FnMut(InstKey<'_>) -> bool) {
+        for (rule, map) in self.by_rule.iter_mut().enumerate() {
+            map.retain(|ids, _| keep((RuleId(rule), ids)));
+        }
+        self.len = self.by_rule.iter().map(HashMap::len).sum();
+    }
 }
 
 impl ConflictSet {
@@ -272,11 +332,12 @@ impl ConflictSet {
         ConflictSet::default()
     }
 
-    /// Apply one delta (multiset semantics).
+    /// Apply one delta: an `Add` of a key already present and a `Remove`
+    /// of an absent one change nothing.
     pub fn apply(&mut self, delta: &ConflictDelta) {
         match delta {
-            ConflictDelta::Add(i) => self.push(i.clone()),
-            ConflictDelta::Remove(i) => self.remove_oldest(i),
+            ConflictDelta::Add(i) => self.push(i),
+            ConflictDelta::Remove(i) => self.remove(i),
         }
     }
 
@@ -294,116 +355,103 @@ impl ConflictSet {
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.live
+        self.index.len()
     }
 
     /// True when there are no entries.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.index.is_empty()
     }
 
-    /// Is this instantiation currently in the conflict set?
-    pub fn contains(&self, i: &Instantiation) -> bool {
-        self.find(self.hasher.hash_one(i), i).is_some()
+    /// Is an instantiation with this key in the conflict set?
+    pub fn contains_key(&self, key: InstKey<'_>) -> bool {
+        self.index.get(key).is_some()
     }
 
     /// Canonically sorted copy, for equivalence tests across engines.
+    /// The copy shares no allocation with the entries: a reference set
+    /// kept after its engine is dropped would otherwise pin one support
+    /// slice per entry all over the freed heap.
     pub fn sorted(&self) -> Vec<Instantiation> {
-        let mut v: Vec<Instantiation> = self.iter().cloned().collect();
+        let detached =
+            |i: &Instantiation| Instantiation::new(i.rule, i.wmes.clone(), Arc::from(&*i.support));
+        let mut v: Vec<Instantiation> = self.iter().map(detached).collect();
         v.sort();
         v
     }
 
-    /// The oldest live slot equal to `i` on hash chain `hash`, with its
-    /// predecessor on the chain (`NIL` for the chain's head).
-    fn find(&self, hash: u64, i: &Instantiation) -> Option<(u32, u32)> {
-        let (mut prev, mut slot) = (NIL, self.chains.get(&hash)?.0);
-        while self.slots[slot as usize].as_ref() != Some(i) {
-            (prev, slot) = (slot, self.next[slot as usize]);
-            if slot == NIL {
-                return None;
-            }
+    fn push(&mut self, i: &Instantiation) {
+        let slot = u32::try_from(self.slots.len()).expect("slot numbers fit in u32");
+        let fresh = self.index.insert(i, slot);
+        debug_assert!(fresh, "{i:?} is in the conflict set already");
+        if fresh {
+            self.slots.push(Some(i.clone()));
         }
-        Some((prev, slot))
     }
 
-    fn push(&mut self, i: Instantiation) {
-        assert!(
-            self.slots.len() < NIL as usize,
-            "slot numbers fit below NIL"
-        );
-        let slot = self.slots.len() as u32;
-        match self.chains.entry(self.hasher.hash_one(&i)) {
-            Entry::Occupied(mut chain) => {
-                let (_, newest) = chain.get_mut();
-                self.next[*newest as usize] = slot;
-                *newest = slot;
-            }
-            Entry::Vacant(chain) => {
-                chain.insert((slot, slot));
-            }
-        }
-        self.slots.push(Some(i));
-        self.next.push(NIL);
-        self.live += 1;
-    }
-
-    fn remove_oldest(&mut self, i: &Instantiation) {
-        let hash = self.hasher.hash_one(i);
-        let Some((prev, slot)) = self.find(hash, i) else {
+    fn remove(&mut self, i: &Instantiation) {
+        let Some(slot) = self.index.remove(i.key()) else {
             return;
         };
-        let after = self.next[slot as usize];
-        if prev == NIL && after == NIL {
-            self.chains.remove(&hash);
-        } else {
-            let (oldest, newest) = self.chains.get_mut(&hash).expect("slot is on the chain");
-            if prev == NIL {
-                *oldest = after;
-            } else {
-                self.next[prev as usize] = after;
-            }
-            if after == NIL {
-                *newest = prev;
-            }
-        }
         self.slots[slot as usize] = None;
-        self.live -= 1;
-        if self.slots.len() - self.live > self.live / TOMBSTONE_SHARE + TOMBSTONE_FLOOR {
+        let live = self.index.len();
+        if self.slots.len() - live > live / TOMBSTONE_SHARE + TOMBSTONE_FLOOR {
             self.compact();
         }
     }
 
-    /// Squeeze the tombstones out and renumber the chains. Its O(slots) is
+    /// Squeeze the tombstones out and renumber the index. Its O(slots) is
     /// paid for by the removals since the last run, a fixed share of the
     /// slots.
     fn compact(&mut self) {
-        // A live slot's new number is its rank among the live slots.
-        let mut rank = 0u32;
-        let renumbered: Vec<u32> = self
-            .slots
-            .iter()
-            .map(|entry| match entry {
-                Some(_) => {
-                    rank += 1;
-                    rank - 1
-                }
-                None => NIL,
-            })
-            .collect();
-        // Chains only ever link live slots, so every link has a new number.
-        let moved = |slot: u32| match slot {
-            NIL => NIL,
-            live => renumbered[live as usize],
-        };
-        self.next = (self.slots.iter().zip(&self.next))
-            .filter(|(entry, _)| entry.is_some())
-            .map(|(_, &next)| moved(next))
-            .collect();
         self.slots.retain(Option::is_some);
-        for (oldest, newest) in self.chains.values_mut() {
-            (*oldest, *newest) = (moved(*oldest), moved(*newest));
+        for (slot, i) in self.slots.iter().flatten().enumerate() {
+            *self
+                .index
+                .get_mut(i.key())
+                .expect("a live entry is indexed") = slot as u32;
         }
+    }
+}
+
+/// FxHash's mixing step: the conflict set's and the memories' maps need
+/// speed and spread, not resistance to chosen keys.
+#[derive(Default)]
+pub(crate) struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(i.into());
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(i.into());
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -413,40 +461,72 @@ mod tests {
     use proptest::prelude::*;
     use relstore::tuple;
 
-    fn inst(rule: usize, vals: &[i64]) -> Instantiation {
+    /// An instantiation of `rule` over one WME per value, the `k`th on
+    /// tuple id `ids[k]`.
+    fn on(rule: usize, vals: &[i64], ids: &[u32]) -> Instantiation {
         Instantiation::new(
             RuleId(rule),
             vals.iter()
                 .map(|&v| Wme::new(ClassId(0), tuple![v]))
                 .collect(),
+            ids.iter().map(|&slot| TupleId::new(slot, 0)).collect(),
         )
     }
 
-    #[test]
-    fn conflict_set_is_a_multiset() {
-        let mut cs = ConflictSet::new();
-        cs.apply(&ConflictDelta::Add(inst(0, &[1])));
-        cs.apply(&ConflictDelta::Add(inst(0, &[1])));
-        assert_eq!(cs.len(), 2, "identical WMEs yield separate instantiations");
-        cs.apply(&ConflictDelta::Remove(inst(0, &[1])));
-        assert_eq!(cs.len(), 1);
-        cs.apply(&ConflictDelta::Remove(inst(0, &[1])));
-        assert!(cs.is_empty());
-        cs.apply(&ConflictDelta::Remove(inst(0, &[1])));
-        assert!(cs.is_empty(), "removing from empty is a no-op");
+    /// An instantiation whose ids follow from its values.
+    fn inst(rule: usize, vals: &[i64]) -> Instantiation {
+        let ids: Vec<u32> = vals.iter().map(|&v| v as u32).collect();
+        on(rule, vals, &ids)
     }
 
-    /// What the index must reproduce: a plain vector in arrival order
-    /// where a removal takes the oldest equal entry.
+    /// Two entries of equal contents over different tuples are two
+    /// entries, and a removal takes the one its ids name.
+    #[test]
+    fn equal_contents_on_two_ids_are_two_entries() {
+        let (first, second) = (on(0, &[1], &[5]), on(0, &[1], &[6]));
+        assert_eq!(first, second, "equality compares contents");
+        assert_ne!(first.key(), second.key());
+        let mut cs = ConflictSet::new();
+        cs.apply(&ConflictDelta::Add(first.clone()));
+        cs.apply(&ConflictDelta::Add(second.clone()));
+        assert_eq!(cs.len(), 2, "two WMEs of equal contents, two entries");
+        cs.apply(&ConflictDelta::Remove(second.clone()));
+        let left: Vec<_> = cs.iter().map(Instantiation::support_display).collect();
+        assert_eq!(left, ["t5.0"], "the removal took the entry of t6");
+        assert!(cs.contains_key(first.key()) && !cs.contains_key(second.key()));
+        cs.apply(&ConflictDelta::Remove(second));
+        assert_eq!(cs.len(), 1, "removing an absent key is a no-op");
+        cs.apply(&ConflictDelta::Remove(first));
+        assert!(cs.is_empty());
+    }
+
+    /// The key is the rule and the ids; contents only ride along.
+    #[test]
+    fn identity_is_rule_and_ids() {
+        let a = on(0, &[1], &[3]);
+        assert_eq!(a.key(), on(0, &[2], &[3]).key(), "same ids, same key");
+        assert_ne!(a.key(), on(1, &[1], &[3]).key(), "another rule");
+        assert_eq!(a.key(), (RuleId(0), &[TupleId::new(3, 0)][..]));
+        assert_eq!(a.support_display(), "t3.0");
+        let mut cs = ConflictSet::new();
+        cs.apply(&ConflictDelta::Add(a));
+        cs.apply(&ConflictDelta::Remove(on(0, &[2], &[3])));
+        assert!(cs.is_empty(), "a removal names its entry by key");
+    }
+
+    /// What the index must reproduce: a plain vector in arrival order,
+    /// keyed by [`Instantiation::key`].
     #[derive(Default)]
     struct VecModel(Vec<Instantiation>);
 
     impl VecModel {
         fn apply(&mut self, delta: &ConflictDelta) {
+            let at = |i: &Instantiation| self.0.iter().position(|x| x.key() == i.key());
             match delta {
-                ConflictDelta::Add(i) => self.0.push(i.clone()),
+                ConflictDelta::Add(i) if at(i).is_none() => self.0.push(i.clone()),
+                ConflictDelta::Add(_) => {}
                 ConflictDelta::Remove(i) => {
-                    if let Some(pos) = self.0.iter().position(|x| x == i) {
+                    if let Some(pos) = at(i) {
                         self.0.remove(pos);
                     }
                 }
@@ -454,57 +534,49 @@ mod tests {
         }
     }
 
-    /// Content plus the support tag, which equality ignores: shows
-    /// *which* of several equal copies an entry is.
-    fn tagged(i: &Instantiation) -> (RuleId, Vec<Wme>, Option<Arc<[TupleId]>>) {
+    /// Content plus the support ids, which equality ignores.
+    fn tagged(i: &Instantiation) -> (RuleId, Vec<Wme>, Arc<[TupleId]>) {
         (i.rule, i.wmes.clone(), i.support.clone())
     }
 
-    /// The chains link exactly the live slots, oldest first, each under
-    /// its own content hash; tombstones stay under their cap.
+    /// The index maps exactly the live entries' keys to their slots, and
+    /// tombstones stay under their cap.
     fn assert_index_consistent(cs: &ConflictSet) {
-        assert_eq!(cs.slots.len(), cs.next.len());
-        assert_eq!(cs.slots.iter().flatten().count(), cs.live);
-        assert!(cs.slots.len() - cs.live <= cs.live / TOMBSTONE_SHARE + TOMBSTONE_FLOOR);
-        let mut linked = 0;
-        for (&hash, &(oldest, newest)) in &cs.chains {
-            let (mut slot, mut last) = (oldest, NIL);
-            while slot != NIL {
-                let entry = cs.slots[slot as usize]
-                    .as_ref()
-                    .expect("chains skip tombstones");
-                assert_eq!(cs.hasher.hash_one(entry), hash);
-                assert!(last == NIL || last < slot, "a chain runs oldest to newest");
-                linked += 1;
-                (last, slot) = (slot, cs.next[slot as usize]);
+        assert_eq!(cs.slots.iter().flatten().count(), cs.index.len());
+        let live = cs.index.len();
+        assert!(cs.slots.len() - live <= live / TOMBSTONE_SHARE + TOMBSTONE_FLOOR);
+        for (slot, entry) in cs.slots.iter().enumerate() {
+            if let Some(entry) = entry {
+                assert_eq!(cs.index.get(entry.key()), Some(&(slot as u32)));
             }
-            assert_eq!(last, newest);
         }
-        assert_eq!(linked, cs.live);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
         /// The indexed conflict set and the vector model agree after every
-        /// delta of a random sequence — few distinct contents, so equal
-        /// copies (told apart by support only), removals of absent
-        /// entries and several compactions all occur.
+        /// delta of a random sequence — few distinct ids and contents, so
+        /// equal contents on different ids, removals of absent keys and
+        /// several compactions all occur.
         #[test]
         fn indexed_conflict_set_matches_vec_model(
-            ops in proptest::collection::vec((0u8..5, 0usize..3, 0i64..4), 1..400)
+            ops in proptest::collection::vec((0u8..5, 0usize..3, 0i64..4, 0u32..6), 1..400)
         ) {
             let mut cs = ConflictSet::new();
             let mut model = VecModel::default();
-            for (step, (kind, rule, val)) in ops.into_iter().enumerate() {
-                let support = Arc::new([TupleId::new(step as u32, 0)]);
-                let content = inst(rule, &[val]).with_support(support);
+            for (kind, rule, val, id) in ops {
+                let content = on(rule, &[val], &[id]);
                 let delta = if kind < 2 {
                     ConflictDelta::Add(content)
                 } else {
                     ConflictDelta::Remove(content)
                 };
-                cs.apply(&delta);
+                // The conflict set takes no second entry of a key, and
+                // engines never offer one.
+                if !(delta.is_add() && cs.contains_key(delta.instantiation().key())) {
+                    cs.apply(&delta);
+                }
                 model.apply(&delta);
                 assert_index_consistent(&cs);
                 prop_assert_eq!(cs.len(), model.0.len());
@@ -513,16 +585,13 @@ mod tests {
                     cs.iter().map(tagged).collect::<Vec<_>>(),
                     model.0.iter().map(tagged).collect::<Vec<_>>()
                 );
-                let mut sorted = model.0.clone();
-                sorted.sort();
-                prop_assert_eq!(
-                    cs.sorted().iter().map(tagged).collect::<Vec<_>>(),
-                    sorted.iter().map(tagged).collect::<Vec<_>>()
-                );
                 for rule in 0..3 {
-                    for val in 0..4 {
-                        let probe = inst(rule, &[val]);
-                        prop_assert_eq!(cs.contains(&probe), model.0.contains(&probe));
+                    for id in 0..6 {
+                        let probe = on(rule, &[0], &[id]);
+                        prop_assert_eq!(
+                            cs.contains_key(probe.key()),
+                            model.0.iter().any(|x| x.key() == probe.key())
+                        );
                     }
                 }
             }
@@ -563,23 +632,6 @@ mod tests {
         assert_eq!(d.instantiation().rule, RuleId(0));
     }
 
-    /// Support is carried but invisible to equality/ordering, so the
-    /// conflict-set multiset removes support-free duplicates of an
-    /// annotated instantiation and vice versa.
-    #[test]
-    fn provenance_does_not_affect_identity() {
-        let plain = inst(0, &[1]);
-        let annotated = plain.clone().with_support(Arc::new([TupleId::new(3, 1)]));
-        assert_eq!(plain, annotated);
-        assert_eq!(plain.cmp(&annotated), std::cmp::Ordering::Equal);
-        let mut cs = ConflictSet::new();
-        cs.apply(&ConflictDelta::Add(annotated.clone()));
-        cs.apply(&ConflictDelta::Remove(plain.clone()));
-        assert!(cs.is_empty());
-        assert_eq!(annotated.support_display(), "t3.1");
-        assert_eq!(plain.support_display(), "");
-    }
-
     /// Absent patterns derived from `(rule, wmes)`: a negated CE's
     /// constant tests come first, then its joins bound from the WMEs of
     /// the positive CEs they name (by `=`, `>` and `<=`, across a positive
@@ -618,6 +670,7 @@ mod tests {
                 Wme::new(ClassId(0), tuple![1, 2]),
                 Wme::new(ClassId(3), tuple![9]),
             ],
+            Arc::from([TupleId::new(0, 0), TupleId::new(0, 0)]),
         );
         assert_eq!(inst.absent(&rules).len(), 3, "one pattern per negated CE");
         assert_eq!(

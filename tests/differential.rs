@@ -14,10 +14,12 @@ mod common;
 use std::sync::Arc;
 
 use common::differential::check;
-use common::grammar::{Bias, Case};
-use common::{dump, load, Scratch};
+use common::grammar::{Bias, Case, Op};
+use common::{dump, load, wm_all, Scratch};
 use ops5::ClassId;
-use prodsys::{bootstrap, make_engine, ConcurrentExecutor, EngineKind, ProductionDb};
+use prodsys::{
+    bootstrap, make_engine, ConcurrentExecutor, EngineKind, ProductionDb, ScheduleOracle, WmChange,
+};
 use relstore::{tuple, Database, Restriction, Schema, Selection, Tuple};
 
 // Paged storage and recovery.
@@ -515,6 +517,60 @@ fn conc_remove_after_a_modify_to_an_equal_tuple() {
         (p R0 (C1 ^a0 <V0> ^a1 <= a) -(C0 ^a1 <V0> ^a2 9000000000000000000.0) \
         (C1 ^a0 <V1> ^a1 <= 10000000000000000000.0) --> (modify 1 ^a0 <V0>) (remove 1))";
     check(&Case::named(src, &["+1 2 9223372036854775807"]));
+}
+
+/// Grammar seed 146 (`Bias::Any`) loads duplicate WMEs. A 3-worker run
+/// of its trace, recorded to a ring, and the serial replay of the ring's
+/// `Firing` keys on a fresh executor must reach the same firings and the
+/// same WM, five times on each engine. Replay keys name contents: it
+/// follows the run because refraction, exact by id, keeps a copy that
+/// fired from being taken again.
+#[test]
+fn conc_replay_of_duplicate_wmes_follows_the_run() {
+    let case = Case::generate(146, Bias::Any);
+    let rules = ops5::compile(&case.src).unwrap();
+    let changes: Vec<WmChange> = case.ops.iter().flat_map(Op::changes).collect();
+    let run = |kind, oracle: Option<ScheduleOracle>| {
+        let pdb = ProductionDb::new(rules.clone()).unwrap();
+        let mut engine = make_engine(kind, pdb.clone());
+        engine.apply_delta(&changes);
+        let tracer = obs::Tracer::new(obs::Sink::ring(1 << 16));
+        let mut exec = ConcurrentExecutor::new(engine, 3);
+        exec.set_tracer(tracer.clone());
+        if let Some(oracle) = oracle {
+            exec.set_oracle(oracle);
+        }
+        let stats = exec.run(case.cycles);
+        let mut fired: Vec<(u64, String, String)> = (tracer.ring_events().unwrap().into_iter())
+            .filter_map(|event| match event {
+                obs::Event::Firing {
+                    seq,
+                    rule_name,
+                    wmes,
+                    ..
+                } => Some((seq, rule_name, wmes)),
+                _ => None,
+            })
+            .collect();
+        fired.sort();
+        let keys: Vec<(String, String)> = fired.into_iter().map(|(_, r, w)| (r, w)).collect();
+        (stats.divergence, keys, wm_all(&pdb))
+    };
+    let mut agreed = Vec::new();
+    for kind in EngineKind::ALL {
+        for _ in 0..5 {
+            let (_, keys, wm) = run(kind, None);
+            assert!(!keys.is_empty(), "{} fires", kind.label());
+            let replayed = run(kind, Some(ScheduleOracle::new(keys.clone())));
+            agreed.push((kind.label(), replayed == (None, keys, wm)));
+        }
+    }
+    let diverged: Vec<_> = agreed.iter().filter(|(_, ok)| !ok).collect();
+    assert!(
+        diverged.is_empty(),
+        "{} of 25 pairs diverged: {diverged:?}",
+        diverged.len()
+    );
 }
 
 /// Soak of both axes over the grammar: `ITERS` generated cases per bias

@@ -1,6 +1,7 @@
 //! F1/F3: compiled network topology — Figure 3's shared nodes for the
 //! Example 2 rules and Figure 1's linear chain depth.
 
+use relstore::TupleId;
 use rete::{BetaKind, NetworkPlan, ReteNetwork, Wme};
 use workload::{paper, ChainWorkload};
 
@@ -42,10 +43,12 @@ fn f1_propagation_depth_observed_at_runtime() {
         let mut net = ReteNetwork::new(&w.rules());
         let links = w.links();
         let class = ops5::ClassId(0);
-        for t in &links[..n - 1] {
-            net.insert(Wme::new(class, t.clone()));
+        // Link `k` is tuple `k` of its relation.
+        for (k, t) in links[..n - 1].iter().enumerate() {
+            net.insert(TupleId::new(k as u32, 0), Wme::new(class, t.clone()));
         }
-        let deltas = net.insert(Wme::new(class, links[n - 1].clone()));
+        let last = TupleId::new(n as u32 - 1, 0);
+        let deltas = net.insert(last, Wme::new(class, links[n - 1].clone()));
         assert_eq!(deltas.len(), 1, "chain of {n} completes");
         let m = net.last_metrics();
         assert!(
@@ -66,10 +69,9 @@ fn chain_metrics_grow_with_n() {
         let mut net = ReteNetwork::new(&w.rules());
         let links = w.links();
         let class = ops5::ClassId(0);
-        for t in &links[..n - 1] {
-            net.insert(Wme::new(class, t.clone()));
+        for (k, t) in links.iter().enumerate() {
+            net.insert(TupleId::new(k as u32, 0), Wme::new(class, t.clone()));
         }
-        net.insert(Wme::new(class, links[n - 1].clone()));
         costs.push(net.last_metrics().activations);
     }
     assert!(

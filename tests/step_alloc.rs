@@ -48,8 +48,8 @@ fn clone_blocks(kind: EngineKind) -> u64 {
     let mut engine = make_engine(kind, ProductionDb::new(rules).expect("pdb"));
     engine.insert(ClassId(0), tuple![1]);
     let inst = engine.conflict_set().iter().next().expect("Two over A(1)");
-    let tracks_ids = !matches!(kind, EngineKind::Rete | EngineKind::DbRete);
-    assert_eq!(inst.support.is_some(), tracks_ids, "{}", kind.label());
+    let a = engine.pdb().wm_scan(ClassId(0)).expect("wm scan")[0].0;
+    assert_eq!(*inst.support, [a], "{} carries the tuple id", kind.label());
     assert_eq!(inst.absent(engine.pdb().rules()).len(), 2);
     let (copy, stats) = allocated(|| inst.clone());
     drop(copy);
