@@ -171,8 +171,8 @@ pub const FLAGS: &[Flag] = &[
     Flag {
         names: &["--replay"],
         value: "FILE",
-        help: "re-execute a journal pinning its recorded commit schedule;\n\
-               verifies the exact firing sequence and final WM (exit 1 on\n\
+        help: "re-execute a journal as the serial run of its commit order;\n\
+               verifies every recorded firing and the final WM (exit 1 on\n\
                any divergence)",
         needs: &[],
         set: |a, v| text(&mut a.replay, v),

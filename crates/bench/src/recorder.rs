@@ -6,17 +6,15 @@
 //! the full OPS5 program and load script, and its events carry every WM
 //! delta, conflict-set change, lock grant, and committed firing in
 //! total order. `--replay` rebuilds the run from nothing but that file
-//! and pins the recorded commit schedule; `--journal … --why/--why-not`
-//! loads the file into relstore relations and answers time-travel
-//! questions with ordinary queries.
+//! and re-runs the recorded commit order as a serial OPS5 run
+//! ([`prodsys::SequentialExecutor::replay`]); `--journal …
+//! --why/--why-not` loads the file into relstore relations and answers
+//! time-travel questions with ordinary queries.
 
 use std::collections::BTreeMap;
 
-use obs::{Event, Journal, JournalMeta, LoadOp, LoadValue, Sink, Tracer};
-use prodsys::{
-    make_engine, ClassId, ConcurrentExecutor, EngineKind, ProductionDb, ProductionSystem,
-    ScheduleOracle, Strategy,
-};
+use obs::{Event, Journal, JournalMeta, LoadOp, LoadValue, Tracer};
+use prodsys::{ClassId, EngineKind, ProductionDb, ProductionSystem, Strategy};
 use relstore::{CompOp, QueryExecutor, Restriction, Selection, Tuple, Value};
 
 use crate::obs_run::OBS_DEMO;
@@ -115,72 +113,35 @@ pub fn record_run_with(
     let sink = obs::journal::recording_sink(path, &meta)
         .map_err(|e| format!("cannot write {path}: {e}"))?;
     let tracer = Tracer::new(sink);
-    let fired = run_workload(&meta, &tracer, None)?.fired;
+    let mut sys = load_workload(&meta, &tracer)?;
+    let fired = if workers > 0 {
+        sys.into_concurrent(workers).run(max_fired).committed
+    } else {
+        sys.run(max_fired).fired
+    };
     tracer
         .flush()
         .map_err(|e| format!("cannot write {path}: {e}"))?;
     Ok(RecordOutcome { fired, mode })
 }
 
-/// What one run of a journaled workload left behind.
-struct Run {
-    /// Productions committed/fired.
-    fired: usize,
-    /// Where the run left a pinned commit schedule, if it did.
-    divergence: Option<String>,
-    /// The production database holding the final working memory.
-    pdb: ProductionDb,
-}
-
-/// Run `meta`'s workload: a fresh engine over its program, `tracer`
-/// installed first (the load itself is part of the record, so a
+/// `meta`'s workload, ready to run: a fresh engine over its program,
+/// `tracer` installed first (the load itself is part of the record, so a
 /// journal's WM fold starts from an empty working memory), then the load
-/// script, then up to `max_fired` firings. Concurrent mode runs the §5
-/// executor on `meta.workers` threads, pinned to `oracle` when given;
-/// sequential mode runs canonical conflict resolution.
-fn run_workload(
-    meta: &JournalMeta,
-    tracer: &Tracer,
-    oracle: Option<ScheduleOracle>,
-) -> Result<Run, String> {
+/// script, under canonical conflict resolution.
+fn load_workload(meta: &JournalMeta, tracer: &Tracer) -> Result<ProductionSystem, String> {
     let kind = engine_kind(&meta.engine)?;
     let rules = ops5::compile(&meta.program).map_err(|e| e.to_string())?;
-    let load = meta.load.iter().map(|op| {
+    let mut sys = ProductionSystem::from_rules(rules, kind, Strategy::Canonical)
+        .map_err(|e| e.to_string())?;
+    sys.executor_mut().engine_mut().set_tracer(tracer.clone());
+    for op in &meta.load {
         let t = Tuple::new(op.values.iter().map(load_value).collect::<Vec<Value>>());
-        (ClassId(op.class as usize), t)
-    });
-    if meta.mode == "concurrent" {
-        let mut engine = make_engine(kind, ProductionDb::new(rules).map_err(|e| e.to_string())?);
-        engine.set_tracer(tracer.clone());
-        for (class, t) in load {
-            engine.insert(class, t);
-        }
-        let mut exec = ConcurrentExecutor::new(engine, meta.workers.max(1));
-        if let Some(oracle) = oracle {
-            exec.set_oracle(oracle);
-        }
-        let stats = exec.run(meta.max_fired as usize);
-        let pdb = exec.engine().lock().pdb().clone();
-        Ok(Run {
-            fired: stats.committed,
-            divergence: stats.divergence,
-            pdb,
-        })
-    } else {
-        let mut sys = ProductionSystem::from_rules(rules, kind, Strategy::Canonical)
-            .map_err(|e| e.to_string())?;
-        sys.set_tracer(tracer.clone());
-        for (class, t) in load {
-            let name = sys.engine().pdb().rules().class(class).name.clone();
-            sys.insert(&name, t).map_err(|e| e.to_string())?;
-        }
-        let fired = sys.run(meta.max_fired as usize).fired;
-        Ok(Run {
-            fired,
-            divergence: None,
-            pdb: sys.engine().pdb().clone(),
-        })
+        let class = sys.engine().pdb().rules().class(ClassId(op.class as usize));
+        let name = class.name.clone();
+        sys.insert(&name, t).map_err(|e| e.to_string())?;
     }
+    Ok(sys)
 }
 
 /// What a successful [`replay_run`] verified.
@@ -204,55 +165,31 @@ fn engine_final_wm(pdb: &ProductionDb) -> BTreeMap<(u32, String), i64> {
     wm
 }
 
-fn firing_keys_of(events: &[Event]) -> Vec<(String, String)> {
-    let mut firings: Vec<(u64, String, String)> = events
-        .iter()
-        .filter_map(|e| match e {
-            Event::Firing {
-                seq,
-                rule_name,
-                wmes,
-                ..
-            } => Some((*seq, rule_name.clone(), wmes.clone())),
-            _ => None,
-        })
-        .collect();
-    firings.sort_by_key(|(seq, _, _)| *seq);
-    firings.into_iter().map(|(_, r, w)| (r, w)).collect()
-}
-
-/// Re-execute the journaled run from nothing but the journal file,
-/// pinning the recorded commit schedule, and verify both the firing
-/// sequence and the final working memory against the record. Any
-/// difference — divergence, extra/missing firing, WM drift — is an `Err`
-/// naming the first discrepancy.
+/// Re-execute the journaled run from nothing but the journal file, as
+/// the serial run that fires its `Firing` keys in commit order
+/// ([`prodsys::SequentialExecutor::replay`]), and verify the final
+/// working memory against the record. A sequential journal that stopped
+/// below `max_fired` without a halt must also leave nothing eligible: the
+/// recorded run would have fired it. Any difference — a key with nothing
+/// eligible, an extra firing, WM drift — is an `Err` naming the first
+/// discrepancy.
 pub fn replay_run(path: &str) -> Result<ReplayOutcome, String> {
     let journal = Journal::read_file(path)?;
-    let expected_keys = journal.firing_keys();
-    let expected_wm = journal.final_wm();
-    let tracer = Tracer::new(Sink::ring(1 << 20));
-    let oracle = ScheduleOracle::new(expected_keys.clone());
-    let run = run_workload(&journal.meta, &tracer, Some(oracle))?;
-    if let Some(d) = run.divergence {
-        return Err(d);
-    }
-    let actual_keys = firing_keys_of(&tracer.ring_events().unwrap_or_default());
-    let actual_wm = engine_final_wm(&run.pdb);
-
-    if actual_keys != expected_keys {
-        let at = actual_keys
-            .iter()
-            .zip(&expected_keys)
-            .position(|(a, e)| a != e)
-            .unwrap_or(actual_keys.len().min(expected_keys.len()));
+    let meta = &journal.meta;
+    let mut sys = load_workload(meta, &Tracer::disabled())?;
+    let out = sys.executor_mut().replay(&journal.firing_keys())?;
+    if meta.mode == "sequential"
+        && !out.halted
+        && out.fired < meta.max_fired as usize
+        && out.limited
+    {
         return Err(format!(
-            "replay firing sequence differs at firing {at}: recorded {:?}, replayed {:?} ({} vs {} firings)",
-            expected_keys.get(at),
-            actual_keys.get(at),
-            expected_keys.len(),
-            actual_keys.len(),
+            "replay diverged after firing {}: an instantiation is still eligible, but the journal records no further firing",
+            out.fired
         ));
     }
+    let expected_wm = journal.final_wm();
+    let actual_wm = engine_final_wm(sys.engine().pdb());
     if actual_wm != expected_wm {
         let diff: Vec<String> = expected_wm
             .iter()
@@ -271,8 +208,8 @@ pub fn replay_run(path: &str) -> Result<ReplayOutcome, String> {
         ));
     }
     Ok(ReplayOutcome {
-        firings: actual_keys.len(),
-        mode: journal.meta.mode.clone(),
+        firings: out.fired,
+        mode: meta.mode.clone(),
         final_wm: actual_wm.len(),
     })
 }
@@ -394,20 +331,12 @@ pub fn why_not_run(path: &str, spec: &str) -> Result<String, String> {
             _ => false,
         })
         .count();
-    let keys: Vec<(String, String)> = journal.firing_keys().into_iter().take(budget).collect();
-
-    let replay = JournalMeta {
-        mode: "concurrent".to_string(),
-        workers: 1,
-        max_fired: budget as u64,
-        ..journal.meta.clone()
-    };
-    let oracle = ScheduleOracle::new(keys);
-    let run = run_workload(&replay, &Tracer::disabled(), Some(oracle))?;
-    if let Some(d) = run.divergence {
-        return Err(format!("could not reconstruct WM as of round {round}: {d}"));
-    }
-    let pdb = &run.pdb;
+    let mut keys = journal.firing_keys();
+    keys.truncate(budget);
+    let mut sys = load_workload(&journal.meta, &Tracer::disabled())?;
+    (sys.executor_mut().replay(&keys))
+        .map_err(|d| format!("could not reconstruct WM as of round {round}: {d}"))?;
+    let pdb = sys.engine().pdb();
     let class_rels: Vec<relstore::RelId> = (0..pdb.class_count())
         .map(|c| pdb.class_rel(ClassId(c)))
         .collect();
@@ -497,6 +426,20 @@ mod tests {
         let rep = replay_run(&path).unwrap();
         assert_eq!(rep.firings, 16);
         assert_eq!(rep.mode, "sequential");
+        // Without its last `firing` line the journal's keys stop one short
+        // of the recorded run, which left nothing eligible.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut lines: Vec<&str> = text.lines().collect();
+        let cut = lines
+            .iter()
+            .rposition(|l| l.contains(r#""event":"firing""#));
+        lines.remove(cut.unwrap());
+        std::fs::write(&path, lines.join("\n")).unwrap();
+        let err = replay_run(&path).unwrap_err();
+        assert!(
+            err.contains("after firing 15: an instantiation is still eligible"),
+            "{err}"
+        );
         let _ = std::fs::remove_file(&path);
     }
 

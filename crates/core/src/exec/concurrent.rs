@@ -22,6 +22,9 @@
 //! Deadlocks — which the paper explicitly anticipates — abort the
 //! requesting transaction; the instantiation is retried in a later round
 //! if it is still in the conflict set.
+//!
+//! The commit order (`Firing::seq`) is the serial run the execution is
+//! equivalent to; [`crate::exec::SequentialExecutor::replay`] re-runs it.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -72,10 +75,6 @@ pub struct ConcurrentStats {
     pub halted: bool,
     /// `write` output (order nondeterministic across transactions).
     pub writes: Vec<String>,
-    /// Set when an oracle-driven replay could not follow the recorded
-    /// schedule: the step it stopped at and why. `None` for live runs and
-    /// for replays that reproduced every recorded firing.
-    pub divergence: Option<String>,
     /// `[(0, lock_waits, lock_wait_ns)]` when at least one lock request
     /// blocked, empty otherwise: at most one entry, for the one lock
     /// table. Kept only because the repo benchmark reads it.
@@ -113,34 +112,11 @@ pub struct ConcurrentExecutor {
     /// Persists across `run` calls so journal firing sequences never
     /// repeat within one executor's trace.
     next_seq: AtomicU64,
-    /// When set, `run` replays the recorded schedule instead of racing
-    /// workers (see [`ScheduleOracle`]).
-    oracle: Option<ScheduleOracle>,
-}
-
-/// A recorded commit schedule: `(rule_name, wmes)` keys in commit-`seq`
-/// order, taken from a journal's `Firing` events. A key names contents,
-/// not tuple ids (ids are names inside one database), so a step fires the
-/// first eligible instantiation of its contents; refraction, exact by id,
-/// keeps an equal copy that fired from being taken again. Installed on a
-/// [`ConcurrentExecutor`] via [`ConcurrentExecutor::set_oracle`], it
-/// replaces live worker racing with a serial re-execution that fires the
-/// recorded instantiations in the recorded serialization order —
-/// committed transactions' firing sequence and final WM are reproduced
-/// exactly (non-conflicting transactions commute; conflicting ones were
-/// ordered by their lock conflicts, which the `seq` capture point
-/// preserves).
-#[derive(Debug, Clone)]
-pub struct ScheduleOracle {
-    steps: Vec<(String, String)>,
-    pos: usize,
-}
-
-impl ScheduleOracle {
-    /// An oracle over `(rule_name, wmes)` firing keys in commit order.
-    pub fn new(steps: Vec<(String, String)>) -> Self {
-        ScheduleOracle { steps, pos: 0 }
-    }
+    /// The fired keys, kept across `run` calls like the sequential
+    /// executor's and reconciled with the conflict set
+    /// ([`Refraction::trim_to`]) at the start of every run and after
+    /// every round.
+    refraction: Refraction,
 }
 
 /// What a committed transaction reports back to the round.
@@ -186,17 +162,6 @@ impl Abort {
             Abort::Failed(e) => format!("error: {e}"),
         }
     }
-
-    /// How a replay that hit this abort words its divergence. A deadlock
-    /// is impossible serially (one transaction at a time), but surfaced
-    /// rather than swallowed if it happens.
-    fn divergence(&self) -> String {
-        match self {
-            Abort::Invalid => "re-selected as invalid".to_string(),
-            Abort::Deadlock => "hit a deadlock".to_string(),
-            Abort::Failed(e) => format!("failed: {e}"),
-        }
-    }
 }
 
 /// Result of one instantiation's transaction.
@@ -209,14 +174,8 @@ impl ConcurrentExecutor {
             engine: Arc::new(Mutex::new(engine)),
             workers: workers.max(1),
             next_seq: AtomicU64::new(0),
-            oracle: None,
+            refraction: Refraction::default(),
         }
-    }
-
-    /// Install a recorded commit schedule: the next `run` replays it
-    /// serially instead of racing live workers.
-    pub fn set_oracle(&mut self, oracle: ScheduleOracle) {
-        self.oracle = Some(oracle);
     }
 
     /// Shared engine handle (e.g. to seed WM before running).
@@ -354,8 +313,7 @@ impl ConcurrentExecutor {
         })
     }
 
-    /// Execute one round's candidates: raced over the worker threads, or
-    /// — replaying a [`ScheduleOracle`] step — on the calling thread.
+    /// Execute one round's candidates, raced over the worker threads.
     /// Every worker pops the next candidate from one shared queue.
     ///
     /// A committed `(halt)` stops further dispatch *within* the round:
@@ -381,33 +339,20 @@ impl ConcurrentExecutor {
                 results.lock().push((inst, outcome));
             }
         };
-        if self.oracle.is_some() {
-            work();
-        } else {
-            crossbeam::thread::scope(|scope| {
-                for _ in 0..self.workers {
-                    scope.spawn(|_| work());
-                }
-            })
-            .expect("worker scope");
-        }
+        crossbeam::thread::scope(|scope| {
+            for _ in 0..self.workers {
+                scope.spawn(|_| work());
+            }
+        })
+        .expect("worker scope");
         results.into_inner()
     }
 
     /// Run rounds of firing until quiescence, halt, or `max_fired`
-    /// committed productions. A round either races every eligible
-    /// candidate over the worker queues or — with an installed
-    /// [`ScheduleOracle`] — runs the oracle's next recorded instantiation
-    /// on the calling thread; selection, dispatch, the transaction path
-    /// (`run_one`), accounting and refraction are the same either way,
-    /// only the racing is gone. A replay step whose recorded
-    /// instantiation is not eligible (or does not commit) stops the run
-    /// with [`ConcurrentStats::divergence`] set.
+    /// committed productions. A round races every eligible candidate over
+    /// the worker queues.
     pub fn run(&mut self, max_fired: usize) -> ConcurrentStats {
         let mut stats = ConcurrentStats::default();
-        // Reconciled with the conflict set after every round
-        // ([`Refraction::trim_to`]).
-        let mut refraction = Refraction::default();
         // Deadlock victims awaiting a retry; lock-wait totals come from
         // the storage layer's counters, delta'd over this run.
         let mut deadlocked: Vec<Instantiation> = Vec::new();
@@ -420,37 +365,19 @@ impl ConcurrentExecutor {
         let mut last_fingerprint: Option<u64> = None;
         let (pdb, tracer) = {
             let g = self.engine.lock();
+            // WM changes made through `engine()` between runs reached no
+            // refraction: drop the charges of the keys they took out.
+            self.refraction.trim_to(g.conflict_set());
             (g.pdb().clone(), g.tracer().clone())
         };
         let db = pdb.db();
         let base = db.stats().snapshot();
         while stats.committed < max_fired && !stats.halted {
-            // Snapshot Ψ_i: conflict set minus already-fired (refraction),
-            // narrowed to the recorded step when replaying.
-            let step = match &self.oracle {
-                Some(oracle) => match oracle.steps.get(oracle.pos) {
-                    Some(step) => Some(step.clone()),
-                    None => break, // schedule fully replayed
-                },
-                None => None,
-            };
+            // Snapshot Ψ_i: conflict set minus already-fired (refraction).
             let (candidates, fingerprint, retries) = {
                 let g = self.engine.lock();
-                let mut eligible: Vec<&Instantiation> =
-                    refraction.eligible(g.conflict_set()).collect();
-                if let Some((rule, wmes)) = &step {
-                    let rules = pdb.rules();
-                    let recorded = eligible.into_iter().find(|inst| {
-                        rules.rule(inst.rule).name == *rule && inst.wmes_display(rules) == *wmes
-                    });
-                    if recorded.is_none() {
-                        stats.divergence = Some(format!(
-                            "replay diverged at firing {}: no eligible instantiation for {rule}: {wmes}",
-                            stats.committed
-                        ));
-                    }
-                    eligible = recorded.into_iter().collect();
-                }
+                let eligible: Vec<&Instantiation> =
+                    self.refraction.eligible(g.conflict_set()).collect();
                 snapshot_round(&eligible, max_fired - stats.committed, &mut deadlocked)
             };
             if candidates.is_empty() {
@@ -477,19 +404,9 @@ impl ConcurrentExecutor {
                         // A firing that consumed its own support has left
                         // the conflict set already: `trim_to` drops its
                         // charge after the round.
-                        refraction.record(&inst);
-                        if let Some(oracle) = &mut self.oracle {
-                            oracle.pos += 1;
-                        }
+                        self.refraction.record(&inst);
                     }
                     Err(abort) => {
-                        if let Some((rule, wmes)) = &step {
-                            stats.divergence = Some(format!(
-                                "replay diverged at firing {}: {rule}: {wmes} {}",
-                                stats.committed,
-                                abort.divergence()
-                            ));
-                        }
                         // None of these marks the instantiation fired: the
                         // next snapshot retries it if it is still
                         // applicable (an invalid one has normally left
@@ -518,10 +435,7 @@ impl ConcurrentExecutor {
                 critical_ns: round_critical,
                 span_ns,
             });
-            refraction.trim_to(self.engine.lock().conflict_set());
-            if stats.divergence.is_some() {
-                break;
-            }
+            self.refraction.trim_to(self.engine.lock().conflict_set());
             if round_committed > 0 || !repeated {
                 stalls = 0;
             } else {
@@ -821,203 +735,48 @@ mod tests {
         assert_eq!(stats.committed, 1);
     }
 
-    /// Firing keys `(rule_name, wmes)` in commit order, from a ring of
-    /// recorded events.
-    fn firing_keys(events: &[Event]) -> Vec<(String, String)> {
-        let mut firings: Vec<(u64, String, String)> = events
-            .iter()
-            .filter_map(|e| match e {
-                Event::Firing {
-                    seq,
-                    rule_name,
-                    wmes,
-                    ..
-                } => Some((*seq, rule_name.clone(), wmes.clone())),
-                _ => None,
-            })
-            .collect();
-        firings.sort_by_key(|(seq, _, _)| *seq);
-        firings.into_iter().map(|(_, r, w)| (r, w)).collect()
-    }
-
-    fn wm_snapshot(ex: &ConcurrentExecutor) -> Vec<(u32, String)> {
-        let eng = ex.engine();
-        let g = eng.lock();
-        let mut out = Vec::new();
-        for class in 0..g.pdb().class_count() {
-            let cid = ClassId(class);
-            for (_, t) in g.pdb().wm_scan(cid).unwrap() {
-                out.push((class as u32, format!("{t:?}")));
-            }
-        }
-        out.sort();
-        out
-    }
-
-    /// Record a racy 4-worker run, then replay its commit schedule
-    /// serially on a fresh executor: same firing sequence, same final WM.
+    /// Refraction outlives one `run`: a second `run` does not fire again
+    /// what the first one fired.
     #[test]
-    fn replay_reproduces_recorded_schedule() {
-        let load = |ex: &mut ConcurrentExecutor| {
-            let eng = ex.engine();
-            let mut g = eng.lock();
-            for i in 0..10i64 {
-                g.insert(ClassId(0), tuple![i]);
-            }
-        };
-        let mut rec = setup(COUNTER_RULES, EngineKind::Query);
-        load(&mut rec);
-        let tracer = obs::Tracer::new(obs::Sink::ring(65536));
-        rec.set_tracer(tracer.clone());
-        let rec_stats = rec.run(1000);
-        assert_eq!(rec_stats.committed, 10);
-        let keys = firing_keys(&tracer.ring_events().unwrap());
-        assert_eq!(keys.len(), 10);
-
-        let mut rep = setup(COUNTER_RULES, EngineKind::Query);
-        load(&mut rep);
-        let rep_tracer = obs::Tracer::new(obs::Sink::ring(65536));
-        rep.set_tracer(rep_tracer.clone());
-        rep.set_oracle(ScheduleOracle::new(keys.clone()));
-        let rep_stats = rep.run(1000);
-        assert_eq!(rep_stats.divergence, None);
-        assert_eq!(rep_stats.committed, 10);
-        // An oracle-steered run goes through the same accounting as a
-        // live one: one round per recorded firing, nothing raced.
-        assert_eq!(rep_stats.rounds, rep_stats.committed);
-        assert_eq!(rep_stats.retries + rep_stats.deadlock_aborts, 0);
-        assert_eq!((rep_stats.invalidated, rep_stats.failed), (0, 0));
-        assert!(rep_stats.critical_ns > 0);
-        assert_eq!(rep_stats.lock_waits, 0, "serial: no lock ever blocks");
-        assert!(rep_stats.shard_contention.is_empty());
-        let spans: Vec<_> = rep_tracer
-            .ring_events()
-            .unwrap()
-            .into_iter()
-            .filter_map(|e| match e {
-                Event::RoundSpan {
-                    candidates,
-                    committed,
-                    aborted,
-                    ..
-                } => Some((candidates, committed, aborted)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(spans, vec![(1, 1, 0); 10], "one round span per firing");
-        assert_eq!(
-            firing_keys(&rep_tracer.ring_events().unwrap()),
-            keys,
-            "replay reproduces the exact firing sequence"
-        );
-        assert_eq!(wm_snapshot(&rep), wm_snapshot(&rec), "final WM matches");
-    }
-
-    /// Replaying a schedule the current program cannot produce reports a
-    /// divergence instead of panicking or spinning: the recorded
-    /// instantiation is not eligible, re-selects as invalid, or fails.
-    #[test]
-    fn replay_divergence_is_reported() {
-        let replay = |wmes: &str, sabotage: &dyn Fn(&ProductionDb)| {
-            let mut ex = setup(COUNTER_RULES, EngineKind::Query);
-            let pdb = {
-                let eng = ex.engine();
-                let mut g = eng.lock();
-                g.insert(ClassId(0), tuple![1]);
-                g.pdb().clone()
-            };
-            sabotage(&pdb);
-            ex.set_oracle(ScheduleOracle::new(vec![("Mark".into(), wmes.into())]));
-            let stats = ex.run(1000);
-            assert_eq!(stats.committed, 0);
-            stats
-        };
-
-        let stats = replay("no-such-wmes", &|_| {});
-        assert_eq!(
-            stats.divergence.as_deref(),
-            Some("replay diverged at firing 0: no eligible instantiation for Mark: no-such-wmes")
-        );
-        assert_eq!(stats.rounds, 0, "nothing was dispatched");
-
-        // The tuple vanishes from storage behind the engine's back: still
-        // in the conflict set, gone when the transaction re-selects it.
-        let stats = replay("Item(1)", &|pdb| {
-            pdb.remove_wm_equal(ClassId(0), &tuple![1]).unwrap();
-        });
-        assert_eq!(
-            stats.divergence.as_deref(),
-            Some("replay diverged at firing 0: Mark: Item(1) re-selected as invalid")
-        );
-        assert_eq!((stats.rounds, stats.invalidated), (1, 1));
-
-        let stats = replay("Item(1)", &|pdb| pdb.db().inject_fault_after(0));
-        let msg = stats.divergence.expect("divergence reported");
-        assert!(
-            msg.starts_with("replay diverged at firing 0: Mark: Item(1) failed: "),
-            "{msg}"
-        );
-        assert_eq!((stats.rounds, stats.failed), (1, 1));
-        assert_eq!(stats.errors.len(), 1);
-    }
-
-    /// Refraction under duplicate WMEs when a third party removes a copy
-    /// after one fired, replayed step by step: the same answers as the
-    /// sequential executor's `third_party_remove_*` tests. `Note` fires
-    /// on the first `A(1)`; `Kill` then removes the first `A(1)` too (the
-    /// oracle takes the first eligible instantiation of the recorded
-    /// contents), the fired copy, which takes its charge along: the other
-    /// copy fires.
-    #[test]
-    fn third_party_remove_of_the_fired_copy_releases_its_charge() {
-        let (stats, notes) = note_kill_note(&[("Note", "A(1)"), ("Kill", "K(1) A(1)")]);
-        assert_eq!((stats.committed, stats.divergence), (3, None));
-        assert_eq!(notes, 2, "the other copy fired");
-    }
-
-    /// The other side: both copies have fired when `Kill` removes one, so
-    /// the one left keeps its charge and the third `Note` step finds no
-    /// eligible instantiation.
-    #[test]
-    fn third_party_remove_of_the_other_copy_keeps_the_charge() {
-        let steps = [("Note", "A(1)"), ("Note", "A(1)"), ("Kill", "K(1) A(1)")];
-        let (stats, notes) = note_kill_note(&steps);
-        assert_eq!(stats.committed, 3);
-        assert_eq!(
-            stats.divergence.as_deref(),
-            Some("replay diverged at firing 3: no eligible instantiation for Note: A(1)")
-        );
-        assert_eq!(notes, 2, "no copy fired twice");
-    }
-
-    /// Two `A(1)` and one `K(1)`, replaying `steps` and then one more
-    /// `Note`: the stats, and how many times `Note` fired.
-    fn note_kill_note(steps: &[(&str, &str)]) -> (ConcurrentStats, usize) {
+    fn refraction_outlives_one_run() {
         let src = r#"
             (literalize A x)
-            (literalize K x)
             (literalize Log x)
             (p Note (A ^x <V>) --> (make Log ^x <V>))
-            (p Kill (K ^x <V>) (A ^x <V>) --> (remove 1) (remove 2))
+        "#;
+        let rs = ops5::compile(src).unwrap();
+        let pdb = ProductionDb::new(rs).unwrap();
+        let mut ex = ConcurrentExecutor::new(make_engine(EngineKind::Rete, pdb), 2);
+        ex.engine().lock().insert(ClassId(0), tuple![1]);
+        assert_eq!(ex.run(100).committed, 1);
+        assert_eq!(ex.run(100).committed, 0, "already fired");
+        assert_eq!(ex.engine().lock().pdb().wm_len(ClassId(1)), 1);
+    }
+
+    /// A blocker made through `engine()` between two runs takes the fired
+    /// instantiation out of the conflict set. When the second run removes
+    /// the blocker, the instantiation comes back under the same key, a new
+    /// instantiation with no charge: it fires again.
+    #[test]
+    fn a_blocker_between_runs_releases_the_charge() {
+        let src = r#"
+            (literalize A x)
+            (literalize B x)
+            (literalize Go x)
+            (literalize Log x)
+            (p Note (A ^x <V>) -(B ^x <V>) --> (make Log ^x <V>))
+            (p Unblock (Go ^x <V>) (B ^x <V>) --> (remove 1) (remove 2))
         "#;
         let mut ex = setup(src, EngineKind::Rete);
+        ex.engine().lock().insert(ClassId(0), tuple![1]);
+        assert_eq!(ex.run(100).committed, 1);
         {
             let eng = ex.engine();
             let mut g = eng.lock();
-            g.insert(ClassId(0), tuple![1]);
-            g.insert(ClassId(0), tuple![1]);
             g.insert(ClassId(1), tuple![1]);
-            assert_eq!(g.conflict_set().len(), 4, "two Note and two Kill copies");
+            g.insert(ClassId(2), tuple![1]);
         }
-        let mut steps: Vec<(String, String)> = (steps.iter())
-            .map(|(rule, wmes)| (rule.to_string(), wmes.to_string()))
-            .collect();
-        steps.push(("Note".into(), "A(1)".into()));
-        ex.set_oracle(ScheduleOracle::new(steps));
-        let stats = ex.run(100);
-        let eng = ex.engine();
-        let g = eng.lock();
-        assert_eq!(g.pdb().wm_len(ClassId(0)), 1);
-        (stats, g.pdb().wm_len(ClassId(2)))
+        assert_eq!(ex.run(100).committed, 2, "Unblock, then Note again");
+        assert_eq!(ex.engine().lock().pdb().wm_len(ClassId(3)), 2);
     }
 }

@@ -6,7 +6,7 @@ pub mod refraction;
 pub mod schedules;
 pub mod sequential;
 
-pub use concurrent::{ConcurrentExecutor, ConcurrentStats, ScheduleOracle};
+pub use concurrent::{ConcurrentExecutor, ConcurrentStats};
 pub use refraction::Refraction;
 pub use schedules::{
     count_equivalent_schedules, critical_path, interleaving_upper_bound, ops_of_instantiation,

@@ -10,9 +10,10 @@
 //! went) may fire again. Both executors select through
 //! [`Refraction::eligible`] and charge through [`Refraction::record`]. The
 //! sequential executor drops charges after every maintenance pass, from
-//! the pass's removals ([`Refraction::release`]); the concurrent one after
-//! every round, from the conflict set ([`Refraction::trim_to`]), since a
-//! removal may surface in a racing transaction's pass. Either way a key
+//! the pass's removals ([`Refraction::release`]); the concurrent one at the
+//! start of every run and after every round, from the conflict set
+//! ([`Refraction::trim_to`]), since a removal may surface in a racing
+//! transaction's pass or come through its `engine()` between runs. Either way a key
 //! removed and added back inside one pass or round keeps its charge.
 
 use rete::{ConflictDelta, ConflictSet, Instantiation, KeyMap};

@@ -1,6 +1,11 @@
 //! The OPS5 recognize-act cycle: Match → Select → Act, one production per
 //! cycle (§2.1). Refraction (an instantiation never fires twice while it
 //! stays in the conflict set) prevents trivial infinite loops.
+//!
+//! Select is a conflict-resolution [`Strategy`] ([`SequentialExecutor::step`])
+//! or a recorded schedule ([`SequentialExecutor::replay`]): a §5 run is
+//! "equivalent to some OPS5 serial run", its journal's commit order, so
+//! replaying one is a serial run that picks by the record.
 
 use std::time::Instant;
 
@@ -9,6 +14,7 @@ use rete::{ConflictDelta, Instantiation};
 
 use crate::engine::MatchEngine;
 use crate::exec::{eval_rhs, Refraction, WmChange};
+use crate::pdb::ProductionDb;
 use crate::strategy::Strategy;
 
 /// Outcome of a run.
@@ -18,8 +24,8 @@ pub struct RunOutcome {
     pub fired: usize,
     /// `(halt)` was executed.
     pub halted: bool,
-    /// The cycle limit stopped the run: an eligible instantiation was
-    /// left unfired.
+    /// The cycle limit (in a replay, the last key) stopped the run: an
+    /// eligible instantiation was left unfired.
     pub limited: bool,
     /// Lines produced by `write` actions.
     pub writes: Vec<String>,
@@ -113,10 +119,7 @@ impl SequentialExecutor {
     /// `None` when the conflict set has no eligible entry.
     pub fn step(&mut self) -> Option<(Instantiation, bool, Vec<String>)> {
         obs::prof_span!("exec.step");
-        let cycle = self.cycle;
         let pdb = self.engine.pdb().clone();
-        let rules = pdb.rules();
-        let tracer = self.engine.tracer().clone();
         // Select. `candidates()` copies every eligible instantiation where
         // `Refraction::eligible` would lend them; a copy is one allocation,
         // the WME vector, on every engine. The copy stays until the repo
@@ -129,10 +132,56 @@ impl SequentialExecutor {
         if candidates.is_empty() {
             return None;
         }
-        tracer.emit(|| Event::CycleStart { cycle });
         let refs: Vec<&Instantiation> = candidates.iter().collect();
-        let pick = self.strategy.pick(rules, &refs);
-        let inst = candidates.swap_remove(pick);
+        let pick = self.strategy.pick(pdb.rules(), &refs);
+        Some(self.fire(&pdb, candidates.swap_remove(pick)))
+    }
+
+    /// Follow a recorded serial schedule: `(rule_name, wmes)` keys in
+    /// firing order, as a journal's `Firing` events give them. At each key
+    /// the first eligible instantiation of that rule and those contents
+    /// fires (a key names contents; refraction, exact by tuple id, keeps an
+    /// equal copy that fired from being taken again), through the same
+    /// act as [`SequentialExecutor::step`]. Every key fires, a `(halt)`
+    /// included: a §5 run commits the transactions already started after
+    /// a halt, and their keys follow it. `limited` reports an eligible
+    /// instantiation left after the last key. The first key with nothing
+    /// eligible is an `Err` naming it.
+    pub fn replay(&mut self, keys: &[(String, String)]) -> Result<RunOutcome, String> {
+        let pdb = self.engine.pdb().clone();
+        let rules = pdb.rules();
+        let mut outcome = RunOutcome::default();
+        for (k, (rule, wmes)) in keys.iter().enumerate() {
+            let recorded = |inst: &&Instantiation| {
+                rules.rule(inst.rule).name == *rule && inst.wmes_display(rules) == *wmes
+            };
+            let conflict_set = self.engine.conflict_set();
+            let found = self.refraction.eligible(conflict_set).find(recorded);
+            let Some(inst) = found.cloned() else {
+                return Err(format!(
+                    "replay diverged at firing {k}: no eligible instantiation for {rule}: {wmes}"
+                ));
+            };
+            let (_, halt, writes) = self.fire(&pdb, inst);
+            outcome.fired += 1;
+            outcome.halted |= halt;
+            outcome.writes.extend(writes);
+        }
+        let conflict_set = self.engine.conflict_set();
+        outcome.limited = self.refraction.eligible(conflict_set).next().is_some();
+        Ok(outcome)
+    }
+
+    /// Act: charge `inst` to refraction, apply its RHS and trace the cycle.
+    fn fire(
+        &mut self,
+        pdb: &ProductionDb,
+        inst: Instantiation,
+    ) -> (Instantiation, bool, Vec<String>) {
+        let cycle = self.cycle;
+        let rules = pdb.rules();
+        let tracer = self.engine.tracer().clone();
+        tracer.emit(|| Event::CycleStart { cycle });
         let conflict_len = self.engine.conflict_set().len();
         let rule_name = &rules.rule(inst.rule).name;
         tracer.emit(|| Event::RuleSelect {
@@ -186,7 +235,7 @@ impl SequentialExecutor {
             conflict_len,
             fired_total,
         });
-        Some((inst, rhs.halt, rhs.writes))
+        (inst, rhs.halt, rhs.writes)
     }
 
     /// Run until quiescence, `(halt)`, or `max_cycles`.
@@ -215,7 +264,6 @@ impl SequentialExecutor {
 mod tests {
     use super::*;
     use crate::engine::{make_engine, EngineKind};
-    use crate::pdb::ProductionDb;
     use ops5::ClassId;
     use relstore::tuple;
 
@@ -405,6 +453,60 @@ mod tests {
             assert_eq!((out.fired, out.limited), (3, false), "{}", kind.label());
             assert_eq!(ex.engine().pdb().wm_len(ClassId(2)), 2, "{}", kind.label());
         }
+    }
+
+    fn keys(keys: &[(&str, &str)]) -> Vec<(String, String)> {
+        (keys.iter())
+            .map(|(rule, wmes)| (rule.to_string(), wmes.to_string()))
+            .collect()
+    }
+
+    /// Replay fires every recorded key, past a `(halt)`: a §5 halt lets
+    /// the transactions already started commit after it, and their keys
+    /// follow it in the record.
+    #[test]
+    fn replay_fires_every_key_past_a_halt() {
+        let mut ex = exec(
+            EngineKind::Rete,
+            r#"
+            (literalize A x)
+            (literalize Log x)
+            (p Stop (A ^x <V>) --> (make Log ^x <V>) (halt))
+            "#,
+        );
+        ex.insert(ClassId(0), tuple![1]);
+        ex.insert(ClassId(0), tuple![2]);
+        let keys = keys(&[("Stop", "A(1)"), ("Stop", "A(2)")]);
+        let out = ex.replay(&keys).unwrap();
+        assert_eq!((out.fired, out.halted, out.limited), (2, true, false));
+        assert_eq!(ex.engine().pdb().wm_len(ClassId(1)), 2);
+    }
+
+    /// A key with no eligible instantiation stops the replay with an
+    /// error naming it: contents that are not in the conflict set, or an
+    /// instantiation that fired already.
+    #[test]
+    fn replay_divergence_is_reported() {
+        let replay = |steps: &[(&str, &str)]| {
+            let mut ex = exec(
+                EngineKind::Query,
+                r#"
+                (literalize A x)
+                (literalize Log x)
+                (p Note (A ^x <V>) --> (make Log ^x <V>))
+                "#,
+            );
+            ex.insert(ClassId(0), tuple![1]);
+            ex.replay(&keys(steps)).unwrap_err()
+        };
+        assert_eq!(
+            replay(&[("Note", "no-such-wmes")]),
+            "replay diverged at firing 0: no eligible instantiation for Note: no-such-wmes"
+        );
+        assert_eq!(
+            replay(&[("Note", "A(1)"), ("Note", "A(1)")]),
+            "replay diverged at firing 1: no eligible instantiation for Note: A(1)"
+        );
     }
 
     #[test]

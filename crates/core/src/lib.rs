@@ -44,8 +44,8 @@ pub use engine::{
 pub use error::{Error, Result};
 pub use exec::{
     count_equivalent_schedules, critical_path, interleaving_upper_bound, ops_of_instantiation,
-    ConcurrentExecutor, ConcurrentStats, Refraction, RunOutcome, ScheduleOracle,
-    SequentialExecutor, Target, TxnOps, WmChange,
+    ConcurrentExecutor, ConcurrentStats, Refraction, RunOutcome, SequentialExecutor, Target,
+    TxnOps, WmChange,
 };
 pub use pdb::ProductionDb;
 pub use rulebase::CondIndex;

@@ -250,7 +250,7 @@ impl Journal {
     }
 
     /// `(rule_name, wmes)` keys of the firings, in commit order — the
-    /// schedule oracle fed to a replaying executor.
+    /// serial run a replay follows.
     pub fn firing_keys(&self) -> Vec<(String, String)> {
         self.firings()
             .iter()
